@@ -1,9 +1,13 @@
 // FairShare policy semantics: single-pool degeneration to EASY, starvation
 // preemption through the engine's preempt/requeue machinery, the per-job
-// preemption cap, and policy-state serialization.
+// preemption cap, policy-state serialization, and golden per-job decision
+// fingerprints of multi-pool runs.
 #include "sched/fairshare.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
@@ -122,6 +126,129 @@ TEST(FairShare, PolicyStateSerializationRoundTrips) {
   restored.save_state(again);
   again.end_section();
   EXPECT_EQ(again.finish(), image);
+}
+
+// --- golden decision fingerprints ------------------------------------------
+//
+// Each case runs a multi-pool FairShare simulation and hashes every job's
+// (id, start, finish, interruptions).  The constants pin the policy's
+// decisions: a change to the cycle that is meant to be a pure speed-up must
+// leave all of them untouched.  Regenerate only for a deliberate change of
+// FairShare semantics.
+
+/// FNV-1a over the per-job outcomes, doubles hashed by their bit pattern.
+std::uint64_t outcome_hash(const SimulationResult& result) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    return word;
+  };
+  for (const JobOutcome& job : result.jobs) {
+    mix(static_cast<std::uint64_t>(job.id));
+    mix(bits(job.started));
+    mix(bits(job.finished));
+    mix(static_cast<std::uint64_t>(job.interruptions));
+  }
+  return hash;
+}
+
+/// Jobs interrupted at least once (by starvation relief or a node failure).
+std::size_t interrupted_jobs(const SimulationResult& result) {
+  std::size_t count = 0;
+  for (const JobOutcome& job : result.jobs)
+    if (job.interruptions > 0) ++count;
+  return count;
+}
+
+workload::GeneratorConfig golden_config(int num_pools) {
+  workload::GeneratorConfig config;
+  config.num_jobs = 400;
+  config.seed = 29;
+  config.target_load = 1.0;
+  config.num_users = 24;
+  config.num_pools = num_pools;
+  return config;
+}
+
+TEST(FairShareGolden, FourWeightedPoolsWithMinShare) {
+  const workload::Workload workload = workload::generate(golden_config(4));
+  core::AlgorithmOptions options;
+  options.engine.fairshare.pools = {{"prod", 4.0, 0.25},
+                                    {"batch", 2.0, 0.0},
+                                    {"dev", 1.0, 0.1},
+                                    {"scavenger", 1.0, 0.0}};
+  options.engine.fairshare.min_share_preemption_timeout = 120;
+  options.engine.fairshare.fair_share_preemption_timeout = 900;
+  const SimulationResult result =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_GT(interrupted_jobs(result), 0u);
+  EXPECT_EQ(result.completed + result.killed, workload.jobs.size());
+  EXPECT_EQ(outcome_hash(result), 0x63adde7b0bc267e4ull);
+}
+
+TEST(FairShareGolden, PreemptionUnderThePerJobCap) {
+  const workload::Workload workload = workload::generate(golden_config(2));
+  core::AlgorithmOptions options = aggressive_fairshare_options();
+  options.engine.fairshare.max_preemptions_per_job = 1;
+  const SimulationResult result =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_GT(interrupted_jobs(result), 0u);
+  for (const JobOutcome& job : result.jobs)
+    EXPECT_LE(job.interruptions, 1) << "job " << job.id;
+  EXPECT_EQ(outcome_hash(result), 0x3a810d59405da863ull);
+}
+
+TEST(FairShareGolden, NodeFailuresWithHeadRequeue) {
+  // Head requeue puts interrupted jobs in front with forced priority: the
+  // cycle must serve that prefix before any pool-ratio selection.
+  const workload::Workload workload = workload::generate(golden_config(3));
+  core::AlgorithmOptions options = aggressive_fairshare_options();
+  options.engine.fairshare.pools.push_back({"c", 2.0, 0.0});
+  options.engine.failure.enabled = true;
+  options.engine.failure.seed = 7;
+  options.engine.failure.mtbf = 2 * 3600.0;
+  options.engine.failure.mttr = 20 * 60.0;
+  options.engine.failure.max_nodes = 2;
+  options.engine.requeue = fault::RequeuePolicy::kRequeueHead;
+  const SimulationResult result =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_GT(result.failure.outages, 0u);
+  EXPECT_GT(result.failure.requeues, 0u);
+  EXPECT_EQ(outcome_hash(result), 0xcadbf079ed936720ull);
+}
+
+TEST(FairShareGolden, PoolTagsBeyondTheConfiguredPools) {
+  // Two configured pools, tags over five: pools 2-4 join with weight 1.
+  const workload::Workload workload = workload::generate(golden_config(5));
+  const core::AlgorithmOptions options = aggressive_fairshare_options();
+  const SimulationResult result =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_EQ(result.completed + result.killed, workload.jobs.size());
+  EXPECT_EQ(outcome_hash(result), 0x0eabbe077059bbf1ull);
+}
+
+TEST(FairShareGolden, GranularityOne) {
+  workload::GeneratorConfig config = golden_config(3);
+  config.machine_procs = 256;
+  config.size.unit = 1;
+  config.size.lo1 = 8;
+  config.size.hi1 = 40;
+  config.size.lo2 = 48;
+  config.size.hi2 = 160;
+  const workload::Workload workload = workload::generate(config);
+  ASSERT_EQ(workload.granularity, 1);
+  const core::AlgorithmOptions options = aggressive_fairshare_options();
+  const SimulationResult result =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_GT(interrupted_jobs(result), 0u);
+  EXPECT_EQ(outcome_hash(result), 0x4d1c1aed5794cf32ull);
 }
 
 }  // namespace
