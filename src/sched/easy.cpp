@@ -47,11 +47,14 @@ void Easy::cycle(SchedulerContext& ctx) {
     shadow = shadow_for_blocked(ctx, head_alloc);
 
   // Phase 3: aggressive backfill — any later job that fits now and delays
-  // neither the head reservation nor the dedicated freeze.
-  // Iterate over a snapshot: ctx.start() mutates the queue.
-  std::vector<JobRun*> candidates(std::next(ctx.batch->begin()),
-                                  ctx.batch->end());
-  for (JobRun* job : candidates) {
+  // neither the head reservation nor the dedicated freeze.  Every job
+  // occupies at least one allocation grain, so the scan ends once less than
+  // a grain is free.  Iterate over a snapshot: ctx.start() mutates the queue.
+  const int grain = ctx.machine->granularity();
+  if (ctx.free() < grain) return;
+  candidates_.assign(std::next(ctx.batch->begin()), ctx.batch->end());
+  for (JobRun* job : candidates_) {
+    if (ctx.free() < grain) break;
     const int alloc = ctx.alloc_of(*job);
     if (alloc > ctx.free()) continue;
     if (!respects(shadow, ctx.now, *job, alloc)) continue;

@@ -12,6 +12,8 @@
 // jobs are packed around the dedicated reservation.
 #pragma once
 
+#include <vector>
+
 #include "sched/reservation.hpp"
 #include "sched/scheduler.hpp"
 
@@ -31,6 +33,7 @@ class Easy : public Scheduler {
 
  private:
   bool dedicated_aware_;
+  std::vector<JobRun*> candidates_;  ///< phase-3 snapshot, capacity reused
 };
 
 /// Moves every dedicated job whose requested start time has been reached to

@@ -22,10 +22,20 @@
 // tenant still drives the machine to the same utilization as EASY.  With
 // one pool (untagged workload) the ratio order degenerates to FIFO and no
 // preemption ever triggers — FairShare behaves as plain EASY backfilling.
+//
+// Cost per cycle: one pass over the running set and one over the batch
+// queue gather everything both phases need (pool universe, running
+// allocations, per-pool heads, forced prefix, per-pool waiting lists) into
+// member scratch that keeps its capacity, so a steady-state cycle never
+// touches the heap.  The gather runs before relief: victims were running
+// (in no list), re-enter at the queue tail and may not restart in the cycle
+// that displaced them, so no re-gather is needed.  Selection stops as soon
+// as less than one allocation grain is free — every job needs at least one,
+// so nothing else can start — which makes a cycle on a full machine cost
+// the two gather passes plus relief.
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sched/engine_config.hpp"
@@ -53,31 +63,41 @@ class FairShare final : public Scheduler {
   struct PoolState {
     double below_share_since = -1;
   };
-  /// Per-cycle working view of one pool.
+  /// Per-cycle working view of one pool.  `weight`/`min_share` are fixed
+  /// at construction; the rest is reset by every cycle.
   struct PoolScratch {
     double weight = 1;
     double min_share = 0;
-    double running = 0;  ///< processors held by the pool's running jobs
-    std::vector<JobRun*> waiting;  ///< queue-order snapshot
+    double running = 0;       ///< processors held by the pool's running jobs
+    JobRun* head = nullptr;   ///< first waiting job, forced ones included
+    std::vector<JobRun*> waiting;  ///< non-forced jobs in queue order
     std::size_t next = 0;          ///< selection cursor into `waiting`
   };
+
+  /// Scratch of pool `p`, growing the pool universe (default weight 1) for
+  /// a tag beyond every pool seen so far.
+  PoolScratch& pool_scratch(int p);
 
   /// Youngest-started running job of any pool currently above its
   /// entitlement (excluding `starving_pool`), eligible under the per-job
   /// preemption cap.  Null when no such victim exists.
-  JobRun* pick_victim(const SchedulerContext& ctx,
-                      const std::vector<PoolScratch>& scratch,
-                      double total_weight, double available,
-                      int starving_pool) const;
+  JobRun* pick_victim(const SchedulerContext& ctx, double total_weight,
+                      double available, int starving_pool) const;
 
   FairShareConfig config_;
   std::vector<PoolState> pools_;
   /// Policy-initiated preemptions per job id (serialized; enforces
   /// max_preemptions_per_job across restores).
   std::unordered_map<workload::JobId, int> preempt_counts_;
-  /// Jobs preempted in the current cycle: never restarted at the same
-  /// instant they were displaced.
-  std::unordered_set<workload::JobId> preempted_this_cycle_;
+
+  /// Initial capacity of each configured pool's waiting list (jobs); a
+  /// deeper queue still grows it.
+  static constexpr std::size_t kWaitingReserve = 128;
+
+  // Per-cycle scratch, never serialized: reset at the top of every cycle
+  // and kept at capacity so steady-state cycles do not allocate.
+  std::vector<PoolScratch> scratch_;
+  std::vector<JobRun*> forced_;  ///< forced-priority prefix, queue order
 };
 
 }  // namespace es::sched

@@ -91,6 +91,7 @@ struct GeneratorSource::Stream {
   util::Rng type_rng;
   util::Rng ecc_rng;
   util::Rng estimate_rng;
+  util::Rng user_rng;
   ArrivalProcess arrivals;
   std::size_t index = 0;
 
@@ -102,14 +103,19 @@ struct GeneratorSource::Stream {
         type_rng(master.split()),
         ecc_rng(master.split()),
         estimate_rng(master.split()),
+        user_rng(master.split()),
         arrivals(config.arrival, arrival_rng) {}
 
   /// Generates the next job; when `eccs` is non-null its commands are
-  /// appended (the ecc stream is independent, so calibration pre-passes
-  /// skip the draws entirely).  Mirrors generate()'s per-job draw order;
-  /// interleaving the ECC pass per job is equivalent to the generator's
-  /// two-pass structure because each attribute consumes its own stream.
-  bool next(const GeneratorConfig& config, Job& job, std::vector<Ecc>* eccs) {
+  /// appended, and when `users` is non-null the job is tagged with its
+  /// submitting user and pool (both streams are independent, so
+  /// calibration pre-passes skip those draws entirely).  Mirrors
+  /// generate()'s per-job draw order; interleaving the ECC and tagging
+  /// passes per job is equivalent to the generator's separate passes
+  /// because each attribute consumes its own stream and generate() tags
+  /// in id order, which is generation order.
+  bool next(const GeneratorConfig& config, Job& job, std::vector<Ecc>* eccs,
+            const ZipfSampler* users) {
     if (index >= config.num_jobs) return false;
     job = Job{};
     job.id = static_cast<JobId>(index + 1);
@@ -167,6 +173,11 @@ struct GeneratorSource::Stream {
         eccs->push_back(ecc);
       }
     }
+    if (users != nullptr) {
+      job.user = users->sample(user_rng);
+      job.pool =
+          config.num_pools > 0 ? (job.user - 1) % config.num_pools : 0;
+    }
     ++index;
     return true;
   }
@@ -184,6 +195,11 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
   ES_EXPECTS(config.p_extend + config.p_reduce <= 1);
   ES_EXPECTS(config.p_extend_procs + config.p_reduce_procs <= 1);
   ES_EXPECTS(config.estimate_factor >= 1.0);
+  if (config.num_users > 0) {
+    ES_EXPECTS(config.zipf_exponent > 0);
+    ES_EXPECTS(config.num_pools >= 0);
+    users_.emplace(config.num_users, config.zipf_exponent);
+  }
 
   // calibrate_load() replayed as generation passes: pass 0 measures the
   // scale-invariant proc-seconds and the unscaled load; each iteration
@@ -197,7 +213,7 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
       Job job;
       double last = 0;
       bool first = true;
-      while (pass.next(config_, job, nullptr)) {
+      while (pass.next(config_, job, nullptr, nullptr)) {
         if (accumulate_work)
           proc_seconds +=
               static_cast<double>(job.num) * job.actual_runtime();
@@ -248,7 +264,8 @@ bool GeneratorSource::generate_lookahead() {
   if (exhausted_) return false;
   Job job;
   const std::size_t before = ecc_buffer_.size();
-  if (!stream_->next(config_, job, &ecc_buffer_)) {
+  if (!stream_->next(config_, job, &ecc_buffer_,
+                     users_ ? &*users_ : nullptr)) {
     exhausted_ = true;
     return false;
   }

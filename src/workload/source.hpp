@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -98,10 +99,11 @@ class MaterializedSource : public JobSource {
 
 /// Streams the synthetic Lublin/CWF generator without materializing the
 /// trace: bitwise-identical to generate(config) fed to the engine, chunk by
-/// chunk.  Jobs and their commands are produced in one interleaved pass
-/// (the generator's split RNG streams make that equal to its two-pass
-/// structure); target_load calibration replays generate()'s iterative
-/// scale_arrivals() as a factor chain applied per emitted timestamp.
+/// chunk.  Jobs, their commands and their tenancy tags are produced in one
+/// interleaved pass (the generator's split RNG streams make that equal to
+/// its separate passes); target_load calibration replays generate()'s
+/// iterative scale_arrivals() as a factor chain applied per emitted
+/// timestamp.
 class GeneratorSource : public JobSource {
  public:
   static constexpr std::size_t kDefaultChunkJobs = 4096;
@@ -128,6 +130,8 @@ class GeneratorSource : public JobSource {
 
   GeneratorConfig config_;
   std::size_t chunk_jobs_;
+  /// Submitting-user sampler when the config tags jobs (num_users > 0).
+  std::optional<ZipfSampler> users_;
   std::vector<double> factors_;
   double origin_ = 0;
   std::unique_ptr<Stream> stream_;

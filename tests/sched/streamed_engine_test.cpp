@@ -241,6 +241,30 @@ TEST(StreamedEngine, GeneratorSourceStreamsWithoutMaterializing) {
   expect_identical(materialized, streamed);
 }
 
+TEST(StreamedEngine, GeneratorSourceKeepsFairSharePools) {
+  // A tagged generator config streamed into multi-pool FairShare with
+  // starvation relief must schedule job for job like the materialized run;
+  // an untagged stream would silently collapse to one pool.
+  workload::GeneratorConfig config = small_config(200);
+  config.target_load = 1.0;
+  config.num_users = 16;
+  config.num_pools = 3;
+  const workload::Workload workload = workload::generate(config);
+  core::AlgorithmOptions options;
+  options.engine.fairshare.pools = {
+      {"a", 2.0, 0.3}, {"b", 1.0, 0.0}, {"c", 1.0, 0.0}};
+  options.engine.fairshare.min_share_preemption_timeout = 60;
+  options.engine.fairshare.fair_share_preemption_timeout = 600;
+  const sched::SimulationResult materialized =
+      exp::run_workload(workload, "FairShare", options);
+  EXPECT_GT(materialized.failure.interruptions, 0u)
+      << "the parity run must exercise pool-driven preemption";
+  workload::GeneratorSource source(config, 16);
+  const sched::SimulationResult streamed =
+      exp::run_source(source, "FairShare", options);
+  expect_identical(materialized, streamed);
+}
+
 TEST(StreamedEngine, HandCraftedTieGroupsAtChunkBoundaries) {
   // Equal arrivals straddling the nominal chunk edge: the source must
   // extend the chunk so same-instant arrival order (and any same-instant

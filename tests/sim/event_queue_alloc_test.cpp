@@ -11,35 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting global operators.  Sanitizer builds still intercept the
-// underlying malloc/free, so leak and poisoning checks keep working.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "testing/counting_new.hpp"
 
 namespace es::sim {
 namespace {
 
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using es::testing::allocations;
 
 // The engine's hot-path callback shape: two captured pointers, 16 bytes —
 // inside libstdc++'s std::function small-object buffer.

@@ -13,6 +13,7 @@
 
 #include "snap/ring.hpp"
 #include "snap/snapshot.hpp"
+#include "testing/temp_path.hpp"
 
 namespace es::snap {
 namespace {
@@ -177,7 +178,7 @@ TEST(SnapshotContainer, EmptyImageIsCorruptNotVersioned) {
 class SnapshotFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "snap_test_ring";
+    dir_ = es::testing::unique_temp_path("snap_test_ring");
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }

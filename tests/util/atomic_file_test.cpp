@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "testing/temp_path.hpp"
 #include "util/atomic_file.hpp"
 
 namespace es::util {
@@ -28,7 +29,7 @@ bool exists(const std::string& path) {
 class AtomicFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "atomic_file_test.csv";
+    path_ = es::testing::unique_temp_path("atomic_file_test") + ".csv";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

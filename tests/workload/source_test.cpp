@@ -64,6 +64,8 @@ void expect_same_jobs(const std::vector<Job>& expected,
     EXPECT_EQ(a.actual, b.actual) << "job " << i;
     EXPECT_EQ(a.type, b.type) << "job " << i;
     EXPECT_EQ(a.start, b.start) << "job " << i;
+    EXPECT_EQ(a.user, b.user) << "job " << i;
+    EXPECT_EQ(a.pool, b.pool) << "job " << i;
   }
 }
 
@@ -214,6 +216,33 @@ TEST(GeneratorSource, NoCalibrationWithoutTargetLoad) {
   Drained drained = drain(source);
   const Workload workload = generate(config);
   expect_same_jobs(workload.jobs, drained.jobs);
+}
+
+TEST(GeneratorSource, TagsUsersAndPoolsLikeGenerate) {
+  // Multi-tenant traces: the user stream is split after the estimate
+  // stream and drawn in id order, exactly as generate() tags jobs.
+  GeneratorConfig config;
+  config.machine_procs = 64;
+  config.size.unit = 8;
+  config.num_jobs = 180;
+  config.seed = 31;
+  config.target_load = 0.9;
+  config.p_extend = 0.2;
+  config.estimate_uniform_max = 3.0;
+  config.num_users = 12;
+  config.num_pools = 3;
+  const Workload workload = generate(config);
+  int max_pool = 0;
+  for (const Job& job : workload.jobs) max_pool = std::max(max_pool, job.pool);
+  ASSERT_EQ(max_pool, 2) << "the trace must actually span several pools";
+
+  for (const std::size_t chunk_jobs : {std::size_t{1}, std::size_t{23}}) {
+    SCOPED_TRACE(chunk_jobs);
+    GeneratorSource source(config, chunk_jobs);
+    Drained drained = drain(source);
+    expect_same_jobs(workload.jobs, drained.jobs);
+    expect_same_eccs(workload.eccs, drained.eccs);
+  }
 }
 
 // --- SwfJobSource ----------------------------------------------------------
