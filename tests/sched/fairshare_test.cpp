@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "snap/snapshot.hpp"
+#include "testing/helpers.hpp"
 #include "workload/generator.hpp"
 
 namespace es::sched {
@@ -136,28 +136,7 @@ TEST(FairShare, PolicyStateSerializationRoundTrips) {
 // leave all of them untouched.  Regenerate only for a deliberate change of
 // FairShare semantics.
 
-/// FNV-1a over the per-job outcomes, doubles hashed by their bit pattern.
-std::uint64_t outcome_hash(const SimulationResult& result) {
-  std::uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  };
-  const auto bits = [](double value) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, &value, sizeof word);
-    return word;
-  };
-  for (const JobOutcome& job : result.jobs) {
-    mix(static_cast<std::uint64_t>(job.id));
-    mix(bits(job.started));
-    mix(bits(job.finished));
-    mix(static_cast<std::uint64_t>(job.interruptions));
-  }
-  return hash;
-}
+using es::testing::outcome_hash;
 
 /// Jobs interrupted at least once (by starvation relief or a node failure).
 std::size_t interrupted_jobs(const SimulationResult& result) {

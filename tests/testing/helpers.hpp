@@ -4,6 +4,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <string>
@@ -66,6 +68,30 @@ inline Scenario run_scenario(const workload::Workload& workload,
   for (const sched::JobOutcome& outcome : scenario.result.jobs)
     scenario.by_id[outcome.id] = outcome;
   return scenario;
+}
+
+/// FNV-1a over every job's (id, start, finish, interruptions), doubles
+/// hashed by their bit pattern: a golden fingerprint of a run's decisions.
+inline std::uint64_t outcome_hash(const sched::SimulationResult& result) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    return word;
+  };
+  for (const sched::JobOutcome& job : result.jobs) {
+    mix(static_cast<std::uint64_t>(job.id));
+    mix(bits(job.started));
+    mix(bits(job.finished));
+    mix(static_cast<std::uint64_t>(job.interruptions));
+  }
+  return hash;
 }
 
 /// Verifies the fundamental resource invariant from the per-job outcomes:
