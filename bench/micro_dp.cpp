@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/dp.hpp"
+#include "core/dp_reference.hpp"
 #include "exp/experiment.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -43,29 +44,61 @@ BENCHMARK(BM_BasicDp)
     ->Args({250, 128})
     ->Complexity(benchmark::oN);
 
+/// Job sizes of the wide_g1 shape in grains (granularity 1): 32-96
+/// processors with probability 0.2, else 128-320.
+std::vector<int> wide_g1_weights(std::size_t n, std::uint64_t seed) {
+  es::util::Rng rng(seed);
+  std::vector<int> weights;
+  weights.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    weights.push_back(static_cast<int>(rng.bernoulli(0.2)
+                                           ? rng.uniform_int(32, 96)
+                                           : rng.uniform_int(128, 320)));
+  return weights;
+}
+
+/// Reservation_DP table fill (detail::, bypassing the fast path and the
+/// cache): arg 0 is queue length, arg 1 capacity and arg 2 shadow capacity
+/// in grains.  The 224-grain legs are the wide_g1 shape — 4096 processors
+/// at granularity 1, with its job-size mix — and a shadow capacity that
+/// binds (64), equals the capacity (224) or is the whole machine (4096).
+/// Each iteration compares its selection against the reference recurrence
+/// (tests/core/dp_reference.hpp) computed up front, aborting on the first
+/// divergence.
 void BM_ReservationDp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int capacity = static_cast<int>(state.range(1));
-  const auto weights = random_weights(n, capacity, 43);
+  const int shadow_capacity = static_cast<int>(state.range(2));
+  const auto weights = capacity > 128 ? wide_g1_weights(n, 43)
+                                      : random_weights(n, capacity, 43);
   es::util::Rng rng(44);
   std::vector<int> shadows;
   shadows.reserve(n);
   for (int w : weights) shadows.push_back(rng.bernoulli(0.5) ? w : 0);
-  const int shadow_capacity = capacity / 2;
+  const auto expected = es::testing::reference_reservation_dp(
+      weights, shadows, capacity, shadow_capacity);
   es::core::DpWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(es::core::reservation_dp(
-        weights, shadows, capacity, shadow_capacity, ws));
+    const auto selected = es::core::detail::reservation_dp_table(
+        weights, shadows, capacity, shadow_capacity, ws);
+    if (selected != expected) {
+      state.SkipWithError("reservation fill diverged from the reference");
+      break;
+    }
+    benchmark::DoNotOptimize(selected);
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ReservationDp)
-    ->Args({10, 10})
-    ->Args({50, 10})
-    ->Args({250, 10})
-    ->Args({1000, 10})
-    ->Args({50, 128})
-    ->Args({250, 128})
+    ->Args({10, 10, 5})
+    ->Args({50, 10, 5})
+    ->Args({250, 10, 5})
+    ->Args({1000, 10, 5})
+    ->Args({50, 128, 64})
+    ->Args({250, 128, 64})
+    ->Args({250, 224, 64})
+    ->Args({250, 224, 224})
+    ->Args({250, 224, 4096})
     ->Complexity(benchmark::oN);
 
 /// SIMD row fill before/after at the granularity-1 wide-machine shape:

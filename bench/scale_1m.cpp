@@ -93,16 +93,24 @@ int main(int argc, char** argv) {
       es::bench::result_fingerprint_csv(parity_streamed.result) ==
       es::bench::result_fingerprint_csv(parity_materialized.result);
 
-  // Leg 5 (PR 9): granularity-1 on a 4096-processor machine at load 1.0 —
+  // Leg 5 (PR 9): granularity 1 on a 4096-processor machine at load 1.0 —
   // every processor is its own allocation grain, so DP capacities run to
-  // 4096 columns and the event rate is the bottleneck.  Run the identical
-  // workload twice: "before" reverts every PR 9 lever (binary-heap event
-  // queue, scalar DP rows, no speculation); "after" is the shipping
-  // default.  p_small 0.2 biases toward wide jobs, the widest-table shape.
+  // 4096 columns.  A streamed run takes its granularity from the
+  // generator's size unit, so the unit is 1 and the sizes are given in
+  // processors: the wide_g1 benchmark mix, 32-96 small and 128-320 large.
+  // Run the identical workload twice: "before" reverts every PR 9 lever
+  // (binary-heap event queue, scalar DP rows, no speculation); "after" is
+  // the shipping default.  p_small 0.2 biases toward wide jobs, the
+  // widest-table shape.
   const std::size_t campaign_jobs = options.quick ? 20000 : 200000;
   es::workload::GeneratorConfig campaign_config =
       es::bench::scale_workload(options, campaign_jobs, 1.0, 0.2);
   campaign_config.machine_procs = 4096;
+  campaign_config.size.unit = 1;
+  campaign_config.size.lo1 = 32;
+  campaign_config.size.hi1 = 96;
+  campaign_config.size.lo2 = 128;
+  campaign_config.size.hi2 = 320;
   es::core::AlgorithmOptions campaign = es::bench::algo_options(options);
   campaign.engine.keep_job_outcomes = false;
   campaign.engine.granularity = 1;

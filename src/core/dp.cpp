@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
-// Explicit-SIMD row update: compiled only on x86-64 and only when the build
-// enables it (ES_DP_SIMD, default on).  Per-function target attributes keep
-// the rest of the translation unit at the baseline ISA; the host's actual
-// support is probed once at runtime.
+// The vector tiers of the row kernel: compiled only on x86-64 and only when
+// the build enables them (ES_DP_SIMD, default on).  Per-function target
+// attributes keep the rest of the translation unit at the baseline ISA; the
+// host's actual support is probed once at runtime.
 #if defined(ES_DP_SIMD) && (defined(__x86_64__) || defined(_M_X64))
 #define ES_DP_SIMD_X86 1
 #include <immintrin.h>
@@ -35,15 +38,11 @@ std::int64_t item_value(int weight, std::size_t index, std::size_t n,
          static_cast<std::int64_t>(n - index);
 }
 
-// Bitpacked keep table: one take/skip bit per (item, cell).
-void keep_clear(DpWorkspace& ws, std::size_t bits) {
-  ws.keep.assign((bits + 63) / 64, 0);
-}
-inline void keep_set(DpWorkspace& ws, std::size_t bit) {
-  ws.keep[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-}
-inline bool keep_get(const DpWorkspace& ws, std::size_t bit) {
-  return (ws.keep[bit >> 6] >> (bit & 63)) & 1;
+/// Items the table fill can never select: weight 0, weight over the
+/// capacity, or (Reservation_DP) shadow weight over the shadow capacity.
+bool fill_skips(int weight, int shadow_weight, int capacity,
+                int shadow_capacity) {
+  return weight == 0 || weight > capacity || shadow_weight > shadow_capacity;
 }
 
 /// Fast path: when every positive-weight item fits together (total demand
@@ -89,7 +88,7 @@ void normalize_key(std::span<const int> weights,
   for (std::size_t i = 0; i < n; ++i) {
     const int w = weights[i];
     const int s = shadow_weights.empty() ? 0 : shadow_weights[i];
-    const bool skipped = w == 0 || w > capacity || s > shadow_capacity;
+    const bool skipped = fill_skips(w, s, capacity, shadow_capacity);
     key_weights[i] = skipped ? 0 : w;
     if (!shadow_weights.empty()) key_shadows[i] = skipped ? 0 : s;
   }
@@ -240,193 +239,324 @@ namespace detail {
 
 namespace {
 
-// --- Basic_DP row update kernels ----------------------------------------
-//
-// One double-buffered row step over the column span [lo, hi): for item
-// (w, v), cur[c] = max(prev[c], prev[c - w] + v), recording a keep bit
-// where the candidate wins.  `keep_row` points at the row's first keep
-// word (the row base is a multiple of 64, so bit c of the row is bit
-// (c & 63) of keep_row[c >> 6]).  All tiers compute this identical
-// recurrence; the SIMD tiers batch 64 columns per keep-word store, with
-// scalar prologue/epilogue for the unaligned fringes (|= into words the
-// batched stores never touch — the store target is always a whole,
-// exclusively-owned word over a cleared table).
-void fill_row_scalar(const std::int64_t* prev, std::int64_t* cur,
-                     std::uint64_t* keep_row, std::size_t lo, std::size_t hi,
-                     std::size_t w, std::int64_t v) {
-  std::size_t c = lo;
-  for (const std::size_t skip = std::min(hi, w); c < skip; ++c)
-    cur[c] = prev[c];
-  for (; c < hi; ++c) {
-    const std::int64_t candidate = prev[c - w] + v;
-    if (candidate > prev[c]) {
-      cur[c] = candidate;
-      keep_row[c >> 6] |= std::uint64_t{1} << (c & 63);
-    } else {
-      cur[c] = prev[c];
-    }
+// --- the row kernel ----------------------------------------------------------
+
+#if ES_DP_SIMD_X86
+/// A vector of kBytes / sizeof(T) lanes of T.
+template <typename T, std::size_t kBytes>
+struct Lanes;
+template <>
+struct Lanes<std::int32_t, 32> {
+  typedef std::int32_t Vec __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<std::int64_t, 32> {
+  typedef std::int64_t Vec __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<std::int32_t, 16> {
+  typedef std::int32_t Vec __attribute__((vector_size(16)));
+};
+template <>
+struct Lanes<std::int64_t, 16> {
+  typedef std::int64_t Vec __attribute__((vector_size(16)));
+};
+
+/// A vector compare result's lane bits, with the tier's instruction.
+struct Avx2Mask {
+  template <typename Vec>
+  __attribute__((target("avx2"))) static int bits(Vec take) {
+    if constexpr (sizeof(take[0]) == 4)
+      return _mm256_movemask_ps((__m256)take);
+    else
+      return _mm256_movemask_pd((__m256d)take);
   }
+};
+
+struct Sse42Mask {
+  template <typename Vec>
+  __attribute__((target("sse4.2"))) static int bits(Vec take) {
+    if constexpr (sizeof(take[0]) == 4)
+      return _mm_movemask_ps((__m128)take);
+    else
+      return _mm_movemask_pd((__m128d)take);
+  }
+};
+#endif  // ES_DP_SIMD_X86
+
+
+// --- the row kernel ----------------------------------------------------------
+//
+// One row step of either DP over the columns [lo, hi), lo >= shift:
+//   out[c] = max(base[c], donor[c - shift] + v),
+// setting bit c of the row's keep words (bit c & 63 of keep_row[c >> 6])
+// where the donor wins.  The donor comes as its row plus a shift, so no
+// pointer is ever formed before a row's start.  `out` may alias `base`
+// (Reservation_DP fills in place) but not the donor's cells, and the keep
+// words must be clear on entry.  Columns run one at a time up to a
+// multiple of the vector width, then a vector group at a time — a group's
+// bits all land in one word, which collects them in a register and is
+// OR-ed into the table once — then one at a time for the tail.  Every
+// candidate stays below the table's value bound (see fits_int32), so the
+// sums never overflow T.
+//
+// kBytes is the vector width of the ISA tier (sizeof(T) for the scalar
+// tier); `Mask` turns a vector compare result into its lane bits with the
+// tier's instruction.
+template <typename T, std::size_t kBytes, typename Mask>
+[[gnu::always_inline]] inline void fill_row(const T* base, const T* donor,
+                                            std::size_t shift, T* out,
+                                            std::uint64_t* keep_row,
+                                            std::size_t lo, std::size_t hi,
+                                            T v) {
+  constexpr std::size_t kLanes = kBytes / sizeof(T);
+  const auto take_bit = [&](std::size_t c) -> std::uint64_t {
+    const T current = base[c];
+    const T candidate = donor[c - shift] + v;
+    const bool take = candidate > current;
+    out[c] = take ? candidate : current;
+    return take ? 1 : 0;
+  };
+  std::size_t c = lo;
+  for (; c < hi && c % kLanes != 0; ++c)
+    keep_row[c >> 6] |= take_bit(c) << (c & 63);
+  while (c + kLanes <= hi) {
+    const std::size_t word_end = std::min(hi, (c | 63) + 1);
+    std::uint64_t word = 0;
+    for (; c + kLanes <= word_end; c += kLanes) {
+      if constexpr (kLanes == 1) {
+        word |= take_bit(c) << (c & 63);
+      } else {
+#if ES_DP_SIMD_X86
+        using Vec = typename Lanes<T, kBytes>::Vec;
+        Vec current;
+        Vec donated;
+        std::memcpy(&current, base + c, sizeof current);
+        std::memcpy(&donated, donor + (c - shift), sizeof donated);
+        const Vec candidate = donated + v;
+        const auto take = candidate > current;
+        const Vec best = take ? candidate : current;
+        std::memcpy(out + c, &best, sizeof best);
+        word |= std::uint64_t{static_cast<unsigned>(Mask::bits(take))}
+                << (c & 63);
+#endif
+      }
+    }
+    keep_row[(c - 1) >> 6] |= word;
+  }
+  for (; c < hi; ++c) keep_row[c >> 6] |= take_bit(c) << (c & 63);
+}
+
+template <typename T>
+using RowFill = void (*)(const T*, const T*, std::size_t, T*, std::uint64_t*,
+                         std::size_t, std::size_t, T);
+
+template <typename T>
+void fill_row_scalar(const T* base, const T* donor, std::size_t shift,
+                     T* out, std::uint64_t* keep_row, std::size_t lo,
+                     std::size_t hi, T v) {
+  fill_row<T, sizeof(T), void>(base, donor, shift, out, keep_row, lo, hi, v);
 }
 
 #if ES_DP_SIMD_X86
-
-__attribute__((target("avx2"))) void fill_row_avx2(
-    const std::int64_t* prev, std::int64_t* cur, std::uint64_t* keep_row,
-    std::size_t lo, std::size_t hi, std::size_t w, std::int64_t v) {
-  std::size_t c = lo;
-  for (const std::size_t skip = std::min(hi, w); c < skip; ++c)
-    cur[c] = prev[c];
-  const auto scalar_step = [&](std::size_t col) {
-    const std::int64_t candidate = prev[col - w] + v;
-    if (candidate > prev[col]) {
-      cur[col] = candidate;
-      keep_row[col >> 6] |= std::uint64_t{1} << (col & 63);
-    } else {
-      cur[col] = prev[col];
-    }
-  };
-  for (; c < hi && (c & 63) != 0; ++c) scalar_step(c);
-  const __m256i vv = _mm256_set1_epi64x(v);
-  for (; c + 64 <= hi; c += 64) {
-    std::uint64_t word = 0;
-    for (std::size_t k = 0; k < 64; k += 4) {
-      const __m256i p = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(prev + c + k));
-      const __m256i donor = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(prev + c + k - w));
-      const __m256i cand = _mm256_add_epi64(donor, vv);
-      // Values are non-negative and bounded far below 2^63 (weight * base
-      // + tie-break over <= a few thousand items), so the signed 64-bit
-      // compare is exact.
-      const __m256i take = _mm256_cmpgt_epi64(cand, p);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur + c + k),
-                          _mm256_blendv_epi8(p, cand, take));
-      word |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                  _mm256_movemask_pd(_mm256_castsi256_pd(take))))
-              << k;
-    }
-    keep_row[c >> 6] = word;
-  }
-  for (; c < hi; ++c) scalar_step(c);
+// `flatten` inlines the kernel and, through it, the tier's mask function
+// into the target-attributed body, so the vector code is compiled for the
+// tier's ISA.
+template <typename T>
+__attribute__((target("sse4.2"), flatten)) void fill_row_sse42(
+    const T* base, const T* donor, std::size_t shift, T* out,
+    std::uint64_t* keep_row, std::size_t lo, std::size_t hi, T v) {
+  fill_row<T, 16, Sse42Mask>(base, donor, shift, out, keep_row, lo, hi, v);
 }
 
-__attribute__((target("sse4.2"))) void fill_row_sse42(
-    const std::int64_t* prev, std::int64_t* cur, std::uint64_t* keep_row,
-    std::size_t lo, std::size_t hi, std::size_t w, std::int64_t v) {
-  std::size_t c = lo;
-  for (const std::size_t skip = std::min(hi, w); c < skip; ++c)
-    cur[c] = prev[c];
-  const auto scalar_step = [&](std::size_t col) {
-    const std::int64_t candidate = prev[col - w] + v;
-    if (candidate > prev[col]) {
-      cur[col] = candidate;
-      keep_row[col >> 6] |= std::uint64_t{1} << (col & 63);
-    } else {
-      cur[col] = prev[col];
-    }
-  };
-  for (; c < hi && (c & 63) != 0; ++c) scalar_step(c);
-  const __m128i vv = _mm_set1_epi64x(v);
-  for (; c + 64 <= hi; c += 64) {
-    std::uint64_t word = 0;
-    for (std::size_t k = 0; k < 64; k += 2) {
-      const __m128i p =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev + c + k));
-      const __m128i donor = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(prev + c + k - w));
-      const __m128i cand = _mm_add_epi64(donor, vv);
-      const __m128i take = _mm_cmpgt_epi64(cand, p);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(cur + c + k),
-                       _mm_blendv_epi8(p, cand, take));
-      word |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                  _mm_movemask_pd(_mm_castsi128_pd(take))))
-              << k;
-    }
-    keep_row[c >> 6] = word;
-  }
-  for (; c < hi; ++c) scalar_step(c);
+template <typename T>
+__attribute__((target("avx2"), flatten)) void fill_row_avx2(
+    const T* base, const T* donor, std::size_t shift, T* out,
+    std::uint64_t* keep_row, std::size_t lo, std::size_t hi, T v) {
+  fill_row<T, 32, Avx2Mask>(base, donor, shift, out, keep_row, lo, hi, v);
 }
-
 #endif  // ES_DP_SIMD_X86
 
-using RowFill = void (*)(const std::int64_t*, std::int64_t*, std::uint64_t*,
-                         std::size_t, std::size_t, std::size_t, std::int64_t);
-
-RowFill pick_row_fill() {
+template <typename T>
+RowFill<T> pick_row_fill() {
   switch (dp_simd_level()) {
 #if ES_DP_SIMD_X86
     case DpSimdLevel::kAvx2:
-      return fill_row_avx2;
+      return fill_row_avx2<T>;
     case DpSimdLevel::kSse42:
-      return fill_row_sse42;
+      return fill_row_sse42<T>;
 #endif
     default:
-      return fill_row_scalar;
+      return fill_row_scalar<T>;
   }
 }
 
-/// Column width of one parallel block.  Large enough that a block's fill
+// --- the two fills -----------------------------------------------------------
+
+/// Every cell holds the value of a set packed within its column's capacity:
+/// at most capacity * base of utilization plus a tie-break sum of at most
+/// n(n+1)/2 < base = n^2 + 1.  So every value, and every candidate the
+/// kernel forms, is below (capacity + 1) * base, and a table whose bound
+/// fits fills with int32_t.
+bool fits_int32(std::size_t n, int capacity) {
+  return priority_base(n) <= std::numeric_limits<std::int32_t>::max() /
+                                 (static_cast<std::int64_t>(capacity) + 1);
+}
+
+template <typename T>
+DpTable<T>& table_of(DpWorkspace& ws) {
+  if constexpr (std::is_same_v<T, std::int32_t>)
+    return ws.table32;
+  else
+    return ws.table64;
+}
+
+/// Keep rows are padded to whole 64-bit words.
+std::size_t keep_words(std::size_t cols) { return (cols + 63) / 64; }
+
+bool keep_bit(const std::uint64_t* keep_row, std::size_t c) {
+  return (keep_row[c >> 6] >> (c & 63)) & 1;
+}
+
+/// Items the fill can select, ascending: the rest get no keep row.
+void collect_live(std::span<const int> weights,
+                  std::span<const int> shadow_weights, int capacity,
+                  int shadow_capacity, std::vector<std::size_t>& live) {
+  live.clear();
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const int w = weights[i];
+    const int s = shadow_weights.empty() ? 0 : shadow_weights[i];
+    ES_EXPECTS(w >= 0 && s >= 0);
+    ES_EXPECTS(s == 0 || s == w);  // frenum is 0 or the job size
+    if (!fill_skips(w, s, capacity, shadow_capacity)) live.push_back(i);
+  }
+}
+
+/// Column width of one parallel block: large enough that a block's fill
 /// amortizes the pool dispatch, and a multiple of 64 so every block's keep
-/// bits land in its own words (the row stride is also 64-aligned).
+/// bits land in its own words.
 constexpr std::size_t kBlockCols = 8192;
 
-/// Minimum table width for the SIMD row update to pay off.  Below this the
-/// in-place scalar loop wins on locality (the paper's BlueGene/P shape is
-/// 11 columns); at or above it the double-buffered fill with the vector
-/// kernel wins even single-threaded.
-constexpr std::size_t kSimdCols = 128;
-
-/// Blocked double-buffered fill for wide Basic_DP tables.  Row i is
-/// computed from row i-1 (`prev` -> `cur`) tile by tile; tiles are
-/// independent because cell c only reads prev[c] and prev[c - w].  Each
-/// tile writes a disjoint cur range and — because both the tile origin and
-/// the keep-row stride are multiples of 64 — disjoint keep words, so the
-/// tiles of one row can fan out across the thread pool race-free.  The
-/// recurrence is the exact in-place recurrence of the serial fill (the
-/// descending in-place loop reads only not-yet-written cells, i.e. the
-/// previous row), so selections are identical by construction; the
-/// equivalence is additionally gated by tests and the perf_baseline
-/// parallel-DP leg.  The per-tile row update dispatches to the widest
-/// SIMD tier the host supports (see fill_row_* above) — every tier
-/// computes the same recurrence, so the dispatch cannot change selections.
-std::vector<int> basic_dp_table_blocked(std::span<const int> weights,
-                                        int capacity, DpWorkspace& ws) {
+/// Basic_DP, double-buffered: row k (the k-th live item) is computed from
+/// row k-1 — base is the previous row, the donor is the same row shifted by
+/// the item's weight.  Cell c reads only prev[c] and prev[c - w], so the
+/// column blocks of one row are independent; tables of several blocks fan
+/// them out across the thread pool when it is up.
+template <typename T>
+std::vector<int> basic_fill(std::span<const int> weights, int capacity,
+                            DpWorkspace& ws) {
+  DpTable<T>& table = table_of<T>(ws);
   const std::size_t n = weights.size();
   const std::int64_t base = priority_base(n);
   const std::size_t cols = static_cast<std::size_t>(capacity) + 1;
-  const std::size_t stride = (cols + 63) & ~std::size_t{63};
+  const std::size_t words = keep_words(cols);
   const std::size_t blocks = (cols + kBlockCols - 1) / kBlockCols;
-  const RowFill fill = pick_row_fill();
+  const bool parallel = blocks > 1 && util::global_parallelism() > 1;
+  const RowFill<T> fill = pick_row_fill<T>();
 
-  ws.value.assign(cols, 0);
-  ws.value2.assign(cols, 0);
-  keep_clear(ws, n * stride);
-  ++ws.counters.table_runs;
-  ws.counters.table_cells += n * cols;  // logical cells, same as serial
+  collect_live(weights, {}, capacity, 0, ws.live);
+  table.value.assign(cols, 0);
+  table.next.resize(cols);  // every row writes all of it
+  ws.keep.assign(ws.live.size() * words, 0);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const int w = weights[i];
-    ES_EXPECTS(w >= 0);
-    if (w == 0 || w > capacity) continue;  // row carries over: no swap
-    const std::size_t sw = static_cast<std::size_t>(w);
-    const std::int64_t v = item_value(w, i, n, base);
-    const std::int64_t* prev = ws.value.data();
-    std::int64_t* cur = ws.value2.data();
-    std::uint64_t* keep_row = ws.keep.data() + (i * stride) / 64;
-    util::parallel_for_each(blocks, [&](std::size_t block) {
-      const std::size_t lo = block * kBlockCols;
-      const std::size_t hi = std::min(cols, lo + kBlockCols);
-      fill(prev, cur, keep_row, lo, hi, sw, v);
-    });
-    std::swap(ws.value, ws.value2);
+  for (std::size_t k = 0; k < ws.live.size(); ++k) {
+    const std::size_t i = ws.live[k];
+    const std::size_t w = static_cast<std::size_t>(weights[i]);
+    const T v = static_cast<T>(item_value(weights[i], i, n, base));
+    const T* prev = table.value.data();
+    T* cur = table.next.data();
+    std::uint64_t* keep_row = ws.keep.data() + k * words;
+    const auto fill_cols = [&](std::size_t lo, std::size_t hi) {
+      const std::size_t split = std::clamp(w, lo, hi);
+      std::copy(prev + lo, prev + split, cur + lo);
+      fill(prev, prev, w, cur, keep_row, split, hi, v);
+    };
+    if (parallel) {
+      util::parallel_for_each(blocks, [&](std::size_t block) {
+        const std::size_t lo = block * kBlockCols;
+        fill_cols(lo, std::min(cols, lo + kBlockCols));
+      });
+    } else {
+      fill_cols(0, cols);
+    }
+    std::swap(table.value, table.next);
   }
 
   std::vector<int> selected;
   std::size_t c = cols - 1;
-  for (std::size_t i = n; i-- > 0;) {
-    if (keep_get(ws, i * stride + c)) {
+  for (std::size_t k = ws.live.size(); k-- > 0;) {
+    if (keep_bit(ws.keep.data() + k * words, c)) {
+      const std::size_t i = ws.live[k];
       selected.push_back(static_cast<int>(i));
       c -= static_cast<std::size_t>(weights[i]);
+    }
+  }
+  std::reverse(selected.begin(), selected.end());
+  return selected;
+}
+
+/// Reservation_DP, in place, over capacity rows a = 0 .. C and shadow
+/// columns b = 0 .. min(S, C), C the capacity and S the shadow capacity.
+/// For each live item (w, s) the rows are taken in descending order, row a
+/// updated from row a - w shifted by s; row a - w has not been touched for
+/// this item yet, so it still holds the previous item's values.
+///
+/// The clamp of the shadow axis to min(S, C) selects what the unclamped
+/// table selects.  Let V(a, b) be the best value of a set of total weight
+/// <= a and total shadow weight <= b.  Shadow weights are 0 or the weight,
+/// so a set's shadow total never exceeds its weight total, and for b >= a
+/// the shadow bound is implied: V(a, b) = V(a, infinity).  The keep bit at
+/// (a, b) compares V(a - w, b - s) + v with V(a, b); for b >= a also
+/// b - s >= a - w, so neither side, and hence the bit, depends on b there.
+/// The backtrack starts at (C, min(S, C)) and each taken item moves it by
+/// (w, s) with s <= w, so b - a never shrinks.  When S >= C, the unclamped
+/// backtrack from (C, S) and the clamped one from (C, C) therefore read,
+/// step by step, the same item's bit in the same row a at columns that are
+/// both >= a, where the bit does not depend on the column: they take the
+/// same items.  When S < C nothing is clamped.  A cell's recurrence reads
+/// no column to its right, so the cells the clamped table keeps hold the
+/// unclamped values.
+template <typename T>
+std::vector<int> reservation_fill(std::span<const int> weights,
+                                  std::span<const int> shadow_weights,
+                                  int capacity, int shadow_capacity,
+                                  DpWorkspace& ws) {
+  std::vector<T>& value = table_of<T>(ws).value;
+  const std::size_t n = weights.size();
+  const std::int64_t base = priority_base(n);
+  const std::size_t rows = static_cast<std::size_t>(capacity) + 1;
+  const std::size_t cols =
+      static_cast<std::size_t>(std::min(shadow_capacity, capacity)) + 1;
+  const std::size_t words = keep_words(cols);
+  const std::size_t item_words = rows * words;
+  const RowFill<T> fill = pick_row_fill<T>();
+
+  collect_live(weights, shadow_weights, capacity, shadow_capacity, ws.live);
+  value.assign(rows * cols, 0);
+  ws.keep.assign(ws.live.size() * item_words, 0);
+
+  for (std::size_t k = 0; k < ws.live.size(); ++k) {
+    const std::size_t i = ws.live[k];
+    const std::size_t w = static_cast<std::size_t>(weights[i]);
+    const std::size_t s = static_cast<std::size_t>(shadow_weights[i]);
+    const T v = static_cast<T>(item_value(weights[i], i, n, base));
+    std::uint64_t* keep_item = ws.keep.data() + k * item_words;
+    for (std::size_t a = rows - 1; a >= w; --a) {
+      T* row = value.data() + a * cols;
+      fill(row, value.data() + (a - w) * cols, s, row, keep_item + a * words,
+           s, cols, v);
+    }
+  }
+
+  std::vector<int> selected;
+  std::size_t a = rows - 1;
+  std::size_t b = cols - 1;
+  for (std::size_t k = ws.live.size(); k-- > 0;) {
+    if (keep_bit(ws.keep.data() + k * item_words + a * words, b)) {
+      const std::size_t i = ws.live[k];
+      selected.push_back(static_cast<int>(i));
+      a -= static_cast<std::size_t>(weights[i]);
+      b -= static_cast<std::size_t>(shadow_weights[i]);
     }
   }
   std::reverse(selected.begin(), selected.end());
@@ -440,51 +570,12 @@ std::vector<int> basic_dp_table(std::span<const int> weights, int capacity,
   ES_EXPECTS(capacity >= 0);
   const std::size_t n = weights.size();
   if (n == 0 || capacity == 0) return {};
-  const std::size_t cols = static_cast<std::size_t>(capacity) + 1;
   TableTimer timer(ws);
-
-  // Wide tables (far beyond the BlueGene/P 11-column shape) go through the
-  // blocked fill: parallel when a pool is up, and vectorized from a lower
-  // width threshold when the host has a SIMD tier — the double-buffered
-  // row update is what the vector kernels implement.  Narrow tables keep
-  // the in-place single-buffer loop — better locality, no barrier per row.
-  const bool wide_parallel =
-      cols >= kBlockCols && util::global_parallelism() > 1;
-  const bool wide_simd =
-      cols >= kSimdCols && dp_simd_level() != DpSimdLevel::kScalar;
-  if (wide_parallel || wide_simd)
-    return basic_dp_table_blocked(weights, capacity, ws);
-
-  const std::int64_t base = priority_base(n);
-  ws.value.assign(cols, 0);
-  keep_clear(ws, n * cols);
   ++ws.counters.table_runs;
-  ws.counters.table_cells += n * cols;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const int w = weights[i];
-    ES_EXPECTS(w >= 0);
-    if (w == 0 || w > capacity) continue;
-    const std::int64_t v = item_value(w, i, n, base);
-    for (std::size_t c = cols - 1; c >= static_cast<std::size_t>(w); --c) {
-      const std::int64_t candidate = ws.value[c - static_cast<std::size_t>(w)] + v;
-      if (candidate > ws.value[c]) {
-        ws.value[c] = candidate;
-        keep_set(ws, i * cols + c);
-      }
-    }
-  }
-
-  std::vector<int> selected;
-  std::size_t c = cols - 1;
-  for (std::size_t i = n; i-- > 0;) {
-    if (keep_get(ws, i * cols + c)) {
-      selected.push_back(static_cast<int>(i));
-      c -= static_cast<std::size_t>(weights[i]);
-    }
-  }
-  std::reverse(selected.begin(), selected.end());
-  return selected;
+  ws.counters.table_cells += n * (static_cast<std::size_t>(capacity) + 1);
+  return fits_int32(n, capacity)
+             ? basic_fill<std::int32_t>(weights, capacity, ws)
+             : basic_fill<std::int64_t>(weights, capacity, ws);
 }
 
 std::vector<int> reservation_dp_table(std::span<const int> weights,
@@ -497,52 +588,14 @@ std::vector<int> reservation_dp_table(std::span<const int> weights,
   const std::size_t n = weights.size();
   if (n == 0 || capacity == 0) return {};
   TableTimer timer(ws);
-  const std::int64_t base = priority_base(n);
-  const std::size_t c1 = static_cast<std::size_t>(capacity) + 1;
-  const std::size_t c2 = static_cast<std::size_t>(shadow_capacity) + 1;
-  const std::size_t cells = c1 * c2;
-
-  ws.value.assign(cells, 0);
-  keep_clear(ws, n * cells);
   ++ws.counters.table_runs;
-  ws.counters.table_cells += n * cells;
-  auto cell = [c2](std::size_t a, std::size_t b) { return a * c2 + b; };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const int w = weights[i];
-    const int s = shadow_weights[i];
-    ES_EXPECTS(w >= 0 && s >= 0);
-    ES_EXPECTS(s == 0 || s == w);  // frenum is 0 or the job size
-    if (w == 0 || w > capacity || s > shadow_capacity) continue;
-    const std::int64_t v = item_value(w, i, n, base);
-    for (std::size_t a = c1 - 1; a >= static_cast<std::size_t>(w); --a) {
-      for (std::size_t b = c2 - 1; b >= static_cast<std::size_t>(s); --b) {
-        const std::int64_t candidate =
-            ws.value[cell(a - static_cast<std::size_t>(w),
-                          b - static_cast<std::size_t>(s))] +
-            v;
-        if (candidate > ws.value[cell(a, b)]) {
-          ws.value[cell(a, b)] = candidate;
-          keep_set(ws, i * cells + cell(a, b));
-        }
-        if (b == 0) break;  // avoid size_t underflow
-      }
-      if (a == 0) break;
-    }
-  }
-
-  std::vector<int> selected;
-  std::size_t a = c1 - 1;
-  std::size_t b = c2 - 1;
-  for (std::size_t i = n; i-- > 0;) {
-    if (keep_get(ws, i * cells + cell(a, b))) {
-      selected.push_back(static_cast<int>(i));
-      a -= static_cast<std::size_t>(weights[i]);
-      b -= static_cast<std::size_t>(shadow_weights[i]);
-    }
-  }
-  std::reverse(selected.begin(), selected.end());
-  return selected;
+  ws.counters.table_cells += n * (static_cast<std::size_t>(capacity) + 1) *
+                             (static_cast<std::size_t>(shadow_capacity) + 1);
+  return fits_int32(n, capacity)
+             ? reservation_fill<std::int32_t>(weights, shadow_weights,
+                                              capacity, shadow_capacity, ws)
+             : reservation_fill<std::int64_t>(weights, shadow_weights,
+                                              capacity, shadow_capacity, ws);
 }
 
 }  // namespace detail

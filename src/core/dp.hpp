@@ -16,8 +16,7 @@
 // the machine granularity — 32 on BlueGene/P), which keeps the DP tables
 // tiny; callers convert.  A reusable workspace avoids per-cycle allocation.
 //
-// Hot-path structure (PR 3, widened PR 8): every call resolves through,
-// in order,
+// Hot-path structure: every call resolves through, in order,
 //  1. the *fast path* — when the total eligible demand fits the capacity
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
@@ -35,14 +34,40 @@
 //     let the cache grow from 8 to 256 slots (the 8-slot round-robin
 //     evicted instances long before the schedule re-posed them: ~1.7% hit
 //     rate on the PR 5 baseline);
-//  3. the full table fill, with the keep table bitpacked (1 bit per cell,
-//     8x smaller than the byte table it replaces) for cache residency.
-//     Basic_DP tables wider than a threshold run *blocked*: the column
-//     range is tiled into 64-aligned blocks filled double-buffered, and
-//     the blocks fan out across util::ThreadPool when the global
-//     parallelism is > 1 — each block writes disjoint value cells and
-//     disjoint keep words, so the fill is race-free and the backtrack
-//     reads the same table the serial fill would have produced.
+//  3. the table fill.  Both DPs run one row kernel,
+//       out[c] = max(base[c], donor[c - shift] + v),
+//     which sets a keep bit (one bit per cell) where the donor wins.  It is
+//     one template over the value type, instantiated per ISA tier (see
+//     DpSimdLevel); each vector group's keep bits are OR-ed into their
+//     64-bit word at once, so rows shorter than 64 columns vectorize too.
+//     Basic_DP calls it double-buffered: base is the previous row, the
+//     donor is that row shifted by the item's weight w.  Reservation_DP
+//     calls it in place, capacity row by capacity row in descending order:
+//     base and out are row a, the donor is row a - w shifted by the item's
+//     shadow weight.  Around the kernel:
+//     - value width: every cell holds the value of a set packed within its
+//       column's capacity, which is below (capacity + 1) * (n^2 + 1)
+//       because the tie-break sum stays under the n^2 + 1 priority base.
+//       When that bound fits int32_t the table fills with int32_t (twice
+//       the lanes per vector), else with int64_t — the data picks the
+//       width per table;
+//     - shadow clamp: Reservation_DP's shadow axis stops at
+//       min(shadow capacity, capacity).  Shadow weights are 0 or the
+//       weight, so a set within the capacity never needs more shadow
+//       grains than the capacity; the keep bits on the backtrack path are
+//       those of the unclamped table (proof at the fill in dp.cpp);
+//     - live rows: keep rows exist only for the items the fill can select
+//       (positive weight within the capacity, shadow weight within the
+//       shadow capacity); the others produce no keep bits and are never
+//       selected.  Keep rows are padded to whole 64-bit words;
+//     - blocks: Basic_DP tables of more than one 8192-column block fan each
+//       row's blocks out across util::ThreadPool when the global
+//       parallelism is > 1.  Block origins are multiples of 64, so blocks
+//       write disjoint value cells and keep words, and the backtrack reads
+//       the table a serial fill produces.
+//     DpCounters::table_cells counts *logical* cells — items x (capacity +
+//     1), times (shadow capacity + 1) for Reservation_DP, unclamped — so
+//     it stays comparable across fill strategies.
 // All paths return bit-identical selections; the kernels stay pure
 // functions of their arguments.
 #pragma once
@@ -59,11 +84,22 @@ struct JobRun;
 
 namespace es::core {
 
+/// Table storage of one value width, int32_t or int64_t (the header comment
+/// above says how a table picks its width).
+template <typename T>
+struct DpTable {
+  std::vector<T> value;  ///< Reservation_DP table; Basic_DP's previous row
+  std::vector<T> next;   ///< Basic_DP's row being filled
+};
+
 /// Reusable DP buffers, result cache and counters; one per policy instance.
 struct DpWorkspace {
-  std::vector<std::int64_t> value;   ///< dp table, flattened
-  std::vector<std::int64_t> value2;  ///< previous row, blocked fills only
-  std::vector<std::uint64_t> keep;   ///< per-item take decisions, bitpacked
+  DpTable<std::int32_t> table32;
+  DpTable<std::int64_t> table64;
+  /// Take bits of the live items only, one row per table row, each row
+  /// padded to whole 64-bit words.
+  std::vector<std::uint64_t> keep;
+  std::vector<std::size_t> live;     ///< items the fill can select, ascending
   std::vector<int> key_weights;      ///< normalized-cache-key scratch
   std::vector<int> key_shadows;      ///< (ineligible items zeroed out)
 
@@ -133,12 +169,13 @@ std::vector<int> reservation_dp(std::span<const int> weights,
                                 int capacity, int shadow_capacity,
                                 DpWorkspace& ws);
 
-/// Instruction-set tier of the Basic_DP row update.  The kernel is compiled
-/// with explicit AVX2 / SSE4.2 blocks (per-function target attributes, so
-/// the rest of the binary stays baseline-ISA) and picks the widest tier the
-/// host supports at runtime.  Every tier computes the identical max/keep
-/// recurrence, so selections are bit-identical across tiers — gated by the
-/// dp tests, micro_dp, and the perf_baseline equivalence legs.
+/// Instruction-set tier of the DP row kernel.  The kernel is instantiated
+/// for AVX2 and SSE4.2 (per-function target attributes, so the rest of the
+/// binary stays baseline-ISA) and for the scalar baseline; table fills use
+/// the widest tier the host supports at runtime.  Every tier computes the
+/// identical max/keep recurrence, so selections are bit-identical across
+/// tiers — gated by the dp tests, micro_dp, and the perf_baseline
+/// equivalence legs.
 enum class DpSimdLevel { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
 
 /// The tier table fills will actually use: the widest supported one, or
