@@ -16,18 +16,14 @@
 
 namespace {
 
-// range(1) selects the ordering tier: 1 = calendar band (default), 0 =
-// heap-only (the pre-PR9 kernel) — the in-binary before/after pair.
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool band = state.range(1) != 0;
   es::util::Rng rng(1);
   std::vector<double> times;
   times.reserve(n);
   for (std::size_t i = 0; i < n; ++i) times.push_back(rng.uniform(0, 1e6));
   for (auto _ : state) {
     es::sim::EventQueue queue;
-    queue.set_band_enabled(band);
     std::uint64_t sum = 0;
     for (double t : times)
       queue.schedule(t, es::sim::EventClass::kOther,
@@ -38,22 +34,18 @@ void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueScheduleAndRun)
-    ->ArgsProduct({{1000, 10000, 100000}, {1, 0}});
+BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // The engine's real access pattern is a sliding window — events are
-// scheduled near the clock as it advances, not all up-front.  This is the
-// case the calendar band accelerates most.
+// scheduled near the clock as it advances, not all up-front.
 void BM_EventQueueSlidingWindow(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool band = state.range(1) != 0;
   es::util::Rng rng(3);
   std::vector<double> delays;
   delays.reserve(n);
   for (std::size_t i = 0; i < n; ++i) delays.push_back(rng.uniform(0, 100));
   for (auto _ : state) {
     es::sim::EventQueue queue;
-    queue.set_band_enabled(band);
     std::uint64_t sum = 0;
     constexpr std::size_t kWindow = 1024;
     std::size_t next = 0;
@@ -72,16 +64,13 @@ void BM_EventQueueSlidingWindow(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueSlidingWindow)
-    ->ArgsProduct({{10000, 100000}, {1, 0}});
+BENCHMARK(BM_EventQueueSlidingWindow)->Arg(10000)->Arg(100000);
 
 void BM_EventQueueCancellationHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool band = state.range(1) != 0;
   es::util::Rng rng(2);
   for (auto _ : state) {
     es::sim::EventQueue queue;
-    queue.set_band_enabled(band);
     std::vector<es::sim::EventHandle> handles;
     handles.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -95,8 +84,7 @@ void BM_EventQueueCancellationHeavy(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueCancellationHeavy)
-    ->ArgsProduct({{1000, 10000}, {1, 0}});
+BENCHMARK(BM_EventQueueCancellationHeavy)->Arg(1000)->Arg(10000);
 
 void BM_ReferenceQueueScheduleAndRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

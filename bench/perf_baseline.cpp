@@ -29,22 +29,17 @@
 //      then snapshotted every cycle, killed mid-run and resumed from the
 //      last snapshot, with the full deterministic result serialization
 //      byte-compared — snapshot/restore must be invisible in the science.
-//   8. blocked-parallel DP (PR 8): wide Basic_DP instances (capacities past
-//      the blocking threshold, the granularity-1 large-machine regime)
-//      filled serially and through the thread pool, with every selection
-//      compared element for element — the tiled double-buffered fill must
-//      be invisible in the selections — plus the cells/second of each.
-//   9. streamed ingestion (PR 8): every factory algorithm run materialized
+//   8. streamed ingestion (PR 8): every factory algorithm run materialized
 //      (Engine::run) and pulled through a bounded-chunk JobSource
 //      (Engine::run_streamed) over the same workload — the leg-7 fault +
 //      checkpoint + ECC traces — with the full deterministic result
 //      serialization byte-compared, plus a GeneratorSource leg proving the
 //      never-materialized synthetic path (chunked generation with load
 //      calibration) is equally invisible.
-//  10. event-throughput levers (PR 9): the granularity-1 wide-machine
-//      campaign shape with the calendar event queue, the SIMD DP rows and
-//      speculative DP all reverted vs the shipping defaults — fingerprints
-//      byte-compared (hard gate) — plus an *advisory* throughput check:
+//   9. event-throughput levers (PR 9): the granularity-1 wide-machine
+//      campaign shape with the SIMD DP rows and speculative DP both
+//      reverted vs the shipping defaults — fingerprints byte-compared
+//      (hard gate) — plus an *advisory* throughput check:
 //      when the committed BENCH_PR9.json was recorded on this same host
 //      profile (host_cores and threads both equal) and the lever-on leg
 //      lands more than 20% below its events/s, a ::warning:: annotation is
@@ -463,61 +458,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- leg 8: blocked-parallel DP equivalence + throughput --------------
-  // Wide knapsack instances: n x cols tables past the blocking threshold,
-  // the shape a granularity-1 many-thousand-processor machine poses.  The
-  // serial and pooled fills must select identically on every instance;
-  // cells/second measures what the tiling buys on this host.
-  const int dp_instances = options.quick ? 4 : 12;
-  bool parallel_dp_identical = true;
-  double dp_serial_seconds = 0;
-  double dp_parallel_seconds = 0;
-  std::uint64_t dp_cells = 0;
-  {
-    es::util::Rng rng(options.seed + 99);
-    std::vector<std::vector<int>> instances;
-    std::vector<int> capacities;
-    for (int k = 0; k < dp_instances; ++k) {
-      const int capacity =
-          8191 + static_cast<int>(rng.uniform_int(0, 12000));
-      const int n = 50 + static_cast<int>(rng.uniform_int(0, 200));
-      std::vector<int> weights;
-      weights.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        weights.push_back(
-            static_cast<int>(rng.uniform_int(1, capacity / 2)));
-      dp_cells += static_cast<std::uint64_t>(n) *
-                  (static_cast<std::uint64_t>(capacity) + 1);
-      instances.push_back(std::move(weights));
-      capacities.push_back(capacity);
-    }
-    std::vector<std::vector<int>> serial_selected;
-    es::util::set_global_parallelism(1);
-    t0 = std::chrono::steady_clock::now();
-    for (int k = 0; k < dp_instances; ++k) {
-      es::core::DpWorkspace ws;
-      serial_selected.push_back(es::core::detail::basic_dp_table(
-          instances[static_cast<std::size_t>(k)],
-          capacities[static_cast<std::size_t>(k)], ws));
-    }
-    dp_serial_seconds = seconds_since(t0);
-    es::util::set_global_parallelism(parallel_jobs);
-    t0 = std::chrono::steady_clock::now();
-    for (int k = 0; k < dp_instances; ++k) {
-      es::core::DpWorkspace ws;
-      const auto parallel = es::core::detail::basic_dp_table(
-          instances[static_cast<std::size_t>(k)],
-          capacities[static_cast<std::size_t>(k)], ws);
-      if (parallel != serial_selected[static_cast<std::size_t>(k)])
-        parallel_dp_identical = false;
-    }
-    dp_parallel_seconds = seconds_since(t0);
-    es::util::set_global_parallelism(1);
-  }
-  const double parallel_dp_speedup =
-      dp_parallel_seconds > 0 ? dp_serial_seconds / dp_parallel_seconds : 0.0;
-
-  // --- leg 9: streamed-ingestion equivalence ----------------------------
+  // --- leg 8: streamed-ingestion equivalence ----------------------------
   // The leg-7 workloads again (ECCs everywhere; faults, checkpoints and
   // dedicated jobs on the heterogeneous trace), each algorithm run once
   // materialized and once through a deliberately small-chunk
@@ -561,7 +502,7 @@ int main(int argc, char** argv) {
             es::exp::run_workload(crash_batch, "Delayed-LOS", algo));
   }
 
-  // --- leg 10: PR 9 event-throughput levers -----------------------------
+  // --- leg 9: PR 9 event-throughput levers ------------------------------
   // Same shape and sizing as the committed BENCH_PR9.json campaign leg so
   // the measured events/s is comparable to the recorded baseline: at load
   // 1.0 the backlog — and with it the per-event cost — grows with trace
@@ -586,7 +527,6 @@ int main(int argc, char** argv) {
   lever_on.engine.granularity = 1;
   lever_on.engine.machine_procs = 4096;
   es::core::AlgorithmOptions lever_off = lever_on;
-  lever_off.engine.calendar_event_queue = false;
   lever_off.engine.speculative_dp = false;
   es::util::set_global_parallelism(options.parallel_jobs);
   es::core::set_dp_simd_enabled(false);
@@ -641,11 +581,6 @@ int main(int argc, char** argv) {
   std::printf("crash recovery: %d algorithms snapshot/kill/restore, "
               "results identical: %s\n",
               crash_algorithms, crash_identical ? "yes" : "NO");
-  std::printf("parallel dp: %d wide instances (%.1fM cells), serial %.3fs "
-              "vs pooled %.3fs (%.2fx), selections identical: %s\n",
-              dp_instances, static_cast<double>(dp_cells) / 1e6,
-              dp_serial_seconds, dp_parallel_seconds, parallel_dp_speedup,
-              parallel_dp_identical ? "yes" : "NO");
   std::printf("streamed ingestion: %d algorithms materialized vs streamed, "
               "results identical: %s; generator stream identical: %s\n",
               streamed_algorithms, streamed_identical ? "yes" : "NO",
@@ -730,13 +665,6 @@ int main(int argc, char** argv) {
             << "  \"crash_recovery\": {\"algorithms\": " << crash_algorithms
             << ", \"identical\": " << (crash_identical ? "true" : "false")
             << "},\n"
-            << "  \"parallel_dp\": {\"instances\": " << dp_instances
-            << ", \"cells\": " << dp_cells
-            << ", \"serial_seconds\": " << dp_serial_seconds
-            << ", \"parallel_seconds\": " << dp_parallel_seconds
-            << ", \"speedup\": " << parallel_dp_speedup
-            << ", \"selections_identical\": "
-            << (parallel_dp_identical ? "true" : "false") << "},\n"
             << "  \"streamed_ingestion\": {\"algorithms\": "
             << streamed_algorithms << ", \"identical\": "
             << (streamed_identical ? "true" : "false")
@@ -767,9 +695,8 @@ int main(int argc, char** argv) {
   // chain must all leave the simulated science untouched.
   // The advisory throughput check is deliberately absent here.
   return (csv_identical && cache_identical && golden_identical &&
-          chain_identical && crash_identical && parallel_dp_identical &&
-          streamed_identical && generator_stream_identical &&
-          levers_identical)
+          chain_identical && crash_identical && streamed_identical &&
+          generator_stream_identical && levers_identical)
              ? 0
              : 1;
 }

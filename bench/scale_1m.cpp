@@ -24,9 +24,8 @@
 //      to every per-job line.
 //   5. campaign (PR 9): the granularity-1, 4096-processor, load-1.0 point —
 //      the wide-machine regime where the event-throughput levers bite —
-//      run twice: *before* (binary heap, scalar DP rows, no speculation)
-//      and *after* (calendar band, vector rows, speculative pipelining
-//      when --jobs > 1).  The two runs must produce byte-identical result
+//      run twice: *before* (scalar DP rows, no speculation) and *after*
+//      (vector rows, speculative pipelining when --jobs > 1).  The two runs must produce byte-identical result
 //      fingerprints; the events/s and DP ns/invocation delta is the PR 9
 //      headline, recorded in BENCH_PR9.json.
 //
@@ -98,10 +97,9 @@ int main(int argc, char** argv) {
   // 4096 columns.  A streamed run takes its granularity from the
   // generator's size unit, so the unit is 1 and the sizes are given in
   // processors: the wide_g1 benchmark mix, 32-96 small and 128-320 large.
-  // Run the identical workload twice: "before" reverts every PR 9 lever
-  // (binary-heap event queue, scalar DP rows, no speculation); "after" is
-  // the shipping default.  p_small 0.2 biases toward wide jobs, the
-  // widest-table shape.
+  // Run the identical workload twice: "before" reverts the DP levers
+  // (scalar DP rows, no speculation); "after" is the shipping default.
+  // p_small 0.2 biases toward wide jobs, the widest-table shape.
   const std::size_t campaign_jobs = options.quick ? 20000 : 200000;
   es::workload::GeneratorConfig campaign_config =
       es::bench::scale_workload(options, campaign_jobs, 1.0, 0.2);
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
   campaign.engine.machine_procs = 4096;
 
   es::core::AlgorithmOptions campaign_off = campaign;
-  campaign_off.engine.calendar_event_queue = false;
   campaign_off.engine.speculative_dp = false;
   es::core::set_dp_simd_enabled(false);
   const es::bench::ScaleLeg campaign_before = es::bench::run_scale_leg(

@@ -8,7 +8,6 @@
 #include <type_traits>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 // The vector tiers of the row kernel: compiled only on x86-64 and only when
 // the build enables them (ES_DP_SIMD, default on).  Per-function target
@@ -432,16 +431,9 @@ void collect_live(std::span<const int> weights,
   }
 }
 
-/// Column width of one parallel block: large enough that a block's fill
-/// amortizes the pool dispatch, and a multiple of 64 so every block's keep
-/// bits land in its own words.
-constexpr std::size_t kBlockCols = 8192;
-
 /// Basic_DP, double-buffered: row k (the k-th live item) is computed from
 /// row k-1 — base is the previous row, the donor is the same row shifted by
-/// the item's weight.  Cell c reads only prev[c] and prev[c - w], so the
-/// column blocks of one row are independent; tables of several blocks fan
-/// them out across the thread pool when it is up.
+/// the item's weight.
 template <typename T>
 std::vector<int> basic_fill(std::span<const int> weights, int capacity,
                             DpWorkspace& ws) {
@@ -450,8 +442,6 @@ std::vector<int> basic_fill(std::span<const int> weights, int capacity,
   const std::int64_t base = priority_base(n);
   const std::size_t cols = static_cast<std::size_t>(capacity) + 1;
   const std::size_t words = keep_words(cols);
-  const std::size_t blocks = (cols + kBlockCols - 1) / kBlockCols;
-  const bool parallel = blocks > 1 && util::global_parallelism() > 1;
   const RowFill<T> fill = pick_row_fill<T>();
 
   collect_live(weights, {}, capacity, 0, ws.live);
@@ -465,20 +455,10 @@ std::vector<int> basic_fill(std::span<const int> weights, int capacity,
     const T v = static_cast<T>(item_value(weights[i], i, n, base));
     const T* prev = table.value.data();
     T* cur = table.next.data();
-    std::uint64_t* keep_row = ws.keep.data() + k * words;
-    const auto fill_cols = [&](std::size_t lo, std::size_t hi) {
-      const std::size_t split = std::clamp(w, lo, hi);
-      std::copy(prev + lo, prev + split, cur + lo);
-      fill(prev, prev, w, cur, keep_row, split, hi, v);
-    };
-    if (parallel) {
-      util::parallel_for_each(blocks, [&](std::size_t block) {
-        const std::size_t lo = block * kBlockCols;
-        fill_cols(lo, std::min(cols, lo + kBlockCols));
-      });
-    } else {
-      fill_cols(0, cols);
-    }
+    // A live item fits (w <= capacity), so columns below w keep the
+    // previous row and the donor covers the rest.
+    std::copy(prev, prev + w, cur);
+    fill(prev, prev, w, cur, ws.keep.data() + k * words, w, cols, v);
     std::swap(table.value, table.next);
   }
 

@@ -59,12 +59,7 @@
 //     - live rows: keep rows exist only for the items the fill can select
 //       (positive weight within the capacity, shadow weight within the
 //       shadow capacity); the others produce no keep bits and are never
-//       selected.  Keep rows are padded to whole 64-bit words;
-//     - blocks: Basic_DP tables of more than one 8192-column block fan each
-//       row's blocks out across util::ThreadPool when the global
-//       parallelism is > 1.  Block origins are multiples of 64, so blocks
-//       write disjoint value cells and keep words, and the backtrack reads
-//       the table a serial fill produces.
+//       selected.  Keep rows are padded to whole 64-bit words.
 //     DpCounters::table_cells counts *logical* cells — items x (capacity +
 //     1), times (shadow capacity + 1) for Reservation_DP, unclamped — so
 //     it stays comparable across fill strategies.

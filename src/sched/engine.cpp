@@ -31,7 +31,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
       progress_attach_(config.watchdog, &abort_),
       cycle_stats_attach_(policy),
       fairness_attach_(config.fairshare, config.machine_procs) {
-  sim_.set_calendar_band(config.calendar_event_queue);
   ecc_processor_.set_running_resize(config.allow_running_resize);
   // Register the enabled attachments in the canonical chain order (see
   // attach/observer.hpp): CheckpointObserver must precede

@@ -81,14 +81,9 @@ struct EngineConfig {
   /// Allow EP/RP to resize *running* jobs work-conservingly (the paper's
   /// section-VI resource-elasticity extension).  Requires process_eccs.
   bool allow_running_resize = false;
-  /// Record the busy-processor timeline (needed by utilization metrics and
-  /// capacity-invariant tests; cheap, on by default).
+  /// Keep one JobOutcome per finished job in SimulationResult::jobs (per-job
+  /// analyses and tests read them; the aggregate metrics do not need them).
   bool keep_job_outcomes = true;
-  /// Order pending events through the two-tier calendar band (PR 9) instead
-  /// of the plain binary heap.  Both structures realize the same strict
-  /// (time, class, seq) order, so results are byte-identical either way;
-  /// the switch exists for differential tests and before/after benchmarks.
-  bool calendar_event_queue = true;
   /// Precompute the next cycle's DP table on the worker pool while the
   /// event queue drains (speculative cycle pipelining).  Pure cache
   /// warming keyed on the exact DP inputs — selections never change, only

@@ -88,7 +88,7 @@ struct SimulationResult {
   /// only and never enter metrics CSVs.
   PerfStats perf;
 
-  std::vector<JobOutcome> jobs;  ///< per-job detail (always filled)
+  std::vector<JobOutcome> jobs;  ///< per-job detail (if keep_job_outcomes)
 
   /// Full audit trace; null unless EngineConfig::record_trace was set.
   std::shared_ptr<const class ScheduleTrace> trace;

@@ -8,13 +8,6 @@
 
 namespace es::sim {
 
-void EventQueue::set_band_enabled(bool enabled) {
-  // The tiers do not rebalance on the fly; flipping mid-run would strand
-  // band items outside the heap's invariants (and vice versa).
-  ES_EXPECTS(counters_.scheduled == 0 && live_ == 0);
-  band_enabled_ = enabled;
-}
-
 EventHandle EventQueue::schedule(Time at, EventClass cls, Callback fn,
                                  std::uint64_t tag) {
   return restore_event(at, cls, std::move(fn), tag, next_seq_++);
@@ -32,20 +25,13 @@ EventHandle EventQueue::restore_event(Time at, EventClass cls, Callback fn,
                std::numeric_limits<std::uint32_t>::max() - 1);
     slot = static_cast<std::uint32_t>(records_.size());
     records_.emplace_back();
-    // Slab growth is the one moment the queue is visibly not at steady
-    // state, so pre-size the redistribute staging here: a band rebucket
-    // then never allocates (band_count_ is bounded by live plus cancelled
-    // residue, and the sweep keeps residue within a small multiple of
-    // live).
-    if (const std::size_t needed = 4 * records_.size() + 64;
-        band_enabled_ && scratch_.capacity() < needed)
-      scratch_.reserve(std::max(needed, 2 * scratch_.capacity()));
   }
   Record& record = records_[slot];
   record.fn = std::move(fn);
   record.tag = tag;
-  insert_item(HeapItem{at, static_cast<std::int32_t>(cls), seq, slot,
-                       record.generation});
+  heap_.push_back(HeapItem{at, static_cast<std::int32_t>(cls), seq, slot,
+                           record.generation});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   ++counters_.scheduled;
   counters_.peak_pending = std::max<std::uint64_t>(counters_.peak_pending,
@@ -53,232 +39,14 @@ EventHandle EventQueue::restore_event(Time at, EventClass cls, Callback fn,
   return EventHandle{make_id(slot, record.generation)};
 }
 
-std::uint64_t EventQueue::window_of(Time t) const {
-  if (t <= origin_) return window_;  // never behind the cursor
-  const Time relative = (t - origin_) / width_;
-  // Saturate far-future (or degenerate-width) times straight into the heap
-  // tier before the cast can overflow.
-  if (!(relative < 9.0e18)) return window_ + kBuckets;
-  const auto w = static_cast<std::uint64_t>(relative);
-  return w < window_ ? window_ : w;
-}
-
-void EventQueue::insert_item(const HeapItem& item) {
-  if (band_enabled_) {
-    if (width_ == 0) {
-      // First event ever: open the band around it with a unit width; the
-      // density adaptation converges from there.
-      width_ = 1.0;
-      anchor(item.time);
-    } else if (band_count_ == 0 && heap_.empty()) {
-      // The queue drained completely: start a fresh band epoch at this
-      // event instead of clamping it into whatever window the old cursor
-      // stopped at.
-      anchor(item.time);
-    }
-    if (window_of(item.time) - window_ < kBuckets) {
-      band_insert(item);
-      ++counters_.band_scheduled;
-      return;
-    }
-  }
-  heap_.push_back(item);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void EventQueue::anchor(Time at) {
-  if (buckets_.empty()) {
-    // One-time (per queue) first-touch cost, paid at the first schedule so
-    // the steady-state band never allocates on a bucket's first use; bucket
-    // capacities only grow from here (erase/clear keep them).
-    buckets_.resize(kBuckets);
-    for (std::vector<HeapItem>& bucket : buckets_) bucket.reserve(4);
-  }
-  origin_ = at;
-  window_ = 0;
-  cursor_sorted_ = false;
-  rotation_pops_ = 0;
-}
-
-void EventQueue::band_insert(const HeapItem& item) {
-  const std::uint64_t window = window_of(item.time);
-  std::vector<HeapItem>& bucket = buckets_[window & kBucketMask];
-  if (window == window_ && cursor_sorted_) {
-    // Same-window insert while the cursor bucket drains: keep it sorted so
-    // the back stays the minimum.  O(size) in the bucket, but enter_bucket
-    // re-buckets any window that drains dense, so draining buckets stay a
-    // couple of kDenseBucket at most.
-    bucket.insert(
-        std::upper_bound(bucket.begin(), bucket.end(), item, Later{}), item);
-  } else {
-    bucket.push_back(item);
-  }
-  ++band_count_;
-}
-
-void EventQueue::pull_from_heap() {
-  const std::uint64_t horizon = window_ + kBuckets;
-  while (!heap_.empty() && window_of(heap_.front().time) < horizon) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const HeapItem item = heap_.back();
-    heap_.pop_back();
-    if (!armed(item)) continue;  // cancelled residue: drop on migration
-    band_insert(item);
-    ++counters_.band_migrated;
-  }
-}
-
-void EventQueue::advance_cursor() {
-  ++window_;
-  cursor_sorted_ = false;
-  if ((window_ & kBucketMask) == 0) {
-    // Full rotation.  Fewer than kSparseRotation pops across kBuckets
-    // windows means the cursor is mostly walking empty buckets — widen the
-    // windows so the walk amortizes back to O(1) per event.
-    if (rotation_pops_ < kSparseRotation) {
-      width_ *= 8;
-      redistribute();
-    }
-    rotation_pops_ = 0;
-  }
-  pull_from_heap();  // the advance exposed a new window at the horizon
-}
-
-void EventQueue::enter_bucket() {
-  std::vector<HeapItem>& bucket = buckets_[window_ & kBucketMask];
-  auto keep_end = std::remove_if(
-      bucket.begin(), bucket.end(),
-      [this](const HeapItem& item) { return !armed(item); });
-  band_count_ -= static_cast<std::size_t>(bucket.end() - keep_end);
-  bucket.erase(keep_end, bucket.end());
-  if (bucket.empty()) return;  // all residue; caller advances the cursor
-
-  if (bucket.size() >= kDenseBucket) {
-    // The window drained dense: re-bucket so future windows hold ~a handful
-    // of events each.  Two triggers: the usual shrink (span says a narrower
-    // width would split this batch), and span > width_ — which can only
-    // mean the bucket accumulated clamped items from before the window's
-    // start (e.g. the first anchor landed above most of an up-front batch),
-    // so re-basing the origin at the batch minimum spreads it out even
-    // though the new width is *wider*.  A zero span (every item at one
-    // instant) cannot be split by any width — sort the batch once and
-    // drain it.
-    Time lo = bucket.front().time;
-    Time hi = lo;
-    for (const HeapItem& item : bucket) {
-      lo = std::min(lo, item.time);
-      hi = std::max(hi, item.time);
-    }
-    const Time span = hi - lo;
-    const Time shrunk = span / static_cast<Time>(kDenseBucket);
-    if (shrunk > 0 && (shrunk < width_ || span > width_)) {
-      width_ = shrunk;
-      redistribute();
-      return;  // cursor_sorted_ stays false; caller re-evaluates
-    }
-  }
-  std::sort(bucket.begin(), bucket.end(), Later{});
-  cursor_sorted_ = true;
-}
-
-void EventQueue::redistribute() {
-  // Re-buckets the whole band under a fresh (origin, width) map.  Every
-  // remaining item's time is >= the last popped time, so re-basing the
-  // origin at the band minimum never rewinds the cursor past drained work.
-  scratch_.clear();
-  Time min_time = std::numeric_limits<Time>::max();
-  for (std::vector<HeapItem>& bucket : buckets_) {
-    for (const HeapItem& item : bucket) {
-      if (!armed(item)) continue;
-      scratch_.push_back(item);
-      min_time = std::min(min_time, item.time);
-    }
-    bucket.clear();
-  }
-  band_count_ = 0;
-  cursor_sorted_ = false;
-  if (!scratch_.empty()) {
-    origin_ = min_time;
-    window_ = 0;
-  }
-  const std::uint64_t horizon = window_ + kBuckets;
-  for (const HeapItem& item : scratch_) {
-    if (window_of(item.time) < horizon) {
-      band_insert(item);
-    } else {
-      // A shrink pulled the horizon in: the tail re-enters the heap tier
-      // and migrates back as the cursor rotates toward it.
-      heap_.push_back(item);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-    }
-  }
-  // The map changed, so the old "heap holds nothing below the horizon"
-  // invariant must be re-established under the new one.
-  pull_from_heap();
-}
-
-std::vector<EventQueue::HeapItem>& EventQueue::seek_band_min() {
-  for (;;) {
-    if (band_count_ == 0) {
-      // Band drained.  Re-open it at the earliest far-tier event; the
-      // migration below is what keeps the "heap never holds the minimum"
-      // invariant as the band walks forward.  An epoch that drained after
-      // only a few pops means the width is far too narrow for the event
-      // spacing (each pop would pay a full re-anchor) — widen until an
-      // epoch captures a reasonable batch.
-      skim();
-      ES_ASSERT(!heap_.empty());
-      if (rotation_pops_ < kSparseRotation) width_ *= 8;
-      anchor(heap_.front().time);
-      pull_from_heap();
-      continue;
-    }
-    std::vector<HeapItem>& bucket = buckets_[window_ & kBucketMask];
-    if (bucket.empty()) {
-      advance_cursor();
-      continue;
-    }
-    if (!cursor_sorted_) {
-      enter_bucket();
-      if (!cursor_sorted_) continue;  // emptied or redistributed
-    }
-    while (!bucket.empty() && !armed(bucket.back())) {
-      bucket.pop_back();
-      --band_count_;
-    }
-    if (bucket.empty()) continue;
-    return bucket;
-  }
-}
-
-EventQueue::HeapItem EventQueue::take_next() {
-  if (!band_enabled_ || width_ == 0) {
-    skim();
-    ES_EXPECTS(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const HeapItem item = heap_.back();
-    heap_.pop_back();
-    return item;
-  }
-  std::vector<HeapItem>& bucket = seek_band_min();
-  const HeapItem item = bucket.back();
-  bucket.pop_back();
-  --band_count_;
-  ++rotation_pops_;
-  return item;
-}
-
 std::vector<PendingEvent> EventQueue::pending_events() const {
   std::vector<PendingEvent> pending;
   pending.reserve(live_);
-  const auto collect = [&](const HeapItem& item) {
-    if (!armed(item)) return;  // cancelled residue awaiting skim/sweep
+  for (const HeapItem& item : heap_) {
+    if (!armed(item)) continue;  // cancelled residue awaiting skim/sweep
     pending.push_back(PendingEvent{item.time, item.cls, item.seq,
                                    records_[item.slot].tag});
-  };
-  for (const HeapItem& item : heap_) collect(item);
-  for (const std::vector<HeapItem>& bucket : buckets_)
-    for (const HeapItem& item : bucket) collect(item);
+  }
   std::sort(pending.begin(), pending.end(),
             [](const PendingEvent& a, const PendingEvent& b) {
               return a.seq < b.seq;
@@ -314,11 +82,10 @@ bool EventQueue::cancel(EventHandle handle) {
   ++counters_.cancelled;
   // Lazy deletion keeps cancel O(1), but a cancel-heavy stretch with no
   // intervening pop would let dead entries pile up and force vector
-  // regrowth.  Once the dead outnumber the live, sweep both tiers in place
-  // — amortized O(1) per cancel, and since (time, class, seq) is a strict
-  // total order the rebuilt structure pops in exactly the same order.
-  const std::size_t pending = heap_.size() + band_count_;
-  if (pending >= 64 && pending > 2 * live_) sweep();
+  // regrowth.  Once the dead outnumber the live, sweep the heap in place —
+  // amortized O(1) per cancel, and since (time, class, seq) is a strict
+  // total order the rebuilt heap pops in exactly the same order.
+  if (heap_.size() >= 64 && heap_.size() > 2 * live_) sweep();
   return true;
 }
 
@@ -333,28 +100,20 @@ void EventQueue::sweep() {
   const auto dead = [this](const HeapItem& item) { return !armed(item); };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  for (std::vector<HeapItem>& bucket : buckets_) {
-    // remove_if is stable, so a sorted (draining) cursor bucket stays
-    // sorted.
-    auto keep_end = std::remove_if(bucket.begin(), bucket.end(), dead);
-    band_count_ -= static_cast<std::size_t>(bucket.end() - keep_end);
-    bucket.erase(keep_end, bucket.end());
-  }
 }
 
 Time EventQueue::next_time() {
   ES_EXPECTS(live_ > 0);
-  if (!band_enabled_ || width_ == 0) {
-    skim();
-    ES_EXPECTS(!heap_.empty());
-    return heap_.front().time;
-  }
-  return seek_band_min().back().time;
+  skim();
+  return heap_.front().time;
 }
 
 Time EventQueue::pop_and_run() {
   ES_EXPECTS(live_ > 0);
-  const HeapItem item = take_next();
+  skim();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const HeapItem item = heap_.back();
+  heap_.pop_back();
   // Retire before running: the callback may legitimately schedule new events
   // (possibly reusing this very slot) or try to cancel its own handle, which
   // must report "already fired".

@@ -15,22 +15,11 @@
 // cancelled, or pointing at a recycled slot — fails the generation match and
 // cancel() returns false in O(1), with no side table of cancelled ids.
 //
-// Ordering structure (PR 9): a two-tier calendar queue.  The *near band* is
-// a circular array of kBuckets buckets, each covering one `width_`-wide
-// window of simulation time starting at `band_start_`; events landing inside
-// the band are an O(1) push into their bucket, and a bucket is sorted only
-// when the cursor reaches it (so each event is sorted exactly once, in a
-// bucket-sized batch).  Events beyond the band horizon — checkpoint replans,
-// MTBF outages, far-future finishes — fall back to the binary heap and
-// migrate into the band as the cursor rotates toward them.  The migration
-// invariant (every heap item lies at or beyond the band horizon) means the
-// minimum is always in the band when the band is non-empty, so pops never
-// compare across tiers.  Bucket width adapts to the observed event density
-// (shrink when a bucket drains dense, grow after a sparse rotation), and a
-// width change redistributes the band in one pass.  Both tiers order by the
-// same strict (time, class, seq) total order, so enabling or disabling the
-// band cannot change the pop sequence — the heap-only mode remains available
-// via set_band_enabled(false) for differential tests and benchmarks.
+// Ordering is one binary min-heap of those PODs under the strict
+// (time, class, seq) total order, so the pop sequence is fully determined by
+// the schedule/cancel calls — independent of slab slot reuse.  Cancelled
+// items stay in the heap as residue until they surface at the top (skim) or
+// outnumber the live ones (sweep, an in-place filter and re-heapify).
 #pragma once
 
 #include <algorithm>
@@ -51,18 +40,12 @@ struct EventHandle {
 /// Monotonic traffic counters for one queue's lifetime.  `fired` counts
 /// callbacks actually run (cancelled events never fire); `peak_pending` is
 /// the high-water mark of live events.  Always: scheduled = fired +
-/// cancelled + still-pending.  The band_* fields are calendar-tier
-/// diagnostics (not serialized into snapshots — a restored queue restarts
-/// them at zero): `band_scheduled` counts events that entered through the
-/// near band, `band_migrated` counts heap items pulled into the band as the
-/// cursor rotated toward them.
+/// cancelled + still-pending.
 struct EventQueueCounters {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t fired = 0;
   std::uint64_t peak_pending = 0;
-  std::uint64_t band_scheduled = 0;
-  std::uint64_t band_migrated = 0;
 
   /// Aggregation across runs: traffic sums, the high-water mark maxes.
   EventQueueCounters& operator+=(const EventQueueCounters& other) {
@@ -70,8 +53,6 @@ struct EventQueueCounters {
     cancelled += other.cancelled;
     fired += other.fired;
     peak_pending = std::max(peak_pending, other.peak_pending);
-    band_scheduled += other.band_scheduled;
-    band_migrated += other.band_migrated;
     return *this;
   }
 };
@@ -87,8 +68,8 @@ struct PendingEvent {
   std::uint64_t tag = 0;
 };
 
-/// Two-tier (calendar band + heap) event queue with deterministic
-/// tie-breaking and lazy cancellation.
+/// Slab-backed binary-heap event queue with deterministic tie-breaking and
+/// lazy cancellation.
 class EventQueue {
  public:
   using Callback = std::function<void(Time)>;
@@ -122,14 +103,6 @@ class EventQueue {
   /// Lifetime traffic counters (see EventQueueCounters).
   const EventQueueCounters& counters() const { return counters_; }
 
-  /// Enables/disables the calendar band (on by default).  Off means every
-  /// event goes through the binary heap — the pre-PR9 kernel, kept for
-  /// differential tests and before/after benchmarks.  Only valid on a queue
-  /// that has never scheduled an event (the tiers do not rebalance on the
-  /// fly).
-  void set_band_enabled(bool enabled);
-  bool band_enabled() const { return band_enabled_; }
-
   // --- snapshot/restore support -------------------------------------------
 
   /// All live events sorted by insertion sequence (a stable, deterministic
@@ -161,7 +134,7 @@ class EventQueue {
     std::uint32_t generation = 1;
   };
 
-  // What both tiers order.  POD — pushing/popping never allocates beyond the
+  // What the heap orders.  POD — pushing/popping never allocates beyond the
   // amortized vector growth, which reaches steady state.
   struct HeapItem {
     Time time;
@@ -178,15 +151,6 @@ class EventQueue {
     }
   };
 
-  // Calendar-band geometry.  kBuckets is a power of two so the circular
-  // index is a mask; kDenseBucket is the drain-time occupancy that triggers
-  // a width shrink, kSparseRotation the per-rotation pop count below which
-  // the width grows.
-  static constexpr std::size_t kBuckets = 512;
-  static constexpr std::size_t kBucketMask = kBuckets - 1;
-  static constexpr std::size_t kDenseBucket = 64;
-  static constexpr std::uint64_t kSparseRotation = kBuckets / 8;
-
   static constexpr std::uint64_t make_id(std::uint32_t slot,
                                          std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) |
@@ -198,66 +162,20 @@ class EventQueue {
     return records_[item.slot].generation == item.generation;
   }
 
-  /// Absolute window index of time `t` under the current (origin, width)
-  /// map, clamped so nothing lands behind the cursor and far-future times
-  /// saturate into the heap tier.  One fixed monotone map per band epoch:
-  /// every insert — whenever it happens — buckets through the same
-  /// function, so bucket order can never contradict time order.
-  std::uint64_t window_of(Time t) const;
-
-  /// Routes a new item to its tier (band bucket or heap).
-  void insert_item(const HeapItem& item);
-  /// Places an in-band item into its bucket (sorted-insert when the cursor
-  /// bucket is already draining).
-  void band_insert(const HeapItem& item);
-  /// Starts (or restarts) the band at `at`, keeping the adapted width.
-  void anchor(Time at);
-  /// Migrates every heap item below the band horizon into the band.
-  void pull_from_heap();
-  /// Moves the cursor to the next bucket, adapting width on a full rotation.
-  void advance_cursor();
-  /// Prepares the cursor bucket for draining: prunes cancelled residue,
-  /// shrinks the width when the bucket drained dense, sorts.  On success
-  /// cursor_sorted_ is true; otherwise the caller re-evaluates the band.
-  void enter_bucket();
-  /// Re-buckets the whole band after a width change (overflow re-enters the
-  /// heap tier).
-  void redistribute();
-  /// Positions the cursor on the armed band minimum and returns its bucket.
-  /// Precondition: an armed item exists somewhere in the queue.
-  std::vector<HeapItem>& seek_band_min();
-  /// Removes and returns the armed queue minimum.  Precondition: !empty().
-  HeapItem take_next();
-
   /// Drops cancelled entries from the heap top.
   void skim();
-  /// In-place removal of all cancelled residue from both tiers.
+  /// In-place removal of all cancelled residue from the heap.
   void sweep();
 
   /// Invalidates the slot's handles and recycles it.
   void retire(std::uint32_t slot);
 
-  std::vector<HeapItem> heap_;       // far tier: std::push_heap with Later
+  std::vector<HeapItem> heap_;       // std::push_heap with Later
   std::vector<Record> records_;      // slab, indexed by slot
   std::vector<std::uint32_t> free_;  // recycled slots
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   EventQueueCounters counters_;
-
-  // Near-band state.  width_ == 0 means the band has never anchored (no
-  // event scheduled yet); buckets_ is sized lazily on first anchor.  The
-  // cursor bucket is buckets_[window_ & kBucketMask]; the band covers
-  // absolute windows [window_, window_ + kBuckets) of the (origin_, width_)
-  // map and everything at or beyond that horizon lives in the heap tier.
-  bool band_enabled_ = true;
-  std::vector<std::vector<HeapItem>> buckets_;
-  std::vector<HeapItem> scratch_;  ///< redistribute staging, reused
-  Time origin_ = 0;                ///< window 0 epoch of the current band
-  Time width_ = 0;                 ///< bucket width in simulation time
-  std::uint64_t window_ = 0;       ///< absolute index of the cursor bucket
-  std::size_t band_count_ = 0;     ///< band items incl. cancelled residue
-  bool cursor_sorted_ = false;     ///< cursor bucket sorted and draining
-  std::uint64_t rotation_pops_ = 0;  ///< pops since the cursor last wrapped
 };
 
 }  // namespace es::sim

@@ -38,10 +38,6 @@ class Simulation {
   /// Processes exactly one event if any is pending.  Returns true if one ran.
   bool step();
 
-  /// Selects the queue's ordering structure (calendar band vs heap-only);
-  /// see EventQueue::set_band_enabled.  Only valid before the first event.
-  void set_calendar_band(bool enabled) { queue_.set_band_enabled(enabled); }
-
   bool idle() const { return queue_.empty(); }
   /// Time of the next live event.  Precondition: !idle().  Non-const: the
   /// queue may skim lazily cancelled entries off its top.

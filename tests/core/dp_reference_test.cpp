@@ -126,6 +126,51 @@ TEST_F(DpReference, ReservationDpOnTieHeavyInstances) {
   }
 }
 
+TEST_F(DpReference, BasicDpOnNarrowTables) {
+  util::Rng rng(606);
+  DpWorkspace ws;
+  for (int round = 0; round < 20; ++round) {
+    Instance instance;
+    instance.capacity = 1 + draw(rng, 0, 100);
+    const int n = 1 + draw(rng, 0, 12);
+    for (int i = 0; i < n; ++i) instance.weights.push_back(draw(rng, 0, 20));
+    expect_basic_matches(instance, ws, "narrow");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(DpReference, BasicDpOnWideTables) {
+  // Tables of 8192 and more columns: the granularity-1 regime of a machine
+  // with many thousand processors.
+  DpWorkspace ws;
+  util::Rng rng(505);
+  for (int round = 0; round < 6; ++round) {
+    Instance instance;
+    instance.capacity = 8191 + draw(rng, 0, 9000);
+    const int n = 8 + draw(rng, 0, 24);
+    for (int i = 0; i < n; ++i)
+      instance.weights.push_back(draw(rng, 0, instance.capacity / 2));
+    expect_basic_matches(instance, ws, "wide");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  util::Rng fixed_n_rng(808);
+  Instance instance;
+  instance.capacity = 8192 + draw(fixed_n_rng, 0, 4096);
+  for (int i = 0; i < 24; ++i)
+    instance.weights.push_back(draw(fixed_n_rng, 0, instance.capacity / 2));
+  expect_basic_matches(instance, ws, "wide, 24 items");
+}
+
+TEST_F(DpReference, BasicDpWithSkippedAndWordBoundaryItems) {
+  // Zero-weight and over-capacity items interleaved with weights that are
+  // multiples of the 64-column keep word, on a 3 * 8192-column table.
+  Instance instance;
+  instance.capacity = 3 * 8192;
+  instance.weights = {0, 8192, instance.capacity + 1, 1, 8191, 0, 16384, 3};
+  DpWorkspace ws;
+  expect_basic_matches(instance, ws, "skipped and boundary");
+}
+
 TEST_F(DpReference, BasicDpAcrossTheInt32Bound) {
   // Pairs of capacities whose value bound sits just inside and just past
   // INT32_MAX: 250 items with 34358 / 34359 grains, 5000 items with 84 / 85.

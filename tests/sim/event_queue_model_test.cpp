@@ -1,13 +1,13 @@
-// Model-check of the calendar-band tier (PR 9) against the pre-overhaul
-// reference kernel: the band-on queue, the band-off (heap-only) queue and
-// bench::ReferenceEventQueue are driven through identical randomized
-// schedule/cancel/pop traces and must agree on every fire, in order.  The
-// traces deliberately exercise the cases where the tiers could diverge:
+// Model-check of the slab event queue against the pre-overhaul reference
+// kernel: sim::EventQueue and bench::ReferenceEventQueue are driven through
+// identical randomized schedule/cancel/pop traces and must agree on every
+// fire, in order.  The traces deliberately exercise the cases where a slab
+// kernel could diverge from the plain one:
 //  * equal-time events across classes and sequence numbers (tie-breaks),
 //  * cancellation of already-fired / already-cancelled handles after the
 //    slab has recycled their slots (generation checks under handle reuse),
-//  * far-future events that enter through the heap tier and must migrate
-//    into the band as the cursor rotates toward them.
+//  * far-future events mixed with near ones, and traces of far-future
+//    events only.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,66 +22,55 @@
 namespace es::sim {
 namespace {
 
-/// One scheduled event's identity across the three queues under test.
+/// One scheduled event's identity across the two queues under test.
 struct Tracked {
   std::uint64_t model_id = 0;
-  EventHandle band;
-  EventHandle heap;
+  EventHandle queue;
   bench::ReferenceEventHandle reference;
 };
 
 class ModelCheck {
  public:
-  ModelCheck() { heap_queue_.set_band_enabled(false); }
-
   void schedule(Time at, EventClass cls) {
     Tracked tracked;
     tracked.model_id = next_model_id_++;
     const std::uint64_t id = tracked.model_id;
-    tracked.band = band_queue_.schedule(
-        at, cls, [this, id](Time) { band_fired_.push_back(id); });
-    tracked.heap = heap_queue_.schedule(
-        at, cls, [this, id](Time) { heap_fired_.push_back(id); });
+    tracked.queue = queue_.schedule(
+        at, cls, [this, id](Time) { queue_fired_.push_back(id); });
     tracked.reference = reference_.schedule(
         at, cls, [this, id](Time) { reference_fired_.push_back(id); });
     live_.push_back(tracked);
   }
 
-  /// Cancels a live event in all three queues; all must agree it was live.
+  /// Cancels a live event in both queues; both must agree it was live.
   void cancel_live(std::size_t index) {
     Tracked tracked = live_[index];
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(index));
-    ASSERT_TRUE(band_queue_.cancel(tracked.band));
-    ASSERT_TRUE(heap_queue_.cancel(tracked.heap));
+    ASSERT_TRUE(queue_.cancel(tracked.queue));
     ASSERT_TRUE(reference_.cancel(tracked.reference));
     retired_.push_back(tracked);
   }
 
-  /// Cancelling a fired or already-cancelled handle must fail on both slab
-  /// queues — even after their slots were recycled by later schedules.
+  /// Cancelling a fired or already-cancelled handle must fail on the slab
+  /// queue — even after its slot was recycled by later schedules.
   /// (The reference's lazy hash-set cancellation predates that guarantee,
   /// so stale cancels are not mirrored into it.)
   void cancel_stale(std::size_t index) {
     const Tracked& tracked = retired_[index];
-    ASSERT_FALSE(band_queue_.cancel(tracked.band));
-    ASSERT_FALSE(heap_queue_.cancel(tracked.heap));
+    ASSERT_FALSE(queue_.cancel(tracked.queue));
   }
 
-  /// Pops one event from each queue; all three must fire the same event.
+  /// Pops one event from each queue; both must fire the same event.
   void pop() {
-    band_fired_.clear();
-    heap_fired_.clear();
+    queue_fired_.clear();
     reference_fired_.clear();
-    const Time t_band = band_queue_.pop_and_run();
-    const Time t_heap = heap_queue_.pop_and_run();
+    const Time t_queue = queue_.pop_and_run();
     const Time t_reference = reference_.pop_and_run();
-    ASSERT_EQ(band_fired_.size(), 1u);
-    ASSERT_EQ(heap_fired_, band_fired_);
-    ASSERT_EQ(reference_fired_, band_fired_);
-    ASSERT_EQ(t_band, t_heap);
-    ASSERT_EQ(t_band, t_reference);
-    now_ = t_band;
-    const std::uint64_t id = band_fired_.front();
+    ASSERT_EQ(queue_fired_.size(), 1u);
+    ASSERT_EQ(reference_fired_, queue_fired_);
+    ASSERT_EQ(t_queue, t_reference);
+    now_ = t_queue;
+    const std::uint64_t id = queue_fired_.front();
     for (std::size_t i = 0; i < live_.size(); ++i) {
       if (live_[i].model_id == id) {
         retired_.push_back(live_[i]);
@@ -92,34 +81,28 @@ class ModelCheck {
   }
 
   void check_sizes() const {
-    ASSERT_EQ(band_queue_.size(), live_.size());
-    ASSERT_EQ(heap_queue_.size(), live_.size());
+    ASSERT_EQ(queue_.size(), live_.size());
     ASSERT_EQ(reference_.size(), live_.size());
-    ASSERT_EQ(band_queue_.empty(), live_.empty());
+    ASSERT_EQ(queue_.empty(), live_.empty());
   }
 
   Time now() const { return now_; }
   std::size_t live_count() const { return live_.size(); }
   std::size_t retired_count() const { return retired_.size(); }
-  bool drained() const { return band_queue_.empty(); }
-  const EventQueueCounters& band_counters() const {
-    return band_queue_.counters();
-  }
+  bool drained() const { return queue_.empty(); }
 
  private:
-  EventQueue band_queue_;
-  EventQueue heap_queue_;
+  EventQueue queue_;
   bench::ReferenceEventQueue reference_;
   std::vector<Tracked> live_;
   std::vector<Tracked> retired_;
-  std::vector<std::uint64_t> band_fired_;
-  std::vector<std::uint64_t> heap_fired_;
+  std::vector<std::uint64_t> queue_fired_;
   std::vector<std::uint64_t> reference_fired_;
   std::uint64_t next_model_id_ = 1;
   Time now_ = 0;
 };
 
-TEST(EventQueueModel, RandomTracesAgreeAcrossBandHeapAndReference) {
+TEST(EventQueueModel, RandomTracesAgreeWithReference) {
   util::Rng rng(9191);
   for (int round = 0; round < 8; ++round) {
     ModelCheck model;
@@ -128,8 +111,7 @@ TEST(EventQueueModel, RandomTracesAgreeAcrossBandHeapAndReference) {
       const double coin = rng.uniform(0, 1);
       if (coin < 0.45 || model.drained()) {
         // Coarse-grained times force equal-time ties across classes; a
-        // slice lands far beyond the 512-bucket band horizon and must
-        // migrate back as the cursor rotates.
+        // slice lands far in the future, behind many nearer events.
         const bool far = rng.bernoulli(0.1);
         const Time at =
             model.now() + (far ? std::floor(rng.uniform(5e3, 5e4))
@@ -149,21 +131,17 @@ TEST(EventQueueModel, RandomTracesAgreeAcrossBandHeapAndReference) {
       if (::testing::Test::HasFatalFailure())
         FAIL() << "round " << round << " op " << op;
     }
-    // Drain completely: the tail — including every migrated far-future
-    // event — must still agree event for event.
+    // Drain completely: the tail — including every far-future event —
+    // must still agree event for event.
     while (!model.drained()) {
       model.pop();
       if (::testing::Test::HasFatalFailure()) FAIL() << "round " << round;
     }
-    // The trace genuinely exercised both tiers.
-    EXPECT_GT(model.band_counters().band_scheduled, 0u);
-    EXPECT_GT(model.band_counters().band_migrated, 0u) << "round " << round;
   }
 }
 
 TEST(EventQueueModel, BurstsOfIdenticalTimesPreserveInsertionOrder) {
-  // All events at the same instant and class: pure seq tie-breaking,
-  // stressing the sorted-insert path of the draining cursor bucket.
+  // All events at the same instant and class: pure seq tie-breaking.
   ModelCheck model;
   for (int burst = 0; burst < 5; ++burst) {
     for (int i = 0; i < 40; ++i)
@@ -175,9 +153,8 @@ TEST(EventQueueModel, BurstsOfIdenticalTimesPreserveInsertionOrder) {
   }
 }
 
-TEST(EventQueueModel, FarFutureOnlyTracesAnchorAndMigrate) {
-  // Every event lands beyond the initial band horizon; pops force the band
-  // to re-anchor (empty-band fast-forward) or migrate, and order must hold.
+TEST(EventQueueModel, FarFutureOnlyTracesAgreeWithReference) {
+  // Every event lies 1e4-1e5 time units after the previous one.
   util::Rng rng(555);
   ModelCheck model;
   Time t = 0;

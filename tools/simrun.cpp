@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   bool perf_report = false;
   bool streamed = false;
   bool no_dp_cache = false;
-  bool no_calendar_queue = false;
   bool no_dp_simd = false;
   bool no_spec_dp = false;
   unsigned long long seed = 1;
@@ -179,9 +178,6 @@ int main(int argc, char** argv) {
   cli.add_flag("no-dp-cache", "disable the knapsack memo cache (schedules "
                "are identical either way; for perf comparison)",
                &no_dp_cache);
-  cli.add_flag("no-calendar-queue", "order events through the plain binary "
-               "heap instead of the calendar band (results are identical "
-               "either way; for perf comparison)", &no_calendar_queue);
   cli.add_flag("no-dp-simd", "force the scalar DP row kernel (selections "
                "are identical either way; for perf comparison)", &no_dp_simd);
   cli.add_flag("no-spec-dp", "disable speculative DP precomputation between "
@@ -285,7 +281,6 @@ int main(int argc, char** argv) {
   if (cli.was_set("cs")) options.max_skip_count = cs;
   if (cli.was_set("lookahead")) options.lookahead = lookahead;
   if (no_dp_cache) options.dp_cache = false;
-  if (no_calendar_queue) options.engine.calendar_event_queue = false;
   if (no_spec_dp) options.engine.speculative_dp = false;
   if (mtbf > 0) {
     options.engine.failure.enabled = true;
