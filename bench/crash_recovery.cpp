@@ -1,6 +1,6 @@
 // crash_recovery — kill-point injection harness for the snapshot subsystem.
 //
-// Three legs, every one a hard gate (non-zero exit on any failure):
+// Four legs, every one a hard gate (non-zero exit on any failure):
 //
 //   1. randomized kill points: the reference run is repeated with
 //      snapshot-every-cycle capture and an event-budget watchdog that kills
@@ -16,9 +16,16 @@
 //   3. ring fallback: a disk ring of K generations whose newest member is
 //      corrupted must fall back to the previous intact generation and
 //      resume successfully from it.
+//   4. window refills: a run long enough for Engine::run() to feed its
+//      events in several windows is killed one cycle before, at and one
+//      cycle after every refill, and at sampled mid-window cycles; each
+//      resume must match the uninterrupted run byte for byte.  Snapshots
+//      here are taken once, at the target cycle, since an image holds
+//      every job record.
 //
-// The harness captures snapshots through Engine::set_snapshot_sink, so leg
-// 1 does no filesystem traffic; leg 3 exercises the real ring directory.
+// The harness captures snapshots through Engine::set_snapshot_sink, so legs
+// 1 and 4 do no filesystem traffic; leg 3 exercises the real ring
+// directory.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -27,6 +34,7 @@
 
 #include "bench_common.hpp"
 #include "exp/experiment.hpp"
+#include "refill_cycles.hpp"
 #include "snap/ring.hpp"
 #include "snap/snapshot.hpp"
 #include "util/rng.hpp"
@@ -42,13 +50,15 @@ struct CrashCase {
   std::uint64_t events = 0;      ///< uninterrupted event count
 };
 
-/// Runs the case killed at `kill_events` and resumed from the last
-/// pre-kill snapshot.  Returns true when the resumed result matches the
-/// uninterrupted serialization byte for byte.
+/// Runs the case with a snapshot every `every_cycles` cycles, killed at
+/// `kill_events` and resumed from the last pre-kill snapshot.  Returns true
+/// when the resumed result matches the uninterrupted serialization byte
+/// for byte.
 bool kill_and_resume_matches(const CrashCase& test, std::uint64_t kill_events,
+                             std::uint64_t every_cycles,
                              std::uint64_t* snapshots_out) {
   es::core::AlgorithmOptions killed = test.options;
-  killed.engine.snapshot.every_cycles = 1;
+  killed.engine.snapshot.every_cycles = every_cycles;
   killed.engine.watchdog.max_events = kill_events;
   std::string last_snapshot;
   std::uint64_t snapshots = 0;
@@ -163,7 +173,7 @@ int main(int argc, char** argv) {
     const CrashCase& test = cases[static_cast<std::size_t>(i) % cases.size()];
     const std::uint64_t kill_events = static_cast<std::uint64_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(test.events)));
-    if (!kill_and_resume_matches(test, kill_events, &snapshots_taken)) {
+    if (!kill_and_resume_matches(test, kill_events, 1, &snapshots_taken)) {
       std::printf("kill point %d (%s, %llu events): DIVERGED\n", i,
                   test.name.c_str(),
                   static_cast<unsigned long long>(kill_events));
@@ -296,7 +306,60 @@ int main(int argc, char** argv) {
   }
   std::printf("ring fallback: %s\n", ring_ok ? "ok" : "FAILED");
 
-  const bool ok = failures == 0 && accepted_mutations == 0 && ring_ok;
+  // --- leg 4: kill points around the window-feed refills ----------------
+  // Three windows in --quick (two refills), five in full mode.  A kill one
+  // event after the snapshot at cycle C resumes from that snapshot: every
+  // event of this workload runs one cycle, so C cycles take C events.
+  int window_failures = 0;
+  {
+    es::workload::GeneratorConfig window_config = config;
+    window_config.num_jobs = options.quick ? 9000 : 20000;
+    window_config.p_dedicated = 0.3;
+    window_config.p_extend_procs = 0.1;
+    window_config.p_reduce_procs = 0.1;
+    window_config.seed = options.seed + 57;
+    CrashCase windows;
+    windows.name = "multi-window";
+    windows.workload = es::workload::generate(window_config);
+    windows.algorithm = "Hybrid-LOS-E";
+    windows.options = cases[1].options;  // failures + checkpointing
+    es::bench::RefillCycles refills(windows.workload);
+    const es::sched::SimulationResult uninterrupted = es::exp::run_workload(
+        windows.workload, windows.algorithm, windows.options, &refills,
+        es::bench::RefillCycles::kHookMask);
+    windows.expected = es::bench::result_fingerprint_csv(uninterrupted);
+    std::vector<std::uint64_t> kill_cycles;
+    for (const std::uint64_t refill : refills.cycles)
+      for (const std::uint64_t cycle : {refill - 1, refill, refill + 1})
+        kill_cycles.push_back(cycle);
+    const int sampled = options.quick ? 4 : 16;
+    for (int i = 0; i < sampled; ++i)
+      kill_cycles.push_back(static_cast<std::uint64_t>(rng.uniform_int(
+          1, static_cast<std::int64_t>(uninterrupted.cycles))));
+    for (const std::uint64_t cycle : kill_cycles) {
+      std::uint64_t snapshots = 0;
+      if (!kill_and_resume_matches(windows, cycle + 1, cycle, &snapshots) ||
+          snapshots != 1) {
+        std::printf("window kill at cycle %llu (%llu snapshots): DIVERGED\n",
+                    static_cast<unsigned long long>(cycle),
+                    static_cast<unsigned long long>(snapshots));
+        ++window_failures;
+      }
+    }
+    std::printf("window refills: %zu refills, peak pending %llu, %zu kill "
+                "points, %d divergences\n",
+                refills.cycles.size(),
+                static_cast<unsigned long long>(
+                    uninterrupted.perf.events.peak_pending),
+                kill_cycles.size(), window_failures);
+    if (refills.cycles.size() < 2) {
+      std::printf("window refills: expected >= 2 refills\n");
+      ++window_failures;
+    }
+  }
+
+  const bool ok = failures == 0 && accepted_mutations == 0 && ring_ok &&
+                  window_failures == 0;
   std::printf("crash_recovery: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -17,7 +17,9 @@
 //   3. materialized: the same trace generated up front and run through
 //      Engine::run — the RSS comparison point (sub-linear claim) and the
 //      full-length parity gate: the deterministic result serialization of
-//      legs 1 and 3 must be byte-identical.
+//      legs 1 and 3 must be byte-identical.  Engine::run feeds its events
+//      window by window, so both legs record their event-heap high-water
+//      mark (`peak_pending`), which CI bounds for this leg too.
 //   4. per-job parity at a bounded N: with per-job outcome ledgers on
 //      (deliberately off in the full-length legs — the ledger itself is
 //      O(N) memory), streamed vs materialized fingerprints must match down
@@ -156,7 +158,8 @@ int main(int argc, char** argv) {
   };
   es::util::AsciiTable table("Million-job scale — streamed vs materialized");
   table.set_columns(
-      {"leg", "N", "wall s", "events", "Mev/s", "peak RSS MiB"});
+      {"leg", "N", "wall s", "events", "Mev/s", "peak pending",
+       "peak RSS MiB"});
   const auto row = [&](const char* name, std::size_t jobs,
                        const es::bench::ScaleLeg& leg) {
     table.cell(name)
@@ -164,6 +167,7 @@ int main(int argc, char** argv) {
         .cell(leg.wall_seconds, 3)
         .cell(static_cast<long long>(leg.events_fired))
         .cell(leg.events_per_second / 1e6, 2)
+        .cell(static_cast<long long>(leg.result.perf.events.peak_pending))
         .cell(mib(leg.peak_rss_bytes), 1);
     table.end_row();
   };
@@ -231,13 +235,16 @@ int main(int argc, char** argv) {
         << ", \"events_fired\": " << streamed.events_fired
         << ", \"events_per_second\": " << streamed.events_per_second
         << ", \"peak_rss_bytes\": " << streamed.peak_rss_bytes
+        << ", \"peak_pending\": " << streamed.result.perf.events.peak_pending
         << ", \"speedup_vs_pr5_scale\": "
         << streamed.events_per_second / pr5_events_per_second << "},\n"
         << "  \"materialized\": {\"wall_seconds\": "
         << materialized.wall_seconds
         << ", \"events_fired\": " << materialized.events_fired
         << ", \"events_per_second\": " << materialized.events_per_second
-        << ", \"peak_rss_bytes\": " << materialized.peak_rss_bytes << "},\n"
+        << ", \"peak_rss_bytes\": " << materialized.peak_rss_bytes
+        << ", \"peak_pending\": "
+        << materialized.result.perf.events.peak_pending << "},\n"
         << "  \"dp_cache\": {\"slots_before\": 8, \"hit_rate_before\": "
         << hit_before << ", \"slots_after\": " << algo.dp_cache_slots
         << ", \"hit_rate_after\": " << hit_after << "},\n"

@@ -386,13 +386,16 @@ void Engine::move_dedicated_head_to_batch_head() {
 }
 
 void Engine::on_arrival(JobRun* job) {
-  if (streaming_) {
-    // Refill when the last scheduled arrival fires: every event the next
-    // chunk schedules is then strictly in the future, so the heap order is
-    // identical to the fully-materialized schedule (see source.hpp for the
-    // chunk-boundary contracts that make this safe at equal timestamps).
-    ES_ASSERT(arrivals_pending_ > 0);
-    if (--arrivals_pending_ == 0 && !source_exhausted_) load_next_chunk();
+  // Refill when the last scheduled arrival fires: every event the next
+  // window schedules is then strictly in the future, so the heap order is
+  // identical to an up-front schedule (see source.hpp for the window
+  // contracts that make this safe at equal timestamps).
+  ES_ASSERT(arrivals_pending_ > 0);
+  if (--arrivals_pending_ == 0 && !source_exhausted_) {
+    if (streaming_)
+      load_next_chunk();
+    else
+      load_next_window();
   }
   ES_ASSERT(job->status == JobStatus::kWaiting);
   if (job->dedicated()) {
@@ -692,9 +695,10 @@ JobRun* Engine::build_job(const workload::Job& spec) {
   return run;
 }
 
-void Engine::build_jobs(const workload::Workload& workload) {
+void Engine::build_jobs(const workload::Workload& workload, bool fingerprint) {
   ES_EXPECTS(jobs_.empty());  // one run per engine instance
   jobs_.reserve(workload.jobs.size());
+  by_id_.reserve(workload.jobs.size());
   for (const workload::Job& spec : workload.jobs) {
     JobRun* ptr = build_job(spec);
     jobs_.push_back(ptr);
@@ -702,7 +706,10 @@ void Engine::build_jobs(const workload::Workload& workload) {
     (void)pos;
     ES_EXPECTS(inserted);  // duplicate job IDs are a malformed workload
   }
-  workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
+  // Hashing the workload and building a registry is pure overhead on the
+  // (vast majority of) runs that never snapshot.
+  if (fingerprint)
+    workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
 }
 
 SimulationResult Engine::finish_run(
@@ -736,25 +743,10 @@ SimulationResult Engine::run(const workload::Workload& workload) {
   ES_EXPECTS(!restored_);  // a restored engine continues via resume()
   const auto run_start = std::chrono::steady_clock::now();
   dp_baseline_ = policy_->dp_counters();
-  build_jobs(workload);
-  for (JobRun* ptr : jobs_) {
-    sim_.at(ptr->arr, sim::EventClass::kJobArrival,
-            [this, ptr](sim::Time) { on_arrival(ptr); },
-            static_cast<std::uint64_t>(ptr->id));
-    if (ptr->dedicated() && ptr->req_start > ptr->arr) {
-      sim_.at(ptr->req_start, sim::EventClass::kDedicatedDue,
-              [this, ptr](sim::Time) { on_dedicated_due(ptr); },
-              static_cast<std::uint64_t>(ptr->id));
-    }
-  }
-  if (config_.process_eccs) {
-    for (std::size_t i = 0; i < workload.eccs.size(); ++i) {
-      const workload::Ecc& ecc = workload.eccs[i];
-      sim_.at(ecc.issue, sim::EventClass::kEccArrival,
-              [this, ecc](sim::Time) { on_ecc(ecc); },
-              static_cast<std::uint64_t>(i));
-    }
-  }
+  build_jobs(workload, config_.snapshot.every_cycles > 0);
+  window_.emplace(workload);
+  source_exhausted_ = false;
+  load_next_window();
   first_arrival_ =
       workload.jobs.empty() ? 0 : workload.jobs.front().arr;
   utilization_.record(first_arrival_, 0);
@@ -810,6 +802,44 @@ SimulationResult Engine::run_streamed(workload::JobSource& source) {
   return result;
 }
 
+void Engine::schedule_arrival(JobRun* job) {
+  // Feeds run at the last scheduled arrival, so every new event is at or
+  // after now; the windows' tie-group contract guarantees strictly later
+  // arrivals, keeping heap order identical to an up-front schedule.
+  ES_EXPECTS(job->arr >= sim_.now());
+  ++arrivals_pending_;
+  sim_.at(job->arr, sim::EventClass::kJobArrival,
+          [this, job](sim::Time) { on_arrival(job); },
+          static_cast<std::uint64_t>(job->id));
+  if (job->dedicated() && job->req_start > job->arr) {
+    sim_.at(job->req_start, sim::EventClass::kDedicatedDue,
+            [this, job](sim::Time) { on_dedicated_due(job); },
+            static_cast<std::uint64_t>(job->id));
+  }
+}
+
+void Engine::schedule_ecc(const workload::Ecc& ecc, std::uint64_t tag) {
+  ES_ASSERT(ecc.issue >= sim_.now());
+  sim_.at(ecc.issue, sim::EventClass::kEccArrival,
+          [this, ecc](sim::Time) { on_ecc(ecc); }, tag);
+}
+
+void Engine::load_next_window() {
+  workload::WorkloadCursor::Window window;
+  if (!window_->next(window)) {
+    source_exhausted_ = true;
+    return;
+  }
+  for (std::size_t i = window.job_begin; i < window.job_end; ++i)
+    schedule_arrival(jobs_[i]);
+  if (config_.process_eccs) {
+    // Tags are the workload index, which restore() maps back to the ECC.
+    const std::vector<workload::Ecc>& eccs = window_->workload().eccs;
+    for (std::size_t i = window.ecc_begin; i < window.ecc_end; ++i)
+      schedule_ecc(eccs[i], i);
+  }
+}
+
 bool Engine::load_next_chunk() {
   ES_ASSERT(streaming_ && source_ != nullptr);
   if (!source_->next_chunk(chunk_)) {
@@ -820,10 +850,6 @@ bool Engine::load_next_chunk() {
   ES_EXPECTS(chunk_.ecc_counts.size() == chunk_.jobs.size());
   for (std::size_t i = 0; i < chunk_.jobs.size(); ++i) {
     const workload::Job& spec = chunk_.jobs[i];
-    // The refill fires at the last scheduled arrival, so every new event is
-    // at or after now; the source's tie-group contract guarantees strictly
-    // later arrivals, keeping heap order identical to the materialized run.
-    ES_EXPECTS(spec.arr >= sim_.now());
     if (jobs_built_ == 0) {
       first_arrival_ = spec.arr;
       stream_span_origin_ = spec.arr;
@@ -845,23 +871,13 @@ bool Engine::load_next_chunk() {
     if (config_.process_eccs)
       arena_.cold(*ptr).ecc_pending = chunk_.ecc_counts[i];
     ++jobs_built_;
-    ++arrivals_pending_;
-    sim_.at(ptr->arr, sim::EventClass::kJobArrival,
-            [this, ptr](sim::Time) { on_arrival(ptr); },
-            static_cast<std::uint64_t>(ptr->id));
-    if (ptr->dedicated() && ptr->req_start > ptr->arr) {
-      sim_.at(ptr->req_start, sim::EventClass::kDedicatedDue,
-              [this, ptr](sim::Time) { on_dedicated_due(ptr); },
-              static_cast<std::uint64_t>(ptr->id));
-    }
+    schedule_arrival(ptr);
   }
   if (config_.process_eccs) {
     for (const workload::Ecc& ecc : chunk_.eccs) {
       // Chunk windows concatenate to the normalize() order, so the running
       // counter reproduces run()'s index-in-workload event tags.
-      ES_ASSERT(ecc.issue >= sim_.now());
-      sim_.at(ecc.issue, sim::EventClass::kEccArrival,
-              [this, ecc](sim::Time) { on_ecc(ecc); }, eccs_scheduled_++);
+      schedule_ecc(ecc, eccs_scheduled_++);
     }
   }
   return true;
@@ -994,9 +1010,10 @@ JobRun* Engine::job_by_id(workload::JobId id) const {
 
 void Engine::snapshot(snap::SnapshotWriter& writer) const {
   ES_EXPECTS(!in_cycle_);  // only valid at an event boundary
+  ES_EXPECTS(workload_fingerprint_.has_value());
 
   writer.begin_section("META");
-  writer.u64(workload_fingerprint_);
+  writer.u64(*workload_fingerprint_);
   writer.u64(jobs_.size());
   writer.end_section();
 
@@ -1143,6 +1160,11 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   writer.u64(dp_delta.cache_hits);
   writer.u64(dp_delta.table_runs);
   writer.u64(dp_delta.table_cells);
+  // Window-feed cursor: the next window's start and the current window's
+  // unfired arrivals (its pending events travel in EVTS).
+  writer.u64(window_->next_job());
+  writer.u64(window_->next_ecc());
+  writer.u64(arrivals_pending_);
   writer.end_section();
 
   // Every built-in attachment is a plain member that exists whether or not
@@ -1169,12 +1191,12 @@ void Engine::restore(const workload::Workload& workload,
                      snap::SnapshotReader& reader) {
   ES_EXPECTS(!restored_ && jobs_.empty());  // first call on a fresh engine
 
-  build_jobs(workload);
+  build_jobs(workload, /*fingerprint=*/true);
 
   reader.open_section("META");
   const std::uint64_t fingerprint = reader.u64();
   const std::uint64_t job_count = reader.u64();
-  if (fingerprint != workload_fingerprint_)
+  if (fingerprint != *workload_fingerprint_)
     throw snap::SnapshotError(
         snap::SnapshotErrorKind::kMismatch,
         "snapshot belongs to a different run (workload/config/policy "
@@ -1304,6 +1326,16 @@ void Engine::restore(const workload::Workload& workload,
   dp_delta.cache_hits = reader.u64();
   dp_delta.table_runs = reader.u64();
   dp_delta.table_cells = reader.u64();
+  const std::uint64_t next_job = reader.u64();
+  const std::uint64_t next_ecc = reader.u64();
+  const std::uint64_t arrivals_pending = reader.u64();
+  if (next_job > workload.jobs.size() || next_ecc > workload.eccs.size() ||
+      arrivals_pending > next_job)
+    snapshot_corrupt("window cursor out of range");
+  window_.emplace(workload);
+  window_->seek(next_job, next_ecc);
+  arrivals_pending_ = arrivals_pending;
+  source_exhausted_ = false;
   // Re-anchor mod 2^64: baseline = current − delta, so the final
   // (counters − baseline) report equals delta + whatever the resumed run
   // adds — exactly the uninterrupted run's figure.
@@ -1326,6 +1358,7 @@ void Engine::restore(const workload::Workload& workload,
   reader.open_section("EVTS");
   const std::uint64_t event_count = reader.u64();
   bool saw_outage_event = false;
+  std::uint64_t arrival_events = 0;
   for (std::uint64_t i = 0; i < event_count; ++i) {
     const sim::Time time = reader.f64();
     const std::int32_t cls_raw = reader.i32();
@@ -1346,6 +1379,7 @@ void Engine::restore(const workload::Workload& workload,
       }
       case sim::EventClass::kJobArrival: {
         JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
+        ++arrival_events;
         sim_.restore_event(
             time, cls, [this, job](sim::Time) { on_arrival(job); }, tag, seq);
         break;
@@ -1390,6 +1424,8 @@ void Engine::restore(const workload::Workload& workload,
   }
   if (has_pending_outage_ && !saw_outage_event)
     snapshot_corrupt("pending outage without its NodeDown event");
+  if (arrival_events != arrivals_pending_)
+    snapshot_corrupt("pending arrivals disagree with the window cursor");
   sim_.restore_clock(now, processed);
   sim_.restore_queue_meta(next_seq, counters);
 
@@ -1530,6 +1566,7 @@ SimulationResult Engine::collect(const workload::Workload& workload) const {
   attachments_.on_collect(result);
 
   FoldSums sums;
+  if (config_.keep_job_outcomes) result.jobs.reserve(finished_.size());
   for (const JobRun* job : finished_) {
     const JobOutcome outcome = outcome_of(job);
     fold_outcome(outcome, result, sums);

@@ -7,6 +7,10 @@
 //     its requested start time;
 //   * (-E variants) every ECC schedules an EccArrival at its issue time —
 //     simulation order is the FCFS elastic control queue;
+//   * those three are fed one window at a time in both run modes (the cut
+//     is workload::WorkloadCursor's; a JobSource chunk when streaming):
+//     when the last scheduled arrival fires, the next window's events are
+//     scheduled, so the event heap holds only in-flight events;
 //   * each event updates queues/state and then runs one scheduler cycle;
 //   * policy start() decisions allocate processors and schedule JobFinish at
 //     start + min(actual, kill-by estimate); jobs overrunning their estimate
@@ -28,6 +32,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,14 +79,18 @@ class Engine {
     attachments_.add(observer, mask);
   }
 
-  /// Runs the whole workload to completion and returns the metrics.
+  /// Runs the whole workload to completion and returns the metrics.  Job
+  /// records are built up front; their events are fed window by window
+  /// (see the event flow above), which schedules exactly what an up-front
+  /// schedule would, in the same per-class order.
   SimulationResult run(const workload::Workload& workload);
 
   /// Streaming variant: drains a JobSource chunk by chunk instead of a
   /// materialized workload, holding only the jobs in flight.  Arrivals of
-  /// the next chunk are scheduled when the last scheduled arrival fires;
-  /// finished jobs are folded into the metrics immediately and their arena
-  /// records retired once their last command has dispatched.  For the same
+  /// the next chunk are scheduled when the last scheduled arrival fires,
+  /// as in run(); finished jobs are folded into the metrics immediately
+  /// and their arena records retired once their last command has
+  /// dispatched.  For the same
   /// trace the result is byte-identical to run() (see workload/source.hpp
   /// for the ordering contracts that guarantee it), with two exceptions on
   /// watchdog-aborted runs only: `unfinished` counts built-not-finished
@@ -181,8 +190,15 @@ class Engine {
                           const FoldSums& sums) const;
   JobRun* build_job(const workload::Job& spec);
 
-  // --- streaming-mode internals (see run_streamed) -------------------------
+  // --- the window feed (both run modes) and streaming internals -----------
 
+  /// Schedules a job's arrival and, for a dedicated job with a later
+  /// requested start, its wake-up; counts the arrival as pending.
+  void schedule_arrival(JobRun* job);
+  void schedule_ecc(const workload::Ecc& ecc, std::uint64_t tag);
+  /// Schedules the next window of the materialized workload (run()), or
+  /// marks the feed exhausted once the cursor is.
+  void load_next_window();
   /// Pulls and schedules the next chunk; returns false at end of stream.
   bool load_next_chunk();
   /// Folds a finished job into the streaming accumulators (same op order as
@@ -197,9 +213,11 @@ class Engine {
   double streamed_offered_load() const;
 
   /// Creates the JobRun shells and the id index from the workload (shared
-  /// by run() and restore(); schedules no events) and computes the
-  /// workload/config fingerprint restore validates against.
-  void build_jobs(const workload::Workload& workload);
+  /// by run() and restore(); schedules no events).  With `fingerprint`,
+  /// also computes the workload/config fingerprint a snapshot carries and
+  /// restore validates against: run() asks for it only when it takes
+  /// snapshots, restore() always.
+  void build_jobs(const workload::Workload& workload, bool fingerprint);
   /// Post-pump bookkeeping shared by run() and resume(): completed-run
   /// postconditions, metric collection, perf counters.
   SimulationResult finish_run(
@@ -258,6 +276,13 @@ class Engine {
 
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 
+  // Window feed, both modes: a refill is due when `arrivals_pending_`
+  // drops to zero, until the feed is exhausted.  run() cuts windows with
+  // `window_`; run_streamed() pulls chunks from `source_`.
+  bool source_exhausted_ = true;
+  std::size_t arrivals_pending_ = 0;  ///< scheduled, not yet fired
+  std::optional<workload::WorkloadCursor> window_;
+
   // Streaming-mode state.  jobs_/finished_ stay empty in this mode; the
   // fold accumulators replace the collect()-time loop and `stream_result_`
   // carries the counter fields fold_outcome() increments.  Wasted-work
@@ -265,9 +290,7 @@ class Engine {
   // failure ledger, so per-job wasted work must be replayed after it).
   bool streaming_ = false;
   workload::JobSource* source_ = nullptr;
-  bool source_exhausted_ = true;
   workload::SourceChunk chunk_;           ///< reused pull buffer
-  std::size_t arrivals_pending_ = 0;      ///< scheduled, not yet fired
   std::uint64_t jobs_built_ = 0;
   std::uint64_t jobs_retired_ = 0;
   std::uint64_t eccs_scheduled_ = 0;      ///< event tags, as run() numbers them
@@ -282,8 +305,9 @@ class Engine {
   // Snapshot/restore machinery.  `pending_outage_` mirrors the payload of
   // the (at most one) scheduled NodeDown event — callbacks cannot
   // serialize, so the outage travels through the snapshot and the restore
-  // path rebuilds the closure from it.
-  std::uint64_t workload_fingerprint_ = 0;
+  // path rebuilds the closure from it.  The fingerprint exists only on
+  // runs that snapshot or restore.
+  std::optional<std::uint64_t> workload_fingerprint_;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};
   bool restored_ = false;

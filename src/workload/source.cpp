@@ -23,11 +23,59 @@ bool ecc_before(const Ecc& a, const Ecc& b) {
 JobSource::~JobSource() = default;
 
 // ---------------------------------------------------------------------------
+// WorkloadCursor
+
+WorkloadCursor::WorkloadCursor(const Workload& workload,
+                               std::size_t chunk_jobs)
+    : workload_(&workload), chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
+  // An unsorted workload gets one window: the whole schedule up front.
+  const auto job_inverted = [](const Job& a, const Job& b) {
+    return !(a.arr <= b.arr);
+  };
+  const auto ecc_inverted = [](const Ecc& a, const Ecc& b) {
+    return !(a.issue <= b.issue);
+  };
+  const bool sorted =
+      std::adjacent_find(workload.jobs.begin(), workload.jobs.end(),
+                         job_inverted) == workload.jobs.end() &&
+      std::adjacent_find(workload.eccs.begin(), workload.eccs.end(),
+                         ecc_inverted) == workload.eccs.end();
+  if (!sorted) chunk_jobs_ = std::numeric_limits<std::size_t>::max();
+}
+
+bool WorkloadCursor::next(Window& window) {
+  const std::vector<Job>& jobs = workload_->jobs;
+  const std::vector<Ecc>& eccs = workload_->eccs;
+  if (job_ >= jobs.size() && ecc_ >= eccs.size()) return false;
+  window.job_begin = job_;
+  std::size_t end = job_ + std::min(chunk_jobs_, jobs.size() - job_);
+  // Never split an equal-arrival tie group across a window boundary.
+  while (end < jobs.size() && jobs[end].arr == jobs[end - 1].arr) ++end;
+  job_ = end;
+  window.job_end = end;
+  window.ecc_begin = ecc_;
+  if (job_ < jobs.size()) {
+    const double window_end = jobs[job_].arr;
+    while (ecc_ < eccs.size() && eccs[ecc_].issue < window_end) ++ecc_;
+  } else {
+    ecc_ = eccs.size();
+  }
+  window.ecc_end = ecc_;
+  return true;
+}
+
+void WorkloadCursor::seek(std::size_t job, std::size_t ecc) {
+  ES_EXPECTS(job <= workload_->jobs.size() && ecc <= workload_->eccs.size());
+  job_ = job;
+  ecc_ = ecc;
+}
+
+// ---------------------------------------------------------------------------
 // MaterializedSource
 
 MaterializedSource::MaterializedSource(const Workload& workload,
                                        std::size_t chunk_jobs)
-    : workload_(&workload), chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
+    : cursor_(workload, chunk_jobs) {
   // Validate the ordering contracts once up front (see source.hpp): jobs
   // normalized, ECCs normalized, every command targeting a known job no
   // earlier than its arrival.
@@ -55,25 +103,18 @@ MaterializedSource::MaterializedSource(const Workload& workload,
 
 bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   chunk.clear();
-  const std::vector<Job>& jobs = workload_->jobs;
-  if (job_cursor_ >= jobs.size()) return false;
-  std::size_t end = std::min(jobs.size(), job_cursor_ + chunk_jobs_);
-  // Never split an equal-arrival tie group across a chunk boundary.
-  while (end < jobs.size() && jobs[end].arr == jobs[end - 1].arr) ++end;
-  chunk.jobs.assign(jobs.begin() + static_cast<std::ptrdiff_t>(job_cursor_),
-                    jobs.begin() + static_cast<std::ptrdiff_t>(end));
-  chunk.ecc_counts.assign(
-      ecc_totals_.begin() + static_cast<std::ptrdiff_t>(job_cursor_),
-      ecc_totals_.begin() + static_cast<std::ptrdiff_t>(end));
-  job_cursor_ = end;
-  const bool bounded = job_cursor_ < jobs.size();
-  const double window_end = bounded ? jobs[job_cursor_].arr : 0;
-  const std::vector<Ecc>& eccs = workload_->eccs;
-  while (ecc_cursor_ < eccs.size() &&
-         (!bounded || eccs[ecc_cursor_].issue < window_end)) {
-    chunk.eccs.push_back(eccs[ecc_cursor_]);
-    ++ecc_cursor_;
-  }
+  WorkloadCursor::Window window;
+  if (!cursor_.next(window)) return false;
+  const auto at = [](const auto& items, std::size_t i) {
+    return items.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  const Workload& workload = cursor_.workload();
+  chunk.jobs.assign(at(workload.jobs, window.job_begin),
+                    at(workload.jobs, window.job_end));
+  chunk.ecc_counts.assign(at(ecc_totals_, window.job_begin),
+                          at(ecc_totals_, window.job_end));
+  chunk.eccs.assign(at(workload.eccs, window.ecc_begin),
+                    at(workload.eccs, window.ecc_end));
   return true;
 }
 

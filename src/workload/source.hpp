@@ -72,28 +72,70 @@ class JobSource {
   virtual bool next_chunk(SourceChunk& chunk) = 0;
 };
 
+/// The one window cut over a materialized workload, shared by
+/// MaterializedSource and Engine::run()'s event feed.  A window is
+/// `chunk_jobs` consecutive jobs, extended so an equal-arrival group is
+/// never split, plus the ECCs whose issue time falls in [first arr, next
+/// window's first arr) — the first window also takes every earlier command
+/// and the last every later one.  The cut needs jobs sorted by
+/// non-decreasing arrival and ECCs by non-decreasing issue time
+/// (Workload::normalize() guarantees both); on a workload that is not, it
+/// returns one window covering everything.
+class WorkloadCursor {
+ public:
+  static constexpr std::size_t kDefaultChunkJobs = 4096;
+
+  /// Index ranges [begin, end) into the workload's jobs and eccs.
+  struct Window {
+    std::size_t job_begin = 0;
+    std::size_t job_end = 0;
+    std::size_t ecc_begin = 0;
+    std::size_t ecc_end = 0;
+  };
+
+  /// The workload must outlive the cursor.
+  explicit WorkloadCursor(const Workload& workload,
+                          std::size_t chunk_jobs = kDefaultChunkJobs);
+
+  /// Cuts the next window; false once every job and command was handed
+  /// out.  A window holds at least one job unless the workload has none.
+  bool next(Window& window);
+
+  /// Start of the next window (snapshot state).
+  std::size_t next_job() const { return job_; }
+  std::size_t next_ecc() const { return ecc_; }
+  /// Re-seats the cursor at a position an earlier next() left it at.
+  void seek(std::size_t job, std::size_t ecc);
+
+  const Workload& workload() const { return *workload_; }
+
+ private:
+  const Workload* workload_;
+  std::size_t chunk_jobs_;
+  std::size_t job_ = 0;
+  std::size_t ecc_ = 0;
+};
+
 /// Streams an already-materialized (normalized) workload.  Useful for the
 /// streamed-vs-materialized parity gates, and for CWF traces whose backward
 /// ECC references defeat true streaming: the engine-side structures stay
 /// bounded even though the workload vector is resident.
 class MaterializedSource : public JobSource {
  public:
-  static constexpr std::size_t kDefaultChunkJobs = 4096;
-
   /// The workload must outlive the source and be normalize()d; every ECC
   /// must reference an existing job and satisfy issue >= the job's arrival.
-  explicit MaterializedSource(const Workload& workload,
-                              std::size_t chunk_jobs = kDefaultChunkJobs);
+  explicit MaterializedSource(
+      const Workload& workload,
+      std::size_t chunk_jobs = WorkloadCursor::kDefaultChunkJobs);
 
-  int machine_procs() const override { return workload_->machine_procs; }
-  int granularity() const override { return workload_->granularity; }
+  int machine_procs() const override {
+    return cursor_.workload().machine_procs;
+  }
+  int granularity() const override { return cursor_.workload().granularity; }
   bool next_chunk(SourceChunk& chunk) override;
 
  private:
-  const Workload* workload_;
-  std::size_t chunk_jobs_;
-  std::size_t job_cursor_ = 0;
-  std::size_t ecc_cursor_ = 0;
+  WorkloadCursor cursor_;
   std::vector<int> ecc_totals_;  ///< per job index in workload order
 };
 

@@ -6,18 +6,22 @@
 // preempted job holding a banked checkpoint in the requeue, contradictory
 // same-instant ECC pairs, a reservation-saturated machine).  Plus the
 // rejection contract: wrong-run snapshots, tampered images, and a trace
-// ledger restored into an engine that cannot hold it.
+// ledger restored into an engine that cannot hold it.  Multi-window runs
+// resume identically from snapshots taken on either side of every window
+// refill of the materialized event feed.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "bench/refill_cycles.hpp"
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "sched/engine.hpp"
 #include "snap/snapshot.hpp"
 #include "testing/helpers.hpp"
 #include "workload/generator.hpp"
+#include "workload/source.hpp"
 
 namespace es {
 namespace {
@@ -37,6 +41,26 @@ std::string snapshot_before_kill(const workload::Workload& workload,
   core::AlgorithmOptions killed = options;
   killed.engine.snapshot.every_cycles = 1;
   killed.engine.watchdog.max_events = kill_events;
+  std::string image;
+  (void)exp::run_workload_prepared(
+      workload, algorithm, killed, [&image](sched::Engine& engine) {
+        engine.set_snapshot_sink(
+            [&image](const std::string& bytes) { image = bytes; });
+      });
+  return image;
+}
+
+/// Snapshot taken right after the event that ran cycle `cycle`; the run is
+/// killed one event later.  Far cheaper than snapshotting every cycle on
+/// runs of thousands of jobs (each image holds every job record).  Empty
+/// when the kill landed first, which needs an event that runs no cycle.
+std::string snapshot_at_cycle(const workload::Workload& workload,
+                              const std::string& algorithm,
+                              const core::AlgorithmOptions& options,
+                              std::uint64_t cycle) {
+  core::AlgorithmOptions killed = options;
+  killed.engine.snapshot.every_cycles = cycle;
+  killed.engine.watchdog.max_events = cycle + 1;
   std::string image;
   (void)exp::run_workload_prepared(
       workload, algorithm, killed, [&image](sched::Engine& engine) {
@@ -328,6 +352,94 @@ TEST(SnapshotRestore, SavedTraceNeedsATracingEngine) {
   const sched::SimulationResult resumed =
       exp::resume_workload(workload, "EASY", tracing, reader);
   expect_identical(uninterrupted, resumed, "traced resume");
+}
+
+/// Hybrid-LOS-E over three feed windows (two refills) with dedicated
+/// reservations, time/processor ECCs, node failures and checkpointing.
+workload::Workload three_window_workload() {
+  workload::GeneratorConfig config;
+  config.machine_procs = 320;
+  config.num_jobs = 9000;
+  config.seed = 4242;
+  config.p_dedicated = 0.3;
+  config.p_extend = 0.2;
+  config.p_reduce = 0.2;
+  config.p_extend_procs = 0.1;
+  config.p_reduce_procs = 0.1;
+  config.target_load = 0.9;
+  return workload::generate(config);
+}
+
+core::AlgorithmOptions three_window_options() {
+  core::AlgorithmOptions options;
+  options.engine.failure.enabled = true;
+  options.engine.failure.seed = 23;
+  options.engine.failure.mtbf = 12 * 3600.0;
+  options.engine.failure.mttr = 30 * 60.0;
+  options.engine.failure.max_nodes = 2;
+  options.engine.checkpoint.enabled = true;
+  options.engine.checkpoint.interval = 1800;
+  options.engine.checkpoint.overhead = 30;
+  return options;
+}
+
+TEST(SnapshotRestore, ResumesAcrossWindowRefills) {
+  // Kill points on both sides of every refill of the materialized feed
+  // (the cursor and the current window's unfired arrivals must survive a
+  // snapshot taken just before, at and just after it) plus seven sampled
+  // mid-window points.
+  const workload::Workload workload = three_window_workload();
+  const core::AlgorithmOptions options = three_window_options();
+  bench::RefillCycles refills(workload);
+  const sched::SimulationResult uninterrupted =
+      exp::run_workload(workload, "Hybrid-LOS-E", options, &refills,
+                        bench::RefillCycles::kHookMask);
+  ASSERT_EQ(uninterrupted.termination, sim::TerminationReason::kCompleted);
+  ASSERT_EQ(refills.cycles.size(), 2u);
+  EXPECT_LT(uninterrupted.perf.events.peak_pending,
+            3 * workload::WorkloadCursor::kDefaultChunkJobs);
+
+  std::vector<std::uint64_t> kill_cycles;
+  for (const std::uint64_t refill : refills.cycles)
+    for (const std::uint64_t cycle : {refill - 1, refill, refill + 1})
+      kill_cycles.push_back(cycle);
+  for (std::uint64_t k = 1; k < 8; ++k)
+    kill_cycles.push_back(uninterrupted.cycles * k / 8);
+  for (const std::uint64_t cycle : kill_cycles) {
+    const std::string image =
+        snapshot_at_cycle(workload, "Hybrid-LOS-E", options, cycle);
+    ASSERT_FALSE(image.empty()) << "cycle " << cycle;
+    snap::SnapshotReader reader(image);
+    const sched::SimulationResult resumed =
+        exp::resume_workload(workload, "Hybrid-LOS-E", options, reader);
+    expect_identical(uninterrupted, resumed,
+                     "snapshot at cycle " + std::to_string(cycle));
+    EXPECT_EQ(uninterrupted.perf.events.scheduled,
+              resumed.perf.events.scheduled);
+    EXPECT_EQ(uninterrupted.perf.events.cancelled,
+              resumed.perf.events.cancelled);
+    EXPECT_EQ(uninterrupted.perf.events.fired, resumed.perf.events.fired);
+    EXPECT_EQ(uninterrupted.perf.events.peak_pending,
+              resumed.perf.events.peak_pending);
+  }
+}
+
+TEST(SnapshotRestore, RejectsAVersionOneImage) {
+  // Version 1 carried no window cursor; there is no migration path.
+  const auto workload =
+      make_workload(320, 32, {batch_job(1, 0, 320, 100),
+                              batch_job(2, 10, 96, 200)});
+  std::string image = snapshot_before_kill(workload, "EASY", {}, 3);
+  ASSERT_GT(image.size(), 8u);
+  image[4] = 1;  // format version, little-endian u32 at bytes 4..7
+  image[5] = image[6] = image[7] = 0;
+  try {
+    snap::SnapshotReader reader(image);
+    (void)exp::resume_workload(workload, "EASY", {}, reader);
+    FAIL() << "version-1 snapshot accepted";
+  } catch (const snap::SnapshotError& error) {
+    EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kVersion);
+  }
 }
 
 }  // namespace

@@ -160,6 +160,79 @@ TEST(MaterializedSource, NeverSplitsEqualArrivalGroups) {
   }
 }
 
+// --- WorkloadCursor --------------------------------------------------------
+
+Ecc extend_at(JobId job, double issue) {
+  Ecc ecc;
+  ecc.job_id = job;
+  ecc.type = EccType::kExtendTime;
+  ecc.amount = 50;
+  ecc.issue = issue;
+  return ecc;
+}
+
+TEST(WorkloadCursor, UnsortedWorkloadIsOneWindow) {
+  // Hand-built and never normalized: one job or one command out of order
+  // turns the cut into a single window over everything.
+  Workload jobs_unsorted;
+  jobs_unsorted.jobs = {es::testing::batch_job(1, 0, 4, 100),
+                        es::testing::batch_job(2, 300, 4, 100),
+                        es::testing::batch_job(3, 200, 4, 100)};
+  Workload eccs_unsorted;
+  eccs_unsorted.jobs = {es::testing::batch_job(1, 0, 4, 100),
+                        es::testing::batch_job(2, 200, 4, 100),
+                        es::testing::batch_job(3, 300, 4, 100)};
+  eccs_unsorted.eccs = {extend_at(1, 250), extend_at(2, 210)};
+  for (const Workload* workload : {&jobs_unsorted, &eccs_unsorted}) {
+    WorkloadCursor cursor(*workload, 1);
+    WorkloadCursor::Window window;
+    ASSERT_TRUE(cursor.next(window));
+    EXPECT_EQ(window.job_begin, 0u);
+    EXPECT_EQ(window.job_end, 3u);
+    EXPECT_EQ(window.ecc_begin, 0u);
+    EXPECT_EQ(window.ecc_end, workload->eccs.size());
+    EXPECT_FALSE(cursor.next(window));
+  }
+}
+
+TEST(WorkloadCursor, CommandsWithoutJobsFormOneWindow) {
+  Workload workload;
+  workload.eccs = {extend_at(7, 10), extend_at(8, 20)};
+  WorkloadCursor cursor(workload);
+  WorkloadCursor::Window window;
+  ASSERT_TRUE(cursor.next(window));
+  EXPECT_EQ(window.job_end, 0u);
+  EXPECT_EQ(window.ecc_end, 2u);
+  EXPECT_FALSE(cursor.next(window));
+}
+
+TEST(WorkloadCursor, SeekResumesTheSameCut) {
+  std::vector<Job> jobs;
+  std::vector<Ecc> eccs;
+  for (int i = 0; i < 10; ++i) {
+    jobs.push_back(es::testing::batch_job(i + 1, 100.0 * i, 4, 50));
+    eccs.push_back(extend_at(i + 1, 100.0 * i + 150));
+  }
+  const Workload workload = es::testing::make_workload(64, 8, jobs, eccs);
+  WorkloadCursor original(workload, 3);
+  WorkloadCursor::Window window;
+  ASSERT_TRUE(original.next(window));
+  WorkloadCursor resumed(workload, 3);
+  resumed.seek(original.next_job(), original.next_ecc());
+  WorkloadCursor::Window a;
+  WorkloadCursor::Window b;
+  while (original.next(a)) {
+    ASSERT_TRUE(resumed.next(b));
+    EXPECT_EQ(a.job_begin, b.job_begin);
+    EXPECT_EQ(a.job_end, b.job_end);
+    EXPECT_EQ(a.ecc_begin, b.ecc_begin);
+    EXPECT_EQ(a.ecc_end, b.ecc_end);
+  }
+  EXPECT_FALSE(resumed.next(b));
+  EXPECT_EQ(resumed.next_job(), jobs.size());
+  EXPECT_EQ(resumed.next_ecc(), eccs.size());
+}
+
 // --- GeneratorSource -------------------------------------------------------
 
 TEST(GeneratorSource, MatchesGenerateExactly) {
