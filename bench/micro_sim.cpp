@@ -1,15 +1,9 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
 // machine ledger operations and workload-generator speed.
-//
-// The BM_ReferenceQueue* pairs run the retired shared_ptr/hash-set kernel
-// (reference_event_queue.hpp) under the exact workloads of their
-// BM_EventQueue* counterparts, so one run reports the slab queue's speedup
-// on this host.
 #include <benchmark/benchmark.h>
 
 #include "cluster/contiguous.hpp"
 #include "cluster/machine.hpp"
-#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -25,10 +19,8 @@ void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   for (auto _ : state) {
     es::sim::EventQueue queue;
     std::uint64_t sum = 0;
-    for (double t : times)
-      queue.schedule(t, es::sim::EventClass::kOther,
-                     [&sum](es::sim::Time) { ++sum; });
-    while (!queue.empty()) queue.pop_and_run();
+    for (double t : times) queue.schedule(t, es::sim::EventClass::kOther, 1);
+    while (!queue.empty()) sum += queue.pop().tag;
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -51,13 +43,13 @@ void BM_EventQueueSlidingWindow(benchmark::State& state) {
     std::size_t next = 0;
     double now = 0;
     while (next < kWindow && next < n)
-      queue.schedule(delays[next++], es::sim::EventClass::kOther,
-                     [&sum](es::sim::Time) { ++sum; });
+      queue.schedule(delays[next++], es::sim::EventClass::kOther, 1);
     while (!queue.empty()) {
-      now = queue.pop_and_run();
+      const es::sim::Event event = queue.pop();
+      now = event.time;
+      sum += event.tag;
       if (next < n)
-        queue.schedule(now + delays[next++], es::sim::EventClass::kOther,
-                       [&sum](es::sim::Time) { ++sum; });
+        queue.schedule(now + delays[next++], es::sim::EventClass::kOther, 1);
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -74,56 +66,72 @@ void BM_EventQueueCancellationHeavy(benchmark::State& state) {
     std::vector<es::sim::EventHandle> handles;
     handles.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-      handles.push_back(queue.schedule(rng.uniform(0, 1e6),
-                                       es::sim::EventClass::kOther,
-                                       [](es::sim::Time) {}));
+      handles.push_back(
+          queue.schedule(rng.uniform(0, 1e6), es::sim::EventClass::kOther));
     // Cancel half — the elastic-workload pattern.
     for (std::size_t i = 0; i < n; i += 2) queue.cancel(handles[i]);
-    while (!queue.empty()) queue.pop_and_run();
+    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueCancellationHeavy)->Arg(1000)->Arg(10000);
 
-void BM_ReferenceQueueScheduleAndRun(benchmark::State& state) {
+// The engine's loop shape: pop, switch on the class, and let the handler
+// schedule what that class schedules — an arrival its job's finish, an ECC
+// a moved finish (cancel + reschedule), a finish nothing.
+void BM_EventQueueDispatch(benchmark::State& state) {
+  using es::sim::EventClass;
   const auto n = static_cast<std::size_t>(state.range(0));
-  es::util::Rng rng(1);
-  std::vector<double> times;
-  times.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) times.push_back(rng.uniform(0, 1e6));
-  for (auto _ : state) {
-    es::bench::ReferenceEventQueue queue;
-    std::uint64_t sum = 0;
-    for (double t : times)
-      queue.schedule(t, es::sim::EventClass::kOther,
-                     [&sum](es::sim::Time) { ++sum; });
-    while (!queue.empty()) queue.pop_and_run();
-    benchmark::DoNotOptimize(sum);
+  es::util::Rng rng(4);
+  std::vector<double> gaps;
+  std::vector<double> runtimes;
+  gaps.reserve(n);
+  runtimes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    gaps.push_back(rng.uniform(0, 20));
+    runtimes.push_back(rng.uniform(100, 2000));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ReferenceQueueScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_ReferenceQueueCancellationHeavy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  es::util::Rng rng(2);
+  std::vector<es::sim::EventHandle> finishes(n);
+  std::uint64_t events = 0;
   for (auto _ : state) {
-    es::bench::ReferenceEventQueue queue;
-    std::vector<es::bench::ReferenceEventHandle> handles;
-    handles.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      handles.push_back(queue.schedule(rng.uniform(0, 1e6),
-                                       es::sim::EventClass::kOther,
-                                       [](es::sim::Time) {}));
-    for (std::size_t i = 0; i < n; i += 2) queue.cancel(handles[i]);
-    while (!queue.empty()) queue.pop_and_run();
+    es::sim::EventQueue queue;
+    double arrival = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      arrival += gaps[i];
+      queue.schedule(arrival, EventClass::kJobArrival, i);
+      // Every fourth job gets an elastic command shortly after it arrives.
+      if (i % 4 == 0)
+        queue.schedule(arrival + gaps[i] + 1, EventClass::kEccArrival, i);
+    }
+    std::uint64_t finished = 0;
+    while (!queue.empty()) {
+      const es::sim::Event event = queue.pop();
+      ++events;
+      switch (event.cls) {
+        case EventClass::kJobArrival:
+          finishes[event.tag] = queue.schedule(
+              event.time + runtimes[event.tag], EventClass::kJobFinish,
+              event.tag);
+          break;
+        case EventClass::kEccArrival:
+          if (queue.cancel(finishes[event.tag]))
+            finishes[event.tag] = queue.schedule(
+                event.time + runtimes[event.tag] / 2, EventClass::kJobFinish,
+                event.tag);
+          break;
+        case EventClass::kJobFinish:
+          ++finished;
+          break;
+        default:
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(finished);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_ReferenceQueueCancellationHeavy)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EventQueueDispatch)->Arg(10000)->Arg(100000);
 
 void BM_MachineAllocateRelease(benchmark::State& state) {
   es::cluster::Machine machine(320, 32);

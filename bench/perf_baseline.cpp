@@ -10,10 +10,7 @@
 //   2. the DP hot path (PR 3): fast-path / cache-hit counters and wall time
 //      with the knapsack memo cache on vs off, with the headline metrics
 //      compared exactly — cached runs must schedule identically;
-//   3. the event kernel (PR 4): the slab/free-list sim::EventQueue against
-//      the retired shared_ptr/hash-set queue (reference_event_queue.hpp)
-//      under identical schedule/pop and cancellation-heavy workloads, same
-//      host, same build flags — events/sec for each and the speedup;
+//   (the docs cite legs by number, so the numbers stay put; 3 is unused)
 //   4. simulation scale (PR 4): wall time of one Delayed-LOS run at the
 //      scale_10k operating point (load 0.7), the end-to-end number the
 //      kernel work is meant to move;
@@ -61,11 +58,8 @@
 #include "bench_common.hpp"
 #include "core/dp.hpp"
 #include "exp/experiment.hpp"
-#include "reference_event_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "snap/snapshot.hpp"
 #include "util/atomic_file.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <chrono>
@@ -95,55 +89,6 @@ double json_number_after(const std::string& text, const std::string& key,
   return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
-/// Events/sec of `queue` under the micro_sim schedule-then-drain workload
-/// (uniform times, trivial callback), repeated until ~0.2 s has elapsed.
-template <typename Queue>
-double measure_schedule_and_run(std::size_t n) {
-  es::util::Rng rng(1);
-  std::vector<double> times;
-  times.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) times.push_back(rng.uniform(0, 1e6));
-  std::uint64_t processed = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0;
-  do {
-    Queue queue;
-    std::uint64_t sum = 0;
-    for (double t : times)
-      queue.schedule(t, es::sim::EventClass::kOther,
-                     [&sum](es::sim::Time) { ++sum; });
-    while (!queue.empty()) queue.pop_and_run();
-    processed += n;
-    elapsed = seconds_since(t0);
-  } while (elapsed < 0.2);
-  return static_cast<double>(processed) / elapsed;
-}
-
-/// Events/sec with half the population cancelled before the drain — the
-/// elastic-workload pattern that exercises lazy deletion.
-template <typename Queue>
-double measure_cancellation_heavy(std::size_t n) {
-  es::util::Rng rng(2);
-  std::uint64_t processed = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0;
-  do {
-    Queue queue;
-    std::vector<decltype(queue.schedule(0, es::sim::EventClass::kOther,
-                                        nullptr))> handles;
-    handles.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      handles.push_back(queue.schedule(rng.uniform(0, 1e6),
-                                       es::sim::EventClass::kOther,
-                                       [](es::sim::Time) {}));
-    for (std::size_t i = 0; i < n; i += 2) queue.cancel(handles[i]);
-    while (!queue.empty()) queue.pop_and_run();
-    processed += n;
-    elapsed = seconds_since(t0);
-  } while (elapsed < 0.2);
-  return static_cast<double>(processed) / elapsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,8 +107,8 @@ int main(int argc, char** argv) {
 #endif
   {
     es::util::CliParser cli(
-        "Perf baseline: campaign parallelism + DP hot path + event kernel "
-        "+ observer chain (BENCH_PR5.json)");
+        "Perf baseline: campaign parallelism + DP hot path + kernel "
+        "equivalence + observer chain (BENCH_PR5.json)");
     cli.add_option("num-jobs", "jobs per simulation point (default 500)",
                    &options.num_jobs);
     cli.add_option("replications", "seeds averaged per point (default 5)",
@@ -260,22 +205,6 @@ int main(int argc, char** argv) {
       cached.dp.calls > 0 ? static_cast<double>(cached.dp.cache_hits) /
                                 static_cast<double>(cached.dp.calls)
                           : 0.0;
-
-  // --- leg 3: event kernel, slab queue vs retired reference ------------
-  const std::size_t micro_n = 10000;
-  const double slab_schedule_eps =
-      measure_schedule_and_run<es::sim::EventQueue>(micro_n);
-  const double reference_schedule_eps =
-      measure_schedule_and_run<es::bench::ReferenceEventQueue>(micro_n);
-  const double slab_cancel_eps =
-      measure_cancellation_heavy<es::sim::EventQueue>(micro_n);
-  const double reference_cancel_eps =
-      measure_cancellation_heavy<es::bench::ReferenceEventQueue>(micro_n);
-  const double kernel_speedup =
-      reference_schedule_eps > 0 ? slab_schedule_eps / reference_schedule_eps
-                                 : 0.0;
-  const double kernel_cancel_speedup =
-      reference_cancel_eps > 0 ? slab_cancel_eps / reference_cancel_eps : 0.0;
 
   // --- leg 4: end-to-end scale point (scale_10k's stable regime) -------
   es::exp::RunSpec scale_spec;
@@ -560,11 +489,6 @@ int main(int argc, char** argv) {
                         static_cast<double>(cached.dp.calls)
                   : 0.0,
               cache_identical ? "yes" : "NO");
-  std::printf("event kernel: slab %.2fM ev/s vs reference %.2fM ev/s "
-              "(%.2fx); cancel-heavy %.2fM vs %.2fM (%.2fx)\n",
-              slab_schedule_eps / 1e6, reference_schedule_eps / 1e6,
-              kernel_speedup, slab_cancel_eps / 1e6,
-              reference_cancel_eps / 1e6, kernel_cancel_speedup);
   std::printf("scale: Delayed-LOS, %zu jobs @ load 0.7: %.3fs "
               "(%.2fM events/s, peak %llu pending)\n",
               scale_spec.workload.num_jobs, scale_seconds,
@@ -638,14 +562,6 @@ int main(int argc, char** argv) {
             << ", \"uncached_seconds\": " << uncached_seconds
             << ", \"metrics_identical\": "
             << (cache_identical ? "true" : "false") << "},\n"
-            << "  \"event_kernel\": {\"micro_events\": " << micro_n
-            << ", \"slab_events_per_second\": " << slab_schedule_eps
-            << ", \"reference_events_per_second\": " << reference_schedule_eps
-            << ", \"speedup\": " << kernel_speedup
-            << ", \"slab_cancel_events_per_second\": " << slab_cancel_eps
-            << ", \"reference_cancel_events_per_second\": "
-            << reference_cancel_eps
-            << ", \"cancel_speedup\": " << kernel_cancel_speedup << "},\n"
             << "  \"scale\": {\"algorithm\": \"Delayed-LOS\", \"num_jobs\": "
             << scale_spec.workload.num_jobs
             << ", \"target_load\": 0.7, \"wall_seconds\": " << scale_seconds
@@ -691,8 +607,8 @@ int main(int argc, char** argv) {
   }
   std::printf("[json] %s\n", out_path.c_str());
   // The equivalences are correctness gates, not just measurements: the
-  // parallel campaign, the DP cache, the slab kernel and the observer
-  // chain must all leave the simulated science untouched.
+  // parallel campaign, the DP cache, the event kernel (the golden) and the
+  // observer chain must all leave the simulated science untouched.
   // The advisory throughput check is deliberately absent here.
   return (csv_identical && cache_identical && golden_identical &&
           chain_identical && crash_identical && streamed_identical &&

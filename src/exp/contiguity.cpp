@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "cluster/utilization.hpp"
@@ -30,40 +29,50 @@ class Study {
         machine_(std::max(1, workload.machine_procs / std::max(1, workload.granularity)),
                  policy.placement),
         utilization_(machine_.total_units()) {
+    // Never grows again: the queues hold pointers into it.
     tasks_.reserve(workload.jobs.size());
     for (const workload::Job& job : workload.jobs) {
       ES_EXPECTS(!job.dedicated());  // batch-only study
-      auto task = std::make_unique<Task>();
-      task->spec = job;
-      task->units = (job.num + grain_ - 1) / grain_;
-      ES_EXPECTS(task->units <= machine_.total_units());
-      tasks_.push_back(std::move(task));
+      Task& task = tasks_.emplace_back();
+      task.spec = job;
+      task.units = (job.num + grain_ - 1) / grain_;
+      ES_EXPECTS(task.units <= machine_.total_units());
     }
   }
 
   ContiguityResult run() {
-    for (const auto& task : tasks_) {
-      sim_.at(task->spec.arr, sim::EventClass::kJobArrival,
-              [this, t = task.get()](sim::Time) {
-                queue_.push_back(t);
-                cycle();
-              });
-    }
+    // Every event's tag is its task's index in tasks_.
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      sim_.at(tasks_[i].spec.arr, sim::EventClass::kJobArrival, i);
     if (!tasks_.empty()) {
-      first_arrival_ = tasks_.front()->spec.arr;
+      first_arrival_ = tasks_.front().spec.arr;
       utilization_.record(first_arrival_, 0);
       frag_last_time_ = first_arrival_;
     }
-    sim_.run();
+    while (!sim_.idle()) {
+      const sim::Event event = sim_.pop();
+      Task* task = &tasks_[event.tag];
+      switch (event.cls) {
+        case sim::EventClass::kJobArrival:
+          queue_.push_back(task);
+          break;
+        case sim::EventClass::kJobFinish:
+          finish(task);
+          break;
+        default:
+          ES_ASSERT(false);  // the study schedules no other class
+      }
+      cycle();
+    }
     ES_ENSURES(queue_.empty());
 
     ContiguityResult result;
     result.migrations = migrations_;
     result.jobs_moved = jobs_moved_;
     double wait_sum = 0;
-    for (const auto& task : tasks_) {
-      ES_ASSERT(task->done);
-      wait_sum += task->start - task->spec.arr;
+    for (const Task& task : tasks_) {
+      ES_ASSERT(task.done);
+      wait_sum += task.start - task.spec.arr;
       ++result.completed;
     }
     if (!tasks_.empty()) {
@@ -106,20 +115,21 @@ class Study {
     utilization_.record(
         sim_.now(), machine_.total_units() - machine_.free_units());
     sim_.at(sim_.now() + task->spec.actual_runtime(),
-            sim::EventClass::kJobFinish, [this, task](sim::Time) {
-              machine_.release(task->spec.id);
-              task->running = false;
-              task->done = true;
-              task->end = sim_.now();
-              last_end_ = std::max(last_end_, task->end);
-              const auto rit =
-                  std::find(running_.begin(), running_.end(), task);
-              ES_ASSERT(rit != running_.end());
-              running_.erase(rit);
-              utilization_.record(sim_.now(), machine_.total_units() -
-                                                  machine_.free_units());
-              cycle();
-            });
+            sim::EventClass::kJobFinish,
+            static_cast<std::uint64_t>(task - tasks_.data()));
+  }
+
+  void finish(Task* task) {
+    machine_.release(task->spec.id);
+    task->running = false;
+    task->done = true;
+    task->end = sim_.now();
+    last_end_ = std::max(last_end_, task->end);
+    const auto rit = std::find(running_.begin(), running_.end(), task);
+    ES_ASSERT(rit != running_.end());
+    running_.erase(rit);
+    utilization_.record(sim_.now(),
+                        machine_.total_units() - machine_.free_units());
   }
 
   /// Earliest time the head's unit count frees up, ignoring contiguity —
@@ -184,7 +194,7 @@ class Study {
   cluster::ContiguousMachine machine_;
   cluster::UtilizationTracker utilization_;
   sim::Simulation sim_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  std::vector<Task> tasks_;
   std::deque<Task*> queue_;
   std::vector<Task*> running_;
   std::uint64_t migrations_ = 0;

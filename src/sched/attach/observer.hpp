@@ -119,8 +119,8 @@ struct ParanoidSnapshot {
 };
 
 /// Set by an observer to abort the run from inside the event loop (the
-/// watchdog-progress attachment trips it); polled by the engine's stepping
-/// pump.  Plain struct — the run is single-threaded.
+/// watchdog-progress attachment trips it); polled by the engine's event
+/// pump after every event.  Plain struct — the run is single-threaded.
 struct AbortFlag {
   bool requested = false;
   sim::TerminationReason reason = sim::TerminationReason::kCompleted;

@@ -166,6 +166,19 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
                             "corrupt snapshot: " + what);
 }
 
+/// Job events (finish, arrival, dedicated-due) carry their job's arena
+/// handle as the tag: generation in the high word, slot in the low one.
+bool is_job_event(sim::EventClass cls) {
+  return cls == sim::EventClass::kJobFinish ||
+         cls == sim::EventClass::kJobArrival ||
+         cls == sim::EventClass::kDedicatedDue;
+}
+
+JobRunArena::Handle tag_handle(std::uint64_t tag) {
+  return JobRunArena::Handle{static_cast<std::uint32_t>(tag),
+                             static_cast<std::uint32_t>(tag >> 32)};
+}
+
 }  // namespace
 
 void Engine::insert_active(JobRun* job) {
@@ -414,13 +427,6 @@ void Engine::on_arrival(JobRun* job) {
   run_cycle();
 }
 
-void Engine::on_dedicated_due(JobRun* job) {
-  // The job may already have been moved/started; the wake-up is only a
-  // trigger for a scheduling cycle at its requested start instant.
-  (void)job;
-  run_cycle();
-}
-
 void Engine::on_ecc(const workload::Ecc& ecc) {
   const auto it = by_id_.find(ecc.job_id);
   if (it == by_id_.end()) {
@@ -453,9 +459,7 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
       const sim::Time finish =
           std::max(sim_.now(), job->start_time + job->run_duration());
       job->finish_event =
-          sim_.at(finish, sim::EventClass::kJobFinish,
-                  [this, job](sim::Time) { on_finish(job); },
-                  static_cast<std::uint64_t>(job->id));
+          sim_.at(finish, sim::EventClass::kJobFinish, job_tag(job));
       break;
     }
     case EccOutcome::kAppliedRunning: {
@@ -468,9 +472,7 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
       const sim::Time finish =
           std::max(sim_.now(), job->start_time + job->run_duration());
       job->finish_event =
-          sim_.at(finish, sim::EventClass::kJobFinish,
-                  [this, job](sim::Time) { on_finish(job); },
-                  static_cast<std::uint64_t>(job->id));
+          sim_.at(finish, sim::EventClass::kJobFinish, job_tag(job));
       break;
     }
     case EccOutcome::kCompletedJob: {
@@ -497,12 +499,11 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
 void Engine::schedule_next_outage(sim::Time from) {
   fault::Outage outage;
   if (!failure_model_.next(from, outage)) return;
-  // Mirror the closure's payload for the snapshot path: the outage chain
-  // keeps at most one NodeDown pending, so a single slot suffices.
+  // The NodeDown event's payload: the outage chain keeps at most one
+  // NodeDown pending, so a single slot suffices.
   has_pending_outage_ = true;
   pending_outage_ = outage;
-  sim_.at(std::max(outage.down, sim_.now()), sim::EventClass::kNodeDown,
-          [this, outage](sim::Time) { on_node_down(outage); });
+  sim_.at(std::max(outage.down, sim_.now()), sim::EventClass::kNodeDown);
 }
 
 void Engine::preempt_victim() {
@@ -591,7 +592,9 @@ void Engine::preempt_job(JobRun* job, fault::RequeuePolicy requeue_policy) {
   }
 }
 
-void Engine::on_node_down(const fault::Outage& outage) {
+void Engine::on_node_down() {
+  // A copy: the outage chain may schedule the next outage into the slot.
+  const fault::Outage outage = pending_outage_;
   has_pending_outage_ = false;  // this event is no longer pending
   if (all_jobs_finished()) return;  // run is over; let the queue drain
   // Never take more than what is still in service (a scripted storm may
@@ -605,7 +608,6 @@ void Engine::on_node_down(const fault::Outage& outage) {
     utilization_.record_capacity(sim_.now(), machine_.available());
     attachments_.on_node_down(sim_.now(), procs);
     sim_.at(std::max(outage.up, sim_.now()), sim::EventClass::kNodeUp,
-            [this, procs](sim::Time) { on_node_up(procs); },
             static_cast<std::uint64_t>(procs));
   } else {
     // Nothing left to fail right now; keep the outage chain alive.
@@ -642,9 +644,8 @@ void Engine::start_job(JobRun* job) {
   attachments_.on_start(sim_.now(), *job, backfilled);
 
   const sim::Time finish = sim_.now() + job->run_duration();
-  job->finish_event = sim_.at(finish, sim::EventClass::kJobFinish,
-                              [this, job](sim::Time) { on_finish(job); },
-                              static_cast<std::uint64_t>(job->id));
+  job->finish_event =
+      sim_.at(finish, sim::EventClass::kJobFinish, job_tag(job));
 }
 
 void Engine::finish_job(JobRun* job) {
@@ -666,11 +667,6 @@ void Engine::finish_job(JobRun* job) {
   // Release only after the attachments read the record; `job` dangles past
   // this point once no scheduled command still targets it.
   if (streaming_) maybe_release(job);
-}
-
-void Engine::on_finish(JobRun* job) {
-  finish_job(job);
-  run_cycle();
 }
 
 JobRun* Engine::build_job(const workload::Job& spec) {
@@ -727,6 +723,7 @@ SimulationResult Engine::finish_run(
     ES_ENSURES(dedicated_queue_.empty());
     ES_ENSURES(active_.empty());
     ES_ENSURES(finished_.size() == jobs_.size());
+    ES_ENSURES(eccs_in_flight_.size() == 0);
     ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
   }
 
@@ -791,6 +788,7 @@ SimulationResult Engine::run_streamed(workload::JobSource& source) {
     ES_ENSURES(active_.empty());
     ES_ENSURES(source_exhausted_ && jobs_retired_ == jobs_built_);
     ES_ENSURES(arena_.live() == 0 && by_id_.empty());
+    ES_ENSURES(eccs_in_flight_.size() == 0);
     ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
   }
   SimulationResult result = collect_streamed();
@@ -808,20 +806,16 @@ void Engine::schedule_arrival(JobRun* job) {
   // arrivals, keeping heap order identical to an up-front schedule.
   ES_EXPECTS(job->arr >= sim_.now());
   ++arrivals_pending_;
-  sim_.at(job->arr, sim::EventClass::kJobArrival,
-          [this, job](sim::Time) { on_arrival(job); },
-          static_cast<std::uint64_t>(job->id));
-  if (job->dedicated() && job->req_start > job->arr) {
-    sim_.at(job->req_start, sim::EventClass::kDedicatedDue,
-            [this, job](sim::Time) { on_dedicated_due(job); },
-            static_cast<std::uint64_t>(job->id));
-  }
+  const std::uint64_t tag = job_tag(job);
+  sim_.at(job->arr, sim::EventClass::kJobArrival, tag);
+  if (job->dedicated() && job->req_start > job->arr)
+    sim_.at(job->req_start, sim::EventClass::kDedicatedDue, tag);
 }
 
 void Engine::schedule_ecc(const workload::Ecc& ecc, std::uint64_t tag) {
   ES_ASSERT(ecc.issue >= sim_.now());
-  sim_.at(ecc.issue, sim::EventClass::kEccArrival,
-          [this, ecc](sim::Time) { on_ecc(ecc); }, tag);
+  eccs_in_flight_.put(tag, ecc);
+  sim_.at(ecc.issue, sim::EventClass::kEccArrival, tag);
 }
 
 void Engine::load_next_window() {
@@ -942,20 +936,58 @@ double Engine::streamed_offered_load() const {
   return stream_proc_seconds_ / (span * machine_.total());
 }
 
-void Engine::pump_events() {
-  const bool snapshotting = config_.snapshot.every_cycles > 0;
-  if (!config_.watchdog.enabled() && !snapshotting) {
-    // The exact seed event loop: no per-event budget checks on the fast
-    // path when no budget or snapshot cadence is configured.
-    sim_.run();
-    return;
+std::uint64_t Engine::job_tag(const JobRun* job) const {
+  const JobRunArena::Handle handle = arena_.handle_of(*job);
+  return (static_cast<std::uint64_t>(handle.gen) << 32) | handle.slot;
+}
+
+JobRun* Engine::live_job(std::uint64_t tag) {
+  JobRun* job = arena_.get(tag_handle(tag));
+  ES_ASSERT(job != nullptr);  // a job's events never outlive its record
+  return job;
+}
+
+void Engine::dispatch(const sim::Event& event) {
+  switch (event.cls) {
+    case sim::EventClass::kJobFinish:
+      finish_job(live_job(event.tag));
+      run_cycle();
+      return;
+    case sim::EventClass::kNodeUp:
+      on_node_up(static_cast<int>(event.tag));
+      return;
+    case sim::EventClass::kNodeDown:
+      on_node_down();
+      return;
+    case sim::EventClass::kEccArrival:
+      on_ecc(eccs_in_flight_.take(event.tag));
+      return;
+    case sim::EventClass::kDedicatedDue:
+      // Only a trigger for a cycle at the requested start instant; the job
+      // may already have been moved or started.
+      (void)live_job(event.tag);
+      run_cycle();
+      return;
+    case sim::EventClass::kJobArrival:
+      on_arrival(live_job(event.tag));
+      return;
+    case sim::EventClass::kOther:
+      break;
   }
+  ES_ASSERT(false);  // the engine never schedules kOther
+}
+
+void Engine::pump_events() {
+  // One loop for every run: the watchdog, an attachment's abort request
+  // and the snapshot cadence each cost one untaken branch per event when
+  // unset.
+  const bool snapshotting = config_.snapshot.every_cycles > 0;
   std::optional<sim::Watchdog> watchdog;
   if (config_.watchdog.enabled()) watchdog.emplace(config_.watchdog);
   sim::TerminationReason reason = sim::TerminationReason::kCompleted;
   while (!sim_.idle()) {
     if (watchdog && watchdog->exhausted(sim_, reason)) break;
-    sim_.step();
+    dispatch(sim_.pop());
     if (abort_.requested) {
       // An attachment (the watchdog-progress observer) asked for a typed
       // abort from inside the event loop.
@@ -1031,16 +1063,23 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   writer.u64(counters.peak_pending);
   writer.end_section();
 
-  // Pending events as (time, class, original seq, semantic tag) — the
-  // callbacks are rebuilt from the tags on restore.
+  // Pending events as (time, class, original seq, tag).  Job events store
+  // the job id in place of the arena handle they carry, which a restored
+  // engine's arena need not reproduce.
   writer.begin_section("EVTS");
-  const std::vector<sim::PendingEvent> pending = sim_.queue().pending_events();
+  const std::vector<sim::Event> pending = sim_.queue().pending_events();
   writer.u64(pending.size());
-  for (const sim::PendingEvent& event : pending) {
+  for (const sim::Event& event : pending) {
+    std::uint64_t tag = event.tag;
+    if (is_job_event(event.cls)) {
+      const JobRun* job = arena_.get(tag_handle(event.tag));
+      ES_ASSERT(job != nullptr);
+      tag = static_cast<std::uint64_t>(job->id);
+    }
     writer.f64(event.time);
-    writer.i32(event.cls);
+    writer.i32(static_cast<std::int32_t>(event.cls));
     writer.u64(event.seq);
-    writer.u64(event.tag);
+    writer.u64(tag);
   }
   writer.end_section();
 
@@ -1341,10 +1380,10 @@ void Engine::restore(const workload::Workload& workload,
   // adds — exactly the uninterrupted run's figure.
   dp_baseline_ = policy_->dp_counters() - dp_delta;
 
-  // Rebuild the pending event set: each saved (class, tag) pair maps back
-  // to the closure the original run had scheduled.  Events are replayed in
-  // saved (seq) order; restore_meta afterwards overwrites the counters the
-  // replay inflated and re-seats the sequence allocator.
+  // Re-insert the pending event set in saved (seq) order, translating each
+  // job id back to its record's handle and refilling the in-flight ECC
+  // store; restore_meta afterwards overwrites the counters the replay
+  // inflated and re-seats the sequence allocator.
   reader.open_section("CLCK");
   const sim::Time now = reader.f64();
   const std::uint64_t processed = reader.u64();
@@ -1359,11 +1398,12 @@ void Engine::restore(const workload::Workload& workload,
   const std::uint64_t event_count = reader.u64();
   bool saw_outage_event = false;
   std::uint64_t arrival_events = 0;
+  std::uint64_t next_ecc_tag = 0;  // ECCs were scheduled in tag order
   for (std::uint64_t i = 0; i < event_count; ++i) {
     const sim::Time time = reader.f64();
     const std::int32_t cls_raw = reader.i32();
     const std::uint64_t seq = reader.u64();
-    const std::uint64_t tag = reader.u64();
+    std::uint64_t tag = reader.u64();
     if (seq >= next_seq) snapshot_corrupt("event seq beyond allocator");
     const auto cls = static_cast<sim::EventClass>(cls_raw);
     switch (cls) {
@@ -1373,54 +1413,37 @@ void Engine::restore(const workload::Workload& workload,
           snapshot_corrupt("finish event for a job that is not running");
         if (job->finish_event.valid())
           snapshot_corrupt("duplicate finish event");
-        job->finish_event = sim_.restore_event(
-            time, cls, [this, job](sim::Time) { on_finish(job); }, tag, seq);
-        break;
+        job->finish_event = sim_.restore_event(time, cls, job_tag(job), seq);
+        continue;  // the one class whose handle the engine keeps
       }
-      case sim::EventClass::kJobArrival: {
-        JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
+      case sim::EventClass::kJobArrival:
         ++arrival_events;
-        sim_.restore_event(
-            time, cls, [this, job](sim::Time) { on_arrival(job); }, tag, seq);
+        tag = job_tag(job_by_id(static_cast<workload::JobId>(tag)));
         break;
-      }
-      case sim::EventClass::kDedicatedDue: {
-        JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
-        sim_.restore_event(
-            time, cls, [this, job](sim::Time) { on_dedicated_due(job); }, tag,
-            seq);
+      case sim::EventClass::kDedicatedDue:
+        tag = job_tag(job_by_id(static_cast<workload::JobId>(tag)));
         break;
-      }
-      case sim::EventClass::kEccArrival: {
+      case sim::EventClass::kEccArrival:
         if (tag >= workload.eccs.size())
           snapshot_corrupt("ECC event index out of range");
-        const workload::Ecc ecc = workload.eccs[tag];
-        sim_.restore_event(
-            time, cls, [this, ecc](sim::Time) { on_ecc(ecc); }, tag, seq);
+        if (tag < next_ecc_tag)
+          snapshot_corrupt("ECC events out of scheduling order");
+        next_ecc_tag = tag + 1;
+        eccs_in_flight_.put(tag, workload.eccs[tag]);
         break;
-      }
-      case sim::EventClass::kNodeDown: {
+      case sim::EventClass::kNodeDown:
         if (!has_pending_outage_ || saw_outage_event)
           snapshot_corrupt("NodeDown event without a pending outage");
         saw_outage_event = true;
-        const fault::Outage outage = pending_outage_;
-        sim_.restore_event(
-            time, cls, [this, outage](sim::Time) { on_node_down(outage); },
-            tag, seq);
         break;
-      }
-      case sim::EventClass::kNodeUp: {
-        const int procs = static_cast<int>(tag);
-        if (procs <= 0 || procs > machine_.total())
+      case sim::EventClass::kNodeUp:
+        if (tag == 0 || tag > static_cast<std::uint64_t>(machine_.total()))
           snapshot_corrupt("NodeUp processor count out of range");
-        sim_.restore_event(
-            time, cls, [this, procs](sim::Time) { on_node_up(procs); }, tag,
-            seq);
         break;
-      }
       default:
         snapshot_corrupt("unknown event class");
     }
+    sim_.restore_event(time, cls, tag, seq);
   }
   if (has_pending_outage_ && !saw_outage_event)
     snapshot_corrupt("pending outage without its NodeDown event");

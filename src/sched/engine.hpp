@@ -1,7 +1,9 @@
 // Simulation engine: wires a workload, a machine and a scheduling policy
 // over the discrete-event kernel.
 //
-// Event flow (one run):
+// Event flow (one run).  Every event is a (time, class, seq, tag) POD; the
+// engine pops it and dispatch() switches on the class, with the tag naming
+// the payload (docs/architecture.md has the class → payload table):
 //   * every submission schedules a JobArrival at its arrival time;
 //   * every dedicated job additionally schedules a DedicatedDue wake-up at
 //     its requested start time;
@@ -50,6 +52,7 @@
 #include "sched/attach/watchdog_progress_observer.hpp"
 #include "sched/ecc_processor.hpp"
 #include "sched/engine_config.hpp"
+#include "sched/inflight_eccs.hpp"
 #include "sched/job_arena.hpp"
 #include "sched/metrics.hpp"
 #include "sched/scheduler.hpp"
@@ -137,11 +140,17 @@ class Engine {
   const cluster::Machine& machine() const { return machine_; }
 
  private:
+  /// Runs the handler of one popped event, live or restored alike: the
+  /// class picks the handler and the tag (see job_tag) its payload.
+  void dispatch(const sim::Event& event);
+  /// The tag of `job`'s events: its arena handle, packed into 64 bits.
+  std::uint64_t job_tag(const JobRun* job) const;
+  /// The record a job event's tag names; it must still be live.
+  JobRun* live_job(std::uint64_t tag);
   void on_arrival(JobRun* job);
-  void on_dedicated_due(JobRun* job);
   void on_ecc(const workload::Ecc& ecc);
-  void on_finish(JobRun* job);
-  void on_node_down(const fault::Outage& outage);
+  /// Fires the outage in `pending_outage_`.
+  void on_node_down();
   void on_node_up(int procs);
   void schedule_next_outage(sim::Time from);
   void preempt_victim();
@@ -236,7 +245,7 @@ class Engine {
   // The lifecycle event bus.  Built-in attachments are plain members (no
   // heap); the constructor registers the enabled ones with the chain in
   // the canonical order (see attach/observer.hpp).  AbortFlag lets the
-  // watchdog-progress attachment abort the stepping event pump.
+  // watchdog-progress attachment abort the event pump.
   AbortFlag abort_;
   CheckpointObserver checkpoint_attach_;
   FailureStatsObserver failure_attach_;
@@ -302,14 +311,17 @@ class Engine {
   sim::Time stream_span_origin_ = 0;
   sim::Time stream_span_last_ = 0;
 
-  // Snapshot/restore machinery.  `pending_outage_` mirrors the payload of
-  // the (at most one) scheduled NodeDown event — callbacks cannot
-  // serialize, so the outage travels through the snapshot and the restore
-  // path rebuilds the closure from it.  The fingerprint exists only on
-  // runs that snapshot or restore.
-  std::optional<std::uint64_t> workload_fingerprint_;
+  // Event payloads the tags do not carry: the command of every scheduled
+  // EccArrival (both run modes fill it in schedule_ecc, restore from the
+  // workload) and the outage of the (at most one) scheduled NodeDown,
+  // which also travels through the snapshot.
+  InflightEccs eccs_in_flight_;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};
+
+  // Snapshot/restore machinery.  The fingerprint exists only on runs that
+  // snapshot or restore.
+  std::optional<std::uint64_t> workload_fingerprint_;
   bool restored_ = false;
   SnapshotSink snapshot_sink_;
   std::unique_ptr<snap::SnapshotRing> ring_;

@@ -118,7 +118,7 @@ struct EngineConfig {
   /// Termination guardrails: event / sim-time / wall-clock budgets plus a
   /// no-progress detector.  When any budget trips, the run aborts
   /// gracefully and the result carries partial metrics tagged with a typed
-  /// TerminationReason.  Default: disabled (the exact seed event loop).
+  /// TerminationReason.  Default: disabled (no budget is checked).
   sim::WatchdogConfig watchdog;
   /// Periodic crash-consistent snapshots (see SnapshotPolicy).  Default:
   /// disabled.

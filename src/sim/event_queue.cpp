@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "util/check.hpp"
 
 namespace es::sim {
 
-EventHandle EventQueue::schedule(Time at, EventClass cls, Callback fn,
-                                 std::uint64_t tag) {
-  return restore_event(at, cls, std::move(fn), tag, next_seq_++);
+EventHandle EventQueue::schedule(Time at, EventClass cls, std::uint64_t tag) {
+  return restore_event(at, cls, tag, next_seq_++);
 }
 
-EventHandle EventQueue::restore_event(Time at, EventClass cls, Callback fn,
+EventHandle EventQueue::restore_event(Time at, EventClass cls,
                                       std::uint64_t tag, std::uint64_t seq) {
-  ES_EXPECTS(fn != nullptr);
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -27,7 +24,6 @@ EventHandle EventQueue::restore_event(Time at, EventClass cls, Callback fn,
     records_.emplace_back();
   }
   Record& record = records_[slot];
-  record.fn = std::move(fn);
   record.tag = tag;
   heap_.push_back(HeapItem{at, static_cast<std::int32_t>(cls), seq, slot,
                            record.generation});
@@ -39,18 +35,16 @@ EventHandle EventQueue::restore_event(Time at, EventClass cls, Callback fn,
   return EventHandle{make_id(slot, record.generation)};
 }
 
-std::vector<PendingEvent> EventQueue::pending_events() const {
-  std::vector<PendingEvent> pending;
+std::vector<Event> EventQueue::pending_events() const {
+  std::vector<Event> pending;
   pending.reserve(live_);
   for (const HeapItem& item : heap_) {
     if (!armed(item)) continue;  // cancelled residue awaiting skim/sweep
-    pending.push_back(PendingEvent{item.time, item.cls, item.seq,
-                                   records_[item.slot].tag});
+    pending.push_back(Event{item.time, static_cast<EventClass>(item.cls),
+                            item.seq, records_[item.slot].tag});
   }
   std::sort(pending.begin(), pending.end(),
-            [](const PendingEvent& a, const PendingEvent& b) {
-              return a.seq < b.seq;
-            });
+            [](const Event& a, const Event& b) { return a.seq < b.seq; });
   return pending;
 }
 
@@ -76,7 +70,6 @@ bool EventQueue::cancel(EventHandle handle) {
   // A fired, cancelled, or recycled record carries a newer generation, so a
   // stale handle fails here — cancel-after-fire is a truthful false.
   if (records_[slot].generation != generation) return false;
-  records_[slot].fn = nullptr;
   retire(slot);  // pending items are skimmed lazily on pop
   --live_;
   ++counters_.cancelled;
@@ -108,21 +101,21 @@ Time EventQueue::next_time() {
   return heap_.front().time;
 }
 
-Time EventQueue::pop_and_run() {
+Event EventQueue::pop() {
   ES_EXPECTS(live_ > 0);
   skim();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const HeapItem item = heap_.back();
   heap_.pop_back();
-  // Retire before running: the callback may legitimately schedule new events
-  // (possibly reusing this very slot) or try to cancel its own handle, which
-  // must report "already fired".
-  Callback fn = std::move(records_[item.slot].fn);
+  // Retired on the way out: the caller's handler may schedule new events
+  // (possibly reusing this very slot) or try to cancel this event's handle,
+  // which must report "already fired".
+  const Event event{item.time, static_cast<EventClass>(item.cls), item.seq,
+                    records_[item.slot].tag};
   retire(item.slot);
   --live_;
   ++counters_.fired;
-  fn(item.time);
-  return item.time;
+  return event;
 }
 
 }  // namespace es::sim

@@ -1,30 +1,31 @@
-// Stable, cancellable priority queue of timed events.
+// Stable, cancellable priority queue of typed events.
 //
 // This is the core of the discrete-event kernel that replaces GridSim/ALEA in
-// the original study.  Events are ordered by (time, class, insertion
-// sequence); cancellation is O(1) (lazy removal on pop) which is what the
-// elastic workload needs — an ET/RT command reschedules a job's completion by
+// the original study.  An event is a POD (time, class, seq, tag): the class
+// and the caller-defined tag say what happened and to whom, so the queue
+// holds no callbacks — pop() hands the event back and the caller dispatches
+// it.  Events are ordered by (time, class, insertion sequence);
+// cancellation is O(1) (lazy removal on pop), which is what the elastic
+// workload needs — an ET/RT command reschedules a job's completion by
 // cancelling the pending finish event and inserting a new one.
 //
-// Storage is a slab of event records recycled through a free list.  Pending
-// items are plain (time, class, seq, slot, generation) PODs; callbacks live
-// in the slab and are moved in and out, so the steady-state schedule/pop
-// cycle performs no heap allocation (the engine's completion lambdas fit
-// std::function's small-object buffer).  Handles encode (slot, generation):
-// retiring a record bumps its generation, so a stale handle — fired,
-// cancelled, or pointing at a recycled slot — fails the generation match and
-// cancel() returns false in O(1), with no side table of cancelled ids.
+// Storage is a slab of (tag, generation) records recycled through a free
+// list, and the heap orders plain (time, class, seq, slot, generation)
+// items, so the steady-state schedule/pop cycle performs no heap
+// allocation.  Handles encode (slot, generation): retiring a record bumps
+// its generation, so a stale handle — popped, cancelled, or pointing at a
+// recycled slot — fails the generation match and cancel() returns false in
+// O(1), with no side table of cancelled ids.
 //
-// Ordering is one binary min-heap of those PODs under the strict
-// (time, class, seq) total order, so the pop sequence is fully determined by
-// the schedule/cancel calls — independent of slab slot reuse.  Cancelled
-// items stay in the heap as residue until they surface at the top (skim) or
+// Ordering is one binary min-heap under the strict (time, class, seq)
+// total order, so the pop sequence is fully determined by the
+// schedule/cancel calls — independent of slab slot reuse.  Cancelled items
+// stay in the heap as residue until they surface at the top (skim) or
 // outnumber the live ones (sweep, an in-place filter and re-heapify).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -37,10 +38,20 @@ struct EventHandle {
   bool valid() const { return id != 0; }
 };
 
+/// One event: when it fires, its class (which also breaks same-instant
+/// ties), its insertion sequence (the final tie-break) and the caller's
+/// tag, which together with the class says what the event is about.
+struct Event {
+  Time time{};
+  EventClass cls{};
+  std::uint64_t seq = 0;
+  std::uint64_t tag = 0;
+};
+
 /// Monotonic traffic counters for one queue's lifetime.  `fired` counts
-/// callbacks actually run (cancelled events never fire); `peak_pending` is
-/// the high-water mark of live events.  Always: scheduled = fired +
-/// cancelled + still-pending.
+/// events popped (cancelled events never fire); `peak_pending` is the
+/// high-water mark of live events.  Always: scheduled = fired + cancelled +
+/// still-pending.
 struct EventQueueCounters {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
@@ -57,28 +68,13 @@ struct EventQueueCounters {
   }
 };
 
-/// Snapshot view of one live (armed) event.  Callbacks cannot serialize, so
-/// restore works from the semantic `tag` the scheduler attached at
-/// schedule() time; `seq` is preserved so same-instant tie-breaking after
-/// restore matches the original run exactly.
-struct PendingEvent {
-  Time time{};
-  std::int32_t cls = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t tag = 0;
-};
-
 /// Slab-backed binary-heap event queue with deterministic tie-breaking and
 /// lazy cancellation.
 class EventQueue {
  public:
-  using Callback = std::function<void(Time)>;
-
-  /// Schedules `fn` at absolute time `at`.  Returns a handle for cancel().
-  /// `tag` is an opaque caller-defined descriptor carried alongside the
-  /// callback so the event can be re-established after a snapshot restore.
-  EventHandle schedule(Time at, EventClass cls, Callback fn,
-                       std::uint64_t tag = 0);
+  /// Schedules an event of class `cls` carrying `tag` at absolute time
+  /// `at`.  Returns a handle for cancel().
+  EventHandle schedule(Time at, EventClass cls, std::uint64_t tag = 0);
 
   /// Cancels a pending event.  Returns false if the event already fired,
   /// was already cancelled, or the handle is invalid.
@@ -93,12 +89,9 @@ class EventQueue {
   /// Time of the next live event.  Precondition: !empty().
   Time next_time();
 
-  /// Pops and runs the next live event; returns its time.
-  /// Precondition: !empty().
-  Time pop_and_run();
-
-  /// Total events ever scheduled (for diagnostics / tests).
-  std::uint64_t total_scheduled() const { return counters_.scheduled; }
+  /// Removes and returns the next live event; its handle no longer
+  /// cancels.  Precondition: !empty().
+  Event pop();
 
   /// Lifetime traffic counters (see EventQueueCounters).
   const EventQueueCounters& counters() const { return counters_; }
@@ -107,15 +100,15 @@ class EventQueue {
 
   /// All live events sorted by insertion sequence (a stable, deterministic
   /// serialization order).  Cancelled residue is excluded.
-  std::vector<PendingEvent> pending_events() const;
+  std::vector<Event> pending_events() const;
 
   /// Re-inserts an event with its *original* sequence number during restore.
   /// Preserving seq (and restoring next_seq via restore_meta) is what makes
   /// post-restore tie-breaking — and every later schedule() — byte-identical
   /// to the uninterrupted run.  Precondition: only valid on a queue that has
   /// never allocated a sequence >= `seq` organically.
-  EventHandle restore_event(Time at, EventClass cls, Callback fn,
-                            std::uint64_t tag, std::uint64_t seq);
+  EventHandle restore_event(Time at, EventClass cls, std::uint64_t tag,
+                            std::uint64_t seq);
 
   /// Restores the sequence allocator and lifetime counters after the
   /// pending set has been re-established with restore_event().
@@ -127,10 +120,9 @@ class EventQueue {
  private:
   // One slab slot.  `generation` starts at 1 (so a default EventHandle or a
   // forged id with generation 0 never matches) and is bumped every time the
-  // record retires — fire and cancel both invalidate outstanding handles.
+  // record retires — pop and cancel both invalidate outstanding handles.
   struct Record {
-    Callback fn;
-    std::uint64_t tag = 0;  ///< caller's restore descriptor, valid while armed
+    std::uint64_t tag = 0;  ///< the caller's tag, valid while armed
     std::uint32_t generation = 1;
   };
 

@@ -1,43 +1,20 @@
 #include "sim/simulation.hpp"
 
-#include <utility>
-
 #include "util/check.hpp"
 
 namespace es::sim {
 
-EventHandle Simulation::at(Time when, EventClass cls, EventQueue::Callback fn,
-                           std::uint64_t tag) {
+EventHandle Simulation::at(Time when, EventClass cls, std::uint64_t tag) {
   ES_EXPECTS(when >= now_);
-  return queue_.schedule(when, cls, std::move(fn), tag);
+  return queue_.schedule(when, cls, tag);
 }
 
-EventHandle Simulation::after(Time delay, EventClass cls,
-                              EventQueue::Callback fn, std::uint64_t tag) {
-  ES_EXPECTS(delay >= 0);
-  return queue_.schedule(now_ + delay, cls, std::move(fn), tag);
-}
-
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  const Time at_time = queue_.next_time();
-  ES_ASSERT(at_time >= now_);
-  now_ = at_time;
-  queue_.pop_and_run();
+Event Simulation::pop() {
+  const Event event = queue_.pop();
+  ES_ASSERT(event.time >= now_);
+  now_ = event.time;
   ++processed_;
-  return true;
-}
-
-std::uint64_t Simulation::run() {
-  std::uint64_t count = 0;
-  while (step()) ++count;
-  return count;
-}
-
-std::uint64_t Simulation::run_until(Time horizon) {
-  std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() <= horizon && step()) ++count;
-  return count;
+  return event;
 }
 
 }  // namespace es::sim

@@ -10,33 +10,22 @@ namespace es::sim {
 
 /// Owns the clock and the event queue and exposes the scheduling primitives
 /// the engine layers use.  The clock never moves backwards; scheduling an
-/// event in the past is a contract violation.
+/// event in the past is a contract violation.  The caller drives the loop:
+/// pop() the next event and dispatch it on its class and tag.
 class Simulation {
  public:
   Time now() const { return now_; }
 
-  /// Schedules an event at absolute time `at` (>= now()).  `tag` is an
-  /// opaque descriptor used to re-establish the event after a snapshot
-  /// restore (see EventQueue::schedule).
-  EventHandle at(Time when, EventClass cls, EventQueue::Callback fn,
-                 std::uint64_t tag = 0);
-
-  /// Schedules an event `delay` seconds from now (delay >= 0).
-  EventHandle after(Time delay, EventClass cls, EventQueue::Callback fn,
-                    std::uint64_t tag = 0);
+  /// Schedules an event at absolute time `when` (>= now()); see
+  /// EventQueue::schedule.
+  EventHandle at(Time when, EventClass cls, std::uint64_t tag = 0);
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 
-  /// Runs events until the queue is empty.  Returns the number processed.
-  std::uint64_t run();
-
-  /// Runs events with time <= horizon.  The clock is advanced to at most the
-  /// last processed event (it does not jump to the horizon).
-  std::uint64_t run_until(Time horizon);
-
-  /// Processes exactly one event if any is pending.  Returns true if one ran.
-  bool step();
+  /// Removes the next event, advances the clock to it and counts it as
+  /// processed.  Precondition: !idle().
+  Event pop();
 
   bool idle() const { return queue_.empty(); }
   /// Time of the next live event.  Precondition: !idle().  Non-const: the
@@ -56,9 +45,9 @@ class Simulation {
 
   /// Re-inserts a pending event with its original sequence number; see
   /// EventQueue::restore_event.
-  EventHandle restore_event(Time at, EventClass cls, EventQueue::Callback fn,
-                            std::uint64_t tag, std::uint64_t seq) {
-    return queue_.restore_event(at, cls, std::move(fn), tag, seq);
+  EventHandle restore_event(Time at, EventClass cls, std::uint64_t tag,
+                            std::uint64_t seq) {
+    return queue_.restore_event(at, cls, tag, seq);
   }
 
   /// Restores the queue's sequence allocator and counters; see

@@ -12,11 +12,13 @@ using Time = double;
 
 /// Ordering classes for events that share a timestamp.  Lower runs first.
 /// Completions must precede arrivals so a scheduler invoked on the arrival
-/// sees the freed capacity; ECCs precede scheduling so a cycle sees the
-/// adjusted residuals.  Repairs (NodeUp) precede failures and everything
-/// else except completions so same-instant down/up churn nets out before
-/// any scheduling decision; failures run before arrivals so a job arriving
-/// at the failure instant sees the degraded machine.
+/// sees the freed capacity; ECCs precede arrivals and dedicated wake-ups
+/// so the cycles those run see the adjusted residuals.  Repairs (NodeUp)
+/// precede failures and everything else except completions so same-instant
+/// down/up churn nets out before any scheduling decision; failures run
+/// before arrivals so a job arriving at the failure instant sees the
+/// degraded machine.  The values are persisted in snapshots (EVTS), so
+/// they never change; 6 is retired.
 enum class EventClass : int {
   kJobFinish = 0,
   kNodeUp = 1,
@@ -24,7 +26,6 @@ enum class EventClass : int {
   kEccArrival = 3,
   kDedicatedDue = 4,
   kJobArrival = 5,
-  kSchedule = 6,
   kOther = 7,
 };
 

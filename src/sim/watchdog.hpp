@@ -9,7 +9,7 @@
 // far, and tags the result with a TerminationReason.
 //
 // Everything is opt-in.  A default-constructed WatchdogConfig is disabled
-// and the engine then runs the exact seed event loop, so budget-free
+// and the engine's event pump then checks no budget, so budget-free
 // results stay byte-identical.
 #pragma once
 

@@ -11,7 +11,10 @@
 // refill of the materialized event feed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/refill_cycles.hpp"
@@ -421,6 +424,161 @@ TEST(SnapshotRestore, ResumesAcrossWindowRefills) {
     EXPECT_EQ(uninterrupted.perf.events.fired, resumed.perf.events.fired);
     EXPECT_EQ(uninterrupted.perf.events.peak_pending,
               resumed.perf.events.peak_pending);
+  }
+}
+
+/// FNV-1a over a snapshot image's raw bytes.
+std::uint64_t image_hash(const std::string& image) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char byte : image) {
+    hash ^= static_cast<unsigned char>(byte);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// Hashes of the images snapshot_at_cycle() takes at each of `cycles`.
+std::vector<std::uint64_t> image_hashes(
+    const workload::Workload& workload, const std::string& algorithm,
+    const core::AlgorithmOptions& options,
+    const std::vector<std::uint64_t>& cycles) {
+  std::vector<std::uint64_t> hashes;
+  for (const std::uint64_t cycle : cycles) {
+    const std::string image =
+        snapshot_at_cycle(workload, algorithm, options, cycle);
+    EXPECT_FALSE(image.empty()) << "cycle " << cycle;
+    hashes.push_back(image_hash(image));
+  }
+  return hashes;
+}
+
+TEST(SnapshotRestore, ImageBytesArePinned) {
+  // The snapshot format is the event kernel's persistence contract: the
+  // EVTS section stores every pending (time, class, seq, tag) and the
+  // rest of the image every ledger the engine keeps.  These hashes were
+  // recorded from the image writer as it stood before the event kernel
+  // moved from callbacks to tagged events; any change to what a snapshot
+  // holds, or in which order, changes them.
+  {
+    // Hybrid-LOS-E with dedicated jobs, ECCs, failures and checkpoints:
+    // kill points on both sides of both window refills, plus two sampled.
+    const workload::Workload workload = three_window_workload();
+    const core::AlgorithmOptions options = three_window_options();
+    bench::RefillCycles refills(workload);
+    const sched::SimulationResult run =
+        exp::run_workload(workload, "Hybrid-LOS-E", options, &refills,
+                          bench::RefillCycles::kHookMask);
+    ASSERT_EQ(refills.cycles.size(), 2u);
+    EXPECT_GT(run.ecc.processed, 0u);
+    EXPECT_GT(run.failure.outages, 0u);
+    EXPECT_GT(run.failure.checkpoints, 0u);
+    std::vector<std::uint64_t> cycles;
+    for (const std::uint64_t refill : refills.cycles)
+      for (const std::uint64_t cycle : {refill - 1, refill, refill + 1})
+        cycles.push_back(cycle);
+    cycles.push_back(run.cycles / 3);
+    cycles.push_back(run.cycles * 5 / 6);
+    EXPECT_EQ(image_hashes(workload, "Hybrid-LOS-E", options, cycles),
+              (std::vector<std::uint64_t>{
+                  0x7743cabe6cd52421ull, 0x88aa8ceacf214f6full,
+                  0x697b315903a100c4ull, 0x7dbf8819fdd89eabull,
+                  0x000ee33abd4bd405ull, 0x4ad943fec1735422ull,
+                  0xe66fb1b8523d09d4ull, 0x31072e6b26fee48full}));
+  }
+  {
+    // 4-pool FairShare with policy preemption, failures and tail requeue.
+    workload::GeneratorConfig config;
+    config.machine_procs = 320;
+    config.num_jobs = 5000;
+    config.seed = 2929;
+    config.target_load = 0.95;
+    config.num_users = 32;
+    config.num_pools = 4;
+    const workload::Workload workload = workload::generate(config);
+    core::AlgorithmOptions options = three_window_options();
+    options.engine.requeue = fault::RequeuePolicy::kRequeueTail;
+    options.engine.fairshare.pools = {{"prod", 4.0, 0.25},
+                                      {"batch", 2.0, 0.0},
+                                      {"dev", 1.0, 0.1},
+                                      {"scavenger", 1.0, 0.0}};
+    options.engine.fairshare.min_share_preemption_timeout = 120;
+    options.engine.fairshare.fair_share_preemption_timeout = 900;
+    const sched::SimulationResult run =
+        exp::run_workload(workload, "FairShare", options);
+    EXPECT_GT(run.failure.interruptions, run.failure.outages);
+    std::vector<std::uint64_t> cycles;
+    for (std::uint64_t k = 1; k < 6; ++k) cycles.push_back(run.cycles * k / 6);
+    EXPECT_EQ(image_hashes(workload, "FairShare", options, cycles),
+              (std::vector<std::uint64_t>{
+                  0xa5bccafe11e307d6ull, 0xc3c6b2673a25ec3full,
+                  0x3a48cf58a10f1243ull, 0x071f42bc32593d77ull,
+                  0xf13118a43c4dc83cull}));
+  }
+}
+
+/// The EVTS section's payload: offset and length inside a snapshot image
+/// (8-byte header, then sections framed as fourcc, u64 length, payload,
+/// CRC32 of the payload).
+std::pair<std::size_t, std::size_t> evts_payload(const std::string& image) {
+  std::size_t at = 8;
+  while (at + 12 <= image.size()) {
+    std::uint64_t length = 0;
+    std::memcpy(&length, image.data() + at + 4, sizeof length);
+    if (image.compare(at, 4, "EVTS") == 0) return {at + 12, length};
+    at += 12 + length + 4;
+  }
+  ADD_FAILURE() << "no EVTS section";
+  return {0, 0};
+}
+
+TEST(SnapshotRestore, RejectsEccEventsOutOfSchedulingOrder) {
+  // ECC events are scheduled in tag order, so EVTS (in seq order) lists
+  // their tags ascending; a swapped or duplicated tag would apply a
+  // command twice or out of turn, and is corrupt even under a valid CRC.
+  workload::GeneratorConfig config;
+  config.machine_procs = 320;
+  config.num_jobs = 60;
+  config.seed = 5;
+  config.p_extend = 0.3;
+  config.p_reduce = 0.3;
+  config.target_load = 0.9;
+  const workload::Workload workload = workload::generate(config);
+  const std::string image = snapshot_before_kill(workload, "EASY-E", {}, 3);
+  ASSERT_FALSE(image.empty());
+  const auto [payload, length] = evts_payload(image);
+  constexpr std::size_t kEntry = 28;  // f64 time, i32 class, u64 seq, tag
+  std::vector<std::size_t> ecc_tags;  // offsets of the ECC entries' tags
+  for (std::size_t at = payload + 8; at + kEntry <= payload + length;
+       at += kEntry) {
+    std::int32_t cls = 0;
+    std::memcpy(&cls, image.data() + at + 8, sizeof cls);
+    if (cls == static_cast<std::int32_t>(sim::EventClass::kEccArrival))
+      ecc_tags.push_back(at + 20);
+  }
+  ASSERT_GE(ecc_tags.size(), 2u);
+  {
+    snap::SnapshotReader reader(image);  // the untouched image resumes
+    EXPECT_EQ(exp::resume_workload(workload, "EASY-E", {}, reader)
+                  .termination,
+              sim::TerminationReason::kCompleted);
+  }
+  for (const bool duplicate : {false, true}) {
+    std::string bad = image;
+    // Swap the first two ECC tags, or copy the first over the second.
+    bad.replace(ecc_tags[1], 8, image, ecc_tags[0], 8);
+    if (!duplicate) bad.replace(ecc_tags[0], 8, image, ecc_tags[1], 8);
+    const std::uint32_t crc = snap::crc32(bad.data() + payload, length);
+    std::memcpy(bad.data() + payload + length, &crc, sizeof crc);
+    try {
+      snap::SnapshotReader reader(bad);
+      (void)exp::resume_workload(workload, "EASY-E", {}, reader);
+      FAIL() << (duplicate ? "duplicate" : "swapped") << " ECC tags accepted";
+    } catch (const snap::SnapshotError& error) {
+      EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kCorrupt);
+      EXPECT_NE(std::string(error.what()).find("scheduling order"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

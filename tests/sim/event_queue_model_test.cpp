@@ -1,7 +1,7 @@
 // Model-check of the slab event queue against the pre-overhaul reference
-// kernel: sim::EventQueue and bench::ReferenceEventQueue are driven through
-// identical randomized schedule/cancel/pop traces and must agree on every
-// fire, in order.  The traces deliberately exercise the cases where a slab
+// kernel: sim::EventQueue and testing::ReferenceEventQueue are driven
+// through identical randomized schedule/cancel/pop traces and must agree on
+// every fire, in order.  The traces deliberately exercise the cases where a slab
 // kernel could diverge from the plain one:
 //  * equal-time events across classes and sequence numbers (tie-breaks),
 //  * cancellation of already-fired / already-cancelled handles after the
@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/reference_event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace es::sim {
@@ -26,7 +26,7 @@ namespace {
 struct Tracked {
   std::uint64_t model_id = 0;
   EventHandle queue;
-  bench::ReferenceEventHandle reference;
+  testing::ReferenceEventHandle reference;
 };
 
 class ModelCheck {
@@ -35,8 +35,7 @@ class ModelCheck {
     Tracked tracked;
     tracked.model_id = next_model_id_++;
     const std::uint64_t id = tracked.model_id;
-    tracked.queue = queue_.schedule(
-        at, cls, [this, id](Time) { queue_fired_.push_back(id); });
+    tracked.queue = queue_.schedule(at, cls, id);
     tracked.reference = reference_.schedule(
         at, cls, [this, id](Time) { reference_fired_.push_back(id); });
     live_.push_back(tracked);
@@ -62,15 +61,13 @@ class ModelCheck {
 
   /// Pops one event from each queue; both must fire the same event.
   void pop() {
-    queue_fired_.clear();
     reference_fired_.clear();
-    const Time t_queue = queue_.pop_and_run();
+    const Event event = queue_.pop();
     const Time t_reference = reference_.pop_and_run();
-    ASSERT_EQ(queue_fired_.size(), 1u);
-    ASSERT_EQ(reference_fired_, queue_fired_);
-    ASSERT_EQ(t_queue, t_reference);
-    now_ = t_queue;
-    const std::uint64_t id = queue_fired_.front();
+    ASSERT_EQ(reference_fired_, std::vector<std::uint64_t>{event.tag});
+    ASSERT_EQ(event.time, t_reference);
+    now_ = event.time;
+    const std::uint64_t id = event.tag;
     for (std::size_t i = 0; i < live_.size(); ++i) {
       if (live_[i].model_id == id) {
         retired_.push_back(live_[i]);
@@ -93,14 +90,20 @@ class ModelCheck {
 
  private:
   EventQueue queue_;
-  bench::ReferenceEventQueue reference_;
+  testing::ReferenceEventQueue reference_;
   std::vector<Tracked> live_;
   std::vector<Tracked> retired_;
-  std::vector<std::uint64_t> queue_fired_;
   std::vector<std::uint64_t> reference_fired_;
   std::uint64_t next_model_id_ = 1;
   Time now_ = 0;
 };
+
+// Every event class, for drawing random ones.
+constexpr EventClass kClasses[] = {
+    EventClass::kJobFinish,    EventClass::kNodeUp,
+    EventClass::kNodeDown,     EventClass::kEccArrival,
+    EventClass::kDedicatedDue, EventClass::kJobArrival,
+    EventClass::kOther};
 
 TEST(EventQueueModel, RandomTracesAgreeWithReference) {
   util::Rng rng(9191);
@@ -116,8 +119,7 @@ TEST(EventQueueModel, RandomTracesAgreeWithReference) {
         const Time at =
             model.now() + (far ? std::floor(rng.uniform(5e3, 5e4))
                                : std::floor(rng.uniform(0, 40)));
-        const auto cls = static_cast<EventClass>(rng.uniform_int(0, 7));
-        model.schedule(at, cls);
+        model.schedule(at, kClasses[rng.uniform_int(0, 6)]);
       } else if (coin < 0.6 && model.live_count() > 0) {
         model.cancel_live(static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<int>(model.live_count()) - 1)));

@@ -12,59 +12,62 @@
 namespace es::sim {
 namespace {
 
+/// Pops every remaining event and returns their tags in pop order.
+std::vector<std::uint64_t> drain(EventQueue& queue) {
+  std::vector<std::uint64_t> tags;
+  while (!queue.empty()) tags.push_back(queue.pop().tag);
+  return tags;
+}
+
+using Tags = std::vector<std::uint64_t>;
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(3.0, EventClass::kOther, [&](Time) { order.push_back(3); });
-  queue.schedule(1.0, EventClass::kOther, [&](Time) { order.push_back(1); });
-  queue.schedule(2.0, EventClass::kOther, [&](Time) { order.push_back(2); });
-  while (!queue.empty()) queue.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  queue.schedule(3.0, EventClass::kOther, 3);
+  queue.schedule(1.0, EventClass::kOther, 1);
+  queue.schedule(2.0, EventClass::kOther, 2);
+  EXPECT_EQ(drain(queue), (Tags{1, 2, 3}));
 }
 
 TEST(EventQueue, ClassOrderingAtSameInstant) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(5.0, EventClass::kJobArrival, [&](Time) { order.push_back(2); });
-  queue.schedule(5.0, EventClass::kJobFinish, [&](Time) { order.push_back(0); });
-  queue.schedule(5.0, EventClass::kEccArrival, [&](Time) { order.push_back(1); });
-  queue.schedule(5.0, EventClass::kSchedule, [&](Time) { order.push_back(3); });
-  while (!queue.empty()) queue.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  queue.schedule(5.0, EventClass::kJobArrival, 2);
+  queue.schedule(5.0, EventClass::kJobFinish, 0);
+  queue.schedule(5.0, EventClass::kEccArrival, 1);
+  queue.schedule(5.0, EventClass::kOther, 3);
+  EXPECT_EQ(drain(queue), (Tags{0, 1, 2, 3}));
 }
 
 TEST(EventQueue, FifoWithinSameTimeAndClass) {
   EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
-    queue.schedule(1.0, EventClass::kOther, [&, i](Time) { order.push_back(i); });
-  while (!queue.empty()) queue.pop_and_run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  for (std::uint64_t i = 0; i < 10; ++i)
+    queue.schedule(1.0, EventClass::kOther, i);
+  EXPECT_EQ(drain(queue), (Tags{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(EventQueue, CallbackReceivesEventTime) {
+TEST(EventQueue, PopReturnsTheScheduledEvent) {
   EventQueue queue;
-  Time seen = -1;
-  queue.schedule(7.5, EventClass::kOther, [&](Time t) { seen = t; });
-  queue.pop_and_run();
-  EXPECT_DOUBLE_EQ(seen, 7.5);
+  queue.schedule(1.0, EventClass::kOther, 11);
+  queue.schedule(7.5, EventClass::kNodeUp, 42);
+  queue.pop();
+  const Event event = queue.pop();
+  EXPECT_DOUBLE_EQ(event.time, 7.5);
+  EXPECT_EQ(event.cls, EventClass::kNodeUp);
+  EXPECT_EQ(event.seq, 1u);
+  EXPECT_EQ(event.tag, 42u);
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue queue;
-  int fired = 0;
-  const EventHandle handle =
-      queue.schedule(1.0, EventClass::kOther, [&](Time) { ++fired; });
-  queue.schedule(2.0, EventClass::kOther, [&](Time) { ++fired; });
+  const EventHandle handle = queue.schedule(1.0, EventClass::kOther, 1);
+  queue.schedule(2.0, EventClass::kOther, 2);
   EXPECT_TRUE(queue.cancel(handle));
-  while (!queue.empty()) queue.pop_and_run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(drain(queue), (Tags{2}));
 }
 
 TEST(EventQueue, CancelUpdatesSizeAndEmpty) {
   EventQueue queue;
-  const EventHandle handle =
-      queue.schedule(1.0, EventClass::kOther, [](Time) {});
+  const EventHandle handle = queue.schedule(1.0, EventClass::kOther);
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_TRUE(queue.cancel(handle));
   EXPECT_TRUE(queue.empty());
@@ -72,25 +75,23 @@ TEST(EventQueue, CancelUpdatesSizeAndEmpty) {
 
 TEST(EventQueue, DoubleCancelFails) {
   EventQueue queue;
-  const EventHandle handle =
-      queue.schedule(1.0, EventClass::kOther, [](Time) {});
-  queue.schedule(2.0, EventClass::kOther, [](Time) {});
+  const EventHandle handle = queue.schedule(1.0, EventClass::kOther);
+  queue.schedule(2.0, EventClass::kOther);
   EXPECT_TRUE(queue.cancel(handle));
   EXPECT_FALSE(queue.cancel(handle));
 }
 
 TEST(EventQueue, InvalidHandleCancelFails) {
   EventQueue queue;
-  queue.schedule(1.0, EventClass::kOther, [](Time) {});
+  queue.schedule(1.0, EventClass::kOther);
   EXPECT_FALSE(queue.cancel(EventHandle{}));
   EXPECT_FALSE(queue.cancel(EventHandle{9999}));
 }
 
 TEST(EventQueue, CancelledHeadSkippedByNextTime) {
   EventQueue queue;
-  const EventHandle first =
-      queue.schedule(1.0, EventClass::kOther, [](Time) {});
-  queue.schedule(2.0, EventClass::kOther, [](Time) {});
+  const EventHandle first = queue.schedule(1.0, EventClass::kOther);
+  queue.schedule(2.0, EventClass::kOther);
   queue.cancel(first);
   EXPECT_DOUBLE_EQ(queue.next_time(), 2.0);
 }
@@ -98,26 +99,24 @@ TEST(EventQueue, CancelledHeadSkippedByNextTime) {
 TEST(EventQueue, RescheduleViaCancelAndInsert) {
   // The elastic pattern: cancel a pending finish, insert the adjusted one.
   EventQueue queue;
-  std::vector<double> fired;
-  const EventHandle finish =
-      queue.schedule(10.0, EventClass::kJobFinish,
-                     [&](Time t) { fired.push_back(t); });
+  const EventHandle finish = queue.schedule(10.0, EventClass::kJobFinish);
   EXPECT_TRUE(queue.cancel(finish));
-  queue.schedule(15.0, EventClass::kJobFinish,
-                 [&](Time t) { fired.push_back(t); });
-  while (!queue.empty()) queue.pop_and_run();
-  EXPECT_EQ(fired, (std::vector<double>{15.0}));
+  queue.schedule(15.0, EventClass::kJobFinish);
+  EXPECT_DOUBLE_EQ(queue.pop().time, 15.0);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, EventsScheduledDuringExecutionRun) {
+  // A handler schedules follow-up events between pops.
   EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(1.0, EventClass::kOther, [&](Time) {
-    order.push_back(1);
-    queue.schedule(2.0, EventClass::kOther, [&](Time) { order.push_back(2); });
-  });
-  while (!queue.empty()) queue.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  queue.schedule(1.0, EventClass::kOther, 1);
+  std::vector<std::uint64_t> order;
+  while (!queue.empty()) {
+    const Event event = queue.pop();
+    order.push_back(event.tag);
+    if (event.tag == 1) queue.schedule(2.0, EventClass::kOther, 2);
+  }
+  EXPECT_EQ(order, (Tags{1, 2}));
 }
 
 TEST(EventQueue, PropertyRandomInsertionPopsSorted) {
@@ -126,21 +125,19 @@ TEST(EventQueue, PropertyRandomInsertionPopsSorted) {
   util::Rng rng(2024);
   for (int round = 0; round < 20; ++round) {
     EventQueue queue;
-    std::vector<std::pair<double, int>> popped;
     const int n = 200;
     for (int i = 0; i < n; ++i) {
       const double t = rng.uniform(0, 50);
       const auto cls = static_cast<EventClass>(rng.uniform_int(0, 5));
-      queue.schedule(t, cls, [&popped, t, cls](Time) {
-        popped.emplace_back(t, static_cast<int>(cls));
-      });
+      queue.schedule(t, cls);
     }
-    while (!queue.empty()) queue.pop_and_run();
+    std::vector<Event> popped;
+    while (!queue.empty()) popped.push_back(queue.pop());
     ASSERT_EQ(popped.size(), static_cast<std::size_t>(n));
     for (std::size_t i = 1; i < popped.size(); ++i) {
-      ASSERT_LE(popped[i - 1].first, popped[i].first);
-      if (popped[i - 1].first == popped[i].first) {
-        ASSERT_LE(popped[i - 1].second, popped[i].second);
+      ASSERT_LE(popped[i - 1].time, popped[i].time);
+      if (popped[i - 1].time == popped[i].time) {
+        ASSERT_LE(popped[i - 1].cls, popped[i].cls);
       }
     }
   }
@@ -152,29 +149,28 @@ TEST(EventQueue, CancelAfterFireFails) {
   // (The pre-slab queue corrupted its live counter here: the fired id went
   // into the cancelled set and live_ was decremented for a second time.)
   EventQueue queue;
-  int fired = 0;
-  const EventHandle first =
-      queue.schedule(1.0, EventClass::kOther, [&](Time) { ++fired; });
-  queue.schedule(2.0, EventClass::kOther, [&](Time) { ++fired; });
-  queue.pop_and_run();  // fires `first`
+  const EventHandle first = queue.schedule(1.0, EventClass::kOther, 1);
+  queue.schedule(2.0, EventClass::kOther, 2);
+  EXPECT_EQ(queue.pop().tag, 1u);  // fires `first`
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_FALSE(queue.cancel(first));
   EXPECT_EQ(queue.size(), 1u);  // the stale cancel must not eat the size
   EXPECT_FALSE(queue.empty());
-  queue.pop_and_run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(queue.pop().tag, 2u);
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, CancelInsideOwnCallbackFails) {
+TEST(EventQueue, CancelWhileHandlingPoppedEventFails) {
+  // A handler that cancels its own event's handle — before or after
+  // scheduling into the slot the pop just freed — gets a truthful false.
   EventQueue queue;
-  EventHandle self{};
-  bool cancel_result = true;
-  self = queue.schedule(1.0, EventClass::kOther, [&](Time) {
-    cancel_result = queue.cancel(self);
-  });
-  queue.pop_and_run();
-  EXPECT_FALSE(cancel_result);  // by then the event counts as fired
+  const EventHandle self = queue.schedule(1.0, EventClass::kOther, 1);
+  queue.pop();
+  EXPECT_FALSE(queue.cancel(self));  // by then the event counts as fired
+  const EventHandle next = queue.schedule(2.0, EventClass::kOther, 2);
+  EXPECT_FALSE(queue.cancel(self));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_TRUE(queue.cancel(next));
   EXPECT_TRUE(queue.empty());
 }
 
@@ -182,17 +178,13 @@ TEST(EventQueue, StaleHandleToReusedSlotFails) {
   // Slot recycling must not let an old handle cancel the new tenant: the
   // generation in the handle no longer matches the record's.
   EventQueue queue;
-  int fired = 0;
-  const EventHandle old_handle =
-      queue.schedule(1.0, EventClass::kOther, [&](Time) { ++fired; });
+  const EventHandle old_handle = queue.schedule(1.0, EventClass::kOther, 1);
   EXPECT_TRUE(queue.cancel(old_handle));
   // The next schedule reuses the freed slot (single-slot slab).
-  const EventHandle new_handle =
-      queue.schedule(2.0, EventClass::kOther, [&](Time) { ++fired; });
+  const EventHandle new_handle = queue.schedule(2.0, EventClass::kOther, 2);
   EXPECT_NE(old_handle.id, new_handle.id);
   EXPECT_FALSE(queue.cancel(old_handle));  // stale generation
-  queue.pop_and_run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(drain(queue), (Tags{2}));
   EXPECT_FALSE(queue.cancel(new_handle));  // already fired
 }
 
@@ -203,12 +195,13 @@ TEST(EventQueue, HandleReuseAcrossManyGenerations) {
   std::vector<EventHandle> history;
   int fired = 0;
   for (int round = 0; round < 100; ++round) {
-    const EventHandle handle = queue.schedule(
-        static_cast<double>(round), EventClass::kOther, [&](Time) { ++fired; });
+    const EventHandle handle =
+        queue.schedule(static_cast<double>(round), EventClass::kOther);
     for (const EventHandle& stale : history) EXPECT_FALSE(queue.cancel(stale));
     history.push_back(handle);
     if (round % 2 == 0) {
-      queue.pop_and_run();
+      queue.pop();
+      ++fired;
     } else {
       EXPECT_TRUE(queue.cancel(handle));
     }
@@ -219,21 +212,20 @@ TEST(EventQueue, HandleReuseAcrossManyGenerations) {
 
 TEST(EventQueue, CountersTrackTraffic) {
   EventQueue queue;
-  const EventHandle a = queue.schedule(1.0, EventClass::kOther, [](Time) {});
-  queue.schedule(2.0, EventClass::kOther, [](Time) {});
-  queue.schedule(3.0, EventClass::kOther, [](Time) {});
+  const EventHandle a = queue.schedule(1.0, EventClass::kOther);
+  queue.schedule(2.0, EventClass::kOther);
+  queue.schedule(3.0, EventClass::kOther);
   EXPECT_EQ(queue.counters().scheduled, 3u);
   EXPECT_EQ(queue.counters().peak_pending, 3u);
   EXPECT_TRUE(queue.cancel(a));
-  queue.pop_and_run();
-  queue.pop_and_run();
+  queue.pop();
+  queue.pop();
   const EventQueueCounters& counters = queue.counters();
   EXPECT_EQ(counters.scheduled, 3u);
   EXPECT_EQ(counters.cancelled, 1u);
   EXPECT_EQ(counters.fired, 2u);
   EXPECT_EQ(counters.peak_pending, 3u);  // high-water mark survives draining
   EXPECT_EQ(counters.scheduled, counters.fired + counters.cancelled);
-  EXPECT_EQ(queue.total_scheduled(), 3u);
 }
 
 TEST(EventQueue, CountersAggregateSumsTrafficAndMaxesPeak) {
@@ -247,6 +239,13 @@ TEST(EventQueue, CountersAggregateSumsTrafficAndMaxesPeak) {
   EXPECT_EQ(total.fired, 15u);
   EXPECT_EQ(total.peak_pending, 9u);
 }
+
+// Every event class, for drawing random ones.
+constexpr EventClass kClasses[] = {
+    EventClass::kJobFinish,    EventClass::kNodeUp,
+    EventClass::kNodeDown,     EventClass::kEccArrival,
+    EventClass::kDedicatedDue, EventClass::kJobArrival,
+    EventClass::kOther};
 
 // Naive reference queue for the model-based stress test: a flat vector
 // scanned for the (time, class, seq) minimum, with eager cancellation.
@@ -306,20 +305,15 @@ TEST(EventQueue, ModelBasedRandomInterleavings) {
     // Model id -> live slab handle; erased when fired or cancelled.
     std::vector<std::pair<std::uint64_t, EventHandle>> live;
     std::vector<std::pair<std::uint64_t, EventHandle>> retired;
-    std::vector<std::uint64_t> fired_ids;
-    std::uint64_t expected_fire = 0;
     const int ops = 400;
     for (int op = 0; op < ops; ++op) {
       const double coin = rng.uniform(0, 1);
       if (coin < 0.5 || queue.empty()) {
         // Schedule, with coarse times so ties across classes happen often.
         const double t = std::floor(rng.uniform(0, 20));
-        const auto cls = static_cast<EventClass>(rng.uniform_int(0, 7));
+        const EventClass cls = kClasses[rng.uniform_int(0, 6)];
         const std::uint64_t model_id = reference.schedule(t, cls);
-        const EventHandle handle =
-            queue.schedule(t, cls, [&fired_ids, model_id](Time) {
-              fired_ids.push_back(model_id);
-            });
+        const EventHandle handle = queue.schedule(t, cls, model_id);
         ASSERT_TRUE(handle.valid());
         live.emplace_back(model_id, handle);
       } else if (coin < 0.75 && !(live.empty() && retired.empty())) {
@@ -339,10 +333,7 @@ TEST(EventQueue, ModelBasedRandomInterleavings) {
         }
       } else {
         const std::uint64_t model_id = reference.pop();
-        expected_fire = model_id;
-        fired_ids.clear();
-        queue.pop_and_run();
-        ASSERT_EQ(fired_ids, std::vector<std::uint64_t>{expected_fire})
+        ASSERT_EQ(queue.pop().tag, model_id)
             << "round " << round << " op " << op;
         for (std::size_t i = 0; i < live.size(); ++i) {
           if (live[i].first == model_id) {
@@ -358,9 +349,7 @@ TEST(EventQueue, ModelBasedRandomInterleavings) {
     // Drain: remaining pops must match the reference exactly.
     while (!reference.empty()) {
       const std::uint64_t model_id = reference.pop();
-      fired_ids.clear();
-      queue.pop_and_run();
-      ASSERT_EQ(fired_ids, std::vector<std::uint64_t>{model_id});
+      ASSERT_EQ(queue.pop().tag, model_id);
     }
     EXPECT_TRUE(queue.empty());
   }
@@ -371,16 +360,23 @@ TEST(EventQueue, PropertyRandomCancellationsNeverFire) {
   for (int round = 0; round < 10; ++round) {
     EventQueue queue;
     std::vector<EventHandle> handles;
-    int fired = 0;
     const int n = 100;
     for (int i = 0; i < n; ++i)
       handles.push_back(queue.schedule(rng.uniform(0, 10), EventClass::kOther,
-                                       [&](Time) { ++fired; }));
-    int cancelled = 0;
-    for (const EventHandle& handle : handles)
-      if (rng.bernoulli(0.5) && queue.cancel(handle)) ++cancelled;
-    while (!queue.empty()) queue.pop_and_run();
-    EXPECT_EQ(fired, n - cancelled);
+                                       static_cast<std::uint64_t>(i)));
+    std::vector<bool> cancelled(n, false);
+    int cancels = 0;
+    for (int i = 0; i < n; ++i)
+      if (rng.bernoulli(0.5) && queue.cancel(handles[i])) {
+        cancelled[i] = true;
+        ++cancels;
+      }
+    int fired = 0;
+    while (!queue.empty()) {
+      EXPECT_FALSE(cancelled[queue.pop().tag]);
+      ++fired;
+    }
+    EXPECT_EQ(fired, n - cancels);
   }
 }
 

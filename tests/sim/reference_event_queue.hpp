@@ -1,12 +1,12 @@
-// Pre-overhaul event queue, preserved verbatim as a benchmark baseline.
+// Pre-overhaul event queue, kept as the model oracle for
+// event_queue_model_test.
 //
-// This is the PR-3 kernel the slab/free-list sim::EventQueue replaced: every
-// schedule() allocates a shared_ptr<Callback> control block, cancellation
-// funnels through an unordered_set of ids, and the heap entries carry two
-// words of id bookkeeping.  micro_sim and perf_baseline pit the two against
-// each other on the same host and build flags, so the recorded speedup is a
-// kernel-vs-kernel measurement rather than a cross-commit one.  Benchmarks
-// only — the simulator itself always uses sim::EventQueue.
+// This is the kernel the slab sim::EventQueue replaced: every schedule()
+// allocates a shared_ptr<Callback> control block, cancellation funnels
+// through an unordered_set of ids, and the heap entries carry two words of
+// id bookkeeping.  It shares no code with sim::EventQueue, so agreement on
+// every pop of a randomized trace checks the slab heap's (time, class,
+// seq) order against an independent implementation.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 #include "sim/time.hpp"
 #include "util/check.hpp"
 
-namespace es::bench {
+namespace es::testing {
 
 struct ReferenceEventHandle {
   std::uint64_t id = 0;
@@ -104,4 +104,4 @@ class ReferenceEventQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-}  // namespace es::bench
+}  // namespace es::testing

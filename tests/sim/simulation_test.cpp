@@ -15,74 +15,45 @@ TEST(Simulation, ClockStartsAtZero) {
 
 TEST(Simulation, ClockAdvancesToEventTimes) {
   Simulation sim;
+  sim.at(5.0, EventClass::kOther);
+  sim.at(2.0, EventClass::kOther);
   std::vector<double> times;
-  sim.at(5.0, EventClass::kOther, [&](Time) { times.push_back(sim.now()); });
-  sim.at(2.0, EventClass::kOther, [&](Time) { times.push_back(sim.now()); });
-  sim.run();
+  while (!sim.idle()) {
+    sim.pop();
+    times.push_back(sim.now());
+  }
   EXPECT_EQ(times, (std::vector<double>{2.0, 5.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
-TEST(Simulation, AfterSchedulesRelative) {
+TEST(Simulation, PopProcessesOneEvent) {
   Simulation sim;
-  double fired_at = -1;
-  sim.at(10.0, EventClass::kOther, [&](Time) {
-    sim.after(5.0, EventClass::kOther, [&](Time) { fired_at = sim.now(); });
-  });
-  sim.run();
-  EXPECT_DOUBLE_EQ(fired_at, 15.0);
-}
-
-TEST(Simulation, RunReturnsEventCount) {
-  Simulation sim;
-  for (int i = 0; i < 7; ++i) sim.at(i, EventClass::kOther, [](Time) {});
-  EXPECT_EQ(sim.run(), 7u);
-  EXPECT_EQ(sim.events_processed(), 7u);
-}
-
-TEST(Simulation, RunUntilStopsAtHorizon) {
-  Simulation sim;
-  std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0})
-    sim.at(t, EventClass::kOther, [&, t](Time) { fired.push_back(t); });
-  sim.run_until(2.5);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  sim.run();
-  EXPECT_EQ(fired.size(), 4u);
-}
-
-TEST(Simulation, StepProcessesOneEvent) {
-  Simulation sim;
-  int fired = 0;
-  sim.at(1.0, EventClass::kOther, [&](Time) { ++fired; });
-  sim.at(2.0, EventClass::kOther, [&](Time) { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
+  for (int i = 0; i < 7; ++i) sim.at(i, EventClass::kOther);
+  sim.at(3.0, EventClass::kOther, 99);
+  const Event event = sim.pop();
+  EXPECT_DOUBLE_EQ(event.time, 0.0);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  while (!sim.idle()) sim.pop();
+  EXPECT_EQ(sim.events_processed(), 8u);
 }
 
 TEST(Simulation, CancelledEventsSkipped) {
   Simulation sim;
-  int fired = 0;
-  const EventHandle handle =
-      sim.at(1.0, EventClass::kOther, [&](Time) { ++fired; });
-  sim.at(2.0, EventClass::kOther, [&](Time) { ++fired; });
+  const EventHandle handle = sim.at(1.0, EventClass::kOther, 1);
+  sim.at(2.0, EventClass::kOther, 2);
   EXPECT_TRUE(sim.cancel(handle));
-  sim.run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pop().tag, 2u);
+  EXPECT_TRUE(sim.idle());
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.events_processed(), 1u);
 }
 
 TEST(Simulation, SameTimeEventsKeepClassOrder) {
   Simulation sim;
-  std::vector<int> order;
-  sim.at(1.0, EventClass::kJobArrival, [&](Time) { order.push_back(1); });
-  sim.at(1.0, EventClass::kJobFinish, [&](Time) { order.push_back(0); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  sim.at(1.0, EventClass::kJobArrival, 1);
+  sim.at(1.0, EventClass::kJobFinish, 0);
+  EXPECT_EQ(sim.pop().cls, EventClass::kJobFinish);
+  EXPECT_EQ(sim.pop().cls, EventClass::kJobArrival);
 }
 
 }  // namespace

@@ -10,20 +10,20 @@
 namespace es::sim {
 namespace {
 
-// Drives `sim` the way the engine's pump does: check, then step.
+// Drives `sim` the way the engine's pump does: check, then pop.
 TerminationReason pump(Simulation& sim, const WatchdogConfig& config) {
   Watchdog watchdog(config);
   TerminationReason reason = TerminationReason::kCompleted;
   while (!sim.idle()) {
     if (watchdog.exhausted(sim, reason)) break;
-    sim.step();
+    sim.pop();
   }
   return reason;
 }
 
 void schedule_ticks(Simulation& sim, int count, double spacing) {
   for (int i = 1; i <= count; ++i)
-    sim.at(i * spacing, EventClass::kJobArrival, [](Time) {});
+    sim.at(i * spacing, EventClass::kJobArrival);
 }
 
 TEST(WatchdogConfig, AllZeroIsDisabled) {
@@ -63,9 +63,9 @@ TEST(Watchdog, MaxEventsStopsAfterExactlyTheBudget) {
 
 TEST(Watchdog, MaxSimTimeStopsBeforeCrossingTheHorizon) {
   Simulation sim;
-  sim.at(1.0, EventClass::kJobArrival, [](Time) {});
-  sim.at(2.0, EventClass::kJobArrival, [](Time) {});
-  sim.at(10.0, EventClass::kJobArrival, [](Time) {});
+  sim.at(1.0, EventClass::kJobArrival);
+  sim.at(2.0, EventClass::kJobArrival);
+  sim.at(10.0, EventClass::kJobArrival);
   WatchdogConfig config;
   config.max_sim_time = 5.0;
   EXPECT_EQ(pump(sim, config), TerminationReason::kMaxSimTime);
