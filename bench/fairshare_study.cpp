@@ -1,6 +1,5 @@
-// Fair-share study (BENCH_PR10.json): does pool-weighted fair-share
-// scheduling actually buy fairness under skewed multi-tenant load, and what
-// does it cost?
+// Fair-share study: does pool-weighted fair-share scheduling actually buy
+// fairness under skewed multi-tenant load, and what does it cost?
 //
 // Workload: the paper's P_S = 0.5 batch mix at offered load 0.9, with jobs
 // tagged by Zipf-distributed submitters (a few heavy users dominate, as in
@@ -13,13 +12,11 @@
 // averages over seeds and prints the fairness-vs-goodput trade.  The
 // verdicts (FairShare beats both LOS baselines on Jain and on the worst
 // pool's p99 wait, while keeping utilization within 5%) gate the exit
-// status, and everything is recorded in BENCH_PR10.json.
+// status.
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 
 #include "bench_common.hpp"
-#include "util/atomic_file.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -135,49 +132,5 @@ int main(int argc, char** argv) {
               jain_wins ? "improved" : "NOT improved",
               p99_wins ? "improved" : "NOT improved",
               goodput_ok ? "yes" : "NO");
-
-  const std::string out_path = "BENCH_PR10.json";
-  const bool ok =
-      es::util::write_file_atomic(out_path, [&](std::ostream& out) {
-        out << "{\n"
-            << "  \"bench\": \"fairshare_study\",\n"
-            << "  \"pr\": 10,\n"
-            << "  \"host_cores\": " << es::util::hardware_parallelism()
-            << ",\n"
-            << "  \"threads\": " << options.parallel_jobs << ",\n"
-            << "  \"workload\": {\"num_jobs\": " << workload.num_jobs
-            << ", \"target_load\": " << workload.target_load
-            << ", \"p_small\": " << workload.p_small
-            << ", \"num_users\": " << workload.num_users
-            << ", \"zipf_exponent\": " << workload.zipf_exponent
-            << ", \"num_pools\": " << workload.num_pools
-            << ", \"replications\": " << options.replications << "},\n"
-            << "  \"policies\": {\n";
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          const PolicyRow& row = rows[i];
-          out << "    \"" << row.algorithm << "\": {"
-              << "\"jain\": " << row.jain.mean()
-              << ", \"worst_pool_p99_wait\": " << row.worst_p99.mean()
-              << ", \"mean_wait\": " << row.mean_wait.mean()
-              << ", \"utilization\": " << row.utilization.mean()
-              << ", \"preemptions\": " << row.preemptions.mean() << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
-        }
-        out << "  },\n"
-            << "  \"verdicts\": {\"jain_improved\": "
-            << (jain_wins ? "true" : "false")
-            << ", \"worst_p99_improved\": " << (p99_wins ? "true" : "false")
-            << ", \"goodput_within_5pct\": "
-            << (goodput_ok ? "true" : "false") << "}\n"
-            << "}\n";
-        return out.good();
-      });
-  if (!ok) {
-    std::fprintf(stderr, "fairshare_study: cannot write %s\n",
-                 out_path.c_str());
-    return 3;
-  }
-  std::printf("[json] %s\n", out_path.c_str());
-
   return (jain_wins && p99_wins && goodput_ok) ? 0 : 1;
 }

@@ -169,7 +169,7 @@ std::vector<int> reservation_dp(std::span<const int> weights,
 /// binary stays baseline-ISA) and for the scalar baseline; table fills use
 /// the widest tier the host supports at runtime.  Every tier computes the
 /// identical max/keep recurrence, so selections are bit-identical across
-/// tiers — gated by the dp tests, micro_dp, and the perf_baseline
+/// tiers — gated by the dp tests, micro_dp, and the WideDpGolden
 /// equivalence legs.
 enum class DpSimdLevel { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
 

@@ -4,14 +4,11 @@
 // so --jobs 8 must produce byte-identical CSVs to --jobs 1.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "exp/experiment.hpp"
-#include "exp/report.hpp"
 #include "exp/sweep.hpp"
+#include "testing/sweep_csv.hpp"
 #include "util/thread_pool.hpp"
 
 namespace es::exp {
@@ -29,16 +26,6 @@ class ParallelDeterminism : public ::testing::Test {
     config.seed = 11;
     config.p_small = 0.2;
     return config;
-  }
-
-  static std::string csv_bytes(const Sweep& sweep, const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
-    EXPECT_TRUE(write_sweep_csv(path, sweep));
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    std::remove(path.c_str());
-    return out.str();
   }
 };
 
@@ -79,8 +66,10 @@ TEST_F(ParallelDeterminism, LoadSweepCsvIsByteIdenticalAtJobs8) {
   const Sweep parallel =
       load_sweep(small_config(), loads, algorithms, {}, 3);
 
-  const std::string serial_bytes = csv_bytes(serial, "det_serial.csv");
-  const std::string parallel_bytes = csv_bytes(parallel, "det_parallel.csv");
+  const std::string serial_bytes =
+      testing::sweep_csv_bytes(serial, "det_serial.csv");
+  const std::string parallel_bytes =
+      testing::sweep_csv_bytes(parallel, "det_parallel.csv");
   ASSERT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, parallel_bytes);
 }
@@ -93,8 +82,10 @@ TEST_F(ParallelDeterminism, SkipCountSweepCsvIsByteIdenticalAtJobs8) {
   const Sweep parallel =
       skip_count_sweep(small_config(), 1, 4, {"EASY", "LOS"}, 250, 2);
 
-  const std::string serial_bytes = csv_bytes(serial, "cs_serial.csv");
-  const std::string parallel_bytes = csv_bytes(parallel, "cs_parallel.csv");
+  const std::string serial_bytes =
+      testing::sweep_csv_bytes(serial, "cs_serial.csv");
+  const std::string parallel_bytes =
+      testing::sweep_csv_bytes(parallel, "cs_parallel.csv");
   ASSERT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, parallel_bytes);
 }

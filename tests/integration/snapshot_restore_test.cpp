@@ -223,6 +223,9 @@ TEST(SnapshotRestore, EveryKillPointOnADedicatedSaturatedMachine) {
 TEST(SnapshotRestore, EveryFactoryAlgorithmResumesIdentically) {
   // The full algorithm matrix at a generated-workload scale, one mid-run
   // kill each (the per-boundary sweeps above cover the kill-point axis).
+  // Dedicated-aware algorithms also run with node failures and periodic
+  // checkpoints, so the restore covers the failure RNG, requeues and
+  // checkpoint banks too.
   workload::GeneratorConfig config;
   config.machine_procs = 320;
   config.num_jobs = 60;
@@ -234,12 +237,15 @@ TEST(SnapshotRestore, EveryFactoryAlgorithmResumesIdentically) {
   config.p_dedicated = 0.35;
   config.seed = 101;
   const workload::Workload hetero = workload::generate(config);
+  const core::AlgorithmOptions faulty =
+      testing::with_faults_and_checkpoints();
 
   for (const std::string& name : core::algorithm_names()) {
     const bool dedicated =
         core::make_algorithm(name).policy->supports_dedicated();
     const workload::Workload& workload = dedicated ? hetero : batch;
-    const core::AlgorithmOptions options;
+    const core::AlgorithmOptions options =
+        dedicated ? faulty : core::AlgorithmOptions{};
     const sched::SimulationResult uninterrupted =
         exp::run_workload(workload, name, options);
     const std::string image = snapshot_before_kill(

@@ -4,16 +4,21 @@
 // capacity.  The traces carry ECCs, and dedicated jobs where the policy
 // takes them.  The constants pin every DP selection of these runs: a
 // rewrite of the table fills that is meant as a pure speed-up must leave
-// all of them untouched.  Regenerate only for a deliberate change of which
-// set the DP selects.
+// all of them untouched.  Each case replays once more with the scalar row
+// kernel forced and a 2-thread worker pool, which opens the speculative DP
+// pipeline: neither lever may move a single selection, so the replay must
+// reproduce the same hash.  Regenerate only for a deliberate change of
+// which set the DP selects.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "core/dp.hpp"
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "testing/helpers.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace es {
@@ -53,16 +58,43 @@ std::uint64_t golden_run(double p_dedicated, const std::string& algorithm) {
   return testing::outcome_hash(result);
 }
 
-TEST(WideDpGolden, LosWithDedicatedJobsAndEccs) {
-  EXPECT_EQ(golden_run(0.2, "LOS-DE"), 0x787db32b20d554f7ull);
+class WideDpGolden : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    simd_ = core::dp_simd_enabled();
+    threads_ = util::global_parallelism();
+  }
+  void TearDown() override {
+    core::set_dp_simd_enabled(simd_);
+    util::set_global_parallelism(threads_);
+  }
+
+  /// The default run, then the scalar-kernel, pooled replay; both must
+  /// produce `golden`.
+  static void expect_golden(double p_dedicated, const std::string& algorithm,
+                            std::uint64_t golden) {
+    EXPECT_EQ(golden_run(p_dedicated, algorithm), golden);
+    core::set_dp_simd_enabled(false);
+    util::set_global_parallelism(2);
+    EXPECT_EQ(golden_run(p_dedicated, algorithm), golden)
+        << "scalar DP rows with a 2-thread pool";
+  }
+
+ private:
+  bool simd_ = true;
+  int threads_ = 1;
+};
+
+TEST_F(WideDpGolden, LosWithDedicatedJobsAndEccs) {
+  expect_golden(0.2, "LOS-DE", 0x787db32b20d554f7ull);
 }
 
-TEST(WideDpGolden, DelayedLosWithEccs) {
-  EXPECT_EQ(golden_run(0.0, "Delayed-LOS-E"), 0x534fbdf97fadd9e8ull);
+TEST_F(WideDpGolden, DelayedLosWithEccs) {
+  expect_golden(0.0, "Delayed-LOS-E", 0x534fbdf97fadd9e8ull);
 }
 
-TEST(WideDpGolden, HybridLosWithDedicatedJobsAndEccs) {
-  EXPECT_EQ(golden_run(0.2, "Hybrid-LOS-E"), 0x6582fbb431bb3a0cull);
+TEST_F(WideDpGolden, HybridLosWithDedicatedJobsAndEccs) {
+  expect_golden(0.2, "Hybrid-LOS-E", 0x6582fbb431bb3a0cull);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "sched/fcfs.hpp"
 #include "sched/perf.hpp"
 #include "testing/helpers.hpp"
+#include "testing/sweep_csv.hpp"
 
 namespace es::sched {
 namespace {
@@ -240,6 +241,20 @@ TEST(AttachmentChain, ParanoidRunMatchesPlainRun) {
   EXPECT_EQ(paranoid.slowdown, plain.slowdown);
   EXPECT_EQ(paranoid.failure.interruptions, plain.failure.interruptions);
   EXPECT_EQ(paranoid.cycles, plain.cycles);
+}
+
+TEST(AttachmentChain, CycleStatsLeaveTheCampaignCsvByteIdentical) {
+  // The whole Fig-7 mini-sweep with the CycleStatsObserver attached and
+  // with the default empty chain: attachments only observe, so every
+  // aggregate must come out the same to the last printed digit.
+  EngineConfig observed;
+  observed.collect_cycle_stats = true;
+  const std::string off =
+      testing::sweep_csv_bytes(testing::kernel_mini_sweep(), "chain_off.csv");
+  const std::string on = testing::sweep_csv_bytes(
+      testing::kernel_mini_sweep(observed), "chain_on.csv");
+  ASSERT_FALSE(off.empty());
+  EXPECT_EQ(off, on);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 // golden fingerprint instead of trusting the memory savings blindly.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "testing/helpers.hpp"
 #include "testing/parity.hpp"
@@ -45,11 +47,35 @@ workload::GeneratorConfig small_config(int jobs = 120) {
 }
 
 TEST(StreamedEngine, MatchesMaterializedAcrossAlgorithms) {
-  const workload::Workload workload = workload::generate(small_config());
-  for (const char* algorithm :
-       {"FCFS", "EASY", "LOS", "Delayed-LOS", "CONS"}) {
+  // Every factory algorithm over an elastic trace (ECCs everywhere) in
+  // 64-job chunks.  Dedicated-aware algorithms get a heterogeneous trace
+  // with node failures and periodic checkpoints on top.
+  workload::GeneratorConfig config;
+  config.machine_procs = 320;
+  config.num_jobs = 300;
+  config.seed = 1;
+  config.p_small = 0.5;
+  config.p_extend = 0.2;
+  config.p_reduce = 0.2;
+  config.target_load = 0.9;
+  const workload::Workload batch = workload::generate(config);
+  config.p_dedicated = 0.4;
+  config.seed = 18;
+  const workload::Workload hetero = workload::generate(config);
+  ASSERT_FALSE(batch.eccs.empty());
+  ASSERT_GT(hetero.dedicated_count(), 0u);
+
+  core::AlgorithmOptions options;
+  options.lookahead = 250;
+  const core::AlgorithmOptions faulty =
+      testing::with_faults_and_checkpoints(options);
+
+  for (const std::string& algorithm : core::algorithm_names()) {
     SCOPED_TRACE(algorithm);
-    check_parity(workload, algorithm);
+    const bool dedicated =
+        core::make_algorithm(algorithm).policy->supports_dedicated();
+    check_parity(dedicated ? hetero : batch, algorithm,
+                 dedicated ? faulty : options, 64);
   }
 }
 

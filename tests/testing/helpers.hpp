@@ -94,6 +94,23 @@ inline std::uint64_t outcome_hash(const sched::SimulationResult& result) {
   return hash;
 }
 
+/// `options` plus node failures (MTBF 40000 s, MTTR 4000 s, up to 2 node
+/// cards) and periodic checkpoints (every 2000 s, 30 s overhead), so a
+/// parity check over a generated trace also covers the failure RNG,
+/// requeues and checkpoint banks.
+inline core::AlgorithmOptions with_faults_and_checkpoints(
+    core::AlgorithmOptions options = {}) {
+  options.engine.failure.enabled = true;
+  options.engine.failure.seed = 11;
+  options.engine.failure.mtbf = 40000;
+  options.engine.failure.mttr = 4000;
+  options.engine.failure.max_nodes = 2;
+  options.engine.checkpoint.enabled = true;
+  options.engine.checkpoint.interval = 2000;
+  options.engine.checkpoint.overhead = 30;
+  return options;
+}
+
 /// Verifies the fundamental resource invariant from the per-job outcomes:
 /// at no instant does the sum of allocated processors exceed the machine.
 /// Returns the peak concurrent allocation.
