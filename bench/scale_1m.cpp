@@ -14,18 +14,20 @@
 //   2. materialized: the same trace generated up front and run through
 //      Engine::run — the RSS comparison point and the full-length parity
 //      gate: the deterministic result serialization of legs 1 and 2 must be
-//      byte-identical.  Engine::run feeds its events window by window, so
-//      its event-heap high-water mark (`peak_pending`) must stay under
-//      three feed windows; an up-front schedule would hold every arrival.
+//      byte-identical.  Engine::run streams the workload window by window,
+//      so both its event-heap high-water mark (`peak_pending`) and its
+//      job-record high-water mark (`peak_live_jobs`) must stay under three
+//      feed windows; an up-front schedule would hold every arrival, and an
+//      up-front build every record.
 //   3. per-job parity at a bounded N: with per-job outcome ledgers on
 //      (deliberately off in the full-length legs — the ledger itself is
 //      O(N) memory), streamed vs materialized fingerprints must match down
 //      to every per-job line.
 //
-// Exit status gates the two parity verdicts and the peak_pending bound.
-// The closing `summary:` line carries both legs' peak RSS for the Release
-// CI job's ceiling check; RSS is not gated here because sanitizer builds
-// inflate it.
+// Exit status gates the two parity verdicts and the peak_pending and
+// peak_live_jobs bounds.  The closing `summary:` line carries both legs'
+// peak RSS for the Release CI job's ceiling checks; RSS is not gated here
+// because sanitizer builds inflate it.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -56,16 +58,18 @@ int main(int argc, char** argv) {
       es::bench::run_scale_leg(config, "Delayed-LOS", algo, true);
 
   // Leg 2: materialized — RSS comparison point, full-length parity and the
-  // window-feed bound.
+  // window-feed bounds.
   const es::bench::ScaleLeg materialized =
       es::bench::run_scale_leg(config, "Delayed-LOS", algo, false);
   const bool full_identical =
       es::bench::result_fingerprint_csv(streamed.result) ==
       es::bench::result_fingerprint_csv(materialized.result);
-  const std::uint64_t pending = materialized.result.perf.events.peak_pending;
-  const std::uint64_t pending_bound =
+  const std::uint64_t window_bound =
       3 * es::workload::WorkloadCursor::kDefaultChunkJobs;
-  const bool pending_ok = pending > 0 && pending < pending_bound;
+  const std::uint64_t pending = materialized.result.perf.events.peak_pending;
+  const bool pending_ok = pending > 0 && pending < window_bound;
+  const std::uint64_t live = materialized.result.perf.peak_live_jobs;
+  const bool live_ok = live > 0 && live < window_bound;
 
   // Leg 3: per-job parity at a ledger-friendly N.
   const std::size_t parity_jobs = options.quick ? 5000 : 20000;
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
   es::util::AsciiTable table("Million-job scale — streamed vs materialized");
   table.set_columns(
       {"leg", "N", "wall s", "events", "Mev/s", "peak pending",
-       "peak RSS MiB"});
+       "peak live jobs", "peak RSS MiB"});
   const auto row = [&](const char* name, std::size_t jobs,
                        const es::bench::ScaleLeg& leg) {
     table.cell(name)
@@ -96,6 +100,7 @@ int main(int argc, char** argv) {
         .cell(static_cast<long long>(leg.events_fired))
         .cell(leg.events_per_second / 1e6, 2)
         .cell(static_cast<long long>(leg.result.perf.events.peak_pending))
+        .cell(static_cast<long long>(leg.result.perf.peak_live_jobs))
         .cell(mib(leg.peak_rss_bytes), 1);
     table.end_row();
   };
@@ -110,10 +115,15 @@ int main(int argc, char** argv) {
               per_job_identical ? "byte-identical" : "DIVERGED");
   std::printf("materialized peak pending %llu (bound %llu): %s\n",
               static_cast<unsigned long long>(pending),
-              static_cast<unsigned long long>(pending_bound),
+              static_cast<unsigned long long>(window_bound),
               pending_ok ? "ok" : "EXCEEDED");
+  std::printf("materialized peak live jobs %llu (bound %llu): %s\n",
+              static_cast<unsigned long long>(live),
+              static_cast<unsigned long long>(window_bound),
+              live_ok ? "ok" : "EXCEEDED");
   std::printf("summary: streamed_rss_bytes=%llu materialized_rss_bytes=%llu\n",
               static_cast<unsigned long long>(streamed.peak_rss_bytes),
               static_cast<unsigned long long>(materialized.peak_rss_bytes));
-  return (full_identical && per_job_identical && pending_ok) ? 0 : 1;
+  return (full_identical && per_job_identical && pending_ok && live_ok) ? 0
+                                                                        : 1;
 }

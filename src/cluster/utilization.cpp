@@ -16,6 +16,12 @@ void UtilizationTracker::set_bounded(bool bounded) {
   bounded_ = bounded;
 }
 
+void UtilizationTracker::mark() {
+  ES_EXPECTS(bounded_ && started_);
+  mark_time_ = last_;
+  mark_integral_ = integral_;
+}
+
 void UtilizationTracker::record(sim::Time at, int busy) {
   ES_EXPECTS(busy >= 0 && busy <= capacity_);
   if (!started_) {
@@ -75,11 +81,14 @@ double UtilizationTracker::busy_proc_seconds(sim::Time from,
     // integrate(steps_, last_, first_, last_) would sum (one per record, in
     // record order — same-instant records contribute an exact +0.0), so a
     // [first_, >= last_] query reproduces the retained-mode double bit for
-    // bit.  A query ending inside the recorded range (watchdog-aborted
-    // streaming runs only) cannot be truncated without the steps; return
-    // the integral through last_ as a documented over-approximation.
+    // bit, and so does a query ending at the mark (the integral through
+    // the marked record; later same-instant records add +0.0).
     ES_EXPECTS(from <= first_);
     if (to <= first_) return 0.0;
+    if (to < last_) {
+      ES_EXPECTS(to == mark_time_);
+      return mark_integral_;
+    }
     double sum = integral_;
     if (to > last_) sum += static_cast<double>(busy_) * (to - last_);
     return sum;
@@ -96,14 +105,15 @@ double UtilizationTracker::available_proc_seconds(sim::Time from,
 }
 
 UtilizationState UtilizationTracker::save_state() const {
+  ES_EXPECTS(bounded_);
   UtilizationState state;
   state.busy = busy_;
   state.first = first_;
   state.last = last_;
   state.started = started_;
   state.integral = integral_;
-  state.steps.reserve(steps_.size());
-  for (const Step& s : steps_) state.steps.emplace_back(s.time, s.busy);
+  state.mark_time = mark_time_;
+  state.mark_integral = mark_integral_;
   state.capacity_steps.reserve(capacity_steps_.size());
   for (const Step& s : capacity_steps_) {
     state.capacity_steps.emplace_back(s.time, s.busy);
@@ -112,14 +122,14 @@ UtilizationState UtilizationTracker::save_state() const {
 }
 
 void UtilizationTracker::restore_state(const UtilizationState& state) {
+  ES_EXPECTS(bounded_);
   busy_ = state.busy;
   first_ = state.first;
   last_ = state.last;
   started_ = state.started;
   integral_ = state.integral;
-  steps_.clear();
-  steps_.reserve(state.steps.size());
-  for (const auto& [time, busy] : state.steps) steps_.push_back({time, busy});
+  mark_time_ = state.mark_time;
+  mark_integral_ = state.mark_integral;
   capacity_steps_.clear();
   capacity_steps_.reserve(state.capacity_steps.size());
   for (const auto& [time, busy] : state.capacity_steps) {

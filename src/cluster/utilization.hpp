@@ -12,14 +12,15 @@
 
 namespace es::cluster {
 
-/// Serializable tracker state (snapshot/restore).
+/// Serializable state of a bounded tracker (snapshot/restore).
 struct UtilizationState {
   int busy = 0;
   sim::Time first = 0.0;
   sim::Time last = 0.0;
   bool started = false;
   double integral = 0.0;
-  std::vector<std::pair<sim::Time, int>> steps;
+  sim::Time mark_time = 0.0;  ///< see mark()
+  double mark_integral = 0.0;
   std::vector<std::pair<sim::Time, int>> capacity_steps;
 };
 
@@ -32,17 +33,22 @@ class UtilizationTracker {
   /// `at` must be non-decreasing across calls; busy in [0, capacity].
   void record(sim::Time at, int busy);
 
-  /// Bounded mode for streaming runs: stop retaining the per-record step
-  /// list (a million-job run would otherwise hold millions of steps) and
-  /// answer busy_proc_seconds from the incremental integral instead.  The
+  /// Bounded mode (the engine's): stop retaining the per-record step list
+  /// (a million-job run would otherwise hold millions of steps) and answer
+  /// busy_proc_seconds from the incremental integral instead.  The
   /// incremental accumulator adds exactly the per-segment terms integrate()
   /// sums, in the same left-to-right order, so queries over
-  /// [first record, >= last record] are bitwise identical to the retained
-  /// mode.  Restrictions: queries must start at the first record, querying
-  /// inside the recorded range (only watchdog-aborted runs do) returns the
-  /// integral through the last record — a documented over-approximation —
-  /// and save_state() is unsupported.  Must be set before the first record.
+  /// [first record, >= last record] — or [first record, the marked
+  /// instant] — are bitwise identical to the retained mode.  Queries must
+  /// start at the first record and end at or after the last record or at
+  /// the mark.  Must be set before the first record.
   void set_bounded(bool bounded);
+
+  /// Bounded mode: remembers the integral through the last record, so a
+  /// later query ending at that instant stays exact after more records
+  /// (the engine marks every job finish; a watchdog-aborted run is
+  /// queried at its last finish).
+  void mark();
 
   /// Records that from `at` onwards `available` processors are in service
   /// (node failures shrink this below capacity; repairs restore it).  Only
@@ -74,10 +80,11 @@ class UtilizationTracker {
   /// Total busy-proc-seconds integrated so far (up to the last record).
   double integral() const { return integral_; }
 
-  /// Captures the mutable accounting state for a snapshot.
+  /// Captures the mutable accounting state for a snapshot (bounded mode:
+  /// there is no step list to carry).
   UtilizationState save_state() const;
 
-  /// Restores state captured on a tracker of the same capacity.
+  /// Restores state captured on a bounded tracker of the same capacity.
   void restore_state(const UtilizationState& state);
 
  private:
@@ -98,9 +105,10 @@ class UtilizationTracker {
   sim::Time last_ = 0.0;
   bool started_ = false;
   double integral_ = 0.0;  ///< busy-proc-seconds up to last_
+  sim::Time mark_time_ = 0.0;
+  double mark_integral_ = 0.0;  ///< integral_ when mark() was last called
   std::vector<Step> steps_;
   std::vector<Step> capacity_steps_;  ///< empty unless failures injected
-
 };
 
 }  // namespace es::cluster

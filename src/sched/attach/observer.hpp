@@ -103,13 +103,15 @@ struct PreemptInfo {
   double lost = 0;   ///< unsaved partial work (proc-seconds)
 };
 
-/// From-scratch recomputation of everything the built-in observers
+/// Independent recomputation of everything the built-in observers
 /// accumulate incrementally, built by the engine in paranoid mode after
-/// every cycle so each attachment can cross-check its own ledger.
+/// every cycle so each attachment can cross-check its own ledger.  Retired
+/// jobs count through the engine's retire-time fold counters, the rest
+/// from their live records.
 struct ParanoidSnapshot {
   sim::Time now = 0;
   std::uint64_t cycle = 0;
-  std::uint64_t interruptions = 0;  ///< sum of JobRun::interruptions
+  std::uint64_t interruptions = 0;  ///< sum of the jobs' interruptions
   std::uint64_t abandoned = 0;      ///< finished jobs with kAbandoned
   std::uint64_t finishes = 0;       ///< finished jobs, abandonments excluded
   std::size_t active_jobs = 0;
@@ -127,8 +129,11 @@ struct AbortFlag {
 };
 
 /// Lifecycle hooks.  Every callback defaults to a no-op so attachments
-/// override only the sites they observe.  `job` references stay valid for
-/// the whole run (the engine owns the JobRun storage).
+/// override only the sites they observe.  `job` references stay valid
+/// until the job retires — it finished and no scheduled command still
+/// names it — when the engine releases the record to its arena for reuse;
+/// an attachment that needs a job past that point keeps a copy, not the
+/// reference.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;

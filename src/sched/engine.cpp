@@ -32,6 +32,9 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
       cycle_stats_attach_(policy),
       fairness_attach_(config.fairshare, config.machine_procs) {
   ecc_processor_.set_running_resize(config.allow_running_resize);
+  // Retired jobs leave no step history: the tracker keeps only its
+  // running integral (and the one at the last finish).
+  utilization_.set_bounded(true);
   // Register the enabled attachments in the canonical chain order (see
   // attach/observer.hpp): CheckpointObserver must precede
   // FailureStatsObserver (preempt `saved` feeds `lost`), which must
@@ -227,15 +230,16 @@ ParanoidSnapshot Engine::paranoid_snapshot() const {
   ParanoidSnapshot snapshot;
   snapshot.now = sim_.now();
   snapshot.cycle = cycles_;
-  for (const JobRun* job : jobs_)
-    snapshot.interruptions +=
-        static_cast<std::uint64_t>(arena_.cold(*job).interruptions);
-  for (const JobRun* job : finished_) {
-    if (job->status == JobStatus::kAbandoned)
-      ++snapshot.abandoned;
-    else
-      ++snapshot.finishes;
-  }
+  // Retired jobs through the fold counters, the rest from their records
+  // (a retired record may stay live while commands still name it).
+  snapshot.interruptions = retired_interruptions_;
+  arena_.for_each_live([&](const JobRun& job) {
+    if (job.status == JobStatus::kWaiting || job.status == JobStatus::kRunning)
+      snapshot.interruptions +=
+          static_cast<std::uint64_t>(arena_.cold(job).interruptions);
+  });
+  snapshot.abandoned = folded_.abandoned;
+  snapshot.finishes = folded_.completed + folded_.killed;
   snapshot.active_jobs = active_.size();
   snapshot.cycles = cycles_;
   snapshot.dp_delta = policy_->dp_counters() - dp_baseline_;
@@ -404,12 +408,7 @@ void Engine::on_arrival(JobRun* job) {
   // identical to an up-front schedule (see source.hpp for the window
   // contracts that make this safe at equal timestamps).
   ES_ASSERT(arrivals_pending_ > 0);
-  if (--arrivals_pending_ == 0 && !source_exhausted_) {
-    if (streaming_)
-      load_next_chunk();
-    else
-      load_next_window();
-  }
+  if (--arrivals_pending_ == 0) refill();
   ES_ASSERT(job->status == JobStatus::kWaiting);
   if (job->dedicated()) {
     // Keep W^d sorted by (requested start, arrival).
@@ -434,11 +433,9 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
     return;
   }
   JobRun* job = it->second;
-  if (streaming_ && config_.process_eccs) {
-    JobRunCold& cold = arena_.cold(*job);
-    ES_ASSERT(cold.ecc_pending > 0);
-    --cold.ecc_pending;
-  }
+  JobRunCold& cold = arena_.cold(*job);
+  ES_ASSERT(cold.ecc_pending > 0);
+  --cold.ecc_pending;
   const EccOutcome outcome =
       ecc_processor_.apply(ecc, *job, sim_.now(), machine_.free());
   attachments_.on_ecc_applied(sim_.now(), *job, ecc, outcome);
@@ -489,10 +486,9 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
     case EccOutcome::kSkippedConflict:
       break;
   }
-  // A finished job whose last pending command just dispatched can retire
-  // now (kCompletedJob released inside finish_job; `job` may dangle here
-  // only on paths that did not touch it).
-  if (streaming_ && outcome != EccOutcome::kCompletedJob) maybe_release(job);
+  // A finished job whose last pending command just dispatched is released
+  // now (kCompletedJob released it inside finish_job).
+  if (outcome != EccOutcome::kCompletedJob) maybe_release(job);
   run_cycle();
 }
 
@@ -578,16 +574,14 @@ void Engine::preempt_job(JobRun* job, fault::RequeuePolicy requeue_policy) {
       attachments_.on_requeue(sim_.now(), *job, alloc);
       break;
     case fault::RequeuePolicy::kAbandon:
-      // Keeps its alloc/start_time so collect() sees the partial run.
+      // Keeps its alloc/start_time so the fold sees the partial run.
       job->status = JobStatus::kAbandoned;
       cold.end_time = sim_.now();
       last_finish_ = std::max(last_finish_, cold.end_time);
-      if (streaming_)
-        retire_streamed(job);
-      else
-        finished_.push_back(job);
+      utilization_.mark();
+      retire(job);
       attachments_.on_abandon(sim_.now(), *job, alloc);
-      if (streaming_) maybe_release(job);
+      maybe_release(job);
       break;
   }
 }
@@ -658,18 +652,16 @@ void Engine::finish_job(JobRun* job) {
   JobRunCold& cold = arena_.cold(*job);
   cold.end_time = sim_.now();
   last_finish_ = std::max(last_finish_, cold.end_time);
-  if (streaming_)
-    retire_streamed(job);
-  else
-    finished_.push_back(job);
+  retire(job);
   attachments_.on_finish(sim_.now(), *job);
   utilization_.record(sim_.now(), machine_.used());
+  utilization_.mark();
   // Release only after the attachments read the record; `job` dangles past
   // this point once no scheduled command still targets it.
-  if (streaming_) maybe_release(job);
+  maybe_release(job);
 }
 
-JobRun* Engine::build_job(const workload::Job& spec) {
+JobRun* Engine::build_job(const workload::Job& spec, int ecc_count) {
   ES_EXPECTS(spec.num >= 1);
   ES_EXPECTS(machine_.allocation_for(spec.num) <= machine_.total());
   ES_EXPECTS(spec.dur > 0);
@@ -688,28 +680,21 @@ JobRun* Engine::build_job(const workload::Job& spec) {
   // registry caps configured pools at 255, so this only trims hand-built
   // workloads).
   run->pool = static_cast<std::uint8_t>(std::clamp(spec.pool, 0, 255));
+  if (config_.process_eccs) {
+    index_job(run);
+    arena_.cold(*run).ecc_pending = ecc_count;
+  }
+  ++jobs_built_;
   return run;
 }
 
-void Engine::build_jobs(const workload::Workload& workload, bool fingerprint) {
-  ES_EXPECTS(jobs_.empty());  // one run per engine instance
-  jobs_.reserve(workload.jobs.size());
-  by_id_.reserve(workload.jobs.size());
-  for (const workload::Job& spec : workload.jobs) {
-    JobRun* ptr = build_job(spec);
-    jobs_.push_back(ptr);
-    const auto [pos, inserted] = by_id_.emplace(spec.id, ptr);
-    (void)pos;
-    ES_EXPECTS(inserted);  // duplicate job IDs are a malformed workload
-  }
-  // Hashing the workload and building a registry is pure overhead on the
-  // (vast majority of) runs that never snapshot.
-  if (fingerprint)
-    workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
+void Engine::index_job(JobRun* job) {
+  const auto [pos, inserted] = by_id_.emplace(job->id, job);
+  (void)pos;
+  ES_EXPECTS(inserted);  // duplicate live job IDs: malformed workload
 }
 
 SimulationResult Engine::finish_run(
-    const workload::Workload& workload,
     std::chrono::steady_clock::time_point run_start) {
   // Run-end barrier: an in-flight speculation predicted *this* run's next
   // cycle and must not leak into a later run (or survive into the perf
@@ -722,87 +707,68 @@ SimulationResult Engine::finish_run(
     ES_ENSURES(batch_queue_.empty());
     ES_ENSURES(dedicated_queue_.empty());
     ES_ENSURES(active_.empty());
-    ES_ENSURES(finished_.size() == jobs_.size());
+    ES_ENSURES(source_exhausted_ && jobs_retired_ == jobs_built_);
+    ES_ENSURES(!total_jobs_ || *total_jobs_ == jobs_built_);
+    ES_ENSURES(arena_.live() == 0 && by_id_.empty() && ahead_.empty());
     ES_ENSURES(eccs_in_flight_.size() == 0);
     ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
   }
 
-  SimulationResult result = collect(workload);
+  SimulationResult result = collect();
   result.perf.dp = policy_->dp_counters() - dp_baseline_;
   result.perf.events = sim_.queue().counters();
   result.perf.cycle_seconds = cycle_seconds_;
   result.perf.wall_seconds = seconds_since(run_start);
   result.perf.peak_rss_bytes = util::peak_rss_bytes();
+  result.perf.peak_live_jobs = arena_.slots();
   return result;
 }
 
 SimulationResult Engine::run(const workload::Workload& workload) {
   ES_EXPECTS(!restored_);  // a restored engine continues via resume()
   const auto run_start = std::chrono::steady_clock::now();
-  dp_baseline_ = policy_->dp_counters();
-  build_jobs(workload, config_.snapshot.every_cycles > 0);
-  window_.emplace(workload);
-  source_exhausted_ = false;
-  load_next_window();
-  first_arrival_ =
-      workload.jobs.empty() ? 0 : workload.jobs.front().arr;
-  utilization_.record(first_arrival_, 0);
-  if (failure_model_.enabled() && !workload.jobs.empty()) {
-    utilization_.record_capacity(first_arrival_, machine_.available());
-    schedule_next_outage(first_arrival_);
-  }
-
-  warn_if_unbounded_retry(workload);
-  pump_events();
-  return finish_run(workload, run_start);
+  materialized_.emplace(workload);
+  // Hashing the workload and building a registry is pure overhead on the
+  // (vast majority of) runs that never snapshot.
+  if (config_.snapshot.every_cycles > 0)
+    workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
+  return drive(*materialized_, run_start);
 }
 
 SimulationResult Engine::run_streamed(workload::JobSource& source) {
   ES_EXPECTS(!restored_);  // a restored engine continues via resume()
-  ES_EXPECTS(jobs_.empty() && jobs_built_ == 0);  // one run per engine
-  // Snapshots would need the retired-job history; streaming trades that
-  // capability away for bounded memory.  Paranoid mode hashes finished_.
-  ES_EXPECTS(config_.snapshot.every_cycles == 0 && !snapshot_sink_);
-  ES_EXPECTS(!config_.paranoid);
-  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
   const auto run_start = std::chrono::steady_clock::now();
+  // A snapshot records the materialized workload's cursor; other sources
+  // have none to seek.
+  ES_EXPECTS(config_.snapshot.every_cycles == 0 && !snapshot_sink_);
+  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
+  return drive(source, run_start);
+}
+
+SimulationResult Engine::drive(
+    workload::JobSource& source,
+    std::chrono::steady_clock::time_point run_start) {
+  ES_EXPECTS(source_ == nullptr);  // one run per engine
   dp_baseline_ = policy_->dp_counters();
-  streaming_ = true;
   source_ = &source;
   source_exhausted_ = false;
-  utilization_.set_bounded(true);
-  load_next_chunk();
-  // Mirrors run(): the utilization baseline lands at the first arrival even
-  // though later chunks are scheduled after it (records are time-ordered
-  // because refills fire at the last scheduled arrival).
+  total_jobs_ = source.total_jobs();
+  refill();
+  // The utilization baseline lands at the first arrival even though later
+  // chunks are scheduled after it (records are time-ordered because
+  // refills fire at the last scheduled arrival).
   utilization_.record(first_arrival_, 0);
-  if (failure_model_.enabled() && jobs_built_ > 0) {
+  if (failure_model_.enabled() && jobs_fed_ > 0) {
     utilization_.record_capacity(first_arrival_, machine_.available());
     schedule_next_outage(first_arrival_);
   }
   pump_events();
-  policy_->finish_speculation();  // run-end barrier, as in finish_run()
-  if (termination_ == sim::TerminationReason::kCompleted) {
-    ES_ENSURES(batch_queue_.empty());
-    ES_ENSURES(dedicated_queue_.empty());
-    ES_ENSURES(active_.empty());
-    ES_ENSURES(source_exhausted_ && jobs_retired_ == jobs_built_);
-    ES_ENSURES(arena_.live() == 0 && by_id_.empty());
-    ES_ENSURES(eccs_in_flight_.size() == 0);
-    ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
-  }
-  SimulationResult result = collect_streamed();
-  result.perf.dp = policy_->dp_counters() - dp_baseline_;
-  result.perf.events = sim_.queue().counters();
-  result.perf.cycle_seconds = cycle_seconds_;
-  result.perf.wall_seconds = seconds_since(run_start);
-  result.perf.peak_rss_bytes = util::peak_rss_bytes();
-  return result;
+  return finish_run(run_start);
 }
 
 void Engine::schedule_arrival(JobRun* job) {
   // Feeds run at the last scheduled arrival, so every new event is at or
-  // after now; the windows' tie-group contract guarantees strictly later
+  // after now; the chunks' tie-group contract guarantees strictly later
   // arrivals, keeping heap order identical to an up-front schedule.
   ES_EXPECTS(job->arr >= sim_.now());
   ++arrivals_pending_;
@@ -818,86 +784,138 @@ void Engine::schedule_ecc(const workload::Ecc& ecc, std::uint64_t tag) {
   sim_.at(ecc.issue, sim::EventClass::kEccArrival, tag);
 }
 
-void Engine::load_next_window() {
-  workload::WorkloadCursor::Window window;
-  if (!window_->next(window)) {
+void Engine::refill() {
+  // A chunk without jobs (a workload of commands only) schedules no
+  // arrival to trigger the next refill, so keep pulling.
+  while (arrivals_pending_ == 0 && !source_exhausted_) load_next_chunk();
+}
+
+void Engine::load_next_chunk() {
+  if (!source_->next_chunk(chunk_)) {
     source_exhausted_ = true;
     return;
   }
-  for (std::size_t i = window.job_begin; i < window.job_end; ++i)
-    schedule_arrival(jobs_[i]);
-  if (config_.process_eccs) {
-    // Tags are the workload index, which restore() maps back to the ECC.
-    const std::vector<workload::Ecc>& eccs = window_->workload().eccs;
-    for (std::size_t i = window.ecc_begin; i < window.ecc_end; ++i)
-      schedule_ecc(eccs[i], i);
-  }
-}
-
-bool Engine::load_next_chunk() {
-  ES_ASSERT(streaming_ && source_ != nullptr);
-  if (!source_->next_chunk(chunk_)) {
-    source_exhausted_ = true;
-    return false;
-  }
-  ES_EXPECTS(!chunk_.jobs.empty());
   ES_EXPECTS(chunk_.ecc_counts.size() == chunk_.jobs.size());
+  ES_EXPECTS(chunk_.ahead_ecc_counts.size() == chunk_.ahead.size());
+  if (jobs_fed_ == 0) {
+    warn_if_unbounded_retry(chunk_.jobs);
+  } else if (config_.keep_job_outcomes && total_jobs_ &&
+             outcomes_.capacity() < *total_jobs_) {
+    // A trace longer than one chunk reserves its outcome ledger exactly
+    // (doubling growth would hold up to twice the ledger); a one-chunk
+    // run's ledger is small, and reserving it up front only fragments the
+    // per-run heap.
+    outcomes_.reserve(static_cast<std::size_t>(*total_jobs_));
+  }
+  // Sized once per chunk: the index never rehashes while the chunk feeds.
+  if (config_.process_eccs)
+    by_id_.reserve(by_id_.size() + chunk_.jobs.size() + chunk_.ahead.size());
+  // Jobs a command of this chunk names before their own chunk: records
+  // now, arrivals with their chunk.  Without ECC processing no command is
+  // scheduled, so nothing needs them early.
+  if (config_.process_eccs) {
+    for (std::size_t i = 0; i < chunk_.ahead.size(); ++i) {
+      JobRun* job = build_job(chunk_.ahead[i], chunk_.ahead_ecc_counts[i]);
+      ahead_.emplace(job->id, job);
+    }
+  }
   for (std::size_t i = 0; i < chunk_.jobs.size(); ++i) {
     const workload::Job& spec = chunk_.jobs[i];
-    if (jobs_built_ == 0) {
-      first_arrival_ = spec.arr;
-      stream_span_origin_ = spec.arr;
-      stream_span_last_ = spec.arr;
+    note_offered(spec);
+    JobRun* job = nullptr;
+    if (!ahead_.empty()) {
+      const auto it = ahead_.find(spec.id);
+      if (it != ahead_.end()) {
+        job = it->second;
+        ahead_.erase(it);
+      }
     }
-    // Streaming replay of workload::offered_load(), term for term in job
-    // order.
-    stream_proc_seconds_ +=
-        static_cast<double>(spec.num) * spec.actual_runtime();
-    const sim::Time begin = spec.dedicated() && spec.start >= 0
-                                ? std::max(spec.arr, spec.start)
-                                : spec.arr;
-    stream_span_last_ =
-        std::max(stream_span_last_, begin + spec.actual_runtime());
-    JobRun* ptr = build_job(spec);
-    const auto [pos, inserted] = by_id_.emplace(spec.id, ptr);
-    (void)pos;
-    ES_EXPECTS(inserted);  // duplicate live job IDs: malformed workload
-    if (config_.process_eccs)
-      arena_.cold(*ptr).ecc_pending = chunk_.ecc_counts[i];
-    ++jobs_built_;
-    schedule_arrival(ptr);
+    if (job == nullptr) job = build_job(spec, chunk_.ecc_counts[i]);
+    schedule_arrival(job);
   }
   if (config_.process_eccs) {
-    for (const workload::Ecc& ecc : chunk_.eccs) {
-      // Chunk windows concatenate to the normalize() order, so the running
-      // counter reproduces run()'s index-in-workload event tags.
+    // Chunks concatenate to the trace's command order, so the running
+    // counter is each command's index in the trace: its event tag.
+    for (const workload::Ecc& ecc : chunk_.eccs)
       schedule_ecc(ecc, eccs_scheduled_++);
-    }
   }
-  return true;
 }
 
-void Engine::retire_streamed(JobRun* job) {
+void Engine::note_offered(const workload::Job& spec) {
+  if (jobs_fed_++ == 0) {
+    first_arrival_ = spec.arr;
+    offered_origin_ = spec.arr;
+    offered_last_ = spec.arr;
+  }
+  offered_proc_seconds_ +=
+      static_cast<double>(spec.num) * spec.actual_runtime();
+  const sim::Time begin = spec.dedicated() && spec.start >= 0
+                              ? std::max(spec.arr, spec.start)
+                              : spec.arr;
+  offered_last_ = std::max(offered_last_, begin + spec.actual_runtime());
+}
+
+double Engine::offered_load() const {
+  if (jobs_fed_ == 0) return 0.0;
+  const double span = offered_last_ - offered_origin_;
+  if (span <= 0) return 0.0;
+  return offered_proc_seconds_ / (span * machine_.total());
+}
+
+void Engine::retire(JobRun* job) {
   const JobOutcome outcome = outcome_of(job);
-  fold_outcome(outcome, stream_result_, stream_sums_, &stream_wasted_);
-  if (config_.keep_job_outcomes) stream_outcomes_.push_back(outcome);
+  ++sums_.count;
+  if (outcome.dedicated) {
+    sums_.dedicated_delay_sum += outcome.wait;
+    if (outcome.wait == 0) ++folded_.dedicated_on_time;
+    ++sums_.dedicated_count;
+  }
+  sums_.wait_sum += outcome.wait;
+  sums_.run_sum += outcome.run;
+  const double run_floor = std::max(outcome.run, 1e-9);
+  sums_.sd_sum += (outcome.wait + outcome.run) / run_floor;
+  sums_.bsd_sum += (outcome.wait + outcome.run) / std::max(outcome.run, 10.0);
+  folded_.max_wait = std::max(folded_.max_wait, outcome.wait);
+  const double work = static_cast<double>(outcome.procs) * outcome.run;
+  if (outcome.abandoned) {
+    ++folded_.abandoned;
+    wasted_deferred_.push_back(work);
+  } else if (outcome.killed) {
+    ++folded_.killed;
+    wasted_deferred_.push_back(work);
+  } else {
+    ++folded_.completed;
+    folded_.failure.goodput_proc_seconds += work;
+  }
+  if (config_.keep_job_outcomes) outcomes_.push_back(outcome);
+  retired_interruptions_ += static_cast<std::uint64_t>(outcome.interruptions);
   ++jobs_retired_;
 }
 
 void Engine::maybe_release(JobRun* job) {
-  if (!streaming_) return;
   if (job->status == JobStatus::kWaiting || job->status == JobStatus::kRunning)
     return;
-  // Late commands must still find the record so the EccProcessor's
-  // rejected-after-finish audit matches the materialized run.
-  if (config_.process_eccs && arena_.cold(*job).ecc_pending > 0) return;
-  const std::size_t erased = by_id_.erase(job->id);
-  ES_ASSERT(erased == 1);
-  (void)erased;
+  // Late commands must still find the record, so the EccProcessor audits
+  // them as rejected-after-finish.
+  if (arena_.cold(*job).ecc_pending > 0) return;
+  if (config_.process_eccs) {
+    const std::size_t erased = by_id_.erase(job->id);
+    ES_ASSERT(erased == 1);
+    (void)erased;
+  }
   arena_.release(job);
 }
 
-SimulationResult Engine::collect_streamed() {
+SimulationResult Engine::collect() {
+  // An aborted run's offered load still covers the whole trace: run the
+  // rest of the source through the accumulators.
+  while (!source_exhausted_) {
+    if (!source_->next_chunk(chunk_)) {
+      source_exhausted_ = true;
+      break;
+    }
+    for (const workload::Job& spec : chunk_.jobs) note_offered(spec);
+  }
   SimulationResult result;
   result.completed = 0;
   result.killed = 0;
@@ -907,33 +925,24 @@ SimulationResult Engine::collect_streamed() {
   result.cycles = cycles_;
   result.events = sim_.events_processed();
   result.termination = termination_;
-  result.unfinished = jobs_built_ - jobs_retired_;
-  result.offered_load = streamed_offered_load();
+  result.unfinished = jobs_fed_ - jobs_retired_;
+  result.offered_load = offered_load();
   result.ecc = ecc_processor_.stats();
+  // Attachments deposit their ledgers (failure stats, checkpoint stats,
+  // the audit trace, cycle histograms, ECC skip counts) before the folded
+  // per-job counters and the deferred wasted-work terms are added.
   attachments_.on_collect(result);
-  // Replay the per-job counters folded at retire time.  The wasted-work
-  // terms were deferred because FailureStatsObserver::on_collect assigns
-  // the failure ledger; adding them here, in completion order, reproduces
-  // the collect() loop's sums bit for bit.
-  result.completed = stream_result_.completed;
-  result.killed = stream_result_.killed;
-  result.abandoned = stream_result_.abandoned;
-  result.dedicated_on_time = stream_result_.dedicated_on_time;
-  result.max_wait = stream_result_.max_wait;
-  for (const double work : stream_wasted_)
+  result.completed = folded_.completed;
+  result.killed = folded_.killed;
+  result.abandoned = folded_.abandoned;
+  result.dedicated_on_time = folded_.dedicated_on_time;
+  result.max_wait = folded_.max_wait;
+  for (const double work : wasted_deferred_)
     result.failure.wasted_proc_seconds += work;
-  result.failure.goodput_proc_seconds =
-      stream_result_.failure.goodput_proc_seconds;
-  if (config_.keep_job_outcomes) result.jobs = std::move(stream_outcomes_);
-  finalize_aggregate(result, stream_sums_);
+  result.failure.goodput_proc_seconds = folded_.failure.goodput_proc_seconds;
+  if (config_.keep_job_outcomes) result.jobs = std::move(outcomes_);
+  finalize_aggregate(result);
   return result;
-}
-
-double Engine::streamed_offered_load() const {
-  if (jobs_built_ == 0) return 0.0;
-  const double span = stream_span_last_ - stream_span_origin_;
-  if (span <= 0) return 0.0;
-  return stream_proc_seconds_ / (span * machine_.total());
 }
 
 std::uint64_t Engine::job_tag(const JobRun* job) const {
@@ -1000,13 +1009,9 @@ void Engine::pump_events() {
   }
   termination_ = reason;
   if (termination_ != sim::TerminationReason::kCompleted) {
-    // Streaming runs count jobs built so far (the source may hold more);
-    // materialized runs count the full workload.
-    const std::uint64_t done =
-        streaming_ ? jobs_retired_
-                   : static_cast<std::uint64_t>(finished_.size());
-    const std::uint64_t total =
-        streaming_ ? jobs_built_ : static_cast<std::uint64_t>(jobs_.size());
+    // A source of unknown length counts the jobs fed so far.
+    const std::uint64_t done = jobs_retired_;
+    const std::uint64_t total = total_jobs_.value_or(jobs_fed_);
     ES_LOG_WARN(
         "watchdog abort (%s) at t=%.3f after %llu events: %llu/%llu jobs "
         "finished; reporting partial metrics",
@@ -1042,11 +1047,11 @@ JobRun* Engine::job_by_id(workload::JobId id) const {
 
 void Engine::snapshot(snap::SnapshotWriter& writer) const {
   ES_EXPECTS(!in_cycle_);  // only valid at an event boundary
-  ES_EXPECTS(workload_fingerprint_.has_value());
+  ES_EXPECTS(workload_fingerprint_.has_value() && materialized_);
 
   writer.begin_section("META");
   writer.u64(*workload_fingerprint_);
-  writer.u64(jobs_.size());
+  writer.u64(*total_jobs_);
   writer.end_section();
 
   // Clock + event-queue allocator/counters.  next_seq must round-trip so
@@ -1083,13 +1088,21 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   }
   writer.end_section();
 
-  // Per-job runtime state, in jobs_ (= workload) order.  Immutable specs
-  // are rebuilt from the workload; container membership is restored from
-  // the ORDR section; finish events from EVTS.
+  // The live records' runtime state, in id order (independent of arena
+  // layout).  Immutable specs are rebuilt from the workload; container
+  // membership is restored from the ORDR section; finish events from EVTS.
+  std::vector<const JobRun*> live;
+  live.reserve(arena_.live());
+  arena_.for_each_live([&live](const JobRun& job) { live.push_back(&job); });
+  std::sort(live.begin(), live.end(),
+            [](const JobRun* a, const JobRun* b) { return a->id < b->id; });
   writer.begin_section("JOBS");
-  writer.u64(jobs_.size());
-  for (const JobRun* job : jobs_) {
+  writer.u64(live.size());
+  for (const JobRun* job : live) {
     const JobRunCold& cold = arena_.cold(*job);
+    writer.i64(job->id);
+    writer.boolean(ahead_.count(job->id) > 0);
+    writer.i32(cold.ecc_pending);
     writer.f64(job->req_time);
     writer.f64(job->actual_time);
     writer.i32(job->num);
@@ -1107,8 +1120,8 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   }
   writer.end_section();
 
-  // Container order: batch FIFO (intrusive links), dedicated list, active
-  // array (sorted by planned end) and the completion order.
+  // Container order: batch FIFO (intrusive links), dedicated list and
+  // active array (sorted by planned end).
   writer.begin_section("ORDR");
   writer.u64(batch_queue_.size());
   for (const JobRun* job : batch_queue_) writer.i64(job->id);
@@ -1116,8 +1129,6 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   for (const JobRun* job : dedicated_queue_) writer.i64(job->id);
   writer.u64(active_.size());
   for (const JobRun* job : active_) writer.i64(job->id);
-  writer.u64(finished_.size());
-  for (const JobRun* job : finished_) writer.i64(job->id);
   writer.end_section();
 
   writer.begin_section("MACH");
@@ -1131,6 +1142,8 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   }
   writer.end_section();
 
+  // The bounded tracker keeps no busy steps: its integral scalars and the
+  // capacity steps (one pair per outage edge) are the whole ledger.
   writer.begin_section("UTIL");
   const cluster::UtilizationState util_state = utilization_.save_state();
   writer.i32(util_state.busy);
@@ -1138,11 +1151,8 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   writer.f64(util_state.last);
   writer.boolean(util_state.started);
   writer.f64(util_state.integral);
-  writer.u64(util_state.steps.size());
-  for (const auto& [time, busy] : util_state.steps) {
-    writer.f64(time);
-    writer.i32(busy);
-  }
+  writer.f64(util_state.mark_time);
+  writer.f64(util_state.mark_integral);
   writer.u64(util_state.capacity_steps.size());
   for (const auto& [time, available] : util_state.capacity_steps) {
     writer.f64(time);
@@ -1199,11 +1209,56 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   writer.u64(dp_delta.cache_hits);
   writer.u64(dp_delta.table_runs);
   writer.u64(dp_delta.table_cells);
-  // Window-feed cursor: the next window's start and the current window's
-  // unfired arrivals (its pending events travel in EVTS).
-  writer.u64(window_->next_job());
-  writer.u64(window_->next_ecc());
+  // Source cursor: the next window's start, the current window's unfired
+  // arrivals (its pending events travel in EVTS) and whether the source
+  // has run dry.
+  writer.u64(materialized_->next_job());
+  writer.u64(materialized_->next_ecc());
   writer.u64(arrivals_pending_);
+  writer.boolean(source_exhausted_);
+  writer.end_section();
+
+  // The retired jobs, folded: feed and retire counters, the metric sums,
+  // the deferred wasted-work terms, the kept outcomes and the offered-load
+  // accumulators.
+  writer.begin_section("FOLD");
+  writer.u64(jobs_built_);
+  writer.u64(jobs_retired_);
+  writer.u64(jobs_fed_);
+  writer.u64(eccs_scheduled_);
+  writer.u64(retired_interruptions_);
+  writer.f64(sums_.wait_sum);
+  writer.f64(sums_.run_sum);
+  writer.f64(sums_.sd_sum);
+  writer.f64(sums_.bsd_sum);
+  writer.f64(sums_.dedicated_delay_sum);
+  writer.u64(sums_.dedicated_count);
+  writer.u64(sums_.count);
+  writer.u64(folded_.completed);
+  writer.u64(folded_.killed);
+  writer.u64(folded_.abandoned);
+  writer.u64(folded_.dedicated_on_time);
+  writer.f64(folded_.max_wait);
+  writer.f64(folded_.failure.goodput_proc_seconds);
+  writer.u64(wasted_deferred_.size());
+  for (const double work : wasted_deferred_) writer.f64(work);
+  writer.u64(outcomes_.size());
+  for (const JobOutcome& outcome : outcomes_) {
+    writer.i64(outcome.id);
+    writer.boolean(outcome.dedicated);
+    writer.boolean(outcome.killed);
+    writer.boolean(outcome.abandoned);
+    writer.i32(outcome.interruptions);
+    writer.i32(outcome.procs);
+    writer.f64(outcome.arrival);
+    writer.f64(outcome.started);
+    writer.f64(outcome.finished);
+    writer.f64(outcome.wait);
+    writer.f64(outcome.run);
+  }
+  writer.f64(offered_proc_seconds_);
+  writer.f64(offered_origin_);
+  writer.f64(offered_last_);
   writer.end_section();
 
   // Every built-in attachment is a plain member that exists whether or not
@@ -1228,9 +1283,12 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
 
 void Engine::restore(const workload::Workload& workload,
                      snap::SnapshotReader& reader) {
-  ES_EXPECTS(!restored_ && jobs_.empty());  // first call on a fresh engine
+  ES_EXPECTS(!restored_ && source_ == nullptr);  // first call, fresh engine
 
-  build_jobs(workload, /*fingerprint=*/true);
+  materialized_.emplace(workload);
+  source_ = &*materialized_;
+  total_jobs_ = materialized_->total_jobs();
+  workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
 
   reader.open_section("META");
   const std::uint64_t fingerprint = reader.u64();
@@ -1240,14 +1298,60 @@ void Engine::restore(const workload::Workload& workload,
         snap::SnapshotErrorKind::kMismatch,
         "snapshot belongs to a different run (workload/config/policy "
         "fingerprint disagrees)");
-  if (job_count != jobs_.size())
+  if (job_count != *total_jobs_)
     snapshot_corrupt("job count disagrees with the workload");
 
+  reader.open_section("ENGN");
+  cycles_ = reader.u64();
+  first_arrival_ = reader.f64();
+  last_finish_ = reader.f64();
+  DpCounters dp_delta;
+  dp_delta.calls = reader.u64();
+  dp_delta.fast_path = reader.u64();
+  dp_delta.cache_hits = reader.u64();
+  dp_delta.table_runs = reader.u64();
+  dp_delta.table_cells = reader.u64();
+  const std::uint64_t next_job = reader.u64();
+  const std::uint64_t next_ecc = reader.u64();
+  const std::uint64_t arrivals_pending = reader.u64();
+  source_exhausted_ = reader.boolean();
+  if (next_job > workload.jobs.size() || next_ecc > workload.eccs.size() ||
+      arrivals_pending > next_job)
+    snapshot_corrupt("window cursor out of range");
+  // The feed refills until an arrival is pending or the source runs dry.
+  if (source_exhausted_ != (arrivals_pending == 0))
+    snapshot_corrupt("source exhaustion disagrees with pending arrivals");
+  materialized_->seek(next_job, next_ecc);
+  arrivals_pending_ = arrivals_pending;
+  // Re-anchor mod 2^64: baseline = current − delta, so the final
+  // (counters − baseline) report equals delta + whatever the resumed run
+  // adds — exactly the uninterrupted run's figure.
+  dp_baseline_ = policy_->dp_counters() - dp_delta;
+
   reader.open_section("JOBS");
-  if (reader.u64() != jobs_.size())
-    snapshot_corrupt("JOBS count disagrees with META");
-  for (JobRun* job : jobs_) {
+  const std::uint64_t live_count = reader.u64();
+  if (live_count > workload.jobs.size())
+    snapshot_corrupt("more live records than jobs");
+  std::uint64_t in_flight = 0;
+  for (std::uint64_t i = 0; i < live_count; ++i) {
+    const workload::JobId id = reader.i64();
+    const bool ahead = reader.boolean();
+    const std::int32_t ecc_pending = reader.i32();
+    const std::size_t index = materialized_->index_of(id);
+    if (index == workload::MaterializedSource::kNoJob)
+      snapshot_corrupt("unknown job id " + std::to_string(id));
+    if (by_id_.count(id) > 0) snapshot_corrupt("job record saved twice");
+    if (ecc_pending < 0 || (!config_.process_eccs && ecc_pending != 0))
+      snapshot_corrupt("pending command count out of range");
+    if (ahead != (index >= next_job))
+      snapshot_corrupt("handed-ahead record disagrees with the cursor");
+    JobRun* job = build_job(workload.jobs[index], ecc_pending);
+    if (!config_.process_eccs) index_job(job);  // for the lookups below
     JobRunCold& cold = arena_.cold(*job);
+    if (ahead) {
+      ahead_.emplace(id, job);
+      materialized_->mark_handed_ahead(index);
+    }
     job->req_time = reader.f64();
     job->actual_time = reader.f64();
     job->num = reader.i32();
@@ -1265,6 +1369,11 @@ void Engine::restore(const workload::Workload& workload,
     job->start_time = reader.f64();
     cold.end_time = reader.f64();
     job->frenum = reader.i32();
+    if (job->status == JobStatus::kWaiting ||
+        job->status == JobStatus::kRunning)
+      ++in_flight;
+    else if (ecc_pending == 0)
+      snapshot_corrupt("retired record without pending commands");
   }
 
   reader.open_section("ORDR");
@@ -1284,9 +1393,61 @@ void Engine::restore(const workload::Workload& workload,
     job->active_index = static_cast<std::int32_t>(active_.size());
     active_.push_back(job);
   }
-  const std::uint64_t finished_count = reader.u64();
-  for (std::uint64_t i = 0; i < finished_count; ++i)
-    finished_.push_back(job_by_id(reader.i64()));
+
+  reader.open_section("FOLD");
+  jobs_built_ = reader.u64();
+  jobs_retired_ = reader.u64();
+  jobs_fed_ = reader.u64();
+  eccs_scheduled_ = reader.u64();
+  retired_interruptions_ = reader.u64();
+  if (jobs_fed_ != next_job || jobs_built_ < jobs_retired_ ||
+      jobs_built_ - jobs_retired_ != in_flight ||
+      eccs_scheduled_ > workload.eccs.size())
+    snapshot_corrupt("feed counters disagree with the live records");
+  sums_.wait_sum = reader.f64();
+  sums_.run_sum = reader.f64();
+  sums_.sd_sum = reader.f64();
+  sums_.bsd_sum = reader.f64();
+  sums_.dedicated_delay_sum = reader.f64();
+  sums_.dedicated_count = reader.u64();
+  sums_.count = reader.u64();
+  folded_.completed = reader.u64();
+  folded_.killed = reader.u64();
+  folded_.abandoned = reader.u64();
+  folded_.dedicated_on_time = reader.u64();
+  folded_.max_wait = reader.f64();
+  folded_.failure.goodput_proc_seconds = reader.f64();
+  if (sums_.count != jobs_retired_ ||
+      folded_.completed + folded_.killed + folded_.abandoned != jobs_retired_)
+    snapshot_corrupt("fold counters disagree with the retired jobs");
+  const std::uint64_t wasted_count = reader.u64();
+  if (wasted_count != folded_.killed + folded_.abandoned)
+    snapshot_corrupt("deferred wasted work disagrees with the fold");
+  wasted_deferred_.reserve(wasted_count);
+  for (std::uint64_t i = 0; i < wasted_count; ++i)
+    wasted_deferred_.push_back(reader.f64());
+  const std::uint64_t outcome_count = reader.u64();
+  if (outcome_count != (config_.keep_job_outcomes ? jobs_retired_ : 0))
+    snapshot_corrupt("kept outcomes disagree with the retired jobs");
+  if (config_.keep_job_outcomes) outcomes_.reserve(*total_jobs_);
+  for (std::uint64_t i = 0; i < outcome_count; ++i) {
+    JobOutcome outcome;
+    outcome.id = reader.i64();
+    outcome.dedicated = reader.boolean();
+    outcome.killed = reader.boolean();
+    outcome.abandoned = reader.boolean();
+    outcome.interruptions = reader.i32();
+    outcome.procs = reader.i32();
+    outcome.arrival = reader.f64();
+    outcome.started = reader.f64();
+    outcome.finished = reader.f64();
+    outcome.wait = reader.f64();
+    outcome.run = reader.f64();
+    outcomes_.push_back(outcome);
+  }
+  offered_proc_seconds_ = reader.f64();
+  offered_origin_ = reader.f64();
+  offered_last_ = reader.f64();
 
   reader.open_section("MACH");
   cluster::MachineState machine_state;
@@ -1308,12 +1469,8 @@ void Engine::restore(const workload::Workload& workload,
   util_state.last = reader.f64();
   util_state.started = reader.boolean();
   util_state.integral = reader.f64();
-  const std::uint64_t step_count = reader.u64();
-  util_state.steps.reserve(step_count);
-  for (std::uint64_t i = 0; i < step_count; ++i) {
-    const sim::Time time = reader.f64();
-    util_state.steps.emplace_back(time, reader.i32());
-  }
+  util_state.mark_time = reader.f64();
+  util_state.mark_integral = reader.f64();
   const std::uint64_t capacity_count = reader.u64();
   util_state.capacity_steps.reserve(capacity_count);
   for (std::uint64_t i = 0; i < capacity_count; ++i) {
@@ -1354,31 +1511,6 @@ void Engine::restore(const workload::Workload& workload,
   fail_state.script_index = reader.u64();
   fail_state.cursor = reader.f64();
   failure_model_.restore_state(fail_state);
-
-  reader.open_section("ENGN");
-  cycles_ = reader.u64();
-  first_arrival_ = reader.f64();
-  last_finish_ = reader.f64();
-  DpCounters dp_delta;
-  dp_delta.calls = reader.u64();
-  dp_delta.fast_path = reader.u64();
-  dp_delta.cache_hits = reader.u64();
-  dp_delta.table_runs = reader.u64();
-  dp_delta.table_cells = reader.u64();
-  const std::uint64_t next_job = reader.u64();
-  const std::uint64_t next_ecc = reader.u64();
-  const std::uint64_t arrivals_pending = reader.u64();
-  if (next_job > workload.jobs.size() || next_ecc > workload.eccs.size() ||
-      arrivals_pending > next_job)
-    snapshot_corrupt("window cursor out of range");
-  window_.emplace(workload);
-  window_->seek(next_job, next_ecc);
-  arrivals_pending_ = arrivals_pending;
-  source_exhausted_ = false;
-  // Re-anchor mod 2^64: baseline = current − delta, so the final
-  // (counters − baseline) report equals delta + whatever the resumed run
-  // adds — exactly the uninterrupted run's figure.
-  dp_baseline_ = policy_->dp_counters() - dp_delta;
 
   // Re-insert the pending event set in saved (seq) order, translating each
   // job id back to its record's handle and refilling the in-flight ECC
@@ -1424,7 +1556,7 @@ void Engine::restore(const workload::Workload& workload,
         tag = job_tag(job_by_id(static_cast<workload::JobId>(tag)));
         break;
       case sim::EventClass::kEccArrival:
-        if (tag >= workload.eccs.size())
+        if (tag >= eccs_scheduled_)
           snapshot_corrupt("ECC event index out of range");
         if (tag < next_ecc_tag)
           snapshot_corrupt("ECC events out of scheduling order");
@@ -1468,6 +1600,8 @@ void Engine::restore(const workload::Workload& workload,
   policy_->finish_speculation();
   policy_->restore_state(reader);
 
+  // Without ECC processing the index served only the lookups above.
+  if (!config_.process_eccs) by_id_.clear();
   last_snapshot_cycle_ = cycles_;
   restored_ = true;
 }
@@ -1476,13 +1610,19 @@ SimulationResult Engine::resume(const workload::Workload& workload,
                                 snap::SnapshotReader& reader) {
   const auto run_start = std::chrono::steady_clock::now();
   restore(workload, reader);
-  warn_if_unbounded_retry(workload);
+  // The check a fresh run makes on its first chunk, on the same window.
+  workload::WorkloadCursor cursor(workload);
+  workload::WorkloadCursor::Window first;
+  if (cursor.next(first))
+    warn_if_unbounded_retry(std::span<const workload::Job>(workload.jobs)
+                                .subspan(first.job_begin,
+                                         first.job_end - first.job_begin));
   pump_events();
-  return finish_run(workload, run_start);
+  return finish_run(run_start);
 }
 
 void Engine::warn_if_unbounded_retry(
-    const workload::Workload& workload) const {
+    std::span<const workload::Job> jobs) const {
   // Footgun detector: stochastic failures, capless restart-from-scratch
   // requeue, no checkpointing, and an MTBF below the mean job runtime mean
   // the expected number of attempts per job grows like e^(runtime/MTBF) —
@@ -1491,12 +1631,11 @@ void Engine::warn_if_unbounded_retry(
   if (config_.failure.max_interruptions > 0) return;
   if (config_.requeue == fault::RequeuePolicy::kAbandon) return;
   if (config_.checkpoint.enabled) return;
-  if (workload.jobs.empty()) return;
+  if (jobs.empty()) return;
   double runtime_sum = 0;
-  for (const workload::Job& job : workload.jobs)
-    runtime_sum += job.actual_runtime();
+  for (const workload::Job& job : jobs) runtime_sum += job.actual_runtime();
   const double mean_runtime =
-      runtime_sum / static_cast<double>(workload.jobs.size());
+      runtime_sum / static_cast<double>(jobs.size());
   if (config_.failure.mtbf >= mean_runtime) return;
   static std::atomic<bool> warned{false};
   if (warned.exchange(true)) return;
@@ -1528,94 +1667,22 @@ JobOutcome Engine::outcome_of(const JobRun* job) const {
   return outcome;
 }
 
-// One finished job's contribution to the aggregate metrics.  Shared by the
-// materializing collect() loop and the streaming retire path, which folds
-// each job the moment it finishes; the floating-point operation order per
-// accumulator is identical either way, so the two modes produce
-// byte-identical metrics for the same completion order.
-void Engine::fold_outcome(const JobOutcome& outcome, SimulationResult& result,
-                          FoldSums& sums, std::vector<double>* defer_wasted) {
-  ++sums.count;
-  if (outcome.dedicated) {
-    sums.dedicated_delay_sum += outcome.wait;
-    if (outcome.wait == 0) ++result.dedicated_on_time;
-    ++sums.dedicated_count;
-  }
-  sums.wait_sum += outcome.wait;
-  sums.run_sum += outcome.run;
-  const double run_floor = std::max(outcome.run, 1e-9);
-  sums.sd_sum += (outcome.wait + outcome.run) / run_floor;
-  sums.bsd_sum += (outcome.wait + outcome.run) / std::max(outcome.run, 10.0);
-  result.max_wait = std::max(result.max_wait, outcome.wait);
-  const double work = static_cast<double>(outcome.procs) * outcome.run;
-  if (outcome.abandoned) {
-    ++result.abandoned;
-    // FailureStatsObserver::on_collect *assigns* the wasted-work ledger, so
-    // the streaming path defers these terms and replays them after the
-    // attachments run — same terms, same order, so byte-identical sums.
-    if (defer_wasted)
-      defer_wasted->push_back(work);
-    else
-      result.failure.wasted_proc_seconds += work;
-  } else if (outcome.killed) {
-    ++result.killed;
-    if (defer_wasted)
-      defer_wasted->push_back(work);
-    else
-      result.failure.wasted_proc_seconds += work;
-  } else {
-    ++result.completed;
-    result.failure.goodput_proc_seconds += work;
-  }
-}
-
-SimulationResult Engine::collect(const workload::Workload& workload) const {
-  SimulationResult result;
-  result.completed = 0;
-  result.killed = 0;
-  result.first_arrival = first_arrival_;
-  result.last_finish = last_finish_;
-  result.makespan = last_finish_ - first_arrival_;
-  result.cycles = cycles_;
-  result.events = sim_.events_processed();
-  result.termination = termination_;
-  result.unfinished =
-      static_cast<std::uint64_t>(jobs_.size() - finished_.size());
-  result.offered_load = workload::offered_load(workload, machine_.total());
-  result.ecc = ecc_processor_.stats();
-  // Attachments deposit their ledgers (failure stats, checkpoint stats,
-  // the audit trace, cycle histograms, ECC skip counts) before the
-  // per-job loop adds the outcome-derived wasted/goodput work.
-  attachments_.on_collect(result);
-
-  FoldSums sums;
-  if (config_.keep_job_outcomes) result.jobs.reserve(finished_.size());
-  for (const JobRun* job : finished_) {
-    const JobOutcome outcome = outcome_of(job);
-    fold_outcome(outcome, result, sums);
-    if (config_.keep_job_outcomes) result.jobs.push_back(outcome);
-  }
-  finalize_aggregate(result, sums);
-  return result;
-}
-
-void Engine::finalize_aggregate(SimulationResult& result,
-                                const FoldSums& sums) const {
-  const double n = static_cast<double>(sums.count);
+void Engine::finalize_aggregate(SimulationResult& result) const {
+  const double n = static_cast<double>(sums_.count);
   if (n > 0) {
-    result.mean_wait = sums.wait_sum / n;
-    result.mean_run = sums.run_sum / n;
-    result.mean_per_job_slowdown = sums.sd_sum / n;
-    result.mean_bounded_slowdown = sums.bsd_sum / n;
+    result.mean_wait = sums_.wait_sum / n;
+    result.mean_run = sums_.run_sum / n;
+    result.mean_per_job_slowdown = sums_.sd_sum / n;
+    result.mean_bounded_slowdown = sums_.bsd_sum / n;
     // Paper definition: ratio of averages.
     result.slowdown =
         result.mean_run > 0
             ? (result.mean_wait + result.mean_run) / result.mean_run
             : 0.0;
   }
-  if (sums.dedicated_count > 0)
+  if (sums_.dedicated_count > 0)
     result.mean_dedicated_delay =
-        sums.dedicated_delay_sum / static_cast<double>(sums.dedicated_count);
+        sums_.dedicated_delay_sum / static_cast<double>(sums_.dedicated_count);
   result.utilization =
       utilization_.mean_utilization(first_arrival_, last_finish_);
   if (failure_model_.enabled() && last_finish_ > first_arrival_) {

@@ -9,14 +9,18 @@
 //     its requested start time;
 //   * (-E variants) every ECC schedules an EccArrival at its issue time —
 //     simulation order is the FCFS elastic control queue;
-//   * those three are fed one window at a time in both run modes (the cut
-//     is workload::WorkloadCursor's; a JobSource chunk when streaming):
-//     when the last scheduled arrival fires, the next window's events are
-//     scheduled, so the event heap holds only in-flight events;
+//   * those three are fed one JobSource chunk at a time (run() drains a
+//     workload::MaterializedSource, whose chunks are WorkloadCursor
+//     windows): when the last scheduled arrival fires, the next chunk's
+//     records are built and its events scheduled, so the event heap and
+//     the record arena hold only in-flight work;
 //   * each event updates queues/state and then runs one scheduler cycle;
 //   * policy start() decisions allocate processors and schedule JobFinish at
 //     start + min(actual, kill-by estimate); jobs overrunning their estimate
 //     are killed, per the backfilling literature;
+//   * a finished job is folded into the running metric sums at once, and
+//     its record is released as soon as no scheduled command still names
+//     it, so memory follows the jobs in flight, not the trace length;
 //   * (fault injection) the failure model chains NodeDown/NodeUp pairs: a
 //     NodeDown preempts enough running jobs to cover the lost capacity and
 //     applies the requeue policy; the paired NodeUp restores the processors
@@ -35,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,40 +87,40 @@ class Engine {
     attachments_.add(observer, mask);
   }
 
-  /// Runs the whole workload to completion and returns the metrics.  Job
-  /// records are built up front; their events are fed window by window
-  /// (see the event flow above), which schedules exactly what an up-front
-  /// schedule would, in the same per-class order.
+  /// Runs the whole workload to completion and returns the metrics: a thin
+  /// wrapper over the streamed run of a workload::MaterializedSource (see
+  /// its comment for what it accepts), so records live only while their
+  /// jobs are in flight.  The workload must outlive the call.
   SimulationResult run(const workload::Workload& workload);
 
-  /// Streaming variant: drains a JobSource chunk by chunk instead of a
-  /// materialized workload, holding only the jobs in flight.  Arrivals of
-  /// the next chunk are scheduled when the last scheduled arrival fires,
-  /// as in run(); finished jobs are folded into the metrics immediately
-  /// and their arena records retired once their last command has
-  /// dispatched.  For the same
-  /// trace the result is byte-identical to run() (see workload/source.hpp
-  /// for the ordering contracts that guarantee it), with two exceptions on
-  /// watchdog-aborted runs only: `unfinished` counts built-not-finished
-  /// jobs (not-yet-generated ones are unknown) and `utilization` integrates
-  /// through the last record.  Snapshots, paranoid mode and restore are
-  /// incompatible with retired job state and are rejected.
+  /// Drains a JobSource chunk by chunk, holding only the jobs in flight.
+  /// The next chunk is pulled when the last scheduled arrival fires;
+  /// finished jobs are folded into the metrics immediately and their arena
+  /// records released once their last command has dispatched.  For the
+  /// same trace the result is byte-identical to run() (see
+  /// workload/source.hpp for the ordering contracts that guarantee it),
+  /// watchdog-aborted runs included.  Snapshots need run(): they record the
+  /// materialized workload's cursor, so a snapshotting config is rejected.
   SimulationResult run_streamed(workload::JobSource& source);
 
   // --- crash-consistent snapshot/restore ----------------------------------
 
   /// Serializes the engine's complete mid-run state into `writer`: clock,
-  /// pending events (with their original sequence numbers), per-job runtime
-  /// state, queue/active/finished order, machine and utilization ledgers,
+  /// pending events (with their original sequence numbers), the live job
+  /// records, queue/active order, the retired jobs' folded metrics (and
+  /// kept outcomes), machine and utilization ledgers, the source cursor,
   /// ECC-processor cursor and conflict shield, failure-model RNG stream,
   /// every enabled attachment ledger, and policy cross-cycle state.  Only
-  /// valid between events (never from inside a scheduler cycle).
+  /// valid between events (never from inside a scheduler cycle) of a
+  /// run() that takes snapshots.
   void snapshot(snap::SnapshotWriter& writer) const;
 
   /// Restores a snapshot taken by an engine running `workload` with an
-  /// equivalent configuration.  Must be the first call on a fresh engine.
-  /// Throws snap::SnapshotError: kMismatch when the snapshot belongs to a
-  /// different (workload, machine, policy, fault-config) combination,
+  /// equivalent configuration: seeks a MaterializedSource over `workload`
+  /// to the saved cursor and rebuilds only the live records.  Must be the
+  /// first call on a fresh engine; `workload` must outlive the engine's
+  /// run.  Throws snap::SnapshotError: kMismatch when the snapshot belongs
+  /// to a different (workload, machine, policy, fault-config) combination,
   /// kCorrupt when the content is structurally damaged.
   void restore(const workload::Workload& workload,
                snap::SnapshotReader& reader);
@@ -166,7 +171,9 @@ class Engine {
   void remove_active(JobRun* job);
   void reposition_active(JobRun* job);
   void move_dedicated_head_to_batch_head();
-  void warn_if_unbounded_retry(const workload::Workload& workload) const;
+  /// Warns once per process when the failure config cannot be expected to
+  /// terminate on jobs like `jobs` (the first chunk stands for the trace).
+  void warn_if_unbounded_retry(std::span<const workload::Job> jobs) const;
   void run_cycle();
   void pump_events();
   void maybe_snapshot();
@@ -174,12 +181,22 @@ class Engine {
   CycleInfo cycle_info() const;
   ParanoidSnapshot paranoid_snapshot() const;
   bool all_jobs_finished() const {
-    return streaming_ ? source_exhausted_ && jobs_retired_ == jobs_built_
-                      : finished_.size() == jobs_.size();
+    return source_exhausted_ && jobs_retired_ == jobs_built_;
   }
-  SimulationResult collect(const workload::Workload& workload) const;
 
-  /// Running sums behind the mean metrics; see fold_outcome().
+  /// The run shared by run() and run_streamed(): the first chunk, the
+  /// event pump, the result.
+  SimulationResult drive(workload::JobSource& source,
+                         std::chrono::steady_clock::time_point run_start);
+  /// Post-pump bookkeeping: completed-run postconditions, the result,
+  /// perf counters.
+  SimulationResult finish_run(
+      std::chrono::steady_clock::time_point run_start);
+  /// The metrics from the fold and the attachment ledgers; an aborted run
+  /// first pulls the rest of its source into the offered load.
+  SimulationResult collect();
+
+  /// Running sums behind the mean metrics; see retire().
   struct FoldSums {
     double wait_sum = 0;
     double run_sum = 0;
@@ -190,48 +207,35 @@ class Engine {
     std::uint64_t count = 0;
   };
   JobOutcome outcome_of(const JobRun* job) const;
-  static void fold_outcome(const JobOutcome& outcome, SimulationResult& result,
-                           FoldSums& sums,
-                           std::vector<double>* defer_wasted = nullptr);
-  /// The shared collect() epilogue: means from the fold sums, utilization,
-  /// downtime.  Identical arithmetic for both run modes.
-  void finalize_aggregate(SimulationResult& result,
-                          const FoldSums& sums) const;
-  JobRun* build_job(const workload::Job& spec);
+  /// Means from the fold sums, utilization, downtime.
+  void finalize_aggregate(SimulationResult& result) const;
 
-  // --- the window feed (both run modes) and streaming internals -----------
+  // --- the job feed -------------------------------------------------------
 
+  /// Claims the record of `spec` and, when the engine processes ECCs,
+  /// indexes it by id with its `ecc_count` pending commands.
+  JobRun* build_job(const workload::Job& spec, int ecc_count);
+  /// Adds a record to the id index; a live duplicate id is a precondition
+  /// failure.
+  void index_job(JobRun* job);
   /// Schedules a job's arrival and, for a dedicated job with a later
   /// requested start, its wake-up; counts the arrival as pending.
   void schedule_arrival(JobRun* job);
   void schedule_ecc(const workload::Ecc& ecc, std::uint64_t tag);
-  /// Schedules the next window of the materialized workload (run()), or
-  /// marks the feed exhausted once the cursor is.
-  void load_next_window();
-  /// Pulls and schedules the next chunk; returns false at end of stream.
-  bool load_next_chunk();
-  /// Folds a finished job into the streaming accumulators (same op order as
-  /// the collect() loop) — does not release the record.
-  void retire_streamed(JobRun* job);
+  /// Pulls chunks until an arrival is pending or the source is exhausted.
+  void refill();
+  /// Pulls and feeds the next chunk, or marks the source exhausted.
+  void load_next_chunk();
+  /// Replay of workload::offered_load(), term for term in trace order.
+  void note_offered(const workload::Job& spec);
+  double offered_load() const;
+  /// Folds a finished job into the metric sums (completion order, the
+  /// order the result's per-job list keeps) — does not release the record.
+  void retire(JobRun* job);
   /// Releases a finished job's record once no scheduled command still
-  /// targets it.  No-op outside streaming mode or while commands pend.
+  /// targets it; no-op while the job waits or runs or commands pend.
   void maybe_release(JobRun* job);
-  SimulationResult collect_streamed();
-  /// Streaming replay of workload::offered_load(): same accumulator order
-  /// over jobs in build (= workload) order.
-  double streamed_offered_load() const;
-
-  /// Creates the JobRun shells and the id index from the workload (shared
-  /// by run() and restore(); schedules no events).  With `fingerprint`,
-  /// also computes the workload/config fingerprint a snapshot carries and
-  /// restore validates against: run() asks for it only when it takes
-  /// snapshots, restore() always.
-  void build_jobs(const workload::Workload& workload, bool fingerprint);
-  /// Post-pump bookkeeping shared by run() and resume(): completed-run
-  /// postconditions, metric collection, perf counters.
-  SimulationResult finish_run(
-      const workload::Workload& workload,
-      std::chrono::steady_clock::time_point run_start);
+  /// restore()'s lookup of a live record; kCorrupt when there is none.
   JobRun* job_by_id(workload::JobId id) const;
 
   EngineConfig config_;
@@ -256,15 +260,15 @@ class Engine {
   FairnessObserver fairness_attach_;
   AttachmentChain attachments_;
 
-  JobRunArena arena_;          ///< owns every JobRun (and its cold fields)
-  std::vector<JobRun*> jobs_;  ///< arena records in workload order
+  JobRunArena arena_;  ///< owns the live JobRuns (and their cold fields)
+  /// Live records by id, for command dispatch: kept only when the engine
+  /// processes ECCs (restore() fills it for its own lookups).
   std::unordered_map<workload::JobId, JobRun*> by_id_;
   JobQueue batch_queue_;                  ///< intrusive FIFO (W^b)
   std::vector<JobRun*> dedicated_queue_;  ///< sorted by (req_start, arr)
   std::vector<JobRun*> active_;  ///< running jobs, kept sorted by
                                  ///< (planned end, id); JobRun::active_index
                                  ///< back-references positions
-  std::vector<JobRun*> finished_;
 
   // Cache keys handed to policies through SchedulerContext: the epoch is
   // process-unique per engine, the version bumps on every active-set
@@ -285,36 +289,39 @@ class Engine {
 
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 
-  // Window feed, both modes: a refill is due when `arrivals_pending_`
-  // drops to zero, until the feed is exhausted.  run() cuts windows with
-  // `window_`; run_streamed() pulls chunks from `source_`.
+  // The job feed: a refill is due when `arrivals_pending_` drops to zero,
+  // until the source is exhausted.  run() and restore() own their source.
+  workload::JobSource* source_ = nullptr;
+  std::optional<workload::MaterializedSource> materialized_;
+  std::optional<std::uint64_t> total_jobs_;  ///< the source's, if known
+  workload::SourceChunk chunk_;               ///< reused pull buffer
   bool source_exhausted_ = true;
   std::size_t arrivals_pending_ = 0;  ///< scheduled, not yet fired
-  std::optional<workload::WorkloadCursor> window_;
-
-  // Streaming-mode state.  jobs_/finished_ stay empty in this mode; the
-  // fold accumulators replace the collect()-time loop and `stream_result_`
-  // carries the counter fields fold_outcome() increments.  Wasted-work
-  // terms are deferred (FailureStatsObserver::on_collect *assigns* the
-  // failure ledger, so per-job wasted work must be replayed after it).
-  bool streaming_ = false;
-  workload::JobSource* source_ = nullptr;
-  workload::SourceChunk chunk_;           ///< reused pull buffer
+  /// Records built for a command ahead of their own chunk, keyed by id;
+  /// their arrivals are scheduled when that chunk comes.
+  std::unordered_map<workload::JobId, JobRun*> ahead_;
   std::uint64_t jobs_built_ = 0;
   std::uint64_t jobs_retired_ = 0;
-  std::uint64_t eccs_scheduled_ = 0;      ///< event tags, as run() numbers them
-  FoldSums stream_sums_;
-  SimulationResult stream_result_;
-  std::vector<double> stream_wasted_;
-  std::vector<JobOutcome> stream_outcomes_;  ///< only if keep_job_outcomes
-  double stream_proc_seconds_ = 0;        ///< offered-load accumulators
-  sim::Time stream_span_origin_ = 0;
-  sim::Time stream_span_last_ = 0;
+  std::uint64_t jobs_fed_ = 0;        ///< chunk jobs seen, in trace order
+  std::uint64_t eccs_scheduled_ = 0;  ///< ECC event tags: trace index
+
+  // Retire-time fold.  `folded_` carries the counter fields the fold
+  // increments.  Wasted-work terms are deferred: FailureStatsObserver::
+  // on_collect *assigns* the failure ledger, so the per-job terms are
+  // added after it, in completion order.
+  FoldSums sums_;
+  SimulationResult folded_;
+  std::vector<double> wasted_deferred_;
+  std::vector<JobOutcome> outcomes_;  ///< only if keep_job_outcomes
+  std::uint64_t retired_interruptions_ = 0;  ///< paranoid cross-check
+  double offered_proc_seconds_ = 0;  ///< offered-load accumulators
+  sim::Time offered_origin_ = 0;
+  sim::Time offered_last_ = 0;
 
   // Event payloads the tags do not carry: the command of every scheduled
-  // EccArrival (both run modes fill it in schedule_ecc, restore from the
-  // workload) and the outage of the (at most one) scheduled NodeDown,
-  // which also travels through the snapshot.
+  // EccArrival (filled in schedule_ecc, restored from the workload) and
+  // the outage of the (at most one) scheduled NodeDown, which also travels
+  // through the snapshot.
   InflightEccs eccs_in_flight_;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};

@@ -9,8 +9,7 @@ void JobRunArena::grow() {
   chunk.hot = std::make_unique<JobRun[]>(kChunkJobs);
   chunk.cold = std::make_unique<JobRunCold[]>(kChunkJobs);
   chunk.gen = std::make_unique<std::uint32_t[]>(kChunkJobs);
-  for (std::uint32_t i = 0; i < kChunkJobs; ++i) chunk.gen[i] = 1;
-  chunks_.push_back(std::move(chunk));
+    chunks_.push_back(std::move(chunk));
   // Push in reverse so the LIFO free list hands out ascending slots — a
   // fresh arena claims 0, 1, 2, ... deterministically.
   free_.reserve(free_.size() + kChunkJobs);

@@ -2,12 +2,13 @@
 //
 // The engine used to heap-allocate one JobRun per job (a unique_ptr each);
 // at million-job scale that is a million scattered allocations dragged
-// through every queue walk.  The arena extends the slab idiom the PR 4
-// event queue proved out: fixed-size chunks of cache-line-aligned JobRun
-// records (addresses stable forever — chunks are never reallocated), a
-// LIFO free list for streaming runs that retire finished jobs, and
+// through every queue walk.  The arena extends the slab idiom the event
+// queue proved out: fixed-size chunks of cache-line-aligned JobRun records
+// (addresses stable forever — chunks are never reallocated), a LIFO free
+// list so the engine recycles retired jobs' slots first, and
 // generation-tagged handles so a released-and-reused slot can never be
-// confused with the record a stale handle meant.
+// confused with the record a stale handle meant.  A slot's generation is
+// odd while it holds a live record and even while it is free.
 //
 // The cold parallel array (JobRunCold: end time, interruption count) lives
 // chunk-by-chunk next to the hot records; `cold(job)` is one index away
@@ -36,7 +37,7 @@ class JobRunArena {
   /// released (the slot's generation is bumped), even before reuse.
   struct Handle {
     std::uint32_t slot = 0;
-    std::uint32_t gen = 0;  ///< 0 = null (live generations start at 1)
+    std::uint32_t gen = 0;  ///< 0 = null (live generations are odd)
 
     bool valid() const { return gen != 0; }
     friend bool operator==(Handle a, Handle b) {
@@ -55,6 +56,7 @@ class JobRunArena {
     if (free_.empty()) grow();
     const std::uint32_t slot = free_.back();
     free_.pop_back();
+    ++gen_slot(slot);  // odd: live
     JobRun* job = &hot_slot(slot);
     *job = JobRun{};
     job->arena_slot = slot;
@@ -71,8 +73,8 @@ class JobRunArena {
     const std::uint32_t slot = job->arena_slot;
     ES_EXPECTS(slot < slots() && &hot_slot(slot) == job);
     std::uint32_t& gen = gen_slot(slot);
-    ES_EXPECTS(gen != 0);
-    if (++gen == 0) gen = 1;  // 0 stays the null-handle sentinel on wrap
+    ES_EXPECTS((gen & 1u) != 0);  // live
+    ++gen;  // even: free (a wrap lands on 0, which stays free and null)
     free_.push_back(slot);
     ES_EXPECTS(live_ > 0);
     --live_;
@@ -104,7 +106,18 @@ class JobRunArena {
     return const_cast<JobRunArena*>(this)->cold(job);
   }
 
+  /// Calls `fn(const JobRun&)` for every live record, in slot order.
+  template <class Fn>
+  void for_each_live(Fn&& fn) const {
+    for (std::uint32_t slot = 0; slot < slots(); ++slot)
+      if ((gen_slot(slot) & 1u) != 0)
+        fn(static_cast<const JobRun&>(
+            chunks_[slot / kChunkJobs].hot[slot % kChunkJobs]));
+  }
+
   std::size_t live() const { return live_; }
+  /// Slots ever created: the high-water mark of live records, rounded up
+  /// to whole chunks (slots are never returned to the system).
   std::size_t slots() const { return chunks_.size() * kChunkJobs; }
   std::uint64_t claims() const { return claims_; }
 

@@ -144,11 +144,11 @@ struct JobRunCold {
                           ///< requeued job restarts from scratch, so its
                           ///< place in the FIFO order is policy-defined
 
-  /// Streaming runs only: commands scheduled for this job that have not yet
-  /// dispatched.  A finished job's record is retired the moment this hits
-  /// zero, so late commands still find it (the EccProcessor's
-  /// rejected-after-finish audit stays identical to the materialized run)
-  /// while the arena's live set stays bounded by the jobs in flight.
+  /// Commands for this job that have not yet dispatched (0 unless the
+  /// engine processes ECCs).  A finished job's record is released the
+  /// moment this hits zero, so late commands still find it (the
+  /// EccProcessor's rejected-after-finish audit) while the arena's live set
+  /// stays bounded by the jobs in flight.
   std::int32_t ecc_pending = 0;
 };
 

@@ -158,6 +158,10 @@ struct PerfStats {
   /// Process-global high-water: attribute to a run only when it is the
   /// first/only run in the process.  0 where the OS lacks the counter.
   std::uint64_t peak_rss_bytes = 0;
+  /// Job-record slots the engine's arena ever held: the high-water mark of
+  /// live records, rounded up to whole 1024-record chunks.  Bounded by the
+  /// jobs in flight, not by the trace length.
+  std::uint64_t peak_live_jobs = 0;
   /// Empty unless EngineConfig::fairshare.collect_stats.
   FairnessStats fairness;
 

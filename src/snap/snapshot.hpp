@@ -26,7 +26,7 @@
 namespace es::snap {
 
 inline constexpr std::uint32_t kMagic = 0x50'4E'53'45;  // "ESNP" on disk
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// What went wrong with a snapshot file.  CLI front-ends map kIo to their
 /// I/O exit code and everything else to the corrupt-snapshot exit code.

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -76,29 +75,58 @@ void WorkloadCursor::seek(std::size_t job, std::size_t ecc) {
 MaterializedSource::MaterializedSource(const Workload& workload,
                                        std::size_t chunk_jobs)
     : cursor_(workload, chunk_jobs) {
-  // Validate the ordering contracts once up front (see source.hpp): jobs
-  // normalized, ECCs normalized, every command targeting a known job no
-  // earlier than its arrival.
-  std::unordered_map<JobId, std::size_t> position;
-  position.reserve(workload.jobs.size());
-  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
-    const Job& job = workload.jobs[i];
-    if (i > 0) {
-      const Job& prev = workload.jobs[i - 1];
-      ES_EXPECTS(prev.arr < job.arr ||
-                 (prev.arr == job.arr && prev.id < job.id));
-    }
-    position.emplace(job.id, i);
+  const std::vector<Job>& jobs = workload.jobs;
+  ids_ascending_ =
+      std::adjacent_find(jobs.begin(), jobs.end(), [](const Job& a,
+                                                      const Job& b) {
+        return !(a.id < b.id);
+      }) == jobs.end();
+  if (!ids_ascending_) {
+    sorted_ids_.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      sorted_ids_.emplace_back(jobs[i].id, i);
+    std::sort(sorted_ids_.begin(), sorted_ids_.end());
+    const auto same_id = [](const auto& a, const auto& b) {
+      return a.first == b.first;
+    };
+    // Duplicate job IDs are a malformed workload, wherever they sit.
+    ES_EXPECTS(std::adjacent_find(sorted_ids_.begin(), sorted_ids_.end(),
+                                  same_id) == sorted_ids_.end());
   }
-  ecc_totals_.assign(workload.jobs.size(), 0);
-  for (std::size_t i = 0; i < workload.eccs.size(); ++i) {
-    const Ecc& ecc = workload.eccs[i];
-    if (i > 0) ES_EXPECTS(!ecc_before(ecc, workload.eccs[i - 1]));
-    const auto it = position.find(ecc.job_id);
-    ES_EXPECTS(it != position.end());
-    ES_EXPECTS(ecc.issue >= workload.jobs[it->second].arr);
-    ++ecc_totals_[it->second];
+  if (workload.eccs.empty()) return;
+  ecc_totals_.assign(jobs.size(), 0);
+  for (const Ecc& ecc : workload.eccs) {
+    const std::size_t index = index_of(ecc.job_id);
+    if (index != kNoJob) ++ecc_totals_[index];
   }
+}
+
+std::size_t MaterializedSource::index_of(JobId id) const {
+  const std::vector<Job>& jobs = cursor_.workload().jobs;
+  if (ids_ascending_) {
+    if (jobs.empty() || id < jobs.front().id) return kNoJob;
+    // Dense ids (the generator's 1..N) resolve without a search.
+    const std::uint64_t offset = static_cast<std::uint64_t>(id) -
+                                 static_cast<std::uint64_t>(jobs.front().id);
+    if (offset < jobs.size() && jobs[offset].id == id) return offset;
+    const auto it = std::lower_bound(
+        jobs.begin(), jobs.end(), id,
+        [](const Job& job, JobId value) { return job.id < value; });
+    if (it == jobs.end() || it->id != id) return kNoJob;
+    return static_cast<std::size_t>(it - jobs.begin());
+  }
+  const auto it = std::lower_bound(
+      sorted_ids_.begin(), sorted_ids_.end(), id,
+      [](const auto& entry, JobId value) { return entry.first < value; });
+  if (it == sorted_ids_.end() || it->first != id) return kNoJob;
+  return it->second;
+}
+
+void MaterializedSource::mark_handed_ahead(std::size_t index) {
+  const std::size_t jobs = cursor_.workload().jobs.size();
+  ES_EXPECTS(index < jobs);
+  if (handed_ahead_.empty()) handed_ahead_.assign(jobs, false);
+  handed_ahead_[index] = true;
 }
 
 bool MaterializedSource::next_chunk(SourceChunk& chunk) {
@@ -111,10 +139,23 @@ bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   const Workload& workload = cursor_.workload();
   chunk.jobs.assign(at(workload.jobs, window.job_begin),
                     at(workload.jobs, window.job_end));
+  if (workload.eccs.empty()) {
+    chunk.ecc_counts.assign(chunk.jobs.size(), 0);
+    return true;
+  }
   chunk.ecc_counts.assign(at(ecc_totals_, window.job_begin),
                           at(ecc_totals_, window.job_end));
   chunk.eccs.assign(at(workload.eccs, window.ecc_begin),
                     at(workload.eccs, window.ecc_end));
+  // A command issued before its job's window hands the job ahead, once.
+  for (const Ecc& ecc : chunk.eccs) {
+    const std::size_t index = index_of(ecc.job_id);
+    if (index == kNoJob || index < window.job_end) continue;
+    if (!handed_ahead_.empty() && handed_ahead_[index]) continue;
+    mark_handed_ahead(index);
+    chunk.ahead.push_back(workload.jobs[index]);
+    chunk.ahead_ecc_counts.push_back(ecc_totals_[index]);
+  }
   return true;
 }
 

@@ -1,10 +1,11 @@
 // Pull-based streaming workload ingestion.
 //
-// A JobSource feeds the engine the trace in bounded chunks instead of a
-// materialized std::vector<Job>, so a ten-million-job run holds only the
-// jobs currently in flight.  The streamed run is byte-identical to the
-// materialized one because every chunk obeys three ordering contracts the
-// event kernel's (time, class, seq) comparator relies on:
+// A JobSource feeds the engine the trace in bounded chunks, so a
+// ten-million-job run holds only the jobs currently in flight; Engine::run()
+// feeds a materialized workload the same way, through MaterializedSource.
+// A chunked run is byte-identical to scheduling the whole trace up front
+// because every chunk obeys three ordering contracts the event kernel's
+// (time, class, seq) comparator relies on:
 //
 //   1. Jobs arrive sorted by (arr, id) and a chunk boundary never splits a
 //      group of equal arrival times: the next chunk's first arrival is
@@ -18,13 +19,20 @@
 //      ties — windows never split an equal-issue group, so the chunkwise
 //      concatenation equals Workload::normalize()'s global stable order.
 //      Every ECC must satisfy issue >= its job's arrival (true for the
-//      generator by construction); this guarantees the target job is built
-//      before the command fires.
+//      generator by construction), or name a job handed ahead
+//      (SourceChunk::ahead); either way the target job is built before the
+//      command fires.
 //   3. ecc_counts[i] is the TOTAL number of commands the stream will ever
 //      deliver for jobs[i], known at build time, so the engine can retire a
 //      finished job's record the moment its last command has dispatched.
 //
-// CWF files allow commands to reference jobs arbitrarily far back with no
+// Job ids are unique across the stream: MaterializedSource checks the
+// whole trace, the generator numbers jobs 1..N, and the engine's id index
+// (kept when it processes ECCs) rejects a live duplicate.
+//
+// MaterializedSource relaxes contracts 1 and 2 to accept everything
+// Engine::run() does (see its comment).  CWF
+// files allow commands to reference jobs arbitrarily far back with no
 // per-job totals until EOF, so CWF streams through MaterializedSource
 // (bounded engine state; the parsed workload itself stays resident).
 #pragma once
@@ -35,6 +43,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/generator.hpp"
@@ -43,16 +52,25 @@
 
 namespace es::workload {
 
-/// One bounded slice of the trace.  `jobs` and `ecc_counts` are parallel.
+/// One bounded slice of the trace.  `jobs` and `ecc_counts` are parallel,
+/// and so are `ahead` and `ahead_ecc_counts`: jobs of a later chunk that a
+/// command in this chunk names (only MaterializedSource hands any ahead).
+/// The engine builds their records now, so the command finds them, and
+/// schedules their arrivals when they come round in their own chunk's
+/// `jobs`.
 struct SourceChunk {
   std::vector<Job> jobs;
   std::vector<int> ecc_counts;
   std::vector<Ecc> eccs;
+  std::vector<Job> ahead;
+  std::vector<int> ahead_ecc_counts;
 
   void clear() {
     jobs.clear();
     ecc_counts.clear();
     eccs.clear();
+    ahead.clear();
+    ahead_ecc_counts.clear();
   }
 };
 
@@ -68,12 +86,17 @@ class JobSource {
 
   /// Fills `chunk` with the next slice (clearing it first) and returns
   /// true; returns false once the stream is exhausted.  A true return
-  /// implies a non-empty `jobs`.
+  /// implies a non-empty `jobs`, except for a workload of commands only.
   virtual bool next_chunk(SourceChunk& chunk) = 0;
+
+  /// The number of jobs the whole stream delivers, when known up front.
+  virtual std::optional<std::uint64_t> total_jobs() const {
+    return std::nullopt;
+  }
 };
 
-/// The one window cut over a materialized workload, shared by
-/// MaterializedSource and Engine::run()'s event feed.  A window is
+/// The one window cut over a materialized workload: MaterializedSource's
+/// chunks, and so Engine::run()'s event feed.  A window is
 /// `chunk_jobs` consecutive jobs, extended so an equal-arrival group is
 /// never split, plus the ECCs whose issue time falls in [first arr, next
 /// window's first arr) — the first window also takes every earlier command
@@ -116,14 +139,23 @@ class WorkloadCursor {
   std::size_t ecc_ = 0;
 };
 
-/// Streams an already-materialized (normalized) workload.  Useful for the
-/// streamed-vs-materialized parity gates, and for CWF traces whose backward
-/// ECC references defeat true streaming: the engine-side structures stay
-/// bounded even though the workload vector is resident.
+/// Streams an already-materialized workload in WorkloadCursor windows: the
+/// source Engine::run() drains, and the one CWF traces stream through
+/// (their backward ECC references defeat true streaming; the engine-side
+/// structures stay bounded even though the workload vector is resident).
+/// It accepts everything run() does:
+///   * an unsorted workload runs as one window (the cursor's rule);
+///   * a command issued before its job's window hands that job's spec
+///     ahead (SourceChunk::ahead) in the command's window;
+///   * a command naming no job is delivered like any other — the engine
+///     skips it and EccAuditObserver counts it;
+///   * a job id repeated anywhere in the trace is a precondition failure
+///     at construction.
 class MaterializedSource : public JobSource {
  public:
-  /// The workload must outlive the source and be normalize()d; every ECC
-  /// must reference an existing job and satisfy issue >= the job's arrival.
+  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+
+  /// The workload must outlive the source.
   explicit MaterializedSource(
       const Workload& workload,
       std::size_t chunk_jobs = WorkloadCursor::kDefaultChunkJobs);
@@ -133,10 +165,30 @@ class MaterializedSource : public JobSource {
   }
   int granularity() const override { return cursor_.workload().granularity; }
   bool next_chunk(SourceChunk& chunk) override;
+  std::optional<std::uint64_t> total_jobs() const override {
+    return cursor_.workload().jobs.size();
+  }
+
+  /// Index of the job with `id` in the workload, or kNoJob.
+  std::size_t index_of(JobId id) const;
+
+  // Snapshot support: the cursor position, and re-seating a source at a
+  // position an earlier run reached (with the later jobs it had already
+  // handed ahead marked again).
+  std::size_t next_job() const { return cursor_.next_job(); }
+  std::size_t next_ecc() const { return cursor_.next_ecc(); }
+  void seek(std::size_t job, std::size_t ecc) { cursor_.seek(job, ecc); }
+  void mark_handed_ahead(std::size_t index);
 
  private:
   WorkloadCursor cursor_;
-  std::vector<int> ecc_totals_;  ///< per job index in workload order
+  /// Job ids strictly increase in workload order (generated and most
+  /// archive traces): index_of() searches the jobs in place.
+  bool ids_ascending_ = true;
+  /// Otherwise (id, index) pairs sorted by id.
+  std::vector<std::pair<JobId, std::size_t>> sorted_ids_;
+  std::vector<int> ecc_totals_;  ///< per job index; empty without commands
+  std::vector<bool> handed_ahead_;  ///< sized by the first early command
 };
 
 /// Streams the synthetic Lublin/CWF generator without materializing the
@@ -157,6 +209,9 @@ class GeneratorSource : public JobSource {
   int machine_procs() const override { return config_.machine_procs; }
   int granularity() const override { return config_.size.unit; }
   bool next_chunk(SourceChunk& chunk) override;
+  std::optional<std::uint64_t> total_jobs() const override {
+    return config_.num_jobs;
+  }
 
   /// The sequential scale factors calibration settled on (empty when
   /// target_load <= 0 or the trace needed no scaling).

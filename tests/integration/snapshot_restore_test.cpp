@@ -8,7 +8,7 @@
 // rejection contract: wrong-run snapshots, tampered images, and a trace
 // ledger restored into an engine that cannot hold it.  Multi-window runs
 // resume identically from snapshots taken on either side of every window
-// refill of the materialized event feed.
+// refill of the feed, which holds only the in-flight job records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,7 +55,8 @@ std::string snapshot_before_kill(const workload::Workload& workload,
 
 /// Snapshot taken right after the event that ran cycle `cycle`; the run is
 /// killed one event later.  Far cheaper than snapshotting every cycle on
-/// runs of thousands of jobs (each image holds every job record).  Empty
+/// runs of thousands of jobs (each image holds every live record and
+/// every kept outcome).  Empty
 /// when the kill landed first, which needs an event that runs no cycle.
 std::string snapshot_at_cycle(const workload::Workload& workload,
                               const std::string& algorithm,
@@ -462,9 +463,9 @@ TEST(SnapshotRestore, ImageBytesArePinned) {
   // The snapshot format is the event kernel's persistence contract: the
   // EVTS section stores every pending (time, class, seq, tag) and the
   // rest of the image every ledger the engine keeps.  These hashes were
-  // recorded from the image writer as it stood before the event kernel
-  // moved from callbacks to tagged events; any change to what a snapshot
-  // holds, or in which order, changes them.
+  // recorded from the format-3 writer (live records only, retired jobs
+  // folded into FOLD); any change to what a snapshot holds, or in which
+  // order, changes them.
   {
     // Hybrid-LOS-E with dedicated jobs, ECCs, failures and checkpoints:
     // kill points on both sides of both window refills, plus two sampled.
@@ -486,10 +487,10 @@ TEST(SnapshotRestore, ImageBytesArePinned) {
     cycles.push_back(run.cycles * 5 / 6);
     EXPECT_EQ(image_hashes(workload, "Hybrid-LOS-E", options, cycles),
               (std::vector<std::uint64_t>{
-                  0x7743cabe6cd52421ull, 0x88aa8ceacf214f6full,
-                  0x697b315903a100c4ull, 0x7dbf8819fdd89eabull,
-                  0x000ee33abd4bd405ull, 0x4ad943fec1735422ull,
-                  0xe66fb1b8523d09d4ull, 0x31072e6b26fee48full}));
+                  0x258362f9ed2709c8ull, 0xfa2fa68205a30ea7ull,
+                  0xc150b8df3f8561eaull, 0xdba24ac880f65a90ull,
+                  0x0df37587b9a1a5eaull, 0x4782fb1a9fc613c1ull,
+                  0x23828ec258516518ull, 0x26652c0fd4353681ull}));
   }
   {
     // 4-pool FairShare with policy preemption, failures and tail requeue.
@@ -516,9 +517,9 @@ TEST(SnapshotRestore, ImageBytesArePinned) {
     for (std::uint64_t k = 1; k < 6; ++k) cycles.push_back(run.cycles * k / 6);
     EXPECT_EQ(image_hashes(workload, "FairShare", options, cycles),
               (std::vector<std::uint64_t>{
-                  0xa5bccafe11e307d6ull, 0xc3c6b2673a25ec3full,
-                  0x3a48cf58a10f1243ull, 0x071f42bc32593d77ull,
-                  0xf13118a43c4dc83cull}));
+                  0x5b7dbb95d2d5fc72ull, 0x4b8ffedea10fb20cull,
+                  0xa7233f07f3861010ull, 0xbdfe9a4d34b5ff45ull,
+                  0xd875d7ec5a78b46bull}));
   }
 }
 
@@ -588,21 +589,26 @@ TEST(SnapshotRestore, RejectsEccEventsOutOfSchedulingOrder) {
   }
 }
 
-TEST(SnapshotRestore, RejectsAVersionOneImage) {
-  // Version 1 carried no window cursor; there is no migration path.
+TEST(SnapshotRestore, RejectsOlderFormatVersions) {
+  // Version 1 carried no window cursor and version 2 every job record,
+  // retired or not; there is no migration path from either.
   const auto workload =
       make_workload(320, 32, {batch_job(1, 0, 320, 100),
                               batch_job(2, 10, 96, 200)});
-  std::string image = snapshot_before_kill(workload, "EASY", {}, 3);
+  const std::string image = snapshot_before_kill(workload, "EASY", {}, 3);
   ASSERT_GT(image.size(), 8u);
-  image[4] = 1;  // format version, little-endian u32 at bytes 4..7
-  image[5] = image[6] = image[7] = 0;
-  try {
-    snap::SnapshotReader reader(image);
-    (void)exp::resume_workload(workload, "EASY", {}, reader);
-    FAIL() << "version-1 snapshot accepted";
-  } catch (const snap::SnapshotError& error) {
-    EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kVersion);
+  for (const int version : {1, 2}) {
+    std::string old = image;
+    // Format version, little-endian u32 at bytes 4..7.
+    old[4] = static_cast<char>(version);
+    old[5] = old[6] = old[7] = 0;
+    try {
+      snap::SnapshotReader reader(old);
+      (void)exp::resume_workload(workload, "EASY", {}, reader);
+      FAIL() << "version-" << version << " snapshot accepted";
+    } catch (const snap::SnapshotError& error) {
+      EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kVersion);
+    }
   }
 }
 

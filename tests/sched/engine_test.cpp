@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "testing/helpers.hpp"
+#include "workload/source.hpp"
 
 namespace es::sched {
 namespace {
@@ -155,6 +158,19 @@ TEST(Engine, CountsCyclesAndEvents) {
 TEST(Engine, RejectsDuplicateJobIds) {
   const auto workload = make_workload(
       10, 1, {batch_job(1, 0, 4, 10), batch_job(1, 1, 4, 10)});
+  EXPECT_DEATH(run_scenario(workload, "FCFS"), "precondition");
+}
+
+TEST(Engine, RejectsDuplicateJobIdsAcrossWindows) {
+  // Job 1 finishes (and its record retires) long before its id comes back
+  // two feed windows later: the repeat is still a malformed workload.
+  constexpr std::size_t kWindow = workload::WorkloadCursor::kDefaultChunkJobs;
+  std::vector<workload::Job> jobs;
+  for (std::size_t i = 0; i < 2 * kWindow + 200; ++i)
+    jobs.push_back(batch_job(static_cast<workload::JobId>(i + 1),
+                             10.0 * static_cast<double>(i), 4, 5));
+  jobs[2 * kWindow + 100].id = 1;
+  const auto workload = make_workload(10, 1, jobs);
   EXPECT_DEATH(run_scenario(workload, "FCFS"), "precondition");
 }
 

@@ -21,8 +21,6 @@ namespace es {
 namespace {
 
 using testing::expect_identical;
-using testing::expect_jobs_identical;
-using testing::same_bits;
 
 /// Runs the workload both ways and asserts full parity.
 void check_parity(const workload::Workload& workload,
@@ -149,24 +147,39 @@ TEST(StreamedEngine, MatchesWithCheckpointRestart) {
 }
 
 TEST(StreamedEngine, WatchdogAbortFoldsTheSameFinishedJobs) {
-  // Aborted runs have two documented divergences (utilization is an
-  // over-approximation in bounded mode, unfinished counts only built
-  // jobs), so assert the per-job folds instead of full parity.
+  // An aborted run agrees on everything too: utilization is integrated to
+  // the last finish, unfinished and the offered load count the whole
+  // trace, not just the chunks pulled before the abort.
   const workload::Workload workload = workload::generate(small_config());
   core::AlgorithmOptions options;
   options.engine.watchdog.max_events = 200;
   const sched::SimulationResult materialized =
       exp::run_workload(workload, "Delayed-LOS", options);
-  workload::MaterializedSource source(workload, 7);
-  const sched::SimulationResult streamed =
-      exp::run_source(source, "Delayed-LOS", options);
-  EXPECT_EQ(materialized.termination, streamed.termination);
   EXPECT_NE(materialized.termination, sim::TerminationReason::kCompleted);
-  EXPECT_EQ(materialized.completed, streamed.completed);
-  EXPECT_EQ(materialized.killed, streamed.killed);
-  EXPECT_TRUE(same_bits(materialized.mean_wait, streamed.mean_wait));
-  EXPECT_EQ(materialized.events, streamed.events);
-  expect_jobs_identical(materialized, streamed);
+  EXPECT_GT(materialized.unfinished, 0u);
+  check_parity(workload, "Delayed-LOS", options);
+}
+
+TEST(StreamedEngine, ParanoidModeChecksRetiredJobsThroughTheFold) {
+  // Paranoid mode cross-checks every attachment ledger against the fold
+  // counters plus the live records after each cycle, on any source: node
+  // failures, requeues and abandonments all retire records mid-run.
+  workload::GeneratorConfig config = small_config(200);
+  config.target_load = 0.9;
+  core::AlgorithmOptions options;
+  options.engine.failure.enabled = true;
+  options.engine.failure.mtbf = 4000;
+  options.engine.failure.mttr = 600;
+  options.engine.failure.max_nodes = 2;
+  options.engine.failure.seed = 5;
+  options.engine.failure.max_interruptions = 2;
+  options.engine.requeue = fault::RequeuePolicy::kRequeueTail;
+  const sched::SimulationResult plain =
+      exp::run_workload(workload::generate(config), "Delayed-LOS", options);
+  EXPECT_GT(plain.abandoned, 0u);
+  options.engine.paranoid = true;
+  workload::GeneratorSource source(config, 16);
+  expect_identical(plain, exp::run_source(source, "Delayed-LOS", options));
 }
 
 TEST(StreamedEngine, GeneratorSourceStreamsWithoutMaterializing) {

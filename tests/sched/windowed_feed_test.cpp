@@ -1,10 +1,11 @@
-// Windowed materialized feed: Engine::run() keeps every job record of a
-// materialized workload but schedules its arrival, dedicated-due and ECC
-// events one window at a time, cut by the same rule MaterializedSource
-// streams by.  The golden outcome hashes below were recorded when run()
-// still scheduled the whole workload up front; the windowed feed must
-// reproduce them, match run_streamed(MaterializedSource) on every
-// deterministic field, and keep the event heap at in-flight size.
+// Windowed feed: Engine::run() drains a MaterializedSource, so a job's
+// record is built when its window is fed and released when it retires,
+// while its arrival, dedicated-due and ECC events are scheduled one window
+// at a time.  The golden outcome hashes below were recorded when run()
+// still built every record and scheduled the whole workload up front; the
+// windowed run must reproduce them, match run_streamed(MaterializedSource)
+// on every deterministic field, and keep both the event heap and the
+// record arena at in-flight size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,11 @@ constexpr std::size_t kWindow = workload::WorkloadCursor::kDefaultChunkJobs;
 /// wake-ups and commands plus the running jobs' finishes stay well below
 /// three windows' worth.
 constexpr std::uint64_t kPendingBound = 3 * kWindow;
+/// The live records — the current window's jobs plus the queued, running
+/// and finished-with-commands-pending ones — peak at 5120-6144 arena
+/// slots in these cases, below two windows; building every record up
+/// front took one slot per job (9216 and 13312).
+constexpr std::uint64_t kLiveBound = 2 * kWindow;
 
 /// Hybrid-LOS-E traffic over four windows: dedicated reservations, time
 /// and processor ECCs, node failures and checkpointing.
@@ -91,6 +97,7 @@ TEST(WindowedFeed, HybridLosEMatchesGoldenAndStreamed) {
   EXPECT_GT(result.dedicated_on_time, 0u);
   EXPECT_EQ(outcome_hash(result), 0x5f89fc530adbe437ull);
   EXPECT_LT(result.perf.events.peak_pending, kPendingBound);
+  EXPECT_LT(result.perf.peak_live_jobs, kLiveBound);
   expect_streamed_parity(workload, "Hybrid-LOS-E", options, result);
 }
 
@@ -117,6 +124,7 @@ TEST(WindowedFeed, FairShareWithFaultsMatchesGoldenAndStreamed) {
   EXPECT_GT(result.failure.interruptions, 0u);
   EXPECT_EQ(outcome_hash(result), 0xdc3a90c6595d620dull);
   EXPECT_LT(result.perf.events.peak_pending, kPendingBound);
+  EXPECT_LT(result.perf.peak_live_jobs, kLiveBound);
   expect_streamed_parity(workload, "FairShare", options, result);
 }
 
@@ -136,6 +144,7 @@ TEST(WindowedFeed, EqualArrivalGroupStraddlesTheWindowEdge) {
       exp::run_workload(workload, "Hybrid-LOS-E", options);
   EXPECT_EQ(outcome_hash(result), 0x29e7d036c55c5676ull);
   EXPECT_LT(result.perf.events.peak_pending, kPendingBound);
+  EXPECT_LT(result.perf.peak_live_jobs, kLiveBound);
   expect_streamed_parity(workload, "Hybrid-LOS-E", options, result);
 }
 
@@ -165,13 +174,15 @@ TEST(WindowedFeed, EccsIssuedAtAWindowsFirstArrival) {
       exp::run_workload(workload, "Hybrid-LOS-E", options);
   EXPECT_EQ(outcome_hash(result), 0x7ed6118b12dd1e84ull);
   EXPECT_LT(result.perf.events.peak_pending, kPendingBound);
+  EXPECT_LT(result.perf.peak_live_jobs, kLiveBound);
   expect_streamed_parity(workload, "Hybrid-LOS-E", options, result);
 }
 
 TEST(WindowedFeed, EarlyAndUnknownEccsStayLegalInRun) {
   // Commands issued before their job arrives (the job sits two windows
-  // later) and commands naming no job at all: MaterializedSource rejects
-  // both, run() dispatches them against the up-front records.
+  // later) and commands naming no job at all: the source hands the named
+  // job's record ahead and the engine skips and counts the unknown ones,
+  // with the outcomes run() had when it built every record up front.
   workload::GeneratorConfig config = elastic_config();
   config.num_jobs = 9000;
   config.seed = 79;
@@ -193,6 +204,8 @@ TEST(WindowedFeed, EarlyAndUnknownEccsStayLegalInRun) {
   EXPECT_EQ(result.ecc.unknown_job, 2u);
   EXPECT_EQ(outcome_hash(result), 0xcbe286b043abfc97ull);
   EXPECT_LT(result.perf.events.peak_pending, kPendingBound);
+  EXPECT_LT(result.perf.peak_live_jobs, kLiveBound);
+  expect_streamed_parity(workload, "Hybrid-LOS-E", {}, result);
 }
 
 TEST(WindowedFeed, UnsortedWorkloadRunsAsOneWindow) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -160,8 +161,6 @@ TEST(MaterializedSource, NeverSplitsEqualArrivalGroups) {
   }
 }
 
-// --- WorkloadCursor --------------------------------------------------------
-
 Ecc extend_at(JobId job, double issue) {
   Ecc ecc;
   ecc.job_id = job;
@@ -170,6 +169,85 @@ Ecc extend_at(JobId job, double issue) {
   ecc.issue = issue;
   return ecc;
 }
+
+TEST(MaterializedSource, UnsortedWorkloadIsOneChunk) {
+  // Never normalized: job 3 arrives before job 2.  Engine::run() accepts
+  // it as one window, so the source does too.
+  Workload workload;
+  workload.machine_procs = 64;
+  workload.granularity = 8;
+  workload.jobs = {es::testing::batch_job(1, 0, 4, 100),
+                   es::testing::batch_job(2, 300, 4, 100),
+                   es::testing::batch_job(3, 200, 4, 100)};
+  workload.eccs = {extend_at(2, 350), extend_at(3, 250)};
+  MaterializedSource source(workload, 1);
+  EXPECT_EQ(source.total_jobs(), std::optional<std::uint64_t>{3});
+  SourceChunk chunk;
+  ASSERT_TRUE(source.next_chunk(chunk));
+  expect_same_jobs(workload.jobs, chunk.jobs);
+  expect_same_eccs(workload.eccs, chunk.eccs);
+  EXPECT_EQ(chunk.ecc_counts, (std::vector<int>{0, 1, 1}));
+  EXPECT_TRUE(chunk.ahead.empty());
+  EXPECT_FALSE(source.next_chunk(chunk));
+}
+
+TEST(MaterializedSource, HandsAheadTheJobOfAnEarlyCommand) {
+  // Job 4 arrives at t=600, but commands name it at t=100 (job 1's
+  // window) and t=300 (job 2's): its spec rides ahead with the first of
+  // them, once, and the job itself still comes in its own chunk.
+  const std::vector<Job> jobs = {es::testing::batch_job(1, 0, 4, 100),
+                                 es::testing::batch_job(2, 200, 4, 100),
+                                 es::testing::batch_job(3, 400, 4, 100),
+                                 es::testing::batch_job(4, 600, 4, 100)};
+  const Workload workload = es::testing::make_workload(
+      64, 8, jobs, {extend_at(4, 100), extend_at(4, 300)});
+  MaterializedSource source(workload, 1);
+  SourceChunk chunk;
+  ASSERT_TRUE(source.next_chunk(chunk));  // job 1, window [0, 200)
+  ASSERT_EQ(chunk.eccs.size(), 1u);
+  ASSERT_EQ(chunk.ahead.size(), 1u);
+  EXPECT_EQ(chunk.ahead[0].id, 4);
+  EXPECT_EQ(chunk.ahead[0].arr, 600);
+  EXPECT_EQ(chunk.ahead_ecc_counts, (std::vector<int>{2}));
+  ASSERT_TRUE(source.next_chunk(chunk));  // job 2, window [200, 400)
+  ASSERT_EQ(chunk.eccs.size(), 1u);
+  EXPECT_TRUE(chunk.ahead.empty());  // already handed ahead
+  ASSERT_TRUE(source.next_chunk(chunk));  // job 3
+  EXPECT_TRUE(chunk.ahead.empty());
+  ASSERT_TRUE(source.next_chunk(chunk));  // job 4, in its own window
+  ASSERT_EQ(chunk.jobs.size(), 1u);
+  EXPECT_EQ(chunk.jobs[0].id, 4);
+  EXPECT_EQ(chunk.ecc_counts, (std::vector<int>{2}));
+  EXPECT_TRUE(chunk.ahead.empty());
+  EXPECT_FALSE(source.next_chunk(chunk));
+}
+
+TEST(MaterializedSource, DeliversCommandsNamingNoJob) {
+  // A command for a job the trace never submits rides its window like any
+  // other (the engine skips and counts it); it counts toward no job and
+  // hands nothing ahead.
+  const std::vector<Job> jobs = {es::testing::batch_job(1, 0, 4, 100),
+                                 es::testing::batch_job(2, 200, 4, 100)};
+  const Workload workload = es::testing::make_workload(
+      64, 8, jobs, {extend_at(99, 50), extend_at(1, 60)});
+  MaterializedSource source(workload, 1);
+  EXPECT_EQ(source.index_of(99), MaterializedSource::kNoJob);
+  EXPECT_EQ(source.index_of(2), 1u);
+  Drained drained = drain(source);
+  expect_same_jobs(workload.jobs, drained.jobs);
+  expect_same_eccs(workload.eccs, drained.eccs);
+  EXPECT_EQ(drained.ecc_counts, (std::vector<int>{1, 0}));
+}
+
+TEST(MaterializedSource, RejectsDuplicateIdsAnywhere) {
+  const std::vector<Job> jobs = {es::testing::batch_job(7, 0, 4, 100),
+                                 es::testing::batch_job(8, 200, 4, 100),
+                                 es::testing::batch_job(7, 400, 4, 100)};
+  const Workload workload = es::testing::make_workload(64, 8, jobs);
+  EXPECT_DEATH((void)MaterializedSource(workload, 1), "precondition");
+}
+
+// --- WorkloadCursor --------------------------------------------------------
 
 TEST(WorkloadCursor, UnsortedWorkloadIsOneWindow) {
   // Hand-built and never normalized: one job or one command out of order
