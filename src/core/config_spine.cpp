@@ -10,11 +10,13 @@ void register_run_params(util::ParamRegistry& registry,
       .add_int("algorithm.max_skip_count", &options.max_skip_count,
                "C_s skip budget for Delayed-LOS / Hybrid-LOS")
       .range(0, 1 << 20)
-      .alias("algorithm.cs");
+      .alias("algorithm.cs")
+      .alias("cs");
   registry
       .add_int("algorithm.lookahead", &options.lookahead,
                "DP lookahead depth (Shmueli's 50-job limit)")
-      .range(1, 1 << 20);
+      .range(1, 1 << 20)
+      .alias("lookahead");
   registry
       .add_bool("algorithm.dp_cache", &options.dp_cache,
                 "memoize knapsack instances across scheduling events "
@@ -35,17 +37,20 @@ void register_tenancy_params(util::ParamRegistry& registry,
                "Zipf-distributed submitting users to tag jobs with (0 = "
                "untagged)")
       .range(0, 10'000'000)
-      .alias("tenancy.num_users");
+      .alias("tenancy.num_users")
+      .alias("users");
   registry
       .add_double("tenancy.zipf_exponent", &config.zipf_exponent,
                   "Zipf exponent of per-user submission rates")
-      .range(0.01, 10);
+      .range(0.01, 10)
+      .alias("zipf-exponent");
   registry
       .add_int("tenancy.pools", &config.num_pools,
                "fair-share pools jobs are charged to, round-robin over user "
                "rank (0 = all in pool 0)")
       .range(0, 255)
-      .alias("tenancy.num_pools");
+      .alias("tenancy.num_pools")
+      .alias("pools");
 }
 
 }  // namespace es::core

@@ -32,12 +32,14 @@ void register_engine_params(util::ParamRegistry& registry,
       .add_int("engine.machine_procs", &config.machine_procs,
                "total processors in the simulated machine")
       .range(1, 1 << 20)
-      .alias("engine.procs");
+      .alias("engine.procs")
+      .alias("procs");
   registry
       .add_int("engine.granularity", &config.granularity,
                "allocation granularity in processors (node-card size)")
       .range(1, 1 << 20)
-      .alias("engine.gran");
+      .alias("engine.gran")
+      .alias("granularity");
   registry.add_rule("engine.granularity", [&config]() -> std::string {
     if (config.granularity > config.machine_procs)
       return "granularity (" + std::to_string(config.granularity) +
@@ -70,7 +72,8 @@ void register_engine_params(util::ParamRegistry& registry,
                     {{"head", static_cast<int>(fault::RequeuePolicy::kRequeueHead)},
                      {"tail", static_cast<int>(fault::RequeuePolicy::kRequeueTail)},
                      {"abandon", static_cast<int>(fault::RequeuePolicy::kAbandon)}},
-                    "where failure-preempted jobs re-enter the batch queue");
+                    "where failure-preempted jobs re-enter the batch queue")
+      .alias("requeue");
 
   // --- engine mechanics (behaviour-neutral; excluded from fingerprint) ---
   registry
@@ -102,30 +105,36 @@ void register_engine_params(util::ParamRegistry& registry,
   registry.add_bool("failure.enabled", &config.failure.enabled,
                     "inject NodeDown/NodeUp capacity outages during the run");
   registry.add_uint64("failure.seed", &config.failure.seed,
-                      "RNG seed for the stochastic outage sequence");
+                      "RNG seed for the stochastic outage sequence")
+      .alias("fail-seed");
   registry
       .add_double("failure.mtbf", &config.failure.mtbf,
                   "mean seconds between outage onsets (exponential)")
       .range(0, 1e15)
-      .alias("failure.mean_time_between_failures");
+      .alias("failure.mean_time_between_failures")
+      .alias("mtbf");
   registry
       .add_double("failure.mttr", &config.failure.mttr,
                   "mean outage duration in seconds (exponential)")
       .range(0, 1e15)
-      .alias("failure.mean_time_to_repair");
+      .alias("failure.mean_time_to_repair")
+      .alias("mttr");
   registry
       .add_int("failure.min_nodes", &config.failure.min_nodes,
                "smallest outage size in node cards")
-      .range(1, 1 << 20);
+      .range(1, 1 << 20)
+      .alias("fail-min-nodes");
   registry
       .add_int("failure.max_nodes", &config.failure.max_nodes,
                "largest outage size in node cards")
-      .range(1, 1 << 20);
+      .range(1, 1 << 20)
+      .alias("fail-max-nodes");
   registry
       .add_int("failure.max_interruptions", &config.failure.max_interruptions,
                "abandon a job preempted more than this many times (0 = retry "
                "forever)")
-      .range(0, 1 << 30);
+      .range(0, 1 << 30)
+      .alias("fail-retry-cap");
   registry.add_rule("failure.max_nodes", [&config]() -> std::string {
     if (config.failure.max_nodes < config.failure.min_nodes)
       return "failure.max_nodes (" + std::to_string(config.failure.max_nodes) +
@@ -140,6 +149,13 @@ void register_engine_params(util::ParamRegistry& registry,
              "scripted outage sequence)";
     return {};
   });
+  registry.add_rule("failure.mttr", [&config]() -> std::string {
+    if (config.failure.enabled && config.failure.script.empty() &&
+        config.failure.mttr <= 0)
+      return "stochastic failure injection needs a positive MTTR (or a "
+             "scripted outage sequence)";
+    return {};
+  });
 
   // --- checkpoint/restart ------------------------------------------------
   registry.add_bool("checkpoint.enabled", &config.checkpoint.enabled,
@@ -148,18 +164,28 @@ void register_engine_params(util::ParamRegistry& registry,
       .add_double("checkpoint.interval", &config.checkpoint.interval,
                   "useful-work seconds between periodic checkpoints (0 = "
                   "none)")
-      .range(0, 1e15);
+      .range(0, 1e15)
+      .alias("ckpt-interval");
   registry
       .add_double("checkpoint.overhead", &config.checkpoint.overhead,
                   "wall seconds each periodic checkpoint costs")
-      .range(0, 1e15);
+      .range(0, 1e15)
+      .alias("ckpt-overhead");
   registry.add_bool("checkpoint.on_preempt", &config.checkpoint.on_preempt,
                     "bank all executed work at preemption time "
-                    "(checkpoint-on-signal)");
+                    "(checkpoint-on-signal)")
+      .alias("ckpt-on-preempt");
   registry.add_rule("checkpoint.overhead", [&config]() -> std::string {
     if (config.checkpoint.overhead > 0 && config.checkpoint.interval <= 0)
       return "checkpoint overhead without a positive checkpoint.interval "
              "never applies";
+    return {};
+  });
+  registry.add_rule("checkpoint.enabled", [&config]() -> std::string {
+    if (config.checkpoint.enabled && config.checkpoint.interval <= 0 &&
+        !config.checkpoint.on_preempt)
+      return "checkpointing needs a positive checkpoint.interval or "
+             "checkpoint.on_preempt=true";
     return {};
   });
 
@@ -168,16 +194,19 @@ void register_engine_params(util::ParamRegistry& registry,
   registry
       .add_uint64("watchdog.max_events", &config.watchdog.max_events,
                   "abort after this many processed events (0 = unlimited)")
+      .alias("max-events")
       .no_fingerprint();
   registry
       .add_double("watchdog.max_sim_time", &config.watchdog.max_sim_time,
                   "abort before crossing this simulated time (0 = unlimited)")
       .range(0, 1e18)
+      .alias("max-sim-time")
       .no_fingerprint();
   registry
       .add_double("watchdog.wall_budget", &config.watchdog.wall_budget,
                   "abort after this many real seconds (0 = unlimited)")
       .range(0, 1e9)
+      .alias("wall-budget")
       .no_fingerprint();
   registry
       .add_int("watchdog.no_progress_cycles",
@@ -185,6 +214,7 @@ void register_engine_params(util::ParamRegistry& registry,
                "abort after this many consecutive zero-progress cycles (0 = "
                "off)")
       .range(0, 1 << 30)
+      .alias("no-progress-cycles")
       .no_fingerprint();
 
   // --- snapshot cadence (crash consistency; cadence is not behaviour) ----
@@ -192,15 +222,18 @@ void register_engine_params(util::ParamRegistry& registry,
       .add_uint64("snapshot.every_cycles", &config.snapshot.every_cycles,
                   "serialize engine state every N scheduling cycles (0 = "
                   "off)")
+      .alias("snapshot-every")
       .no_fingerprint();
   registry
       .add_string("snapshot.dir", &config.snapshot.dir,
                   "snapshot-ring directory (empty = in-memory sink only)")
+      .alias("snapshot-dir")
       .no_fingerprint();
   registry
       .add_size("snapshot.keep", &config.snapshot.keep,
                 "snapshot generations retained on disk")
       .range(1, 1 << 20)
+      .alias("snapshot-keep")
       .no_fingerprint();
 
   // --- fair-share scheduling --------------------------------------------

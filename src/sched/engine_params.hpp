@@ -16,7 +16,8 @@ namespace es::sched {
 /// `pool.<name>.weight` / `pool.<name>.min_share` family bound to
 /// `config.fairshare.pools`, and the cross-field rules (granularity vs
 /// machine size, allow_running_resize requires process_eccs, failure node
-/// range, checkpoint interval, pool min-share budget).
+/// range and positive MTBF/MTTR, checkpoint trigger and interval, pool
+/// min-share budget).  Simrun's parameter flags are the dotless aliases.
 void register_engine_params(util::ParamRegistry& registry,
                             EngineConfig& config);
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/check.hpp"
+
 namespace es::util {
 namespace {
 
@@ -20,10 +22,17 @@ std::function<bool(std::string_view)> numeric_assign(T* target, Fn convert) {
 
 }  // namespace
 
-void CliParser::add_flag(std::string name, std::string help, bool* target) {
-  Option opt;
+CliParser::Option& CliParser::add(std::string name, std::string help) {
+  ES_EXPECTS_MSG(find(name) == nullptr, "duplicate option --%s",
+                 name.c_str());
+  Option& opt = options_.emplace_back();
   opt.name = std::move(name);
   opt.help = std::move(help);
+  return opt;
+}
+
+void CliParser::add_flag(std::string name, std::string help, bool* target) {
+  Option& opt = add(std::move(name), std::move(help));
   opt.is_boolean = true;
   opt.assign = [target](std::string_view text) {
     if (text.empty() || text == "true" || text == "1") {
@@ -36,50 +45,62 @@ void CliParser::add_flag(std::string name, std::string help, bool* target) {
     }
     return false;
   };
-  options_.push_back(std::move(opt));
 }
 
 void CliParser::add_option(std::string name, std::string help, int* target) {
-  Option opt;
-  opt.name = std::move(name);
-  opt.help = std::move(help);
-  opt.assign = numeric_assign(target, [](const char* s, char** end) {
-    return std::strtol(s, end, 10);
-  });
-  options_.push_back(std::move(opt));
+  add(std::move(name), std::move(help)).assign =
+      numeric_assign(target, [](const char* s, char** end) {
+        return std::strtol(s, end, 10);
+      });
 }
 
 void CliParser::add_option(std::string name, std::string help,
                            unsigned long long* target) {
-  Option opt;
-  opt.name = std::move(name);
-  opt.help = std::move(help);
-  opt.assign = numeric_assign(target, [](const char* s, char** end) {
-    return std::strtoull(s, end, 10);
-  });
-  options_.push_back(std::move(opt));
+  add(std::move(name), std::move(help)).assign =
+      numeric_assign(target, [](const char* s, char** end) {
+        return std::strtoull(s, end, 10);
+      });
 }
 
 void CliParser::add_option(std::string name, std::string help,
                            double* target) {
-  Option opt;
-  opt.name = std::move(name);
-  opt.help = std::move(help);
-  opt.assign = numeric_assign(
+  add(std::move(name), std::move(help)).assign = numeric_assign(
       target, [](const char* s, char** end) { return std::strtod(s, end); });
-  options_.push_back(std::move(opt));
 }
 
 void CliParser::add_option(std::string name, std::string help,
                            std::string* target) {
-  Option opt;
-  opt.name = std::move(name);
-  opt.help = std::move(help);
-  opt.assign = [target](std::string_view text) {
-    *target = std::string(text);
-    return true;
-  };
-  options_.push_back(std::move(opt));
+  add(std::move(name), std::move(help)).assign =
+      [target](std::string_view text) {
+        *target = std::string(text);
+        return true;
+      };
+}
+
+void CliParser::add_param_flags(const ParamRegistry& registry) {
+  for (const ParamRegistry::Param& param : registry.params()) {
+    for (const std::string& alias : param.aliases()) {
+      if (alias.find('.') != std::string::npos) continue;
+      Option& opt = add(alias, param.doc() + " (default " +
+                                   param.default_value() + ")");
+      opt.is_boolean = param.kind() == ParamRegistry::Kind::kBool;
+      // The registry parses the text in apply_param_flags(), so a malformed
+      // value surfaces as a field-named ConfigError, not a parse failure.
+      opt.assign = [](std::string_view) { return true; };
+      opt.param = param.name();
+    }
+  }
+}
+
+void CliParser::apply_param_flags(ParamRegistry& registry) const {
+  for (const ParamValue& value : param_values_) {
+    try {
+      registry.set(value.param, value.text);
+    } catch (const ConfigError& error) {
+      throw ConfigError(error.field(),
+                        error.message() + " (from --" + value.flag + ")");
+    }
+  }
 }
 
 const CliParser::Option* CliParser::find(std::string_view name) const {
@@ -141,6 +162,10 @@ bool CliParser::parse(int argc, const char* const* argv) {
       return false;
     }
     opt->seen = true;
+    if (!opt->param.empty())
+      param_values_.push_back(
+          {opt->name, opt->param,
+           opt->is_boolean && !inline_value ? "true" : std::string(value)});
   }
   return true;
 }

@@ -19,16 +19,21 @@ namespace es::util {
 /// known.
 class ConfigError : public std::runtime_error {
  public:
-  ConfigError(std::string field, const std::string& message)
+  ConfigError(std::string field, std::string message)
       : std::runtime_error(field.empty() ? message : field + ": " + message),
-        field_(std::move(field)) {}
+        field_(std::move(field)),
+        message_(std::move(message)) {}
 
   /// Dotted parameter name ("engine.granularity"), or empty when the error
   /// is not attributable to a single field (e.g. unreadable file).
   const std::string& field() const { return field_; }
 
+  /// The message without the field prefix, for callers that re-wrap it.
+  const std::string& message() const { return message_; }
+
  private:
   std::string field_;
+  std::string message_;
 };
 
 /// Declarative parameter registry: every engine/algorithm knob is registered
@@ -64,7 +69,9 @@ class ParamRegistry {
     }
 
     /// Alternate key accepted by set()/config files; canonical name is still
-    /// used for dump/list/fingerprint output.
+    /// used for dump/list/fingerprint output.  A dotless alias is also the
+    /// param's command-line spelling: CliParser::add_param_flags generates
+    /// `--<alias>` for it.
     Param& alias(std::string name) {
       aliases_.push_back(std::move(name));
       return *this;

@@ -1,12 +1,14 @@
 // The configuration spine end to end: register_run_params /
 // register_tenancy_params over the real option structs, the file loader,
-// the CLI-overlay precedence contract, and the cross-field rules the
-// engine depends on.
+// the generated parameter flags and their precedence contract, and the
+// cross-field rules the engine depends on.
 #include "core/config_spine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "util/cli.hpp"
 
 namespace es::core {
 namespace {
@@ -86,19 +88,69 @@ TEST(ConfigSpine, DumpLoadDumpIsTheIdentity) {
 }
 
 TEST(ConfigSpine, CliOverlayOverridesFileValue) {
-  // The precedence contract every binary follows: defaults, then the file,
-  // then flags the user actually typed (written straight to the structs),
-  // then finalize() validates the merged result.
+  // The precedence contract simrun follows: defaults, then the file, then
+  // the parameter flags the user typed (generated from the registry's
+  // dotless aliases and set through the registry), then finalize()
+  // validates the merged result.
   AlgorithmOptions options;
   util::ParamRegistry registry;
   register_run_params(registry, options);
+  util::CliParser cli("test");
+  cli.add_param_flags(registry);
+  const char* argv[] = {"prog", "--procs", "320"};
+  ASSERT_TRUE(cli.parse(3, argv));
   registry.load_text("engine.machine_procs = 128\nengine.granularity = 32\n",
                      "file");
   EXPECT_EQ(options.engine.machine_procs, 128);
-  options.engine.machine_procs = 320;  // --procs 320 on the command line
+  cli.apply_param_flags(registry);
   EXPECT_NO_THROW(registry.finalize());
   EXPECT_EQ(options.engine.machine_procs, 320);
   EXPECT_EQ(registry.get("engine.machine_procs"), "320");
+}
+
+TEST(ConfigSpine, MalformedParamFlagNamesTheField) {
+  AlgorithmOptions options;
+  util::ParamRegistry registry;
+  register_run_params(registry, options);
+  util::CliParser cli("test");
+  cli.add_param_flags(registry);
+  const char* argv[] = {"prog", "--procs", "abc"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  try {
+    cli.apply_param_flags(registry);
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& error) {
+    EXPECT_EQ(error.field(), "engine.machine_procs");
+    EXPECT_NE(std::string(error.what()).find("--procs"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ConfigSpine, GeneratedHelpShowsRegistryDefaults) {
+  AlgorithmOptions options;
+  workload::GeneratorConfig generator;
+  util::ParamRegistry registry;
+  register_run_params(registry, options);
+  register_tenancy_params(registry, generator);
+  util::CliParser cli("test");
+  cli.add_param_flags(registry);
+  const std::string text = cli.help("simrun");
+  EXPECT_NE(text.find("--lookahead <value>\n      DP lookahead depth "
+                      "(Shmueli's 50-job limit) (default 50)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("--ckpt-on-preempt\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("--zipf-exponent <value>"), std::string::npos) << text;
+}
+
+TEST(ConfigSpine, UnknownFlagStillFailsWithGeneratedFlags) {
+  AlgorithmOptions options;
+  util::ParamRegistry registry;
+  register_run_params(registry, options);
+  util::CliParser cli("test");
+  cli.add_param_flags(registry);
+  const char* argv[] = {"prog", "--machine-procs", "320"};
+  EXPECT_FALSE(cli.parse(3, argv));
 }
 
 TEST(ConfigSpine, AllowRunningResizeRequiresProcessEccs) {
@@ -133,6 +185,47 @@ TEST(ConfigSpine, CheckpointOverheadRequiresInterval) {
   registry.set("checkpoint.enabled", "true");
   registry.set("checkpoint.overhead", "10");
   EXPECT_THROW(registry.finalize(), util::ConfigError);
+  registry.set("checkpoint.interval", "300");
+  EXPECT_NO_THROW(registry.finalize());
+}
+
+TEST(ConfigSpine, FailureInjectionNeedsPositiveMttr) {
+  // Without this rule failure.enabled + mttr = 0 from a config file reached
+  // FailureModel's precondition and aborted the process.
+  AlgorithmOptions options;
+  util::ParamRegistry registry;
+  register_run_params(registry, options);
+  registry.load_text("failure.enabled = true\nfailure.mttr = 0\n", "file");
+  try {
+    registry.finalize();
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& error) {
+    EXPECT_EQ(error.field(), "failure.mttr");
+  }
+  registry.set("failure.mttr", "600");
+  EXPECT_NO_THROW(registry.finalize());
+  // A scripted outage sequence needs no stochastic repair time.
+  registry.set("failure.mttr", "0");
+  options.engine.failure.script.push_back({100, 200, 32});
+  EXPECT_NO_THROW(registry.finalize());
+}
+
+TEST(ConfigSpine, CheckpointingNeedsATrigger) {
+  // Without this rule checkpoint.enabled alone reached the checkpoint
+  // model's precondition (interval > 0 || on_preempt) and aborted.
+  AlgorithmOptions options;
+  util::ParamRegistry registry;
+  register_run_params(registry, options);
+  registry.set("checkpoint.enabled", "true");
+  try {
+    registry.finalize();
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& error) {
+    EXPECT_EQ(error.field(), "checkpoint.enabled");
+  }
+  registry.set("checkpoint.on_preempt", "true");
+  EXPECT_NO_THROW(registry.finalize());
+  registry.set("checkpoint.on_preempt", "false");
   registry.set("checkpoint.interval", "300");
   EXPECT_NO_THROW(registry.finalize());
 }

@@ -170,7 +170,7 @@ TEST(ParamRegistry, FinalizeRunsRulesAndNamesTheOffendingField) {
 }
 
 TEST(ParamRegistry, FinalizeRechecksRangesOnMutatedStorage) {
-  // CLI overlays write to the structs directly; finalize() must catch a
+  // Code may write the bound structs directly; finalize() must catch a
   // value that never went through set().
   Knobs knobs;
   ParamRegistry registry;

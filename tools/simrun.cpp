@@ -13,6 +13,13 @@
 // across --jobs worker threads) and the seed-mean aggregate is printed —
 // byte-identical output whatever the thread count.
 //
+// Configuration: every engine/algorithm/tenancy parameter lives in the
+// registry (core/config_spine.hpp).  The parameter flags (--procs, --cs,
+// --mtbf, --ckpt-interval, --max-events, --snapshot-dir, ...) are generated
+// from its dotless aliases, so --help, --list-params and --dump-config show
+// the same docs and defaults.  Precedence is CLI > --config file > defaults;
+// a malformed or out-of-range value exits 2 naming the field.
+//
 // Crash recovery: --snapshot-every N serializes the full engine state every
 // N scheduling cycles into --snapshot-dir (a ring of --snapshot-keep
 // generations, each written atomically with fsync-before-rename);
@@ -99,8 +106,6 @@ int main(int argc, char** argv) {
   std::string per_job_csv;
   std::string log_level = "warn";
   bool synthetic = false;
-  int procs = 320;
-  int granularity = 32;
   int num_jobs = 500;
   int replications = 1;
   int parallel_jobs = 1;
@@ -112,31 +117,25 @@ int main(int argc, char** argv) {
   unsigned long long seed = 1;
   double p_small = 0.5, p_dedicated = 0.0, p_extend = 0.0, p_reduce = 0.0;
   double load = 0.0;
-  int cs = 7, lookahead = 250;
-  double mtbf = 0.0, mttr = 1800.0;
-  unsigned long long fail_seed = 1;
-  int fail_min_nodes = 1, fail_max_nodes = 1;
-  int fail_retry_cap = 0;
-  std::string requeue = "head";
-  double ckpt_interval = 0.0, ckpt_overhead = 0.0;
-  bool ckpt_on_preempt = false;
-  unsigned long long max_events = 0;
-  double max_sim_time = 0.0, wall_budget = 0.0;
-  int no_progress_cycles = 0;
-  unsigned long long snapshot_every = 0;
-  std::string snapshot_dir;
-  int snapshot_keep = 3;
   std::string restore_from;
 
   std::string scenario_path;
   std::string config_path;
   bool dump_config = false;
   bool list_params = false;
-  int users = 0;
-  int num_pools = 0;
-  double zipf_exponent = 1.1;
 
-  es::util::CliParser cli("Run one scheduling simulation");
+  // The configuration spine: one registry bound to the live option structs.
+  // Its dotless aliases are simrun's parameter flags (--procs, --mtbf, ...).
+  es::core::AlgorithmOptions options;
+  es::workload::GeneratorConfig generator_config;
+  es::util::ParamRegistry registry;
+  es::core::register_run_params(registry, options);
+  es::core::register_tenancy_params(registry, generator_config);
+
+  es::util::CliParser cli(
+      "Run one scheduling simulation.  A typed --mtbf > 0 turns fault "
+      "injection on; --ckpt-interval > 0 or --ckpt-on-preempt turns "
+      "checkpoint recovery on.");
   cli.add_option("trace", "SWF/CWF trace to replay", &trace);
   cli.add_option("config", "load engine/algorithm/tenancy parameters from "
                  "this key=value config file; explicit CLI flags override "
@@ -159,9 +158,6 @@ int main(int argc, char** argv) {
   bool list_algorithms = false;
   cli.add_flag("list-algorithms", "print every known algorithm name and exit",
                &list_algorithms);
-  cli.add_option("procs", "machine size (default 320)", &procs);
-  cli.add_option("granularity", "allocation granularity (default 32)",
-                 &granularity);
   cli.add_option("num-jobs", "synthetic: job count", &num_jobs);
   cli.add_option("replications", "repeat over this many derived seeds and "
                  "print the aggregate (default 1)", &replications);
@@ -170,11 +166,11 @@ int main(int argc, char** argv) {
   cli.add_flag("perf-report", "print hot-path counters (DP calls, cache "
                "hits, fast-path exits; event-queue scheduled/cancelled/"
                "fired, peak pending) and wall timings", &perf_report);
-  cli.add_flag("streamed", "pull the workload through the engine in bounded "
-               "chunks instead of materializing it (synthetic workloads "
-               "stream straight from the generator); results are "
-               "byte-identical, memory stays flat at million-job scale",
-               &streamed);
+  cli.add_flag("streamed", "synthetic workloads: pull the jobs straight "
+               "from the generator in bounded chunks instead of "
+               "materializing them; results are byte-identical, memory stays "
+               "flat at million-job scale (a trace already runs window by "
+               "window)", &streamed);
   cli.add_flag("no-dp-cache", "disable the knapsack memo cache (schedules "
                "are identical either way; for perf comparison)",
                &no_dp_cache);
@@ -189,52 +185,6 @@ int main(int argc, char** argv) {
   cli.add_option("p-extend", "synthetic: P_E", &p_extend);
   cli.add_option("p-reduce", "synthetic: P_R", &p_reduce);
   cli.add_option("load", "synthetic: target offered load (0 = off)", &load);
-  cli.add_option("users", "synthetic: Zipf-distributed submitter population "
-                 "(0 = untagged single-tenant workload)", &users);
-  cli.add_option("pools", "synthetic: scheduling pools the users map onto "
-                 "(0 = all jobs in pool 0)", &num_pools);
-  cli.add_option("zipf-exponent", "synthetic: skew of the submitter "
-                 "distribution (default 1.1)", &zipf_exponent);
-  cli.add_option("cs", "max skip count C_s (default 7)", &cs);
-  cli.add_option("lookahead", "DP lookahead (default 250)", &lookahead);
-  cli.add_option("mtbf", "fault injection: mean time between failures in "
-                 "seconds (0 = disabled)", &mtbf);
-  cli.add_option("mttr", "fault injection: mean time to repair in seconds "
-                 "(default 1800)", &mttr);
-  cli.add_option("fail-seed", "fault injection: RNG seed", &fail_seed);
-  cli.add_option("fail-min-nodes", "fault injection: min nodes per outage",
-                 &fail_min_nodes);
-  cli.add_option("fail-max-nodes", "fault injection: max nodes per outage",
-                 &fail_max_nodes);
-  cli.add_option("fail-retry-cap", "fault injection: abandon a job after "
-                 "this many preemptions (0 = retry forever)", &fail_retry_cap);
-  cli.add_option("requeue", "preempted-job policy: head/tail/abandon",
-                 &requeue);
-  cli.add_option("ckpt-interval", "checkpoint recovery: seconds of work "
-                 "between periodic checkpoints (0 = disabled)",
-                 &ckpt_interval);
-  cli.add_option("ckpt-overhead", "checkpoint recovery: seconds each "
-                 "checkpoint adds to the run (default 0)", &ckpt_overhead);
-  cli.add_flag("ckpt-on-preempt", "checkpoint recovery: also bank all work "
-               "at the preemption instant (checkpoint-on-signal)",
-               &ckpt_on_preempt);
-  cli.add_option("max-events", "watchdog: abort after this many simulation "
-                 "events (0 = unlimited)", &max_events);
-  cli.add_option("max-sim-time", "watchdog: abort past this simulated time "
-                 "in seconds (0 = unlimited)", &max_sim_time);
-  cli.add_option("wall-budget", "watchdog: abort after this many wall-clock "
-                 "seconds (0 = unlimited)", &wall_budget);
-  cli.add_option("no-progress-cycles", "watchdog: abort after this many "
-                 "consecutive scheduler cycles without a job start or finish "
-                 "while work is queued (0 = disabled)", &no_progress_cycles);
-  cli.add_option("snapshot-every", "crash recovery: serialize the engine "
-                 "state every N scheduling cycles (0 = disabled)",
-                 &snapshot_every);
-  cli.add_option("snapshot-dir", "crash recovery: directory holding the "
-                 "snapshot ring (required with --snapshot-every)",
-                 &snapshot_dir);
-  cli.add_option("snapshot-keep", "crash recovery: ring retention — newest "
-                 "K snapshot generations kept (default 3)", &snapshot_keep);
   cli.add_option("restore-from", "crash recovery: resume from this snapshot "
                  "file, or scan this directory for the newest intact "
                  "generation", &restore_from);
@@ -246,6 +196,7 @@ int main(int argc, char** argv) {
   cli.add_flag("profile", "print an ASCII utilization-over-time profile",
                &profile);
   cli.add_option("log", "log level: debug/info/warn/error/off", &log_level);
+  cli.add_param_flags(registry);
   if (!cli.parse(argc, argv)) return 1;
   es::util::set_log_level(es::util::parse_log_level(log_level));
 
@@ -254,82 +205,31 @@ int main(int argc, char** argv) {
       std::printf("%s\n", name.c_str());
     return 0;
   }
-
-  // The configuration spine: one registry bound to the live option structs.
-  // Precedence is CLI > config file > built-in defaults — the file loads
-  // first, then every flag the user actually typed writes over it.
-  es::core::AlgorithmOptions options;
-  es::workload::GeneratorConfig generator_config;
-  es::util::ParamRegistry registry;
-  es::core::register_run_params(registry, options);
-  es::core::register_tenancy_params(registry, generator_config);
-
   if (list_params) {
     std::fputs(registry.list_params().c_str(), stdout);
     return 0;
   }
-  if (!config_path.empty()) {
-    try {
-      registry.load_file(config_path);
-    } catch (const es::util::ConfigError& error) {
-      std::fprintf(stderr, "simrun: --config: %s\n", error.what());
-      return 2;
-    }
-  }
-  if (cli.was_set("procs")) options.engine.machine_procs = procs;
-  if (cli.was_set("granularity")) options.engine.granularity = granularity;
-  if (cli.was_set("cs")) options.max_skip_count = cs;
-  if (cli.was_set("lookahead")) options.lookahead = lookahead;
-  if (no_dp_cache) options.dp_cache = false;
-  if (no_spec_dp) options.engine.speculative_dp = false;
-  if (mtbf > 0) {
-    options.engine.failure.enabled = true;
-    options.engine.failure.mtbf = mtbf;
-  }
-  if (cli.was_set("fail-seed")) options.engine.failure.seed = fail_seed;
-  if (cli.was_set("mttr")) options.engine.failure.mttr = mttr;
-  if (cli.was_set("fail-min-nodes"))
-    options.engine.failure.min_nodes = fail_min_nodes;
-  if (cli.was_set("fail-max-nodes"))
-    options.engine.failure.max_nodes = fail_max_nodes;
-  if (cli.was_set("fail-retry-cap"))
-    options.engine.failure.max_interruptions = fail_retry_cap;
-  if (cli.was_set("requeue") &&
-      !es::fault::parse_requeue_policy(requeue, options.engine.requeue))
-    return flag_error("requeue", "expected head, tail or abandon");
-  if (cli.was_set("ckpt-interval"))
-    options.engine.checkpoint.interval = ckpt_interval;
-  if (cli.was_set("ckpt-overhead"))
-    options.engine.checkpoint.overhead = ckpt_overhead;
-  if (ckpt_on_preempt) options.engine.checkpoint.on_preempt = true;
-  if (options.engine.checkpoint.interval > 0 ||
-      options.engine.checkpoint.on_preempt)
-    options.engine.checkpoint.enabled = true;
-  if (cli.was_set("max-events"))
-    options.engine.watchdog.max_events = max_events;
-  if (cli.was_set("max-sim-time"))
-    options.engine.watchdog.max_sim_time = max_sim_time;
-  if (cli.was_set("wall-budget"))
-    options.engine.watchdog.wall_budget = wall_budget;
-  if (cli.was_set("no-progress-cycles"))
-    options.engine.watchdog.no_progress_cycles = no_progress_cycles;
-  if (cli.was_set("snapshot-every"))
-    options.engine.snapshot.every_cycles = snapshot_every;
-  if (cli.was_set("snapshot-dir")) options.engine.snapshot.dir = snapshot_dir;
-  if (cli.was_set("snapshot-keep"))
-    options.engine.snapshot.keep = static_cast<std::size_t>(snapshot_keep);
-  if (cli.was_set("users")) generator_config.num_users = users;
-  if (cli.was_set("pools")) generator_config.num_pools = num_pools;
-  if (cli.was_set("zipf-exponent"))
-    generator_config.zipf_exponent = zipf_exponent;
-  options.engine.record_trace |= !trace_csv.empty();
-  options.engine.collect_cycle_stats |= perf_report;
 
-  // Finalize-time validation: range re-checks plus the cross-field rules
-  // (granularity divides procs, resize needs ECCs, checkpoint overhead
-  // needs an interval, pool min-shares sum <= 1, ...), each reported with
-  // the offending field name.
+  // Precedence is CLI > config file > built-in defaults: the file loads
+  // first, then every parameter flag the user typed is set over it, in
+  // command-line order.  finalize() then re-checks ranges and runs the
+  // cross-field rules (granularity divides procs, resize needs ECCs,
+  // checkpoint overhead needs an interval, pool min-shares sum <= 1, ...).
+  // Every failure names the offending field.
+  es::sched::EngineConfig& engine = options.engine;
   try {
+    if (!config_path.empty()) registry.load_file(config_path);
+    cli.apply_param_flags(registry);
+    // Derived settings: a typed --mtbf > 0 turns fault injection on, and a
+    // checkpoint trigger (interval or on-preempt) turns checkpointing on.
+    if (cli.was_set("mtbf") && engine.failure.mtbf > 0)
+      engine.failure.enabled = true;
+    if (engine.checkpoint.interval > 0 || engine.checkpoint.on_preempt)
+      engine.checkpoint.enabled = true;
+    if (no_dp_cache) options.dp_cache = false;
+    if (no_spec_dp) engine.speculative_dp = false;
+    engine.record_trace |= !trace_csv.empty();
+    engine.collect_cycle_stats |= perf_report;
     registry.finalize();
   } catch (const es::util::ConfigError& error) {
     std::fprintf(stderr, "simrun: config: %s\n", error.what());
@@ -341,13 +241,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Merged values drive everything downstream, including workload shaping.
-  procs = options.engine.machine_procs;
-  granularity = options.engine.granularity;
-  snapshot_every = options.engine.snapshot.every_cycles;
-  snapshot_dir = options.engine.snapshot.dir;
-  snapshot_keep = static_cast<int>(options.engine.snapshot.keep);
-
   // Flag validation (exit 2): catch contradictory or degenerate settings
   // before spending any simulation time on them.
   if (!es::core::is_algorithm_name(algorithm)) {
@@ -358,46 +251,30 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "  %s\n", name.c_str());
     return 2;
   }
-  if (mtbf < 0)
-    return flag_error("mtbf", "must be >= 0 (0 disables fault injection)");
-  if (mtbf > 0 && mttr <= 0)
-    return flag_error("mttr", "must be > 0 when fault injection is enabled");
-  if (ckpt_interval < 0)
-    return flag_error("ckpt-interval", "must be >= 0 (0 disables periodic "
-                      "checkpoints)");
-  if (ckpt_overhead < 0)
-    return flag_error("ckpt-overhead", "must be >= 0");
   // Checkpoints only pay off when something preempts: fault injection or a
   // policy (FairShare) that claws capacity back on its own.  Only flags the
   // user typed are checked — a shared config file may carry checkpoint
   // settings that are simply inert for a non-preempting algorithm.
-  if ((ckpt_interval > 0 || ckpt_on_preempt) &&
-      !options.engine.failure.enabled &&
+  if (((cli.was_set("ckpt-interval") && engine.checkpoint.interval > 0) ||
+       (cli.was_set("ckpt-on-preempt") && engine.checkpoint.on_preempt)) &&
+      !engine.failure.enabled &&
       !es::core::make_algorithm(algorithm, options)
            .policy->initiates_preemption())
     return flag_error("ckpt-interval", "checkpoint recovery only matters "
                       "under fault injection or a preempting policy; set "
                       "--mtbf > 0 as well");
-  if (max_sim_time < 0)
-    return flag_error("max-sim-time", "must be >= 0 (0 = unlimited)");
-  if (wall_budget < 0)
-    return flag_error("wall-budget", "must be >= 0 (0 = unlimited)");
-  if (no_progress_cycles < 0)
-    return flag_error("no-progress-cycles", "must be >= 0 (0 = disabled)");
-  if (snapshot_every > 0 && snapshot_dir.empty())
+  if (engine.snapshot.every_cycles > 0 && engine.snapshot.dir.empty())
     return flag_error("snapshot-every", "needs --snapshot-dir to hold the "
                       "snapshot ring");
-  if (!snapshot_dir.empty() && snapshot_every == 0)
+  if (!engine.snapshot.dir.empty() && engine.snapshot.every_cycles == 0)
     return flag_error("snapshot-dir", "has no effect without "
                       "--snapshot-every > 0");
-  if (snapshot_keep < 1)
-    return flag_error("snapshot-keep", "must be >= 1");
   if (replications < 1)
     return flag_error("replications", "must be >= 1");
   if (!restore_from.empty() && replications > 1)
     return flag_error("restore-from", "a snapshot captures one single run; "
                       "use --replications 1");
-  if ((snapshot_every > 0) && replications > 1)
+  if (engine.snapshot.every_cycles > 0 && replications > 1)
     return flag_error("snapshot-every", "periodic snapshots describe a "
                       "single run; use --replications 1");
   if (parallel_jobs < 0)
@@ -415,15 +292,20 @@ int main(int argc, char** argv) {
   if (!scenario_path.empty() && replications > 1)
     return flag_error("replications", "a scenario describes one fixed run; "
                       "use --replications 1");
-  if (streamed && !restore_from.empty())
-    return flag_error("streamed", "a streaming run keeps no retired-job "
-                      "history to restore into; drop --restore-from");
-  if (streamed && snapshot_every > 0)
-    return flag_error("streamed", "snapshots need the full job table; "
-                      "drop --snapshot-every or --streamed");
   if (streamed && !scenario_path.empty())
     return flag_error("streamed", "scenario files are materialized repros; "
                       "drop --scenario or --streamed");
+  // A streamed trace runs the materialized path (the parsed file is already
+  // resident), so only a synthetic stream bypasses it: it pulls jobs from
+  // the generator, whose source has no snapshot cursor yet.
+  const bool from_generator = streamed && (synthetic || trace.empty());
+  if (from_generator && !restore_from.empty())
+    return flag_error("streamed", "a streamed synthetic workload has no "
+                      "snapshot cursor to resume from; drop --restore-from");
+  if (from_generator && engine.snapshot.every_cycles > 0)
+    return flag_error("streamed", "a streamed synthetic workload has no "
+                      "snapshot cursor to record; drop --snapshot-every or "
+                      "--streamed");
   if (streamed && replications > 1)
     return flag_error("streamed", "the seed-mean aggregate path "
                       "materializes its workloads; use --replications 1");
@@ -454,7 +336,7 @@ int main(int argc, char** argv) {
                 es::workload::offered_load(workload,
                                            workload.machine_procs));
   } else if (synthetic || trace.empty()) {
-    generator_config.machine_procs = procs;
+    generator_config.machine_procs = engine.machine_procs;
     generator_config.num_jobs = static_cast<std::size_t>(num_jobs);
     generator_config.seed = seed;
     generator_config.p_small = p_small;
@@ -466,21 +348,21 @@ int main(int argc, char** argv) {
       // Never materialize: the jobs flow straight from the generator into
       // the engine in bounded chunks.  The machine shape still has to be
       // on the (empty) workload for the reporting epilogue.
-      workload.machine_procs = procs;
+      workload.machine_procs = engine.machine_procs;
       workload.granularity = generator_config.size.unit;
       std::printf("Synthetic workload (streamed): %d jobs\n", num_jobs);
     } else {
       workload = es::workload::generate(generator_config);
       std::printf("Synthetic workload: %zu jobs, offered load %.3f\n",
                   workload.jobs.size(),
-                  es::workload::offered_load(workload, procs));
+                  es::workload::offered_load(workload, engine.machine_procs));
     }
   } else {
     workload = es::workload::load_cwf_workload(trace);
-    workload.machine_procs = procs;
-    workload.granularity = granularity;
-    std::erase_if(workload.jobs, [procs](const es::workload::Job& job) {
-      return job.num > procs;
+    workload.machine_procs = engine.machine_procs;
+    workload.granularity = engine.granularity;
+    std::erase_if(workload.jobs, [&engine](const es::workload::Job& job) {
+      return job.num > engine.machine_procs;
     });
     if (workload.jobs.empty()) {
       std::fprintf(stderr, "simrun: no usable jobs in %s\n", trace.c_str());
@@ -488,30 +370,30 @@ int main(int argc, char** argv) {
     }
     std::printf("Trace %s: %zu jobs, offered load %.3f\n", trace.c_str(),
                 workload.jobs.size(),
-                es::workload::offered_load(workload, procs));
+                es::workload::offered_load(workload, engine.machine_procs));
   }
 
   es::core::set_dp_simd_enabled(!no_dp_simd);
   if (have_scenario) {
-    // The scenario owns the run-shaping knobs; CLI watchdog flags override
-    // its budgets when explicitly set (e.g. to re-bound a runaway repro).
-    options.engine.failure = scenario.engine.failure;
-    options.engine.requeue = scenario.engine.requeue;
-    options.engine.checkpoint = scenario.engine.checkpoint;
-    if (max_events == 0)
-      options.engine.watchdog.max_events = scenario.engine.watchdog.max_events;
-    if (max_sim_time == 0)
-      options.engine.watchdog.max_sim_time =
-          scenario.engine.watchdog.max_sim_time;
-    if (no_progress_cycles == 0)
-      options.engine.watchdog.no_progress_cycles =
-          scenario.engine.watchdog.no_progress_cycles;
+    // The scenario owns the run-shaping knobs; typed CLI watchdog flags
+    // override its budgets (e.g. to re-bound a runaway repro, or --max-events
+    // 0 to lift one).
+    engine.failure = scenario.engine.failure;
+    engine.requeue = scenario.engine.requeue;
+    engine.checkpoint = scenario.engine.checkpoint;
+    const es::sim::WatchdogConfig& budgets = scenario.engine.watchdog;
+    if (!cli.was_set("max-events"))
+      engine.watchdog.max_events = budgets.max_events;
+    if (!cli.was_set("max-sim-time"))
+      engine.watchdog.max_sim_time = budgets.max_sim_time;
+    if (!cli.was_set("no-progress-cycles"))
+      engine.watchdog.no_progress_cycles = budgets.no_progress_cycles;
   }
   if (workload.dedicated_count() > 0 &&
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "this workload contains dedicated jobs; "
                       "pick a dedicated-aware (-D/Hybrid) algorithm");
-  if (streamed && (synthetic || trace.empty()) && p_dedicated > 0 &&
+  if (from_generator && p_dedicated > 0 &&
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "streamed synthetic workloads with "
                       "--p-dedicated > 0 need a dedicated-aware (-D/Hybrid) "
@@ -580,17 +462,9 @@ int main(int argc, char** argv) {
                    es::snap::to_string(error.kind()));
       return error.kind() == es::snap::SnapshotErrorKind::kIo ? 3 : 6;
     }
-  } else if (streamed) {
-    if (synthetic || trace.empty()) {
-      es::workload::GeneratorSource source(generator_config);
-      result = es::exp::run_source(source, algorithm, options);
-    } else {
-      // Trace replay: the file is already parsed (CWF needs the whole file
-      // for its backward command references), but the engine still runs
-      // with the bounded streaming state.
-      es::workload::MaterializedSource source(workload);
-      result = es::exp::run_source(source, algorithm, options);
-    }
+  } else if (from_generator) {
+    es::workload::GeneratorSource source(generator_config);
+    result = es::exp::run_source(source, algorithm, options);
   } else {
     result = es::exp::run_workload(workload, algorithm, options);
   }
