@@ -2,9 +2,12 @@
 // mean utilization and waiting time vs offered load in [0.5, 1.0], and the
 // paper's Table IV (maximum % improvement of Delayed-LOS over LOS/EASY).
 //
-// Expected shape: LOS *worse* than EASY (the paper's central claim about
-// varied job sizes) and Delayed-LOS ahead of both.  C_s is tuned per-P_S
-// with the Fig-5 procedure before the sweep, as in the paper.
+// The paper's shape: LOS *worse* than EASY (its central claim about varied
+// job sizes) and Delayed-LOS ahead of both.  Here Delayed-LOS leads, but
+// LOS beats EASY: paired over 200 seeds, LOS - EASY mean wait is
+// -4.24 +/- 0.73 ks at load 0.9, LOS ahead on 157/200 seeds (EXPERIMENTS.md,
+// Known deviation 7; the cause is open).  C_s is tuned per-P_S with the
+// Fig-5 procedure before the sweep, as in the paper.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

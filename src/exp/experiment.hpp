@@ -70,7 +70,9 @@ sched::SimulationResult run_workload(const workload::Workload& workload,
 /// materializing the workload: the engine holds only the jobs in flight
 /// (see Engine::run_streamed).  The machine is shaped by the source.
 /// Metrics are byte-identical to run_workload on the materialized
-/// equivalent; snapshots/restore/paranoid mode are unavailable.
+/// equivalent, and options.engine.paranoid checks the run as it does
+/// there; snapshots and restore are unavailable (they need run_workload's
+/// materialized cursor).
 sched::SimulationResult run_source(workload::JobSource& source,
                                    const std::string& algorithm,
                                    const core::AlgorithmOptions& options = {});

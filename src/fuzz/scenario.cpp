@@ -276,7 +276,11 @@ Scenario parse_scenario(const std::string& text) {
                         std::to_string(errors.front().line_number) + ": " +
                         errors.front().message);
   }
-  scenario.workload = workload::to_workload(file);
+  try {
+    scenario.workload = workload::to_workload(file);
+  } catch (const workload::TraceError& error) {
+    throw ScenarioError(std::string("scenario workload: ") + error.what());
+  }
   scenario.workload.machine_procs = procs;
   scenario.workload.granularity = granularity;
   scenario.engine.machine_procs = procs;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "util/log.hpp"
@@ -129,19 +130,28 @@ Workload to_workload(const CwfFile& file) {
     workload.granularity = 1;
   }
   std::unordered_set<std::int64_t> known_ids;
-  std::size_t dropped_jobs = 0, dropped_eccs = 0;
+  std::size_t submissions = 0, unusable = 0, never_ran = 0, dropped_eccs = 0;
   for (const auto& record : file.records) {
     if (record.is_submission()) {
+      ++submissions;
       Job job;
-      if (!to_job(record.swf, job)) {
-        ++dropped_jobs;
+      SwfDropReason reason = SwfDropReason::kNone;
+      if (!to_job(record.swf, job, &reason)) {
+        if (reason == SwfDropReason::kNeverRan) {
+          ++never_ran;
+        } else {
+          ++unusable;
+        }
         continue;
       }
       if (record.req_start_time >= 0) {
         job.type = JobType::kDedicated;
         job.start = record.req_start_time;
       }
-      known_ids.insert(job.id);
+      // Job numbers key ECC dispatch and every per-job result, so a
+      // repeated one is a malformed trace, not a second job.
+      if (!known_ids.insert(job.id).second)
+        throw TraceError("duplicate job number " + std::to_string(job.id));
       workload.jobs.push_back(job);
     } else {
       EccType type;
@@ -158,13 +168,14 @@ Workload to_workload(const CwfFile& file) {
       workload.eccs.push_back(ecc);
     }
   }
-  // One summary per file (mirrors load_swf_jobs): per-record warnings drown
-  // the log on archive traces with many cancelled submissions.
-  if (dropped_jobs + dropped_eccs > 0) {
+  // One summary per file, not one warning per record: a large archive trace
+  // can legitimately carry thousands of cancelled submissions.
+  if (unusable + never_ran + dropped_eccs > 0) {
     ES_LOG_WARN(
-        "CWF lowering dropped %zu unusable submission(s) and %zu ECC(s) "
-        "referencing unknown jobs",
-        dropped_jobs, dropped_eccs);
+        "trace lowering dropped %zu of %zu submissions (%zu unusable, %zu "
+        "failed/cancelled before running) and %zu ECC(s) referencing "
+        "unknown jobs",
+        unusable + never_ran, submissions, unusable, never_ran, dropped_eccs);
   }
   workload.normalize();
   return workload;

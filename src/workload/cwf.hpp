@@ -11,6 +11,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,16 +45,28 @@ CwfFile parse_cwf_string(const std::string& text,
 std::string format_cwf_record(const CwfRecord& record);
 void write_cwf(std::ostream& out, const CwfFile& file);
 
+/// A trace that parses but cannot be replayed: to_workload() names the
+/// offending job number.
+class TraceError : public std::runtime_error {
+ public:
+  explicit TraceError(const std::string& message)
+      : std::runtime_error(message) {}
+};
+
 /// Lowers a parsed CWF file to the simulator Workload (submissions become
-/// Jobs, ET/RT/EP/RP lines become Eccs).  ECCs referencing unknown job IDs
-/// are dropped with a warning (mirrors what a real submission filter does).
+/// Jobs through to_job(), ET/RT/EP/RP lines become Eccs).  Unusable and
+/// never-ran submissions and ECCs referencing unknown job IDs are dropped
+/// with one summary warning (mirrors what a real submission filter does).
+/// Throws TraceError when two imported submissions share a job number.
 Workload to_workload(const CwfFile& file);
 
 /// Renders a Workload as a CWF file (one S line per job, one line per ECC),
 /// ordered by time so the file replays deterministically.
 CwfFile from_workload(const Workload& workload);
 
-/// Convenience: load a workload from a CWF/SWF file on disk.
+/// Loads a workload from a CWF or SWF file on disk: the one trace reader.
+/// Parse errors are logged with their line and skipped; an unreadable file
+/// yields an empty workload.  Throws TraceError like to_workload().
 Workload load_cwf_workload(const std::string& path);
 
 /// Convenience: save a workload to disk; returns false on I/O failure.

@@ -2,13 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/check.hpp"
 #include "workload/load.hpp"
 
 namespace es::workload {
 
-Workload generate(const GeneratorConfig& config) {
+// Independent streams per attribute: adding dedicated jobs or ECCs must not
+// reshuffle sizes/runtimes/arrivals of the underlying trace.  The member
+// initialisation order is the split order, and the split order is the trace.
+JobSampler::JobSampler(const GeneratorConfig& config)
+    : config_(config),
+      master_(config.seed),
+      size_rng_(master_.split()),
+      runtime_rng_(master_.split()),
+      arrival_rng_(master_.split()),
+      type_rng_(master_.split()),
+      ecc_rng_(master_.split()),
+      estimate_rng_(master_.split()),
+      user_rng_(master_.split()),
+      arrivals_(config.arrival, arrival_rng_) {
+  // Every precondition of the model, for generate() and GeneratorSource.
   ES_EXPECTS(config.num_jobs > 0);
   ES_EXPECTS(config.machine_procs > 0);
   ES_EXPECTS(config.p_small >= 0 && config.p_small <= 1);
@@ -16,58 +31,41 @@ Workload generate(const GeneratorConfig& config) {
   ES_EXPECTS(config.p_extend >= 0 && config.p_extend <= 1);
   ES_EXPECTS(config.p_reduce >= 0 && config.p_reduce <= 1);
   ES_EXPECTS(config.p_extend + config.p_reduce <= 1);
-  ES_EXPECTS(config.estimate_factor >= 1.0);
-
-  util::Rng master(config.seed);
-  // Independent streams per attribute: adding dedicated jobs or ECCs must
-  // not reshuffle sizes/runtimes/arrivals of the underlying trace.
-  util::Rng size_rng = master.split();
-  util::Rng runtime_rng = master.split();
-  util::Rng arrival_rng = master.split();
-  util::Rng type_rng = master.split();
-  util::Rng ecc_rng = master.split();
-  util::Rng estimate_rng = master.split();
-  // Appended after the original six streams so pre-tenancy traces stay
-  // byte-identical: the user stream only consumes entropy when enabled.
-  util::Rng user_rng = master.split();
-
-  Workload workload;
-  workload.machine_procs = config.machine_procs;
-  workload.granularity = config.size.unit;
-  workload.jobs.reserve(config.num_jobs);
-
-  ArrivalProcess arrivals(config.arrival, arrival_rng);
-
-  for (std::size_t i = 0; i < config.num_jobs; ++i) {
-    Job job;
-    job.id = static_cast<JobId>(i + 1);
-    job.arr = arrivals.next();
-    job.num = std::min(config.size.sample(size_rng, config.p_small),
-                       config.machine_procs);
-    const double actual = config.runtime.sample(runtime_rng, job.num);
-    job.actual = actual;
-    if (config.estimate_uniform_max > 1.0) {
-      job.dur =
-          actual * estimate_rng.uniform(1.0, config.estimate_uniform_max);
-    } else {
-      job.dur = actual * config.estimate_factor;
-    }
-    if (type_rng.bernoulli(config.p_dedicated)) {
-      job.type = JobType::kDedicated;
-      job.start =
-          job.arr + type_rng.exponential(config.dedicated_start_mean);
-    }
-    workload.jobs.push_back(job);
-  }
-
-  // ECC injection: with probability P_E a job gets an ET command, otherwise
-  // with probability P_R an RT command (mutually exclusive per draw, as the
-  // paper treats them as alternative perturbations of a job).  EP/RP
-  // commands (resource dimension) draw independently.
   ES_EXPECTS(config.p_extend_procs + config.p_reduce_procs <= 1);
-  for (const Job& job : workload.jobs) {
+  ES_EXPECTS(config.estimate_factor >= 1.0);
+  if (config.num_users > 0) {
+    ES_EXPECTS(config.zipf_exponent > 0);
+    ES_EXPECTS(config.num_pools >= 0);
+  }
+}
+
+bool JobSampler::next(Job& job, std::vector<Ecc>* eccs,
+                      const ZipfSampler* users) {
+  const GeneratorConfig& config = config_;
+  if (drawn_ >= config.num_jobs) return false;
+  job = Job{};
+  job.id = static_cast<JobId>(++drawn_);
+  job.arr = arrivals_.next();
+  job.num = std::min(config.size.sample(size_rng_, config.p_small),
+                     config.machine_procs);
+  const double actual = config.runtime.sample(runtime_rng_, job.num);
+  job.actual = actual;
+  if (config.estimate_uniform_max > 1.0) {
+    job.dur = actual * estimate_rng_.uniform(1.0, config.estimate_uniform_max);
+  } else {
+    job.dur = actual * config.estimate_factor;
+  }
+  if (type_rng_.bernoulli(config.p_dedicated)) {
+    job.type = JobType::kDedicated;
+    job.start = job.arr + type_rng_.exponential(config.dedicated_start_mean);
+  }
+  if (eccs != nullptr) {
+    // With probability P_E a job gets an ET command, otherwise with
+    // probability P_R an RT command (mutually exclusive per draw, as the
+    // paper treats them as alternative perturbations of a job).  EP/RP
+    // commands (resource dimension) draw independently.
     for (int k = 0; k < config.max_eccs_per_job; ++k) {
-      const double draw = ecc_rng.uniform01();
+      const double draw = ecc_rng_.uniform01();
       EccType type;
       if (draw < config.p_extend) {
         type = EccType::kExtendTime;
@@ -80,44 +78,51 @@ Workload generate(const GeneratorConfig& config) {
       ecc.job_id = job.id;
       ecc.type = type;
       double amount =
-          ecc_rng.exponential(config.ecc_amount_frac_mean * job.dur);
+          ecc_rng_.exponential(config.ecc_amount_frac_mean * job.dur);
       if (type == EccType::kReduceTime) {
         // Keep at least 10% of the runtime after reduction.
         amount = std::min(amount, 0.9 * job.dur);
       }
       ecc.amount = std::max(1.0, amount);
       ecc.issue =
-          job.arr + ecc_rng.uniform(0.0, config.issue_window_frac * job.dur);
-      workload.eccs.push_back(ecc);
+          job.arr + ecc_rng_.uniform(0.0, config.issue_window_frac * job.dur);
+      eccs->push_back(ecc);
     }
-    const double proc_draw = ecc_rng.uniform01();
+    const double proc_draw = ecc_rng_.uniform01();
     if (proc_draw < config.p_extend_procs + config.p_reduce_procs) {
       Ecc ecc;
       ecc.job_id = job.id;
-      ecc.type = proc_draw < config.p_extend_procs
-                     ? EccType::kExtendProcs
-                     : EccType::kReduceProcs;
+      ecc.type = proc_draw < config.p_extend_procs ? EccType::kExtendProcs
+                                                   : EccType::kReduceProcs;
       ecc.amount = std::max(
-          1.0, std::round(ecc_rng.exponential(config.ecc_proc_amount_mean)));
+          1.0, std::round(ecc_rng_.exponential(config.ecc_proc_amount_mean)));
       ecc.issue =
-          job.arr + ecc_rng.uniform(0.0, config.issue_window_frac * job.dur);
-      workload.eccs.push_back(ecc);
+          job.arr + ecc_rng_.uniform(0.0, config.issue_window_frac * job.dur);
+      eccs->push_back(ecc);
     }
   }
+  if (users != nullptr) {
+    // Multi-tenant tagging: Zipf-distributed submitters, pools round-robin
+    // over user rank.  Drawn in id order, so insensitive to arrival ties.
+    job.user = users->sample(user_rng_);
+    job.pool = config.num_pools > 0 ? (job.user - 1) % config.num_pools : 0;
+  }
+  return true;
+}
 
-  // Multi-tenant tagging: Zipf-distributed submitters, pools round-robin
-  // over user rank.  A separate pass over jobs in id order (not draw order)
-  // so the tag stream is insensitive to arrival-time ties.
-  if (config.num_users > 0) {
-    ES_EXPECTS(config.zipf_exponent > 0);
-    ES_EXPECTS(config.num_pools >= 0);
-    const ZipfSampler zipf(config.num_users, config.zipf_exponent);
-    for (Job& job : workload.jobs) {
-      const int user = zipf.sample(user_rng);
-      job.user = user;
-      job.pool = config.num_pools > 0 ? (user - 1) % config.num_pools : 0;
-    }
-  }
+Workload generate(const GeneratorConfig& config) {
+  JobSampler sampler(config);
+  std::optional<ZipfSampler> users;
+  if (config.num_users > 0)
+    users.emplace(config.num_users, config.zipf_exponent);
+
+  Workload workload;
+  workload.machine_procs = config.machine_procs;
+  workload.granularity = config.size.unit;
+  workload.jobs.reserve(config.num_jobs);
+  Job job;
+  while (sampler.next(job, &workload.eccs, users ? &*users : nullptr))
+    workload.jobs.push_back(job);
 
   workload.normalize();
   if (config.target_load > 0)

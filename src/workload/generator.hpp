@@ -99,6 +99,40 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
+/// The one per-job draw of the model: generate() loops it over the whole
+/// trace, GeneratorSource over chunks (and over its calibration passes).
+/// Each attribute draws from its own split of the seed, in a fixed split
+/// order, so the job, command and tag of draw i do not depend on which of
+/// them a caller asks for.  Construction checks the config's preconditions.
+class JobSampler {
+ public:
+  explicit JobSampler(const GeneratorConfig& config);
+
+  /// Draws the next job (ids run 1..num_jobs in draw order, arrivals are
+  /// unscaled and non-decreasing); false once num_jobs were drawn.
+  /// When `eccs` is non-null the job's commands are appended to it, and
+  /// when `users` is non-null the job is tagged with a submitting user and
+  /// its pool; passes that need neither skip those streams.
+  bool next(Job& job, std::vector<Ecc>* eccs, const ZipfSampler* users);
+
+  const GeneratorConfig& config() const { return config_; }
+
+ private:
+  GeneratorConfig config_;
+  util::Rng master_;
+  util::Rng size_rng_;
+  util::Rng runtime_rng_;
+  util::Rng arrival_rng_;
+  util::Rng type_rng_;
+  util::Rng ecc_rng_;
+  util::Rng estimate_rng_;
+  /// Split after the original six streams so pre-tenancy traces stay
+  /// byte-identical: it only consumes entropy when jobs are tagged.
+  util::Rng user_rng_;
+  ArrivalProcess arrivals_;
+  std::size_t drawn_ = 0;
+};
+
 /// Generates a workload from the model.  Jobs get IDs 1..num_jobs in arrival
 /// order.  Postconditions: jobs sorted by arrival, sizes within
 /// [granularity, machine_procs], all durations positive.

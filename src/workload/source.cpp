@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <stdexcept>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -162,140 +160,25 @@ bool MaterializedSource::next_chunk(SourceChunk& chunk) {
 // ---------------------------------------------------------------------------
 // GeneratorSource
 
-/// One generation pass.  Declaration order of the split streams must match
-/// generate()'s split() call order exactly — that is what makes this
-/// bitwise-identical to the materializing generator.
-struct GeneratorSource::Stream {
-  util::Rng master;
-  util::Rng size_rng;
-  util::Rng runtime_rng;
-  util::Rng arrival_rng;
-  util::Rng type_rng;
-  util::Rng ecc_rng;
-  util::Rng estimate_rng;
-  util::Rng user_rng;
-  ArrivalProcess arrivals;
-  std::size_t index = 0;
-
-  explicit Stream(const GeneratorConfig& config)
-      : master(config.seed),
-        size_rng(master.split()),
-        runtime_rng(master.split()),
-        arrival_rng(master.split()),
-        type_rng(master.split()),
-        ecc_rng(master.split()),
-        estimate_rng(master.split()),
-        user_rng(master.split()),
-        arrivals(config.arrival, arrival_rng) {}
-
-  /// Generates the next job; when `eccs` is non-null its commands are
-  /// appended, and when `users` is non-null the job is tagged with its
-  /// submitting user and pool (both streams are independent, so
-  /// calibration pre-passes skip those draws entirely).  Mirrors
-  /// generate()'s per-job draw order; interleaving the ECC and tagging
-  /// passes per job is equivalent to the generator's separate passes
-  /// because each attribute consumes its own stream and generate() tags
-  /// in id order, which is generation order.
-  bool next(const GeneratorConfig& config, Job& job, std::vector<Ecc>* eccs,
-            const ZipfSampler* users) {
-    if (index >= config.num_jobs) return false;
-    job = Job{};
-    job.id = static_cast<JobId>(index + 1);
-    job.arr = arrivals.next();
-    job.num = std::min(config.size.sample(size_rng, config.p_small),
-                       config.machine_procs);
-    const double actual = config.runtime.sample(runtime_rng, job.num);
-    job.actual = actual;
-    if (config.estimate_uniform_max > 1.0) {
-      job.dur =
-          actual * estimate_rng.uniform(1.0, config.estimate_uniform_max);
-    } else {
-      job.dur = actual * config.estimate_factor;
-    }
-    if (type_rng.bernoulli(config.p_dedicated)) {
-      job.type = JobType::kDedicated;
-      job.start =
-          job.arr + type_rng.exponential(config.dedicated_start_mean);
-    }
-    if (eccs != nullptr) {
-      for (int k = 0; k < config.max_eccs_per_job; ++k) {
-        const double draw = ecc_rng.uniform01();
-        EccType type;
-        if (draw < config.p_extend) {
-          type = EccType::kExtendTime;
-        } else if (draw < config.p_extend + config.p_reduce) {
-          type = EccType::kReduceTime;
-        } else {
-          continue;
-        }
-        Ecc ecc;
-        ecc.job_id = job.id;
-        ecc.type = type;
-        double amount =
-            ecc_rng.exponential(config.ecc_amount_frac_mean * job.dur);
-        if (type == EccType::kReduceTime) {
-          amount = std::min(amount, 0.9 * job.dur);
-        }
-        ecc.amount = std::max(1.0, amount);
-        ecc.issue = job.arr +
-                    ecc_rng.uniform(0.0, config.issue_window_frac * job.dur);
-        eccs->push_back(ecc);
-      }
-      const double proc_draw = ecc_rng.uniform01();
-      if (proc_draw < config.p_extend_procs + config.p_reduce_procs) {
-        Ecc ecc;
-        ecc.job_id = job.id;
-        ecc.type = proc_draw < config.p_extend_procs ? EccType::kExtendProcs
-                                                     : EccType::kReduceProcs;
-        ecc.amount = std::max(
-            1.0,
-            std::round(ecc_rng.exponential(config.ecc_proc_amount_mean)));
-        ecc.issue = job.arr +
-                    ecc_rng.uniform(0.0, config.issue_window_frac * job.dur);
-        eccs->push_back(ecc);
-      }
-    }
-    if (users != nullptr) {
-      job.user = users->sample(user_rng);
-      job.pool =
-          config.num_pools > 0 ? (job.user - 1) % config.num_pools : 0;
-    }
-    ++index;
-    return true;
-  }
-};
-
 GeneratorSource::GeneratorSource(const GeneratorConfig& config,
                                  std::size_t chunk_jobs)
-    : config_(config), chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
-  ES_EXPECTS(config.num_jobs > 0);
-  ES_EXPECTS(config.machine_procs > 0);
-  ES_EXPECTS(config.p_small >= 0 && config.p_small <= 1);
-  ES_EXPECTS(config.p_dedicated >= 0 && config.p_dedicated <= 1);
-  ES_EXPECTS(config.p_extend >= 0 && config.p_extend <= 1);
-  ES_EXPECTS(config.p_reduce >= 0 && config.p_reduce <= 1);
-  ES_EXPECTS(config.p_extend + config.p_reduce <= 1);
-  ES_EXPECTS(config.p_extend_procs + config.p_reduce_procs <= 1);
-  ES_EXPECTS(config.estimate_factor >= 1.0);
-  if (config.num_users > 0) {
-    ES_EXPECTS(config.zipf_exponent > 0);
-    ES_EXPECTS(config.num_pools >= 0);
+    : sampler_(config), chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
+  if (config.num_users > 0)
     users_.emplace(config.num_users, config.zipf_exponent);
-  }
 
   // calibrate_load() replayed as generation passes: pass 0 measures the
   // scale-invariant proc-seconds and the unscaled load; each iteration
   // appends one factor and re-measures the span under the factor chain.
   // Jobs-only passes — the ECC stream is untouched, so skipping it changes
   // nothing downstream.
-  if (config_.target_load > 0) {
+  if (config.target_load > 0) {
     double proc_seconds = 0;
     const auto measure = [&](bool accumulate_work) {
-      Stream pass(config_);
+      JobSampler pass(config);
       Job job;
       double last = 0;
       bool first = true;
-      while (pass.next(config_, job, nullptr, nullptr)) {
+      while (pass.next(job, nullptr, nullptr)) {
         if (accumulate_work)
           proc_seconds +=
               static_cast<double>(job.num) * job.actual_runtime();
@@ -314,25 +197,22 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
       }
       const double span = last - origin_;
       if (span <= 0) return 0.0;
-      return proc_seconds / (span * config_.machine_procs);
+      return proc_seconds / (span * config.machine_procs);
     };
     double load = measure(true);
     if (load > 0) {
       for (int i = 0; i < 25; ++i) {
         const double error =
-            std::abs(load - config_.target_load) / config_.target_load;
+            std::abs(load - config.target_load) / config.target_load;
         if (error < 0.01) break;
-        factors_.push_back(load / config_.target_load);
+        factors_.push_back(load / config.target_load);
         load = measure(false);
       }
       ES_LOG_DEBUG("calibrated load %.4f (target %.4f, %zu factors)", load,
-                   config_.target_load, factors_.size());
+                   config.target_load, factors_.size());
     }
   }
-  stream_ = std::make_unique<Stream>(config_);
 }
-
-GeneratorSource::~GeneratorSource() = default;
 
 double GeneratorSource::scaled(double t) const {
   // Sequential replay of scale_arrivals(f1), scale_arrivals(f2), ... —
@@ -346,8 +226,7 @@ bool GeneratorSource::generate_lookahead() {
   if (exhausted_) return false;
   Job job;
   const std::size_t before = ecc_buffer_.size();
-  if (!stream_->next(config_, job, &ecc_buffer_,
-                     users_ ? &*users_ : nullptr)) {
+  if (!sampler_.next(job, &ecc_buffer_, users_ ? &*users_ : nullptr)) {
     exhausted_ = true;
     return false;
   }
@@ -358,7 +237,6 @@ bool GeneratorSource::generate_lookahead() {
   lookahead_job_ = job;
   lookahead_ecc_count_ = static_cast<int>(ecc_buffer_.size() - before);
   lookahead_valid_ = true;
-  ++generated_;
   return true;
 }
 
@@ -388,100 +266,6 @@ bool GeneratorSource::next_chunk(SourceChunk& chunk) {
   chunk.eccs.assign(ecc_buffer_.begin(), mid);
   ecc_buffer_.erase(ecc_buffer_.begin(), mid);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// SwfJobSource
-
-SwfJobSource::SwfJobSource(const std::string& path, const Options& options)
-    : options_(options),
-      path_(path),
-      in_(std::make_unique<std::ifstream>(path)) {
-  ES_EXPECTS(options.machine_procs > 0);
-  ES_EXPECTS(options.granularity > 0);
-  ES_EXPECTS(options.chunk_jobs > 0);
-  if (!*in_) throw std::runtime_error("cannot open SWF trace: " + path);
-}
-
-SwfJobSource::~SwfJobSource() = default;
-
-bool SwfJobSource::fill_window() {
-  std::string line;
-  while (!eof_ && window_.size() <= options_.reorder_window) {
-    if (!std::getline(*in_, line)) {
-      eof_ = true;
-      break;
-    }
-    ++line_number_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.front() == ';') continue;
-    SwfRecord record;
-    std::string message;
-    if (!parse_swf_record(line, record, message)) {
-      ES_LOG_WARN("%s:%zu: %s", path_.c_str(), line_number_,
-                  message.c_str());
-      ++parse_errors_;
-      continue;
-    }
-    Job job;
-    SwfDropReason reason = SwfDropReason::kNone;
-    if (!to_job(record, job, options_.import, &reason)) {
-      switch (reason) {
-        case SwfDropReason::kUnusable: ++drops_.unusable; break;
-        case SwfDropReason::kNeverRan: ++drops_.never_ran; break;
-        case SwfDropReason::kPartialDisabled:
-          ++drops_.partial_disabled;
-          break;
-        case SwfDropReason::kNone: break;
-      }
-      continue;
-    }
-    window_.push(job);
-  }
-  if (eof_ && window_.empty() && !summary_logged_) {
-    summary_logged_ = true;
-    if (drops_.total() > 0) {
-      // Same one-summary-per-file shape as load_swf_jobs().
-      ES_LOG_WARN(
-          "%s: dropped %llu records (%llu unusable, %llu failed/cancelled "
-          "before running, %llu partial runs excluded)",
-          path_.c_str(), static_cast<unsigned long long>(drops_.total()),
-          static_cast<unsigned long long>(drops_.unusable),
-          static_cast<unsigned long long>(drops_.never_ran),
-          static_cast<unsigned long long>(drops_.partial_disabled));
-    }
-  }
-  return !window_.empty();
-}
-
-bool SwfJobSource::pop_lookahead() {
-  if (lookahead_valid_) return true;
-  if (!fill_window()) return false;
-  lookahead_ = window_.top();
-  window_.pop();
-  if (lookahead_.arr < last_emitted_arr_) {
-    throw std::runtime_error(
-        path_ + ": submit order inversion exceeds the reorder window (job " +
-        std::to_string(lookahead_.id) +
-        "); re-run with a larger window or the materializing loader");
-  }
-  lookahead_valid_ = true;
-  return true;
-}
-
-bool SwfJobSource::next_chunk(SourceChunk& chunk) {
-  chunk.clear();
-  while (true) {
-    if (!lookahead_valid_ && !pop_lookahead()) break;
-    if (!chunk.jobs.empty() && chunk.jobs.size() >= options_.chunk_jobs &&
-        lookahead_.arr > chunk.jobs.back().arr)
-      break;
-    chunk.jobs.push_back(lookahead_);
-    chunk.ecc_counts.push_back(0);
-    last_emitted_arr_ = lookahead_.arr;
-    lookahead_valid_ = false;
-  }
-  return !chunk.jobs.empty();
 }
 
 }  // namespace es::workload

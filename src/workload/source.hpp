@@ -31,24 +31,21 @@
 // (kept when it processes ECCs) rejects a live duplicate.
 //
 // MaterializedSource relaxes contracts 1 and 2 to accept everything
-// Engine::run() does (see its comment).  CWF
-// files allow commands to reference jobs arbitrarily far back with no
-// per-job totals until EOF, so CWF streams through MaterializedSource
-// (bounded engine state; the parsed workload itself stays resident).
+// Engine::run() does (see its comment).  CWF files allow commands to
+// reference jobs arbitrarily far back with no per-job totals until EOF, so
+// SWF and CWF traces load through load_cwf_workload() and stream through
+// MaterializedSource (bounded engine state; the parsed workload itself stays
+// resident).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <queue>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "workload/generator.hpp"
 #include "workload/job.hpp"
-#include "workload/swf.hpp"
 
 namespace es::workload {
 
@@ -193,24 +190,23 @@ class MaterializedSource : public JobSource {
 
 /// Streams the synthetic Lublin/CWF generator without materializing the
 /// trace: bitwise-identical to generate(config) fed to the engine, chunk by
-/// chunk.  Jobs, their commands and their tenancy tags are produced in one
-/// interleaved pass (the generator's split RNG streams make that equal to
-/// its separate passes); target_load calibration replays generate()'s
-/// iterative scale_arrivals() as a factor chain applied per emitted
-/// timestamp.
+/// chunk.  It draws from the same JobSampler as generate(), taking each
+/// job's commands and tenancy tags with it (the sampler's split RNG streams
+/// make that equal to generate()'s order); target_load calibration replays
+/// generate()'s iterative scale_arrivals() as a factor chain applied per
+/// emitted timestamp.
 class GeneratorSource : public JobSource {
  public:
   static constexpr std::size_t kDefaultChunkJobs = 4096;
 
   explicit GeneratorSource(const GeneratorConfig& config,
                            std::size_t chunk_jobs = kDefaultChunkJobs);
-  ~GeneratorSource() override;
 
-  int machine_procs() const override { return config_.machine_procs; }
-  int granularity() const override { return config_.size.unit; }
+  int machine_procs() const override { return config().machine_procs; }
+  int granularity() const override { return config().size.unit; }
   bool next_chunk(SourceChunk& chunk) override;
   std::optional<std::uint64_t> total_jobs() const override {
-    return config_.num_jobs;
+    return config().num_jobs;
   }
 
   /// The sequential scale factors calibration settled on (empty when
@@ -218,20 +214,19 @@ class GeneratorSource : public JobSource {
   const std::vector<double>& scale_factors() const { return factors_; }
 
  private:
-  struct Stream;  // one generation pass over the trace
+  const GeneratorConfig& config() const { return sampler_.config(); }
 
   /// Applies the calibration factor chain around the trace origin, in the
   /// same sequential order calibrate_load() applied scale_arrivals().
   double scaled(double t) const;
   bool generate_lookahead();
 
-  GeneratorConfig config_;
+  JobSampler sampler_;
   std::size_t chunk_jobs_;
   /// Submitting-user sampler when the config tags jobs (num_users > 0).
   std::optional<ZipfSampler> users_;
   std::vector<double> factors_;
   double origin_ = 0;
-  std::unique_ptr<Stream> stream_;
 
   // One-job lookahead so a chunk cut can honour the tie-group rule and the
   // ECC window end is known when the chunk is emitted.
@@ -241,69 +236,6 @@ class GeneratorSource : public JobSource {
 
   std::vector<Ecc> ecc_buffer_;  ///< scaled, generation order
   bool exhausted_ = false;
-  std::size_t generated_ = 0;
-};
-
-/// Streams an SWF archive trace from disk, line by line.  Honours the same
-/// SwfImportOptions/status semantics as load_swf_jobs() and accumulates the
-/// same per-file drop summary.  Archive traces are nearly submit-ordered
-/// but not strictly; a bounded reorder window re-sorts local inversions —
-/// a record displaced further than the window aborts the stream with
-/// std::runtime_error (fall back to the materializing loader).
-class SwfJobSource : public JobSource {
- public:
-  struct Options {
-    SwfImportOptions import{};
-    int machine_procs = 0;  ///< required (SWF headers are advisory)
-    int granularity = 1;
-    std::size_t chunk_jobs = 4096;
-    std::size_t reorder_window = 4096;
-  };
-
-  /// Drop totals, mirroring load_swf_jobs()'s summary warning.
-  struct DropSummary {
-    std::uint64_t unusable = 0;
-    std::uint64_t never_ran = 0;
-    std::uint64_t partial_disabled = 0;
-    std::uint64_t total() const {
-      return unusable + never_ran + partial_disabled;
-    }
-  };
-
-  /// Throws std::runtime_error when the file cannot be opened.
-  SwfJobSource(const std::string& path, const Options& options);
-  ~SwfJobSource() override;
-
-  int machine_procs() const override { return options_.machine_procs; }
-  int granularity() const override { return options_.granularity; }
-  bool next_chunk(SourceChunk& chunk) override;
-
-  const DropSummary& drops() const { return drops_; }
-  std::uint64_t parse_errors() const { return parse_errors_; }
-
- private:
-  struct Later {
-    bool operator()(const Job& a, const Job& b) const {
-      if (a.arr != b.arr) return a.arr > b.arr;
-      return a.id > b.id;
-    }
-  };
-
-  bool fill_window();
-  bool pop_lookahead();
-
-  Options options_;
-  std::string path_;
-  std::unique_ptr<std::ifstream> in_;
-  std::priority_queue<Job, std::vector<Job>, Later> window_;
-  bool eof_ = false;
-  bool lookahead_valid_ = false;
-  Job lookahead_{};
-  double last_emitted_arr_ = -1;
-  DropSummary drops_;
-  std::uint64_t parse_errors_ = 0;
-  std::size_t line_number_ = 0;
-  bool summary_logged_ = false;
 };
 
 }  // namespace es::workload

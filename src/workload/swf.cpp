@@ -5,11 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
-#include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace es::workload {
 namespace {
@@ -177,8 +174,7 @@ void write_swf(std::ostream& out, const SwfFile& file) {
     out << format_swf_record(record) << '\n';
 }
 
-bool to_job(const SwfRecord& record, Job& out, const SwfImportOptions& options,
-            SwfDropReason* reason) {
+bool to_job(const SwfRecord& record, Job& out, SwfDropReason* reason) {
   auto drop = [reason](SwfDropReason why) {
     if (reason) *reason = why;
     return false;
@@ -186,13 +182,11 @@ bool to_job(const SwfRecord& record, Job& out, const SwfImportOptions& options,
   if (reason) *reason = SwfDropReason::kNone;
   // Status field (11): 0 = failed, 5 = cancelled.  A record that terminated
   // early but ran (run_time > 0) still occupied processors and is replayed
-  // with its partial runtime (unless the caller opted out); one that never
-  // ran consumed nothing and would only distort the replayed load.
+  // with its partial runtime — dropping it would understate the offered
+  // load; one that never ran consumed nothing and would only distort it.
   const bool terminated_early = record.status == 0 || record.status == 5;
-  if (terminated_early) {
-    if (record.run_time <= 0) return drop(SwfDropReason::kNeverRan);
-    if (!options.import_partial) return drop(SwfDropReason::kPartialDisabled);
-  }
+  if (terminated_early && record.run_time <= 0)
+    return drop(SwfDropReason::kNeverRan);
   Job job;
   job.id = record.job_number;
   job.arr = record.submit_time < 0 ? 0 : record.submit_time;
@@ -222,47 +216,6 @@ SwfRecord from_job(const Job& job) {
   record.req_time = job.dur;
   record.status = 1;
   return record;
-}
-
-std::vector<Job> load_swf_jobs(const std::string& path,
-                               const SwfImportOptions& options) {
-  std::ifstream in(path);
-  if (!in) {
-    ES_LOG_ERROR("cannot open SWF trace '%s'", path.c_str());
-    return {};
-  }
-  std::vector<SwfParseError> errors;
-  const SwfFile file = parse_swf(in, &errors);
-  for (const auto& error : errors)
-    ES_LOG_WARN("%s:%zu: %s", path.c_str(), error.line_number,
-                error.message.c_str());
-  std::vector<Job> jobs;
-  jobs.reserve(file.records.size());
-  std::size_t unusable = 0, never_ran = 0, partial_disabled = 0;
-  for (const auto& record : file.records) {
-    Job job;
-    SwfDropReason reason = SwfDropReason::kNone;
-    if (to_job(record, job, options, &reason)) {
-      jobs.push_back(job);
-      continue;
-    }
-    switch (reason) {
-      case SwfDropReason::kUnusable: ++unusable; break;
-      case SwfDropReason::kNeverRan: ++never_ran; break;
-      case SwfDropReason::kPartialDisabled: ++partial_disabled; break;
-      case SwfDropReason::kNone: break;
-    }
-  }
-  // One summary per file, not one warning per record — a large archive trace
-  // can legitimately carry thousands of cancelled submissions.
-  if (unusable + never_ran + partial_disabled > 0) {
-    ES_LOG_WARN(
-        "%s: dropped %zu of %zu records (%zu unusable, %zu "
-        "failed/cancelled before running, %zu partial runs excluded)",
-        path.c_str(), unusable + never_ran + partial_disabled,
-        file.records.size(), unusable, never_ran, partial_disabled);
-  }
-  return jobs;
 }
 
 }  // namespace es::workload

@@ -4,7 +4,9 @@
 // describes one job per line with 18 whitespace-separated numeric fields;
 // `;`-prefixed lines are header comments.  We parse and emit all 18 fields so
 // real archive traces round-trip, and convert records to the simulator's Job
-// model.  See also cwf.hpp for the paper's elastic extension.
+// model.  Every SWF line is also a line of CWF, the paper's elastic
+// extension (cwf.hpp), so trace files on disk load through
+// load_cwf_workload().
 #pragma once
 
 #include <iosfwd>
@@ -82,37 +84,23 @@ std::string format_swf_record(const SwfRecord& record);
 /// Writes header (each line prefixed with "; ") and records.
 void write_swf(std::ostream& out, const SwfFile& file);
 
-/// Controls how the job status (field 11: 0 = failed, 1 = completed,
-/// 5 = cancelled) is honoured when lowering records to simulator jobs.
-struct SwfImportOptions {
-  /// Import failed/cancelled records that actually ran (run_time > 0),
-  /// replaying their partial execution — they consumed real machine time, so
-  /// dropping them would understate the offered load.  When false such
-  /// records are dropped entirely.
-  bool import_partial = true;
-};
-
 /// Why to_job rejected a record.
 enum class SwfDropReason {
-  kNone,             ///< record imported
-  kUnusable,         ///< no processor count or runtime at all
-  kNeverRan,         ///< failed/cancelled before consuming any machine time
-  kPartialDisabled,  ///< partial run dropped because import_partial is off
+  kNone,      ///< record imported
+  kUnusable,  ///< no processor count or runtime at all
+  kNeverRan,  ///< failed/cancelled before consuming any machine time
 };
 
 /// Converts an SWF record to the simulator Job model.  Requested fields fall
 /// back to used/actual ones when absent (-1), matching common archive usage.
-/// Returns false for records that cannot run; `reason` (if given) says why.
+/// Job status (field 11: 0 = failed, 1 = completed, 5 = cancelled) decides
+/// early terminations: one that ran replays its partial runtime, one that
+/// never ran is dropped.  Returns false for records that cannot run;
+/// `reason` (if given) says why.
 bool to_job(const SwfRecord& record, Job& out,
-            const SwfImportOptions& options = {},
             SwfDropReason* reason = nullptr);
 
 /// Converts a Job back to an SWF record (submission view; wait/run unknown).
 SwfRecord from_job(const Job& job);
-
-/// Loads jobs from an SWF file on disk.  Unusable records are skipped and
-/// counted; one summary warning per file reports the drop totals.
-std::vector<Job> load_swf_jobs(const std::string& path,
-                               const SwfImportOptions& options = {});
 
 }  // namespace es::workload

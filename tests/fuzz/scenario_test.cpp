@@ -74,6 +74,12 @@ TEST(ScenarioFormat, ParseRejectsJobWiderThanMachine) {
   EXPECT_THROW(parse_scenario(format_scenario(scenario)), ScenarioError);
 }
 
+TEST(ScenarioFormat, ParseRejectsRepeatedJobNumber) {
+  Scenario scenario = make_scenario("flash_crowd", 5);
+  scenario.workload.jobs.push_back(scenario.workload.jobs.front());
+  EXPECT_THROW(parse_scenario(format_scenario(scenario)), ScenarioError);
+}
+
 TEST(ScenarioFormat, LoadDistinguishesIoFromValidation) {
   // Missing file: I/O, reported as a plain runtime_error (simrun exit 3)...
   EXPECT_THROW(load_scenario(temp_path("nonexistent.scn").string()),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace es::workload {
 namespace {
@@ -77,6 +78,27 @@ TEST(Cwf, DropsEccForUnknownJob) {
   const Workload workload = to_workload(parse_cwf_string(
       "9 50 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 ET 60\n"));
   EXPECT_TRUE(workload.eccs.empty());
+}
+
+TEST(Cwf, ToWorkloadRejectsARepeatedJobNumber) {
+  const std::string trace =
+      "1 0 -1 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 10 -1 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 20 -1 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n";
+  try {
+    to_workload(parse_cwf_string(trace));
+    FAIL() << "a repeated job number must not lower";
+  } catch (const TraceError& error) {
+    EXPECT_NE(std::string(error.what()).find("job number 2"),
+              std::string::npos)
+        << error.what();
+  }
+  // A dropped record does not claim its number: the resubmission imports.
+  const Workload workload = to_workload(parse_cwf_string(
+      "2 0 -1 0 4 -1 -1 4 100 -1 5 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 10 -1 100 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1\n"));
+  ASSERT_EQ(workload.jobs.size(), 1u);
+  EXPECT_DOUBLE_EQ(workload.jobs[0].arr, 10);
 }
 
 TEST(Cwf, WorkloadRoundTrip) {

@@ -109,30 +109,19 @@ SwfRecord record_with_status(long long status, double run_time) {
 TEST(SwfStatus, CancelledRecordThatNeverRanIsDropped) {
   Job job;
   SwfDropReason reason = SwfDropReason::kNone;
-  EXPECT_FALSE(to_job(record_with_status(5, -1), job, {}, &reason));
+  EXPECT_FALSE(to_job(record_with_status(5, -1), job, &reason));
   EXPECT_EQ(reason, SwfDropReason::kNeverRan);
-  EXPECT_FALSE(to_job(record_with_status(0, 0), job, {}, &reason));
+  EXPECT_FALSE(to_job(record_with_status(0, 0), job, &reason));
   EXPECT_EQ(reason, SwfDropReason::kNeverRan);
 }
 
 TEST(SwfStatus, FailedRecordThatRanImportsItsPartialRuntimeByDefault) {
   Job job;
   SwfDropReason reason = SwfDropReason::kNone;
-  ASSERT_TRUE(to_job(record_with_status(0, 40), job, {}, &reason));
+  ASSERT_TRUE(to_job(record_with_status(0, 40), job, &reason));
   EXPECT_EQ(reason, SwfDropReason::kNone);
   EXPECT_DOUBLE_EQ(job.dur, 100);     // the user's estimate
   EXPECT_DOUBLE_EQ(job.actual, 40);   // the partial execution
-}
-
-TEST(SwfStatus, ImportPartialFlagDropsEarlyTerminatedRuns) {
-  Job job;
-  SwfImportOptions options;
-  options.import_partial = false;
-  SwfDropReason reason = SwfDropReason::kNone;
-  EXPECT_FALSE(to_job(record_with_status(5, 40), job, options, &reason));
-  EXPECT_EQ(reason, SwfDropReason::kPartialDisabled);
-  // Completed records are untouched by the flag.
-  EXPECT_TRUE(to_job(record_with_status(1, 40), job, options, &reason));
 }
 
 TEST(SwfStatus, UnusableRecordReportsReason) {
@@ -141,7 +130,7 @@ TEST(SwfStatus, UnusableRecordReportsReason) {
   record.used_procs = -1;
   Job job;
   SwfDropReason reason = SwfDropReason::kNone;
-  EXPECT_FALSE(to_job(record, job, {}, &reason));
+  EXPECT_FALSE(to_job(record, job, &reason));
   EXPECT_EQ(reason, SwfDropReason::kUnusable);
 }
 

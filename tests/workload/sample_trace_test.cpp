@@ -1,5 +1,5 @@
 // File-based tests against the checked-in archive-style sample trace
-// (data/sample_sp2.swf): exercises the disk loaders, header metadata, and
+// (data/sample_sp2.swf): exercises the trace loader, header metadata, and
 // an end-to-end replay including a killed (under-estimated) job.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ namespace {
 #endif
 
 TEST(SampleTrace, LoadsAllJobs) {
-  const std::vector<Job> jobs = load_swf_jobs(ES_SAMPLE_TRACE);
+  const std::vector<Job> jobs = load_cwf_workload(ES_SAMPLE_TRACE).jobs;
   ASSERT_EQ(jobs.size(), 20u);
   EXPECT_EQ(jobs.front().id, 1);
   EXPECT_EQ(jobs.front().num, 8);

@@ -7,17 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "testing/helpers.hpp"
 #include "workload/generator.hpp"
 #include "workload/source.hpp"
-#include "workload/swf.hpp"
 
 namespace es::workload {
 namespace {
@@ -394,129 +390,6 @@ TEST(GeneratorSource, TagsUsersAndPoolsLikeGenerate) {
     expect_same_jobs(workload.jobs, drained.jobs);
     expect_same_eccs(workload.eccs, drained.eccs);
   }
-}
-
-// --- SwfJobSource ----------------------------------------------------------
-
-/// Writes `text` to a unique temp file and returns the path.
-std::string write_temp_swf(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path);
-  out << text;
-  return path;
-}
-
-/// A record line with the fields the importer reads.
-std::string swf_line(long long id, double submit, double run, long long procs,
-                     double req_time = -1, long long status = 1) {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%lld %.0f -1 %.0f %lld -1 -1 %lld %.0f -1 %lld -1 -1 -1 -1 "
-                "-1 -1 -1\n",
-                id, submit, run, procs, procs, req_time, status);
-  return line;
-}
-
-TEST(SwfJobSource, MatchesMaterializingLoaderOnSampleTrace) {
-  for (const bool import_partial : {true, false}) {
-    SCOPED_TRACE(import_partial);
-    SwfImportOptions import;
-    import.import_partial = import_partial;
-    std::vector<Job> expected = load_swf_jobs(ES_SAMPLE_TRACE, import);
-    // The engine consumes normalized workloads; the source must deliver
-    // the same (arr, id) order without materializing.
-    std::sort(expected.begin(), expected.end(), [](const Job& a, const Job& b) {
-      if (a.arr != b.arr) return a.arr < b.arr;
-      return a.id < b.id;
-    });
-
-    SwfJobSource::Options options;
-    options.import = import;
-    options.machine_procs = 128;
-    options.chunk_jobs = 16;
-    SwfJobSource source(ES_SAMPLE_TRACE, options);
-    Drained drained = drain(source);
-    expect_same_jobs(expected, drained.jobs);
-    EXPECT_EQ(source.parse_errors(), 0u);
-    for (const int count : drained.ecc_counts) EXPECT_EQ(count, 0);
-  }
-}
-
-TEST(SwfJobSource, CountsDropsLikeTheLoader) {
-  std::string text = "; UnixStartTime: 0\n";
-  text += swf_line(1, 0, 100, 4);
-  text += swf_line(2, 10, -1, -1);       // unusable: no procs, no runtime
-  text += swf_line(3, 20, 0, 4, -1, 0);  // failed before running
-  text += swf_line(4, 30, 50, 4, 200, 0);  // partial run
-  text += swf_line(5, 40, 100, 4);
-  const std::string path = write_temp_swf("source_drops.swf", text);
-
-  {
-    SwfJobSource::Options options;
-    options.machine_procs = 64;
-    SwfJobSource source(path, options);
-    Drained drained = drain(source);
-    EXPECT_EQ(drained.jobs.size(), 3u);  // 1, 4 (partial kept), 5
-    EXPECT_EQ(source.drops().unusable, 1u);
-    EXPECT_EQ(source.drops().never_ran, 1u);
-    EXPECT_EQ(source.drops().partial_disabled, 0u);
-  }
-  {
-    SwfJobSource::Options options;
-    options.machine_procs = 64;
-    options.import.import_partial = false;
-    SwfJobSource source(path, options);
-    Drained drained = drain(source);
-    EXPECT_EQ(drained.jobs.size(), 2u);  // partial now dropped too
-    EXPECT_EQ(source.drops().partial_disabled, 1u);
-    EXPECT_EQ(source.drops().total(), 3u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SwfJobSource, ReordersLocalSubmitInversions) {
-  std::string text;
-  text += swf_line(1, 100, 60, 4);
-  text += swf_line(2, 50, 60, 4);  // out of order, within the window
-  text += swf_line(3, 150, 60, 4);
-  const std::string path = write_temp_swf("source_reorder.swf", text);
-  SwfJobSource::Options options;
-  options.machine_procs = 64;
-  options.reorder_window = 4;
-  SwfJobSource source(path, options);
-  Drained drained = drain(source);
-  ASSERT_EQ(drained.jobs.size(), 3u);
-  EXPECT_EQ(drained.jobs[0].id, 2);
-  EXPECT_EQ(drained.jobs[1].id, 1);
-  EXPECT_EQ(drained.jobs[2].id, 3);
-  std::remove(path.c_str());
-}
-
-TEST(SwfJobSource, ThrowsWhenInversionExceedsWindow) {
-  std::string text;
-  for (int i = 0; i < 8; ++i) text += swf_line(i + 1, 1000 + 10 * i, 60, 4);
-  text += swf_line(99, 0, 60, 4);  // displaced past any 2-record window
-  const std::string path = write_temp_swf("source_inversion.swf", text);
-  SwfJobSource::Options options;
-  options.machine_procs = 64;
-  options.chunk_jobs = 2;
-  options.reorder_window = 2;
-  SwfJobSource source(path, options);
-  SourceChunk chunk;
-  EXPECT_THROW(
-      {
-        while (source.next_chunk(chunk)) {
-        }
-      },
-      std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(SwfJobSource, ThrowsOnMissingFile) {
-  SwfJobSource::Options options;
-  options.machine_procs = 64;
-  EXPECT_THROW(SwfJobSource("/nonexistent/trace.swf", options),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -170,14 +170,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& command = args[0];
-  if (command == "validate" && args.size() == 2) return validate(args[1]);
-  if (command == "describe" && args.size() == 2) return describe(args[1]);
-  if (command == "convert" && args.size() == 3)
-    return convert(args[1], args[2]);
-  if (command == "scale" && args.size() == 3)
-    return rescale(args[1], args[2], factor, 0.0, procs);
-  if (command == "calibrate" && args.size() == 3)
-    return rescale(args[1], args[2], 1.0, load, procs);
+  try {
+    if (command == "validate" && args.size() == 2) return validate(args[1]);
+    if (command == "describe" && args.size() == 2) return describe(args[1]);
+    if (command == "convert" && args.size() == 3)
+      return convert(args[1], args[2]);
+    if (command == "scale" && args.size() == 3)
+      return rescale(args[1], args[2], factor, 0.0, procs);
+    if (command == "calibrate" && args.size() == 3)
+      return rescale(args[1], args[2], 1.0, load, procs);
+  } catch (const es::workload::TraceError& error) {
+    std::fprintf(stderr, "cwftool: %s: %s\n", args[1].c_str(), error.what());
+    return 2;
+  }
   std::fputs(cli.help(argv[0]).c_str(), stderr);
   return 1;
 }

@@ -358,7 +358,13 @@ int main(int argc, char** argv) {
                   es::workload::offered_load(workload, engine.machine_procs));
     }
   } else {
-    workload = es::workload::load_cwf_workload(trace);
+    try {
+      workload = es::workload::load_cwf_workload(trace);
+    } catch (const es::workload::TraceError& error) {
+      std::fprintf(stderr, "simrun: --trace %s: %s\n", trace.c_str(),
+                   error.what());
+      return 2;
+    }
     workload.machine_procs = engine.machine_procs;
     workload.granularity = engine.granularity;
     std::erase_if(workload.jobs, [&engine](const es::workload::Job& job) {
