@@ -101,8 +101,6 @@ Scenario make_flash_crowd(std::uint64_t seed) {
   }
   quantize(workload);
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 
@@ -137,8 +135,6 @@ Scenario make_heavy_tail(std::uint64_t seed) {
   }
   quantize(workload);
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 
@@ -208,8 +204,6 @@ Scenario make_ecc_storm(std::uint64_t seed) {
   }
   quantize(workload);
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   // An ET of 1e15 seconds legitimately stretches the simulated horizon;
   // cap sim time instead of flagging the abort as a finding.
   scenario.engine.watchdog.max_sim_time = 1e18;
@@ -257,8 +251,6 @@ Scenario make_outage_cascade(std::uint64_t seed) {
   }
   scenario.engine.requeue = pick_requeue(rng);
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 
@@ -276,8 +268,6 @@ Scenario make_dedicated_saturation(std::uint64_t seed) {
   workload::Workload workload = workload::generate(config);
   quantize(workload);
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 
@@ -316,8 +306,6 @@ Scenario make_checkpoint_churn(std::uint64_t seed) {
                                 ? fault::RequeuePolicy::kRequeueHead
                                 : fault::RequeuePolicy::kRequeueTail;
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 
@@ -363,8 +351,6 @@ Scenario make_crash_restart(std::uint64_t seed) {
     }
   }
   scenario.workload = std::move(workload);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 

@@ -13,30 +13,37 @@
 //
 // File format (text, line-oriented, "# " comments):
 //
-//   # elastisched scenario v1
-//   scenario-version = 1
-//   name = ecc_storm-7
-//   family = ecc_storm
-//   seed = 7
+//   # elastisched scenario v2
+//   scenario-version = 2
+//   name = checkpoint_churn-1
+//   family = checkpoint_churn
+//   seed = 1
 //   expect-completion = 1
-//   procs = 320
-//   granularity = 32
-//   requeue = head
-//   fail-seed = 9            # stochastic outage knobs (fail-mtbf > 0
-//   fail-mtbf = 3600         # enables them; "outage" lines below override
-//   fail-mttr = 900          # with a deterministic script)
-//   fail-min-nodes = 1
-//   fail-max-nodes = 4
-//   fail-retry-cap = 3
-//   outage = 1000 1600 64    # down up procs (repeatable; scripted mode)
-//   ckpt-interval = 300
-//   ckpt-overhead = 10
-//   ckpt-on-preempt = 0
-//   max-events = 2000000     # watchdog budgets (0 = unlimited)
-//   max-sim-time = 0
-//   no-progress-cycles = 50000
+//   engine.machine_procs = 320
+//   engine.granularity = 32
+//   engine.requeue = tail
+//   failure.enabled = true
+//   failure.seed = 14597305093991985489
+//   failure.mtbf = 6109
+//   failure.mttr = 302
+//   failure.max_interruptions = 2
+//   checkpoint.enabled = true
+//   checkpoint.interval = 384
+//   checkpoint.overhead = 26
+//   watchdog.max_events = 20000000
+//   watchdog.no_progress_cycles = 500000
+//   outage = 1000 1600 64
 //   workload:
 //   <CWF lines until end of file>
+//
+// The five metadata keys and the `outage = down up procs` lines (the
+// scripted failure sequence; repeatable) belong to the scenario.  Every
+// other key is a configuration-registry parameter (sched/engine_params.hpp)
+// in its canonical spelling, including the `pool.<name>.*` family, and is
+// parsed, range-checked and cross-validated by the registry.  The writer
+// emits the machine shape plus every parameter that differs from its
+// built-in default; the reader applies the lines over a base
+// configuration, so `simrun --scenario` is one more configuration layer.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +79,8 @@ struct Scenario {
 
   workload::Workload workload;  ///< materialized jobs + ECCs
   /// Engine knobs: requeue, failure (script or stochastic), checkpoint,
-  /// watchdog.  machine_procs/granularity mirror the workload's and are
-  /// re-synced on load/save.
+  /// watchdog, fair share.  Its machine_procs/granularity are not read: the
+  /// machine shape lives in `workload`, and options() copies it in.
   sched::EngineConfig engine;
 
   /// Algorithm options carrying this scenario's engine config, ready for
@@ -90,13 +97,18 @@ struct Scenario {
 /// Renders the scenario in the file format above.
 std::string format_scenario(const Scenario& scenario);
 
-/// Parses scenario text.  Throws ScenarioError on malformed content
-/// (unknown keys, bad values, CWF lines that fail to parse).
-Scenario parse_scenario(const std::string& text);
+/// Parses scenario text, applying its engine lines over `base` and then
+/// finalizing the registry.  Throws ScenarioError on malformed content
+/// (unknown keys, bad or out-of-range values, broken cross-field rules, an
+/// unsupported version, CWF lines that fail to parse); registry failures
+/// name the field and, when the file set it, the line.
+Scenario parse_scenario(const std::string& text,
+                        const sched::EngineConfig& base = {});
 
 /// Load from disk.  Throws ScenarioError on malformed content and
 /// std::runtime_error on I/O failure (missing/unreadable file).
-Scenario load_scenario(const std::string& path);
+Scenario load_scenario(const std::string& path,
+                       const sched::EngineConfig& base = {});
 
 /// Save to disk (atomic write).  Returns false on I/O failure.
 bool save_scenario(const std::string& path, const Scenario& scenario);

@@ -29,20 +29,6 @@ void CapacityProfile::rebuild(sim::Time now, int total,
   }
 }
 
-void CapacityProfile::advance_to(sim::Time now) {
-  ES_EXPECTS(now >= now_);
-  if (now == now_) return;
-  // Merge segments that ended by `now`: breakpoints are exactly {build time}
-  // ∪ {reservation ends}, so after dropping the past ones the profile is
-  // byte-for-byte what a from-scratch build at `now` produces — as long as
-  // every reservation still reaches past `now` (the caller's cache-hit
-  // precondition; see Conservative::cycle).
-  while (segments_.size() >= 2 && segments_[1].begin <= now)
-    segments_.erase(segments_.begin());
-  segments_.front().begin = now;
-  now_ = now;
-}
-
 std::size_t CapacityProfile::split_at(sim::Time t) {
   ES_EXPECTS(t >= now_);
   // Find the segment covering t.
@@ -102,26 +88,7 @@ void Conservative::cycle(SchedulerContext& ctx) {
   // Profile over the in-service capacity: offline processors cannot be
   // promised to anyone, and their repair time is unknown to the policy.
   const int available = ctx.machine->available();
-  const std::vector<JobRun*>& active = *ctx.active;
-  // The base profile (running jobs only) is reusable while the active set
-  // and capacity are unchanged — and no active job's planned end has been
-  // reached, since a past-end job would need the from-scratch epsilon
-  // residual.  The active view is sorted by planned end, so its front holds
-  // the earliest one.
-  const bool reusable =
-      cache_valid_ && cached_epoch_ == ctx.run_epoch &&
-      cached_version_ == ctx.active_version &&
-      cached_available_ == available &&
-      (active.empty() || planned_end(*active.front()) > ctx.now);
-  if (!reusable) {
-    base_.rebuild(ctx.now, available, active);
-    cache_valid_ = true;
-    cached_epoch_ = ctx.run_epoch;
-    cached_version_ = ctx.active_version;
-    cached_available_ = available;
-  }
-  work_ = base_;
-  work_.advance_to(ctx.now);
+  profile_.rebuild(ctx.now, available, *ctx.active);
   // Give every queued job (FIFO order) its earliest reservation; start the
   // ones whose reservation is "now".  Iterate a snapshot since start()
   // mutates the queue.
@@ -132,8 +99,8 @@ void Conservative::cycle(SchedulerContext& ctx) {
     // capacity returns; skipping it keeps the profile feasible.
     if (alloc > available) continue;
     const double duration = std::max(job->estimated_duration(), 1e-9);
-    const sim::Time start = work_.earliest_start(alloc, duration);
-    work_.reserve(start, duration, alloc);
+    const sim::Time start = profile_.earliest_start(alloc, duration);
+    profile_.reserve(start, duration, alloc);
     if (start <= ctx.now) ctx.start(job);
   }
 }

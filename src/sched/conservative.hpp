@@ -7,16 +7,9 @@
 // correctness anchor for tests (conservative never delays any queued job
 // relative to its FCFS reservation).
 //
-// Queued-job reservations are still recomputed each cycle (they depend on
-// the queue, which changes), but the *base* profile — free capacity under
-// the running jobs only — is memoised across cycles: it only changes when
-// the active set or the in-service capacity does, which the engine exposes
-// through (run_epoch, active_version).  A cache hit replays the stored
-// profile advanced to the current time instead of re-reserving every active
-// job from scratch.
+// Every cycle rebuilds the free-capacity profile from the running jobs, then
+// books each queued job's reservation into it.
 #pragma once
-
-#include <cstdint>
 
 #include "sched/scheduler.hpp"
 
@@ -37,12 +30,6 @@ class CapacityProfile {
   /// Re-seeds in place (same semantics as the constructor), reusing the
   /// segment storage so steady-state rebuilds do not allocate.
   void rebuild(sim::Time now, int total, const std::vector<JobRun*>& active);
-
-  /// Advances the profile origin to `now` (>= the build time), merging
-  /// segments that ended in the past.  After this the profile equals one
-  /// built from scratch at `now` over the same reservations, provided every
-  /// reservation still extends past `now`.
-  void advance_to(sim::Time now);
 
   /// Earliest time >= now at which `procs` processors are simultaneously
   /// free for `duration` seconds.
@@ -73,13 +60,7 @@ class Conservative : public Scheduler {
   void cycle(SchedulerContext& ctx) override;
 
  private:
-  // Memoised active-occupancy profile and the keys it was built under.
-  CapacityProfile base_;
-  CapacityProfile work_;  ///< per-cycle scratch copy (reuses capacity)
-  bool cache_valid_ = false;
-  std::uint64_t cached_epoch_ = 0;
-  std::uint64_t cached_version_ = 0;
-  int cached_available_ = -1;
+  CapacityProfile profile_;  ///< rebuilt each cycle (reuses capacity)
 };
 
 }  // namespace es::sched

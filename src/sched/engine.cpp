@@ -59,12 +59,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
     attachments_.add(&cycle_stats_attach_, CycleStatsObserver::kHookMask);
   if (config.fairshare.collect_stats)
     attachments_.add(&fairness_attach_, FairnessObserver::kHookMask);
-  // A process-unique epoch tags this engine's SchedulerContexts so policy
-  // caches keyed on (epoch, active_version) can never confuse two runs.
-  // Only uniqueness matters; the value never influences scheduling, so the
-  // nondeterministic claim order across threads is harmless.
-  static std::atomic<std::uint64_t> next_epoch{1};
-  run_epoch_ = next_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Out of line so the unique_ptr<snap::SnapshotRing> member can destroy its
@@ -193,7 +187,6 @@ void Engine::insert_active(JobRun* job) {
   for (auto i = pos; i < static_cast<std::ptrdiff_t>(active_.size()); ++i)
     active_[static_cast<std::size_t>(i)]->active_index =
         static_cast<std::int32_t>(i);
-  ++active_version_;
 }
 
 void Engine::remove_active(JobRun* job) {
@@ -205,13 +198,12 @@ void Engine::remove_active(JobRun* job) {
   for (auto i = pos; i < static_cast<std::ptrdiff_t>(active_.size()); ++i)
     active_[static_cast<std::size_t>(i)]->active_index =
         static_cast<std::int32_t>(i);
-  ++active_version_;
 }
 
 void Engine::reposition_active(JobRun* job) {
   // The job's sort key (planned end, or its alloc visible to profile
   // consumers) changed: re-seat it.  Erase+insert keeps every neighbour's
-  // back-reference exact; the version bumps along the way.
+  // back-reference exact.
   remove_active(job);
   insert_active(job);
 }
@@ -266,8 +258,6 @@ void Engine::run_cycle() {
   // start_job inserts new runners in order, which keeps the freeze math
   // within the cycle coherent with the same (end, id) key.
   ctx.active = &active_;
-  ctx.run_epoch = run_epoch_;
-  ctx.active_version = active_version_;
   ctx.start = [this](JobRun* job) { start_job(job); };
   ctx.move_dedicated_head_to_batch_head = [this] {
     move_dedicated_head_to_batch_head();

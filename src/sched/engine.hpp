@@ -270,12 +270,6 @@ class Engine {
                                  ///< (planned end, id); JobRun::active_index
                                  ///< back-references positions
 
-  // Cache keys handed to policies through SchedulerContext: the epoch is
-  // process-unique per engine, the version bumps on every active-set
-  // mutation (see bump_active_version callers).
-  std::uint64_t run_epoch_ = 0;
-  std::uint64_t active_version_ = 0;
-
   bool in_cycle_ = false;
   std::uint64_t cycles_ = 0;
   sim::Time first_arrival_ = 0;

@@ -42,13 +42,6 @@ class SchedulerContext {
   /// current set; no per-cycle snapshot or re-sort happens.
   const std::vector<JobRun*>* active = nullptr;
 
-  /// Cache keys for policies that memoise work derived from the active set
-  /// (Conservative's base capacity profile): `run_epoch` is unique per
-  /// engine run, `active_version` bumps on every active-set mutation
-  /// (insert, removal, reposition, resize).
-  std::uint64_t run_epoch = 0;
-  std::uint64_t active_version = 0;
-
   /// Activates a waiting job now: engine removes it from its queue,
   /// allocates processors and schedules its completion.  The machine state
   /// visible through `machine` reflects the allocation immediately.
@@ -141,11 +134,11 @@ class Scheduler {
 
   /// Serializes policy state that influences *future* scheduling decisions
   /// into the open snapshot section.  Most policies are stateless across
-  /// cycles (tunables are reconstructed from config; DP caches are keyed on
-  /// (run_epoch, active_version) and rebuild deterministically), so the
-  /// default writes nothing.  Policies with semantic cross-cycle state —
-  /// the adaptive selector's sliding decision window — must override both
-  /// hooks or a restored run would silently diverge.
+  /// cycles (tunables are reconstructed from config; caches rebuild
+  /// deterministically), so the default writes nothing.  Policies with
+  /// semantic cross-cycle state — the adaptive selector's sliding decision
+  /// window — must override both hooks or a restored run would silently
+  /// diverge.
   virtual void save_state(snap::SnapshotWriter& /*writer*/) const {}
 
   /// Restores state written by save_state() from the open section.

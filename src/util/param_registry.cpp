@@ -461,17 +461,19 @@ std::string ParamRegistry::dump_config() const {
     out << "# " << param.doc_ << "\n";
     out << param.name_ << " = " << param.repr_() << "\n";
   }
-  bool first_dynamic = true;
-  for (const Dynamic& dynamic : dynamics_) {
-    for (const auto& [key, value] : dynamic.dump()) {
-      if (first_dynamic) {
-        out << "\n";
-        first_dynamic = false;
-      }
-      out << key << " = " << value << "\n";
-    }
-  }
+  const auto entries = dynamic_entries();
+  if (!entries.empty()) out << "\n";
+  for (const auto& [key, value] : entries) out << key << " = " << value << "\n";
   return out.str();
+}
+
+std::vector<std::pair<std::string, std::string>>
+ParamRegistry::dynamic_entries() const {
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (const Dynamic& dynamic : dynamics_) {
+    for (auto& entry : dynamic.dump()) entries.push_back(std::move(entry));
+  }
+  return entries;
 }
 
 std::string ParamRegistry::list_params() const {
@@ -500,13 +502,11 @@ void ParamRegistry::fingerprint_into(std::string& out) const {
     out += param.repr_();
     out += '\n';
   }
-  for (const Dynamic& dynamic : dynamics_) {
-    for (const auto& [key, value] : dynamic.dump()) {
-      out += key;
-      out += '=';
-      out += value;
-      out += '\n';
-    }
+  for (const auto& [key, value] : dynamic_entries()) {
+    out += key;
+    out += '=';
+    out += value;
+    out += '\n';
   }
 }
 

@@ -194,8 +194,12 @@ class ParamRegistry {
   /// engine hashes this blob into the snapshot run fingerprint.
   void fingerprint_into(std::string& out) const;
 
-  /// Registration-order view for tests.
+  /// Registration-order view of the registered params.
   const std::deque<Param>& params() const { return params_; }
+
+  /// Current (full key, value text) entries of every dynamic family, in
+  /// registration order then each family's own stable order.
+  std::vector<std::pair<std::string, std::string>> dynamic_entries() const;
 
  private:
   struct Rule {

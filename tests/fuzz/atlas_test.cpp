@@ -27,8 +27,6 @@ Scenario basic_scenario(std::uint64_t seed) {
   scenario.family = "test";
   scenario.seed = seed;
   scenario.workload = small_workload(seed);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
   return scenario;
 }
 

@@ -26,8 +26,6 @@ Scenario cascade_scenario(fault::RequeuePolicy policy, int retry_cap) {
   config.seed = 99;
   config.target_load = 0.9;
   scenario.workload = workload::generate(config);
-  scenario.engine.machine_procs = scenario.workload.machine_procs;
-  scenario.engine.granularity = scenario.workload.granularity;
 
   fault::FailureModelConfig& failure = scenario.engine.failure;
   failure.enabled = true;

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <utility>
 
 #include "fuzz/hostile.hpp"
 
@@ -30,7 +33,8 @@ TEST(ScenarioFormat, RoundTripsEveryHostileFamily) {
     EXPECT_EQ(reparsed.expect_completion, original.expect_completion);
     EXPECT_EQ(reparsed.workload.jobs.size(), original.workload.jobs.size());
     EXPECT_EQ(reparsed.workload.eccs.size(), original.workload.eccs.size());
-    EXPECT_EQ(reparsed.engine.machine_procs, original.engine.machine_procs);
+    EXPECT_EQ(reparsed.workload.machine_procs, original.workload.machine_procs);
+    EXPECT_EQ(reparsed.workload.granularity, original.workload.granularity);
     EXPECT_EQ(reparsed.engine.requeue, original.engine.requeue);
     EXPECT_EQ(reparsed.engine.failure.enabled, original.engine.failure.enabled);
     EXPECT_EQ(reparsed.engine.failure.script.size(),
@@ -56,10 +60,107 @@ TEST(ScenarioFormat, ParseRejectsUnknownKey) {
 }
 
 TEST(ScenarioFormat, ParseRejectsMissingWorkloadSection) {
-  EXPECT_THROW(parse_scenario("# elastisched scenario v1\n"
-                              "scenario-version = 1\n"
+  EXPECT_THROW(parse_scenario("# elastisched scenario v2\n"
+                              "scenario-version = 2\n"
                               "name = x\n"),
                ScenarioError);
+}
+
+/// `text` with `line` inserted before its "workload:" section, and the
+/// 1-based number the inserted line gets.
+std::pair<std::string, std::size_t> insert_header_line(
+    const std::string& text, const std::string& line) {
+  const std::size_t at = text.find("workload:\n");
+  const std::string head = text.substr(0, at);
+  const auto number = static_cast<std::size_t>(
+      std::count(head.begin(), head.end(), '\n') + 1);
+  return {head + line + "\n" + text.substr(at), number};
+}
+
+/// Message of the ScenarioError `parse_scenario(text)` throws, or "".
+std::string parse_error(const std::string& text) {
+  try {
+    parse_scenario(text);
+  } catch (const ScenarioError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ScenarioFormat, OutOfRangeEngineValueNamesFieldAndLine) {
+  const auto [text, line] = insert_header_line(
+      format_scenario(make_scenario("flash_crowd", 1)),
+      "checkpoint.overhead = -1");
+  const std::string message = parse_error(text);
+  EXPECT_NE(message.find("line " + std::to_string(line) + ":"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("checkpoint.overhead"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("out of range"), std::string::npos) << message;
+}
+
+TEST(ScenarioFormat, BrokenCrossFieldRuleNamesFieldAndLine) {
+  const auto [with_min, min_line] = insert_header_line(
+      format_scenario(make_scenario("heavy_tail", 1)),
+      "failure.min_nodes = 3");
+  const auto [text, max_line] =
+      insert_header_line(with_min, "failure.max_nodes = 2");
+  const std::string message = parse_error(text);
+  EXPECT_NE(message.find("line " + std::to_string(max_line) + ":"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("failure.max_nodes"), std::string::npos) << message;
+  EXPECT_NE(message.find("below failure.min_nodes"), std::string::npos)
+      << message;
+}
+
+TEST(ScenarioFormat, FairShareSettingsRoundTrip) {
+  Scenario scenario = make_scenario("flash_crowd", 2);
+  scenario.engine.fairshare.max_preemptions_per_job = 9;
+  scenario.engine.fairshare.pools = {{"batch", 3.0, 0.25},
+                                     {"interactive", 1.0, 0.5}};
+  const std::string text = format_scenario(scenario);
+  EXPECT_NE(text.find("fairshare.max_preemptions_per_job = 9\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("pool.batch.weight = 3\n"), std::string::npos);
+  EXPECT_NE(text.find("pool.interactive.min_share = 0.5\n"),
+            std::string::npos);
+  const Scenario reparsed = parse_scenario(text);
+  EXPECT_EQ(format_scenario(reparsed), text);
+  ASSERT_EQ(reparsed.engine.fairshare.pools.size(), 2u);
+  EXPECT_EQ(reparsed.engine.fairshare.pools[1].name, "interactive");
+  EXPECT_EQ(reparsed.engine.fairshare.max_preemptions_per_job, 9);
+}
+
+TEST(ScenarioFormat, ParseRejectsVersionOneHeader) {
+  std::string text = format_scenario(make_scenario("heavy_tail", 1));
+  const std::string v2 = "scenario-version = 2\n";
+  text.replace(text.find(v2), v2.size(), "scenario-version = 1\n");
+  EXPECT_NE(parse_error(text).find("unsupported scenario version '1'"),
+            std::string::npos);
+}
+
+TEST(ScenarioFormat, FileValuesLayerOverTheBaseConfig) {
+  // Keys the file sets win; keys it leaves out keep the base's value.
+  sched::EngineConfig base;
+  base.fairshare.max_preemptions_per_job = 7;
+  base.watchdog.max_events = 5;
+  const Scenario scenario = parse_scenario(
+      format_scenario(make_scenario("flash_crowd", 1)), base);
+  EXPECT_EQ(scenario.engine.fairshare.max_preemptions_per_job, 7);
+  EXPECT_EQ(scenario.engine.watchdog.max_events, 20'000'000u);
+}
+
+TEST(ScenarioFormat, CorpusIsCanonical) {
+  const std::vector<std::string> paths = list_corpus(ES_CORPUS_DIR);
+  ASSERT_FALSE(paths.empty());
+  for (const std::string& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(format_scenario(load_scenario(path)), bytes.str()) << path;
+  }
 }
 
 TEST(ScenarioFormat, ParseRejectsMalformedCwfLine) {

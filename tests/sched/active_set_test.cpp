@@ -5,9 +5,8 @@
 // on finish/preempt — instead of re-sorting a snapshot every cycle.  These
 // tests wrap a real policy with an auditor that, at every cycle boundary AND
 // after every intra-cycle start(), re-sorts the live view from scratch and
-// demands element-wise equality, exact `active_index` back-references, and a
-// version counter that bumps whenever the observable (end, id) signature
-// changes.  The scenarios deliberately hit every mutation path: plain
+// demands element-wise equality and exact `active_index` back-references.
+// The scenarios deliberately hit every mutation path: plain
 // start/finish churn, ECC extend/reduce and running-resize repositioning,
 // failure preemption with head/tail requeue, and checkpoint-resume requeue.
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -35,19 +33,6 @@ double planned_end(const JobRun& job) {
   return job.start_time + job.estimated_duration();
 }
 
-/// (planned end, id) signature of the active view — the exact order key the
-/// engine maintains.  Two equal signatures may still differ in version
-/// (reposition to the same place bumps), but a changed signature must come
-/// with a changed version or Conservative's profile cache would go stale.
-std::vector<std::pair<double, workload::JobId>> signature_of(
-    const std::vector<JobRun*>& active) {
-  std::vector<std::pair<double, workload::JobId>> signature;
-  signature.reserve(active.size());
-  for (const JobRun* job : active)
-    signature.emplace_back(planned_end(*job), job->id);
-  return signature;
-}
-
 /// Pass-through policy that audits the active view around the inner cycle.
 class ActiveOrderAuditor : public Scheduler {
  public:
@@ -62,18 +47,6 @@ class ActiveOrderAuditor : public Scheduler {
 
   void cycle(SchedulerContext& ctx) override {
     verify(ctx, "cycle entry");
-    // The version key only has to be fresh at cycle entry (policies read it
-    // once); if the set observably changed since the last entry the key must
-    // have moved.
-    const auto signature = signature_of(*ctx.active);
-    if (seen_entry_ && signature != entry_signature_) {
-      EXPECT_NE(ctx.active_version, entry_version_)
-          << "active set changed but the cache key did not";
-    }
-    seen_entry_ = true;
-    entry_signature_ = signature;
-    entry_version_ = ctx.active_version;
-
     SchedulerContext wrapped = ctx;
     const std::function<void(JobRun*)> inner_start = ctx.start;
     wrapped.start = [this, &ctx, inner_start](JobRun* job) {
@@ -135,9 +108,6 @@ class ActiveOrderAuditor : public Scheduler {
   Scheduler* inner_;
   std::uint64_t cycles_audited_ = 0;
   std::uint64_t starts_audited_ = 0;
-  bool seen_entry_ = false;
-  std::vector<std::pair<double, workload::JobId>> entry_signature_;
-  std::uint64_t entry_version_ = 0;
 };
 
 struct AuditedRun {

@@ -17,8 +17,10 @@
 // registry (core/config_spine.hpp).  The parameter flags (--procs, --cs,
 // --mtbf, --ckpt-interval, --max-events, --snapshot-dir, ...) are generated
 // from its dotless aliases, so --help, --list-params and --dump-config show
-// the same docs and defaults.  Precedence is CLI > --config file > defaults;
-// a malformed or out-of-range value exits 2 naming the field.
+// the same docs and defaults.  Precedence is typed flags > --scenario file
+// > --config file > defaults; a malformed or out-of-range value exits 2
+// naming the field.  A scenario fixes the machine shape, so --procs and
+// --granularity are rejected alongside it.
 //
 // Crash recovery: --snapshot-every N serializes the full engine state every
 // N scheduling cycles into --snapshot-dir (a ring of --snapshot-keep
@@ -150,8 +152,9 @@ int main(int argc, char** argv) {
   cli.add_flag("synthetic", "generate a synthetic workload instead",
                &synthetic);
   cli.add_option("scenario", "replay a serialized atlas scenario (*.scn) "
-                 "through --algorithm; the file carries the workload and "
-                 "the failure/checkpoint/requeue/watchdog knobs",
+                 "through --algorithm; the file carries the workload, the "
+                 "machine shape and engine parameters layered over --config "
+                 "(typed flags still override them)",
                  &scenario_path);
   cli.add_option("algorithm", "algorithm name (Table III, FCFS, CONS, Adaptive)",
                  &algorithm);
@@ -210,15 +213,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Precedence is CLI > config file > built-in defaults: the file loads
-  // first, then every parameter flag the user typed is set over it, in
+  const bool have_scenario = !scenario_path.empty();
+  if (have_scenario && (synthetic || !trace.empty()))
+    return flag_error("scenario", "a scenario file already carries its "
+                      "workload; drop --trace/--synthetic");
+  if (have_scenario && (cli.was_set("procs") || cli.was_set("granularity")))
+    return flag_error("scenario", "a scenario file fixes the machine shape; "
+                      "drop --procs/--granularity");
+
+  // Precedence is CLI > scenario file > config file > built-in defaults:
+  // the config file loads first, the scenario's engine lines are applied
+  // over it, then every parameter flag the user typed is set over both, in
   // command-line order.  finalize() then re-checks ranges and runs the
   // cross-field rules (granularity divides procs, resize needs ECCs,
   // checkpoint overhead needs an interval, pool min-shares sum <= 1, ...).
   // Every failure names the offending field.
   es::sched::EngineConfig& engine = options.engine;
+  es::fuzz::Scenario scenario;
   try {
     if (!config_path.empty()) registry.load_file(config_path);
+    if (have_scenario) {
+      scenario = es::fuzz::load_scenario(scenario_path, engine);
+      engine = scenario.engine;
+    }
     cli.apply_param_flags(registry);
     // Derived settings: a typed --mtbf > 0 turns fault injection on, and a
     // checkpoint trigger (interval or on-preempt) turns checkpointing on.
@@ -234,6 +251,14 @@ int main(int argc, char** argv) {
   } catch (const es::util::ConfigError& error) {
     std::fprintf(stderr, "simrun: config: %s\n", error.what());
     return 2;
+  } catch (const es::fuzz::ScenarioError& error) {
+    // Malformed content is a validation failure (2); an unreadable file is
+    // an I/O failure (3) — the same conventions as the CSV outputs.
+    std::fprintf(stderr, "simrun: --scenario: %s\n", error.what());
+    return 2;
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "simrun: --scenario: %s\n", error.what());
+    return 3;
   }
 
   if (dump_config) {
@@ -286,13 +311,10 @@ int main(int argc, char** argv) {
   if (replications > 1 && !trace.empty())
     return flag_error("replications", "derived seeds only vary synthetic "
                       "workloads; a fixed trace would repeat the same run");
-  if (!scenario_path.empty() && (synthetic || !trace.empty()))
-    return flag_error("scenario", "a scenario file already carries its "
-                      "workload; drop --trace/--synthetic");
-  if (!scenario_path.empty() && replications > 1)
+  if (have_scenario && replications > 1)
     return flag_error("replications", "a scenario describes one fixed run; "
                       "use --replications 1");
-  if (streamed && !scenario_path.empty())
+  if (streamed && have_scenario)
     return flag_error("streamed", "scenario files are materialized repros; "
                       "drop --scenario or --streamed");
   // A streamed trace runs the materialized path (the parsed file is already
@@ -313,20 +335,7 @@ int main(int argc, char** argv) {
   es::util::set_global_parallelism(parallel_jobs);
 
   es::workload::Workload workload;
-  es::fuzz::Scenario scenario;
-  const bool have_scenario = !scenario_path.empty();
   if (have_scenario) {
-    // Malformed content is a validation failure (2); an unreadable file is
-    // an I/O failure (3) — the same conventions as the CSV outputs.
-    try {
-      scenario = es::fuzz::load_scenario(scenario_path);
-    } catch (const es::fuzz::ScenarioError& error) {
-      std::fprintf(stderr, "simrun: --scenario: %s\n", error.what());
-      return 2;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "simrun: --scenario: %s\n", error.what());
-      return 3;
-    }
     workload = scenario.workload;
     std::printf("Scenario %s [%s seed %llu]: %zu jobs, %zu ECCs, "
                 "offered load %.3f\n",
@@ -380,21 +389,6 @@ int main(int argc, char** argv) {
   }
 
   es::core::set_dp_simd_enabled(!no_dp_simd);
-  if (have_scenario) {
-    // The scenario owns the run-shaping knobs; typed CLI watchdog flags
-    // override its budgets (e.g. to re-bound a runaway repro, or --max-events
-    // 0 to lift one).
-    engine.failure = scenario.engine.failure;
-    engine.requeue = scenario.engine.requeue;
-    engine.checkpoint = scenario.engine.checkpoint;
-    const es::sim::WatchdogConfig& budgets = scenario.engine.watchdog;
-    if (!cli.was_set("max-events"))
-      engine.watchdog.max_events = budgets.max_events;
-    if (!cli.was_set("max-sim-time"))
-      engine.watchdog.max_sim_time = budgets.max_sim_time;
-    if (!cli.was_set("no-progress-cycles"))
-      engine.watchdog.no_progress_cycles = budgets.no_progress_cycles;
-  }
   if (workload.dedicated_count() > 0 &&
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "this workload contains dedicated jobs; "
