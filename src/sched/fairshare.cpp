@@ -21,7 +21,10 @@ FairShare::FairShare(const FairShareConfig& config) : config_(config) {
   // Lists that first grow mid-run pin small blocks between the engine's
   // growing buffers; on the tenant_faults benchmark shape that heap
   // fragmentation raised peak RSS by about 4%.
-  for (PoolScratch& s : scratch_) s.waiting.reserve(kWaitingReserve);
+  for (PoolScratch& s : scratch_) {
+    s.waiting.reserve(kWaitingReserve);
+    s.allocs.reserve(kWaitingReserve);
+  }
 }
 
 FairShare::PoolScratch& FairShare::pool_scratch(int p) {
@@ -60,6 +63,7 @@ void FairShare::cycle(SchedulerContext& ctx) {
     s.running = 0;
     s.head = nullptr;
     s.waiting.clear();
+    s.allocs.clear();
     s.next = 0;
   }
   forced_.clear();
@@ -86,6 +90,7 @@ void FairShare::cycle(SchedulerContext& ctx) {
     } else {
       if (queue_head == nullptr) queue_head = job;
       s.waiting.push_back(job);
+      s.allocs.push_back(ctx.alloc_of(*job));
     }
   }
   const int npools = std::max({static_cast<int>(config_.pools.size()),
@@ -149,13 +154,13 @@ void FairShare::cycle(SchedulerContext& ctx) {
 
   Freeze shadow;
   bool have_pivot = false;
-  const auto try_start = [&](JobRun* job) {
-    const int alloc = ctx.alloc_of(*job);
+  // Visits `job`, which occupies `alloc` processors; true when it started.
+  const auto try_start = [&](JobRun* job, int alloc) {
     if (!have_pivot) {
       if (alloc <= ctx.free()) {
         ctx.start(job);
         scratch_[static_cast<std::size_t>(job->pool)].running += alloc;
-        return;
+        return true;
       }
       // First blocked job becomes the pivot with the classic shadow
       // reservation (skip when the need exceeds in-service capacity — no
@@ -163,17 +168,19 @@ void FairShare::cycle(SchedulerContext& ctx) {
       if (alloc <= ctx.machine->available())
         shadow = shadow_for_blocked(ctx, alloc);
       have_pivot = true;
-      return;
+      return false;
     }
     if (alloc <= ctx.free() && respects(shadow, ctx.now, *job, alloc)) {
       consume(shadow, ctx.now, *job, alloc);
       ctx.start(job);
       scratch_[static_cast<std::size_t>(job->pool)].running += alloc;
+      return true;
     }
+    return false;
   };
 
   for (JobRun* job : forced_) {
-    try_start(job);
+    try_start(job, ctx.alloc_of(*job));
     if (ctx.free() < grain) return;
   }
 
@@ -183,13 +190,17 @@ void FairShare::cycle(SchedulerContext& ctx) {
   // without bound — the ratio order below only decides who *backfills*.
   if (queue_head != nullptr) {
     // The head is the front of its pool's (queue-ordered) waiting list.
-    scratch_[static_cast<std::size_t>(queue_head->pool)].next = 1;
-    try_start(queue_head);
+    PoolScratch& s = scratch_[static_cast<std::size_t>(queue_head->pool)];
+    s.next = 1;
+    try_start(queue_head, s.allocs.front());
   }
 
-  // Greedy pool-ratio order: repeatedly visit the first unvisited waiting
-  // job of the pool with the lowest running/weight ratio (lowest pool index
-  // on ties).  Every waiting job is visited at most once per cycle.
+  // Greedy pool-ratio order: visit the first unvisited waiting job of the
+  // pool with the lowest running/weight ratio (lowest pool index on ties),
+  // every waiting job at most once per cycle.  The ranking is redone only
+  // after a start or when the chosen pool's list runs out: a skipped visit
+  // or a new pivot moves no ratio and no other pool's cursor, so ranking
+  // again would choose the same pool, ties included.
   while (ctx.free() >= grain) {
     int best = -1;
     double best_ratio = 0;
@@ -204,7 +215,10 @@ void FairShare::cycle(SchedulerContext& ctx) {
     }
     if (best < 0) break;
     PoolScratch& s = scratch_[static_cast<std::size_t>(best)];
-    try_start(s.waiting[s.next++]);
+    while (s.next < s.waiting.size()) {
+      const std::size_t i = s.next++;
+      if (try_start(s.waiting[i], s.allocs[i])) break;
+    }
   }
 }
 

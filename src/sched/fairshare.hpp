@@ -25,14 +25,21 @@
 //
 // Cost per cycle: one pass over the running set and one over the batch
 // queue gather everything both phases need (pool universe, running
-// allocations, per-pool heads, forced prefix, per-pool waiting lists) into
-// member scratch that keeps its capacity, so a steady-state cycle never
-// touches the heap.  The gather runs before relief: victims were running
-// (in no list), re-enter at the queue tail and may not restart in the cycle
-// that displaced them, so no re-gather is needed.  Selection stops as soon
-// as less than one allocation grain is free — every job needs at least one,
-// so nothing else can start — which makes a cycle on a full machine cost
-// the two gather passes plus relief.
+// allocations, per-pool heads, forced prefix, per-pool waiting lists with
+// each job's allocation beside it) into member scratch that keeps its
+// capacity, so a steady-state cycle never touches the heap.  The gather
+// runs before relief: victims were running (in no list), re-enter at the
+// queue tail and may not restart in the cycle that displaced them, so no
+// re-gather is needed.  Selection ranks the pools only after a start and
+// then runs through the chosen pool's list, skipping jobs that do not fit
+// or would break the shadow, until one starts or the list ends: it costs
+// O(queue + starts x pools), not O(visits x pools).  This is exact — a
+// skipped visit or a new pivot moves no ratio and no other pool's cursor,
+// so ranking again before each visit (ties included) would choose the same
+// pool until it starts a job or runs dry.  Selection stops as soon as less
+// than one allocation grain is free — every job needs at least one, so
+// nothing else can start — which makes a cycle on a full machine cost the
+// two gather passes plus relief.
 #pragma once
 
 #include <unordered_map>
@@ -71,6 +78,7 @@ class FairShare final : public Scheduler {
     double running = 0;       ///< processors held by the pool's running jobs
     JobRun* head = nullptr;   ///< first waiting job, forced ones included
     std::vector<JobRun*> waiting;  ///< non-forced jobs in queue order
+    std::vector<int> allocs;       ///< alloc_of each `waiting` job, parallel
     std::size_t next = 0;          ///< selection cursor into `waiting`
   };
 
@@ -90,8 +98,8 @@ class FairShare final : public Scheduler {
   /// max_preemptions_per_job across restores).
   std::unordered_map<workload::JobId, int> preempt_counts_;
 
-  /// Initial capacity of each configured pool's waiting list (jobs); a
-  /// deeper queue still grows it.
+  /// Initial capacity of each configured pool's waiting and alloc lists
+  /// (jobs); a deeper queue still grows them.
   static constexpr std::size_t kWaitingReserve = 128;
 
   // Per-cycle scratch, never serialized: reset at the top of every cycle

@@ -1,14 +1,16 @@
 // Allocation audit of the policy cycle.
 //
-// FairShare keeps its per-cycle working state (pool views, waiting lists,
-// the forced prefix) in members that are reset, not rebuilt, and EASY keeps
-// its backfill snapshot the same way, so once the scratch has grown to the
-// queue's shape a cycle never touches the heap.  This binary drives both
-// policies directly on a hand-built SchedulerContext with a deep multi-pool
-// queue and counts global operator new calls after warm-up, in the two
-// states a saturated machine cycles through: no free grain at all, and free
-// capacity that the pivot's shadow reservation keeps every candidate out
-// of.  It is its own test binary because the instrumented operators are
+// FairShare keeps its per-cycle working state (pool views, waiting and
+// allocation lists, the forced prefix) in members that are reset, not
+// rebuilt, and EASY keeps its backfill snapshot the same way, so once the
+// scratch has grown to the queue's shape a cycle never touches the heap.
+// This binary drives both policies directly on a hand-built
+// SchedulerContext with a deep multi-pool queue and counts global operator
+// new calls after warm-up, in the two states a saturated machine cycles
+// through: no free grain at all, and free capacity that the pivot's shadow
+// reservation keeps every candidate out of.  A FairShare case also tags the
+// backlog beyond the configured pools, whose scratch grows mid-run.  The
+// audit is its own test binary because the instrumented operators are
 // process-global.
 #include <gtest/gtest.h>
 
@@ -63,10 +65,10 @@ class Harness {
   }
 
   /// The deep waiting queue behind the scenario-specific head: small jobs
-  /// whose estimates all cross any shadow time, spread over every pool.
-  void enqueue_backlog() {
+  /// whose estimates all cross any shadow time, spread over `pools` pools.
+  void enqueue_backlog(int pools = kPools) {
     for (int i = 0; i < kQueueDepth; ++i)
-      enqueue(kGrain * (1 + i % 2), 5000, i % kPools);
+      enqueue(kGrain * (1 + i % 2), 5000, i % pools);
   }
 
   SchedulerContext& ctx() { return ctx_; }
@@ -118,10 +120,10 @@ void fill_machine(Harness& harness) {
 /// Two grains free, but the forced head needs the whole machine: it
 /// becomes the pivot with a shadow at t=100 and zero shadow capacity, and
 /// every backlog job fits now yet runs past the shadow.
-void block_by_shadow(Harness& harness) {
+void block_by_shadow(Harness& harness, int backlog_pools = kPools) {
   harness.run(kProcs - 2 * kGrain, 100, 0);
   harness.enqueue(kProcs, 500, 1, true);
-  harness.enqueue_backlog();
+  harness.enqueue_backlog(backlog_pools);
   ASSERT_EQ(harness.free(), 2 * kGrain);
 }
 
@@ -147,6 +149,15 @@ TEST(PolicyCycleAlloc, FairShareOnAFullMachine) {
 TEST(PolicyCycleAlloc, FairShareWithFreeCapacityBlockedByTheShadow) {
   Harness harness;
   block_by_shadow(harness);
+  FairShare policy(four_pools());
+  expect_allocation_free(policy, harness);
+}
+
+TEST(PolicyCycleAlloc, FairShareWithPoolsBeyondTheConfiguredOnes) {
+  // Tags 4 and 5 are not configured: their scratch grows on first sight,
+  // without the constructor's reserve, and must then keep its capacity.
+  Harness harness;
+  block_by_shadow(harness, kPools + 2);
   FairShare policy(four_pools());
   expect_allocation_free(policy, harness);
 }
