@@ -312,8 +312,8 @@ int main(int argc, char** argv) {
 
   const std::string recovery_path = options.csv_dir + "/failure_recovery.csv";
   const bool recovery_ok = es::util::write_file_atomic(
-      recovery_path, [&recovery](std::ostream& out) {
-        es::util::CsvWriter csv(out);
+      recovery_path, [&recovery](std::ostream& stream) {
+        es::util::CsvWriter csv(stream);
         csv.set_header({"mtbf_hours", "mode", "utilization", "mean_wait",
                         "interrupted", "lost_proc_seconds",
                         "saved_proc_seconds", "ckpt_overhead_proc_seconds",
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
               .cell(p.termination)
               .end_row();
         }
-        return out.good();
+        return stream.good();
       });
   if (recovery_ok) {
     std::printf("[csv] %s\n", recovery_path.c_str());

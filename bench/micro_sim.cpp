@@ -1,5 +1,7 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
 // machine ledger operations and workload-generator speed.
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "cluster/contiguous.hpp"
@@ -132,6 +134,56 @@ void BM_EventQueueDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueDispatch)->Arg(10000)->Arg(100000);
+
+// The engine's feed: a window of 4096 in-order arrivals is scheduled at
+// once and refilled when its last arrival fires, while only the few
+// running jobs' finishes (about ten at a time) sit beside them.  In-order
+// arrivals wait in the queue's FIFO lane, so pops do not sift through the
+// window.
+void BM_EventQueueChunkedFeed(benchmark::State& state) {
+  using es::sim::EventClass;
+  constexpr std::size_t kWindow = 4096;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  es::util::Rng rng(5);
+  std::vector<double> gaps;
+  std::vector<double> runtimes;
+  gaps.reserve(n);
+  runtimes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    gaps.push_back(rng.uniform(0, 20));
+    runtimes.push_back(rng.uniform(50, 150));
+  }
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    es::sim::EventQueue queue;
+    std::size_t next = 0;
+    std::size_t arrivals_pending = 0;
+    double arrival = 0;
+    const auto refill = [&] {
+      for (std::size_t end = std::min(n, next + kWindow); next < end; ++next) {
+        arrival += gaps[next];
+        queue.schedule(arrival, EventClass::kJobArrival, next);
+        ++arrivals_pending;
+      }
+    };
+    refill();
+    std::uint64_t finished = 0;
+    while (!queue.empty()) {
+      const es::sim::Event event = queue.pop();
+      ++events;
+      if (event.cls == EventClass::kJobArrival) {
+        queue.schedule(event.time + runtimes[event.tag],
+                       EventClass::kJobFinish, event.tag);
+        if (--arrivals_pending == 0) refill();
+      } else {
+        ++finished;
+      }
+    }
+    benchmark::DoNotOptimize(finished);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueChunkedFeed)->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_MachineAllocateRelease(benchmark::State& state) {
   es::cluster::Machine machine(320, 32);

@@ -15,7 +15,7 @@
 //      Engine::run — the RSS comparison point and the full-length parity
 //      gate: the deterministic result serialization of legs 1 and 2 must be
 //      byte-identical.  Engine::run streams the workload window by window,
-//      so both its event-heap high-water mark (`peak_pending`) and its
+//      so both its event-queue high-water mark (`peak_pending`) and its
 //      job-record high-water mark (`peak_live_jobs`) must stay under three
 //      feed windows; an up-front schedule would hold every arrival, and an
 //      up-front build every record.

@@ -10,21 +10,33 @@
 // cancelling the pending finish event and inserting a new one.
 //
 // Storage is a slab of (tag, generation) records recycled through a free
-// list, and the heap orders plain (time, class, seq, slot, generation)
-// items, so the steady-state schedule/pop cycle performs no heap
-// allocation.  Handles encode (slot, generation): retiring a record bumps
+// list, and the heap and lanes (below) order plain (time, class, seq, slot,
+// generation) items, so the steady-state schedule/pop cycle performs no
+// heap allocation.  Handles encode (slot, generation): retiring a record bumps
 // its generation, so a stale handle — popped, cancelled, or pointing at a
 // recycled slot — fails the generation match and cancel() returns false in
 // O(1), with no side table of cancelled ids.
 //
-// Ordering is one binary min-heap under the strict (time, class, seq)
-// total order, so the pop sequence is fully determined by the
-// schedule/cancel calls — independent of slab slot reuse.  Cancelled items
-// stay in the heap as residue until they surface at the top (skim) or
-// outnumber the live ones (sweep, an in-place filter and re-heapify).
+// Ordering is the strict (time, class, seq) total order, kept by a binary
+// min-heap plus two FIFO lanes, one each for the source-fed classes
+// kJobArrival and kEccArrival.  An event of a lane class is appended to its
+// lane when the lane is empty or the event sorts after the lane's back;
+// anything else goes to the heap.  Each lane therefore stays sorted, so its
+// front is its least entry, and pop() takes the least of the heap top and
+// the two lane fronts.  Because the order is strict and total, that least
+// entry is the same one a single heap would hold at its top: the pop
+// sequence is fully determined by the schedule/cancel calls, independent of
+// which structure holds an event and of slab slot reuse.  The split is
+// purely a cost one: a feed window's few thousand in-order arrivals and
+// commands (the source contracts in workload/source.hpp keep them in
+// order) wait in O(1) appends instead of deepening every heap sift.
+// Cancelled entries stay where they are as residue until they surface at a
+// front (skim) or outnumber the live ones (sweep, an in-place filter of the
+// heap and the lanes, then a re-heapify).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +62,8 @@ struct Event {
 
 /// Monotonic traffic counters for one queue's lifetime.  `fired` counts
 /// events popped (cancelled events never fire); `peak_pending` is the
-/// high-water mark of live events.  Always: scheduled = fired + cancelled +
-/// still-pending.
+/// high-water mark of live events, whether they wait in the heap or in a
+/// lane.  Always: scheduled = fired + cancelled + still-pending.
 struct EventQueueCounters {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
@@ -68,8 +80,8 @@ struct EventQueueCounters {
   }
 };
 
-/// Slab-backed binary-heap event queue with deterministic tie-breaking and
-/// lazy cancellation.
+/// Slab-backed event queue (binary heap plus FIFO lanes) with deterministic
+/// tie-breaking and lazy cancellation.
 class EventQueue {
  public:
   /// Schedules an event of class `cls` carrying `tag` at absolute time
@@ -126,8 +138,9 @@ class EventQueue {
     std::uint32_t generation = 1;
   };
 
-  // What the heap orders.  POD — pushing/popping never allocates beyond the
-  // amortized vector growth, which reaches steady state.
+  // What the heap and the lanes order.  POD — pushing/popping never
+  // allocates beyond the amortized vector growth, which reaches steady
+  // state.
   struct HeapItem {
     Time time;
     std::int32_t cls;
@@ -143,6 +156,35 @@ class EventQueue {
     }
   };
 
+  // A FIFO of one class's entries, sorted under Later.  [head, end) is
+  // pending; the consumed prefix is dropped when the lane drains (clear) or
+  // when an append finds the vector full and at least half consumed
+  // (in-place compaction), so a lane that never drains reuses its capacity
+  // instead of growing.  Invariant: empty() implies items.empty().
+  struct Lane {
+    std::vector<HeapItem> items;
+    std::size_t head = 0;
+
+    bool empty() const { return head == items.size(); }
+    const HeapItem& front() const { return items[head]; }
+    std::size_t stored() const { return items.size() - head; }
+    /// True when `item` can be appended without breaking the lane's order.
+    bool accepts(const HeapItem& item) const {
+      return items.empty() || Later{}(item, items.back());
+    }
+    // Inline so that restore_event's heap path, which shares `item` with
+    // this one, can build it in place rather than through a stack copy.
+    void push(const HeapItem& item) {
+      if (items.size() == items.capacity() && 2 * head >= items.size()) {
+        items.erase(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+      items.push_back(item);
+    }
+    HeapItem pop_front();
+  };
+
   static constexpr std::uint64_t make_id(std::uint32_t slot,
                                          std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) |
@@ -154,15 +196,24 @@ class EventQueue {
     return records_[item.slot].generation == item.generation;
   }
 
-  /// Drops cancelled entries from the heap top.
-  void skim();
-  /// In-place removal of all cancelled residue from the heap.
+  /// Removes and returns the heap top, live or not.
+  HeapItem pop_heap_top();
+
+  /// The lane `cls` goes to, or nullptr for a heap-only class.
+  Lane* lane_of(EventClass cls);
+
+  /// Drops cancelled entries from the heap top and the lane fronts, then
+  /// returns the lane whose front is the next live event, or nullptr when
+  /// it is the heap top.  Precondition: live_ > 0.
+  Lane* skim();
+  /// In-place removal of all cancelled residue from the heap and lanes.
   void sweep();
 
   /// Invalidates the slot's handles and recycles it.
   void retire(std::uint32_t slot);
 
   std::vector<HeapItem> heap_;       // std::push_heap with Later
+  std::array<Lane, 2> lanes_;        // kEccArrival, kJobArrival
   std::vector<Record> records_;      // slab, indexed by slot
   std::vector<std::uint32_t> free_;  // recycled slots
   std::size_t live_ = 0;

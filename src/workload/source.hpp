@@ -22,6 +22,13 @@
 //      generator by construction), or name a job handed ahead
 //      (SourceChunk::ahead); either way the target job is built before the
 //      command fires.
+//
+//   Contracts 1 and 2 also keep the event queue's FIFO lanes sorted: each
+//   refill's arrivals and commands sort after every arrival and command
+//   still pending, so they are appended to their lanes rather than pushed
+//   through the heap (sim/event_queue.hpp).  The pop order does not depend
+//   on it — an out-of-order entry goes to the heap — only the cost does.
+//
 //   3. ecc_counts[i] is the TOTAL number of commands the stream will ever
 //      deliver for jobs[i], known at build time, so the engine can retire a
 //      finished job's record the moment its last command has dispatched.

@@ -60,7 +60,7 @@ void expect_clean(const Scenario& scenario, const std::string& algorithm) {
 TEST(RequeueUnderOutages, HeadPolicyRetriesEveryInterruptedJob) {
   const Scenario scenario =
       cascade_scenario(fault::RequeuePolicy::kRequeueHead, /*retry_cap=*/0);
-  for (const std::string& algorithm : {"FCFS", "EASY", "LOS-E"}) {
+  for (const char* algorithm : {"FCFS", "EASY", "LOS-E"}) {
     const RunReport report = check_run(scenario, algorithm);
     ASSERT_TRUE(report.ran);
     EXPECT_TRUE(report.ok()) << algorithm << ": "
@@ -80,14 +80,14 @@ TEST(RequeueUnderOutages, HeadPolicyRetriesEveryInterruptedJob) {
 TEST(RequeueUnderOutages, TailPolicyAccountsIdentically) {
   const Scenario scenario =
       cascade_scenario(fault::RequeuePolicy::kRequeueTail, /*retry_cap=*/0);
-  for (const std::string& algorithm : {"FCFS", "EASY", "LOS-E"})
+  for (const char* algorithm : {"FCFS", "EASY", "LOS-E"})
     expect_clean(scenario, algorithm);
 }
 
 TEST(RequeueUnderOutages, AbandonPolicyDropsOnFirstInterruption) {
   const Scenario scenario =
       cascade_scenario(fault::RequeuePolicy::kAbandon, /*retry_cap=*/0);
-  for (const std::string& algorithm : {"FCFS", "EASY", "LOS-E"}) {
+  for (const char* algorithm : {"FCFS", "EASY", "LOS-E"}) {
     const RunReport report = check_run(scenario, algorithm);
     ASSERT_TRUE(report.ran);
     EXPECT_TRUE(report.ok()) << algorithm << ": "
@@ -108,7 +108,7 @@ TEST(RequeueUnderOutages, RetryBudgetExhaustionAbandonsUnderEveryPolicy) {
        {fault::RequeuePolicy::kRequeueHead, fault::RequeuePolicy::kRequeueTail,
         fault::RequeuePolicy::kAbandon}) {
     const Scenario scenario = cascade_scenario(policy, /*retry_cap=*/1);
-    for (const std::string& algorithm : {"EASY", "LOS-E"})
+    for (const char* algorithm : {"EASY", "LOS-E"})
       expect_clean(scenario, algorithm);
   }
 }
@@ -123,7 +123,7 @@ TEST(RequeueUnderOutages, StochasticCorrelatedOutagesStayAccounted) {
   failure.mttr = 900;
   failure.min_nodes = 2;
   failure.max_nodes = 4;  // every outage downs several cards at once
-  for (const std::string& algorithm : {"EASY", "Hybrid-LOS-E"})
+  for (const char* algorithm : {"EASY", "Hybrid-LOS-E"})
     expect_clean(scenario, algorithm);
 }
 

@@ -273,8 +273,9 @@ TEST_P(FailureStorm, EveryPolicySurvivesADownUpStormUnderParanoia) {
     const auto result = sched::simulate(engine, *algorithm.policy, workload);
     EXPECT_EQ(result.completed + result.killed + result.abandoned, 120u)
         << param.name << " requeue=" << fault::to_string(policy);
-    if (policy != fault::RequeuePolicy::kAbandon)
+    if (policy != fault::RequeuePolicy::kAbandon) {
       EXPECT_EQ(result.abandoned, 0u) << param.name;
+    }
   }
 }
 

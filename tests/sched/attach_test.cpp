@@ -88,8 +88,11 @@ TEST(CycleStats, CountsBackfilledStarts) {
   EXPECT_EQ(result.perf.cycle.starts, 3u);
   EXPECT_GE(result.perf.cycle.backfill_starts, 1u);
   // Job 3 ran inside job 1's window rather than after the queue drained.
-  for (const auto& job : result.jobs)
-    if (job.id == 3) EXPECT_LT(job.started, 100.0);
+  for (const auto& job : result.jobs) {
+    if (job.id == 3) {
+      EXPECT_LT(job.started, 100.0);
+    }
+  }
 }
 
 TEST(CycleStats, AggregatesAcrossRuns) {

@@ -4,7 +4,7 @@
 // at a time.  The golden outcome hashes below were recorded when run()
 // still built every record and scheduled the whole workload up front; the
 // windowed run must reproduce them, match run_streamed(MaterializedSource)
-// on every deterministic field, and keep both the event heap and the
+// on every deterministic field, and keep both the event queue and the
 // record arena at in-flight size.
 #include <gtest/gtest.h>
 

@@ -4,10 +4,12 @@
 // reaches steady state: events are PODs, heap items are PODs, and popped
 // or cancelled slots are recycled through the free list.  The engine's
 // in-flight ECC store makes the same promise for the command payloads its
-// EccArrival events name.  This binary instruments global operator
-// new/delete with a counter and asserts the schedule/pop, schedule/cancel
-// and ECC put/take cycles stop allocating after warm-up.  It is its own
-// test binary because the instrumented operators are process-global.
+// EccArrival events name, and the FIFO lanes that hold in-order arrivals
+// and commands reuse their vectors whether or not they ever drain.  This
+// binary instruments global operator new/delete with a counter and asserts
+// the schedule/pop, schedule/cancel and ECC put/take cycles stop allocating
+// after warm-up.  It is its own test binary because the instrumented
+// operators are process-global.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -154,6 +156,36 @@ TEST(EventQueueAlloc, SteadyStateEngineTrafficWithEccStoreIsAllocationFree) {
       << "engine-shaped traffic must not touch the heap once warm";
   EXPECT_GT(checksum, 0);
   EXPECT_LT(eccs.size(), 48u);  // only the in-flight commands are held
+}
+
+TEST(EventQueueAlloc, ArrivalLaneThatNeverDrainsIsAllocationFree) {
+  // A feed that leaves each window's last arrivals pending into the next
+  // one: the arrival lane never drains, so only the in-place compaction of
+  // its consumed prefix keeps its vector from growing window after window.
+  EventQueue queue;
+  Time feed = 0;
+  std::uint64_t finished = 0;
+  const auto window = [&] {
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      feed += 1;
+      queue.schedule(feed, EventClass::kJobArrival, i);
+    }
+    while (queue.next_time() <= feed - 8) {
+      const Event event = queue.pop();
+      if (event.cls == EventClass::kJobArrival)
+        queue.schedule(event.time + 20, EventClass::kJobFinish, event.tag);
+      else
+        ++finished;
+    }
+  };
+  for (int w = 0; w < 64; ++w) window();  // warm-up
+
+  const std::uint64_t before = allocations();
+  for (int w = 0; w < 2000; ++w) window();
+  EXPECT_EQ(allocations(), before)
+      << "a never-draining arrival lane must reuse its capacity";
+  EXPECT_GE(queue.size(), 8u);  // the lane's tail is still pending
+  EXPECT_GT(finished, 2000u * 8);
 }
 
 }  // namespace

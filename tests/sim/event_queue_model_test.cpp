@@ -7,9 +7,15 @@
 //  * cancellation of already-fired / already-cancelled handles after the
 //    slab has recycled their slots (generation checks under handle reuse),
 //  * far-future events mixed with near ones, and traces of far-future
-//    events only.
+//    events only,
+//  * lane-heavy traces: long in-order kJobArrival/kEccArrival runs (which
+//    the queue keeps in FIFO lanes beside its heap) with out-of-order
+//    inserts of the same classes mixed in, cancels of lane entries, lanes
+//    that drain and refill or never drain, and sweeps that meet lane
+//    residue — with pending_events() checked against the model's live set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -25,6 +31,8 @@ namespace {
 /// One scheduled event's identity across the two queues under test.
 struct Tracked {
   std::uint64_t model_id = 0;
+  Time time = 0;
+  EventClass cls{};
   EventHandle queue;
   testing::ReferenceEventHandle reference;
 };
@@ -34,6 +42,8 @@ class ModelCheck {
   void schedule(Time at, EventClass cls) {
     Tracked tracked;
     tracked.model_id = next_model_id_++;
+    tracked.time = at;
+    tracked.cls = cls;
     const std::uint64_t id = tracked.model_id;
     tracked.queue = queue_.schedule(at, cls, id);
     tracked.reference = reference_.schedule(
@@ -83,7 +93,35 @@ class ModelCheck {
     ASSERT_EQ(queue_.empty(), live_.empty());
   }
 
+  /// pending_events() must list exactly the model's live events, sorted by
+  /// insertion sequence.  live_ stays in schedule order (entries are only
+  /// appended or erased), and model ids are handed out in that order from
+  /// 1, so an event's sequence number is its model id minus one.
+  void check_pending() const {
+    const std::vector<Event> pending = queue_.pending_events();
+    ASSERT_EQ(pending.size(), live_.size());
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      ASSERT_EQ(pending[i].tag, live_[i].model_id) << "entry " << i;
+      ASSERT_EQ(pending[i].seq, live_[i].model_id - 1) << "entry " << i;
+      ASSERT_EQ(pending[i].time, live_[i].time) << "entry " << i;
+      ASSERT_EQ(pending[i].cls, live_[i].cls) << "entry " << i;
+    }
+  }
+
+  /// Index into the live set of a random live event of class `cls`, or
+  /// live_count() when there is none.
+  std::size_t find_live(EventClass cls, util::Rng& rng) const {
+    const auto start = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<int>(live_.size()) - 1));
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+      const std::size_t i = (start + k) % live_.size();
+      if (live_[i].cls == cls) return i;
+    }
+    return live_.size();
+  }
+
   Time now() const { return now_; }
+  Time next_time() { return queue_.next_time(); }
   std::size_t live_count() const { return live_.size(); }
   std::size_t retired_count() const { return retired_.size(); }
   bool drained() const { return queue_.empty(); }
@@ -168,6 +206,134 @@ TEST(EventQueueModel, FarFutureOnlyTracesAgreeWithReference) {
     model.pop();
     if (::testing::Test::HasFatalFailure()) FAIL();
   }
+}
+
+/// Drains `model` completely, failing on the first disagreement.
+void drain(ModelCheck& model) {
+  while (!model.drained()) {
+    model.pop();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  model.check_sizes();
+}
+
+TEST(EventQueueModel, LaneHeavyTracesAgreeWithReference) {
+  // The engine's feed shape: each window appends a run of in-order
+  // arrivals and commands behind everything already pending in their
+  // classes, then the clock advances part way through it.  Out-of-order
+  // arrivals and commands (near the clock, so mostly before their lane's
+  // back) are mixed in, lane entries are cancelled, and events of every
+  // class keep the heap busy beside the lanes.
+  util::Rng rng(2424);
+  for (int round = 0; round < 6; ++round) {
+    ModelCheck model;
+    Time arrival_feed = 0;
+    Time ecc_feed = 0;
+    for (int window = 0; window < 40; ++window) {
+      arrival_feed = std::max(arrival_feed, model.now());
+      const int arrivals = static_cast<int>(rng.uniform_int(20, 120));
+      for (int i = 0; i < arrivals; ++i) {
+        // Coarse steps give equal-time runs, ordered by seq alone.
+        arrival_feed += std::floor(rng.uniform(0, 3));
+        model.schedule(arrival_feed, EventClass::kJobArrival);
+        if (rng.bernoulli(0.4)) {
+          ecc_feed = std::max(ecc_feed, arrival_feed) +
+                     std::floor(rng.uniform(0, 4));
+          model.schedule(ecc_feed, EventClass::kEccArrival);
+        }
+        if (rng.bernoulli(0.1)) {
+          const EventClass cls = rng.bernoulli(0.5) ? EventClass::kJobArrival
+                                                    : EventClass::kEccArrival;
+          model.schedule(model.now() + std::floor(rng.uniform(0, 10)), cls);
+        }
+      }
+      if (::testing::Test::HasFatalFailure()) FAIL() << "round " << round;
+      const Time horizon = model.now() + std::floor(rng.uniform(20, 200));
+      while (!model.drained() && model.next_time() < horizon) {
+        const double coin = rng.uniform(0, 1);
+        if (coin < 0.15 && model.live_count() > 0) {
+          const EventClass cls = rng.bernoulli(0.5) ? EventClass::kJobArrival
+                                                    : EventClass::kEccArrival;
+          const std::size_t index = model.find_live(cls, rng);
+          if (index < model.live_count()) model.cancel_live(index);
+        } else if (coin < 0.3) {
+          model.schedule(model.now() + std::floor(rng.uniform(1, 60)),
+                         kClasses[rng.uniform_int(0, 6)]);
+        } else if (coin < 0.35 && model.retired_count() > 0) {
+          model.cancel_stale(static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<int>(model.retired_count()) - 1)));
+        } else {
+          model.pop();
+        }
+        model.check_sizes();
+        if (::testing::Test::HasFatalFailure())
+          FAIL() << "round " << round << " window " << window;
+      }
+      model.check_pending();
+      if (::testing::Test::HasFatalFailure())
+        FAIL() << "round " << round << " window " << window;
+    }
+    drain(model);
+    if (::testing::Test::HasFatalFailure()) FAIL() << "round " << round;
+  }
+}
+
+TEST(EventQueueModel, LanesThatDrainAndRefillAgreeWithReference) {
+  // Each window's arrivals drain completely before the next window is
+  // fed (the engine refills when the last scheduled arrival fires), while
+  // the command lane keeps entries across windows and never drains.
+  ModelCheck model;
+  Time feed = 0;
+  for (int window = 0; window < 30; ++window) {
+    for (int i = 0; i < 50; ++i) {
+      feed += (i % 4 == 0) ? 0 : 1;  // runs of equal arrival times
+      model.schedule(feed, EventClass::kJobArrival);
+      if (i % 2 == 0) model.schedule(feed + 30, EventClass::kEccArrival);
+    }
+    const Time last_arrival = feed;
+    feed += 1;  // the next window starts strictly later
+    while (!model.drained() && model.next_time() <= last_arrival) {
+      model.pop();
+      if (::testing::Test::HasFatalFailure()) FAIL() << "window " << window;
+    }
+    model.check_sizes();
+    model.check_pending();
+    if (::testing::Test::HasFatalFailure()) FAIL() << "window " << window;
+  }
+  drain(model);
+}
+
+TEST(EventQueueModel, SweepsWithLaneResidueAgreeWithReference) {
+  // Cancelling most entries makes the dead outnumber the live, which
+  // sweeps the heap and both lanes in place; the lanes here hold dead
+  // entries at their fronts, in their middles and at their backs when that
+  // happens, and appends continue behind a cancelled back.
+  util::Rng rng(77);
+  ModelCheck model;
+  Time feed = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 150; ++i) {
+      feed += std::floor(rng.uniform(0, 2));
+      model.schedule(feed, i % 3 == 0 ? EventClass::kEccArrival
+                                      : EventClass::kJobArrival);
+      if (i % 10 == 0)
+        model.schedule(feed + std::floor(rng.uniform(0, 50)),
+                       EventClass::kJobFinish);
+    }
+    // Cancel ~80% of the live set, lane entries and finishes alike.
+    const std::size_t keep = model.live_count() / 5;
+    while (model.live_count() > keep) {
+      model.cancel_live(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<int>(model.live_count()) - 1)));
+      if (::testing::Test::HasFatalFailure()) FAIL() << "round " << round;
+    }
+    model.check_sizes();
+    model.check_pending();
+    for (int i = 0; i < 20 && !model.drained(); ++i) model.pop();
+    model.check_pending();
+    if (::testing::Test::HasFatalFailure()) FAIL() << "round " << round;
+  }
+  drain(model);
 }
 
 }  // namespace

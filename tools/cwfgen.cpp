@@ -3,9 +3,10 @@
 // Produces a synthetic CWF trace from the Lublin-model generator with the
 // paper's knobs exposed as flags:
 //
-//   $ cwfgen --jobs 500 --p-small 0.5 --p-dedicated 0.5 \
-//            --p-extend 0.2 --p-reduce 0.1 --load 0.9 \
-//            --seed 42 --output trace.cwf
+//   $ cwfgen --jobs 500 --p-small 0.5 --p-dedicated 0.5 --p-extend 0.2
+//       --p-reduce 0.1 --load 0.9 --seed 42 --output trace.cwf
+//
+// (one command line, wrapped here).
 //
 // The resulting file replays through `simrun`, `examples/swf_replay`, or
 // any SWF-compatible tool (the first 18 fields are standard SWF).
