@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "cluster/contiguous.hpp"
 #include "cluster/machine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -226,29 +225,6 @@ void BM_WorkloadCalibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadCalibration);
-
-
-void BM_ContiguousAllocateReleaseCompact(benchmark::State& state) {
-  es::util::Rng rng(7);
-  for (auto _ : state) {
-    es::cluster::ContiguousMachine machine(128);
-    std::vector<std::int64_t> active;
-    std::int64_t id = 0;
-    for (int step = 0; step < 200; ++step) {
-      const int units = static_cast<int>(rng.uniform_int(1, 32));
-      if (machine.fits(units)) {
-        machine.allocate(++id, units);
-        active.push_back(id);
-      } else if (!active.empty()) {
-        machine.release(active.back());
-        active.pop_back();
-        machine.compact();
-      }
-    }
-    benchmark::DoNotOptimize(machine.fragmentation());
-  }
-}
-BENCHMARK(BM_ContiguousAllocateReleaseCompact);
 
 }  // namespace
 

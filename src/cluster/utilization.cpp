@@ -11,13 +11,8 @@ UtilizationTracker::UtilizationTracker(int capacity) : capacity_(capacity) {
   ES_EXPECTS(capacity > 0);
 }
 
-void UtilizationTracker::set_bounded(bool bounded) {
-  ES_EXPECTS(!started_);  // mode must be fixed before the first record
-  bounded_ = bounded;
-}
-
 void UtilizationTracker::mark() {
-  ES_EXPECTS(bounded_ && started_);
+  ES_EXPECTS(started_);
   mark_time_ = last_;
   mark_integral_ = integral_;
 }
@@ -28,19 +23,12 @@ void UtilizationTracker::record(sim::Time at, int busy) {
     started_ = true;
     first_ = last_ = at;
     busy_ = busy;
-    if (!bounded_) steps_.push_back({at, busy});
     return;
   }
   ES_EXPECTS(at >= last_);
   integral_ += static_cast<double>(busy_) * (at - last_);
   last_ = at;
   busy_ = busy;
-  if (bounded_) return;
-  if (!steps_.empty() && steps_.back().time == at) {
-    steps_.back().busy = busy;  // coalesce same-instant updates
-  } else {
-    steps_.push_back({at, busy});
-  }
 }
 
 void UtilizationTracker::record_capacity(sim::Time at, int available) {
@@ -48,7 +36,7 @@ void UtilizationTracker::record_capacity(sim::Time at, int available) {
   if (!capacity_steps_.empty()) {
     ES_EXPECTS(at >= capacity_steps_.back().time);
     if (capacity_steps_.back().time == at) {
-      capacity_steps_.back().busy = available;
+      capacity_steps_.back().level = available;
       return;
     }
   }
@@ -67,7 +55,7 @@ double UtilizationTracker::integrate(const std::vector<Step>& steps,
         (i + 1 < steps.size()) ? steps[i + 1].time : std::max(to, last);
     const sim::Time lo = std::max(from, seg_start);
     const sim::Time hi = std::min(to, seg_end);
-    if (hi > lo) sum += static_cast<double>(steps[i].busy) * (hi - lo);
+    if (hi > lo) sum += static_cast<double>(steps[i].level) * (hi - lo);
   }
   return sum;
 }
@@ -76,24 +64,18 @@ double UtilizationTracker::busy_proc_seconds(sim::Time from,
                                              sim::Time to) const {
   ES_EXPECTS(from <= to);
   if (!started_) return 0.0;
-  if (bounded_) {
-    // The incremental integral_ holds exactly the segment terms
-    // integrate(steps_, last_, first_, last_) would sum (one per record, in
-    // record order — same-instant records contribute an exact +0.0), so a
-    // [first_, >= last_] query reproduces the retained-mode double bit for
-    // bit, and so does a query ending at the mark (the integral through
-    // the marked record; later same-instant records add +0.0).
-    ES_EXPECTS(from <= first_);
-    if (to <= first_) return 0.0;
-    if (to < last_) {
-      ES_EXPECTS(to == mark_time_);
-      return mark_integral_;
-    }
-    double sum = integral_;
-    if (to > last_) sum += static_cast<double>(busy_) * (to - last_);
-    return sum;
+  // integral_ holds the per-record segment terms summed in record order;
+  // a query ending at the mark returns the integral through the marked
+  // record (later same-instant records add +0.0).
+  ES_EXPECTS(from <= first_);
+  if (to <= first_) return 0.0;
+  if (to < last_) {
+    ES_EXPECTS(to == mark_time_);
+    return mark_integral_;
   }
-  return integrate(steps_, last_, from, to);
+  double sum = integral_;
+  if (to > last_) sum += static_cast<double>(busy_) * (to - last_);
+  return sum;
 }
 
 double UtilizationTracker::available_proc_seconds(sim::Time from,
@@ -105,7 +87,6 @@ double UtilizationTracker::available_proc_seconds(sim::Time from,
 }
 
 UtilizationState UtilizationTracker::save_state() const {
-  ES_EXPECTS(bounded_);
   UtilizationState state;
   state.busy = busy_;
   state.first = first_;
@@ -116,13 +97,12 @@ UtilizationState UtilizationTracker::save_state() const {
   state.mark_integral = mark_integral_;
   state.capacity_steps.reserve(capacity_steps_.size());
   for (const Step& s : capacity_steps_) {
-    state.capacity_steps.emplace_back(s.time, s.busy);
+    state.capacity_steps.emplace_back(s.time, s.level);
   }
   return state;
 }
 
 void UtilizationTracker::restore_state(const UtilizationState& state) {
-  ES_EXPECTS(bounded_);
   busy_ = state.busy;
   first_ = state.first;
   last_ = state.last;
@@ -132,8 +112,8 @@ void UtilizationTracker::restore_state(const UtilizationState& state) {
   mark_integral_ = state.mark_integral;
   capacity_steps_.clear();
   capacity_steps_.reserve(state.capacity_steps.size());
-  for (const auto& [time, busy] : state.capacity_steps) {
-    capacity_steps_.push_back({time, busy});
+  for (const auto& [time, available] : state.capacity_steps) {
+    capacity_steps_.push_back({time, available});
   }
 }
 

@@ -12,7 +12,7 @@
 
 namespace es::cluster {
 
-/// Serializable state of a bounded tracker (snapshot/restore).
+/// Serializable state of a tracker (snapshot/restore).
 struct UtilizationState {
   int busy = 0;
   sim::Time first = 0.0;
@@ -31,23 +31,14 @@ class UtilizationTracker {
 
   /// Records that from `at` onwards `busy` processors are occupied.
   /// `at` must be non-decreasing across calls; busy in [0, capacity].
+  /// Only the running integral is kept, not the step history (a
+  /// million-job run would otherwise hold millions of steps).
   void record(sim::Time at, int busy);
 
-  /// Bounded mode (the engine's): stop retaining the per-record step list
-  /// (a million-job run would otherwise hold millions of steps) and answer
-  /// busy_proc_seconds from the incremental integral instead.  The
-  /// incremental accumulator adds exactly the per-segment terms integrate()
-  /// sums, in the same left-to-right order, so queries over
-  /// [first record, >= last record] — or [first record, the marked
-  /// instant] — are bitwise identical to the retained mode.  Queries must
-  /// start at the first record and end at or after the last record or at
-  /// the mark.  Must be set before the first record.
-  void set_bounded(bool bounded);
-
-  /// Bounded mode: remembers the integral through the last record, so a
-  /// later query ending at that instant stays exact after more records
-  /// (the engine marks every job finish; a watchdog-aborted run is
-  /// queried at its last finish).
+  /// Remembers the integral through the last record, so a later query
+  /// ending at that instant stays exact after more records (the engine
+  /// marks every job finish; a watchdog-aborted run is queried at its last
+  /// finish).
   void mark();
 
   /// Records that from `at` onwards `available` processors are in service
@@ -57,9 +48,13 @@ class UtilizationTracker {
   /// no-failure arithmetic bit-identical to the original tracker.
   void record_capacity(sim::Time at, int available);
 
-  /// Busy processor-seconds accumulated in [from, to].  The window must lie
-  /// within [first record, last record]; the level after the last record is
-  /// extrapolated as the last busy value.
+  /// Busy processor-seconds accumulated in [from, to], read from the
+  /// running integral: one term busy * (next record - this record) per
+  /// record, summed in record order (a same-instant record adds an exact
+  /// +0.0).  Only whole-history windows are answered: `from` must be at or
+  /// before the first record, and `to` at or before the first record (0),
+  /// at the mark, or at or after the last record, past which the last busy
+  /// level is extrapolated.
   double busy_proc_seconds(sim::Time from, sim::Time to) const;
 
   /// In-service processor-seconds in [from, to]: the integral of the
@@ -80,17 +75,16 @@ class UtilizationTracker {
   /// Total busy-proc-seconds integrated so far (up to the last record).
   double integral() const { return integral_; }
 
-  /// Captures the mutable accounting state for a snapshot (bounded mode:
-  /// there is no step list to carry).
+  /// Captures the mutable accounting state for a snapshot.
   UtilizationState save_state() const;
 
-  /// Restores state captured on a bounded tracker of the same capacity.
+  /// Restores state captured on a tracker of the same capacity.
   void restore_state(const UtilizationState& state);
 
  private:
   struct Step {
     sim::Time time;
-    int busy;
+    int level;
   };
 
   /// Integral of a step function over [from, to], extrapolating the last
@@ -99,7 +93,6 @@ class UtilizationTracker {
                           sim::Time from, sim::Time to);
 
   int capacity_;
-  bool bounded_ = false;  ///< no steps_ retention (streaming runs)
   int busy_ = 0;
   sim::Time first_ = 0.0;
   sim::Time last_ = 0.0;
@@ -107,7 +100,6 @@ class UtilizationTracker {
   double integral_ = 0.0;  ///< busy-proc-seconds up to last_
   sim::Time mark_time_ = 0.0;
   double mark_integral_ = 0.0;  ///< integral_ when mark() was last called
-  std::vector<Step> steps_;
   std::vector<Step> capacity_steps_;  ///< empty unless failures injected
 };
 

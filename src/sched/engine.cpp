@@ -32,9 +32,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
       cycle_stats_attach_(policy),
       fairness_attach_(config.fairshare, config.machine_procs) {
   ecc_processor_.set_running_resize(config.allow_running_resize);
-  // Retired jobs leave no step history: the tracker keeps only its
-  // running integral (and the one at the last finish).
-  utilization_.set_bounded(true);
   // Register the enabled attachments in the canonical chain order (see
   // attach/observer.hpp): CheckpointObserver must precede
   // FailureStatsObserver (preempt `saved` feeds `lost`), which must
@@ -1132,8 +1129,8 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   }
   writer.end_section();
 
-  // The bounded tracker keeps no busy steps: its integral scalars and the
-  // capacity steps (one pair per outage edge) are the whole ledger.
+  // The tracker keeps no busy steps: its integral scalars and the capacity
+  // steps (one pair per outage edge) are the whole ledger.
   writer.begin_section("UTIL");
   const cluster::UtilizationState util_state = utilization_.save_state();
   writer.i32(util_state.busy);

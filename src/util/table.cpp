@@ -71,7 +71,11 @@ void AsciiTable::render(std::ostream& out) const {
 
 std::string format_duration(double seconds) {
   char buf[64];
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) {
+    std::string negated = "-";
+    negated += format_duration(-seconds);
+    return negated;
+  }
   if (seconds < 60) {
     std::snprintf(buf, sizeof buf, "%.0fs", seconds);
   } else if (seconds < 3600) {

@@ -188,8 +188,7 @@ CwfFile from_workload(const Workload& workload) {
     CwfRecord record;
     record.swf = from_job(job);
     record.req_start_time = job.dedicated() ? job.start : -1;
-    record.request_type = "S";
-    record.amount = -1;
+    // request_type "S" and amount -1 are the record's defaults.
     file.records.push_back(std::move(record));
   }
   for (const Ecc& ecc : workload.eccs) {

@@ -26,16 +26,6 @@ TEST(Utilization, StepFunctionIntegralExact) {
   EXPECT_DOUBLE_EQ(tracker.mean_utilization(0, 50), 0.56);
 }
 
-TEST(Utilization, SubWindowQueries) {
-  UtilizationTracker tracker(10);
-  tracker.record(0, 2);
-  tracker.record(10, 8);
-  tracker.record(20, 0);
-  EXPECT_DOUBLE_EQ(tracker.busy_proc_seconds(5, 15), 2 * 5 + 8 * 5);
-  EXPECT_DOUBLE_EQ(tracker.busy_proc_seconds(0, 5), 10.0);
-  EXPECT_DOUBLE_EQ(tracker.busy_proc_seconds(12, 18), 48.0);
-}
-
 TEST(Utilization, ExtrapolatesLastLevel) {
   UtilizationTracker tracker(4);
   tracker.record(0, 2);
@@ -58,7 +48,6 @@ TEST(Utilization, WindowBeforeFirstRecordIsZero) {
   tracker.record(100, 5);
   tracker.record(200, 0);
   EXPECT_DOUBLE_EQ(tracker.busy_proc_seconds(0, 100), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.busy_proc_seconds(50, 150), 250.0);
 }
 
 TEST(Utilization, EmptyTrackerReturnsZero) {
@@ -107,6 +96,77 @@ TEST(Utilization, CapacityRecordsCoalesceAtSameInstant) {
   tracker.record_capacity(50, 8);
   tracker.record_capacity(50, 6);  // same instant: final value wins
   EXPECT_DOUBLE_EQ(tracker.available_proc_seconds(0, 100), 10 * 50 + 6 * 50.0);
+}
+
+TEST(Utilization, MarkPinsTheIntegralThroughTheMarkedRecord) {
+  UtilizationTracker tracker(10);
+  tracker.record(0, 4);
+  tracker.record(10, 6);
+  tracker.mark();          // integral through t=10: 4*10 = 40
+  tracker.record(10, 8);   // same instant as the mark: adds +0.0
+  tracker.record(20, 2);
+  tracker.record(30, 0);
+  EXPECT_EQ(tracker.busy_proc_seconds(0, 10), 40.0);
+  EXPECT_DOUBLE_EQ(tracker.mean_utilization(0, 10), 0.4);
+  // The whole history still reads the running integral: 40 + 8*10 + 2*10.
+  EXPECT_EQ(tracker.busy_proc_seconds(0, 30), 140.0);
+  EXPECT_EQ(tracker.busy_proc_seconds(0, 40), 140.0);  // busy 0 after t=30
+  tracker.mark();
+  tracker.record(50, 0);
+  EXPECT_EQ(tracker.busy_proc_seconds(0, 30), 140.0);
+}
+
+TEST(Utilization, SaveRestoreRoundTripContinuesRecording) {
+  UtilizationTracker original(10);
+  original.record_capacity(0, 10);
+  original.record(0, 3);
+  original.record(7.5, 9);
+  original.record_capacity(12, 6);
+  original.record(12, 5);
+  original.mark();
+  original.record(20.25, 1);
+
+  UtilizationTracker restored(10);
+  restored.restore_state(original.save_state());
+  EXPECT_EQ(restored.first_time(), original.first_time());
+  EXPECT_EQ(restored.last_time(), original.last_time());
+  EXPECT_EQ(restored.current_busy(), original.current_busy());
+  EXPECT_EQ(restored.integral(), original.integral());
+
+  // Both continue with the same records and must agree bit for bit.
+  for (UtilizationTracker* t : {&original, &restored}) {
+    t->record_capacity(30, 10);
+    t->record(30, 6);
+    t->record(41.5, 0);
+  }
+  EXPECT_EQ(restored.integral(), original.integral());
+  EXPECT_EQ(restored.busy_proc_seconds(0, 12),
+            original.busy_proc_seconds(0, 12));
+  EXPECT_EQ(restored.busy_proc_seconds(0, 12), 3 * 7.5 + 9 * 4.5);
+  EXPECT_EQ(restored.busy_proc_seconds(0, 50),
+            original.busy_proc_seconds(0, 50));
+  EXPECT_EQ(restored.available_proc_seconds(0, 50),
+            original.available_proc_seconds(0, 50));
+  EXPECT_EQ(restored.mean_utilization(0, 50),
+            original.mean_utilization(0, 50));
+}
+
+TEST(UtilizationDeath, QueryEndingBetweenMarkAndLastRecordAborts) {
+  UtilizationTracker tracker(10);
+  tracker.record(0, 5);
+  tracker.record(10, 5);
+  tracker.mark();
+  tracker.record(20, 5);
+  tracker.record(30, 5);
+  EXPECT_DEATH(tracker.busy_proc_seconds(0, 15), "precondition");
+  EXPECT_DEATH(tracker.busy_proc_seconds(0, 20), "precondition");
+}
+
+TEST(UtilizationDeath, QueryStartingAfterFirstRecordAborts) {
+  UtilizationTracker tracker(10);
+  tracker.record(0, 5);
+  tracker.record(10, 5);
+  EXPECT_DEATH(tracker.busy_proc_seconds(5, 10), "precondition");
 }
 
 TEST(UtilizationDeath, OverCapacityAborts) {

@@ -13,6 +13,7 @@
 #include <deque>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/machine.hpp"
@@ -358,9 +359,12 @@ SelectionScenario draw_scenario(std::uint64_t seed) {
   const std::vector<double>& family = families[rng() % families.size()];
   const int configured = static_cast<int>(
       rng() % static_cast<std::uint64_t>(scenario.npools + 1));
-  for (int p = 0; p < configured; ++p)
+  for (int p = 0; p < configured; ++p) {
+    std::string name = "p";
+    name += std::to_string(p);
     scenario.config.pools.push_back(
-        {"p" + std::to_string(p), family[rng() % family.size()], 0.0});
+        {std::move(name), family[rng() % family.size()], 0.0});
+  }
   scenario.config.preemption_enabled = false;
   return scenario;
 }

@@ -69,10 +69,18 @@ int flag_error(const char* flag, const char* message) {
 std::string bucket_label(int b) {
   const auto lo = es::sched::CycleStats::bucket_lo(b);
   const auto hi = es::sched::CycleStats::bucket_hi(b);
-  if (lo == hi) return "[" + std::to_string(lo) + "]";
-  if (b == es::sched::CycleStats::kBuckets - 1)
-    return "[" + std::to_string(lo) + "+]";
-  return "[" + std::to_string(lo) + ".." + std::to_string(hi) + "]";
+  std::string label = "[";
+  label += std::to_string(lo);
+  if (lo == hi) {
+    label += "]";
+  } else if (b == es::sched::CycleStats::kBuckets - 1) {
+    label += "+]";
+  } else {
+    label += "..";
+    label += std::to_string(hi);
+    label += "]";
+  }
+  return label;
 }
 
 // Appends the CycleStatsObserver counters to a perf table: the summary
