@@ -31,6 +31,7 @@
 #include "util/cli.hpp"
 #include "util/rss.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/generator.hpp"
 #include "workload/source.hpp"
 
 namespace es::bench {
@@ -45,7 +46,8 @@ struct BenchOptions {
   bool quick = false;      ///< CI mode: fewer points/seeds
   /// Optional config file applied through the configuration spine
   /// (util::ParamRegistry) by algo_options()/apply_config_file(): engine,
-  /// fair-share and tenancy knobs load from here with full validation.
+  /// fair-share, workload and tenancy knobs load from here with full
+  /// validation.
   std::string config_path;
 };
 
@@ -69,9 +71,11 @@ inline bool parse_bench_options(int argc, const char* const* argv,
                  &options.parallel_jobs);
   cli.add_option("csv-dir", "directory for CSV output (default results/)",
                  &options.csv_dir);
-  cli.add_option("config", "engine/fair-share/tenancy parameters from this "
+  cli.add_option("config", "engine/fair-share parameters from this "
                  "key=value file (the simrun --config format); the bench's "
-                 "own sweep parameters still override it", &options.config_path);
+                 "own sweep parameters, --num-jobs and --seed still override "
+                 "it, and only fairshare_study reads its workload/tenancy "
+                 "section", &options.config_path);
   cli.add_flag("quick", "fast mode: fewer points and seeds", &options.quick);
   bool list_algorithms = false;
   cli.add_flag("list-algorithms", "print every known algorithm name and exit",
@@ -92,17 +96,22 @@ inline bool parse_bench_options(int argc, const char* const* argv,
   return true;
 }
 
-/// Loads `path` (when non-empty) into `algorithm_options` — and, when
-/// given, the generator's tenancy knobs — through the configuration spine,
-/// with the same finalize-time validation and exit code (2) as simrun.
+/// Loads `path` (when non-empty) into `algorithm_options` and, when given,
+/// the generator's workload and tenancy knobs through the configuration
+/// spine, with the same finalize-time validation and exit code (2) as
+/// simrun.  Without a generator those sections are still registered, so a
+/// simrun --dump-config file loads, but they are only validated: the bench
+/// sets its own workload model per figure.
 inline void apply_config_file(const std::string& path,
                               core::AlgorithmOptions& algorithm_options,
                               workload::GeneratorConfig* generator = nullptr) {
   if (path.empty()) return;
+  workload::GeneratorConfig unread;
+  if (generator == nullptr) generator = &unread;
   util::ParamRegistry registry;
   core::register_run_params(registry, algorithm_options);
-  if (generator != nullptr)
-    core::register_tenancy_params(registry, *generator);
+  workload::register_generator_params(registry, *generator);
+  workload::register_tenancy_params(registry, *generator);
   try {
     registry.load_file(path);
     registry.finalize();

@@ -64,10 +64,13 @@ int main(int argc, char** argv) {
   algo.engine.fairshare.min_share_preemption_timeout = 7200;
   algo.engine.fairshare.fair_share_preemption_timeout = 43200;
   algo.engine.fairshare.max_preemptions_per_job = 1;
-  // One spine pass: the file may reshape the engine, the pool tree and the
-  // tenancy knobs; the study's defaults above are plain pre-load values, so
-  // the file overrides them like any other default.
+  // One spine pass: the file may reshape the engine, the pool tree, the
+  // workload model and the tenancy knobs; the study's defaults above are
+  // plain pre-load values, so the file overrides them like any other
+  // default.
   es::bench::apply_config_file(options.config_path, algo, &workload);
+  // --num-jobs (and --seed, per replication below) still override the file.
+  workload.num_jobs = static_cast<std::size_t>(options.num_jobs);
   if (algo.engine.fairshare.pools.empty()) {
     algo.engine.fairshare.pools = {{"prod", 4.0, 0.25},
                                    {"batch", 2.0, 0.0},

@@ -30,27 +30,4 @@ void register_run_params(util::ParamRegistry& registry,
   sched::register_engine_params(registry, options.engine);
 }
 
-void register_tenancy_params(util::ParamRegistry& registry,
-                             workload::GeneratorConfig& config) {
-  registry
-      .add_int("tenancy.users", &config.num_users,
-               "Zipf-distributed submitting users to tag jobs with (0 = "
-               "untagged)")
-      .range(0, 10'000'000)
-      .alias("tenancy.num_users")
-      .alias("users");
-  registry
-      .add_double("tenancy.zipf_exponent", &config.zipf_exponent,
-                  "Zipf exponent of per-user submission rates")
-      .range(0.01, 10)
-      .alias("zipf-exponent");
-  registry
-      .add_int("tenancy.pools", &config.num_pools,
-               "fair-share pools jobs are charged to, round-robin over user "
-               "rank (0 = all in pool 0)")
-      .range(0, 255)
-      .alias("tenancy.num_pools")
-      .alias("pools");
-}
-
 }  // namespace es::core

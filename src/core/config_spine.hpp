@@ -1,13 +1,13 @@
-// The configuration spine: one ParamRegistry covering AlgorithmOptions (and
-// through it the whole EngineConfig tree) plus the workload-generator
-// tenancy knobs.  simrun, every bench binary, and tests route config files,
-// --dump-config, --list-params, and finalize-time validation through these
-// two calls instead of hand-rolling option plumbing.
+// The configuration spine: one ParamRegistry covering AlgorithmOptions and
+// through it the whole EngineConfig tree.  simrun, every bench binary, and
+// tests route config files, --dump-config, --list-params, and finalize-time
+// validation through this call instead of hand-rolling option plumbing; the
+// synthetic workload's workload.* / tenancy.* knobs register beside
+// GeneratorConfig (workload/generator.hpp).
 #pragma once
 
 #include "core/factory.hpp"
 #include "util/param_registry.hpp"
-#include "workload/generator.hpp"
 
 namespace es::core {
 
@@ -17,9 +17,5 @@ namespace es::core {
 /// `options`.
 void register_run_params(util::ParamRegistry& registry,
                          AlgorithmOptions& options);
-
-/// Registers the tenancy.* generator knobs (Zipf users over pools).
-void register_tenancy_params(util::ParamRegistry& registry,
-                             workload::GeneratorConfig& config);
 
 }  // namespace es::core

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sched/trace.hpp"
-
 namespace es::exp {
 namespace {
 
@@ -79,68 +77,6 @@ std::string render_profile(const std::vector<double>& timeline) {
     out += kBlocks[static_cast<int>(std::lround(clamped * 8))];
   }
   return out;
-}
-
-namespace {
-
-/// Queue-length step function from a trace: +1 on arrival, -1 on start.
-std::vector<std::pair<double, int>> queue_steps(
-    const sched::ScheduleTrace& trace) {
-  std::vector<std::pair<double, int>> steps;
-  int level = 0;
-  for (const sched::TraceEvent& event : trace.events()) {
-    if (event.kind == sched::TraceEventKind::kArrival) {
-      ++level;
-    } else if (event.kind == sched::TraceEventKind::kStart) {
-      --level;
-    } else {
-      continue;
-    }
-    steps.emplace_back(event.time, level);
-  }
-  return steps;
-}
-
-}  // namespace
-
-std::vector<double> queue_length_timeline(const sched::ScheduleTrace& trace,
-                                          int buckets) {
-  const auto steps = queue_steps(trace);
-  if (steps.empty() || buckets <= 0) return {};
-  const double begin = steps.front().first;
-  const double end = steps.back().first;
-  std::vector<double> timeline(static_cast<std::size_t>(buckets), 0.0);
-  if (end <= begin) return timeline;
-  const double width = (end - begin) / buckets;
-  // Sample the level at each bucket's midpoint.
-  std::size_t cursor = 0;
-  int level = 0;
-  for (int b = 0; b < buckets; ++b) {
-    const double at = begin + (b + 0.5) * width;
-    while (cursor < steps.size() && steps[cursor].first <= at)
-      level = steps[cursor++].second;
-    timeline[static_cast<std::size_t>(b)] = level;
-  }
-  return timeline;
-}
-
-QueueStats queue_stats(const sched::ScheduleTrace& trace) {
-  QueueStats stats;
-  const auto steps = queue_steps(trace);
-  if (steps.empty()) return stats;
-  double integral = 0;
-  double last_time = steps.front().first;
-  int level = 0;
-  for (const auto& [time, new_level] : steps) {
-    integral += static_cast<double>(level) * (time - last_time);
-    last_time = time;
-    level = new_level;
-    stats.peak = std::max(stats.peak, static_cast<std::size_t>(
-                                          std::max(level, 0)));
-  }
-  const double span = steps.back().first - steps.front().first;
-  stats.mean = span > 0 ? integral / span : 0.0;
-  return stats;
 }
 
 double confidence_half_width_95(const util::RunningStats& stats) {

@@ -54,17 +54,4 @@ std::vector<double> utilization_timeline(
 /// block by eighths), e.g. for simrun --profile.
 std::string render_profile(const std::vector<double>& timeline);
 
-/// Waiting-queue length sampled at each bucket boundary, reconstructed from
-/// a schedule trace (arrivals enqueue, starts dequeue).  Requires a trace
-/// recorded with EngineConfig::record_trace.
-std::vector<double> queue_length_timeline(const sched::ScheduleTrace& trace,
-                                          int buckets);
-
-/// Peak and mean waiting-queue length over a run, from the trace.
-struct QueueStats {
-  std::size_t peak = 0;
-  double mean = 0;  ///< time-weighted mean queue length
-};
-QueueStats queue_stats(const sched::ScheduleTrace& trace);
-
 }  // namespace es::exp

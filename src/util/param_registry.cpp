@@ -92,7 +92,8 @@ bool parse_bool(const std::string& field, const std::string& text) {
 void check_range(const std::string& field, bool has_range, double lo,
                  double hi, double value) {
   if (!has_range) return;
-  if (value < lo || value > hi) {
+  // Negated so that NaN, which compares false both ways, is out of range.
+  if (!(value >= lo && value <= hi)) {
     std::ostringstream out;
     out << "value " << repr_double(value) << " out of range [" << repr_double(lo)
         << ", " << repr_double(hi) << "]";

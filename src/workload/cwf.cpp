@@ -26,10 +26,20 @@ bool to_double(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') return false;
-  // Reject nan/inf — matches the SWF prefix parser; a non-finite start time
-  // or amount would corrupt the event queue ordering.
+  // Reject nan/inf: every trace field is a finite quantity; a NaN would
+  // silently poison every downstream comparison, and a non-finite start
+  // time or amount would corrupt the event queue ordering.
   return std::isfinite(out);
 }
+
+/// Archive names of the 18 SWF fields, 1-based order; used to point parse
+/// diagnostics at the offending column.
+constexpr const char* kSwfFieldNames[18] = {
+    "job_number", "submit_time",   "wait_time",  "run_time",
+    "used_procs", "avg_cpu_time",  "used_memory", "req_procs",
+    "req_time",   "req_memory",    "status",      "user_id",
+    "group_id",   "app_number",    "queue_number", "partition",
+    "preceding_job", "think_time"};
 
 bool parse_cwf_line(const std::string& line, CwfRecord& out,
                     std::string& message) {
@@ -39,14 +49,38 @@ bool parse_cwf_line(const std::string& line, CwfRecord& out,
               std::to_string(tokens.size());
     return false;
   }
-  // Reuse the SWF field parser for the common prefix.
-  std::ostringstream prefix;
+  // SWF fields 1-18.  Every one is numeric (integer fields may appear as
+  // "12.0" in archive traces and are truncated); parse all 18 uniformly so
+  // a failure can name the exact field and token.
+  double values[18];
   for (std::size_t i = 0; i < 18; ++i) {
-    if (i) prefix << ' ';
-    prefix << tokens[i];
+    if (!to_double(tokens[i], values[i])) {
+      message = "field " + std::to_string(i + 1) + " (" + kSwfFieldNames[i] +
+                "): non-numeric token '" + tokens[i] + "'";
+      return false;
+    }
   }
+  auto as_ll = [](double value) { return static_cast<long long>(value); };
   CwfRecord record;
-  if (!parse_swf_record(prefix.str(), record.swf, message)) return false;
+  SwfRecord& r = record.swf;
+  r.job_number = as_ll(values[0]);
+  r.submit_time = values[1];
+  r.wait_time = values[2];
+  r.run_time = values[3];
+  r.used_procs = as_ll(values[4]);
+  r.avg_cpu_time = values[5];
+  r.used_memory = values[6];
+  r.req_procs = as_ll(values[7]);
+  r.req_time = values[8];
+  r.req_memory = values[9];
+  r.status = as_ll(values[10]);
+  r.user_id = as_ll(values[11]);
+  r.group_id = as_ll(values[12]);
+  r.app_number = as_ll(values[13]);
+  r.queue_number = as_ll(values[14]);
+  r.partition = as_ll(values[15]);
+  r.preceding_job = as_ll(values[16]);
+  r.think_time = values[17];
   if (tokens.size() == 21) {
     if (!to_double(tokens[18], record.req_start_time)) {
       message = "field 19 (requested start time) not numeric";

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <optional>
+#include <string>
 
 #include "util/check.hpp"
+#include "util/param_registry.hpp"
 #include "workload/load.hpp"
 
 namespace es::workload {
@@ -128,6 +132,91 @@ Workload generate(const GeneratorConfig& config) {
   if (config.target_load > 0)
     calibrate_load(workload, config.machine_procs, config.target_load);
   return workload;
+}
+
+void register_generator_params(util::ParamRegistry& registry,
+                               GeneratorConfig& config) {
+  // One-sided ranges: JobSampler bounds these knobs from below only; the
+  // largest finite double still rejects inf and NaN.
+  constexpr double kNoUpperBound = std::numeric_limits<double>::max();
+  // N_J's cap of 1e9 is not JobSampler's: generate() reserves N_J jobs up
+  // front, and counts near SIZE_MAX throw std::length_error there.
+  registry
+      .add_size("workload.num_jobs", &config.num_jobs,
+                "N_J: synthetic jobs to generate")
+      .range(1, 1'000'000'000)
+      .alias("num-jobs");
+  registry.add_uint64("workload.seed", &config.seed, "generator RNG seed")
+      .alias("seed");
+  registry
+      .add_double("workload.p_small", &config.p_small,
+                  "P_S: probability that a job is small")
+      .range(0, 1)
+      .alias("p-small");
+  registry
+      .add_double("workload.p_dedicated", &config.p_dedicated,
+                  "P_D: probability that a job is dedicated (has a "
+                  "requested start time)")
+      .range(0, 1)
+      .alias("p-dedicated");
+  registry
+      .add_double("workload.p_extend", &config.p_extend,
+                  "P_E: probability that a job gets an extend-time (ET) "
+                  "command")
+      .range(0, 1)
+      .alias("p-extend");
+  registry
+      .add_double("workload.p_reduce", &config.p_reduce,
+                  "P_R: probability that a job gets a reduce-time (RT) "
+                  "command")
+      .range(0, 1)
+      .alias("p-reduce");
+  registry
+      .add_double("workload.target_load", &config.target_load,
+                  "scale arrival times to this offered load (0 = keep the "
+                  "model's arrivals)")
+      .range(0, kNoUpperBound)
+      .alias("load");
+  registry
+      .add_double("workload.estimate_factor", &config.estimate_factor,
+                  "requested time = factor x actual runtime (1 = exact "
+                  "estimates)")
+      .range(1, kNoUpperBound)
+      .alias("estimate-factor");
+  // ET and RT are alternative outcomes of one uniform draw per job.
+  registry.add_rule("workload.p_reduce", [&config] {
+    const double sum = config.p_extend + config.p_reduce;
+    if (sum <= 1) return std::string();
+    char message[128];
+    std::snprintf(message, sizeof message,
+                  "workload.p_extend + workload.p_reduce = %g exceeds 1 (ET "
+                  "and RT share one draw per job)",
+                  sum);
+    return std::string(message);
+  });
+}
+
+void register_tenancy_params(util::ParamRegistry& registry,
+                             GeneratorConfig& config) {
+  registry
+      .add_int("tenancy.users", &config.num_users,
+               "Zipf-distributed submitting users to tag jobs with (0 = "
+               "untagged)")
+      .range(0, 10'000'000)
+      .alias("tenancy.num_users")
+      .alias("users");
+  registry
+      .add_double("tenancy.zipf_exponent", &config.zipf_exponent,
+                  "Zipf exponent of per-user submission rates")
+      .range(0.01, 10)
+      .alias("zipf-exponent");
+  registry
+      .add_int("tenancy.pools", &config.num_pools,
+               "fair-share pools jobs are charged to, round-robin over user "
+               "rank (0 = all in pool 0)")
+      .range(0, 255)
+      .alias("tenancy.num_pools")
+      .alias("pools");
 }
 
 ZipfSampler::ZipfSampler(int n, double s) {

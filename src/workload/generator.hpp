@@ -16,6 +16,10 @@
 #include "workload/job.hpp"
 #include "workload/lublin.hpp"
 
+namespace es::util {
+class ParamRegistry;
+}  // namespace es::util
+
 namespace es::workload {
 
 /// All knobs of the synthetic model.  Defaults reproduce the paper's
@@ -84,6 +88,19 @@ struct GeneratorConfig {
   double zipf_exponent = 1.1;
   int num_pools = 0;  ///< 0 = every tagged job lands in pool 0
 };
+
+/// Registers the model knobs the command-line tools set as workload.* params
+/// (N_J, seed, P_S, P_D, P_E, P_R, target load, estimate factor), each with
+/// its flag spelling as dotless alias, plus the rule that P_E + P_R <= 1.
+/// The ranges cover JobSampler's preconditions (and reject NaN and inf), so
+/// a config that passes finalize() never trips them; N_J is also capped at
+/// 1e9.  The registry must not outlive `config`.
+void register_generator_params(util::ParamRegistry& registry,
+                               GeneratorConfig& config);
+
+/// Registers the tenancy.* knobs (Zipf users over pools).
+void register_tenancy_params(util::ParamRegistry& registry,
+                             GeneratorConfig& config);
 
 /// Discrete Zipf sampler over ranks 1..n: P(k) proportional to k^-s.
 /// Deterministic CDF inversion (binary search), exposed for tests and the

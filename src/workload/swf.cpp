@@ -1,86 +1,11 @@
 #include "workload/swf.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
-
 
 namespace es::workload {
-namespace {
-
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(line);
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
-}
-
-bool to_double(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
-  // Reject nan/inf: every SWF field is a finite quantity, and a NaN would
-  // silently poison every downstream comparison.
-  return std::isfinite(out);
-}
-
-}  // namespace
-
-/// Archive names of the 18 SWF fields, 1-based order; used to point parse
-/// diagnostics at the offending column.
-constexpr const char* kSwfFieldNames[18] = {
-    "job_number", "submit_time",   "wait_time",  "run_time",
-    "used_procs", "avg_cpu_time",  "used_memory", "req_procs",
-    "req_time",   "req_memory",    "status",      "user_id",
-    "group_id",   "app_number",    "queue_number", "partition",
-    "preceding_job", "think_time"};
-
-bool parse_swf_record(const std::string& line, SwfRecord& out,
-                      std::string& message) {
-  const auto tokens = tokenize(line);
-  if (tokens.size() < 18) {
-    message = "expected 18 fields, got " + std::to_string(tokens.size());
-    return false;
-  }
-  // Every field is numeric (integer fields may appear as "12.0" in archive
-  // traces and are truncated); parse all 18 uniformly so a failure can name
-  // the exact field and token instead of a bare "non-numeric field".
-  double values[18];
-  for (std::size_t i = 0; i < 18; ++i) {
-    if (!to_double(tokens[i], values[i])) {
-      message = "field " + std::to_string(i + 1) + " (" + kSwfFieldNames[i] +
-                "): non-numeric token '" + tokens[i] + "'";
-      return false;
-    }
-  }
-  auto as_ll = [](double value) { return static_cast<long long>(value); };
-  SwfRecord r;
-  r.job_number = as_ll(values[0]);
-  r.submit_time = values[1];
-  r.wait_time = values[2];
-  r.run_time = values[3];
-  r.used_procs = as_ll(values[4]);
-  r.avg_cpu_time = values[5];
-  r.used_memory = values[6];
-  r.req_procs = as_ll(values[7]);
-  r.req_time = values[8];
-  r.req_memory = values[9];
-  r.status = as_ll(values[10]);
-  r.user_id = as_ll(values[11]);
-  r.group_id = as_ll(values[12]);
-  r.app_number = as_ll(values[13]);
-  r.queue_number = as_ll(values[14]);
-  r.partition = as_ll(values[15]);
-  r.preceding_job = as_ll(values[16]);
-  r.think_time = values[17];
-  out = r;
-  return true;
-}
 
 SwfMetadata parse_swf_metadata(const std::vector<std::string>& header) {
   SwfMetadata metadata;
@@ -123,38 +48,6 @@ SwfMetadata parse_swf_metadata(const std::vector<std::string>& header) {
   return metadata;
 }
 
-SwfFile parse_swf(std::istream& in, std::vector<SwfParseError>* errors) {
-  SwfFile file;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    // Strip trailing CR from CRLF traces.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line.front() == ';') {
-      std::string comment = line.substr(1);
-      if (!comment.empty() && comment.front() == ' ') comment.erase(0, 1);
-      file.header.push_back(std::move(comment));
-      continue;
-    }
-    SwfRecord record;
-    std::string message;
-    if (parse_swf_record(line, record, message)) {
-      file.records.push_back(record);
-    } else if (errors) {
-      errors->push_back({line_number, message});
-    }
-  }
-  return file;
-}
-
-SwfFile parse_swf_string(const std::string& text,
-                         std::vector<SwfParseError>* errors) {
-  std::istringstream stream(text);
-  return parse_swf(stream, errors);
-}
-
 std::string format_swf_record(const SwfRecord& r) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
@@ -166,12 +59,6 @@ std::string format_swf_record(const SwfRecord& r) {
                 r.app_number, r.queue_number, r.partition, r.preceding_job,
                 r.think_time);
   return buf;
-}
-
-void write_swf(std::ostream& out, const SwfFile& file) {
-  for (const auto& line : file.header) out << "; " << line << '\n';
-  for (const auto& record : file.records)
-    out << format_swf_record(record) << '\n';
 }
 
 bool to_job(const SwfRecord& record, Job& out, SwfDropReason* reason) {

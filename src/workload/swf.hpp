@@ -1,15 +1,15 @@
-// Standard Workload Format (SWF) reader/writer.
+// Standard Workload Format (SWF) records.
 //
 // SWF (Feitelson et al., the Parallel Workloads Archive interchange format)
 // describes one job per line with 18 whitespace-separated numeric fields;
-// `;`-prefixed lines are header comments.  We parse and emit all 18 fields so
-// real archive traces round-trip, and convert records to the simulator's Job
-// model.  Every SWF line is also a line of CWF, the paper's elastic
-// extension (cwf.hpp), so trace files on disk load through
-// load_cwf_workload().
+// `;`-prefixed lines are header comments.  Every SWF line is also a line of
+// CWF, the paper's elastic extension (cwf.hpp), so there is one trace
+// reader and writer: parse_cwf()/write_cwf() carry all 18 fields, and
+// load_cwf_workload() loads SWF and CWF files alike.  This header holds the
+// record, its header metadata, its canonical rendering and the conversions
+// to and from the simulator's Job model.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -40,13 +40,6 @@ struct SwfRecord {
   double think_time = -1;          ///< 18
 };
 
-/// Parsed SWF file: header comment lines (without the leading ';') plus
-/// records in file order.
-struct SwfFile {
-  std::vector<std::string> header;
-  std::vector<SwfRecord> records;
-};
-
 /// Structured view of the standard SWF header comments the archive defines
 /// ("; MaxProcs: 128", "; Computer: IBM SP2", ...).  Missing fields are -1
 /// or empty.
@@ -61,28 +54,14 @@ struct SwfMetadata {
 /// Extracts metadata from header comment lines (case-insensitive keys).
 SwfMetadata parse_swf_metadata(const std::vector<std::string>& header);
 
-/// Parse failure details.
+/// Parse failure details (parse_cwf reports one per skipped line).
 struct SwfParseError {
   std::size_t line_number = 0;
   std::string message;
 };
 
-/// Parses SWF text.  Malformed lines are reported in `errors` and skipped;
-/// parsing never throws.
-SwfFile parse_swf(std::istream& in, std::vector<SwfParseError>* errors = nullptr);
-SwfFile parse_swf_string(const std::string& text,
-                         std::vector<SwfParseError>* errors = nullptr);
-
-/// Parses a single record line (no comment handling).  Returns false and
-/// fills `message` on malformed input.
-bool parse_swf_record(const std::string& line, SwfRecord& out,
-                      std::string& message);
-
 /// Serializes one record as a canonical SWF line.
 std::string format_swf_record(const SwfRecord& record);
-
-/// Writes header (each line prefixed with "; ") and records.
-void write_swf(std::ostream& out, const SwfFile& file);
 
 /// Why to_job rejected a record.
 enum class SwfDropReason {

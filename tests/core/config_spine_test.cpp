@@ -1,5 +1,6 @@
-// The configuration spine end to end: register_run_params /
-// register_tenancy_params over the real option structs, the file loader,
+// The configuration spine end to end: register_run_params plus the
+// generator's register_generator_params / register_tenancy_params over the
+// real option structs, the file loader,
 // the generated parameter flags and their precedence contract, and the
 // cross-field rules the engine depends on.
 #include "core/config_spine.hpp"
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "util/cli.hpp"
+#include "workload/generator.hpp"
 
 namespace es::core {
 namespace {
@@ -21,7 +23,8 @@ TEST(ConfigSpine, EveryParamRoundTripsItsOwnRendering) {
   workload::GeneratorConfig generator;
   util::ParamRegistry registry;
   register_run_params(registry, options);
-  register_tenancy_params(registry, generator);
+  workload::register_generator_params(registry, generator);
+  workload::register_tenancy_params(registry, generator);
   for (const util::ParamRegistry::Param& param : registry.params()) {
     const std::string before = param.current_value();
     ASSERT_NO_THROW(registry.set(param.name(), before)) << param.name();
@@ -39,7 +42,8 @@ TEST(ConfigSpine, RegistryDefaultsMatchStructDefaults) {
   workload::GeneratorConfig generator;
   util::ParamRegistry registry;
   register_run_params(registry, options);
-  register_tenancy_params(registry, generator);
+  workload::register_generator_params(registry, generator);
+  workload::register_tenancy_params(registry, generator);
   for (const util::ParamRegistry::Param& param : registry.params())
     EXPECT_EQ(param.default_value(), param.current_value()) << param.name();
 
@@ -48,7 +52,8 @@ TEST(ConfigSpine, RegistryDefaultsMatchStructDefaults) {
   workload::GeneratorConfig other_generator;
   util::ParamRegistry other;
   register_run_params(other, other_options);
-  register_tenancy_params(other, other_generator);
+  workload::register_generator_params(other, other_generator);
+  workload::register_tenancy_params(other, other_generator);
   EXPECT_EQ(registry.dump_config(), other.dump_config());
 }
 
@@ -57,7 +62,8 @@ TEST(ConfigSpine, DumpLoadDumpIsTheIdentity) {
   workload::GeneratorConfig generator;
   util::ParamRegistry registry;
   register_run_params(registry, options);
-  register_tenancy_params(registry, generator);
+  workload::register_generator_params(registry, generator);
+  workload::register_tenancy_params(registry, generator);
   registry.load_text(
       "[engine]\n"
       "machine_procs = 640\n"
@@ -68,7 +74,11 @@ TEST(ConfigSpine, DumpLoadDumpIsTheIdentity) {
       "batch.weight = 1\n"
       "[tenancy]\n"
       "users = 16\n"
-      "pools = 2\n",
+      "pools = 2\n"
+      "[workload]\n"
+      "num_jobs = 80\n"
+      "p_extend = 0.25\n"
+      "estimate_factor = 1.5\n",
       "test");
   const std::string dump = registry.dump_config();
 
@@ -76,7 +86,8 @@ TEST(ConfigSpine, DumpLoadDumpIsTheIdentity) {
   workload::GeneratorConfig generator2;
   util::ParamRegistry second;
   register_run_params(second, options2);
-  register_tenancy_params(second, generator2);
+  workload::register_generator_params(second, generator2);
+  workload::register_tenancy_params(second, generator2);
   second.load_text(dump, "dump");
   EXPECT_EQ(second.dump_config(), dump);
   EXPECT_EQ(options2.engine.machine_procs, 640);
@@ -85,6 +96,9 @@ TEST(ConfigSpine, DumpLoadDumpIsTheIdentity) {
   EXPECT_DOUBLE_EQ(options2.engine.fairshare.pools[0].weight, 4);
   EXPECT_DOUBLE_EQ(options2.engine.fairshare.pools[0].min_share, 0.25);
   EXPECT_EQ(generator2.num_users, 16);
+  EXPECT_EQ(generator2.num_jobs, 80u);
+  EXPECT_DOUBLE_EQ(generator2.p_extend, 0.25);
+  EXPECT_DOUBLE_EQ(generator2.estimate_factor, 1.5);
 }
 
 TEST(ConfigSpine, CliOverlayOverridesFileValue) {
@@ -131,7 +145,8 @@ TEST(ConfigSpine, GeneratedHelpShowsRegistryDefaults) {
   workload::GeneratorConfig generator;
   util::ParamRegistry registry;
   register_run_params(registry, options);
-  register_tenancy_params(registry, generator);
+  workload::register_generator_params(registry, generator);
+  workload::register_tenancy_params(registry, generator);
   util::CliParser cli("test");
   cli.add_param_flags(registry);
   const std::string text = cli.help("simrun");
@@ -141,6 +156,80 @@ TEST(ConfigSpine, GeneratedHelpShowsRegistryDefaults) {
       << text;
   EXPECT_NE(text.find("--ckpt-on-preempt\n"), std::string::npos) << text;
   EXPECT_NE(text.find("--zipf-exponent <value>"), std::string::npos) << text;
+  EXPECT_NE(text.find("--num-jobs <value>\n      N_J: synthetic jobs to "
+                      "generate (default 500)"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ConfigSpine, GeneratorRangesAcceptJobSamplerBoundaries) {
+  // Every boundary value JobSampler's preconditions accept passes the
+  // registered ranges and rules, and the sampler then constructs: the
+  // registry never rejects a model the generator can draw from.
+  const char* const kBoundaries[][2] = {
+      {"workload.num_jobs", "1"},       {"workload.p_small", "0"},
+      {"workload.p_small", "1"},        {"workload.p_dedicated", "0"},
+      {"workload.p_dedicated", "1"},    {"workload.estimate_factor", "1"},
+      {"workload.target_load", "0"},
+  };
+  for (const auto& [key, value] : kBoundaries) {
+    workload::GeneratorConfig generator;
+    util::ParamRegistry registry;
+    workload::register_generator_params(registry, generator);
+    ASSERT_NO_THROW(registry.set(key, value)) << key << " = " << value;
+    ASSERT_NO_THROW(registry.finalize()) << key << " = " << value;
+    workload::JobSampler sampler(generator);
+  }
+  // P_E and P_R each at 0 and 1, and summing to exactly 1.
+  const char* const kEccPairs[][2] = {
+      {"0", "0"}, {"1", "0"}, {"0", "1"}, {"0.5", "0.5"}, {"0.7", "0.3"},
+      {"0.25", "0.75"}};
+  for (const auto& [extend, reduce] : kEccPairs) {
+    workload::GeneratorConfig generator;
+    util::ParamRegistry registry;
+    workload::register_generator_params(registry, generator);
+    registry.set("p-extend", extend);
+    registry.set("p-reduce", reduce);
+    ASSERT_NO_THROW(registry.finalize()) << extend << " + " << reduce;
+    workload::JobSampler sampler(generator);
+  }
+}
+
+TEST(ConfigSpine, GeneratorRejectsWhatJobSamplerWouldAbortOn) {
+  const char* const kRejected[][2] = {
+      {"workload.num_jobs", "0"},       {"workload.num_jobs", "-1"},
+      {"workload.p_small", "2.0"},      {"workload.p_small", "-0.1"},
+      {"workload.p_small", "nan"},      {"workload.p_dedicated", "1.5"},
+      {"workload.p_extend", "1.01"},    {"workload.p_reduce", "-1"},
+      {"workload.estimate_factor", "0.5"}, {"workload.target_load", "-1"},
+      {"workload.estimate_factor", "inf"}, {"workload.target_load", "inf"},
+      {"workload.seed", "-1"},
+  };
+  for (const auto& [key, value] : kRejected) {
+    workload::GeneratorConfig generator;
+    util::ParamRegistry registry;
+    workload::register_generator_params(registry, generator);
+    try {
+      registry.set(key, value);
+      FAIL() << key << " = " << value << " was accepted";
+    } catch (const util::ConfigError& error) {
+      EXPECT_EQ(error.field(), key) << error.what();
+    }
+  }
+  workload::GeneratorConfig generator;
+  util::ParamRegistry registry;
+  workload::register_generator_params(registry, generator);
+  registry.set("p-extend", "0.5");
+  registry.set("p-reduce", "0.7");
+  try {
+    registry.finalize();
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& error) {
+    EXPECT_EQ(error.field(), "workload.p_reduce");
+    EXPECT_NE(std::string(error.what()).find("= 1.2 exceeds 1"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ConfigSpine, UnknownFlagStillFailsWithGeneratedFlags) {

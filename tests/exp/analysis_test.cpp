@@ -1,7 +1,6 @@
 #include "exp/analysis.hpp"
 
 #include "exp/experiment.hpp"
-#include "sched/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -159,60 +158,6 @@ TEST(Analysis, RenderProfileClamps) {
   const std::string rendered = render_profile({-1.0, 2.0});
   EXPECT_EQ(rendered.front(), ' ');
   EXPECT_NE(rendered.find("\xe2\x96\x88"), std::string::npos);
-}
-
-
-TEST(Analysis, QueueTimelineFromTrace) {
-  sched::ScheduleTrace trace;
-  trace.record(0, sched::TraceEventKind::kArrival, 1);
-  trace.record(0, sched::TraceEventKind::kArrival, 2);
-  trace.record(10, sched::TraceEventKind::kStart, 1);
-  trace.record(50, sched::TraceEventKind::kStart, 2);
-  trace.record(60, sched::TraceEventKind::kFinish, 1);  // ignored
-  trace.record(100, sched::TraceEventKind::kArrival, 3);
-  const auto timeline = queue_length_timeline(trace, 4);
-  ASSERT_EQ(timeline.size(), 4u);
-  // Buckets over [0, 100]: midpoints 12.5, 37.5, 62.5, 87.5.
-  EXPECT_DOUBLE_EQ(timeline[0], 1);  // one waiting after job 1 started
-  EXPECT_DOUBLE_EQ(timeline[1], 1);
-  EXPECT_DOUBLE_EQ(timeline[2], 0);
-  EXPECT_DOUBLE_EQ(timeline[3], 0);
-}
-
-TEST(Analysis, QueueStatsPeakAndMean) {
-  sched::ScheduleTrace trace;
-  trace.record(0, sched::TraceEventKind::kArrival, 1);
-  trace.record(0, sched::TraceEventKind::kArrival, 2);
-  trace.record(0, sched::TraceEventKind::kArrival, 3);
-  trace.record(50, sched::TraceEventKind::kStart, 1);
-  trace.record(100, sched::TraceEventKind::kStart, 2);
-  trace.record(100, sched::TraceEventKind::kStart, 3);
-  const QueueStats stats = queue_stats(trace);
-  EXPECT_EQ(stats.peak, 3u);
-  // Levels: 3 over [0,50), 2 over [50,100): mean = (150+100)/100 = 2.5.
-  EXPECT_DOUBLE_EQ(stats.mean, 2.5);
-}
-
-TEST(Analysis, QueueStatsOnRealRun) {
-  workload::GeneratorConfig config;
-  config.num_jobs = 200;
-  config.seed = 21;
-  config.target_load = 0.9;
-  const auto workload = workload::generate(config);
-  core::AlgorithmOptions options;
-  options.engine.record_trace = true;
-  const auto result = run_workload(workload, "EASY", options);
-  ASSERT_NE(result.trace, nullptr);
-  const QueueStats stats = queue_stats(*result.trace);
-  EXPECT_GT(stats.peak, 0u);
-  EXPECT_GT(stats.mean, 0.0);
-  EXPECT_LE(stats.mean, static_cast<double>(stats.peak));
-}
-
-TEST(Analysis, QueueTimelineEmptyTrace) {
-  sched::ScheduleTrace trace;
-  EXPECT_TRUE(queue_length_timeline(trace, 4).empty());
-  EXPECT_EQ(queue_stats(trace).peak, 0u);
 }
 
 }  // namespace

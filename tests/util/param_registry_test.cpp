@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +82,18 @@ TEST(ParamRegistry, RangeViolationNamesTheField) {
     EXPECT_NE(std::string(error.what()).find("k.count"), std::string::npos);
   }
   EXPECT_EQ(knobs.count, 7) << "failed assignment must not write through";
+}
+
+TEST(ParamRegistry, NanIsOutOfEveryRange) {
+  // NaN compares false against both bounds; a range check written as
+  // "value < lo || value > hi" would let it through to the bound struct.
+  Knobs knobs;
+  ParamRegistry registry;
+  register_knobs(registry, knobs);
+  EXPECT_THROW(registry.set("k.ratio", "nan"), ConfigError);
+  EXPECT_DOUBLE_EQ(knobs.ratio, 0.5);
+  knobs.ratio = std::nan("");
+  EXPECT_THROW(registry.finalize(), ConfigError);
 }
 
 TEST(ParamRegistry, AliasResolvesToTheSameStorage) {

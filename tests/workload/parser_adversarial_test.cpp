@@ -20,53 +20,58 @@ std::string line18(const std::string& field_value, int field_index) {
   return line;
 }
 
+/// Parses one line through the trace reader; returns the rejection message,
+/// or an empty string when the line imported as a record.
+std::string rejection(const std::string& line) {
+  std::vector<SwfParseError> errors;
+  const CwfFile file = parse_cwf_string(line + "\n", &errors);
+  if (errors.empty()) {
+    EXPECT_EQ(file.records.size(), 1u) << line;
+    return "";
+  }
+  EXPECT_TRUE(file.records.empty()) << line;
+  EXPECT_EQ(errors[0].line_number, 1u);
+  return errors[0].message;
+}
+
 TEST(SwfAdversarial, TruncatedLineReportsFieldCount) {
-  SwfRecord record;
-  std::string message;
-  EXPECT_FALSE(parse_swf_record("1 2 3 4 5 6 7 8 9 10", record, message));
-  EXPECT_NE(message.find("expected 18 fields, got 10"), std::string::npos)
+  const std::string message = rejection("1 2 3 4 5 6 7 8 9 10");
+  EXPECT_NE(message.find("expected 18 (SWF) or 21 (CWF) fields, got 10"),
+            std::string::npos)
       << message;
 }
 
 TEST(SwfAdversarial, NonFiniteValuesAreRejectedWithFieldName) {
-  SwfRecord record;
-  std::string message;
-  EXPECT_FALSE(parse_swf_record(line18("nan", 4), record, message));
+  std::string message = rejection(line18("nan", 4));
   EXPECT_NE(message.find("field 4 (run_time)"), std::string::npos) << message;
   EXPECT_NE(message.find("'nan'"), std::string::npos) << message;
 
-  EXPECT_FALSE(parse_swf_record(line18("inf", 9), record, message));
+  message = rejection(line18("inf", 9));
   EXPECT_NE(message.find("field 9 (req_time)"), std::string::npos) << message;
 
-  EXPECT_FALSE(parse_swf_record(line18("-inf", 2), record, message));
+  message = rejection(line18("-inf", 2));
   EXPECT_NE(message.find("field 2 (submit_time)"), std::string::npos)
       << message;
 }
 
 TEST(SwfAdversarial, OverflowingNumberIsRejected) {
   // 1e400 overflows double to infinity — must be refused, not imported.
-  SwfRecord record;
-  std::string message;
-  EXPECT_FALSE(parse_swf_record(line18("1e400", 2), record, message));
+  const std::string message = rejection(line18("1e400", 2));
   EXPECT_NE(message.find("field 2 (submit_time)"), std::string::npos)
       << message;
 }
 
 TEST(SwfAdversarial, GarbageTokenNamesFieldAndToken) {
-  SwfRecord record;
-  std::string message;
-  EXPECT_FALSE(parse_swf_record(line18("12x", 5), record, message));
+  const std::string message = rejection(line18("12x", 5));
   EXPECT_NE(message.find("field 5 (used_procs)"), std::string::npos)
       << message;
   EXPECT_NE(message.find("'12x'"), std::string::npos) << message;
 }
 
 TEST(SwfAdversarial, HugeButFiniteValuesParse) {
-  SwfRecord record;
-  std::string message;
-  EXPECT_TRUE(parse_swf_record(line18("1e300", 9), record, message))
-      << message;
-  EXPECT_DOUBLE_EQ(record.req_time, 1e300);
+  const CwfFile file = parse_cwf_string(line18("1e300", 9) + "\n");
+  ASSERT_EQ(file.records.size(), 1u);
+  EXPECT_DOUBLE_EQ(file.records[0].swf.req_time, 1e300);
 }
 
 TEST(SwfAdversarial, MalformedLinesAreSkippedWithLineNumbers) {
@@ -76,7 +81,7 @@ TEST(SwfAdversarial, MalformedLinesAreSkippedWithLineNumbers) {
       "2 0 0 nan 4 -1 -1 4 10 -1 1 1 1 1 1 1 -1 -1\n"
       "3 0 0 10 4 -1 -1 4 10 -1 1 1 1 1 1 1 -1 -1\n";
   std::vector<SwfParseError> errors;
-  const SwfFile file = parse_swf_string(text, &errors);
+  const CwfFile file = parse_cwf_string(text, &errors);
   EXPECT_EQ(file.records.size(), 2u);
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].line_number, 3u);
@@ -89,10 +94,10 @@ TEST(SwfAdversarial, CrlfEndingsParseCleanly) {
       "1 0 0 10 4 -1 -1 4 10 -1 1 1 1 1 1 1 -1 -1\r\n"
       "2 5 0 10 4 -1 -1 4 10 -1 1 1 1 1 1 1 -1 -1\r\n";
   std::vector<SwfParseError> errors;
-  const SwfFile file = parse_swf_string(text, &errors);
+  const CwfFile file = parse_cwf_string(text, &errors);
   EXPECT_TRUE(errors.empty());
   ASSERT_EQ(file.records.size(), 2u);
-  EXPECT_EQ(file.records[1].job_number, 2);
+  EXPECT_EQ(file.records[1].swf.job_number, 2);
 }
 
 SwfRecord record_with_status(long long status, double run_time) {

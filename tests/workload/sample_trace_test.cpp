@@ -30,7 +30,7 @@ TEST(SampleTrace, LoadsAllJobs) {
 TEST(SampleTrace, HeaderMetadata) {
   std::ifstream in(ES_SAMPLE_TRACE);
   ASSERT_TRUE(in.good());
-  const SwfFile file = parse_swf(in);
+  const CwfFile file = parse_cwf(in);
   const SwfMetadata metadata = parse_swf_metadata(file.header);
   EXPECT_EQ(metadata.max_procs, 64);
   EXPECT_EQ(metadata.max_nodes, 64);

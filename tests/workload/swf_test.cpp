@@ -1,8 +1,14 @@
+// SWF records through the one trace reader/writer (every SWF line is a CWF
+// line): parse_cwf_string() / write_cwf() over 18-field text, plus the
+// record <-> Job conversions and header metadata.
 #include "workload/swf.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
+
+#include "workload/cwf.hpp"
 
 namespace es::workload {
 namespace {
@@ -14,11 +20,12 @@ const char* kSampleSwf =
     "2 50 0 200 16 -1 -1 16 300 -1 1 4 1 -1 1 -1 -1 -1\n";
 
 TEST(Swf, ParsesRecordsAndHeader) {
-  const SwfFile file = parse_swf_string(kSampleSwf);
+  const CwfFile file = parse_cwf_string(kSampleSwf);
   ASSERT_EQ(file.records.size(), 2u);
   EXPECT_EQ(file.header.size(), 2u);
   EXPECT_EQ(file.header[0], "Version: 2");
-  const SwfRecord& r = file.records[0];
+  EXPECT_TRUE(file.records[0].is_submission());
+  const SwfRecord& r = file.records[0].swf;
   EXPECT_EQ(r.job_number, 1);
   EXPECT_DOUBLE_EQ(r.submit_time, 0);
   EXPECT_DOUBLE_EQ(r.wait_time, 10);
@@ -31,21 +38,21 @@ TEST(Swf, ParsesRecordsAndHeader) {
 }
 
 TEST(Swf, SkipsBlankAndCommentLines) {
-  const SwfFile file = parse_swf_string(
+  const CwfFile file = parse_cwf_string(
       "\n; comment\n\n1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1\n\n");
   EXPECT_EQ(file.records.size(), 1u);
 }
 
 TEST(Swf, HandlesCrlf) {
-  const SwfFile file = parse_swf_string(
+  const CwfFile file = parse_cwf_string(
       "1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1\r\n");
   ASSERT_EQ(file.records.size(), 1u);
-  EXPECT_DOUBLE_EQ(file.records[0].think_time, -1);
+  EXPECT_DOUBLE_EQ(file.records[0].swf.think_time, -1);
 }
 
 TEST(Swf, ReportsMalformedLines) {
   std::vector<SwfParseError> errors;
-  const SwfFile file = parse_swf_string(
+  const CwfFile file = parse_cwf_string(
       "1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1\n"
       "not a record\n"
       "2 0 0\n",
@@ -57,35 +64,46 @@ TEST(Swf, ReportsMalformedLines) {
 }
 
 TEST(Swf, AcceptsExtraTrailingFields) {
-  // 21-field CWF lines still parse as SWF (prefix).
-  SwfRecord record;
-  std::string message;
-  EXPECT_TRUE(parse_swf_record(
-      "1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1 -1 S -1", record,
-      message));
-  EXPECT_EQ(record.job_number, 1);
+  // A 21-field CWF line carries the same SWF prefix.
+  const CwfFile file = parse_cwf_string(
+      "1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1 -1 S -1\n");
+  ASSERT_EQ(file.records.size(), 1u);
+  EXPECT_EQ(file.records[0].swf.job_number, 1);
+  // Trailing fields are CWF's three or none: a 19-field line is rejected.
+  std::vector<SwfParseError> errors;
+  const CwfFile odd = parse_cwf_string(
+      "1 0 0 10 1 -1 -1 1 10 -1 1 1 1 -1 1 -1 -1 -1 7\n", &errors);
+  EXPECT_TRUE(odd.records.empty());
+  ASSERT_EQ(errors.size(), 1u);
 }
 
 TEST(Swf, RoundTripsThroughFormat) {
-  const SwfFile file = parse_swf_string(kSampleSwf);
+  const CwfFile file = parse_cwf_string(kSampleSwf);
   std::ostringstream out;
-  write_swf(out, file);
-  const SwfFile again = parse_swf_string(out.str());
+  write_cwf(out, file);
+  const CwfFile again = parse_cwf_string(out.str());
   ASSERT_EQ(again.records.size(), file.records.size());
   for (std::size_t i = 0; i < file.records.size(); ++i) {
-    EXPECT_EQ(again.records[i].job_number, file.records[i].job_number);
-    EXPECT_DOUBLE_EQ(again.records[i].submit_time,
-                     file.records[i].submit_time);
-    EXPECT_EQ(again.records[i].req_procs, file.records[i].req_procs);
-    EXPECT_DOUBLE_EQ(again.records[i].req_time, file.records[i].req_time);
+    const SwfRecord& a = again.records[i].swf;
+    const SwfRecord& b = file.records[i].swf;
+    EXPECT_EQ(a.job_number, b.job_number);
+    EXPECT_DOUBLE_EQ(a.submit_time, b.submit_time);
+    EXPECT_EQ(a.req_procs, b.req_procs);
+    EXPECT_DOUBLE_EQ(a.req_time, b.req_time);
+    EXPECT_TRUE(again.records[i].is_submission());
   }
   EXPECT_EQ(again.header, file.header);
+  // The 18-field prefix of each written line is the canonical SWF line.
+  const std::string text = out.str();
+  EXPECT_NE(text.find(format_swf_record(file.records[1].swf) + " -1 S -1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Swf, ToJobUsesRequestedFields) {
-  const SwfFile file = parse_swf_string(kSampleSwf);
+  const CwfFile file = parse_cwf_string(kSampleSwf);
   Job job;
-  ASSERT_TRUE(to_job(file.records[0], job));
+  ASSERT_TRUE(to_job(file.records[0].swf, job));
   EXPECT_EQ(job.id, 1);
   EXPECT_EQ(job.num, 8);
   EXPECT_DOUBLE_EQ(job.dur, 120);       // requested time
@@ -134,11 +152,12 @@ TEST(Swf, FromJobRoundTrips) {
 }
 
 TEST(Swf, AcceptsDecimalIntegers) {
-  SwfRecord record;
-  std::string message;
-  ASSERT_TRUE(parse_swf_record(
-      "1 0 0 10 4.0 -1 -1 4.0 10 -1 1 1 1 -1 1 -1 -1 -1", record, message));
-  EXPECT_EQ(record.used_procs, 4);
+  std::vector<SwfParseError> errors;
+  const CwfFile file = parse_cwf_string(
+      "1 0 0 10 4.0 -1 -1 4.0 10 -1 1 1 1 -1 1 -1 -1 -1\n", &errors);
+  ASSERT_TRUE(errors.empty()) << errors[0].message;
+  ASSERT_EQ(file.records.size(), 1u);
+  EXPECT_EQ(file.records[0].swf.used_procs, 4);
 }
 
 

@@ -104,19 +104,21 @@ int convert(const std::string& in_path, const std::string& out_path) {
     return 2;
   }
   const es::workload::CwfFile file = es::workload::parse_cwf(in);
-  es::workload::SwfFile swf;
-  swf.header = file.header;
-  swf.header.push_back("Converted from CWF by cwftool (ECC lines dropped)");
-  for (const auto& record : file.records)
-    if (record.is_submission()) swf.records.push_back(record.swf);
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cwftool: cannot write %s\n", out_path.c_str());
     return 2;
   }
-  es::workload::write_swf(out, swf);
+  for (const std::string& line : file.header) out << "; " << line << '\n';
+  out << "; Converted from CWF by cwftool (ECC lines dropped)\n";
+  std::size_t submissions = 0;
+  for (const auto& record : file.records) {
+    if (!record.is_submission()) continue;
+    out << es::workload::format_swf_record(record.swf) << '\n';
+    ++submissions;
+  }
   std::printf("%s: %zu submissions (ECC lines dropped)\n", out_path.c_str(),
-              swf.records.size());
+              submissions);
   return 0;
 }
 

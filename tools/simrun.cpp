@@ -13,11 +13,12 @@
 // across --jobs worker threads) and the seed-mean aggregate is printed —
 // byte-identical output whatever the thread count.
 //
-// Configuration: every engine/algorithm/tenancy parameter lives in the
-// registry (core/config_spine.hpp).  The parameter flags (--procs, --cs,
-// --mtbf, --ckpt-interval, --max-events, --snapshot-dir, ...) are generated
-// from its dotless aliases, so --help, --list-params and --dump-config show
-// the same docs and defaults.  Precedence is typed flags > --scenario file
+// Configuration: every engine/algorithm parameter (core/config_spine.hpp)
+// and every synthetic-workload/tenancy knob (workload/generator.hpp) lives in
+// one registry.  The parameter flags (--procs, --cs, --mtbf, --num-jobs,
+// --p-small, --load, --users, ...) are generated from its dotless aliases,
+// so --help, --list-params and --dump-config show the same docs and
+// defaults.  Precedence is typed flags > --scenario file
 // > --config file > defaults; a malformed or out-of-range value exits 2
 // naming the field.  A scenario fixes the machine shape, so --procs and
 // --granularity are rejected alongside it.
@@ -116,7 +117,6 @@ int main(int argc, char** argv) {
   std::string per_job_csv;
   std::string log_level = "warn";
   bool synthetic = false;
-  int num_jobs = 500;
   int replications = 1;
   int parallel_jobs = 1;
   bool perf_report = false;
@@ -124,9 +124,6 @@ int main(int argc, char** argv) {
   bool no_dp_cache = false;
   bool no_dp_simd = false;
   bool no_spec_dp = false;
-  unsigned long long seed = 1;
-  double p_small = 0.5, p_dedicated = 0.0, p_extend = 0.0, p_reduce = 0.0;
-  double load = 0.0;
   std::string restore_from;
 
   std::string scenario_path;
@@ -140,14 +137,15 @@ int main(int argc, char** argv) {
   es::workload::GeneratorConfig generator_config;
   es::util::ParamRegistry registry;
   es::core::register_run_params(registry, options);
-  es::core::register_tenancy_params(registry, generator_config);
+  es::workload::register_generator_params(registry, generator_config);
+  es::workload::register_tenancy_params(registry, generator_config);
 
   es::util::CliParser cli(
       "Run one scheduling simulation.  A typed --mtbf > 0 turns fault "
       "injection on; --ckpt-interval > 0 or --ckpt-on-preempt turns "
       "checkpoint recovery on.");
   cli.add_option("trace", "SWF/CWF trace to replay", &trace);
-  cli.add_option("config", "load engine/algorithm/tenancy parameters from "
+  cli.add_option("config", "load engine/algorithm/workload parameters from "
                  "this key=value config file; explicit CLI flags override "
                  "file values, which override built-in defaults",
                  &config_path);
@@ -169,7 +167,6 @@ int main(int argc, char** argv) {
   bool list_algorithms = false;
   cli.add_flag("list-algorithms", "print every known algorithm name and exit",
                &list_algorithms);
-  cli.add_option("num-jobs", "synthetic: job count", &num_jobs);
   cli.add_option("replications", "repeat over this many derived seeds and "
                  "print the aggregate (default 1)", &replications);
   cli.add_option("jobs", "worker threads fanning the replications "
@@ -190,12 +187,6 @@ int main(int argc, char** argv) {
   cli.add_flag("no-spec-dp", "disable speculative DP precomputation between "
                "cycles (schedules are identical either way; speculation "
                "needs --jobs > 1 to engage)", &no_spec_dp);
-  cli.add_option("seed", "synthetic: RNG seed", &seed);
-  cli.add_option("p-small", "synthetic: P_S", &p_small);
-  cli.add_option("p-dedicated", "synthetic: P_D", &p_dedicated);
-  cli.add_option("p-extend", "synthetic: P_E", &p_extend);
-  cli.add_option("p-reduce", "synthetic: P_R", &p_reduce);
-  cli.add_option("load", "synthetic: target offered load (0 = off)", &load);
   cli.add_option("restore-from", "crash recovery: resume from this snapshot "
                  "file, or scan this directory for the newest intact "
                  "generation", &restore_from);
@@ -354,20 +345,14 @@ int main(int argc, char** argv) {
                                            workload.machine_procs));
   } else if (synthetic || trace.empty()) {
     generator_config.machine_procs = engine.machine_procs;
-    generator_config.num_jobs = static_cast<std::size_t>(num_jobs);
-    generator_config.seed = seed;
-    generator_config.p_small = p_small;
-    generator_config.p_dedicated = p_dedicated;
-    generator_config.p_extend = p_extend;
-    generator_config.p_reduce = p_reduce;
-    generator_config.target_load = load;
     if (streamed) {
       // Never materialize: the jobs flow straight from the generator into
       // the engine in bounded chunks.  The machine shape still has to be
       // on the (empty) workload for the reporting epilogue.
       workload.machine_procs = engine.machine_procs;
       workload.granularity = generator_config.size.unit;
-      std::printf("Synthetic workload (streamed): %d jobs\n", num_jobs);
+      std::printf("Synthetic workload (streamed): %zu jobs\n",
+                  generator_config.num_jobs);
     } else {
       workload = es::workload::generate(generator_config);
       std::printf("Synthetic workload: %zu jobs, offered load %.3f\n",
@@ -401,7 +386,7 @@ int main(int argc, char** argv) {
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "this workload contains dedicated jobs; "
                       "pick a dedicated-aware (-D/Hybrid) algorithm");
-  if (from_generator && p_dedicated > 0 &&
+  if (from_generator && generator_config.p_dedicated > 0 &&
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "streamed synthetic workloads with "
                       "--p-dedicated > 0 need a dedicated-aware (-D/Hybrid) "
