@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   const int cs_max = options.quick ? 8 : 20;
   const es::exp::Sweep sweep = es::exp::skip_count_sweep(
-      config, 1, cs_max, {"EASY", "LOS"}, options.lookahead,
+      config, 1, cs_max, {"EASY", "LOS"}, es::bench::algo_options(options),
       options.replications);
 
   es::exp::print_sweep(std::cout, "Fig 5 — Load=0.9, P_S=0.5", sweep,

@@ -168,41 +168,6 @@ BENCHMARK_CAPTURE(BM_FullSimulation, los, "LOS");
 BENCHMARK_CAPTURE(BM_FullSimulation, delayed_los, "Delayed-LOS");
 BENCHMARK_CAPTURE(BM_FullSimulation, conservative, "CONS");
 
-/// DP result-cache audit: the same Delayed-LOS run at each cache width,
-/// reporting the end-to-end hit rate.  Arg 0 is the slot count; the 8-slot
-/// shape is the pre-widening cache (which measured ~1.7% hits on the PR 5
-/// baseline — evicted instances long before the schedule re-posed them).
-/// The default width measures ~9% here (and more under heavier load, where
-/// the normalized key collapses deep too-big queues); the benchmark FAILS
-/// below a 6% floor, so a regression in the cache key or the eviction
-/// policy is caught here rather than as a silent slowdown.
-void BM_DpCacheHitRate(benchmark::State& state) {
-  const int slots = static_cast<int>(state.range(0));
-  es::workload::GeneratorConfig config;
-  config.num_jobs = 2000;
-  config.seed = 11;
-  config.target_load = 0.9;
-  const auto workload = es::workload::generate(config);
-  es::core::AlgorithmOptions options;
-  options.lookahead = 250;
-  options.dp_cache_slots = slots;
-  double hit_rate = 0;
-  for (auto _ : state) {
-    const auto result =
-        es::exp::run_workload(workload, "Delayed-LOS", options);
-    hit_rate = result.perf.dp_cache_hit_rate();
-    benchmark::DoNotOptimize(hit_rate);
-  }
-  state.counters["dp_hit_rate"] = hit_rate;
-  if (slots == static_cast<int>(es::core::DpWorkspace::kDefaultCacheSlots) &&
-      hit_rate < 0.06) {
-    state.SkipWithError("widened DP cache hit rate regressed below 6%");
-  }
-}
-BENCHMARK(BM_DpCacheHitRate)
-    ->Arg(8)
-    ->Arg(static_cast<int>(es::core::DpWorkspace::kDefaultCacheSlots));
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -64,44 +64,6 @@ bool DelayedLos::step(sched::SchedulerContext& ctx, int max_skip_count,
   return outcome.started > 0;
 }
 
-void DelayedLos::speculate_next(const sched::SchedulerContext& ctx,
-                                int max_skip_count, int lookahead,
-                                DpWorkspace& ws, DpSpeculator& speculator,
-                                std::vector<int>& spec_weights) {
-  // Predict the *next* cycle's Basic_DP instance.  The dominant next event
-  // is a completion, and `active` is sorted ascending by planned end, so
-  // the front runner finishes first; its allocation returns to the free
-  // pool.  Replicate step()'s branch-1 eligibility against that capacity —
-  // if the prediction is wrong the warmed cache entry simply never hits.
-  if (!speculator.idle()) return;
-  if (ctx.active == nullptr || ctx.active->empty()) return;
-  sched::JobRun* head = ctx.batch_head();
-  if (head == nullptr) return;
-
-  const int grain = ctx.machine->granularity();
-  const int m = ctx.free() + ctx.alloc_of(*ctx.active->front());
-  const int head_alloc = ctx.alloc_of(*head);
-  if (head_alloc > m) return;                  // reservation path, no Basic_DP
-  if (head->scount >= max_skip_count) return;  // direct start, no Basic_DP
-
-  spec_weights.clear();
-  int scanned = 0;
-  int total = 0;
-  for (sched::JobRun* job : *ctx.batch) {
-    if (scanned++ >= lookahead) break;
-    const int alloc = ctx.alloc_of(*job);
-    if (alloc > m) continue;
-    spec_weights.push_back(alloc / grain);
-    total += alloc / grain;
-  }
-  // An empty or everything-fits instance is answered by basic_dp's fast
-  // path without a table — nothing worth precomputing.
-  if (spec_weights.empty() || total <= m / grain) return;
-
-  if (speculator.launch(spec_weights, m / grain))
-    ++ws.counters.spec_launched;
-}
-
 void DelayedLos::cycle(sched::SchedulerContext& ctx) {
   // Algorithm 1 describes a single pass per scheduling event; iterating to a
   // fixpoint is equivalent to re-invoking it while it makes progress and

@@ -10,10 +10,7 @@
 // if it does not.
 #pragma once
 
-#include <vector>
-
 #include "core/dp.hpp"
-#include "core/dp_speculator.hpp"
 #include "core/los.hpp"
 #include "sched/scheduler.hpp"
 
@@ -42,36 +39,11 @@ class DelayedLos : public sched::Scheduler {
                    int lookahead, DpWorkspace& ws, bool allow_skip_increment);
 
   sched::DpCounters dp_counters() const override { return ws_.counters; }
-  void set_dp_cache(bool enabled) override { ws_.cache_enabled = enabled; }
-  void set_dp_cache_slots(std::size_t slots) override {
-    ws_.set_cache_slots(slots);
-  }
-
-  /// Predicts the next cycle's Basic_DP instance — capacity after the next
-  /// finisher returns its allocation — and fills it off-thread.
-  void speculate(const sched::SchedulerContext& ctx) override {
-    speculate_next(ctx, max_skip_count_, lookahead_, ws_, speculator_,
-                   spec_weights_);
-  }
-  void settle_speculation() override { speculator_.settle(ws_); }
-  void finish_speculation() override { speculator_.drain(ws_); }
-
-  /// The prediction body behind speculate(), shared with Hybrid-LOS the
-  /// same way step() is: replicate step()'s Basic_DP eligibility scan
-  /// against the capacity the next completion will expose, and launch an
-  /// off-thread fill for it.  Wrong predictions warm a cache entry that
-  /// never hits; they cannot change a decision.
-  static void speculate_next(const sched::SchedulerContext& ctx,
-                             int max_skip_count, int lookahead,
-                             DpWorkspace& ws, DpSpeculator& speculator,
-                             std::vector<int>& spec_weights);
 
  private:
   int max_skip_count_;
   int lookahead_;
   DpWorkspace ws_;
-  DpSpeculator speculator_;
-  std::vector<int> spec_weights_;  ///< reused per speculate() call
 };
 
 }  // namespace es::core

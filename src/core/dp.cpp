@@ -68,113 +68,6 @@ bool fits_entirely(std::span<const int> weights,
   return true;
 }
 
-/// Canonical cache key: items the table fill can never select — weight 0,
-/// weight over capacity, or (reservation) shadow weight over the shadow
-/// capacity — are skipped by the fill, produce no keep bits, and are never
-/// read at backtrack, so zeroing them out changes nothing about the
-/// selection.  Keying the cache on the normalized weights lets instances
-/// that differ only in ineligible items share one entry — common under
-/// high load, where most of a deep queue exceeds the few free grains.
-/// Item count and capacities stay in the key: the tie-break encoding
-/// depends on n, and eligibility depends on the capacities.
-void normalize_key(std::span<const int> weights,
-                   std::span<const int> shadow_weights, int capacity,
-                   int shadow_capacity, std::vector<int>& key_weights,
-                   std::vector<int>& key_shadows) {
-  const std::size_t n = weights.size();
-  key_weights.resize(n);
-  key_shadows.resize(shadow_weights.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const int w = weights[i];
-    const int s = shadow_weights.empty() ? 0 : shadow_weights[i];
-    const bool skipped = fill_skips(w, s, capacity, shadow_capacity);
-    key_weights[i] = skipped ? 0 : w;
-    if (!shadow_weights.empty()) key_shadows[i] = skipped ? 0 : s;
-  }
-}
-
-/// FNV-1a over the full instance key.  A prescreen only: equal
-/// fingerprints still take the element-wise compare, so a collision can
-/// cost a redundant scan but never a wrong answer.
-std::uint64_t instance_fingerprint(bool reservation,
-                                   std::span<const int> weights,
-                                   std::span<const int> shadow_weights,
-                                   int capacity, int shadow_capacity) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t v) {
-    hash ^= v;
-    hash *= 0x100000001b3ULL;
-  };
-  mix(reservation ? 1 : 0);
-  mix(static_cast<std::uint64_t>(capacity));
-  mix(static_cast<std::uint64_t>(shadow_capacity));
-  mix(weights.size());
-  for (const int w : weights) mix(static_cast<std::uint64_t>(w));
-  for (const int s : shadow_weights) mix(static_cast<std::uint64_t>(s));
-  return hash;
-}
-
-/// Exact-key cache probe.  `shadow_weights` is empty for basic_dp lookups.
-/// Returns the mutable entry so callers can account a speculative hit.
-DpWorkspace::CacheEntry* cache_find(DpWorkspace& ws, bool reservation,
-                                    std::uint64_t fingerprint,
-                                    std::span<const int> weights,
-                                    std::span<const int> shadow_weights,
-                                    int capacity, int shadow_capacity) {
-  // The dense fingerprint mirror keeps the probe to one sequential word
-  // scan; entries are dereferenced only on agreement (see cache_fps).
-  for (std::size_t i = 0; i < ws.cache_fps.size(); ++i) {
-    if (ws.cache_fps[i] != fingerprint) continue;
-    DpWorkspace::CacheEntry& entry = ws.cache[i];
-    if (!entry.used || entry.fingerprint != fingerprint) continue;
-    if (entry.reservation != reservation) continue;
-    if (entry.capacity != capacity ||
-        entry.shadow_capacity != shadow_capacity)
-      continue;
-    if (entry.weights.size() != weights.size()) continue;
-    if (!std::equal(weights.begin(), weights.end(), entry.weights.begin()))
-      continue;
-    if (reservation &&
-        !std::equal(shadow_weights.begin(), shadow_weights.end(),
-                    entry.shadow_weights.begin()))
-      continue;
-    return &entry;
-  }
-  return nullptr;
-}
-
-/// Counts a probe hit, folding in the speculative-pipeline bookkeeping: a
-/// first hit on a warmed entry also counts in spec_hits and clears the
-/// flag (later hits on the same entry are ordinary).
-const std::vector<int>& count_hit(DpWorkspace& ws,
-                                  DpWorkspace::CacheEntry& entry) {
-  ++ws.counters.cache_hits;
-  if (entry.speculative) {
-    entry.speculative = false;
-    ++ws.counters.spec_hits;
-  }
-  return entry.selected;
-}
-
-void cache_store(DpWorkspace& ws, bool reservation, std::uint64_t fingerprint,
-                 std::span<const int> weights,
-                 std::span<const int> shadow_weights, int capacity,
-                 int shadow_capacity, const std::vector<int>& selected) {
-  DpWorkspace::CacheEntry& entry = ws.cache[ws.cache_clock];
-  if (entry.used && entry.speculative) ++ws.counters.spec_discarded;
-  ws.cache_fps[ws.cache_clock] = fingerprint;
-  ws.cache_clock = (ws.cache_clock + 1) % ws.cache.size();
-  entry.used = true;
-  entry.speculative = false;
-  entry.reservation = reservation;
-  entry.capacity = capacity;
-  entry.shadow_capacity = shadow_capacity;
-  entry.fingerprint = fingerprint;
-  entry.weights.assign(weights.begin(), weights.end());
-  entry.shadow_weights.assign(shadow_weights.begin(), shadow_weights.end());
-  entry.selected = selected;
-}
-
 /// Scope timer accumulating into DpCounters::table_seconds — the
 /// denominator behind `simrun --perf-report`'s ns-per-DP-invocation row.
 class TableTimer {
@@ -585,7 +478,7 @@ std::vector<int> basic_dp(std::span<const int> weights, int capacity,
   ES_EXPECTS(capacity >= 0);
   ++ws.counters.calls;
   if (weights.empty() || capacity == 0) {
-    ++ws.counters.fast_path;  // trivially empty: no table, no cache
+    ++ws.counters.fast_path;  // trivially empty: no table
     return {};
   }
 
@@ -594,35 +487,7 @@ std::vector<int> basic_dp(std::span<const int> weights, int capacity,
     ++ws.counters.fast_path;
     return selected;
   }
-  if (ws.cache_enabled) {
-    normalize_key(weights, {}, capacity, 0, ws.key_weights, ws.key_shadows);
-    const std::uint64_t fp =
-        instance_fingerprint(false, ws.key_weights, {}, capacity, 0);
-    if (DpWorkspace::CacheEntry* hit =
-            cache_find(ws, false, fp, ws.key_weights, {}, capacity, 0))
-      return count_hit(ws, *hit);
-    selected = detail::basic_dp_table(weights, capacity, ws);
-    cache_store(ws, false, fp, ws.key_weights, {}, capacity, 0, selected);
-    return selected;
-  }
   return detail::basic_dp_table(weights, capacity, ws);
-}
-
-void warm_basic_dp_cache(std::span<const int> weights, int capacity,
-                         const std::vector<int>& selected, DpWorkspace& ws) {
-  ES_EXPECTS(capacity > 0);
-  if (!ws.cache_enabled || weights.empty()) return;
-  // Key exactly as basic_dp() keys a probe for this instance, so a correct
-  // prediction turns the next call's fill into a cache hit.
-  normalize_key(weights, {}, capacity, 0, ws.key_weights, ws.key_shadows);
-  const std::uint64_t fp =
-      instance_fingerprint(false, ws.key_weights, {}, capacity, 0);
-  if (cache_find(ws, false, fp, ws.key_weights, {}, capacity, 0) != nullptr)
-    return;  // already cached: don't burn a slot (or the speculative flag)
-  cache_store(ws, false, fp, ws.key_weights, {}, capacity, 0, selected);
-  const std::size_t slot =
-      (ws.cache_clock + ws.cache.size() - 1) % ws.cache.size();
-  ws.cache[slot].speculative = true;
 }
 
 std::vector<int> reservation_dp(std::span<const int> weights,
@@ -634,7 +499,7 @@ std::vector<int> reservation_dp(std::span<const int> weights,
   ES_EXPECTS(weights.size() == shadow_weights.size());
   ++ws.counters.calls;
   if (weights.empty() || capacity == 0) {
-    ++ws.counters.fast_path;  // trivially empty: no table, no cache
+    ++ws.counters.fast_path;  // trivially empty: no table
     return {};
   }
 
@@ -642,21 +507,6 @@ std::vector<int> reservation_dp(std::span<const int> weights,
   if (fits_entirely(weights, shadow_weights, capacity, shadow_capacity,
                     selected)) {
     ++ws.counters.fast_path;
-    return selected;
-  }
-  if (ws.cache_enabled) {
-    normalize_key(weights, shadow_weights, capacity, shadow_capacity,
-                  ws.key_weights, ws.key_shadows);
-    const std::uint64_t fp = instance_fingerprint(
-        true, ws.key_weights, ws.key_shadows, capacity, shadow_capacity);
-    if (DpWorkspace::CacheEntry* hit =
-            cache_find(ws, true, fp, ws.key_weights, ws.key_shadows,
-                       capacity, shadow_capacity))
-      return count_hit(ws, *hit);
-    selected = detail::reservation_dp_table(weights, shadow_weights, capacity,
-                                            shadow_capacity, ws);
-    cache_store(ws, true, fp, ws.key_weights, ws.key_shadows, capacity,
-                shadow_capacity, selected);
     return selected;
   }
   return detail::reservation_dp_table(weights, shadow_weights, capacity,

@@ -16,25 +16,11 @@
 // the machine granularity — 32 on BlueGene/P), which keeps the DP tables
 // tiny; callers convert.  A reusable workspace avoids per-cycle allocation.
 //
-// Hot-path structure: every call resolves through, in order,
+// Hot-path structure: every call resolves through one of two tiers,
 //  1. the *fast path* — when the total eligible demand fits the capacity
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
-//  2. the *result cache* — a memo of recent (weights, shadows,
-//     capacities) -> selection pairs, keyed on the *normalized* instance:
-//     items the fill can never select (weight 0, weight over capacity,
-//     shadow weight over shadow capacity) are zeroed in the key, so
-//     scheduling events that only perturb ineligible jobs — an arrival too
-//     large for the free grains, an ECC resize of an already-too-big
-//     queued job — re-pose the same key and the cache answers in O(n)
-//     instead of O(n * capacity^2).  The compare on normalized weights is
-//     still exact (a hit is always sound); entries carry a FNV-1a
-//     fingerprint of the key, so a probe is one hash compare per slot and
-//     the element-wise compare runs only on fingerprint agreement — which
-//     let the cache grow from 8 to 256 slots (the 8-slot round-robin
-//     evicted instances long before the schedule re-posed them: ~1.7% hit
-//     rate on the PR 5 baseline);
-//  3. the table fill.  Both DPs run one row kernel,
+//  2. the table fill.  Both DPs run one row kernel,
 //       out[c] = max(base[c], donor[c - shift] + v),
 //     which sets a keep bit (one bit per cell) where the donor wins.  It is
 //     one template over the value type, instantiated per ISA tier (see
@@ -64,7 +50,10 @@
 //     1), times (shadow capacity + 1) for Reservation_DP, unclamped — so
 //     it stays comparable across fill strategies.
 // All paths return bit-identical selections; the kernels stay pure
-// functions of their arguments.
+// functions of their arguments.  There is deliberately no result memo
+// between the tiers: an exact-keyed one answered 5-11% of the benchmark
+// workloads' calls and cost more than the fills it saved (see
+// docs/architecture.md).
 #pragma once
 
 #include <cstdint>
@@ -87,16 +76,14 @@ struct DpTable {
   std::vector<T> next;   ///< Basic_DP's row being filled
 };
 
-/// Reusable DP buffers, result cache and counters; one per policy instance.
+/// Reusable DP buffers and counters; one per policy instance.
 struct DpWorkspace {
   DpTable<std::int32_t> table32;
   DpTable<std::int64_t> table64;
   /// Take bits of the live items only, one row per table row, each row
   /// padded to whole 64-bit words.
   std::vector<std::uint64_t> keep;
-  std::vector<std::size_t> live;     ///< items the fill can select, ascending
-  std::vector<int> key_weights;      ///< normalized-cache-key scratch
-  std::vector<int> key_shadows;      ///< (ineligible items zeroed out)
+  std::vector<std::size_t> live;  ///< items the fill can select, ascending
 
   /// Per-cycle eligibility-scan scratch, reused by the LOS-family policies
   /// so the hot scheduling cycle performs no heap allocation.  The scans
@@ -105,46 +92,6 @@ struct DpWorkspace {
   std::vector<sched::JobRun*> eligible_scratch;
   std::vector<int> weights_scratch;
   std::vector<int> shadows_scratch;
-
-  /// Memo of recent instances, keyed on the normalized weights (ineligible
-  /// items zeroed — see normalize_key in dp.cpp).  Entries store full
-  /// copies of the key and are compared element-wise on fingerprint
-  /// agreement, so a hit is always sound (no fingerprint collisions); the
-  /// slot count bounds both memory and probe cost.
-  struct CacheEntry {
-    bool used = false;
-    bool reservation = false;  ///< reservation_dp (vs basic_dp) instance
-    /// Inserted by the speculative pipeline (warm_basic_dp_cache) and not
-    /// yet probed.  A hit on such an entry counts in both cache_hits and
-    /// spec_hits; eviction while still set counts in spec_discarded.
-    bool speculative = false;
-    int capacity = 0;
-    int shadow_capacity = 0;
-    std::uint64_t fingerprint = 0;  ///< FNV-1a over the full instance key
-    std::vector<int> weights;
-    std::vector<int> shadow_weights;  ///< empty for basic_dp entries
-    std::vector<int> selected;
-  };
-  static constexpr std::size_t kDefaultCacheSlots = 256;
-  std::vector<CacheEntry> cache =
-      std::vector<CacheEntry>(kDefaultCacheSlots);
-  /// Fingerprint of each cache slot, mirrored out of CacheEntry so the
-  /// probe scans one dense word array (2 KiB at the default slot count)
-  /// instead of striding across the fat entries; a slot's entry is touched
-  /// only on fingerprint agreement.  Invariant: cache_fps[i] ==
-  /// cache[i].fingerprint whenever cache[i].used.
-  std::vector<std::uint64_t> cache_fps =
-      std::vector<std::uint64_t>(kDefaultCacheSlots, 0);
-  std::size_t cache_clock = 0;  ///< round-robin eviction cursor
-  bool cache_enabled = true;    ///< AlgorithmOptions::dp_cache
-
-  /// Resizes (and clears) the result cache.  Slot count is clamped to
-  /// >= 1; AlgorithmOptions::dp_cache_slots plumbs through here.
-  void set_cache_slots(std::size_t slots) {
-    cache.assign(slots > 0 ? slots : 1, CacheEntry{});
-    cache_fps.assign(cache.size(), 0);
-    cache_clock = 0;
-  }
 
   sched::DpCounters counters;
 };
@@ -186,20 +133,9 @@ bool dp_simd_enabled();
 /// Human-readable tier name ("scalar", "sse4.2", "avx2").
 const char* dp_simd_level_name(DpSimdLevel level);
 
-/// Inserts a speculatively precomputed Basic_DP result into `ws`'s result
-/// cache, keyed exactly as basic_dp() would key the same instance, and
-/// marks the entry speculative.  `selected` must be the table-fill
-/// selection for (weights, capacity) — the caller computed it off-thread
-/// on a scratch workspace.  Call on the owning (main) thread only: the
-/// workspace is not thread-safe.  Pure cache warming — a later basic_dp()
-/// call either hits the exact-keyed entry (identical selection to the fill
-/// it skipped) or ignores it, so scheduling decisions cannot change.
-void warm_basic_dp_cache(std::span<const int> weights, int capacity,
-                         const std::vector<int>& selected, DpWorkspace& ws);
-
 namespace detail {
 
-/// The unconditional table fills, bypassing the fast path and the cache.
+/// The unconditional table fills, bypassing the fast path.
 /// Exposed for the equivalence tests and microbenchmarks that prove the
 /// fast paths select identically; production code calls the wrappers above.
 std::vector<int> basic_dp_table(std::span<const int> weights, int capacity,

@@ -92,13 +92,6 @@ Algorithm make_algorithm(const std::string& name,
   algorithm.policy = build_policy(base, options);
   if (algorithm.policy == nullptr) throw UnknownAlgorithmError(name);
 
-  algorithm.policy->set_dp_cache(options.dp_cache);
-  if (options.dp_cache_slots !=
-      static_cast<int>(DpWorkspace::kDefaultCacheSlots))
-    algorithm.policy->set_dp_cache_slots(
-        options.dp_cache_slots > 0
-            ? static_cast<std::size_t>(options.dp_cache_slots)
-            : std::size_t{1});
   algorithm.allow_running_resize =
       algorithm.process_eccs && options.engine.allow_running_resize;
   algorithm.canonical_name = algorithm.policy->name();

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dp.hpp"
 #include "sched/engine_config.hpp"
 #include "sched/scheduler.hpp"
 
@@ -29,13 +28,6 @@ namespace es::core {
 struct AlgorithmOptions {
   int max_skip_count = 7;  ///< C_s for Delayed-LOS / Hybrid-LOS
   int lookahead = 50;      ///< DP lookahead depth (Shmueli's 50-job limit)
-  /// Memoize knapsack instances across scheduling events (core/dp.hpp).
-  /// Cached runs schedule bit-identically to uncached ones; the switch
-  /// exists so tests and perf baselines can prove it.
-  bool dp_cache = true;
-  /// Result-cache slot count (see DpWorkspace::set_cache_slots).  Values
-  /// < 1 are clamped to 1 inside the workspace.
-  int dp_cache_slots = static_cast<int>(DpWorkspace::kDefaultCacheSlots);
   /// The one engine configuration, flowing unchanged factory ->
   /// experiment -> simrun/bench.  The run paths override the machine
   /// shape from the workload and process_eccs / allow_running_resize

@@ -16,11 +16,8 @@
 //    dedicated reservations.
 #pragma once
 
-#include <vector>
-
 #include "core/delayed_los.hpp"
 #include "core/dp.hpp"
-#include "core/dp_speculator.hpp"
 #include "sched/scheduler.hpp"
 
 namespace es::core {
@@ -37,22 +34,6 @@ class HybridLos : public sched::Scheduler {
   int max_skip_count() const { return max_skip_count_; }
 
   sched::DpCounters dp_counters() const override { return ws_.counters; }
-  void set_dp_cache(bool enabled) override { ws_.cache_enabled = enabled; }
-  void set_dp_cache_slots(std::size_t slots) override {
-    ws_.set_cache_slots(slots);
-  }
-
-  /// Algorithm 2 degenerates to Delayed-LOS while no dedicated jobs are
-  /// pending, so the same next-completion prediction applies there; with a
-  /// dedicated reservation in play the next cycle runs Reservation_DP,
-  /// which is not speculated.
-  void speculate(const sched::SchedulerContext& ctx) override {
-    if (ctx.dedicated != nullptr && !ctx.dedicated->empty()) return;
-    DelayedLos::speculate_next(ctx, max_skip_count_, lookahead_, ws_,
-                               speculator_, spec_weights_);
-  }
-  void settle_speculation() override { speculator_.settle(ws_); }
-  void finish_speculation() override { speculator_.drain(ws_); }
 
  private:
   /// One Algorithm-2 pass; returns true on progress (job started or
@@ -62,8 +43,6 @@ class HybridLos : public sched::Scheduler {
   int max_skip_count_;
   int lookahead_;
   DpWorkspace ws_;
-  DpSpeculator speculator_;
-  std::vector<int> spec_weights_;
 };
 
 }  // namespace es::core

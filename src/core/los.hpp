@@ -45,10 +45,6 @@ class Los : public sched::Scheduler {
   int lookahead() const { return lookahead_; }
 
   sched::DpCounters dp_counters() const override { return ws_.counters; }
-  void set_dp_cache(bool enabled) override { ws_.cache_enabled = enabled; }
-  void set_dp_cache_slots(std::size_t slots) override {
-    ws_.set_cache_slots(slots);
-  }
 
  private:
   bool dedicated_aware_;

@@ -47,18 +47,6 @@ class AdaptiveSelector : public sched::Scheduler {
   sched::DpCounters dp_counters() const override {
     return delayed_.dp_counters();
   }
-  void set_dp_cache(bool enabled) override { delayed_.set_dp_cache(enabled); }
-  void set_dp_cache_slots(std::size_t slots) override {
-    delayed_.set_dp_cache_slots(slots);
-  }
-
-  /// Speculate only while delegating to Delayed-LOS; EASY has no DP kernel,
-  /// so a speculation launched from an EASY phase could never hit.
-  void speculate(const sched::SchedulerContext& ctx) override {
-    if (!using_easy_) delayed_.speculate(ctx);
-  }
-  void settle_speculation() override { delayed_.settle_speculation(); }
-  void finish_speculation() override { delayed_.finish_speculation(); }
 
   /// The selector is the one factory policy with semantic cross-cycle
   /// state: the sliding arrival window, its high-water mark, and the last

@@ -65,7 +65,8 @@ Sweep load_sweep(const workload::GeneratorConfig& base,
 Sweep skip_count_sweep(const workload::GeneratorConfig& base, int cs_min,
                        int cs_max,
                        const std::vector<std::string>& reference_algorithms,
-                       int lookahead, int replications) {
+                       const core::AlgorithmOptions& options,
+                       int replications) {
   ES_EXPECTS(cs_min >= 1 && cs_min <= cs_max);
   Sweep sweep;
   sweep.x_label = "C_s";
@@ -81,7 +82,7 @@ Sweep skip_count_sweep(const workload::GeneratorConfig& base, int cs_min,
   util::parallel_for_each(n_references + n_points, [&](std::size_t task) {
     RunSpec spec;
     spec.workload = base;
-    spec.options.lookahead = lookahead;
+    spec.options = options;
     if (task < n_references) {
       spec.algorithm = reference_algorithms[task];
       reference_results[task] = run_replicated(spec, replications);

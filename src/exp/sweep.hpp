@@ -42,11 +42,13 @@ Sweep load_sweep(const workload::GeneratorConfig& base,
                  const core::AlgorithmOptions& options, int replications);
 
 /// Runs Delayed-LOS across C_s values plus C_s-independent reference
-/// algorithms (paper figures 5-6: x = C_s).
+/// algorithms (paper figures 5-6: x = C_s).  Every run takes `options`,
+/// with max_skip_count set to the point's C_s for the Delayed-LOS series.
 Sweep skip_count_sweep(const workload::GeneratorConfig& base, int cs_min,
                        int cs_max,
                        const std::vector<std::string>& reference_algorithms,
-                       int lookahead, int replications);
+                       const core::AlgorithmOptions& options,
+                       int replications);
 
 /// Maximum percentage improvement of `candidate` over `baseline` across the
 /// sweep (utilization: higher is better; wait/slowdown: lower is better) —

@@ -13,7 +13,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/rss.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/load.hpp"
 
 namespace es::sched {
@@ -261,20 +260,8 @@ void Engine::run_cycle() {
   };
   ctx.preempt = [this](JobRun* job) { preempt_running(job); };
 
-  // Fold any speculative DP result in *before* the policy runs, so a
-  // correctly predicted instance hits the cache inside this cycle.
-  policy_->settle_speculation();
   policy_->cycle(ctx);
   cycle_seconds_ += seconds_since(cycle_start);
-  // Speculative cycle pipelining: while the event pump drains toward the
-  // next cycle, let the policy precompute the next cycle's DP table on the
-  // worker pool.  Pure cache warming — decisions are byte-identical either
-  // way (the speculate contract in sched/scheduler.hpp).  Skipped on pool
-  // workers (campaign replications): submission would be refused there, so
-  // the prediction scan would be pure per-cycle overhead.
-  if (config_.speculative_dp && util::global_parallelism() > 1 &&
-      !util::on_pool_worker())
-    policy_->speculate(ctx);
   in_cycle_ = false;
   if (attachments_.has(Hook::kCycleEnd))
     attachments_.on_cycle_end(cycle_info());
@@ -683,10 +670,6 @@ void Engine::index_job(JobRun* job) {
 
 SimulationResult Engine::finish_run(
     std::chrono::steady_clock::time_point run_start) {
-  // Run-end barrier: an in-flight speculation predicted *this* run's next
-  // cycle and must not leak into a later run (or survive into the perf
-  // delta uncounted — drain books it as spec_discarded).
-  policy_->finish_speculation();
   if (termination_ == sim::TerminationReason::kCompleted) {
     // Every job must have completed: the scheduler invariant tests rely on
     // it.  A watchdog abort leaves the run mid-flight by design, so the
@@ -1193,7 +1176,7 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   const DpCounters dp_delta = policy_->dp_counters() - dp_baseline_;
   writer.u64(dp_delta.calls);
   writer.u64(dp_delta.fast_path);
-  writer.u64(dp_delta.cache_hits);
+  writer.u64(0);  // format-3 slot of the retired DP result cache
   writer.u64(dp_delta.table_runs);
   writer.u64(dp_delta.table_cells);
   // Source cursor: the next window's start, the current window's unfired
@@ -1295,7 +1278,7 @@ void Engine::restore(const workload::Workload& workload,
   DpCounters dp_delta;
   dp_delta.calls = reader.u64();
   dp_delta.fast_path = reader.u64();
-  dp_delta.cache_hits = reader.u64();
+  reader.u64();  // format-3 slot of the retired DP result cache
   dp_delta.table_runs = reader.u64();
   dp_delta.table_cells = reader.u64();
   const std::uint64_t next_job = reader.u64();
@@ -1581,10 +1564,6 @@ void Engine::restore(const workload::Workload& workload,
   fairness_attach_.restore_state(reader);
 
   reader.open_section("POLI");
-  // A speculation launched before the snapshot was taken predicted a cycle
-  // the restored run will recompute; drain it so the resumed run starts
-  // from a quiescent policy.
-  policy_->finish_speculation();
   policy_->restore_state(reader);
 
   // Without ECC processing the index served only the lookups above.

@@ -84,12 +84,6 @@ struct EngineConfig {
   /// Keep one JobOutcome per finished job in SimulationResult::jobs (per-job
   /// analyses and tests read them; the aggregate metrics do not need them).
   bool keep_job_outcomes = true;
-  /// Precompute the next cycle's DP table on the worker pool while the
-  /// event queue drains (speculative cycle pipelining).  Pure cache
-  /// warming keyed on the exact DP inputs — selections never change, only
-  /// where they were computed.  Requires global parallelism > 1 to do
-  /// anything.
-  bool speculative_dp = true;
   /// Attach a TraceObserver recording a full schedule audit trace
   /// (sched/trace.hpp) to the result.  Off by default — it grows with the
   /// event count.

@@ -81,11 +81,6 @@ void register_engine_params(util::ParamRegistry& registry,
                 "keep per-job outcomes in SimulationResult::jobs")
       .no_fingerprint();
   registry
-      .add_bool("engine.speculative_dp", &config.speculative_dp,
-                "precompute next cycle's DP table on the worker pool (pure "
-                "cache warming; selections never change)")
-      .no_fingerprint();
-  registry
       .add_bool("engine.record_trace", &config.record_trace,
                 "attach a TraceObserver recording a full schedule audit "
                 "trace")

@@ -22,35 +22,26 @@ struct DpCounters {
   std::uint64_t calls = 0;       ///< kernel entries (any resolution path)
   std::uint64_t fast_path = 0;   ///< answered by the trivial-empty or
                                  ///< fits-free-capacity exits
-                                 ///  (calls == fast_path + cache_hits
-                                 ///   + table_runs, always)
-  std::uint64_t cache_hits = 0;  ///< answered by the DP result cache
+                                 ///  (calls == fast_path + table_runs,
+                                 ///   always)
   std::uint64_t table_runs = 0;  ///< full table fills (the expensive path)
   std::uint64_t table_cells = 0; ///< DP cells touched across table fills
-
-  // Speculative cycle pipelining (PR 9).  A speculative fill warms the
-  // result cache off-thread; a hit on a warmed entry counts in BOTH
-  // cache_hits (preserving the calls identity above) and spec_hits.  These
-  // tallies depend on thread timing (whether the speculation settled before
-  // the cycle needed it), so they are diagnostics only — excluded from
-  // result fingerprints and snapshot serialization.
-  std::uint64_t spec_launched = 0;   ///< speculative fills submitted
-  std::uint64_t spec_hits = 0;       ///< cache hits served by a speculation
-  std::uint64_t spec_discarded = 0;  ///< speculations never hit (stale key)
-  /// Wall time inside full table fills (speculative fills excluded — they
-  /// overlap the event drain by design).  Measurement, not simulation
+  // Vestiges of the retired DP result cache and speculative DP pipeline:
+  // always 0 (nothing increments or sums them), but the benchmark's layer
+  // report still reads them.  They go with the benchmark/ change of
+  // ROADMAP items 1 and 8.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t spec_launched = 0;
+  std::uint64_t spec_hits = 0;
+  /// Wall time inside full table fills.  Measurement, not simulation
   /// state; with table_runs this yields ns-per-DP-invocation.
   double table_seconds = 0;
 
   DpCounters& operator+=(const DpCounters& other) {
     calls += other.calls;
     fast_path += other.fast_path;
-    cache_hits += other.cache_hits;
     table_runs += other.table_runs;
     table_cells += other.table_cells;
-    spec_launched += other.spec_launched;
-    spec_hits += other.spec_hits;
-    spec_discarded += other.spec_discarded;
     table_seconds += other.table_seconds;
     return *this;
   }
@@ -58,12 +49,8 @@ struct DpCounters {
     DpCounters delta;
     delta.calls = calls - other.calls;
     delta.fast_path = fast_path - other.fast_path;
-    delta.cache_hits = cache_hits - other.cache_hits;
     delta.table_runs = table_runs - other.table_runs;
     delta.table_cells = table_cells - other.table_cells;
-    delta.spec_launched = spec_launched - other.spec_launched;
-    delta.spec_hits = spec_hits - other.spec_hits;
-    delta.spec_discarded = spec_discarded - other.spec_discarded;
     delta.table_seconds = table_seconds - other.table_seconds;
     return delta;
   }
@@ -164,14 +151,6 @@ struct PerfStats {
   std::uint64_t peak_live_jobs = 0;
   /// Empty unless EngineConfig::fairshare.collect_stats.
   FairnessStats fairness;
-
-  /// Fraction of kernel calls answered from the result cache.
-  double dp_cache_hit_rate() const {
-    return dp.calls == 0
-               ? 0.0
-               : static_cast<double>(dp.cache_hits) /
-                     static_cast<double>(dp.calls);
-  }
 };
 
 }  // namespace es::sched

@@ -103,33 +103,14 @@ class Scheduler {
   /// run start and reports the per-run delta in SimulationResult::perf.
   virtual DpCounters dp_counters() const { return {}; }
 
-  /// Toggles the DP result cache (no-op for policies without DP kernels).
-  /// On by default; the off switch exists so tests and benchmarks can prove
-  /// cached and uncached runs schedule identically.
+  // Vestiges of the retired DP result cache and speculative DP pipeline:
+  // nothing in src/ calls or overrides these five, but the benchmark's
+  // TimedScheduler still forwards them.  They go with the benchmark/ change
+  // of ROADMAP items 1 and 8.
   virtual void set_dp_cache(bool /*enabled*/) {}
-
-  /// Resizes the DP result cache (no-op for policies without DP kernels).
-  /// More slots survive longer between re-posed instances; probe cost is a
-  /// fingerprint compare per slot.  Resizing clears the cache.
   virtual void set_dp_cache_slots(std::size_t /*slots*/) {}
-
-  /// Opportunistically precompute work for the *next* cycle off-thread
-  /// while the engine drains events (speculative cycle pipelining).  The
-  /// engine calls this after cycle() when EngineConfig::speculative_dp is
-  /// set and a thread pool is up.  Implementations must only *warm caches*
-  /// — a speculation, hit or missed, may never change a scheduling
-  /// decision.  Default: no speculation.
   virtual void speculate(const SchedulerContext& /*ctx*/) {}
-
-  /// Folds any completed speculation into policy state; the engine calls
-  /// this immediately before every cycle().  Must be cheap when nothing is
-  /// in flight.
   virtual void settle_speculation() {}
-
-  /// Run-end barrier: block until in-flight speculation completes and
-  /// discard it.  The engine calls this when a run finishes (and before a
-  /// snapshot restore) so no speculative task outlives the run it was
-  /// predicted from.
   virtual void finish_speculation() {}
 
   /// Serializes policy state that influences *future* scheduling decisions

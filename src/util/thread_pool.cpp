@@ -52,15 +52,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ES_ASSERT(!stop_);
-    tasks_.emplace_back(std::move(task));
-  }
-  wake_.notify_one();
-}
-
 void ThreadPool::for_each(std::size_t count,
                           const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
@@ -155,14 +146,6 @@ void parallel_for_each(std::size_t count,
     return;
   }
   g_pool->for_each(count, body);
-}
-
-bool on_pool_worker() { return t_pool_worker; }
-
-bool pool_try_submit(std::function<void()> task) {
-  if (g_pool == nullptr || t_pool_worker) return false;
-  g_pool->submit(std::move(task));
-  return true;
 }
 
 }  // namespace es::util

@@ -52,12 +52,6 @@ class ThreadPool {
   void for_each(std::size_t count,
                 const std::function<void(std::size_t)>& body);
 
-  /// Enqueues one fire-and-forget task and returns immediately.  The task
-  /// must not throw; completion signalling is the task's own business
-  /// (e.g. an atomic flag set as its last action).  Safe to interleave
-  /// with for_each — workers drain one shared task deque.
-  void submit(std::function<void()> task);
-
  private:
   void worker_loop();
 
@@ -83,15 +77,5 @@ int global_parallelism();
 /// (jobs <= 1) or when called from one of its own workers.
 void parallel_for_each(std::size_t count,
                        const std::function<void(std::size_t)>& body);
-
-/// True when the calling thread belongs to a ThreadPool.  Lets opportunistic
-/// work (speculative DP fills) avoid queueing behind itself when the caller
-/// is already a pool worker running a campaign replication.
-bool on_pool_worker();
-
-/// submit() on the global pool.  Returns false without running `task` when
-/// the pool is down (serial mode) or the caller is itself a pool worker —
-/// callers treat that as "speculation unavailable", never as an error.
-bool pool_try_submit(std::function<void()> task);
 
 }  // namespace es::util

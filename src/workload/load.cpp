@@ -32,6 +32,10 @@ double calibrate_load(Workload& workload, int machine_procs, double target,
     load = offered_load(workload, machine_procs);
   }
   ES_LOG_DEBUG("calibrated load %.4f (target %.4f)", load, target);
+  if (std::abs(load - target) / target >= tolerance)
+    ES_LOG_WARN("load calibration missed its target: offered load %.4f, "
+                "target %.4f",
+                load, target);
   return load;
 }
 

@@ -19,7 +19,8 @@ double offered_load(const Workload& workload, int machine_procs);
 
 /// Scales arrival times until |offered_load - target| / target < tolerance
 /// (duration responds nonlinearly to scaling because runtimes stay fixed, so
-/// this iterates).  Returns the achieved load.
+/// this iterates).  Returns the achieved load, and logs a warning naming
+/// both loads when the iteration budget ran out outside the tolerance.
 double calibrate_load(Workload& workload, int machine_procs, double target,
                       double tolerance = 0.01, int max_iterations = 25);
 

@@ -210,6 +210,10 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
       }
       ES_LOG_DEBUG("calibrated load %.4f (target %.4f, %zu factors)", load,
                    config.target_load, factors_.size());
+      if (std::abs(load - config.target_load) / config.target_load >= 0.01)
+        ES_LOG_WARN("load calibration missed its target: offered load "
+                    "%.4f, target %.4f",
+                    load, config.target_load);
     }
   }
 }

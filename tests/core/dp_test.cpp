@@ -191,7 +191,6 @@ TEST(ReservationDp, PropertyMatchesBruteForce) {
 TEST(FastPath, BasicDpMatchesTablePathWhenEverythingFits) {
   util::Rng rng(303);
   DpWorkspace fast_ws, table_ws;
-  table_ws.cache_enabled = false;
   for (int round = 0; round < 200; ++round) {
     const int n = static_cast<int>(rng.uniform_int(1, 12));
     std::vector<int> weights;
@@ -216,7 +215,6 @@ TEST(FastPath, BasicDpMatchesTablePathWhenEverythingFits) {
 TEST(FastPath, ReservationDpMatchesTablePathWhenEverythingFits) {
   util::Rng rng(404);
   DpWorkspace fast_ws, table_ws;
-  table_ws.cache_enabled = false;
   for (int round = 0; round < 200; ++round) {
     const int n = static_cast<int>(rng.uniform_int(1, 10));
     std::vector<int> weights, shadows;
@@ -244,148 +242,18 @@ TEST(FastPath, ReservationDpMatchesTablePathWhenEverythingFits) {
   }
 }
 
-TEST(DpCache, RepeatedInstanceHitsAndSelectsIdentically) {
-  DpWorkspace ws;
-  // Over capacity so neither call resolves on the fast path.
-  const std::vector<int> weights{7, 4, 6};
-  const auto first = basic_dp(weights, 10, ws);
-  EXPECT_EQ(ws.counters.table_runs, 1u);
-  EXPECT_EQ(ws.counters.cache_hits, 0u);
-  const auto second = basic_dp(weights, 10, ws);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(ws.counters.table_runs, 1u);  // answered from the cache
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
-  // A different capacity is a different instance: miss, new table fill.
-  basic_dp(weights, 9, ws);
-  EXPECT_EQ(ws.counters.table_runs, 2u);
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
-}
-
-TEST(DpCache, BasicAndReservationInstancesNeverAlias) {
-  DpWorkspace ws;
-  // Same weights and capacity, both past the fast path, but reservation_dp
-  // with a binding shadow must not be answered from the basic_dp cache
-  // entry (or vice versa).
-  const std::vector<int> weights{7, 4, 6};
-  const auto basic = basic_dp(weights, 10, ws);
-  EXPECT_EQ(basic, (std::vector<int>{1, 2}));
-  const std::vector<int> shadows{7, 4, 6};
-  const auto reservation = reservation_dp(weights, shadows, 10, 5, ws);
-  EXPECT_EQ(reservation, (std::vector<int>{1}));
-  // And re-posing the basic instance afterwards still answers correctly.
-  EXPECT_EQ(basic_dp(weights, 10, ws), basic);
-}
-
-TEST(DpCache, DisabledWorkspaceSelectsIdentically) {
-  util::Rng rng(505);
-  DpWorkspace cached, uncached;
-  uncached.cache_enabled = false;
-  for (int round = 0; round < 200; ++round) {
-    const int n = static_cast<int>(rng.uniform_int(1, 10));
-    const int capacity = static_cast<int>(rng.uniform_int(1, 20));
-    const int shadow_cap = static_cast<int>(rng.uniform_int(0, 12));
-    std::vector<int> weights, shadows;
-    for (int i = 0; i < n; ++i) {
-      const int w = static_cast<int>(rng.uniform_int(1, 10));
-      weights.push_back(w);
-      shadows.push_back(rng.bernoulli(0.5) ? w : 0);
-    }
-    // Re-pose instances frequently so the cached workspace actually hits.
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      ASSERT_EQ(basic_dp(weights, capacity, cached),
-                basic_dp(weights, capacity, uncached))
-          << "round " << round;
-      ASSERT_EQ(reservation_dp(weights, shadows, capacity, shadow_cap, cached),
-                reservation_dp(weights, shadows, capacity, shadow_cap,
-                               uncached))
-          << "round " << round;
-    }
-  }
-  EXPECT_GT(cached.counters.cache_hits, 0u);
-  EXPECT_EQ(uncached.counters.cache_hits, 0u);
-}
-
-TEST(DpCache, EvictionKeepsAnswersCorrect) {
-  // More distinct instances than kCacheSlots: the round-robin eviction must
-  // only ever cost extra table fills, never wrong selections.
-  DpWorkspace ws;
-  for (int extra = 0;
-       extra < static_cast<int>(DpWorkspace::kDefaultCacheSlots) + 4;
-       ++extra) {
-    const std::vector<int> weights{7, 4, 6, 2 + extra};
-    const auto chosen = basic_dp(weights, 10, ws);
-    DpWorkspace fresh;
-    fresh.cache_enabled = false;
-    ASSERT_EQ(chosen, basic_dp(weights, 10, fresh)) << "extra " << extra;
-  }
-}
-
 TEST(DpCounters, EveryCallIsCounted) {
   DpWorkspace ws;
   const std::vector<int> weights{2, 3};
   basic_dp(weights, 10, ws);              // fast path
   basic_dp(weights, 4, ws);               // table
-  basic_dp(weights, 4, ws);               // cache hit
+  basic_dp(weights, 4, ws);               // the same instance: table again
   const std::vector<int> shadows{0, 0};
   reservation_dp(weights, shadows, 10, 0, ws);  // fast path
   EXPECT_EQ(ws.counters.calls, 4u);
   EXPECT_EQ(ws.counters.fast_path, 2u);
-  EXPECT_EQ(ws.counters.table_runs, 1u);
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
+  EXPECT_EQ(ws.counters.table_runs, 2u);
   EXPECT_GT(ws.counters.table_cells, 0u);
-}
-
-TEST(DpCache, ResizingClearsAndStillAnswersCorrectly) {
-  DpWorkspace ws;
-  const std::vector<int> weights{7, 4, 6};
-  const auto first = basic_dp(weights, 10, ws);
-  ws.set_cache_slots(2);  // shrink: previous entries must be gone
-  EXPECT_EQ(basic_dp(weights, 10, ws), first);
-  EXPECT_EQ(ws.counters.cache_hits, 0u);
-  EXPECT_EQ(ws.counters.table_runs, 2u);
-  // With 2 slots, a third distinct instance evicts the oldest; answers stay
-  // correct regardless.
-  for (int cap = 8; cap <= 12; ++cap) {
-    DpWorkspace fresh;
-    fresh.cache_enabled = false;
-    EXPECT_EQ(basic_dp(weights, cap, ws), basic_dp(weights, cap, fresh));
-  }
-  ws.set_cache_slots(0);  // clamps to one slot, never zero
-  EXPECT_EQ(basic_dp(weights, 10, ws), first);
-}
-
-TEST(DpCache, SurvivesMoreDistinctInstancesThanEightSlots) {
-  // Regression for the widened cache: a working set of 32 instances
-  // (distinct capacities, so distinct keys even after normalization)
-  // cycled twice must hit on every instance the second time around — the
-  // old 8-slot cache evicted each one long before it was re-posed.
-  DpWorkspace ws;
-  const std::vector<int> weights{20, 14, 16, 13};  // total 63: never fast
-  for (int k = 0; k < 32; ++k) basic_dp(weights, 11 + k, ws);
-  EXPECT_EQ(ws.counters.cache_hits, 0u);
-  for (int k = 0; k < 32; ++k) basic_dp(weights, 11 + k, ws);
-  EXPECT_EQ(ws.counters.cache_hits, 32u);
-}
-
-TEST(DpCache, NormalizedKeySharesEntriesAcrossIneligibleItems) {
-  // Two instances differing only in items over capacity (which the fill
-  // can never select) share one cache entry and one selection.
-  DpWorkspace ws;
-  const std::vector<int> a{7, 4, 11, 6};
-  const std::vector<int> b{7, 4, 99, 6};  // item 2 still ineligible
-  const auto first = basic_dp(a, 10, ws);
-  EXPECT_EQ(ws.counters.table_runs, 1u);
-  EXPECT_EQ(basic_dp(b, 10, ws), first);
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
-  EXPECT_EQ(ws.counters.table_runs, 1u);
-  // But an item crossing the eligibility boundary changes the key.
-  const std::vector<int> c{7, 4, 9, 6};
-  basic_dp(c, 10, ws);
-  EXPECT_EQ(ws.counters.table_runs, 2u);
-  // Sanity: the shared answer is what an uncached fill computes for b.
-  DpWorkspace fresh;
-  fresh.cache_enabled = false;
-  EXPECT_EQ(first, basic_dp(b, 10, fresh));
 }
 
 class BlockedDpTest : public ::testing::Test {
@@ -497,57 +365,6 @@ TEST_F(SimdDpTest, BoundaryWidthsAgreeAcrossTiers) {
     ASSERT_EQ(detail::basic_dp_table(weights, capacity, simd_ws), scalar)
         << "capacity " << capacity;
   }
-}
-
-TEST(DpSpecCache, WarmedEntryHitsWithIdenticalSelection) {
-  const std::vector<int> weights{20, 14, 16, 13};  // total 63: never fast
-  const int capacity = 40;
-  DpWorkspace fill_ws;
-  const auto selected = detail::basic_dp_table(weights, capacity, fill_ws);
-
-  DpWorkspace ws;
-  warm_basic_dp_cache(weights, capacity, selected, ws);
-  // Warming books no calls and no table runs on the owning workspace.
-  EXPECT_EQ(ws.counters.calls, 0u);
-  EXPECT_EQ(ws.counters.table_runs, 0u);
-  const auto hit = basic_dp(weights, capacity, ws);
-  EXPECT_EQ(hit, selected);
-  // The hit counts as a cache hit AND a speculation hit; no table ran, so
-  // calls == fast_path + cache_hits + table_runs still balances.
-  EXPECT_EQ(ws.counters.calls, 1u);
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
-  EXPECT_EQ(ws.counters.spec_hits, 1u);
-  EXPECT_EQ(ws.counters.table_runs, 0u);
-  // A second probe is an ordinary (non-speculative) hit.
-  basic_dp(weights, capacity, ws);
-  EXPECT_EQ(ws.counters.cache_hits, 2u);
-  EXPECT_EQ(ws.counters.spec_hits, 1u);
-}
-
-TEST(DpSpecCache, WarmingAnAlreadyCachedInstanceIsANoOp) {
-  const std::vector<int> weights{20, 14, 16, 13};
-  DpWorkspace ws;
-  const auto selected = basic_dp(weights, 40, ws);  // table run + store
-  warm_basic_dp_cache(weights, 40, selected, ws);
-  // The entry stays non-speculative: the next hit books no spec_hits.
-  basic_dp(weights, 40, ws);
-  EXPECT_EQ(ws.counters.cache_hits, 1u);
-  EXPECT_EQ(ws.counters.spec_hits, 0u);
-}
-
-TEST(DpSpecCache, EvictedUnprobedEntryCountsAsDiscarded) {
-  DpWorkspace ws;
-  ws.set_cache_slots(2);
-  const std::vector<int> weights{20, 14, 16, 13};
-  DpWorkspace fill_ws;
-  warm_basic_dp_cache(weights, 40,
-                      detail::basic_dp_table(weights, 40, fill_ws), ws);
-  // Two distinct instances wrap the 2-slot round-robin and overwrite the
-  // never-probed speculative entry.
-  basic_dp(weights, 41, ws);
-  basic_dp(weights, 42, ws);
-  EXPECT_EQ(ws.counters.spec_discarded, 1u);
-  EXPECT_EQ(ws.counters.spec_hits, 0u);
 }
 
 TEST(ReservationDp, WorkspaceReuseIsClean) {

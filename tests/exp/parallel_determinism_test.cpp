@@ -27,6 +27,12 @@ class ParallelDeterminism : public ::testing::Test {
     config.p_small = 0.2;
     return config;
   }
+
+  static core::AlgorithmOptions lookahead_250() {
+    core::AlgorithmOptions options;
+    options.lookahead = 250;
+    return options;
+  }
 };
 
 TEST_F(ParallelDeterminism, RunReplicatedAggregateIsBitwiseEqual) {
@@ -52,7 +58,7 @@ TEST_F(ParallelDeterminism, RunReplicatedAggregateIsBitwiseEqual) {
   EXPECT_EQ(serial.mean_dedicated_delay, parallel.mean_dedicated_delay);
   EXPECT_EQ(serial.ecc_processed, parallel.ecc_processed);
   EXPECT_EQ(serial.dp.calls, parallel.dp.calls);
-  EXPECT_EQ(serial.dp.cache_hits, parallel.dp.cache_hits);
+  EXPECT_EQ(serial.dp.table_runs, parallel.dp.table_runs);
 }
 
 TEST_F(ParallelDeterminism, LoadSweepCsvIsByteIdenticalAtJobs8) {
@@ -77,10 +83,12 @@ TEST_F(ParallelDeterminism, LoadSweepCsvIsByteIdenticalAtJobs8) {
 TEST_F(ParallelDeterminism, SkipCountSweepCsvIsByteIdenticalAtJobs8) {
   util::set_global_parallelism(1);
   const Sweep serial =
-      skip_count_sweep(small_config(), 1, 4, {"EASY", "LOS"}, 250, 2);
+      skip_count_sweep(small_config(), 1, 4, {"EASY", "LOS"},
+                       lookahead_250(), 2);
   util::set_global_parallelism(8);
   const Sweep parallel =
-      skip_count_sweep(small_config(), 1, 4, {"EASY", "LOS"}, 250, 2);
+      skip_count_sweep(small_config(), 1, 4, {"EASY", "LOS"},
+                       lookahead_250(), 2);
 
   const std::string serial_bytes =
       testing::sweep_csv_bytes(serial, "cs_serial.csv");

@@ -19,6 +19,12 @@ workload::GeneratorConfig small_config() {
   return config;
 }
 
+core::AlgorithmOptions lookahead_250() {
+  core::AlgorithmOptions options;
+  options.lookahead = 250;
+  return options;
+}
+
 TEST(Sweep, LoadSweepShape) {
   const Sweep sweep = load_sweep(small_config(), {0.6, 0.9}, {"EASY", "LOS"},
                                  {}, 2);
@@ -37,7 +43,7 @@ TEST(Sweep, LoadSweepShape) {
 
 TEST(Sweep, SkipCountSweepHasFlatReferences) {
   const Sweep sweep =
-      skip_count_sweep(small_config(), 1, 3, {"EASY"}, 250, 2);
+      skip_count_sweep(small_config(), 1, 3, {"EASY"}, lookahead_250(), 2);
   ASSERT_EQ(sweep.points.size(), 3u);
   EXPECT_EQ(sweep.x_label, "C_s");
   // EASY does not depend on C_s, so it is evaluated once and shared —
@@ -66,7 +72,7 @@ TEST(Sweep, MaxImprovementReadsSharedReferences) {
   // The baseline lives in Sweep::references; max_improvement must resolve
   // it through find() rather than expecting per-point copies.
   const Sweep sweep =
-      skip_count_sweep(small_config(), 1, 2, {"EASY"}, 250, 1);
+      skip_count_sweep(small_config(), 1, 2, {"EASY"}, lookahead_250(), 1);
   const Improvement improvement =
       max_improvement(sweep, "Delayed-LOS", "EASY");
   EXPECT_TRUE(std::isfinite(improvement.utilization));

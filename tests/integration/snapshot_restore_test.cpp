@@ -464,8 +464,9 @@ TEST(SnapshotRestore, ImageBytesArePinned) {
   // EVTS section stores every pending (time, class, seq, tag) and the
   // rest of the image every ledger the engine keeps.  These hashes were
   // recorded from the format-3 writer (live records only, retired jobs
-  // folded into FOLD); any change to what a snapshot holds, or in which
-  // order, changes them.
+  // folded into FOLD, the retired DP result cache's ENGN word written as
+  // 0); any change to what a snapshot holds, or in which order, changes
+  // them.
   {
     // Hybrid-LOS-E with dedicated jobs, ECCs, failures and checkpoints:
     // kill points on both sides of both window refills, plus two sampled.
@@ -487,10 +488,10 @@ TEST(SnapshotRestore, ImageBytesArePinned) {
     cycles.push_back(run.cycles * 5 / 6);
     EXPECT_EQ(image_hashes(workload, "Hybrid-LOS-E", options, cycles),
               (std::vector<std::uint64_t>{
-                  0x258362f9ed2709c8ull, 0xfa2fa68205a30ea7ull,
-                  0xc150b8df3f8561eaull, 0xdba24ac880f65a90ull,
-                  0x0df37587b9a1a5eaull, 0x4782fb1a9fc613c1ull,
-                  0x23828ec258516518ull, 0x26652c0fd4353681ull}));
+                  0x76ba723f229906dbull, 0x5a0a12d171dffdb0ull,
+                  0x20778aa793f41ce5ull, 0x12b3581d0af5a367ull,
+                  0x4b802c1ee7336f0dull, 0xf066afe9d8343712ull,
+                  0x69269dd2817598e7ull, 0x4effa8f669634aa0ull}));
   }
   {
     // 4-pool FairShare with policy preemption, failures and tail requeue.

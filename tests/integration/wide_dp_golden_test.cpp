@@ -5,8 +5,7 @@
 // takes them.  The constants pin every DP selection of these runs: a
 // rewrite of the table fills that is meant as a pure speed-up must leave
 // all of them untouched.  Each case replays once more with the scalar row
-// kernel forced and a 2-thread worker pool, which opens the speculative DP
-// pipeline: neither lever may move a single selection, so the replay must
+// kernel forced, which may not move a single selection, so the replay must
 // reproduce the same hash.  Regenerate only for a deliberate change of
 // which set the DP selects.
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "testing/helpers.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace es {
@@ -60,29 +58,21 @@ std::uint64_t golden_run(double p_dedicated, const std::string& algorithm) {
 
 class WideDpGolden : public ::testing::Test {
  protected:
-  void SetUp() override {
-    simd_ = core::dp_simd_enabled();
-    threads_ = util::global_parallelism();
-  }
-  void TearDown() override {
-    core::set_dp_simd_enabled(simd_);
-    util::set_global_parallelism(threads_);
-  }
+  void SetUp() override { simd_ = core::dp_simd_enabled(); }
+  void TearDown() override { core::set_dp_simd_enabled(simd_); }
 
-  /// The default run, then the scalar-kernel, pooled replay; both must
-  /// produce `golden`.
+  /// The default run, then the scalar-kernel replay; both must produce
+  /// `golden`.
   static void expect_golden(double p_dedicated, const std::string& algorithm,
                             std::uint64_t golden) {
     EXPECT_EQ(golden_run(p_dedicated, algorithm), golden);
     core::set_dp_simd_enabled(false);
-    util::set_global_parallelism(2);
     EXPECT_EQ(golden_run(p_dedicated, algorithm), golden)
-        << "scalar DP rows with a 2-thread pool";
+        << "scalar DP rows";
   }
 
  private:
   bool simd_ = true;
-  int threads_ = 1;
 };
 
 TEST_F(WideDpGolden, LosWithDedicatedJobsAndEccs) {

@@ -43,7 +43,6 @@ class ActiveOrderAuditor : public Scheduler {
     return inner_->supports_dedicated();
   }
   DpCounters dp_counters() const override { return inner_->dp_counters(); }
-  void set_dp_cache(bool enabled) override { inner_->set_dp_cache(enabled); }
 
   void cycle(SchedulerContext& ctx) override {
     verify(ctx, "cycle entry");

@@ -90,7 +90,6 @@ inline void expect_identical(const sched::SimulationResult& m,
                         s.failure.saved_proc_seconds));
 
   EXPECT_EQ(m.perf.dp.calls, s.perf.dp.calls);
-  EXPECT_EQ(m.perf.dp.cache_hits, s.perf.dp.cache_hits);
   EXPECT_EQ(m.perf.dp.table_runs, s.perf.dp.table_runs);
   EXPECT_EQ(m.perf.events.scheduled, s.perf.events.scheduled);
   EXPECT_EQ(m.perf.events.cancelled, s.perf.events.cancelled);

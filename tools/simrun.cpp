@@ -40,6 +40,7 @@
 #include <string>
 
 #include "core/config_spine.hpp"
+#include "core/dp.hpp"
 #include "core/factory.hpp"
 #include "exp/analysis.hpp"
 #include "exp/experiment.hpp"
@@ -121,9 +122,7 @@ int main(int argc, char** argv) {
   int parallel_jobs = 1;
   bool perf_report = false;
   bool streamed = false;
-  bool no_dp_cache = false;
   bool no_dp_simd = false;
-  bool no_spec_dp = false;
   std::string restore_from;
 
   std::string scenario_path;
@@ -171,22 +170,17 @@ int main(int argc, char** argv) {
                  "print the aggregate (default 1)", &replications);
   cli.add_option("jobs", "worker threads fanning the replications "
                  "(default 1 = serial; 0 = all cores)", &parallel_jobs);
-  cli.add_flag("perf-report", "print hot-path counters (DP calls, cache "
-               "hits, fast-path exits; event-queue scheduled/cancelled/"
-               "fired, peak pending) and wall timings", &perf_report);
+  cli.add_flag("perf-report", "print hot-path counters (DP calls, "
+               "fast-path exits, table runs; event-queue scheduled/"
+               "cancelled/fired, peak pending) and wall timings",
+               &perf_report);
   cli.add_flag("streamed", "synthetic workloads: pull the jobs straight "
                "from the generator in bounded chunks instead of "
                "materializing them; results are byte-identical, memory stays "
                "flat at million-job scale (a trace already runs window by "
                "window)", &streamed);
-  cli.add_flag("no-dp-cache", "disable the knapsack memo cache (schedules "
-               "are identical either way; for perf comparison)",
-               &no_dp_cache);
   cli.add_flag("no-dp-simd", "force the scalar DP row kernel (selections "
                "are identical either way; for perf comparison)", &no_dp_simd);
-  cli.add_flag("no-spec-dp", "disable speculative DP precomputation between "
-               "cycles (schedules are identical either way; speculation "
-               "needs --jobs > 1 to engage)", &no_spec_dp);
   cli.add_option("restore-from", "crash recovery: resume from this snapshot "
                  "file, or scan this directory for the newest intact "
                  "generation", &restore_from);
@@ -242,8 +236,6 @@ int main(int argc, char** argv) {
       engine.failure.enabled = true;
     if (engine.checkpoint.interval > 0 || engine.checkpoint.on_preempt)
       engine.checkpoint.enabled = true;
-    if (no_dp_cache) options.dp_cache = false;
-    if (no_spec_dp) engine.speculative_dp = false;
     engine.record_trace |= !trace_csv.empty();
     engine.collect_cycle_stats |= perf_report;
     registry.finalize();
@@ -415,7 +407,6 @@ int main(int argc, char** argv) {
     if (perf_report) {
       table.cell("DP calls").cell(static_cast<long long>(aggregate.dp.calls)).end_row();
       table.cell("DP fast-path exits").cell(static_cast<long long>(aggregate.dp.fast_path)).end_row();
-      table.cell("DP cache hits").cell(static_cast<long long>(aggregate.dp.cache_hits)).end_row();
       table.cell("DP table runs").cell(static_cast<long long>(aggregate.dp.table_runs)).end_row();
       table.cell("events scheduled").cell(static_cast<long long>(aggregate.events.scheduled)).end_row();
       table.cell("events cancelled").cell(static_cast<long long>(aggregate.events.cancelled)).end_row();
@@ -537,21 +528,12 @@ int main(int argc, char** argv) {
     perf_table.set_columns({"counter", "value"});
     perf_table.cell("DP calls").cell(static_cast<long long>(perf.dp.calls)).end_row();
     perf_table.cell("DP fast-path exits").cell(static_cast<long long>(perf.dp.fast_path)).end_row();
-    perf_table.cell("DP cache hits").cell(static_cast<long long>(perf.dp.cache_hits)).end_row();
     perf_table.cell("DP table runs").cell(static_cast<long long>(perf.dp.table_runs)).end_row();
     perf_table.cell("DP table cells").cell(static_cast<long long>(perf.dp.table_cells)).end_row();
-    perf_table.cell("DP cache hit rate %").cell(100.0 * perf.dp_cache_hit_rate(), 2).end_row();
     perf_table.cell("events scheduled").cell(static_cast<long long>(perf.events.scheduled)).end_row();
     perf_table.cell("events cancelled").cell(static_cast<long long>(perf.events.cancelled)).end_row();
     perf_table.cell("events fired").cell(static_cast<long long>(perf.events.fired)).end_row();
     perf_table.cell("peak pending events").cell(static_cast<long long>(perf.events.peak_pending)).end_row();
-    if (perf.dp.spec_launched > 0) {
-      // Speculative pipeline diagnostics (only meaningful with --jobs > 1).
-      // hits + discarded can trail launched by the racy in-flight tail.
-      perf_table.cell("DP speculations launched").cell(static_cast<long long>(perf.dp.spec_launched)).end_row();
-      perf_table.cell("DP speculation hits").cell(static_cast<long long>(perf.dp.spec_hits)).end_row();
-      perf_table.cell("DP speculations discarded").cell(static_cast<long long>(perf.dp.spec_discarded)).end_row();
-    }
     add_cycle_stats_rows(perf_table, perf.cycle);
     perf_table.cell("cycle wall (s)").cell(perf.cycle_seconds, 4).end_row();
     perf_table.cell("run wall (s)").cell(perf.wall_seconds, 4).end_row();
