@@ -179,18 +179,17 @@ struct Sse42Mask {
 
 // --- the row kernel ----------------------------------------------------------
 //
-// One row step of either DP over the columns [lo, hi), lo >= shift:
+// One row step of Basic_DP over the columns [lo, hi), lo >= shift:
 //   out[c] = max(base[c], donor[c - shift] + v),
 // setting bit c of the row's keep words (bit c & 63 of keep_row[c >> 6])
 // where the donor wins.  The donor comes as its row plus a shift, so no
-// pointer is ever formed before a row's start.  `out` may alias `base`
-// (Reservation_DP fills in place) but not the donor's cells, and the keep
-// words must be clear on entry.  Columns run one at a time up to a
-// multiple of the vector width, then a vector group at a time — a group's
-// bits all land in one word, which collects them in a register and is
-// OR-ed into the table once — then one at a time for the tail.  Every
-// candidate stays below the table's value bound (see fits_int32), so the
-// sums never overflow T.
+// pointer is ever formed before a row's start.  `out` must not alias
+// `base` or the donor's cells, and the keep words must be clear on entry.
+// Columns run one at a time up to a multiple of the vector width, then a
+// vector group at a time — a group's bits all land in one word, which
+// collects them in a register and is OR-ed into the table once — then one
+// at a time for the tail.  Every candidate stays below the table's value
+// bound (see fits_int32), so the sums never overflow T.
 //
 // kBytes is the vector width of the ISA tier (sizeof(T) for the scalar
 // tier); `Mask` turns a vector compare result into its lane bits with the
@@ -310,7 +309,8 @@ bool keep_bit(const std::uint64_t* keep_row, std::size_t c) {
   return (keep_row[c >> 6] >> (c & 63)) & 1;
 }
 
-/// Items the fill can select, ascending: the rest get no keep row.
+/// Items the fill can select, ascending: the rest are never selected.
+/// Reservation_DP's split into two 1-D knapsacks rests on the frenum check.
 void collect_live(std::span<const int> weights,
                   std::span<const int> shadow_weights, int capacity,
                   int shadow_capacity, std::vector<std::size_t>& live) {
@@ -368,68 +368,97 @@ std::vector<int> basic_fill(std::span<const int> weights, int capacity,
   return selected;
 }
 
-/// Reservation_DP, in place, over capacity rows a = 0 .. C and shadow
-/// columns b = 0 .. min(S, C), C the capacity and S the shadow capacity.
-/// For each live item (w, s) the rows are taken in descending order, row a
-/// updated from row a - w shifted by s; row a - w has not been touched for
-/// this item yet, so it still holds the previous item's values.
+/// One 0/1-knapsack row over `cols` columns: out[c] is the best of
+/// prev[c] and prev[c - w] + v.
+template <typename T>
+void knapsack_row(const T* __restrict prev, T* __restrict out,
+                  std::size_t cols, std::size_t w, T v) {
+  std::copy(prev, prev + w, out);
+  for (std::size_t c = w; c < cols; ++c)
+    out[c] = std::max(prev[c], prev[c - w] + v);
+}
+
+/// max over x <= min(a, b) of fb[x] + fa[a - x]: the best value of a set
+/// whose B items weigh x and whose A items fit in the rest of a.
+template <typename T>
+T best_split(const T* fa, const T* fb, std::size_t a, std::size_t b) {
+  T best = fa[a];  // fb[0] is 0
+  for (std::size_t x = 1; x <= std::min(a, b); ++x)
+    best = std::max(best, static_cast<T>(fb[x] + fa[a - x]));
+  return best;
+}
+
+/// Reservation_DP as two 1-D knapsacks.  Shadow weights are 0 or the
+/// weight (collect_live checks it), so the live items split into A
+/// (shadow weight 0) and B (shadow weight = weight).  A set fits (a, b)
+/// exactly when its B weight x <= min(a, b) and its A weight <= a - x, so
+///   V_k(a, b) = max over x <= min(a, b) of FB_k(x) + FA_k(a - x),
+/// V_k the 2-D table after the first k live items and FA_k / FB_k the
+/// plain knapsack rows over their A items (columns 0 .. C) and B items
+/// (columns 0 .. min(S, C); a live B item weighs at most that), C the
+/// capacity and S the shadow capacity.  `value` holds FA after each A
+/// item and `next` FB after each B item; row 0 of each is all zeros.
 ///
-/// The clamp of the shadow axis to min(S, C) selects what the unclamped
-/// table selects.  Let V(a, b) be the best value of a set of total weight
-/// <= a and total shadow weight <= b.  Shadow weights are 0 or the weight,
-/// so a set's shadow total never exceeds its weight total, and for b >= a
-/// the shadow bound is implied: V(a, b) = V(a, infinity).  The keep bit at
-/// (a, b) compares V(a - w, b - s) + v with V(a, b); for b >= a also
-/// b - s >= a - w, so neither side, and hence the bit, depends on b there.
-/// The backtrack starts at (C, min(S, C)) and each taken item moves it by
-/// (w, s) with s <= w, so b - a never shrinks.  When S >= C, the unclamped
-/// backtrack from (C, S) and the clamped one from (C, C) therefore read,
-/// step by step, the same item's bit in the same row a at columns that are
-/// both >= a, where the bit does not depend on the column: they take the
-/// same items.  When S < C nothing is clamped.  A cell's recurrence reads
-/// no column to its right, so the cells the clamped table keeps hold the
-/// unclamped values.
+/// The backtrack starts from t = V_L(C, min(S, C)) and walks k downward,
+/// taking item k (weights (w, s)) iff V_{k-1}(a, b) < t and then moving
+/// t, a and b by (v, w, s).  Since t = V_k(a, b) = max(V_{k-1}(a, b),
+/// V_{k-1}(a - w, b - s) + v), that is the 2-D table's keep bit
+/// V_{k-1}(a - w, b - s) + v > V_{k-1}(a, b): the same items are taken.
 template <typename T>
 std::vector<int> reservation_fill(std::span<const int> weights,
                                   std::span<const int> shadow_weights,
                                   int capacity, int shadow_capacity,
                                   DpWorkspace& ws) {
-  std::vector<T>& value = table_of<T>(ws).value;
+  DpTable<T>& table = table_of<T>(ws);
   const std::size_t n = weights.size();
   const std::int64_t base = priority_base(n);
-  const std::size_t rows = static_cast<std::size_t>(capacity) + 1;
-  const std::size_t cols =
+  const std::size_t cols_a = static_cast<std::size_t>(capacity) + 1;
+  const std::size_t cols_b =
       static_cast<std::size_t>(std::min(shadow_capacity, capacity)) + 1;
-  const std::size_t words = keep_words(cols);
-  const std::size_t item_words = rows * words;
-  const RowFill<T> fill = pick_row_fill<T>();
 
   collect_live(weights, shadow_weights, capacity, shadow_capacity, ws.live);
-  value.assign(rows * cols, 0);
-  ws.keep.assign(ws.live.size() * item_words, 0);
+  const std::size_t count_b = static_cast<std::size_t>(
+      std::count_if(ws.live.begin(), ws.live.end(),
+                    [&](std::size_t i) { return shadow_weights[i] > 0; }));
+  const std::size_t count_a = ws.live.size() - count_b;
+  // Every row past row 0 is written in full before it is read.
+  table.value.resize((count_a + 1) * cols_a);
+  table.next.resize((count_b + 1) * cols_b);
+  std::fill_n(table.value.begin(), cols_a, T{0});
+  std::fill_n(table.next.begin(), cols_b, T{0});
 
-  for (std::size_t k = 0; k < ws.live.size(); ++k) {
-    const std::size_t i = ws.live[k];
+  const auto value_of = [&](std::size_t i) {
+    return static_cast<T>(item_value(weights[i], i, n, base));
+  };
+  T* fa = table.value.data();
+  T* fb = table.next.data();
+  for (const std::size_t i : ws.live) {
     const std::size_t w = static_cast<std::size_t>(weights[i]);
-    const std::size_t s = static_cast<std::size_t>(shadow_weights[i]);
-    const T v = static_cast<T>(item_value(weights[i], i, n, base));
-    std::uint64_t* keep_item = ws.keep.data() + k * item_words;
-    for (std::size_t a = rows - 1; a >= w; --a) {
-      T* row = value.data() + a * cols;
-      fill(row, value.data() + (a - w) * cols, s, row, keep_item + a * words,
-           s, cols, v);
+    if (shadow_weights[i] == 0) {
+      knapsack_row(fa, fa + cols_a, cols_a, w, value_of(i));
+      fa += cols_a;
+    } else {
+      knapsack_row(fb, fb + cols_b, cols_b, w, value_of(i));
+      fb += cols_b;
     }
   }
 
   std::vector<int> selected;
-  std::size_t a = rows - 1;
-  std::size_t b = cols - 1;
+  std::size_t a = cols_a - 1;
+  std::size_t b = cols_b - 1;
+  T t = best_split(fa, fb, a, b);
   for (std::size_t k = ws.live.size(); k-- > 0;) {
-    if (keep_bit(ws.keep.data() + k * item_words + a * words, b)) {
-      const std::size_t i = ws.live[k];
+    const std::size_t i = ws.live[k];
+    const bool shadowed = shadow_weights[i] > 0;
+    if (shadowed)
+      fb -= cols_b;
+    else
+      fa -= cols_a;
+    if (best_split(fa, fb, a, b) < t) {
       selected.push_back(static_cast<int>(i));
+      t -= value_of(i);
       a -= static_cast<std::size_t>(weights[i]);
-      b -= static_cast<std::size_t>(shadow_weights[i]);
+      if (shadowed) b -= static_cast<std::size_t>(weights[i]);
     }
   }
   std::reverse(selected.begin(), selected.end());

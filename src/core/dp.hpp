@@ -20,35 +20,34 @@
 //  1. the *fast path* — when the total eligible demand fits the capacity
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
-//  2. the table fill.  Both DPs run one row kernel,
-//       out[c] = max(base[c], donor[c - shift] + v),
-//     which sets a keep bit (one bit per cell) where the donor wins.  It is
-//     one template over the value type, instantiated per ISA tier (see
-//     DpSimdLevel); each vector group's keep bits are OR-ed into their
-//     64-bit word at once, so rows shorter than 64 columns vectorize too.
-//     Basic_DP calls it double-buffered: base is the previous row, the
-//     donor is that row shifted by the item's weight w.  Reservation_DP
-//     calls it in place, capacity row by capacity row in descending order:
-//     base and out are row a, the donor is row a - w shifted by the item's
-//     shadow weight.  Around the kernel:
-//     - value width: every cell holds the value of a set packed within its
-//       column's capacity, which is below (capacity + 1) * (n^2 + 1)
-//       because the tie-break sum stays under the n^2 + 1 priority base.
-//       When that bound fits int32_t the table fills with int32_t (twice
-//       the lanes per vector), else with int64_t — the data picks the
-//       width per table;
-//     - shadow clamp: Reservation_DP's shadow axis stops at
-//       min(shadow capacity, capacity).  Shadow weights are 0 or the
-//       weight, so a set within the capacity never needs more shadow
-//       grains than the capacity; the keep bits on the backtrack path are
-//       those of the unclamped table (proof at the fill in dp.cpp);
-//     - live rows: keep rows exist only for the items the fill can select
-//       (positive weight within the capacity, shadow weight within the
-//       shadow capacity); the others produce no keep bits and are never
-//       selected.  Keep rows are padded to whole 64-bit words.
+//  2. the table fill.
+//     - Basic_DP runs one row kernel double-buffered,
+//         out[c] = max(prev[c], prev[c - w] + v),
+//       which sets a keep bit (one bit per cell) where the donor wins.  It
+//       is one template over the value type, instantiated per ISA tier
+//       (see DpSimdLevel); each vector group's keep bits are OR-ed into
+//       their 64-bit word at once, so rows shorter than 64 columns
+//       vectorize too.  Keep rows exist only for the items the fill can
+//       select (positive weight within the capacity) and are padded to
+//       whole 64-bit words.
+//     - Reservation_DP is solved as two 1-D knapsacks.  Shadow weights are
+//       0 or the weight, so the live items split into A (shadow weight 0)
+//       and B (shadow weight = weight), and the 2-D value is
+//         V(a, b) = max over x <= min(a, b) of FB(x) + FA(a - x),
+//       FA and FB plain knapsack rows over the A items (capacity + 1
+//       columns) and the B items (min(shadow capacity, capacity) + 1
+//       columns).  Every row is kept, with no keep bits; the backtrack
+//       takes item k iff V_{k-1}(a, b) falls short of the value still to
+//       account for, which is the 2-D table's keep bit (proof at the fill
+//       in dp.cpp).
+//     Value width: every cell holds the value of a set packed within its
+//     column's capacity, which is below (capacity + 1) * (n^2 + 1) because
+//     the tie-break sum stays under the n^2 + 1 priority base.  When that
+//     bound fits int32_t the table fills with int32_t (twice the lanes per
+//     vector), else with int64_t — the data picks the width per table.
 //     DpCounters::table_cells counts *logical* cells — items x (capacity +
-//     1), times (shadow capacity + 1) for Reservation_DP, unclamped — so
-//     it stays comparable across fill strategies.
+//     1), times (shadow capacity + 1) for Reservation_DP — so it stays
+//     comparable across fill strategies.
 // All paths return bit-identical selections; the kernels stay pure
 // functions of their arguments.  There is deliberately no result memo
 // between the tiers: an exact-keyed one answered 5-11% of the benchmark
@@ -72,16 +71,18 @@ namespace es::core {
 /// above says how a table picks its width).
 template <typename T>
 struct DpTable {
-  std::vector<T> value;  ///< Reservation_DP table; Basic_DP's previous row
-  std::vector<T> next;   ///< Basic_DP's row being filled
+  /// Basic_DP's previous row; Reservation_DP's A-item knapsack rows
+  std::vector<T> value;
+  /// Basic_DP's row being filled; Reservation_DP's B-item knapsack rows
+  std::vector<T> next;
 };
 
 /// Reusable DP buffers and counters; one per policy instance.
 struct DpWorkspace {
   DpTable<std::int32_t> table32;
   DpTable<std::int64_t> table64;
-  /// Take bits of the live items only, one row per table row, each row
-  /// padded to whole 64-bit words.
+  /// Basic_DP's take bits of the live items only, one row per item, each
+  /// row padded to whole 64-bit words.
   std::vector<std::uint64_t> keep;
   std::vector<std::size_t> live;  ///< items the fill can select, ascending
 
@@ -111,10 +112,10 @@ std::vector<int> reservation_dp(std::span<const int> weights,
                                 int capacity, int shadow_capacity,
                                 DpWorkspace& ws);
 
-/// Instruction-set tier of the DP row kernel.  The kernel is instantiated
-/// for AVX2 and SSE4.2 (per-function target attributes, so the rest of the
-/// binary stays baseline-ISA) and for the scalar baseline; table fills use
-/// the widest tier the host supports at runtime.  Every tier computes the
+/// Instruction-set tier of Basic_DP's row kernel.  The kernel is
+/// instantiated for AVX2 and SSE4.2 (per-function target attributes, so the
+/// rest of the binary stays baseline-ISA) and for the scalar baseline;
+/// table fills use the widest tier the host supports at runtime.  Every tier computes the
 /// identical max/keep recurrence, so selections are bit-identical across
 /// tiers — gated by the dp tests, micro_dp, and the WideDpGolden
 /// equivalence legs.

@@ -25,7 +25,8 @@ struct DpCounters {
                                  ///  (calls == fast_path + table_runs,
                                  ///   always)
   std::uint64_t table_runs = 0;  ///< full table fills (the expensive path)
-  std::uint64_t table_cells = 0; ///< DP cells touched across table fills
+  std::uint64_t table_cells = 0; ///< logical DP cells across table fills,
+                                 ///< not the cells written (see dp.hpp)
   // Vestiges of the retired DP result cache and speculative DP pipeline:
   // always 0 (nothing increments or sums them), but the benchmark's layer
   // report still reads them.  They go with the benchmark/ change of

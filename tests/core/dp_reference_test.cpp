@@ -161,6 +161,34 @@ TEST_F(DpReference, BasicDpOnWideTables) {
   expect_basic_matches(instance, ws, "wide, 24 items");
 }
 
+TEST_F(DpReference, ReservationDpOnWideTables) {
+  // Capacities of 8192 grains and more under a binding shadow capacity (at
+  // most 512, which keeps the reference's 2-D table small): no item
+  // crossing the freeze, every item crossing it, and a mix.  Sizes come
+  // from a few distinct values, small enough for the shadow capacity or up
+  // to a third of the capacity, so many subsets tie.
+  util::Rng rng(1305);
+  DpWorkspace ws;
+  for (int round = 0; round < 6; ++round) {
+    Instance instance;
+    instance.capacity = 8192 + draw(rng, 0, 4096);
+    instance.shadow_capacity = draw(rng, 64, 512);
+    const int sizes[] = {draw(rng, 1, instance.shadow_capacity / 4),
+                         draw(rng, 1, instance.shadow_capacity),
+                         draw(rng, 1, instance.capacity / 3)};
+    const int n = 8 + draw(rng, 0, 16);
+    for (int i = 0; i < n; ++i) {
+      const int w = sizes[draw(rng, 0, 2)];
+      const bool crosses =
+          round % 3 == 1 || (round % 3 == 2 && rng.bernoulli(0.5));
+      instance.weights.push_back(w);
+      instance.shadows.push_back(crosses ? w : 0);
+    }
+    expect_reservation_matches(instance, ws, "wide");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST_F(DpReference, BasicDpWithSkippedAndWordBoundaryItems) {
   // Zero-weight and over-capacity items interleaved with weights that are
   // multiples of the 64-column keep word, on a 3 * 8192-column table.

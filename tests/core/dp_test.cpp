@@ -8,7 +8,6 @@
 
 #include "core/dp_reference.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace es::core {
 namespace {
@@ -256,36 +255,6 @@ TEST(DpCounters, EveryCallIsCounted) {
   EXPECT_GT(ws.counters.table_cells, 0u);
 }
 
-class BlockedDpTest : public ::testing::Test {
- protected:
-  void TearDown() override { util::set_global_parallelism(1); }
-};
-
-TEST_F(BlockedDpTest, WideTableSelectsIdenticallyUnderParallelFill) {
-  // Capacities of 8192 columns and more, filled with the process-wide pool
-  // at 1 and at 4 threads: the selection must not depend on the pool size,
-  // bit for bit (same optimum AND same tie-breaks).
-  util::Rng rng(505);
-  for (int round = 0; round < 6; ++round) {
-    const int capacity = 8191 + static_cast<int>(rng.uniform_int(0, 9000));
-    const int n = 8 + static_cast<int>(rng.uniform_int(0, 24));
-    std::vector<int> weights;
-    for (int i = 0; i < n; ++i)
-      weights.push_back(static_cast<int>(rng.uniform_int(0, capacity / 2)));
-    util::set_global_parallelism(1);
-    DpWorkspace serial_ws;
-    const auto serial = detail::basic_dp_table(weights, capacity, serial_ws);
-    util::set_global_parallelism(4);
-    DpWorkspace parallel_ws;
-    const auto parallel =
-        detail::basic_dp_table(weights, capacity, parallel_ws);
-    ASSERT_EQ(parallel, serial) << "round " << round;
-    // Logical work accounting must not depend on the pool size either.
-    EXPECT_EQ(parallel_ws.counters.table_cells,
-              serial_ws.counters.table_cells);
-  }
-}
-
 class SimdDpTest : public ::testing::Test {
  protected:
   // Every test flips the process-wide SIMD toggle; always restore the
@@ -325,28 +294,6 @@ TEST_F(SimdDpTest, VectorRowFillSelectsIdenticallyToScalar) {
     EXPECT_EQ(simd_ws.counters.table_cells, scalar_ws.counters.table_cells);
     ASSERT_LE(total(weights, simd), capacity);
   }
-}
-
-TEST_F(SimdDpTest, VectorAndBlockedFillsComposeIdentically) {
-  // A wide table under all four (simd x pool size) combinations: the
-  // selection must agree across every one of them.
-  util::Rng rng(808);
-  const int capacity = 8192 + static_cast<int>(rng.uniform_int(0, 4096));
-  std::vector<int> weights;
-  for (int i = 0; i < 24; ++i)
-    weights.push_back(static_cast<int>(rng.uniform_int(0, capacity / 2)));
-  std::vector<std::vector<int>> results;
-  for (const bool simd : {false, true}) {
-    for (const int jobs : {1, 4}) {
-      set_dp_simd_enabled(simd);
-      util::set_global_parallelism(jobs);
-      DpWorkspace ws;
-      results.push_back(detail::basic_dp_table(weights, capacity, ws));
-    }
-  }
-  util::set_global_parallelism(1);
-  for (std::size_t i = 1; i < results.size(); ++i)
-    ASSERT_EQ(results[i], results[0]) << "combination " << i;
 }
 
 TEST_F(SimdDpTest, BoundaryWidthsAgreeAcrossTiers) {
@@ -410,6 +357,49 @@ TEST(ReservationDp, WorkspaceReuseIsClean) {
     ASSERT_EQ(detail::basic_dp_table(w, shape.capacity, ws),
               testing::reference_basic_dp(w, shape.capacity))
         << "round " << round;
+  }
+
+  // Reservation_DP reuses its knapsack rows without clearing them.  Run
+  // A-only (no item crosses the freeze), B-only (every item crosses) and
+  // mixed instances through one workspace, on both sides of the int32_t
+  // bound, with the tables of each width first growing and then
+  // shrinking: every selection must equal a fresh workspace's.
+  struct Instance {
+    std::vector<int> w, s;
+    int capacity;
+    int shadow_capacity;
+  };
+  enum class Mix { kAOnly, kBOnly, kMixed };
+  std::vector<Instance> growing;
+  for (const Shape& shape : {Shape{12, 9, 4}, Shape{60, 200, 150},
+                             Shape{20000, 6, 3}, Shape{5000, 120, 100}}) {
+    for (const Mix mix : {Mix::kAOnly, Mix::kBOnly, Mix::kMixed}) {
+      Instance instance{{}, {}, shape.capacity, shape.shadow_capacity};
+      for (int i = 0; i < shape.n; ++i) {
+        const int weight =
+            static_cast<int>(rng.uniform_int(0, shape.capacity + 2));
+        const bool crosses =
+            mix == Mix::kBOnly || (mix == Mix::kMixed && rng.bernoulli(0.5));
+        instance.w.push_back(weight);
+        instance.s.push_back(crosses ? weight : 0);
+      }
+      growing.push_back(std::move(instance));
+    }
+  }
+  std::vector<const Instance*> order;
+  for (const Instance& instance : growing) order.push_back(&instance);
+  for (auto it = growing.rbegin(); it != growing.rend(); ++it)
+    order.push_back(&*it);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Instance& instance = *order[k];
+    DpWorkspace fresh;
+    ASSERT_EQ(detail::reservation_dp_table(instance.w, instance.s,
+                                           instance.capacity,
+                                           instance.shadow_capacity, ws),
+              detail::reservation_dp_table(instance.w, instance.s,
+                                           instance.capacity,
+                                           instance.shadow_capacity, fresh))
+        << "call " << k;
   }
 }
 
