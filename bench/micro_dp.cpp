@@ -32,27 +32,6 @@ std::vector<int> random_weights(std::size_t n, int max_grains,
   return weights;
 }
 
-void BM_BasicDp(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int capacity = static_cast<int>(state.range(1));
-  const auto weights = random_weights(n, capacity, 42);
-  es::core::DpWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(es::core::basic_dp(weights, capacity, ws));
-  }
-  state.SetComplexityN(state.range(0));
-}
-// Queue length sweep at BlueGene/P capacity (10 grains) and at a
-// granularity-1 SP2 (128 grains).
-BENCHMARK(BM_BasicDp)
-    ->Args({10, 10})
-    ->Args({50, 10})
-    ->Args({250, 10})
-    ->Args({1000, 10})
-    ->Args({50, 128})
-    ->Args({250, 128})
-    ->Complexity(benchmark::oN);
-
 /// Job sizes of the wide_g1 shape in grains (granularity 1): 32-96
 /// processors with probability 0.2, else 128-320.
 std::vector<int> wide_g1_weights(std::size_t n, std::uint64_t seed) {
@@ -65,6 +44,40 @@ std::vector<int> wide_g1_weights(std::size_t n, std::uint64_t seed) {
                                            : rng.uniform_int(128, 320)));
   return weights;
 }
+
+/// Basic_DP through its public entry (fast path, then the table fill): arg
+/// 0 is queue length, arg 1 capacity in grains.  The 311-grain leg is the
+/// mean table of wide_g1's Basic_DP fills — 196 items over 311 free grains
+/// at granularity 1 — with its job-size mix.  Each iteration compares its
+/// selection against the reference recurrence (tests/core/dp_reference.hpp)
+/// computed up front, aborting on the first divergence.  No complexity fit:
+/// the legs vary the capacity as well as the queue length.
+void BM_BasicDp(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const int capacity = static_cast<int>(state.range(1));
+  const auto weights = capacity > 128 ? wide_g1_weights(n, 42)
+                                      : random_weights(n, capacity, 42);
+  const auto expected = es::testing::reference_basic_dp(weights, capacity);
+  es::core::DpWorkspace ws;
+  for (auto _ : state) {
+    const auto selected = es::core::basic_dp(weights, capacity, ws);
+    if (selected != expected) {
+      diverge(state, "basic DP diverged from the reference");
+      break;
+    }
+    benchmark::DoNotOptimize(selected);
+  }
+}
+// Queue length sweep at BlueGene/P capacity (10 grains) and at a
+// granularity-1 SP2 (128 grains), then the wide_g1 shape.
+BENCHMARK(BM_BasicDp)
+    ->Args({10, 10})
+    ->Args({50, 10})
+    ->Args({250, 10})
+    ->Args({1000, 10})
+    ->Args({50, 128})
+    ->Args({250, 128})
+    ->Args({196, 311});
 
 /// Reservation_DP table fill (detail::, bypassing the fast path): arg 0 is
 /// queue length, arg 1 capacity and arg 2 shadow capacity in grains.  The

@@ -93,7 +93,6 @@ std::atomic<bool> g_dp_simd_enabled{true};
 DpSimdLevel detect_dp_simd_level() {
 #if ES_DP_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return DpSimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return DpSimdLevel::kSse42;
 #endif
   return DpSimdLevel::kScalar;
 }
@@ -119,8 +118,6 @@ const char* dp_simd_level_name(DpSimdLevel level) {
   switch (level) {
     case DpSimdLevel::kAvx2:
       return "avx2";
-    case DpSimdLevel::kSse42:
-      return "sse4.2";
     case DpSimdLevel::kScalar:
       return "scalar";
   }
@@ -134,24 +131,16 @@ namespace {
 // --- the row kernel ----------------------------------------------------------
 
 #if ES_DP_SIMD_X86
-/// A vector of kBytes / sizeof(T) lanes of T.
-template <typename T, std::size_t kBytes>
+/// A vector of 32 bytes of T: the AVX2 tier's lanes.
+template <typename T>
 struct Lanes;
 template <>
-struct Lanes<std::int32_t, 32> {
+struct Lanes<std::int32_t> {
   typedef std::int32_t Vec __attribute__((vector_size(32)));
 };
 template <>
-struct Lanes<std::int64_t, 32> {
+struct Lanes<std::int64_t> {
   typedef std::int64_t Vec __attribute__((vector_size(32)));
-};
-template <>
-struct Lanes<std::int32_t, 16> {
-  typedef std::int32_t Vec __attribute__((vector_size(16)));
-};
-template <>
-struct Lanes<std::int64_t, 16> {
-  typedef std::int64_t Vec __attribute__((vector_size(16)));
 };
 
 /// A vector compare result's lane bits, with the tier's instruction.
@@ -164,89 +153,82 @@ struct Avx2Mask {
       return _mm256_movemask_pd((__m256d)take);
   }
 };
-
-struct Sse42Mask {
-  template <typename Vec>
-  __attribute__((target("sse4.2"))) static int bits(Vec take) {
-    if constexpr (sizeof(take[0]) == 4)
-      return _mm_movemask_ps((__m128)take);
-    else
-      return _mm_movemask_pd((__m128d)take);
-  }
-};
 #endif  // ES_DP_SIMD_X86
 
-
-// --- the row kernel ----------------------------------------------------------
-//
-// One row step of Basic_DP over the columns [lo, hi), lo >= shift:
-//   out[c] = max(base[c], donor[c - shift] + v),
+// One row step of Basic_DP, in place over the columns [lo, hi), lo >= shift:
+//   row[c] = max(row[c], row[c - shift] + v),
 // setting bit c of the row's keep words (bit c & 63 of keep_row[c >> 6])
-// where the donor wins.  The donor comes as its row plus a shift, so no
-// pointer is ever formed before a row's start.  `out` must not alias
-// `base` or the donor's cells, and the keep words must be clear on entry.
-// Columns run one at a time up to a multiple of the vector width, then a
-// vector group at a time — a group's bits all land in one word, which
-// collects them in a register and is OR-ed into the table once — then one
-// at a time for the tail.  Every candidate stays below the table's value
-// bound (see fits_int32), so the sums never overflow T.
+// where the donor wins.  The keep words must be clear on entry.  Columns
+// run from hi down to lo: one at a time down to a multiple of the vector
+// width, then a vector group at a time — a group's bits all land in one
+// word, which collects them in a register and is OR-ed into the table once
+// — then one at a time for the rest.  Descending is what makes one row
+// enough: a step (a column or a group [g, g + L)) loads its own cells and
+// its donor cells [g - shift, g - shift + L) before it stores, and every
+// later step reads only cells below g, so every read sees the previous
+// row.  Every candidate stays below the table's value bound (see
+// fits_int32), so the sums never overflow T.
 //
 // kBytes is the vector width of the ISA tier (sizeof(T) for the scalar
 // tier); `Mask` turns a vector compare result into its lane bits with the
 // tier's instruction.
 template <typename T, std::size_t kBytes, typename Mask>
-[[gnu::always_inline]] inline void fill_row(const T* base, const T* donor,
-                                            std::size_t shift, T* out,
+[[gnu::always_inline]] inline void fill_row(T* row, std::size_t shift,
                                             std::uint64_t* keep_row,
                                             std::size_t lo, std::size_t hi,
                                             T v) {
   constexpr std::size_t kLanes = kBytes / sizeof(T);
   const auto take_bit = [&](std::size_t c) -> std::uint64_t {
-    const T current = base[c];
-    const T candidate = donor[c - shift] + v;
+    const T current = row[c];
+    const T candidate = row[c - shift] + v;
     const bool take = candidate > current;
-    out[c] = take ? candidate : current;
+    row[c] = take ? candidate : current;
     return take ? 1 : 0;
   };
-  std::size_t c = lo;
-  for (; c < hi && c % kLanes != 0; ++c)
+  std::size_t c = hi;  // columns [c, hi) are done
+  while (c > lo && c % kLanes != 0) {
+    --c;
     keep_row[c >> 6] |= take_bit(c) << (c & 63);
-  while (c + kLanes <= hi) {
-    const std::size_t word_end = std::min(hi, (c | 63) + 1);
+  }
+  while (c >= lo + kLanes) {
+    const std::size_t word_start = std::max(lo, (c - 1) & ~std::size_t{63});
     std::uint64_t word = 0;
-    for (; c + kLanes <= word_end; c += kLanes) {
+    while (c >= word_start + kLanes) {
+      c -= kLanes;
       if constexpr (kLanes == 1) {
         word |= take_bit(c) << (c & 63);
       } else {
 #if ES_DP_SIMD_X86
-        using Vec = typename Lanes<T, kBytes>::Vec;
+        using Vec = typename Lanes<T>::Vec;
         Vec current;
         Vec donated;
-        std::memcpy(&current, base + c, sizeof current);
-        std::memcpy(&donated, donor + (c - shift), sizeof donated);
+        std::memcpy(&current, row + c, sizeof current);
+        std::memcpy(&donated, row + (c - shift), sizeof donated);
         const Vec candidate = donated + v;
         const auto take = candidate > current;
         const Vec best = take ? candidate : current;
-        std::memcpy(out + c, &best, sizeof best);
+        std::memcpy(row + c, &best, sizeof best);
         word |= std::uint64_t{static_cast<unsigned>(Mask::bits(take))}
                 << (c & 63);
 #endif
       }
     }
-    keep_row[(c - 1) >> 6] |= word;
+    keep_row[c >> 6] |= word;
   }
-  for (; c < hi; ++c) keep_row[c >> 6] |= take_bit(c) << (c & 63);
+  while (c > lo) {
+    --c;
+    keep_row[c >> 6] |= take_bit(c) << (c & 63);
+  }
 }
 
 template <typename T>
-using RowFill = void (*)(const T*, const T*, std::size_t, T*, std::uint64_t*,
-                         std::size_t, std::size_t, T);
+using RowFill = void (*)(T*, std::size_t, std::uint64_t*, std::size_t,
+                         std::size_t, T);
 
 template <typename T>
-void fill_row_scalar(const T* base, const T* donor, std::size_t shift,
-                     T* out, std::uint64_t* keep_row, std::size_t lo,
-                     std::size_t hi, T v) {
-  fill_row<T, sizeof(T), void>(base, donor, shift, out, keep_row, lo, hi, v);
+void fill_row_scalar(T* row, std::size_t shift, std::uint64_t* keep_row,
+                     std::size_t lo, std::size_t hi, T v) {
+  fill_row<T, sizeof(T), void>(row, shift, keep_row, lo, hi, v);
 }
 
 #if ES_DP_SIMD_X86
@@ -254,32 +236,19 @@ void fill_row_scalar(const T* base, const T* donor, std::size_t shift,
 // into the target-attributed body, so the vector code is compiled for the
 // tier's ISA.
 template <typename T>
-__attribute__((target("sse4.2"), flatten)) void fill_row_sse42(
-    const T* base, const T* donor, std::size_t shift, T* out,
-    std::uint64_t* keep_row, std::size_t lo, std::size_t hi, T v) {
-  fill_row<T, 16, Sse42Mask>(base, donor, shift, out, keep_row, lo, hi, v);
-}
-
-template <typename T>
 __attribute__((target("avx2"), flatten)) void fill_row_avx2(
-    const T* base, const T* donor, std::size_t shift, T* out,
-    std::uint64_t* keep_row, std::size_t lo, std::size_t hi, T v) {
-  fill_row<T, 32, Avx2Mask>(base, donor, shift, out, keep_row, lo, hi, v);
+    T* row, std::size_t shift, std::uint64_t* keep_row, std::size_t lo,
+    std::size_t hi, T v) {
+  fill_row<T, 32, Avx2Mask>(row, shift, keep_row, lo, hi, v);
 }
 #endif  // ES_DP_SIMD_X86
 
 template <typename T>
 RowFill<T> pick_row_fill() {
-  switch (dp_simd_level()) {
 #if ES_DP_SIMD_X86
-    case DpSimdLevel::kAvx2:
-      return fill_row_avx2<T>;
-    case DpSimdLevel::kSse42:
-      return fill_row_sse42<T>;
+  if (dp_simd_level() == DpSimdLevel::kAvx2) return fill_row_avx2<T>;
 #endif
-    default:
-      return fill_row_scalar<T>;
-  }
+  return fill_row_scalar<T>;
 }
 
 // --- the two fills -----------------------------------------------------------
@@ -311,48 +280,82 @@ bool keep_bit(const std::uint64_t* keep_row, std::size_t c) {
 
 /// Items the fill can select, ascending: the rest are never selected.
 /// Reservation_DP's split into two 1-D knapsacks rests on the frenum check.
+///
+/// Dominated copies are dropped too: an item is live only if fewer than
+/// floor(C / w) earlier live items have its weight w, counted per class for
+/// Reservation_DP — A items (shadow weight 0) against C, B items (shadow
+/// weight w) against min(S, C); Basic_DP's items are all A.  C is the
+/// capacity and S the shadow capacity.
+///
+/// This is exact.  Say an optimal set at some column, over the items up to
+/// a dropped one, held it.  Its items of weight w weigh at most the column,
+/// so at most C, and its B items at most the shadow column, so at most
+/// min(S, C), the most the backtrack reads.  So besides the dropped item it
+/// holds at most m - 1 items of its weight and class, m = floor(C / w)
+/// (for B, floor(min(S, C) / w)), and one of the m earlier live copies is
+/// unused.  Swapping the dropped item for that copy keeps the weight and
+/// the shadow weight and strictly raises the tie-break term n - i: a
+/// contradiction.  So no optimal set at any column holds a dropped item.
+/// Every value V_k is the same with or without its row, its keep bit would
+/// be 0 in every column (its candidate falls short strictly), and the
+/// backtrack takes the same items.
+///
+/// `ws.live_weight` holds, per weight, the weight of its live copies so far
+/// (A's at [w], B's at [C + 1 + w]); an item is live while that plus w fits
+/// its class's capacity, which is the count rule without a division.  Only
+/// a live item's entry is ever raised, so zeroing those leaves the entries
+/// all zero for the next call.
 void collect_live(std::span<const int> weights,
                   std::span<const int> shadow_weights, int capacity,
-                  int shadow_capacity, std::vector<std::size_t>& live) {
-  live.clear();
+                  int shadow_capacity, DpWorkspace& ws) {
+  const std::size_t cols = static_cast<std::size_t>(capacity) + 1;
+  const int b_capacity = std::min(shadow_capacity, capacity);
+  const auto shadow_of = [&](std::size_t i) {
+    return shadow_weights.empty() ? 0 : shadow_weights[i];
+  };
+  const auto live_weight_of = [&](std::size_t i) -> int& {
+    return ws.live_weight[(shadow_of(i) > 0 ? cols : 0) +
+                          static_cast<std::size_t>(weights[i])];
+  };
+  ws.live.clear();
+  ws.live_weight.resize(2 * cols);  // all zero between calls
   for (std::size_t i = 0; i < weights.size(); ++i) {
     const int w = weights[i];
-    const int s = shadow_weights.empty() ? 0 : shadow_weights[i];
+    const int s = shadow_of(i);
     ES_EXPECTS(w >= 0 && s >= 0);
     ES_EXPECTS(s == 0 || s == w);  // frenum is 0 or the job size
-    if (!fill_skips(w, s, capacity, shadow_capacity)) live.push_back(i);
+    if (fill_skips(w, s, capacity, shadow_capacity)) continue;
+    int& taken = live_weight_of(i);
+    if (taken <= (s > 0 ? b_capacity : capacity) - w) {
+      taken += w;
+      ws.live.push_back(i);
+    }
   }
+  for (const std::size_t i : ws.live) live_weight_of(i) = 0;
 }
 
-/// Basic_DP, double-buffered: row k (the k-th live item) is computed from
-/// row k-1 — base is the previous row, the donor is the same row shifted by
-/// the item's weight.
+/// Basic_DP in one row, filled in place: after row k (the k-th live item)
+/// the row holds V_k, and the item's keep bits are its own row of words.
 template <typename T>
 std::vector<int> basic_fill(std::span<const int> weights, int capacity,
                             DpWorkspace& ws) {
-  DpTable<T>& table = table_of<T>(ws);
   const std::size_t n = weights.size();
   const std::int64_t base = priority_base(n);
   const std::size_t cols = static_cast<std::size_t>(capacity) + 1;
   const std::size_t words = keep_words(cols);
   const RowFill<T> fill = pick_row_fill<T>();
 
-  collect_live(weights, {}, capacity, 0, ws.live);
-  table.value.assign(cols, 0);
-  table.next.resize(cols);  // every row writes all of it
+  collect_live(weights, {}, capacity, 0, ws);
+  std::vector<T>& row = table_of<T>(ws).a_rows;
+  row.assign(cols, 0);
   ws.keep.assign(ws.live.size() * words, 0);
 
   for (std::size_t k = 0; k < ws.live.size(); ++k) {
     const std::size_t i = ws.live[k];
+    // A live item fits (w <= capacity); columns below w keep V_{k-1}.
     const std::size_t w = static_cast<std::size_t>(weights[i]);
     const T v = static_cast<T>(item_value(weights[i], i, n, base));
-    const T* prev = table.value.data();
-    T* cur = table.next.data();
-    // A live item fits (w <= capacity), so columns below w keep the
-    // previous row and the donor covers the rest.
-    std::copy(prev, prev + w, cur);
-    fill(prev, prev, w, cur, ws.keep.data() + k * words, w, cols, v);
-    std::swap(table.value, table.next);
+    fill(row.data(), w, ws.keep.data() + k * words, w, cols, v);
   }
 
   std::vector<int> selected;
@@ -396,8 +399,8 @@ T best_split(const T* fa, const T* fb, std::size_t a, std::size_t b) {
 /// V_k the 2-D table after the first k live items and FA_k / FB_k the
 /// plain knapsack rows over their A items (columns 0 .. C) and B items
 /// (columns 0 .. min(S, C); a live B item weighs at most that), C the
-/// capacity and S the shadow capacity.  `value` holds FA after each A
-/// item and `next` FB after each B item; row 0 of each is all zeros.
+/// capacity and S the shadow capacity.  `a_rows` holds FA after each A
+/// item and `b_rows` FB after each B item; row 0 of each is all zeros.
 ///
 /// The backtrack starts from t = V_L(C, min(S, C)) and walks k downward,
 /// taking item k (weights (w, s)) iff V_{k-1}(a, b) < t and then moving
@@ -416,22 +419,22 @@ std::vector<int> reservation_fill(std::span<const int> weights,
   const std::size_t cols_b =
       static_cast<std::size_t>(std::min(shadow_capacity, capacity)) + 1;
 
-  collect_live(weights, shadow_weights, capacity, shadow_capacity, ws.live);
+  collect_live(weights, shadow_weights, capacity, shadow_capacity, ws);
   const std::size_t count_b = static_cast<std::size_t>(
       std::count_if(ws.live.begin(), ws.live.end(),
                     [&](std::size_t i) { return shadow_weights[i] > 0; }));
   const std::size_t count_a = ws.live.size() - count_b;
   // Every row past row 0 is written in full before it is read.
-  table.value.resize((count_a + 1) * cols_a);
-  table.next.resize((count_b + 1) * cols_b);
-  std::fill_n(table.value.begin(), cols_a, T{0});
-  std::fill_n(table.next.begin(), cols_b, T{0});
+  table.a_rows.resize((count_a + 1) * cols_a);
+  table.b_rows.resize((count_b + 1) * cols_b);
+  std::fill_n(table.a_rows.begin(), cols_a, T{0});
+  std::fill_n(table.b_rows.begin(), cols_b, T{0});
 
   const auto value_of = [&](std::size_t i) {
     return static_cast<T>(item_value(weights[i], i, n, base));
   };
-  T* fa = table.value.data();
-  T* fb = table.next.data();
+  T* fa = table.a_rows.data();
+  T* fb = table.b_rows.data();
   for (const std::size_t i : ws.live) {
     const std::size_t w = static_cast<std::size_t>(weights[i]);
     if (shadow_weights[i] == 0) {

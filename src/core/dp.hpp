@@ -21,15 +21,15 @@
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
 //  2. the table fill.
-//     - Basic_DP runs one row kernel double-buffered,
-//         out[c] = max(prev[c], prev[c - w] + v),
+//     - Basic_DP fills one row in place, from the top column down,
+//         row[c] = max(row[c], row[c - w] + v),
 //       which sets a keep bit (one bit per cell) where the donor wins.  It
-//       is one template over the value type, instantiated per ISA tier
-//       (see DpSimdLevel); each vector group's keep bits are OR-ed into
-//       their 64-bit word at once, so rows shorter than 64 columns
-//       vectorize too.  Keep rows exist only for the items the fill can
-//       select (positive weight within the capacity) and are padded to
-//       whole 64-bit words.
+//       is one template over the value type, instantiated for AVX2 and the
+//       scalar baseline (see DpSimdLevel); each vector group loads its
+//       donor cells before it stores, and each 64-bit word of keep bits is
+//       OR-ed into the table at once, so rows shorter than 64 columns
+//       vectorize too.  Keep rows exist only for the live items (below)
+//       and are padded to whole 64-bit words.
 //     - Reservation_DP is solved as two 1-D knapsacks.  Shadow weights are
 //       0 or the weight, so the live items split into A (shadow weight 0)
 //       and B (shadow weight = weight), and the 2-D value is
@@ -40,6 +40,14 @@
 //       takes item k iff V_{k-1}(a, b) falls short of the value still to
 //       account for, which is the 2-D table's keep bit (proof at the fill
 //       in dp.cpp).
+//     Live items: those the fill can select (positive weight within the
+//     capacity, shadow weight within the shadow capacity), less dominated
+//     copies — an item of weight w is dropped once floor(capacity / w)
+//     earlier live items have its weight (per class A or B for
+//     Reservation_DP, B against min(shadow capacity, capacity)).
+//     No optimal set at any column can hold it — swapping it for an
+//     unused earlier copy would raise the tie-break — so every value and
+//     every selection is unchanged (proof at collect_live in dp.cpp).
 //     Value width: every cell holds the value of a set packed within its
 //     column's capacity, which is below (capacity + 1) * (n^2 + 1) because
 //     the tie-break sum stays under the n^2 + 1 priority base.  When that
@@ -71,10 +79,12 @@ namespace es::core {
 /// above says how a table picks its width).
 template <typename T>
 struct DpTable {
-  /// Basic_DP's previous row; Reservation_DP's A-item knapsack rows
-  std::vector<T> value;
-  /// Basic_DP's row being filled; Reservation_DP's B-item knapsack rows
-  std::vector<T> next;
+  /// Basic_DP's one row, filled in place; Reservation_DP's knapsack rows
+  /// over its A items (shadow weight 0), one per item plus row 0
+  std::vector<T> a_rows;
+  /// Reservation_DP's knapsack rows over its B items (shadow weight =
+  /// weight), one per item plus row 0
+  std::vector<T> b_rows;
 };
 
 /// Reusable DP buffers and counters; one per policy instance.
@@ -85,6 +95,10 @@ struct DpWorkspace {
   /// row padded to whole 64-bit words.
   std::vector<std::uint64_t> keep;
   std::vector<std::size_t> live;  ///< items the fill can select, ascending
+  /// Per weight w, the weight of the live items of weight w so far while
+  /// `live` is collected: class A at [w], class B at [capacity + 1 + w].
+  /// All zero between calls.
+  std::vector<int> live_weight;
 
   /// Per-cycle eligibility-scan scratch, reused by the LOS-family policies
   /// so the hot scheduling cycle performs no heap allocation.  The scans
@@ -113,17 +127,18 @@ std::vector<int> reservation_dp(std::span<const int> weights,
                                 DpWorkspace& ws);
 
 /// Instruction-set tier of Basic_DP's row kernel.  The kernel is
-/// instantiated for AVX2 and SSE4.2 (per-function target attributes, so the
-/// rest of the binary stays baseline-ISA) and for the scalar baseline;
-/// table fills use the widest tier the host supports at runtime.  Every tier computes the
-/// identical max/keep recurrence, so selections are bit-identical across
-/// tiers — gated by the dp tests, micro_dp, and the WideDpGolden
-/// equivalence legs.
-enum class DpSimdLevel { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+/// instantiated for AVX2 (a per-function target attribute, so the rest of
+/// the binary stays baseline-ISA) and for the scalar baseline; table fills
+/// use AVX2 when the host supports it at runtime, else scalar.  Both tiers
+/// compute the identical max/keep recurrence, so selections are
+/// bit-identical across tiers — gated by the dp tests, micro_dp, and the
+/// WideDpGolden equivalence legs.
+enum class DpSimdLevel { kScalar, kAvx2 };
 
-/// The tier table fills will actually use: the widest supported one, or
-/// kScalar when vectorization is disabled (set_dp_simd_enabled(false),
-/// building with ES_DP_SIMD off, or a non-x86 host).
+/// The tier table fills will actually use: kAvx2 when the host supports
+/// it, else kScalar — also when vectorization is disabled
+/// (set_dp_simd_enabled(false), building with ES_DP_SIMD off, or a non-x86
+/// host).
 DpSimdLevel dp_simd_level();
 
 /// Force-scalar toggle for differential tests and before/after benchmarks
@@ -131,7 +146,7 @@ DpSimdLevel dp_simd_level();
 void set_dp_simd_enabled(bool enabled);
 bool dp_simd_enabled();
 
-/// Human-readable tier name ("scalar", "sse4.2", "avx2").
+/// Human-readable tier name ("scalar", "avx2").
 const char* dp_simd_level_name(DpSimdLevel level);
 
 namespace detail {

@@ -102,6 +102,55 @@ void expect_reservation_matches(const Instance& instance, DpWorkspace& ws,
   }
 }
 
+/// Items of 2-4 distinct weights, all multiples of one step so that many
+/// sums tie, each weight in exactly m or m + 1 copies, m = floor(capacity /
+/// w): the edge of the fill's dominated-copies rule.  With `shadowed`, each
+/// weight gets A copies (shadow weight 0) against m and, when it fits
+/// min(shadow capacity, capacity), B copies (shadow weight w) against
+/// m = floor(min(shadow capacity, capacity) / w), interleaved.  With
+/// `int64`, zero-weight and over-capacity items pad the queue until the
+/// value bound passes INT32_MAX, so the table fills with int64_t.  The
+/// queue order is shuffled.
+Instance duplicate_heavy(util::Rng& rng, int capacity, bool shadowed,
+                         bool int64) {
+  Instance instance;
+  instance.capacity = capacity;
+  instance.shadow_capacity =
+      shadowed ? draw(rng, 1, capacity + capacity / 2) : 0;
+  const int b_capacity = std::min(instance.shadow_capacity, capacity);
+  const int step = draw(rng, 1, std::max(1, capacity / 6));
+  std::vector<int> sizes;
+  for (int k = draw(rng, 2, 4); k > 0; --k) {
+    const int w = step * draw(rng, 1, 4);
+    if (w <= capacity && std::find(sizes.begin(), sizes.end(), w) == sizes.end())
+      sizes.push_back(w);
+  }
+  const auto add_copies = [&](int w, int shadow, int room) {
+    const int copies = room / w + draw(rng, 0, 1);
+    for (int k = 0; k < copies; ++k) {
+      instance.weights.push_back(w);
+      instance.shadows.push_back(shadow);
+    }
+  };
+  for (const int w : sizes) {
+    add_copies(w, 0, capacity);
+    if (shadowed && w <= b_capacity) add_copies(w, w, b_capacity);
+  }
+  while (int64 && value_bound(instance.weights.size(), capacity) <=
+                      std::numeric_limits<std::int32_t>::max()) {
+    const int w = rng.bernoulli(0.5) ? 0 : capacity + draw(rng, 1, 40);
+    instance.weights.push_back(w);
+    instance.shadows.push_back(shadowed && rng.bernoulli(0.5) ? w : 0);
+  }
+  for (std::size_t i = instance.weights.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(instance.weights[i - 1], instance.weights[j]);
+    std::swap(instance.shadows[i - 1], instance.shadows[j]);
+  }
+  return instance;
+}
+
 TEST_F(DpReference, BasicDpOnTieHeavyInstances) {
   util::Rng rng(1301);
   DpWorkspace ws;
@@ -122,6 +171,40 @@ TEST_F(DpReference, ReservationDpOnTieHeavyInstances) {
     const Instance instance = tie_heavy(rng, draw(rng, 1, big ? 250 : 40),
                                         draw(rng, 1, big ? 224 : 48));
     expect_reservation_matches(instance, ws, "tie-heavy");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(DpReference, BasicDpOnDuplicateHeavyInstances) {
+  // Every fourth instance is padded past the int32_t value bound.
+  util::Rng rng(1306);
+  DpWorkspace ws;
+  for (int round = 0; round < 400; ++round) {
+    const bool int64 = round % 4 == 3;
+    const Instance instance =
+        duplicate_heavy(rng, draw(rng, 1, 160), false, int64);
+    ASSERT_EQ(value_bound(instance.weights.size(), instance.capacity) >
+                  std::numeric_limits<std::int32_t>::max(),
+              int64);
+    expect_basic_matches(instance, ws, "duplicate-heavy");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(DpReference, ReservationDpOnDuplicateHeavyInstances) {
+  // A and B copies of the same weights in one queue, the shadow capacity
+  // below, at or above the capacity; every fourth instance is padded past
+  // the int32_t value bound.
+  util::Rng rng(1307);
+  DpWorkspace ws;
+  for (int round = 0; round < 400; ++round) {
+    const bool int64 = round % 4 == 3;
+    const Instance instance =
+        duplicate_heavy(rng, draw(rng, 1, int64 ? 64 : 160), true, int64);
+    ASSERT_EQ(value_bound(instance.weights.size(), instance.capacity) >
+                  std::numeric_limits<std::int32_t>::max(),
+              int64);
+    expect_reservation_matches(instance, ws, "duplicate-heavy");
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -90,6 +90,41 @@ TEST(BasicDp, SkipsZeroAndOversizedItems) {
   EXPECT_EQ(chosen, (std::vector<int>{2}));
 }
 
+TEST(BasicDp, WorkspaceReuseIsClean) {
+  // Basic_DP fills one row in place and must re-zero it on every call.
+  // Wide, narrow, then wide tables again through one workspace, on both
+  // sides of the int32_t value bound ((capacity + 1) * (n^2 + 1) exceeds
+  // INT32_MAX for the 1500- and 20000-item shapes): every selection must
+  // equal a fresh workspace's and the reference fill's.
+  struct Shape {
+    int n;
+    int capacity;
+  };
+  const Shape shapes[] = {{60, 4000},     // wide, 32-bit values
+                          {12, 9},        // narrow, 32-bit values
+                          {60, 3000},     // wide, 32-bit values
+                          {1500, 2000},   // wide, 64-bit values
+                          {20000, 6},     // narrow, 64-bit values
+                          {1500, 1800}};  // wide, 64-bit values
+  util::Rng rng(910);
+  DpWorkspace ws;
+  for (int round = 0; round < 2; ++round) {
+    for (const Shape& shape : shapes) {
+      std::vector<int> weights;
+      for (int i = 0; i < shape.n; ++i)
+        weights.push_back(
+            static_cast<int>(rng.uniform_int(0, shape.capacity / 3 + 2)));
+      DpWorkspace fresh;
+      const auto expected =
+          detail::basic_dp_table(weights, shape.capacity, fresh);
+      ASSERT_EQ(expected, testing::reference_basic_dp(weights, shape.capacity))
+          << "capacity " << shape.capacity;
+      ASSERT_EQ(detail::basic_dp_table(weights, shape.capacity, ws), expected)
+          << "round " << round << " capacity " << shape.capacity;
+    }
+  }
+}
+
 TEST(BasicDp, PropertyMatchesBruteForce) {
   util::Rng rng(101);
   DpWorkspace ws;
