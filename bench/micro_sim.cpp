@@ -1,10 +1,13 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
-// machine ledger operations and workload-generator speed.
+// the engine's fixed cost per event, machine ledger operations and
+// workload-generator speed.
 #include <algorithm>
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/machine.hpp"
+#include "core/factory.hpp"
+#include "sched/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -183,6 +186,34 @@ void BM_EventQueueChunkedFeed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueChunkedFeed)->Arg(1 << 17)->Arg(1 << 20);
+
+// The engine's fixed cost per event: whole Engine runs of a short-queue
+// EASY workload (load 0.5, no DP), reported as wall time per fired event.
+// A cost paid on every event or cycle — a clock read, say — shows here
+// first, where the DP and the queue scans do not hide it.
+void BM_EngineEventOverhead(benchmark::State& state) {
+  es::workload::GeneratorConfig generator;
+  generator.num_jobs = static_cast<std::size_t>(state.range(0));
+  generator.seed = 7;
+  generator.target_load = 0.5;
+  const es::workload::Workload workload = es::workload::generate(generator);
+  es::core::Algorithm algorithm = es::core::make_algorithm("EASY");
+  es::sched::EngineConfig config;
+  config.machine_procs = workload.machine_procs;
+  config.granularity = workload.granularity;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const es::sched::SimulationResult result =
+        es::sched::simulate(config, *algorithm.policy, workload);
+    events += result.perf.events.fired;
+    benchmark::DoNotOptimize(result.mean_wait);
+  }
+  state.counters["per_event"] =
+      benchmark::Counter(static_cast<double>(events),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineEventOverhead)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_MachineAllocateRelease(benchmark::State& state) {
   es::cluster::Machine machine(320, 32);

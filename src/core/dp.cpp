@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <type_traits>
 
 #include "util/check.hpp"
+#include "util/sampled_timer.hpp"
 
 // The vector tiers of the row kernel: compiled only on x86-64 and only when
 // the build enables them (ES_DP_SIMD, default on).  Per-function target
@@ -68,24 +68,30 @@ bool fits_entirely(std::span<const int> weights,
   return true;
 }
 
-/// Scope timer accumulating into DpCounters::table_seconds — the
-/// denominator behind `simrun --perf-report`'s ns-per-DP-invocation row.
+/// Sampled scope timer behind DpCounters::table_seconds, the denominator
+/// of `simrun --perf-report`'s ns-per-DP-invocation row.  It reads the
+/// clock around 1 table fill in util::kTimerSamplePeriod, picked by the
+/// workspace's table-run index, and adds k times the sampled span: the
+/// fills' total wall time, estimated.
 class TableTimer {
  public:
-  explicit TableTimer(DpWorkspace& ws)
-      : ws_(&ws), start_(std::chrono::steady_clock::now()) {}
+  explicit TableTimer(sched::DpCounters& counters)
+      : counters_(&counters),
+        sampled_(util::timer_sampled(counters.table_runs)),
+        start_(sampled_ ? util::timer_now() : 0) {}
   TableTimer(const TableTimer&) = delete;
   TableTimer& operator=(const TableTimer&) = delete;
   ~TableTimer() {
-    ws_->counters.table_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
+    if (sampled_)
+      counters_->table_seconds +=
+          static_cast<double>(util::kTimerSamplePeriod) *
+          util::timer_seconds(util::timer_now() - start_);
   }
 
  private:
-  DpWorkspace* ws_;
-  std::chrono::steady_clock::time_point start_;
+  sched::DpCounters* counters_;
+  bool sampled_;
+  util::TimerTicks start_;
 };
 
 std::atomic<bool> g_dp_simd_enabled{true};
@@ -475,7 +481,7 @@ std::vector<int> basic_dp_table(std::span<const int> weights, int capacity,
   ES_EXPECTS(capacity >= 0);
   const std::size_t n = weights.size();
   if (n == 0 || capacity == 0) return {};
-  TableTimer timer(ws);
+  const TableTimer timer(ws.counters);
   ++ws.counters.table_runs;
   ws.counters.table_cells += n * (static_cast<std::size_t>(capacity) + 1);
   return fits_int32(n, capacity)
@@ -492,7 +498,7 @@ std::vector<int> reservation_dp_table(std::span<const int> weights,
   ES_EXPECTS(weights.size() == shadow_weights.size());
   const std::size_t n = weights.size();
   if (n == 0 || capacity == 0) return {};
-  TableTimer timer(ws);
+  const TableTimer timer(ws.counters);
   ++ws.counters.table_runs;
   ws.counters.table_cells += n * (static_cast<std::size_t>(capacity) + 1) *
                              (static_cast<std::size_t>(shadow_capacity) + 1);

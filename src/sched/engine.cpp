@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -62,12 +61,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
 Engine::~Engine() = default;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Active-array order: ascending (planned end, job id) — the estimated
 /// residual order the paper's freeze computations walk.
@@ -241,7 +234,6 @@ void Engine::run_cycle() {
   ++cycles_;
   if (attachments_.has(Hook::kCycleBegin))
     attachments_.on_cycle_begin(cycle_info());
-  const auto cycle_start = std::chrono::steady_clock::now();
 
   SchedulerContext ctx;
   ctx.now = sim_.now();
@@ -260,8 +252,12 @@ void Engine::run_cycle() {
   };
   ctx.preempt = [this](JobRun* job) { preempt_running(job); };
 
-  policy_->cycle(ctx);
-  cycle_seconds_ += seconds_since(cycle_start);
+  {
+    // Sampled with the event that runs the cycle (pump_events), so a timed
+    // cycle always lies inside a timed event.
+    const util::SampledScope timed(cycle_timed_, sampled_cycle_ticks_);
+    policy_->cycle(ctx);
+  }
   in_cycle_ = false;
   if (attachments_.has(Hook::kCycleEnd))
     attachments_.on_cycle_end(cycle_info());
@@ -668,8 +664,7 @@ void Engine::index_job(JobRun* job) {
   ES_EXPECTS(inserted);  // duplicate live job IDs: malformed workload
 }
 
-SimulationResult Engine::finish_run(
-    std::chrono::steady_clock::time_point run_start) {
+SimulationResult Engine::finish_run(util::TimerTicks run_start) {
   if (termination_ == sim::TerminationReason::kCompleted) {
     // Every job must have completed: the scheduler invariant tests rely on
     // it.  A watchdog abort leaves the run mid-flight by design, so the
@@ -687,8 +682,16 @@ SimulationResult Engine::finish_run(
   SimulationResult result = collect();
   result.perf.dp = policy_->dp_counters() - dp_baseline_;
   result.perf.events = sim_.queue().counters();
-  result.perf.cycle_seconds = cycle_seconds_;
-  result.perf.wall_seconds = seconds_since(run_start);
+  // The cycles' share of the sampled events' time, applied to the whole
+  // event loop.  Each timed cycle lies inside its timed event, and the loop
+  // inside the run, so cycle_seconds <= wall_seconds holds exactly.
+  if (sampled_event_ticks_ > 0)
+    result.perf.cycle_seconds =
+        util::timer_seconds(loop_ticks_) *
+        (static_cast<double>(sampled_cycle_ticks_) /
+         static_cast<double>(sampled_event_ticks_));
+  result.perf.wall_seconds =
+      util::timer_seconds(util::timer_now() - run_start);
   result.perf.peak_rss_bytes = util::peak_rss_bytes();
   result.perf.peak_live_jobs = arena_.slots();
   return result;
@@ -696,7 +699,7 @@ SimulationResult Engine::finish_run(
 
 SimulationResult Engine::run(const workload::Workload& workload) {
   ES_EXPECTS(!restored_);  // a restored engine continues via resume()
-  const auto run_start = std::chrono::steady_clock::now();
+  const util::TimerTicks run_start = util::timer_now();
   materialized_.emplace(workload);
   // Hashing the workload and building a registry is pure overhead on the
   // (vast majority of) runs that never snapshot.
@@ -707,7 +710,7 @@ SimulationResult Engine::run(const workload::Workload& workload) {
 
 SimulationResult Engine::run_streamed(workload::JobSource& source) {
   ES_EXPECTS(!restored_);  // a restored engine continues via resume()
-  const auto run_start = std::chrono::steady_clock::now();
+  const util::TimerTicks run_start = util::timer_now();
   // A snapshot records the materialized workload's cursor; other sources
   // have none to seek.
   ES_EXPECTS(config_.snapshot.every_cycles == 0 && !snapshot_sink_);
@@ -715,9 +718,8 @@ SimulationResult Engine::run_streamed(workload::JobSource& source) {
   return drive(source, run_start);
 }
 
-SimulationResult Engine::drive(
-    workload::JobSource& source,
-    std::chrono::steady_clock::time_point run_start) {
+SimulationResult Engine::drive(workload::JobSource& source,
+                              util::TimerTicks run_start) {
   ES_EXPECTS(source_ == nullptr);  // one run per engine
   dp_baseline_ = policy_->dp_counters();
   source_ = &source;
@@ -964,7 +966,12 @@ void Engine::pump_events() {
   std::optional<sim::Watchdog> watchdog;
   if (config_.watchdog.enabled()) watchdog.emplace(config_.watchdog);
   sim::TerminationReason reason = sim::TerminationReason::kCompleted;
+  const util::TimerTicks loop_start = util::timer_now();
   while (!sim_.idle()) {
+    // 1 event in util::kTimerSamplePeriod, by its ordinal, is timed whole
+    // (pop, dispatch, snapshot) together with any cycle it runs.
+    cycle_timed_ = util::timer_sampled(sim_.events_processed());
+    const util::SampledScope timed(cycle_timed_, sampled_event_ticks_);
     if (watchdog && watchdog->exhausted(sim_, reason)) break;
     dispatch(sim_.pop());
     if (abort_.requested) {
@@ -977,6 +984,8 @@ void Engine::pump_events() {
     // mid-cycle, so the serialized state is a consistent event boundary.
     if (snapshotting) maybe_snapshot();
   }
+  cycle_timed_ = false;
+  loop_ticks_ += util::timer_now() - loop_start;
   termination_ = reason;
   if (termination_ != sim::TerminationReason::kCompleted) {
     // A source of unknown length counts the jobs fed so far.
@@ -1574,7 +1583,7 @@ void Engine::restore(const workload::Workload& workload,
 
 SimulationResult Engine::resume(const workload::Workload& workload,
                                 snap::SnapshotReader& reader) {
-  const auto run_start = std::chrono::steady_clock::now();
+  const util::TimerTicks run_start = util::timer_now();
   restore(workload, reader);
   // The check a fresh run makes on its first chunk, on the same window.
   workload::WorkloadCursor cursor(workload);

@@ -35,7 +35,6 @@
 // the chain's ordering rules and docs/architecture.md for the map.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -63,6 +62,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/watchdog.hpp"
+#include "util/sampled_timer.hpp"
 #include "workload/job.hpp"
 #include "workload/source.hpp"
 
@@ -187,11 +187,10 @@ class Engine {
   /// The run shared by run() and run_streamed(): the first chunk, the
   /// event pump, the result.
   SimulationResult drive(workload::JobSource& source,
-                         std::chrono::steady_clock::time_point run_start);
+                         util::TimerTicks run_start);
   /// Post-pump bookkeeping: completed-run postconditions, the result,
   /// perf counters.
-  SimulationResult finish_run(
-      std::chrono::steady_clock::time_point run_start);
+  SimulationResult finish_run(util::TimerTicks run_start);
   /// The metrics from the fold and the attachment ledgers; an aborted run
   /// first pulls the rest of its source into the offered load.
   SimulationResult collect();
@@ -276,10 +275,15 @@ class Engine {
   sim::Time last_finish_ = 0;
 
   // Perf observability: DP counters are policy-cumulative, so run() keeps a
-  // start snapshot and reports the delta; cycle wall time accumulates
-  // around every policy cycle() call.
+  // start snapshot and reports the delta.  Cycle wall time is sampled:
+  // pump_events times 1 event in util::kTimerSamplePeriod (16) whole, and
+  // run_cycle times the cycles those events run; finish_run applies the
+  // cycles' share of the timed events to the event loop's wall time.
   DpCounters dp_baseline_;
-  double cycle_seconds_ = 0;
+  bool cycle_timed_ = false;  ///< the event being dispatched is timed
+  util::TimerTicks sampled_event_ticks_ = 0;
+  util::TimerTicks sampled_cycle_ticks_ = 0;
+  util::TimerTicks loop_ticks_ = 0;  ///< pump_events' whole wall time
 
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 

@@ -34,8 +34,10 @@ struct DpCounters {
   std::uint64_t cache_hits = 0;
   std::uint64_t spec_launched = 0;
   std::uint64_t spec_hits = 0;
-  /// Wall time inside full table fills.  Measurement, not simulation
-  /// state; with table_runs this yields ns-per-DP-invocation.
+  /// Wall time inside full table fills, sampled: the kernel times 1 fill
+  /// in util::kTimerSamplePeriod (16), by the workspace's table-run index,
+  /// and adds 16 times its span.  Measurement, not simulation state; with
+  /// table_runs this yields ns-per-DP-invocation.
   double table_seconds = 0;
 
   DpCounters& operator+=(const DpCounters& other) {
@@ -140,8 +142,12 @@ struct PerfStats {
   DpCounters dp;
   sim::EventQueueCounters events;  ///< kernel traffic for this run's queue
   CycleStats cycle;  ///< all-zero unless EngineConfig::collect_cycle_stats
-  double wall_seconds = 0;   ///< whole run() wall time
-  double cycle_seconds = 0;  ///< wall time inside policy cycle() calls
+  double wall_seconds = 0;  ///< whole run() wall time
+  /// Wall time inside policy cycle() calls, sampled: the engine times 1
+  /// event in util::kTimerSamplePeriod (16) whole, with the cycles it
+  /// runs, and reports the event loop's wall time times the cycles' share
+  /// of the timed events.  Never above wall_seconds.
+  double cycle_seconds = 0;
   /// Process peak RSS in bytes at run end (util::peak_rss_bytes).
   /// Process-global high-water: attribute to a run only when it is the
   /// first/only run in the process.  0 where the OS lacks the counter.

@@ -34,6 +34,19 @@ TEST(EnginePerf, DpCountersLandInSimulationResult) {
   EXPECT_LE(result.perf.cycle_seconds, result.perf.wall_seconds + 1e-3);
 }
 
+TEST(EnginePerf, SampledTimersReportTime) {
+  // Both wall timers are sampled (1 unit in util::kTimerSamplePeriod), and
+  // unit 0 is always timed: a run that fills tables reports table time, and
+  // its cycle time is positive and bounded by the run's wall time.
+  const workload::Workload workload = fig7_workload();
+  const SimulationResult result =
+      exp::run_workload(workload, "Delayed-LOS");
+  ASSERT_GT(result.perf.dp.table_runs, 0u);
+  EXPECT_GT(result.perf.dp.table_seconds, 0.0);
+  EXPECT_GT(result.perf.cycle_seconds, 0.0);
+  EXPECT_LE(result.perf.cycle_seconds, result.perf.wall_seconds);
+}
+
 TEST(EnginePerf, ReservationPoliciesAlsoCount) {
   // Hybrid-LOS exercises the 2-D reservation kernel once its head blocks.
   const workload::Workload workload = fig7_workload();

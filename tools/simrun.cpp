@@ -522,7 +522,10 @@ int main(int argc, char** argv) {
   }
 
   if (perf_report) {
-    // Counters are deterministic; the two wall rows are measurement only.
+    // Counters are deterministic; the wall rows are measurement only.
+    // Cycle and DP-table wall are sampled: the engine times 1 event and the
+    // DP kernel 1 table fill in es::util::kTimerSamplePeriod (16), and each
+    // row scales its sample up (sched/perf.hpp).
     const es::sched::PerfStats& perf = result.perf;
     es::util::AsciiTable perf_table("perf — hot-path breakdown");
     perf_table.set_columns({"counter", "value"});
