@@ -54,32 +54,4 @@ Workload concatenate(const Workload& base, const Workload& tail,
   return out;
 }
 
-Workload merge(const Workload& base, const Workload& other) {
-  if (base.machine_procs > 0 && other.machine_procs > 0)
-    ES_EXPECTS(base.machine_procs == other.machine_procs);
-  Workload out = base;
-  append_renumbered(out, other, max_id(base) + 1, 0.0);
-  out.normalize();
-  return out;
-}
-
-Workload slice(const Workload& workload, double from, double to) {
-  ES_EXPECTS(from <= to);
-  Workload out;
-  out.machine_procs = workload.machine_procs;
-  out.granularity = workload.granularity;
-  for (const Job& job : workload.jobs)
-    if (job.arr >= from && job.arr < to) out.jobs.push_back(job);
-  // Keep ECCs whose target survived; their issue time may fall outside the
-  // window (a pre-window amendment still applies).
-  for (const Ecc& ecc : workload.eccs) {
-    const bool target_kept =
-        std::any_of(out.jobs.begin(), out.jobs.end(),
-                    [&](const Job& job) { return job.id == ecc.job_id; });
-    if (target_kept) out.eccs.push_back(ecc);
-  }
-  out.normalize();
-  return out;
-}
-
 }  // namespace es::workload

@@ -1,7 +1,6 @@
-// Workload composition: concatenate phases, interleave streams, and slice
-// windows.  Used to build regime-switching and multi-tenant scenarios from
-// generated or loaded traces while keeping IDs unique and order invariants
-// intact.
+// Workload composition: concatenate phases.  Used to build regime-switching
+// scenarios from generated or loaded traces while keeping IDs unique and
+// order invariants intact.
 #pragma once
 
 #include "workload/job.hpp"
@@ -14,14 +13,5 @@ namespace es::workload {
 /// Machine geometry is taken from `base` (they must agree if both set).
 Workload concatenate(const Workload& base, const Workload& tail,
                      double gap = 0.0);
-
-/// Interleaves two workloads on a shared machine (e.g. a batch stream and
-/// an interactive stream): timestamps are kept, IDs of `other` are
-/// renumbered to avoid collisions.  Machine geometry from `base`.
-Workload merge(const Workload& base, const Workload& other);
-
-/// Keeps only jobs arriving in [from, to) (and their ECCs), re-basing
-/// nothing: a window cut for replaying part of a long trace.
-Workload slice(const Workload& workload, double from, double to);
 
 }  // namespace es::workload

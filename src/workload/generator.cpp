@@ -26,7 +26,7 @@ JobSampler::JobSampler(const GeneratorConfig& config)
       ecc_rng_(master_.split()),
       estimate_rng_(master_.split()),
       user_rng_(master_.split()),
-      arrivals_(config.arrival, arrival_rng_) {
+      arrivals_(arrival_rng_) {
   // Every precondition of the model, for generate() and GeneratorSource.
   ES_EXPECTS(config.num_jobs > 0);
   ES_EXPECTS(config.machine_procs > 0);
@@ -174,7 +174,8 @@ void register_generator_params(util::ParamRegistry& registry,
   registry
       .add_double("workload.target_load", &config.target_load,
                   "scale arrival times to this offered load (0 = keep the "
-                  "model's arrivals)")
+                  "model's raw arrivals, which overload the default machine; "
+                  "simrun prints the offered load)")
       .range(0, kNoUpperBound)
       .alias("load");
   registry
@@ -256,13 +257,12 @@ Workload generate_sdsc_like(std::size_t num_jobs, int procs,
   size_model.hi = std::log2(static_cast<double>(procs));
 
   RuntimeParams runtime;  // Table I constants fit SP2-class traces too.
-  ArrivalParams arrival;  // default beta_arr mid-range
 
   Workload workload;
   workload.machine_procs = procs;
   workload.granularity = 1;
   workload.jobs.reserve(num_jobs);
-  ArrivalProcess arrivals(arrival, arrival_rng);
+  ArrivalProcess arrivals(arrival_rng);
   for (std::size_t i = 0; i < num_jobs; ++i) {
     Job job;
     job.id = static_cast<JobId>(i + 1);

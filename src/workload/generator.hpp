@@ -43,7 +43,6 @@ struct GeneratorConfig {
 
   util::TwoStageUniform size{};     ///< {1..3}x32 / {4..10}x32 by default
   RuntimeParams runtime{};          ///< Table I
-  ArrivalParams arrival{};          ///< Table II
 
   /// Requested-start-time offset for dedicated jobs: start = arr +
   /// Exp(mean).  The paper specifies only "exponential"; the default keeps
@@ -75,7 +74,8 @@ struct GeneratorConfig {
   double estimate_uniform_max = 0.0;
 
   /// If > 0, arrival times are scaled until the offered load matches this
-  /// target (see load.hpp).
+  /// target (see load.hpp).  0 keeps the model's raw arrivals, which
+  /// overload the default machine (offered load ~15 at M = 320).
   double target_load = 0.0;
 
   /// Multi-tenancy: when > 0, every job is tagged with a submitting user

@@ -62,12 +62,7 @@ sim::Time Workload::duration() const {
   if (jobs.empty()) return 0;
   const sim::Time first = jobs.front().arr;
   sim::Time last = first;
-  for (const Job& job : jobs) {
-    const sim::Time begin = job.dedicated() && job.start >= 0
-                                ? std::max(job.arr, job.start)
-                                : job.arr;
-    last = std::max(last, begin + job.actual_runtime());
-  }
+  for (const Job& job : jobs) last = std::max(last, job.nominal_end());
   return last - first;
 }
 

@@ -17,26 +17,34 @@ double offered_load(const Workload& workload, int machine_procs) {
   return proc_seconds / (span * machine_procs);
 }
 
-double calibrate_load(Workload& workload, int machine_procs, double target,
-                      double tolerance, int max_iterations) {
+double calibrate(double load, double target,
+                 const std::function<double(double)>& rescale) {
   ES_EXPECTS(target > 0);
-  ES_EXPECTS(tolerance > 0);
-  double load = offered_load(workload, machine_procs);
   if (load <= 0) return load;
-  for (int i = 0; i < max_iterations; ++i) {
-    const double error = std::abs(load - target) / target;
-    if (error < tolerance) break;
+  const auto missed = [&] {
+    return std::abs(load - target) / target >= kCalibrationTolerance;
+  };
+  int rescalings = 0;
+  for (; rescalings < kCalibrationBudget && missed(); ++rescalings) {
     // Stretch arrivals by load/target; the fixed runtime tail makes the
     // response sub-linear, hence the loop.
-    workload.scale_arrivals(load / target);
-    load = offered_load(workload, machine_procs);
+    load = rescale(load / target);
   }
-  ES_LOG_DEBUG("calibrated load %.4f (target %.4f)", load, target);
-  if (std::abs(load - target) / target >= tolerance)
+  ES_LOG_DEBUG("calibrated load %.4f (target %.4f, %d rescalings)", load,
+               target, rescalings);
+  if (missed())
     ES_LOG_WARN("load calibration missed its target: offered load %.4f, "
                 "target %.4f",
                 load, target);
   return load;
+}
+
+double calibrate_load(Workload& workload, int machine_procs, double target) {
+  return calibrate(offered_load(workload, machine_procs), target,
+                   [&](double factor) {
+                     workload.scale_arrivals(factor);
+                     return offered_load(workload, machine_procs);
+                   });
 }
 
 }  // namespace es::workload

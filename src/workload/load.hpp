@@ -8,6 +8,8 @@
 // stretches or compresses the trace without touching job shapes.
 #pragma once
 
+#include <functional>
+
 #include "workload/job.hpp"
 
 namespace es::workload {
@@ -17,11 +19,23 @@ namespace es::workload {
 /// degenerate (empty / zero-span) workloads.
 double offered_load(const Workload& workload, int machine_procs);
 
-/// Scales arrival times until |offered_load - target| / target < tolerance
-/// (duration responds nonlinearly to scaling because runtimes stay fixed, so
-/// this iterates).  Returns the achieved load, and logs a warning naming
-/// both loads when the iteration budget ran out outside the tolerance.
-double calibrate_load(Workload& workload, int machine_procs, double target,
-                      double tolerance = 0.01, int max_iterations = 25);
+/// Calibration stops once |load - target| / target < kCalibrationTolerance,
+/// or after kCalibrationBudget rescalings.
+inline constexpr double kCalibrationTolerance = 0.01;
+inline constexpr int kCalibrationBudget = 25;
+
+/// The load calibration loop, for any workload representation: starting
+/// from the offered `load`, calls `rescale(load / target)`, which must
+/// scale arrivals by that factor and return the new offered load, until the
+/// load is within tolerance or the budget ran out (duration responds
+/// nonlinearly to scaling because runtimes stay fixed, so this iterates).
+/// Returns the achieved load, and logs a warning naming both loads when it
+/// missed the target.  A `load` <= 0 (degenerate workload) is returned as
+/// is.
+double calibrate(double load, double target,
+                 const std::function<double(double)>& rescale);
+
+/// calibrate() over scale_arrivals() and offered_load().
+double calibrate_load(Workload& workload, int machine_procs, double target);
 
 }  // namespace es::workload

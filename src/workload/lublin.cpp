@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.hpp"
-
 namespace es::workload {
 
 double RuntimeParams::mixing_p(int procs) const {
@@ -19,44 +17,51 @@ double RuntimeParams::sample(util::Rng& rng, int procs) const {
   return std::clamp(std::exp(log_runtime), min_runtime, max_runtime);
 }
 
-ArrivalProcess::ArrivalProcess(ArrivalParams params, util::Rng rng)
-    : params_(params), rng_(rng) {
-  ES_EXPECTS(params.a_arr > 0 && params.b_arr > 0);
-  ES_EXPECTS(params.a_num > 0 && params.b_num > 0);
-  ES_EXPECTS(params.arar >= 1.0);
-}
+namespace {
 
-bool ArrivalProcess::rush(double at) const {
+// Table II of the paper: arrival-process parameters.
+constexpr double kAlphaArr = 13.2303;
+// β_arr is the paper's load knob (varied in [0.4101, 0.6101]), but it cannot
+// change a rate here: fill_bucket() divides each hour's Gamma(α_arr, β_arr)
+// gaps by their sum, so the scale cancels.  It stays as the Gamma's scale
+// because x·β / Σ(x·β) does not round like x / Σx: dropping it moves every
+// generated trace in its last bits.
+constexpr double kBetaArr = 0.5101;
+constexpr double kAlphaNum = 15.1737;
+constexpr double kBetaNum = 0.9631;
+constexpr double kArar = 1.0225;  // arrive rush-to-all ratio
+// Rush window, hours of day [begin, end): Lublin's daily cycle peaks during
+// working hours.
+constexpr int kRushBeginHour = 8;
+constexpr int kRushEndHour = 18;
+
+bool rush(double at) {
   const double hour_of_day = std::fmod(at / 3600.0, 24.0);
-  return hour_of_day >= params_.rush_begin_hour &&
-         hour_of_day < params_.rush_end_hour;
+  return hour_of_day >= kRushBeginHour && hour_of_day < kRushEndHour;
 }
 
-double ArrivalProcess::gap() {
-  // Log-space Gamma gap, per Lublin's fitting of inter-arrival times.
-  double g = std::exp(rng_.gamma(params_.a_arr, params_.b_arr));
-  // ARAR is the rush-to-all arrival-rate ratio: rush-hour arrivals are that
-  // much denser, so off-hour gaps stretch by the ratio.
-  if (!rush(now_)) g *= params_.arar;
-  return g;
-}
+}  // namespace
+
+ArrivalProcess::ArrivalProcess(util::Rng rng) : rng_(rng) {}
 
 void ArrivalProcess::fill_bucket() {
   // Advance hour by hour until a bucket receives at least one job.
   for (;;) {
     if (!first_) bucket_begin_ += 3600.0;
     first_ = false;
-    double expected = rng_.gamma(params_.a_num, params_.b_num);
-    if (!rush(bucket_begin_)) expected /= params_.arar;
+    double expected = rng_.gamma(kAlphaNum, kBetaNum);
+    // ARAR is the rush-to-all arrival-rate ratio: off-hour buckets are that
+    // much thinner.
+    if (!rush(bucket_begin_)) expected /= kArar;
     const int count = static_cast<int>(std::lround(expected));
     if (count <= 0) continue;
-    // Intra-hour offsets: gaps shaped by Gamma(a_arr, b_arr), renormalized
+    // Intra-hour offsets: gaps shaped by Gamma(α_arr, β_arr), renormalized
     // so the batch spans the hour ("inter-arrival time for jobs arriving
     // within a 1-hour interval").
     std::vector<double> gaps(static_cast<std::size_t>(count) + 1);
     double total = 0;
     for (double& g : gaps) {
-      g = rng_.gamma(params_.a_arr, params_.b_arr);
+      g = rng_.gamma(kAlphaArr, kBetaArr);
       total += g;
     }
     bucket_.clear();
@@ -72,29 +77,10 @@ void ArrivalProcess::fill_bucket() {
 }
 
 double ArrivalProcess::next() {
-  if (params_.gap_model == GapModel::kHourlyBuckets) {
-    if (bucket_.empty()) fill_bucket();
-    now_ = bucket_.back();
-    bucket_.pop_back();
-    return now_;
-  }
-
-  if (remaining_in_session_ <= 0) {
-    // Start a new session at the next hour boundary (or immediately for the
-    // very first session) holding ~Gamma(a_num, b_num) jobs.
-    remaining_in_session_ = std::max(
-        1, static_cast<int>(std::lround(
-               rng_.gamma(params_.a_num, params_.b_num))));
-    if (now_ > 0.0) {
-      const double next_hour = (std::floor(now_ / 3600.0) + 1.0) * 3600.0;
-      now_ = std::max(now_ + gap(), next_hour);
-    }
-    --remaining_in_session_;
-    return now_;
-  }
-  --remaining_in_session_;
-  now_ += gap();
-  return now_;
+  if (bucket_.empty()) fill_bucket();
+  const double at = bucket_.back();
+  bucket_.pop_back();
+  return at;
 }
 
 int LogUniformSize::sample(util::Rng& rng) const {

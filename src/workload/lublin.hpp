@@ -11,9 +11,11 @@
 //    otherwise, where p = p_a * s + p_b couples runtime to job size s (larger
 //    jobs draw from the long-runtime Gamma more often).  Samples are the
 //    natural log of the runtime in seconds, per Lublin's log-space fitting.
-//  * Arrivals — a renewal process whose log-gaps are Gamma(a_arr, b_arr),
-//    organised into hourly sessions of ~Gamma(a_num, b_num) jobs, with the
-//    rush-hour/off-hour rate ratio ARAR.  beta_arr is the load knob.
+//  * Arrivals — section IV-D read as hourly buckets: each 1-hour interval
+//    receives ~Gamma(α_num, β_num) jobs, fewer outside the rush window
+//    (ARAR), at intra-hour offsets shaped by Gamma(α_arr, β_arr).  The
+//    gaps are normalized into the hour, so β_arr, the paper's load knob,
+//    shapes nothing; load is set by arrival scaling instead.
 //
 // Absolute magnitudes are calibrated per-experiment by arrival scaling
 // (workload/load.hpp), so the unit conventions here only set the starting
@@ -50,63 +52,26 @@ struct RuntimeParams {
   double sample(util::Rng& rng, int procs) const;
 };
 
-/// How inter-arrival gaps are produced from the Table-II Gammas.
-enum class GapModel {
-  /// gaps = exp(Gamma(a_arr, b_arr)) — Lublin's log-space fit.  Very heavy
-  /// tailed: bursts dominate queueing at any load, waits grow with trace
-  /// length.
-  kLogGamma,
-  /// The paper's literal section-IV-D reading: per 1-hour interval,
-  /// ~Gamma(a_num, b_num) jobs arrive, with intra-hour spacing *shaped* by
-  /// Gamma(a_arr, b_arr) but normalized into the hour.  Mildly bursty at
-  /// the hour scale; queues are stable below the utilization ceiling and
-  /// metrics are N-independent (matching the paper's 10,000-job check).
-  kHourlyBuckets,
-};
-
-/// Table II of the paper: arrival-process parameters.
-struct ArrivalParams {
-  double a_arr = 13.2303;
-  double b_arr = 0.5101;   ///< paper varies this in [0.4101, 0.6101]
-  double a_num = 15.1737;
-  double b_num = 0.9631;
-  double arar = 1.0225;    ///< arrive rush-to-all ratio
-  /// Rush window, hours of day [begin, end).  Lublin's daily cycle peaks
-  /// during working hours.
-  int rush_begin_hour = 8;
-  int rush_end_hour = 18;
-  GapModel gap_model = GapModel::kHourlyBuckets;
-};
-
-/// Stateful arrival sequence generator: produces non-decreasing arrival
-/// times (seconds since trace start).
-///
-/// kLogGamma: sessions begin on hour boundaries; each holds
-/// ~Gamma(a_num, b_num) jobs whose log-gaps are Gamma(a_arr, b_arr);
-/// off-hour gaps are stretched by ARAR.
-///
-/// kHourlyBuckets: each 1-hour interval receives ~Gamma(a_num, b_num)
-/// jobs (scaled down by ARAR in off-hours) at offsets whose relative
-/// spacing follows Gamma(a_arr, b_arr) renormalized into the hour.
+/// Stateful arrival sequence generator over Table II's constants (see
+/// lublin.cpp): produces non-decreasing arrival times (seconds since trace
+/// start).  Each 1-hour interval receives ~Gamma(α_num, β_num) jobs (scaled
+/// down by ARAR in off-hours) at offsets whose relative spacing follows
+/// Gamma(α_arr, β_arr) renormalized into the hour, so only α_arr shapes the
+/// intra-hour spacing.  Mildly bursty at the hour scale: queues are stable
+/// below the utilization ceiling and metrics are N-independent (matching
+/// the paper's 10,000-job check).
 class ArrivalProcess {
  public:
-  ArrivalProcess(ArrivalParams params, util::Rng rng);
+  explicit ArrivalProcess(util::Rng rng);
 
   /// Next arrival time; non-decreasing across calls.
   double next();
 
-  const ArrivalParams& params() const { return params_; }
-
  private:
-  double gap();
-  bool rush(double at) const;
   void fill_bucket();
 
-  ArrivalParams params_;
   util::Rng rng_;
-  double now_ = 0.0;
-  int remaining_in_session_ = 0;
-  // kHourlyBuckets state: pending offsets of the current hour, descending.
+  // Pending offsets of the current hour, descending.
   double bucket_begin_ = 0.0;
   std::vector<double> bucket_;
   bool first_ = true;

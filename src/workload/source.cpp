@@ -1,11 +1,10 @@
 #include "workload/source.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
+#include "workload/load.hpp"
 
 namespace es::workload {
 namespace {
@@ -167,55 +166,39 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
     users_.emplace(config.num_users, config.zipf_exponent);
 
   // calibrate_load() replayed as generation passes: pass 0 measures the
-  // scale-invariant proc-seconds and the unscaled load; each iteration
+  // scale-invariant proc-seconds and the unscaled load; each rescaling
   // appends one factor and re-measures the span under the factor chain.
   // Jobs-only passes — the ECC stream is untouched, so skipping it changes
   // nothing downstream.
-  if (config.target_load > 0) {
-    double proc_seconds = 0;
-    const auto measure = [&](bool accumulate_work) {
-      JobSampler pass(config);
-      Job job;
-      double last = 0;
-      bool first = true;
-      while (pass.next(job, nullptr, nullptr)) {
-        if (accumulate_work)
-          proc_seconds +=
-              static_cast<double>(job.num) * job.actual_runtime();
-        if (first) {
-          // The first arrival has offset 0, so it is a scaling fixed point:
-          // the origin is invariant across calibration iterations.
-          origin_ = job.arr;
-          last = origin_;
-          first = false;
-        }
-        const double arr = scaled(job.arr);
-        double begin = arr;
-        if (job.dedicated() && job.start >= 0)
-          begin = std::max(arr, scaled(job.start));
-        last = std::max(last, begin + job.actual_runtime());
+  if (config.target_load <= 0) return;
+  double proc_seconds = 0;
+  const auto measure = [&](bool accumulate_work) {
+    JobSampler pass(config);
+    Job job;
+    double last = 0;
+    bool first = true;
+    while (pass.next(job, nullptr, nullptr)) {
+      if (accumulate_work)
+        proc_seconds += static_cast<double>(job.num) * job.actual_runtime();
+      if (first) {
+        // The first arrival has offset 0, so it is a scaling fixed point:
+        // the origin is invariant across calibration iterations.
+        origin_ = job.arr;
+        last = origin_;
+        first = false;
       }
-      const double span = last - origin_;
-      if (span <= 0) return 0.0;
-      return proc_seconds / (span * config.machine_procs);
-    };
-    double load = measure(true);
-    if (load > 0) {
-      for (int i = 0; i < 25; ++i) {
-        const double error =
-            std::abs(load - config.target_load) / config.target_load;
-        if (error < 0.01) break;
-        factors_.push_back(load / config.target_load);
-        load = measure(false);
-      }
-      ES_LOG_DEBUG("calibrated load %.4f (target %.4f, %zu factors)", load,
-                   config.target_load, factors_.size());
-      if (std::abs(load - config.target_load) / config.target_load >= 0.01)
-        ES_LOG_WARN("load calibration missed its target: offered load "
-                    "%.4f, target %.4f",
-                    load, config.target_load);
+      job.arr = scaled(job.arr);
+      if (job.dedicated() && job.start >= 0) job.start = scaled(job.start);
+      last = std::max(last, job.nominal_end());
     }
-  }
+    const double span = last - origin_;
+    if (span <= 0) return 0.0;
+    return proc_seconds / (span * config.machine_procs);
+  };
+  calibrate(measure(true), config.target_load, [&](double factor) {
+    factors_.push_back(factor);
+    return measure(false);
+  });
 }
 
 double GeneratorSource::scaled(double t) const {

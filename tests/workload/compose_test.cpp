@@ -4,8 +4,6 @@
 
 #include <set>
 
-#include "workload/generator.hpp"
-
 namespace es::workload {
 namespace {
 
@@ -75,60 +73,8 @@ TEST(Compose, ConcatenateEmptySides) {
   EXPECT_DOUBLE_EQ(from_empty.jobs[0].arr, 0);
 }
 
-TEST(Compose, MergeKeepsTimestampsRenumbersIds) {
-  const Workload merged = merge(two_jobs(), two_jobs());
-  ASSERT_EQ(merged.jobs.size(), 4u);
-  // Sorted by arrival: 0, 0, 50, 50.
-  EXPECT_DOUBLE_EQ(merged.jobs[0].arr, 0);
-  EXPECT_DOUBLE_EQ(merged.jobs[1].arr, 0);
-  EXPECT_DOUBLE_EQ(merged.jobs[2].arr, 50);
-  std::set<JobId> ids;
-  for (const Job& job : merged.jobs) ids.insert(job.id);
-  EXPECT_EQ(ids.size(), 4u);
-}
-
-TEST(Compose, MergedWorkloadRunsCleanly) {
-  GeneratorConfig batch_config;
-  batch_config.num_jobs = 100;
-  batch_config.seed = 3;
-  GeneratorConfig dedicated_config = batch_config;
-  dedicated_config.seed = 4;
-  dedicated_config.p_dedicated = 1.0;
-  dedicated_config.num_jobs = 30;
-  const Workload merged = merge(generate(batch_config),
-                                generate(dedicated_config));
-  EXPECT_EQ(merged.jobs.size(), 130u);
-  EXPECT_EQ(merged.dedicated_count(), 30u);
-}
-
-TEST(Compose, SliceKeepsWindowAndOwnedEccs) {
-  Workload workload = two_jobs();
-  Ecc early;
-  early.job_id = 1;
-  early.issue = 10;
-  early.type = EccType::kExtendTime;
-  early.amount = 1;
-  Ecc late = early;
-  late.job_id = 2;
-  late.issue = 60;
-  workload.eccs = {early, late};
-  workload.normalize();
-  const Workload window = slice(workload, 25, 100);
-  ASSERT_EQ(window.jobs.size(), 1u);
-  EXPECT_EQ(window.jobs[0].id, 2);
-  ASSERT_EQ(window.eccs.size(), 1u);
-  EXPECT_EQ(window.eccs[0].job_id, 2);
-}
-
-TEST(Compose, SliceEmptyWindow) {
-  const Workload window = slice(two_jobs(), 1000, 2000);
-  EXPECT_TRUE(window.jobs.empty());
-  EXPECT_TRUE(window.eccs.empty());
-}
-
 TEST(ComposeDeath, MismatchedMachinesRejected) {
   EXPECT_DEATH(concatenate(two_jobs(10), two_jobs(20)), "precondition");
-  EXPECT_DEATH(merge(two_jobs(10), two_jobs(20)), "precondition");
 }
 
 }  // namespace

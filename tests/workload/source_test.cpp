@@ -13,6 +13,7 @@
 
 #include "testing/helpers.hpp"
 #include "workload/generator.hpp"
+#include "workload/load.hpp"
 #include "workload/source.hpp"
 
 namespace es::workload {
@@ -350,6 +351,20 @@ TEST(GeneratorSource, MatchesGenerateUnderLoadCalibration) {
   Drained drained = drain(source);
   expect_same_jobs(workload.jobs, drained.jobs);
   expect_same_eccs(workload.eccs, drained.eccs);
+
+  // An unreachable target spends the whole budget on both paths: 50 jobs
+  // on the default machine saturate near load 8 however hard the arrivals
+  // are compressed.
+  GeneratorConfig unreachable;
+  unreachable.num_jobs = 50;
+  unreachable.target_load = 100;
+  const Workload saturated = generate(unreachable);
+  GeneratorSource saturated_source(unreachable, 16);
+  EXPECT_EQ(saturated_source.scale_factors().size(),
+            static_cast<std::size_t>(kCalibrationBudget));
+  Drained saturated_drained = drain(saturated_source);
+  expect_same_jobs(saturated.jobs, saturated_drained.jobs);
+  expect_same_eccs(saturated.eccs, saturated_drained.eccs);
 }
 
 TEST(GeneratorSource, NoCalibrationWithoutTargetLoad) {

@@ -7,8 +7,9 @@
 //                                         stretch arrival times (halves load)
 //   cwftool calibrate in.cwf out.cwf --load 0.9 [--procs 320]
 //                                         scale arrivals to a target load
-#include <cstdio>
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <iostream>
@@ -162,8 +163,9 @@ int main(int argc, char** argv) {
       "subcommands: validate <file> | describe <file> | convert <in> <out>\n"
       "             scale <in> <out> --factor F | calibrate <in> <out> "
       "--load L [--procs M]");
-  cli.add_option("factor", "arrival-time scale factor for `scale`", &factor);
-  cli.add_option("load", "target offered load for `calibrate`", &load);
+  cli.add_option("factor", "arrival-time scale factor for `scale` (> 0)",
+                 &factor);
+  cli.add_option("load", "target offered load for `calibrate` (> 0)", &load);
   cli.add_option("procs", "machine size override", &procs);
   if (!cli.parse(argc, argv)) return 1;
   const auto& args = cli.positional();
@@ -172,15 +174,27 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& command = args[0];
+  // Scaling by a factor that is not finite and positive has no meaning; a
+  // missing --load (0) would silently copy the trace.
+  const auto require_positive = [](const char* flag, double value) {
+    if (std::isfinite(value) && value > 0) return true;
+    std::fprintf(stderr, "cwftool: --%s: must be a finite number > 0\n",
+                 flag);
+    return false;
+  };
   try {
     if (command == "validate" && args.size() == 2) return validate(args[1]);
     if (command == "describe" && args.size() == 2) return describe(args[1]);
     if (command == "convert" && args.size() == 3)
       return convert(args[1], args[2]);
     if (command == "scale" && args.size() == 3)
-      return rescale(args[1], args[2], factor, 0.0, procs);
+      return require_positive("factor", factor)
+                 ? rescale(args[1], args[2], factor, 0.0, procs)
+                 : 2;
     if (command == "calibrate" && args.size() == 3)
-      return rescale(args[1], args[2], 1.0, load, procs);
+      return require_positive("load", load)
+                 ? rescale(args[1], args[2], 1.0, load, procs)
+                 : 2;
   } catch (const es::workload::TraceError& error) {
     std::fprintf(stderr, "cwftool: %s: %s\n", args[1].c_str(), error.what());
     return 2;
