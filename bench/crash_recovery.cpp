@@ -1,30 +1,34 @@
-// crash_recovery — kill-point injection harness for the snapshot subsystem.
+// crash_recovery — kill-point injection harness for crash recovery by
+// deterministic replay (Engine::resume).
 //
-// Four legs, every one a hard gate (non-zero exit on any failure):
+// Five legs, every one a hard gate (non-zero exit on any failure):
 //
-//   1. randomized kill points: the reference run is repeated with
-//      snapshot-every-cycle capture and an event-budget watchdog that kills
-//      it at a random event boundary; the run is then resumed from the last
-//      snapshot taken before the kill.  The resumed result must serialize
-//      byte-identically to the uninterrupted run — for every kill point,
-//      across batch/elastic and heterogeneous/faulty workloads.  Full mode
-//      injects >= 200 kill points; --quick a couple dozen.
-//   2. corruption matrix: a captured snapshot image is mutilated —
-//      truncated at sampled lengths, single-bit-flipped at sampled offsets,
-//      format-version bumped — and every mutation must be *rejected* with a
-//      typed SnapshotError before any engine state is touched.
+//   1. randomized kill points: the reference run is repeated with a
+//      recovery record every cycle and an event-budget watchdog that kills
+//      it at a random event boundary; the run is then replayed to the last
+//      record written before the kill, checked against it and finished.
+//      The resumed result must serialize byte-identically to the
+//      uninterrupted run — for every kill point, across batch/elastic and
+//      heterogeneous/faulty workloads.  Full mode injects >= 200 kill
+//      points; --quick a couple dozen.
+//   2. corruption matrix: a captured record is mutilated — truncated at
+//      sampled lengths, single-bit-flipped at sampled offsets,
+//      format-version bumped — and every mutation must be *rejected* with
+//      a typed SnapshotError.
 //   3. ring fallback: a disk ring of K generations whose newest member is
 //      corrupted must fall back to the previous intact generation and
 //      resume successfully from it.
 //   4. window refills: a run long enough for Engine::run() to feed its
 //      events in several windows is killed one cycle before, at and one
 //      cycle after every refill, and at sampled mid-window cycles; each
-//      resume must match the uninterrupted run byte for byte.  Snapshots
-//      here are taken once, at the target cycle, since an image holds
-//      every job record.
+//      resume must match the uninterrupted run byte for byte.  One record
+//      is written, at the target cycle.
+//   5. generator chunks: the same trace streamed from a GeneratorSource is
+//      killed on both sides of its first refill and inside its second
+//      chunk, and resumed by pulling a fresh generator.
 //
-// The harness captures snapshots through Engine::set_snapshot_sink, so legs
-// 1 and 4 do no filesystem traffic; leg 3 exercises the real ring
+// The harness captures records through Engine::set_snapshot_sink, so legs
+// 1, 4 and 5 do no filesystem traffic; leg 3 exercises the real ring
 // directory.
 #include <cstdio>
 #include <filesystem>
@@ -50,47 +54,47 @@ struct CrashCase {
   std::uint64_t events = 0;      ///< uninterrupted event count
 };
 
-/// Runs the case with a snapshot every `every_cycles` cycles, killed at
-/// `kill_events` and resumed from the last pre-kill snapshot.  Returns true
+/// Runs the case with a record every `every_cycles` cycles, killed at
+/// `kill_events` and resumed from the last pre-kill record.  Returns true
 /// when the resumed result matches the uninterrupted serialization byte
 /// for byte.
 bool kill_and_resume_matches(const CrashCase& test, std::uint64_t kill_events,
                              std::uint64_t every_cycles,
-                             std::uint64_t* snapshots_out) {
+                             std::uint64_t* records_out) {
   es::core::AlgorithmOptions killed = test.options;
   killed.engine.snapshot.every_cycles = every_cycles;
   killed.engine.watchdog.max_events = kill_events;
-  std::string last_snapshot;
-  std::uint64_t snapshots = 0;
+  std::string last_record;
+  std::uint64_t records = 0;
   (void)es::exp::run_workload_prepared(
       test.workload, test.algorithm, killed,
-      [&last_snapshot, &snapshots](es::sched::Engine& engine) {
+      [&last_record, &records](es::sched::Engine& engine) {
         engine.set_snapshot_sink(
-            [&last_snapshot, &snapshots](const std::string& image) {
-              last_snapshot = image;
-              ++snapshots;
+            [&last_record, &records](const std::string& record) {
+              last_record = record;
+              ++records;
             });
       });
-  if (snapshots_out != nullptr) *snapshots_out += snapshots;
+  if (records_out != nullptr) *records_out += records;
   es::sched::SimulationResult resumed;
-  if (last_snapshot.empty()) {
-    // Killed before the first snapshot: recovery is a fresh full run.
+  if (last_record.empty()) {
+    // Killed before the first record: recovery is a fresh full run.
     resumed = es::exp::run_workload(test.workload, test.algorithm,
                                     test.options);
   } else {
-    es::snap::SnapshotReader reader(last_snapshot);
+    es::snap::SnapshotReader reader(last_record);
     resumed = es::exp::resume_workload(test.workload, test.algorithm,
                                        test.options, reader);
   }
   return es::bench::result_fingerprint_csv(resumed) == test.expected;
 }
 
-/// True when the mutated image is rejected with a typed SnapshotError by
-/// validation or restore (acceptance of a mutated snapshot is the failure
-/// mode this harness exists to catch).
-bool rejected(const CrashCase& test, const std::string& image) {
+/// True when the mutated record is rejected with a typed SnapshotError by
+/// validation or by the replay's check (acceptance of a mutated record is
+/// the failure mode this harness exists to catch).
+bool rejected(const CrashCase& test, const std::string& record) {
   try {
-    es::snap::SnapshotReader reader(image);
+    es::snap::SnapshotReader reader(record);
     (void)es::exp::resume_workload(test.workload, test.algorithm,
                                    test.options, reader);
   } catch (const es::snap::SnapshotError&) {
@@ -168,41 +172,43 @@ int main(int argc, char** argv) {
   // --- leg 1: randomized kill points -----------------------------------
   es::util::Rng rng(options.seed ^ 0xc0ffee);
   int failures = 0;
-  std::uint64_t snapshots_taken = 0;
+  std::uint64_t records_taken = 0;
   for (int i = 0; i < kill_points; ++i) {
     const CrashCase& test = cases[static_cast<std::size_t>(i) % cases.size()];
     const std::uint64_t kill_events = static_cast<std::uint64_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(test.events)));
-    if (!kill_and_resume_matches(test, kill_events, 1, &snapshots_taken)) {
+    if (!kill_and_resume_matches(test, kill_events, 1, &records_taken)) {
       std::printf("kill point %d (%s, %llu events): DIVERGED\n", i,
                   test.name.c_str(),
                   static_cast<unsigned long long>(kill_events));
       ++failures;
     }
   }
-  std::printf("kill points: %d injected across %zu cases, %llu snapshots, "
+  std::printf("kill points: %d injected across %zu cases, %llu records, "
               "%d divergences\n",
               kill_points, cases.size(),
-              static_cast<unsigned long long>(snapshots_taken), failures);
+              static_cast<unsigned long long>(records_taken), failures);
 
   // --- leg 2: corruption matrix ----------------------------------------
-  // One representative mid-run snapshot per case, then sampled truncations
+  // One representative mid-run record per case, then sampled truncations
   // and bit flips plus a version bump.  Every mutation must be rejected.
+  // (SnapshotRestore.RejectsARecordTheReplayDisagreesWith rewrites each
+  // payload word under a valid CRC.)
   int accepted_mutations = 0;
   int mutations = 0;
   for (const CrashCase& test : cases) {
     es::core::AlgorithmOptions killed = test.options;
     killed.engine.snapshot.every_cycles = 1;
     killed.engine.watchdog.max_events = test.events / 2 + 1;
-    std::string image;
+    std::string record;
     (void)es::exp::run_workload_prepared(
         test.workload, test.algorithm, killed,
-        [&image](es::sched::Engine& engine) {
+        [&record](es::sched::Engine& engine) {
           engine.set_snapshot_sink(
-              [&image](const std::string& bytes) { image = bytes; });
+              [&record](const std::string& bytes) { record = bytes; });
         });
-    if (image.empty()) {
-      std::printf("corruption matrix: %s captured no snapshot\n",
+    if (record.empty()) {
+      std::printf("corruption matrix: %s captured no record\n",
                   test.name.c_str());
       ++accepted_mutations;
       continue;
@@ -211,8 +217,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < corruption_samples; ++i) {
       ++mutations;
       const auto cut = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(image.size()) - 1));
-      if (!rejected(test, image.substr(0, cut))) {
+          0, static_cast<std::int64_t>(record.size()) - 1));
+      if (!rejected(test, record.substr(0, cut))) {
         std::printf("corruption: %s truncated to %zu bytes ACCEPTED\n",
                     test.name.c_str(), cut);
         ++accepted_mutations;
@@ -220,7 +226,7 @@ int main(int argc, char** argv) {
     }
     for (int i = 0; i < corruption_samples; ++i) {
       ++mutations;
-      std::string flipped = image;
+      std::string flipped = record;
       const auto offset = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(flipped.size()) - 1));
       const int bit = static_cast<int>(rng.uniform_int(0, 7));
@@ -235,7 +241,7 @@ int main(int argc, char** argv) {
     {
       ++mutations;
       // Bump the format-version field (bytes 4..7, little-endian).
-      std::string bumped = image;
+      std::string bumped = record;
       bumped[4] = static_cast<char>(static_cast<unsigned char>(bumped[4]) + 1);
       if (!rejected(test, bumped)) {
         std::printf("corruption: %s version bump ACCEPTED\n",
@@ -306,11 +312,12 @@ int main(int argc, char** argv) {
   }
   std::printf("ring fallback: %s\n", ring_ok ? "ok" : "FAILED");
 
-  // --- leg 4: kill points around the window-feed refills ----------------
+  // --- legs 4 and 5: kill points around the feed refills ---------------
   // Three windows in --quick (two refills), five in full mode.  A kill one
-  // event after the snapshot at cycle C resumes from that snapshot: every
+  // event after the record at cycle C resumes from that record: every
   // event of this workload runs one cycle, so C cycles take C events.
   int window_failures = 0;
+  int chunk_failures = 0;
   {
     es::workload::GeneratorConfig window_config = config;
     window_config.num_jobs = options.quick ? 9000 : 20000;
@@ -337,12 +344,12 @@ int main(int argc, char** argv) {
       kill_cycles.push_back(static_cast<std::uint64_t>(rng.uniform_int(
           1, static_cast<std::int64_t>(uninterrupted.cycles))));
     for (const std::uint64_t cycle : kill_cycles) {
-      std::uint64_t snapshots = 0;
-      if (!kill_and_resume_matches(windows, cycle + 1, cycle, &snapshots) ||
-          snapshots != 1) {
-        std::printf("window kill at cycle %llu (%llu snapshots): DIVERGED\n",
+      std::uint64_t records = 0;
+      if (!kill_and_resume_matches(windows, cycle + 1, cycle, &records) ||
+          records != 1) {
+        std::printf("window kill at cycle %llu (%llu records): DIVERGED\n",
                     static_cast<unsigned long long>(cycle),
-                    static_cast<unsigned long long>(snapshots));
+                    static_cast<unsigned long long>(records));
         ++window_failures;
       }
     }
@@ -355,11 +362,47 @@ int main(int argc, char** argv) {
     if (refills.cycles.size() < 2) {
       std::printf("window refills: expected >= 2 refills\n");
       ++window_failures;
+    } else {
+      // Leg 5: the same trace streamed from the generator, whose chunks
+      // cut where the materialized windows do.  Kill points on both sides
+      // of the first refill and in the middle of the second chunk.
+      const std::uint64_t first = refills.cycles[0];
+      const std::uint64_t second = refills.cycles[1];
+      for (const std::uint64_t cycle :
+           {first - 1, first + 1, (first + second) / 2}) {
+        es::core::AlgorithmOptions killed = windows.options;
+        killed.engine.snapshot.every_cycles = cycle;
+        killed.engine.watchdog.max_events = cycle + 1;
+        std::string record;
+        es::workload::GeneratorSource recording(window_config);
+        (void)es::exp::run_source(
+            recording, windows.algorithm, killed,
+            [&record](es::sched::Engine& engine) {
+              engine.set_snapshot_sink(
+                  [&record](const std::string& bytes) { record = bytes; });
+            });
+        bool matches = false;
+        if (!record.empty()) {
+          es::snap::SnapshotReader reader(record);
+          es::workload::GeneratorSource replayed(window_config);
+          matches = es::bench::result_fingerprint_csv(es::exp::resume_source(
+                        replayed, windows.algorithm, windows.options,
+                        reader)) == windows.expected;
+        }
+        if (!matches) {
+          std::printf("generator-chunk kill at cycle %llu: %s\n",
+                      static_cast<unsigned long long>(cycle),
+                      record.empty() ? "NO RECORD" : "DIVERGED");
+          ++chunk_failures;
+        }
+      }
+      std::printf("generator chunks: 3 kill points, %d divergences\n",
+                  chunk_failures);
     }
   }
 
   const bool ok = failures == 0 && accepted_mutations == 0 && ring_ok &&
-                  window_failures == 0;
+                  window_failures == 0 && chunk_failures == 0;
   std::printf("crash_recovery: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

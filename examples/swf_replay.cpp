@@ -32,8 +32,7 @@ std::string write_demo_trace() {
   const std::string path = "/tmp/elastisched_demo.cwf";
   es::workload::save_cwf_workload(
       path, workload,
-      {"elastisched demo trace", "Computer: simulated BlueGene/P",
-       "MaxProcs: 320"});
+      {"elastisched demo trace", "Computer: simulated BlueGene/P"});
   return path;
 }
 

@@ -67,31 +67,4 @@ int Machine::allocated(JobId job) const {
   return it == allocations_.end() ? 0 : it->second;
 }
 
-MachineState Machine::save_state() const {
-  MachineState state;
-  state.free = free_;
-  state.offline = offline_;
-  state.allocations.assign(allocations_.begin(), allocations_.end());
-  std::sort(state.allocations.begin(), state.allocations.end());
-  return state;
-}
-
-void Machine::restore_state(const MachineState& state) {
-  int used = 0;
-  for (const auto& [job, occupied] : state.allocations) {
-    ES_EXPECTS(occupied > 0 && occupied % granularity_ == 0);
-    used += occupied;
-  }
-  ES_EXPECTS(state.free >= 0 && state.offline >= 0);
-  ES_EXPECTS(state.free + state.offline + used == total_);
-  free_ = state.free;
-  offline_ = state.offline;
-  allocations_.clear();
-  for (const auto& [job, occupied] : state.allocations) {
-    const auto [it, inserted] = allocations_.emplace(job, occupied);
-    (void)it;
-    ES_EXPECTS(inserted);
-  }
-}
-
 }  // namespace es::cluster

@@ -20,15 +20,6 @@ namespace es::cluster {
 
 using JobId = std::int64_t;
 
-/// Serializable machine state (snapshot/restore).  Allocations are sorted
-/// by job id so the byte image is deterministic regardless of hash-map
-/// iteration order.
-struct MachineState {
-  int free = 0;
-  int offline = 0;
-  std::vector<std::pair<JobId, int>> allocations;
-};
-
 /// Capacity ledger with per-job allocations and degraded-capacity
 /// accounting: processors taken offline by a node failure leave the free
 /// pool until repaired, so `available()` (total - offline) is the capacity
@@ -80,13 +71,6 @@ class Machine {
   bool is_active(JobId job) const { return allocations_.contains(job); }
   /// Processors occupied by `job` (0 if not active).
   int allocated(JobId job) const;
-
-  /// Captures the mutable ledger state for a snapshot.
-  MachineState save_state() const;
-
-  /// Restores a state captured on a machine of the same shape.  Aborts if
-  /// the state is inconsistent with total()/granularity().
-  void restore_state(const MachineState& state);
 
  private:
   int total_;

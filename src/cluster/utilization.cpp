@@ -86,37 +86,6 @@ double UtilizationTracker::available_proc_seconds(sim::Time from,
   return integrate(capacity_steps_, capacity_steps_.back().time, from, to);
 }
 
-UtilizationState UtilizationTracker::save_state() const {
-  UtilizationState state;
-  state.busy = busy_;
-  state.first = first_;
-  state.last = last_;
-  state.started = started_;
-  state.integral = integral_;
-  state.mark_time = mark_time_;
-  state.mark_integral = mark_integral_;
-  state.capacity_steps.reserve(capacity_steps_.size());
-  for (const Step& s : capacity_steps_) {
-    state.capacity_steps.emplace_back(s.time, s.level);
-  }
-  return state;
-}
-
-void UtilizationTracker::restore_state(const UtilizationState& state) {
-  busy_ = state.busy;
-  first_ = state.first;
-  last_ = state.last;
-  started_ = state.started;
-  integral_ = state.integral;
-  mark_time_ = state.mark_time;
-  mark_integral_ = state.mark_integral;
-  capacity_steps_.clear();
-  capacity_steps_.reserve(state.capacity_steps.size());
-  for (const auto& [time, available] : state.capacity_steps) {
-    capacity_steps_.push_back({time, available});
-  }
-}
-
 double UtilizationTracker::mean_utilization(sim::Time from,
                                             sim::Time to) const {
   if (to <= from) return 0.0;

@@ -12,18 +12,6 @@
 
 namespace es::cluster {
 
-/// Serializable state of a tracker (snapshot/restore).
-struct UtilizationState {
-  int busy = 0;
-  sim::Time first = 0.0;
-  sim::Time last = 0.0;
-  bool started = false;
-  double integral = 0.0;
-  sim::Time mark_time = 0.0;  ///< see mark()
-  double mark_integral = 0.0;
-  std::vector<std::pair<sim::Time, int>> capacity_steps;
-};
-
 /// Exact integral of the busy-processor step function.
 class UtilizationTracker {
  public:
@@ -74,12 +62,6 @@ class UtilizationTracker {
 
   /// Total busy-proc-seconds integrated so far (up to the last record).
   double integral() const { return integral_; }
-
-  /// Captures the mutable accounting state for a snapshot.
-  UtilizationState save_state() const;
-
-  /// Restores state captured on a tracker of the same capacity.
-  void restore_state(const UtilizationState& state);
 
  private:
   struct Step {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "snap/snapshot.hpp"
 
 namespace es::core {
 
@@ -28,23 +27,6 @@ double AdaptiveSelector::small_fraction() const {
   const auto small =
       std::count(window_.begin(), window_.end(), true);
   return static_cast<double>(small) / static_cast<double>(window_.size());
-}
-
-void AdaptiveSelector::save_state(snap::SnapshotWriter& writer) const {
-  writer.i64(last_seen_id_);
-  writer.boolean(using_easy_);
-  writer.u64(window_.size());
-  for (const bool small : window_) writer.boolean(small);
-}
-
-void AdaptiveSelector::restore_state(snap::SnapshotReader& reader) {
-  last_seen_id_ = reader.i64();
-  using_easy_ = reader.boolean();
-  const std::uint64_t count = reader.u64();
-  window_.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    window_.push_back(reader.boolean());
-  }
 }
 
 void AdaptiveSelector::cycle(sched::SchedulerContext& ctx) {

@@ -48,14 +48,6 @@ class AdaptiveSelector : public sched::Scheduler {
     return delayed_.dp_counters();
   }
 
-  /// The selector is the one factory policy with semantic cross-cycle
-  /// state: the sliding arrival window, its high-water mark, and the last
-  /// delegate choice all steer future cycles, so they must survive a
-  /// snapshot restore or the resumed run would re-warm the window from
-  /// empty and pick different delegates.
-  void save_state(snap::SnapshotWriter& writer) const override;
-  void restore_state(snap::SnapshotReader& reader) override;
-
  private:
   void observe_arrivals(const sched::SchedulerContext& ctx);
 

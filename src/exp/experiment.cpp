@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "exp/analysis.hpp"
-#include "snap/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -62,11 +61,13 @@ sched::SimulationResult run_workload(const workload::Workload& workload,
   return engine.run(workload);
 }
 
-sched::SimulationResult run_source(workload::JobSource& source,
-                                   const std::string& algorithm,
-                                   const core::AlgorithmOptions& options) {
+sched::SimulationResult run_source(
+    workload::JobSource& source, const std::string& algorithm,
+    const core::AlgorithmOptions& options,
+    const std::function<void(sched::Engine&)>& prepare) {
   core::Algorithm algo = core::make_algorithm(algorithm, options);
   sched::Engine engine(engine_config(source, algo, options), *algo.policy);
+  if (prepare) prepare(engine);
   return engine.run_streamed(source);
 }
 
@@ -86,7 +87,17 @@ sched::SimulationResult resume_workload(const workload::Workload& workload,
                                         snap::SnapshotReader& reader) {
   core::Algorithm algo = core::make_algorithm(algorithm, options);
   sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  return engine.resume(workload, reader);
+  workload::MaterializedSource source(workload);
+  return engine.resume(source, reader);
+}
+
+sched::SimulationResult resume_source(workload::JobSource& source,
+                                      const std::string& algorithm,
+                                      const core::AlgorithmOptions& options,
+                                      snap::SnapshotReader& reader) {
+  core::Algorithm algo = core::make_algorithm(algorithm, options);
+  sched::Engine engine(engine_config(source, algo, options), *algo.policy);
+  return engine.resume(source, reader);
 }
 
 sched::SimulationResult run_once(const RunSpec& spec) {

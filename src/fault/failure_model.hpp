@@ -81,26 +81,6 @@ class FailureModel {
   /// process is unbounded).
   bool next(sim::Time from, Outage& out);
 
-  /// Serializable draw-position state: the RNG stream (stochastic mode),
-  /// the script cursor (scripted mode), and the previous outage's end.  A
-  /// model restored with this state produces the exact outage sequence the
-  /// saved one would have.
-  struct State {
-    util::RngState rng;
-    std::uint64_t script_index = 0;
-    sim::Time cursor = 0;
-  };
-
-  State save_state() const {
-    return State{rng_.save(), script_index_, cursor_};
-  }
-
-  void restore_state(const State& state) {
-    rng_.load(state.rng);
-    script_index_ = static_cast<std::size_t>(state.script_index);
-    cursor_ = state.cursor;
-  }
-
  private:
   FailureModelConfig config_;
   int machine_procs_;

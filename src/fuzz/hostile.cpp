@@ -315,9 +315,9 @@ Scenario make_crash_restart(std::uint64_t seed) {
 
   // The whole feature surface in one trace — elastic commands, sometimes
   // dedicated reservations, failure churn with checkpoint banking — i.e.
-  // everything a snapshot has to round-trip.  The oracle treats this
-  // family specially: every run is re-executed with snapshot capture,
-  // killed at event boundaries and resumed, and the resumed result must
+  // everything a replay has to reproduce.  The oracle treats this family
+  // specially: every run is re-executed with recovery records, killed at
+  // event boundaries and resumed by replay, and the resumed result must
   // match the uninterrupted one exactly (check_run's restore-equivalence
   // differential).
   workload::GeneratorConfig config =

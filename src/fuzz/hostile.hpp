@@ -26,7 +26,7 @@
 //   crash_restart         the full feature surface in one trace (ECCs,
 //                         dedicated jobs, failures, checkpoints); the
 //                         oracle kills each run at event boundaries,
-//                         resumes from the last engine snapshot and
+//                         resumes from the last recovery record and
 //                         requires the resumed result to match the
 //                         uninterrupted run exactly
 //

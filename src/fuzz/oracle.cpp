@@ -379,35 +379,35 @@ RunReport check_run(const Scenario& scenario, const std::string& algorithm) {
                   static_cast<unsigned long long>(result.ecc.processed)));
 
   // Restore-equivalence differential (crash_restart family only): re-run
-  // with snapshot-every-cycle capture, kill at two event boundaries, resume
-  // from the last pre-kill snapshot, and require every deterministic result
-  // field to match the uninterrupted run bit for bit.
+  // with a recovery record every cycle, kill at two event boundaries,
+  // replay to the last pre-kill record and on to the end, and require every
+  // deterministic result field to match the uninterrupted run bit for bit.
   if (scenario.family == "crash_restart") {
     for (const std::uint64_t kill :
          {result.events / 3 + 1, (2 * result.events) / 3 + 1}) {
       core::AlgorithmOptions killed_options = scenario.options();
       killed_options.engine.snapshot.every_cycles = 1;
       killed_options.engine.watchdog.max_events = kill;
-      std::string image;
+      std::string record;
       (void)exp::run_workload_prepared(
           scenario.workload, algorithm, killed_options,
-          [&image](sched::Engine& engine) {
+          [&record](sched::Engine& engine) {
             engine.set_snapshot_sink(
-                [&image](const std::string& bytes) { image = bytes; });
+                [&record](const std::string& bytes) { record = bytes; });
           });
       sched::SimulationResult resumed;
-      if (image.empty()) {
-        // Killed before the first snapshot; recovery is a fresh run.
+      if (record.empty()) {
+        // Killed before the first record; recovery is a fresh run.
         resumed =
             exp::run_workload(scenario.workload, algorithm, scenario.options());
       } else {
         try {
-          snap::SnapshotReader reader(image);
+          snap::SnapshotReader reader(record);
           resumed = exp::resume_workload(scenario.workload, algorithm,
                                          scenario.options(), reader);
         } catch (const snap::SnapshotError& error) {
           violation("crash-restart-reject",
-                    fmt("own snapshot at %llu events rejected on resume: %s",
+                    fmt("own record at %llu events rejected on resume: %s",
                         static_cast<unsigned long long>(kill), error.what()));
           continue;
         }

@@ -27,7 +27,7 @@
 //     tripping a watchdog budget, and the machine must not sit idle with
 //     runnable batch work across many consecutive scheduling cycles;
 //   * crash restart (crash_restart family only): killing the run at an
-//     event boundary and resuming from the engine's own snapshot must
+//     event boundary and resuming from the engine's own record must
 //     reproduce the uninterrupted result bit for bit.
 //
 // Cross-algorithm sanity (check_cross): every algorithm saw the same job

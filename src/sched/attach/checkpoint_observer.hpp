@@ -13,7 +13,6 @@
 
 #include "fault/checkpoint.hpp"
 #include "sched/attach/observer.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -31,18 +30,6 @@ class CheckpointObserver final : public EngineObserver {
   void on_preempt(sim::Time now, PreemptInfo& info) override;
   void on_finish(sim::Time now, const JobRun& job) override;
   void on_collect(SimulationResult& result) const override;
-
-  /// Ledger snapshot/restore (the model itself is pure config).
-  void save_state(snap::SnapshotWriter& w) const {
-    w.u64(checkpoints_);
-    w.f64(overhead_proc_seconds_);
-    w.f64(saved_proc_seconds_);
-  }
-  void restore_state(snap::SnapshotReader& r) {
-    checkpoints_ = r.u64();
-    overhead_proc_seconds_ = r.f64();
-    saved_proc_seconds_ = r.f64();
-  }
 
  private:
   fault::CheckpointModel model_;

@@ -31,30 +31,6 @@ void CycleStatsObserver::on_collect(SimulationResult& result) const {
   result.perf.cycle = stats_;
 }
 
-void CycleStatsObserver::save_state(snap::SnapshotWriter& w) const {
-  const std::uint64_t calls = policy_->dp_counters().calls;
-  w.u64(calls - baseline_dp_calls_);
-  w.u64(calls - last_dp_calls_);
-  w.u64(stats_.cycles);
-  w.u64(stats_.starts);
-  w.u64(stats_.backfill_starts);
-  w.u64(stats_.max_queue_depth);
-  for (int b = 0; b < CycleStats::kBuckets; ++b) w.u64(stats_.queue_depth[b]);
-  for (int b = 0; b < CycleStats::kBuckets; ++b) w.u64(stats_.dp_calls[b]);
-}
-
-void CycleStatsObserver::restore_state(snap::SnapshotReader& r) {
-  const std::uint64_t calls = policy_->dp_counters().calls;
-  baseline_dp_calls_ = calls - r.u64();
-  last_dp_calls_ = calls - r.u64();
-  stats_.cycles = r.u64();
-  stats_.starts = r.u64();
-  stats_.backfill_starts = r.u64();
-  stats_.max_queue_depth = r.u64();
-  for (int b = 0; b < CycleStats::kBuckets; ++b) stats_.queue_depth[b] = r.u64();
-  for (int b = 0; b < CycleStats::kBuckets; ++b) stats_.dp_calls[b] = r.u64();
-}
-
 void CycleStatsObserver::on_paranoid_check(
     const ParanoidSnapshot& snapshot) const {
   // Cycle hooks always pair, every cycle lands in exactly one bucket of

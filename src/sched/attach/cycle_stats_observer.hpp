@@ -12,7 +12,6 @@
 
 #include "sched/attach/observer.hpp"
 #include "sched/scheduler.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -38,14 +37,6 @@ class CycleStatsObserver final : public EngineObserver {
   void on_start(sim::Time now, const JobRun& job, bool backfilled) override;
   void on_collect(SimulationResult& result) const override;
   void on_paranoid_check(const ParanoidSnapshot& snapshot) const override;
-
-  /// Snapshot/restore.  The two DP markers reference the *policy's*
-  /// cumulative counter, which resets on the fresh policy instance a
-  /// restore builds — so they are serialized as deltas below the counter's
-  /// save-time value and re-anchored against the fresh counter at restore
-  /// (mod-2^64 wraparound keeps future subtractions exact).
-  void save_state(snap::SnapshotWriter& w) const;
-  void restore_state(snap::SnapshotReader& r);
 
  private:
   const Scheduler* policy_;

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "sched/attach/observer.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -25,20 +24,6 @@ class EccAuditObserver final : public EngineObserver {
   void on_ecc_unknown_job(sim::Time now, const workload::Ecc& ecc) override;
   void on_collect(SimulationResult& result) const override;
   void on_paranoid_check(const ParanoidSnapshot& snapshot) const override;
-
-  /// Ledger snapshot/restore.
-  void save_state(snap::SnapshotWriter& w) const {
-    w.u64(unknown_);
-    w.u64(dispatched_);
-    w.u64(rejected_);
-    w.u64(conflicts_);
-  }
-  void restore_state(snap::SnapshotReader& r) {
-    unknown_ = r.u64();
-    dispatched_ = r.u64();
-    rejected_ = r.u64();
-    conflicts_ = r.u64();
-  }
 
  private:
   std::uint64_t unknown_ = 0;     ///< commands skipped: job id not found

@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "sched/attach/observer.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -29,24 +28,6 @@ class FailureStatsObserver final : public EngineObserver {
   void on_abandon(sim::Time now, const JobRun& job, int alloc) override;
   void on_collect(SimulationResult& result) const override;
   void on_paranoid_check(const ParanoidSnapshot& snapshot) const override;
-
-  /// Ledger snapshot/restore.
-  void save_state(snap::SnapshotWriter& w) const {
-    w.u64(outages_);
-    w.u64(interruptions_);
-    w.u64(requeues_);
-    w.u64(abandoned_);
-    w.f64(lost_proc_seconds_);
-    w.f64(wasted_proc_seconds_);
-  }
-  void restore_state(snap::SnapshotReader& r) {
-    outages_ = r.u64();
-    interruptions_ = r.u64();
-    requeues_ = r.u64();
-    abandoned_ = r.u64();
-    lost_proc_seconds_ = r.f64();
-    wasted_proc_seconds_ = r.f64();
-  }
 
  private:
   std::uint64_t outages_ = 0;

@@ -176,59 +176,4 @@ void FairnessObserver::on_collect(SimulationResult& result) const {
                                   sum_sq);
 }
 
-void FairnessObserver::save_state(snap::SnapshotWriter& w) const {
-  w.boolean(clock_started_);
-  w.f64(last_time_);
-  w.u64(pending_.size());
-  for (std::size_t p = 0; p < pending_.size(); ++p) {
-    w.u32(pending_[p]);
-    w.f64(running_alloc_[p]);
-    w.f64(backlogged_seconds_[p]);
-    w.f64(service_integral_[p]);
-    w.u64(waits_[p].size());
-    for (const double wait : waits_[p]) w.f64(wait);
-  }
-  // Deterministic order for the open-wait map.
-  std::vector<std::pair<workload::JobId, Waiting>> open(waiting_.begin(),
-                                                        waiting_.end());
-  std::sort(open.begin(), open.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(open.size());
-  for (const auto& [id, entry] : open) {
-    w.i64(id);
-    w.i32(entry.pool);
-    w.f64(entry.since);
-  }
-}
-
-void FairnessObserver::restore_state(snap::SnapshotReader& r) {
-  clock_started_ = r.boolean();
-  last_time_ = r.f64();
-  const std::uint64_t npools = r.u64();
-  pending_.clear();
-  running_alloc_.clear();
-  backlogged_seconds_.clear();
-  service_integral_.clear();
-  waits_.clear();
-  ensure_pool(static_cast<int>(npools) - 1);
-  for (std::uint64_t p = 0; p < npools; ++p) {
-    pending_[p] = r.u32();
-    running_alloc_[p] = r.f64();
-    backlogged_seconds_[p] = r.f64();
-    service_integral_[p] = r.f64();
-    const std::uint64_t nwaits = r.u64();
-    waits_[p].reserve(nwaits);
-    for (std::uint64_t i = 0; i < nwaits; ++i) waits_[p].push_back(r.f64());
-  }
-  waiting_.clear();
-  const std::uint64_t nwaiting = r.u64();
-  for (std::uint64_t i = 0; i < nwaiting; ++i) {
-    const workload::JobId id = r.i64();
-    Waiting entry;
-    entry.pool = r.i32();
-    entry.since = r.f64();
-    waiting_.emplace(id, entry);
-  }
-}
-
 }  // namespace es::sched

@@ -23,7 +23,6 @@
 
 #include "sched/attach/observer.hpp"
 #include "sched/engine_config.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -45,10 +44,6 @@ class FairnessObserver final : public EngineObserver {
   void on_requeue(sim::Time now, const JobRun& job, int alloc) override;
   void on_abandon(sim::Time now, const JobRun& job, int alloc) override;
   void on_collect(SimulationResult& result) const override;
-
-  /// Ledger snapshot/restore (crash consistency).
-  void save_state(snap::SnapshotWriter& w) const;
-  void restore_state(snap::SnapshotReader& r);
 
  private:
   struct Waiting {

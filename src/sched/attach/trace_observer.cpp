@@ -73,37 +73,4 @@ void TraceObserver::on_collect(SimulationResult& result) const {
   result.trace = trace_;
 }
 
-void TraceObserver::save_state(snap::SnapshotWriter& w) const {
-  const std::size_t count = trace_ ? trace_->events().size() : 0;
-  w.u64(count);
-  if (trace_ == nullptr) return;
-  for (const TraceEvent& e : trace_->events()) {
-    w.f64(e.time);
-    w.i32(static_cast<std::int32_t>(e.kind));
-    w.i64(e.job);
-    w.i32(e.procs);
-    w.f64(e.detail);
-  }
-}
-
-void TraceObserver::restore_state(snap::SnapshotReader& r) {
-  const std::uint64_t count = r.u64();
-  if (trace_ == nullptr) {
-    if (count != 0) {
-      throw snap::SnapshotError(
-          snap::SnapshotErrorKind::kMismatch,
-          "snapshot carries a trace but tracing is disabled on restore");
-    }
-    return;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const double time = r.f64();
-    const auto kind = static_cast<TraceEventKind>(r.i32());
-    const workload::JobId job = r.i64();
-    const int procs = r.i32();
-    const double detail = r.f64();
-    trace_->record(time, kind, job, procs, detail);
-  }
-}
-
 }  // namespace es::sched

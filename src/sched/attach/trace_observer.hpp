@@ -10,7 +10,6 @@
 
 #include "sched/attach/observer.hpp"
 #include "sched/trace.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -44,11 +43,6 @@ class TraceObserver final : public EngineObserver {
   void on_abandon(sim::Time now, const JobRun& job, int alloc) override;
   void on_dedicated_move(sim::Time now, const JobRun& job) override;
   void on_collect(SimulationResult& result) const override;
-
-  /// Serializes the accumulated trace (the "tail" the resumed run appends
-  /// to).  A disabled instance writes an empty event list.
-  void save_state(snap::SnapshotWriter& w) const;
-  void restore_state(snap::SnapshotReader& r);
 
  private:
   std::shared_ptr<ScheduleTrace> trace_;  ///< null when disabled

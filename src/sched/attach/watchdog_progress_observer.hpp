@@ -11,7 +11,6 @@
 
 #include "sched/attach/observer.hpp"
 #include "sim/watchdog.hpp"
-#include "snap/snapshot.hpp"
 
 namespace es::sched {
 
@@ -29,21 +28,6 @@ class WatchdogProgressObserver final : public EngineObserver {
   void on_finish(sim::Time now, const JobRun& job) override;
   void on_cycle_end(const CycleInfo& info) override;
   void on_paranoid_check(const ParanoidSnapshot& snapshot) const override;
-
-  /// Progress-counter snapshot/restore: a restored run must resume the
-  /// stall countdown where it left off, not reset it.
-  void save_state(snap::SnapshotWriter& w) const {
-    w.u64(starts_);
-    w.u64(finishes_);
-    w.u64(progress_marker_);
-    w.i32(stalled_cycles_);
-  }
-  void restore_state(snap::SnapshotReader& r) {
-    starts_ = r.u64();
-    finishes_ = r.u64();
-    progress_marker_ = r.u64();
-    stalled_cycles_ = r.i32();
-  }
 
  private:
   sim::WatchdogConfig config_;

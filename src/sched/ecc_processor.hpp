@@ -97,31 +97,6 @@ class EccProcessor {
   /// attachment counts those and merges them into the result's EccStats.
   const EccStats& stats() const { return stats_; }
 
-  /// Serializable mutable state: the stats ledger plus the same-instant
-  /// conflict-shield group.  A snapshot can land *between* two commands of
-  /// one same-instant batch, so the shield must survive restore or the
-  /// first resumed command of the batch would wrongly win its dimension.
-  struct State {
-    EccStats stats;
-    workload::JobId group_job = 0;
-    sim::Time group_time = -1;
-    bool group_time_dim = false;
-    bool group_proc_dim = false;
-  };
-
-  State save_state() const {
-    return State{stats_, group_job_, group_time_, group_time_dim_,
-                 group_proc_dim_};
-  }
-
-  void restore_state(const State& state) {
-    stats_ = state.stats;
-    group_job_ = state.group_job;
-    group_time_ = state.group_time;
-    group_time_dim_ = state.group_time_dim;
-    group_proc_dim_ = state.group_proc_dim;
-  }
-
  private:
   EccOutcome resize(const workload::Ecc& ecc, JobRun& job, sim::Time now,
                     int free_procs);

@@ -71,7 +71,8 @@ bool active_before(const JobRun* a, const JobRun* b) {
   return a->id < b->id;
 }
 
-/// FNV-1a accumulator for the run fingerprint a restore validates against.
+/// FNV-1a accumulator for the run fingerprint and the state hash of a
+/// recovery record.
 struct Fingerprint {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
 
@@ -90,28 +91,27 @@ struct Fingerprint {
     std::memcpy(&b, &v, sizeof(b));
     u64(b);
   }
-  void boolean(bool v) { u64(v ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }
 };
 
-/// Hash over everything that must agree between the snapshotting run and
-/// the resuming run for divergence-free resume: machine shape, the
-/// behaviour-steering config knobs, the policy, and the full workload.
-/// Watchdog budgets and the snapshot policy itself are deliberately
-/// excluded — the resumed process may run with different guardrails.
+/// The run fingerprint's head: everything that must agree between the
+/// recording run and the resuming run besides the trace — the machine
+/// shape, the behaviour-steering config knobs and the policy.  Watchdog
+/// budgets and the snapshot policy itself are deliberately excluded — the
+/// resumed process may run with different guardrails.  The engine folds
+/// every job and command it is fed into the rest (fingerprint_chunk).
 std::uint64_t run_fingerprint(const EngineConfig& config,
-                              const Scheduler& policy,
-                              const workload::Workload& workload) {
+                              const Scheduler& policy) {
   Fingerprint fp;
   // Registry-driven config portion: every fingerprint-participating
   // parameter (see sched/engine_params.cpp — watchdog budgets and snapshot
   // cadence are excluded by their no_fingerprint() marks) renders into a
   // stable name=value blob, so a knob added to the registry can never be
-  // silently missing from the restore validation.  Registration needs
-  // mutable storage, hence the local copy.
+  // silently missing from the record check.  Registration needs mutable
+  // storage, hence the local copy.
   EngineConfig bound = config;
   util::ParamRegistry registry;
   register_engine_params(registry, bound);
@@ -125,8 +125,14 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
     fp.i32(outage.procs);
   }
   fp.str(policy.name());
-  fp.u64(workload.jobs.size());
-  for (const workload::Job& job : workload.jobs) {
+  return fp.hash;
+}
+
+/// Folds a chunk's jobs and commands, in feed order, into `hash`.
+std::uint64_t fingerprint_chunk(std::uint64_t hash,
+                                const workload::SourceChunk& chunk) {
+  Fingerprint fp{hash};
+  for (const workload::Job& job : chunk.jobs) {
     fp.i64(job.id);
     fp.f64(job.arr);
     fp.i32(job.num);
@@ -137,8 +143,7 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
     fp.i32(job.user);
     fp.i32(job.pool);
   }
-  fp.u64(workload.eccs.size());
-  for (const workload::Ecc& ecc : workload.eccs) {
+  for (const workload::Ecc& ecc : chunk.eccs) {
     fp.f64(ecc.issue);
     fp.i64(ecc.job_id);
     fp.i32(static_cast<std::int32_t>(ecc.type));
@@ -147,19 +152,13 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
   return fp.hash;
 }
 
-[[noreturn]] void snapshot_corrupt(const std::string& what) {
+[[noreturn]] void record_corrupt(const std::string& what) {
   throw snap::SnapshotError(snap::SnapshotErrorKind::kCorrupt,
-                            "corrupt snapshot: " + what);
+                            "corrupt recovery record: " + what);
 }
 
 /// Job events (finish, arrival, dedicated-due) carry their job's arena
 /// handle as the tag: generation in the high word, slot in the low one.
-bool is_job_event(sim::EventClass cls) {
-  return cls == sim::EventClass::kJobFinish ||
-         cls == sim::EventClass::kJobArrival ||
-         cls == sim::EventClass::kDedicatedDue;
-}
-
 JobRunArena::Handle tag_handle(std::uint64_t tag) {
   return JobRunArena::Handle{static_cast<std::uint32_t>(tag),
                              static_cast<std::uint32_t>(tag >> 32)};
@@ -698,23 +697,28 @@ SimulationResult Engine::finish_run(util::TimerTicks run_start) {
 }
 
 SimulationResult Engine::run(const workload::Workload& workload) {
-  ES_EXPECTS(!restored_);  // a restored engine continues via resume()
   const util::TimerTicks run_start = util::timer_now();
-  materialized_.emplace(workload);
-  // Hashing the workload and building a registry is pure overhead on the
-  // (vast majority of) runs that never snapshot.
-  if (config_.snapshot.every_cycles > 0)
-    workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
-  return drive(*materialized_, run_start);
+  workload::MaterializedSource source(workload);
+  return drive(source, run_start);
 }
 
 SimulationResult Engine::run_streamed(workload::JobSource& source) {
-  ES_EXPECTS(!restored_);  // a restored engine continues via resume()
   const util::TimerTicks run_start = util::timer_now();
-  // A snapshot records the materialized workload's cursor; other sources
-  // have none to seek.
-  ES_EXPECTS(config_.snapshot.every_cycles == 0 && !snapshot_sink_);
   ES_EXPECTS(source.machine_procs() == config_.machine_procs);
+  return drive(source, run_start);
+}
+
+SimulationResult Engine::resume(workload::JobSource& source,
+                                snap::SnapshotReader& record) {
+  const util::TimerTicks run_start = util::timer_now();
+  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
+  record.open_section("RCRD");
+  RecoveryRecord target;
+  target.fingerprint = record.u64();
+  target.events = record.u64();
+  target.state = record.u64();
+  if (record.remaining() != 0) record_corrupt("trailing record bytes");
+  replay_to_ = target;
   return drive(source, run_start);
 }
 
@@ -722,6 +726,10 @@ SimulationResult Engine::drive(workload::JobSource& source,
                               util::TimerTicks run_start) {
   ES_EXPECTS(source_ == nullptr);  // one run per engine
   dp_baseline_ = policy_->dp_counters();
+  // Hashing the config and the fed trace is pure overhead on the (vast
+  // majority of) runs that neither record nor resume.
+  fingerprinting_ = config_.snapshot.every_cycles > 0 || replay_to_;
+  if (fingerprinting_) fingerprint_ = run_fingerprint(config_, *policy_);
   source_ = &source;
   source_exhausted_ = false;
   total_jobs_ = source.total_jobs();
@@ -735,6 +743,11 @@ SimulationResult Engine::drive(workload::JobSource& source,
     schedule_next_outage(first_arrival_);
   }
   pump_events();
+  if (replay_to_)
+    record_corrupt("the run ended after " +
+                   std::to_string(sim_.events_processed()) +
+                   " events, before the recorded event " +
+                   std::to_string(replay_to_->events));
   return finish_run(run_start);
 }
 
@@ -769,6 +782,7 @@ void Engine::load_next_chunk() {
   }
   ES_EXPECTS(chunk_.ecc_counts.size() == chunk_.jobs.size());
   ES_EXPECTS(chunk_.ahead_ecc_counts.size() == chunk_.ahead.size());
+  if (fingerprinting_) fingerprint_ = fingerprint_chunk(fingerprint_, chunk_);
   if (jobs_fed_ == 0) {
     warn_if_unbounded_retry(chunk_.jobs);
   } else if (config_.keep_job_outcomes && total_jobs_ &&
@@ -960,9 +974,10 @@ void Engine::dispatch(const sim::Event& event) {
 
 void Engine::pump_events() {
   // One loop for every run: the watchdog, an attachment's abort request
-  // and the snapshot cadence each cost one untaken branch per event when
-  // unset.
-  const bool snapshotting = config_.snapshot.every_cycles > 0;
+  // and the recovery records (cadence and resume check) each cost one
+  // untaken branch per event when unset.
+  const bool snapshotting =
+      config_.snapshot.every_cycles > 0 || replay_to_.has_value();
   std::optional<sim::Watchdog> watchdog;
   if (config_.watchdog.enabled()) watchdog.emplace(config_.watchdog);
   sim::TerminationReason reason = sim::TerminationReason::kCompleted;
@@ -980,8 +995,8 @@ void Engine::pump_events() {
       reason = abort_.reason;
       break;
     }
-    // Snapshots land only here, *between* events: the engine is never
-    // mid-cycle, so the serialized state is a consistent event boundary.
+    // Records land only here, *between* events: the engine is never
+    // mid-cycle, so the hashed state is a consistent event boundary.
     if (snapshotting) maybe_snapshot();
   }
   cycle_timed_ = false;
@@ -1002,598 +1017,97 @@ void Engine::pump_events() {
 }
 
 void Engine::maybe_snapshot() {
-  if (cycles_ - last_snapshot_cycle_ < config_.snapshot.every_cycles) return;
-  last_snapshot_cycle_ = cycles_;
+  const std::uint64_t every = config_.snapshot.every_cycles;
+  const bool due = every > 0 && cycles_ - last_snapshot_cycle_ >= every;
+  if (due) last_snapshot_cycle_ = cycles_;
+  if (replay_to_) {
+    // The replayed prefix's records are on disk already: keep the cadence,
+    // write none, and check the record at its event.
+    if (sim_.events_processed() == replay_to_->events) verify_record();
+    return;
+  }
+  if (due) write_record();
+}
+
+void Engine::write_record() {
   snap::SnapshotWriter writer;
-  snapshot(writer);
-  const std::string image = writer.finish();
+  writer.begin_section("RCRD");
+  writer.u64(fingerprint_);
+  writer.u64(sim_.events_processed());
+  writer.u64(state_hash());
+  writer.end_section();
+  const std::string record = writer.finish();
   ++snapshots_taken_;
-  if (snapshot_sink_) snapshot_sink_(image);
+  if (snapshot_sink_) snapshot_sink_(record);
   if (!config_.snapshot.dir.empty()) {
     if (!ring_)
       ring_ = std::make_unique<snap::SnapshotRing>(config_.snapshot.dir,
                                                    config_.snapshot.keep);
-    ring_->commit(image);
+    ring_->commit(record);
   }
 }
 
-JobRun* Engine::job_by_id(workload::JobId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end())
-    snapshot_corrupt("unknown job id " + std::to_string(id));
-  return it->second;
-}
-
-void Engine::snapshot(snap::SnapshotWriter& writer) const {
-  ES_EXPECTS(!in_cycle_);  // only valid at an event boundary
-  ES_EXPECTS(workload_fingerprint_.has_value() && materialized_);
-
-  writer.begin_section("META");
-  writer.u64(*workload_fingerprint_);
-  writer.u64(*total_jobs_);
-  writer.end_section();
-
-  // Clock + event-queue allocator/counters.  next_seq must round-trip so
-  // post-restore schedule() calls draw the sequence numbers the original
-  // run would have drawn — same-instant tie-breaking depends on them.
-  writer.begin_section("CLCK");
-  writer.f64(sim_.now());
-  writer.u64(sim_.events_processed());
-  writer.u64(sim_.queue().next_seq());
-  const sim::EventQueueCounters& counters = sim_.queue().counters();
-  writer.u64(counters.scheduled);
-  writer.u64(counters.cancelled);
-  writer.u64(counters.fired);
-  writer.u64(counters.peak_pending);
-  writer.end_section();
-
-  // Pending events as (time, class, original seq, tag).  Job events store
-  // the job id in place of the arena handle they carry, which a restored
-  // engine's arena need not reproduce.
-  writer.begin_section("EVTS");
-  const std::vector<sim::Event> pending = sim_.queue().pending_events();
-  writer.u64(pending.size());
-  for (const sim::Event& event : pending) {
-    std::uint64_t tag = event.tag;
-    if (is_job_event(event.cls)) {
-      const JobRun* job = arena_.get(tag_handle(event.tag));
-      ES_ASSERT(job != nullptr);
-      tag = static_cast<std::uint64_t>(job->id);
-    }
-    writer.f64(event.time);
-    writer.i32(static_cast<std::int32_t>(event.cls));
-    writer.u64(event.seq);
-    writer.u64(tag);
-  }
-  writer.end_section();
-
-  // The live records' runtime state, in id order (independent of arena
-  // layout).  Immutable specs are rebuilt from the workload; container
-  // membership is restored from the ORDR section; finish events from EVTS.
-  std::vector<const JobRun*> live;
-  live.reserve(arena_.live());
-  arena_.for_each_live([&live](const JobRun& job) { live.push_back(&job); });
-  std::sort(live.begin(), live.end(),
-            [](const JobRun* a, const JobRun* b) { return a->id < b->id; });
-  writer.begin_section("JOBS");
-  writer.u64(live.size());
-  for (const JobRun* job : live) {
-    const JobRunCold& cold = arena_.cold(*job);
-    writer.i64(job->id);
-    writer.boolean(ahead_.count(job->id) > 0);
-    writer.i32(cold.ecc_pending);
-    writer.f64(job->req_time);
-    writer.f64(job->actual_time);
-    writer.i32(job->num);
-    writer.i32(job->alloc);
-    writer.f64(job->req_start);
-    writer.i32(job->scount);
-    writer.boolean(job->forced_priority);
-    writer.i32(cold.interruptions);
-    writer.f64(job->ckpt_progress);
-    writer.f64(job->ckpt_overhead_planned);
-    writer.u8(static_cast<std::uint8_t>(job->status));
-    writer.f64(job->start_time);
-    writer.f64(cold.end_time);
-    writer.i32(job->frenum);
-  }
-  writer.end_section();
-
-  // Container order: batch FIFO (intrusive links), dedicated list and
-  // active array (sorted by planned end).
-  writer.begin_section("ORDR");
-  writer.u64(batch_queue_.size());
-  for (const JobRun* job : batch_queue_) writer.i64(job->id);
-  writer.u64(dedicated_queue_.size());
-  for (const JobRun* job : dedicated_queue_) writer.i64(job->id);
-  writer.u64(active_.size());
-  for (const JobRun* job : active_) writer.i64(job->id);
-  writer.end_section();
-
-  writer.begin_section("MACH");
-  const cluster::MachineState machine_state = machine_.save_state();
-  writer.i32(machine_state.free);
-  writer.i32(machine_state.offline);
-  writer.u64(machine_state.allocations.size());
-  for (const auto& [job, procs] : machine_state.allocations) {
-    writer.i64(job);
-    writer.i32(procs);
-  }
-  writer.end_section();
-
-  // The tracker keeps no busy steps: its integral scalars and the capacity
-  // steps (one pair per outage edge) are the whole ledger.
-  writer.begin_section("UTIL");
-  const cluster::UtilizationState util_state = utilization_.save_state();
-  writer.i32(util_state.busy);
-  writer.f64(util_state.first);
-  writer.f64(util_state.last);
-  writer.boolean(util_state.started);
-  writer.f64(util_state.integral);
-  writer.f64(util_state.mark_time);
-  writer.f64(util_state.mark_integral);
-  writer.u64(util_state.capacity_steps.size());
-  for (const auto& [time, available] : util_state.capacity_steps) {
-    writer.f64(time);
-    writer.i32(available);
-  }
-  writer.end_section();
-
-  writer.begin_section("ECCP");
-  const EccProcessor::State ecc_state = ecc_processor_.save_state();
-  writer.u64(ecc_state.stats.processed);
-  writer.u64(ecc_state.stats.extensions);
-  writer.u64(ecc_state.stats.reductions);
-  writer.u64(ecc_state.stats.rejected);
-  writer.u64(ecc_state.stats.unknown_job);
-  writer.u64(ecc_state.stats.after_finish);
-  writer.u64(ecc_state.stats.running_resizes);
-  writer.u64(ecc_state.stats.conflicts);
-  writer.f64(ecc_state.stats.time_added);
-  writer.f64(ecc_state.stats.time_removed);
-  writer.f64(ecc_state.stats.procs_added);
-  writer.f64(ecc_state.stats.procs_removed);
-  writer.i64(ecc_state.group_job);
-  writer.f64(ecc_state.group_time);
-  writer.boolean(ecc_state.group_time_dim);
-  writer.boolean(ecc_state.group_proc_dim);
-  writer.end_section();
-
-  // Failure model draw position + the payload of the (at most one) pending
-  // outage-chain event.
-  writer.begin_section("FAIL");
-  writer.boolean(has_pending_outage_);
-  writer.f64(pending_outage_.down);
-  writer.f64(pending_outage_.up);
-  writer.i32(pending_outage_.procs);
-  const fault::FailureModel::State fail_state = failure_model_.save_state();
-  for (const std::uint64_t word : fail_state.rng.s) writer.u64(word);
-  writer.f64(fail_state.rng.cached_normal);
-  writer.boolean(fail_state.rng.has_cached_normal);
-  writer.u64(fail_state.script_index);
-  writer.f64(fail_state.cursor);
-  writer.end_section();
-
-  // Engine scalars.  DP counters are policy-cumulative (the policy object
-  // outlives engines), so the snapshot stores the *delta* accumulated by
-  // this run; restore re-anchors the baseline below the resuming policy's
-  // own counter.
-  writer.begin_section("ENGN");
-  writer.u64(cycles_);
-  writer.f64(first_arrival_);
-  writer.f64(last_finish_);
-  const DpCounters dp_delta = policy_->dp_counters() - dp_baseline_;
-  writer.u64(dp_delta.calls);
-  writer.u64(dp_delta.fast_path);
-  writer.u64(0);  // format-3 slot of the retired DP result cache
-  writer.u64(dp_delta.table_runs);
-  writer.u64(dp_delta.table_cells);
-  // Source cursor: the next window's start, the current window's unfired
-  // arrivals (its pending events travel in EVTS) and whether the source
-  // has run dry.
-  writer.u64(materialized_->next_job());
-  writer.u64(materialized_->next_ecc());
-  writer.u64(arrivals_pending_);
-  writer.boolean(source_exhausted_);
-  writer.end_section();
-
-  // The retired jobs, folded: feed and retire counters, the metric sums,
-  // the deferred wasted-work terms, the kept outcomes and the offered-load
-  // accumulators.
-  writer.begin_section("FOLD");
-  writer.u64(jobs_built_);
-  writer.u64(jobs_retired_);
-  writer.u64(jobs_fed_);
-  writer.u64(eccs_scheduled_);
-  writer.u64(retired_interruptions_);
-  writer.f64(sums_.wait_sum);
-  writer.f64(sums_.run_sum);
-  writer.f64(sums_.sd_sum);
-  writer.f64(sums_.bsd_sum);
-  writer.f64(sums_.dedicated_delay_sum);
-  writer.u64(sums_.dedicated_count);
-  writer.u64(sums_.count);
-  writer.u64(folded_.completed);
-  writer.u64(folded_.killed);
-  writer.u64(folded_.abandoned);
-  writer.u64(folded_.dedicated_on_time);
-  writer.f64(folded_.max_wait);
-  writer.f64(folded_.failure.goodput_proc_seconds);
-  writer.u64(wasted_deferred_.size());
-  for (const double work : wasted_deferred_) writer.f64(work);
-  writer.u64(outcomes_.size());
-  for (const JobOutcome& outcome : outcomes_) {
-    writer.i64(outcome.id);
-    writer.boolean(outcome.dedicated);
-    writer.boolean(outcome.killed);
-    writer.boolean(outcome.abandoned);
-    writer.i32(outcome.interruptions);
-    writer.i32(outcome.procs);
-    writer.f64(outcome.arrival);
-    writer.f64(outcome.started);
-    writer.f64(outcome.finished);
-    writer.f64(outcome.wait);
-    writer.f64(outcome.run);
-  }
-  writer.f64(offered_proc_seconds_);
-  writer.f64(offered_origin_);
-  writer.f64(offered_last_);
-  writer.end_section();
-
-  // Every built-in attachment is a plain member that exists whether or not
-  // it is registered, so all seven ledgers serialize unconditionally — the
-  // layout never depends on which observers the config enabled.
-  writer.begin_section("ATCH");
-  checkpoint_attach_.save_state(writer);
-  failure_attach_.save_state(writer);
-  ecc_audit_attach_.save_state(writer);
-  trace_attach_.save_state(writer);
-  progress_attach_.save_state(writer);
-  cycle_stats_attach_.save_state(writer);
-  fairness_attach_.save_state(writer);
-  writer.end_section();
-
-  // Policy cross-cycle state (empty for every memoryless factory policy;
-  // the AdaptiveSelector writes its sliding window).
-  writer.begin_section("POLI");
-  policy_->save_state(writer);
-  writer.end_section();
-}
-
-void Engine::restore(const workload::Workload& workload,
-                     snap::SnapshotReader& reader) {
-  ES_EXPECTS(!restored_ && source_ == nullptr);  // first call, fresh engine
-
-  materialized_.emplace(workload);
-  source_ = &*materialized_;
-  total_jobs_ = materialized_->total_jobs();
-  workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
-
-  reader.open_section("META");
-  const std::uint64_t fingerprint = reader.u64();
-  const std::uint64_t job_count = reader.u64();
-  if (fingerprint != *workload_fingerprint_)
+void Engine::verify_record() {
+  if (fingerprint_ != replay_to_->fingerprint)
     throw snap::SnapshotError(
         snap::SnapshotErrorKind::kMismatch,
-        "snapshot belongs to a different run (workload/config/policy "
+        "recovery record belongs to a different run (trace/config/policy "
         "fingerprint disagrees)");
-  if (job_count != *total_jobs_)
-    snapshot_corrupt("job count disagrees with the workload");
-
-  reader.open_section("ENGN");
-  cycles_ = reader.u64();
-  first_arrival_ = reader.f64();
-  last_finish_ = reader.f64();
-  DpCounters dp_delta;
-  dp_delta.calls = reader.u64();
-  dp_delta.fast_path = reader.u64();
-  reader.u64();  // format-3 slot of the retired DP result cache
-  dp_delta.table_runs = reader.u64();
-  dp_delta.table_cells = reader.u64();
-  const std::uint64_t next_job = reader.u64();
-  const std::uint64_t next_ecc = reader.u64();
-  const std::uint64_t arrivals_pending = reader.u64();
-  source_exhausted_ = reader.boolean();
-  if (next_job > workload.jobs.size() || next_ecc > workload.eccs.size() ||
-      arrivals_pending > next_job)
-    snapshot_corrupt("window cursor out of range");
-  // The feed refills until an arrival is pending or the source runs dry.
-  if (source_exhausted_ != (arrivals_pending == 0))
-    snapshot_corrupt("source exhaustion disagrees with pending arrivals");
-  materialized_->seek(next_job, next_ecc);
-  arrivals_pending_ = arrivals_pending;
-  // Re-anchor mod 2^64: baseline = current − delta, so the final
-  // (counters − baseline) report equals delta + whatever the resumed run
-  // adds — exactly the uninterrupted run's figure.
-  dp_baseline_ = policy_->dp_counters() - dp_delta;
-
-  reader.open_section("JOBS");
-  const std::uint64_t live_count = reader.u64();
-  if (live_count > workload.jobs.size())
-    snapshot_corrupt("more live records than jobs");
-  std::uint64_t in_flight = 0;
-  for (std::uint64_t i = 0; i < live_count; ++i) {
-    const workload::JobId id = reader.i64();
-    const bool ahead = reader.boolean();
-    const std::int32_t ecc_pending = reader.i32();
-    const std::size_t index = materialized_->index_of(id);
-    if (index == workload::MaterializedSource::kNoJob)
-      snapshot_corrupt("unknown job id " + std::to_string(id));
-    if (by_id_.count(id) > 0) snapshot_corrupt("job record saved twice");
-    if (ecc_pending < 0 || (!config_.process_eccs && ecc_pending != 0))
-      snapshot_corrupt("pending command count out of range");
-    if (ahead != (index >= next_job))
-      snapshot_corrupt("handed-ahead record disagrees with the cursor");
-    JobRun* job = build_job(workload.jobs[index], ecc_pending);
-    if (!config_.process_eccs) index_job(job);  // for the lookups below
-    JobRunCold& cold = arena_.cold(*job);
-    if (ahead) {
-      ahead_.emplace(id, job);
-      materialized_->mark_handed_ahead(index);
-    }
-    job->req_time = reader.f64();
-    job->actual_time = reader.f64();
-    job->num = reader.i32();
-    job->alloc = reader.i32();
-    job->req_start = reader.f64();
-    job->scount = reader.i32();
-    job->forced_priority = reader.boolean();
-    cold.interruptions = reader.i32();
-    job->ckpt_progress = reader.f64();
-    job->ckpt_overhead_planned = reader.f64();
-    const std::uint8_t status = reader.u8();
-    if (status > static_cast<std::uint8_t>(JobStatus::kAbandoned))
-      snapshot_corrupt("job status out of range");
-    job->status = static_cast<JobStatus>(status);
-    job->start_time = reader.f64();
-    cold.end_time = reader.f64();
-    job->frenum = reader.i32();
-    if (job->status == JobStatus::kWaiting ||
-        job->status == JobStatus::kRunning)
-      ++in_flight;
-    else if (ecc_pending == 0)
-      snapshot_corrupt("retired record without pending commands");
-  }
-
-  reader.open_section("ORDR");
-  const std::uint64_t batch_count = reader.u64();
-  for (std::uint64_t i = 0; i < batch_count; ++i) {
-    JobRun* job = job_by_id(reader.i64());
-    if (job->in_batch_queue) snapshot_corrupt("job enqueued twice");
-    batch_queue_.push_back(job);
-  }
-  const std::uint64_t dedicated_count = reader.u64();
-  for (std::uint64_t i = 0; i < dedicated_count; ++i)
-    dedicated_queue_.push_back(job_by_id(reader.i64()));
-  const std::uint64_t active_count = reader.u64();
-  for (std::uint64_t i = 0; i < active_count; ++i) {
-    JobRun* job = job_by_id(reader.i64());
-    if (job->active_index >= 0) snapshot_corrupt("job active twice");
-    job->active_index = static_cast<std::int32_t>(active_.size());
-    active_.push_back(job);
-  }
-
-  reader.open_section("FOLD");
-  jobs_built_ = reader.u64();
-  jobs_retired_ = reader.u64();
-  jobs_fed_ = reader.u64();
-  eccs_scheduled_ = reader.u64();
-  retired_interruptions_ = reader.u64();
-  if (jobs_fed_ != next_job || jobs_built_ < jobs_retired_ ||
-      jobs_built_ - jobs_retired_ != in_flight ||
-      eccs_scheduled_ > workload.eccs.size())
-    snapshot_corrupt("feed counters disagree with the live records");
-  sums_.wait_sum = reader.f64();
-  sums_.run_sum = reader.f64();
-  sums_.sd_sum = reader.f64();
-  sums_.bsd_sum = reader.f64();
-  sums_.dedicated_delay_sum = reader.f64();
-  sums_.dedicated_count = reader.u64();
-  sums_.count = reader.u64();
-  folded_.completed = reader.u64();
-  folded_.killed = reader.u64();
-  folded_.abandoned = reader.u64();
-  folded_.dedicated_on_time = reader.u64();
-  folded_.max_wait = reader.f64();
-  folded_.failure.goodput_proc_seconds = reader.f64();
-  if (sums_.count != jobs_retired_ ||
-      folded_.completed + folded_.killed + folded_.abandoned != jobs_retired_)
-    snapshot_corrupt("fold counters disagree with the retired jobs");
-  const std::uint64_t wasted_count = reader.u64();
-  if (wasted_count != folded_.killed + folded_.abandoned)
-    snapshot_corrupt("deferred wasted work disagrees with the fold");
-  wasted_deferred_.reserve(wasted_count);
-  for (std::uint64_t i = 0; i < wasted_count; ++i)
-    wasted_deferred_.push_back(reader.f64());
-  const std::uint64_t outcome_count = reader.u64();
-  if (outcome_count != (config_.keep_job_outcomes ? jobs_retired_ : 0))
-    snapshot_corrupt("kept outcomes disagree with the retired jobs");
-  if (config_.keep_job_outcomes) outcomes_.reserve(*total_jobs_);
-  for (std::uint64_t i = 0; i < outcome_count; ++i) {
-    JobOutcome outcome;
-    outcome.id = reader.i64();
-    outcome.dedicated = reader.boolean();
-    outcome.killed = reader.boolean();
-    outcome.abandoned = reader.boolean();
-    outcome.interruptions = reader.i32();
-    outcome.procs = reader.i32();
-    outcome.arrival = reader.f64();
-    outcome.started = reader.f64();
-    outcome.finished = reader.f64();
-    outcome.wait = reader.f64();
-    outcome.run = reader.f64();
-    outcomes_.push_back(outcome);
-  }
-  offered_proc_seconds_ = reader.f64();
-  offered_origin_ = reader.f64();
-  offered_last_ = reader.f64();
-
-  reader.open_section("MACH");
-  cluster::MachineState machine_state;
-  machine_state.free = reader.i32();
-  machine_state.offline = reader.i32();
-  const std::uint64_t allocation_count = reader.u64();
-  machine_state.allocations.reserve(allocation_count);
-  for (std::uint64_t i = 0; i < allocation_count; ++i) {
-    const cluster::JobId job = reader.i64();
-    const int procs = reader.i32();
-    machine_state.allocations.emplace_back(job, procs);
-  }
-  machine_.restore_state(machine_state);
-
-  reader.open_section("UTIL");
-  cluster::UtilizationState util_state;
-  util_state.busy = reader.i32();
-  util_state.first = reader.f64();
-  util_state.last = reader.f64();
-  util_state.started = reader.boolean();
-  util_state.integral = reader.f64();
-  util_state.mark_time = reader.f64();
-  util_state.mark_integral = reader.f64();
-  const std::uint64_t capacity_count = reader.u64();
-  util_state.capacity_steps.reserve(capacity_count);
-  for (std::uint64_t i = 0; i < capacity_count; ++i) {
-    const sim::Time time = reader.f64();
-    util_state.capacity_steps.emplace_back(time, reader.i32());
-  }
-  utilization_.restore_state(util_state);
-
-  reader.open_section("ECCP");
-  EccProcessor::State ecc_state;
-  ecc_state.stats.processed = reader.u64();
-  ecc_state.stats.extensions = reader.u64();
-  ecc_state.stats.reductions = reader.u64();
-  ecc_state.stats.rejected = reader.u64();
-  ecc_state.stats.unknown_job = reader.u64();
-  ecc_state.stats.after_finish = reader.u64();
-  ecc_state.stats.running_resizes = reader.u64();
-  ecc_state.stats.conflicts = reader.u64();
-  ecc_state.stats.time_added = reader.f64();
-  ecc_state.stats.time_removed = reader.f64();
-  ecc_state.stats.procs_added = reader.f64();
-  ecc_state.stats.procs_removed = reader.f64();
-  ecc_state.group_job = reader.i64();
-  ecc_state.group_time = reader.f64();
-  ecc_state.group_time_dim = reader.boolean();
-  ecc_state.group_proc_dim = reader.boolean();
-  ecc_processor_.restore_state(ecc_state);
-
-  reader.open_section("FAIL");
-  has_pending_outage_ = reader.boolean();
-  pending_outage_.down = reader.f64();
-  pending_outage_.up = reader.f64();
-  pending_outage_.procs = reader.i32();
-  fault::FailureModel::State fail_state;
-  for (std::uint64_t& word : fail_state.rng.s) word = reader.u64();
-  fail_state.rng.cached_normal = reader.f64();
-  fail_state.rng.has_cached_normal = reader.boolean();
-  fail_state.script_index = reader.u64();
-  fail_state.cursor = reader.f64();
-  failure_model_.restore_state(fail_state);
-
-  // Re-insert the pending event set in saved (seq) order, translating each
-  // job id back to its record's handle and refilling the in-flight ECC
-  // store; restore_meta afterwards overwrites the counters the replay
-  // inflated and re-seats the sequence allocator.
-  reader.open_section("CLCK");
-  const sim::Time now = reader.f64();
-  const std::uint64_t processed = reader.u64();
-  const std::uint64_t next_seq = reader.u64();
-  sim::EventQueueCounters counters;
-  counters.scheduled = reader.u64();
-  counters.cancelled = reader.u64();
-  counters.fired = reader.u64();
-  counters.peak_pending = reader.u64();
-
-  reader.open_section("EVTS");
-  const std::uint64_t event_count = reader.u64();
-  bool saw_outage_event = false;
-  std::uint64_t arrival_events = 0;
-  std::uint64_t next_ecc_tag = 0;  // ECCs were scheduled in tag order
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    const sim::Time time = reader.f64();
-    const std::int32_t cls_raw = reader.i32();
-    const std::uint64_t seq = reader.u64();
-    std::uint64_t tag = reader.u64();
-    if (seq >= next_seq) snapshot_corrupt("event seq beyond allocator");
-    const auto cls = static_cast<sim::EventClass>(cls_raw);
-    switch (cls) {
-      case sim::EventClass::kJobFinish: {
-        JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
-        if (job->status != JobStatus::kRunning)
-          snapshot_corrupt("finish event for a job that is not running");
-        if (job->finish_event.valid())
-          snapshot_corrupt("duplicate finish event");
-        job->finish_event = sim_.restore_event(time, cls, job_tag(job), seq);
-        continue;  // the one class whose handle the engine keeps
-      }
-      case sim::EventClass::kJobArrival:
-        ++arrival_events;
-        tag = job_tag(job_by_id(static_cast<workload::JobId>(tag)));
-        break;
-      case sim::EventClass::kDedicatedDue:
-        tag = job_tag(job_by_id(static_cast<workload::JobId>(tag)));
-        break;
-      case sim::EventClass::kEccArrival:
-        if (tag >= eccs_scheduled_)
-          snapshot_corrupt("ECC event index out of range");
-        if (tag < next_ecc_tag)
-          snapshot_corrupt("ECC events out of scheduling order");
-        next_ecc_tag = tag + 1;
-        eccs_in_flight_.put(tag, workload.eccs[tag]);
-        break;
-      case sim::EventClass::kNodeDown:
-        if (!has_pending_outage_ || saw_outage_event)
-          snapshot_corrupt("NodeDown event without a pending outage");
-        saw_outage_event = true;
-        break;
-      case sim::EventClass::kNodeUp:
-        if (tag == 0 || tag > static_cast<std::uint64_t>(machine_.total()))
-          snapshot_corrupt("NodeUp processor count out of range");
-        break;
-      default:
-        snapshot_corrupt("unknown event class");
-    }
-    sim_.restore_event(time, cls, tag, seq);
-  }
-  if (has_pending_outage_ && !saw_outage_event)
-    snapshot_corrupt("pending outage without its NodeDown event");
-  if (arrival_events != arrivals_pending_)
-    snapshot_corrupt("pending arrivals disagree with the window cursor");
-  sim_.restore_clock(now, processed);
-  sim_.restore_queue_meta(next_seq, counters);
-
-  reader.open_section("ATCH");
-  checkpoint_attach_.restore_state(reader);
-  failure_attach_.restore_state(reader);
-  ecc_audit_attach_.restore_state(reader);
-  trace_attach_.restore_state(reader);
-  progress_attach_.restore_state(reader);
-  cycle_stats_attach_.restore_state(reader);
-  fairness_attach_.restore_state(reader);
-
-  reader.open_section("POLI");
-  policy_->restore_state(reader);
-
-  // Without ECC processing the index served only the lookups above.
-  if (!config_.process_eccs) by_id_.clear();
-  last_snapshot_cycle_ = cycles_;
-  restored_ = true;
+  if (state_hash() != replay_to_->state)
+    record_corrupt("the replayed state after event " +
+                   std::to_string(replay_to_->events) +
+                   " differs from the recorded one");
+  replay_to_.reset();
 }
 
-SimulationResult Engine::resume(const workload::Workload& workload,
-                                snap::SnapshotReader& reader) {
-  const util::TimerTicks run_start = util::timer_now();
-  restore(workload, reader);
-  // The check a fresh run makes on its first chunk, on the same window.
-  workload::WorkloadCursor cursor(workload);
-  workload::WorkloadCursor::Window first;
-  if (cursor.next(first))
-    warn_if_unbounded_retry(std::span<const workload::Job>(workload.jobs)
-                                .subspan(first.job_begin,
-                                         first.job_end - first.job_begin));
-  pump_events();
-  return finish_run(run_start);
+std::uint64_t Engine::state_hash() const {
+  const ParanoidSnapshot paranoid = paranoid_snapshot();
+  Fingerprint fp;
+  fp.f64(paranoid.now);
+  fp.u64(paranoid.cycle);
+  fp.u64(paranoid.interruptions);
+  fp.u64(paranoid.abandoned);
+  fp.u64(paranoid.finishes);
+  fp.u64(paranoid.active_jobs);
+  fp.u64(paranoid.dp_delta.calls);
+  fp.u64(paranoid.dp_delta.fast_path);
+  fp.u64(paranoid.dp_delta.table_runs);
+  fp.u64(paranoid.dp_delta.table_cells);
+  const EccStats& ecc = *paranoid.ecc;
+  for (const std::uint64_t count :
+       {ecc.processed, ecc.extensions, ecc.reductions, ecc.rejected,
+        ecc.unknown_job, ecc.after_finish, ecc.running_resizes,
+        ecc.conflicts})
+    fp.u64(count);
+  for (const double amount : {ecc.time_added, ecc.time_removed,
+                              ecc.procs_added, ecc.procs_removed})
+    fp.f64(amount);
+  // The fold and the feed.
+  for (const double sum : {sums_.wait_sum, sums_.run_sum, sums_.sd_sum,
+                           sums_.bsd_sum, sums_.dedicated_delay_sum,
+                           folded_.max_wait,
+                           folded_.failure.goodput_proc_seconds,
+                           offered_proc_seconds_, offered_origin_,
+                           offered_last_, first_arrival_, last_finish_})
+    fp.f64(sum);
+  for (const std::uint64_t count :
+       {sums_.dedicated_count, sums_.count, folded_.completed,
+        folded_.killed, folded_.dedicated_on_time,
+        static_cast<std::uint64_t>(wasted_deferred_.size()), jobs_built_,
+        jobs_retired_, jobs_fed_, eccs_scheduled_})
+    fp.u64(count);
+  // The event kernel, the queues and the machine.
+  const sim::EventQueueCounters& events = sim_.queue().counters();
+  for (const std::uint64_t count :
+       {sim_.events_processed(), events.scheduled, events.cancelled,
+        events.fired, events.peak_pending,
+        static_cast<std::uint64_t>(sim_.queue().size()),
+        static_cast<std::uint64_t>(batch_queue_.size()),
+        static_cast<std::uint64_t>(dedicated_queue_.size())})
+    fp.u64(count);
+  fp.i32(machine_.free());
+  fp.i32(machine_.offline());
+  return fp.hash;
 }
 
 void Engine::warn_if_unbounded_retry(

@@ -67,7 +67,6 @@
 #include "workload/source.hpp"
 
 namespace es::snap {
-class SnapshotWriter;
 class SnapshotReader;
 class SnapshotRing;
 }  // namespace es::snap
@@ -99,54 +98,42 @@ class Engine {
   /// records released once their last command has dispatched.  For the
   /// same trace the result is byte-identical to run() (see
   /// workload/source.hpp for the ordering contracts that guarantee it),
-  /// watchdog-aborted runs included.  Snapshots need run(): they record the
-  /// materialized workload's cursor, so a snapshotting config is rejected.
+  /// watchdog-aborted runs included.
   SimulationResult run_streamed(workload::JobSource& source);
 
-  // --- crash-consistent snapshot/restore ----------------------------------
+  // --- crash recovery by deterministic replay ------------------------------
 
-  /// Serializes the engine's complete mid-run state into `writer`: clock,
-  /// pending events (with their original sequence numbers), the live job
-  /// records, queue/active order, the retired jobs' folded metrics (and
-  /// kept outcomes), machine and utilization ledgers, the source cursor,
-  /// ECC-processor cursor and conflict shield, failure-model RNG stream,
-  /// every enabled attachment ledger, and policy cross-cycle state.  Only
-  /// valid between events (never from inside a scheduler cycle) of a
-  /// run() that takes snapshots.
-  void snapshot(snap::SnapshotWriter& writer) const;
+  /// Re-runs `source` from t = 0 up to the recovery record in `record` and
+  /// on to completion, returning the uninterrupted run's metrics.  A record
+  /// (one every SnapshotPolicy::every_cycles cycles) holds the run
+  /// fingerprint, an event ordinal N and a hash of the engine state after
+  /// event N; when event N has fired, both must match.  `source` must
+  /// yield the trace the recording run drained (run()'s source is a
+  /// workload::MaterializedSource over its workload).  Records at or before
+  /// N are not rewritten.  Throws snap::SnapshotError: kMismatch when the
+  /// record belongs to a different (trace, machine, policy, config)
+  /// combination, kCorrupt when the state hash differs, the record is
+  /// malformed, or the run ends before event N.
+  SimulationResult resume(workload::JobSource& source,
+                          snap::SnapshotReader& record);
 
-  /// Restores a snapshot taken by an engine running `workload` with an
-  /// equivalent configuration: seeks a MaterializedSource over `workload`
-  /// to the saved cursor and rebuilds only the live records.  Must be the
-  /// first call on a fresh engine; `workload` must outlive the engine's
-  /// run.  Throws snap::SnapshotError: kMismatch when the snapshot belongs
-  /// to a different (workload, machine, policy, fault-config) combination,
-  /// kCorrupt when the content is structurally damaged.
-  void restore(const workload::Workload& workload,
-               snap::SnapshotReader& reader);
-
-  /// restore() + event pump + collect: continues the interrupted run to
-  /// completion and returns metrics identical to the uninterrupted run.
-  SimulationResult resume(const workload::Workload& workload,
-                          snap::SnapshotReader& reader);
-
-  /// Receives every periodic snapshot image (in addition to the disk ring,
-  /// when SnapshotPolicy::dir is set).  Used by the crash-recovery
-  /// harnesses to capture kill-point snapshots without filesystem traffic.
+  /// Receives every recovery record (in addition to the disk ring, when
+  /// SnapshotPolicy::dir is set).  Used by the crash-recovery harnesses to
+  /// capture kill-point records without filesystem traffic.
   using SnapshotSink = std::function<void(const std::string&)>;
   void set_snapshot_sink(SnapshotSink sink) {
     snapshot_sink_ = std::move(sink);
   }
 
-  /// Periodic snapshots taken so far (tests/diagnostics).
+  /// Recovery records written so far (tests/diagnostics).
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
   /// The machine, exposed for tests that inspect the final state.
   const cluster::Machine& machine() const { return machine_; }
 
  private:
-  /// Runs the handler of one popped event, live or restored alike: the
-  /// class picks the handler and the tag (see job_tag) its payload.
+  /// Runs the handler of one popped event: the class picks the handler
+  /// and the tag (see job_tag) its payload.
   void dispatch(const sim::Event& event);
   /// The tag of `job`'s events: its arena handle, packed into 64 bits.
   std::uint64_t job_tag(const JobRun* job) const;
@@ -176,7 +163,15 @@ class Engine {
   void warn_if_unbounded_retry(std::span<const workload::Job> jobs) const;
   void run_cycle();
   void pump_events();
+  /// Between events, on runs that record or resume: checks the record a
+  /// resume replays to at its event, and writes a record every
+  /// snapshot.every_cycles cycles past it.
   void maybe_snapshot();
+  void write_record();
+  void verify_record();
+  /// FNV-1a over the state a record pins: the paranoid fields, the fold
+  /// sums and the event queue's counters.
+  std::uint64_t state_hash() const;
   void check_invariants() const;
   CycleInfo cycle_info() const;
   ParanoidSnapshot paranoid_snapshot() const;
@@ -234,8 +229,6 @@ class Engine {
   /// Releases a finished job's record once no scheduled command still
   /// targets it; no-op while the job waits or runs or commands pend.
   void maybe_release(JobRun* job);
-  /// restore()'s lookup of a live record; kCorrupt when there is none.
-  JobRun* job_by_id(workload::JobId id) const;
 
   EngineConfig config_;
   Scheduler* policy_;
@@ -261,7 +254,7 @@ class Engine {
 
   JobRunArena arena_;  ///< owns the live JobRuns (and their cold fields)
   /// Live records by id, for command dispatch: kept only when the engine
-  /// processes ECCs (restore() fills it for its own lookups).
+  /// processes ECCs.
   std::unordered_map<workload::JobId, JobRun*> by_id_;
   JobQueue batch_queue_;                  ///< intrusive FIFO (W^b)
   std::vector<JobRun*> dedicated_queue_;  ///< sorted by (req_start, arr)
@@ -288,9 +281,8 @@ class Engine {
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 
   // The job feed: a refill is due when `arrivals_pending_` drops to zero,
-  // until the source is exhausted.  run() and restore() own their source.
+  // until the source is exhausted.
   workload::JobSource* source_ = nullptr;
-  std::optional<workload::MaterializedSource> materialized_;
   std::optional<std::uint64_t> total_jobs_;  ///< the source's, if known
   workload::SourceChunk chunk_;               ///< reused pull buffer
   bool source_exhausted_ = true;
@@ -317,17 +309,23 @@ class Engine {
   sim::Time offered_last_ = 0;
 
   // Event payloads the tags do not carry: the command of every scheduled
-  // EccArrival (filled in schedule_ecc, restored from the workload) and
-  // the outage of the (at most one) scheduled NodeDown, which also travels
-  // through the snapshot.
+  // EccArrival (filled in schedule_ecc) and the outage of the (at most one)
+  // scheduled NodeDown.
   InflightEccs eccs_in_flight_;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};
 
-  // Snapshot/restore machinery.  The fingerprint exists only on runs that
-  // snapshot or restore.
-  std::optional<std::uint64_t> workload_fingerprint_;
-  bool restored_ = false;
+  // Crash recovery.  Only runs that record or resume keep the fingerprint:
+  // the config, the policy and every job and command fed so far.
+  struct RecoveryRecord {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t events = 0;  ///< the event ordinal N
+    std::uint64_t state = 0;   ///< state_hash() after event N
+  };
+  bool fingerprinting_ = false;
+  std::uint64_t fingerprint_ = 0;
+  /// The record a resume replays to; cleared once event N checked out.
+  std::optional<RecoveryRecord> replay_to_;
   SnapshotSink snapshot_sink_;
   std::unique_ptr<snap::SnapshotRing> ring_;
   std::uint64_t last_snapshot_cycle_ = 0;

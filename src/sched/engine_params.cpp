@@ -215,7 +215,7 @@ void register_engine_params(util::ParamRegistry& registry,
   // --- snapshot cadence (crash consistency; cadence is not behaviour) ----
   registry
       .add_uint64("snapshot.every_cycles", &config.snapshot.every_cycles,
-                  "serialize engine state every N scheduling cycles (0 = "
+                  "write a recovery record every N scheduling cycles (0 = "
                   "off)")
       .alias("snapshot-every")
       .no_fingerprint();

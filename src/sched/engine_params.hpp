@@ -2,8 +2,8 @@
 // failure/checkpoint/watchdog/snapshot/fairshare sub-configs) with the
 // util::ParamRegistry.  One registration drives the config-file loader,
 // --dump-config / --list-params generation, finalize-time validation, and
-// the snapshot run fingerprint — see docs/architecture.md, "configuration
-// spine".
+// the recovery record's run fingerprint — see docs/architecture.md,
+// "configuration spine".
 #pragma once
 
 #include "sched/engine_config.hpp"

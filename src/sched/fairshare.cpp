@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sched/reservation.hpp"
-#include "snap/snapshot.hpp"
 #include "util/check.hpp"
 
 namespace es::sched {
@@ -219,31 +218,6 @@ void FairShare::cycle(SchedulerContext& ctx) {
       const std::size_t i = s.next++;
       if (try_start(s.waiting[i], s.allocs[i])) break;
     }
-  }
-}
-
-void FairShare::save_state(snap::SnapshotWriter& writer) const {
-  writer.u64(pools_.size());
-  for (const PoolState& state : pools_) writer.f64(state.below_share_since);
-  std::vector<std::pair<workload::JobId, int>> counts(preempt_counts_.begin(),
-                                                      preempt_counts_.end());
-  std::sort(counts.begin(), counts.end());
-  writer.u64(counts.size());
-  for (const auto& [id, count] : counts) {
-    writer.i64(id);
-    writer.i32(count);
-  }
-}
-
-void FairShare::restore_state(snap::SnapshotReader& reader) {
-  const std::uint64_t npools = reader.u64();
-  pools_.assign(static_cast<std::size_t>(npools), PoolState{});
-  for (PoolState& state : pools_) state.below_share_since = reader.f64();
-  preempt_counts_.clear();
-  const std::uint64_t ncounts = reader.u64();
-  for (std::uint64_t i = 0; i < ncounts; ++i) {
-    const workload::JobId id = reader.i64();
-    preempt_counts_[id] = reader.i32();
   }
 }
 

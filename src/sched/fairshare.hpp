@@ -61,9 +61,6 @@ class FairShare final : public Scheduler {
   }
   void cycle(SchedulerContext& ctx) override;
 
-  void save_state(snap::SnapshotWriter& writer) const override;
-  void restore_state(snap::SnapshotReader& reader) override;
-
  private:
   /// Cross-cycle starvation timer: when the pool first dropped below its
   /// share with pending demand (-1 = not currently below).
@@ -94,8 +91,8 @@ class FairShare final : public Scheduler {
 
   FairShareConfig config_;
   std::vector<PoolState> pools_;
-  /// Policy-initiated preemptions per job id (serialized; enforces
-  /// max_preemptions_per_job across restores).
+  /// Policy-initiated preemptions per job id (enforces
+  /// max_preemptions_per_job).
   std::unordered_map<workload::JobId, int> preempt_counts_;
 
   /// Initial capacity of each configured pool's waiting and alloc lists

@@ -113,16 +113,10 @@ class Scheduler {
   virtual void settle_speculation() {}
   virtual void finish_speculation() {}
 
-  /// Serializes policy state that influences *future* scheduling decisions
-  /// into the open snapshot section.  Most policies are stateless across
-  /// cycles (tunables are reconstructed from config; caches rebuild
-  /// deterministically), so the default writes nothing.  Policies with
-  /// semantic cross-cycle state — the adaptive selector's sliding decision
-  /// window — must override both hooks or a restored run would silently
-  /// diverge.
+  // Vestiges of the retired snapshot images: nothing in src/ calls or
+  // overrides these two, but the benchmark's TimedScheduler still forwards
+  // them.  They go with the next benchmark/ change (ROADMAP item 1).
   virtual void save_state(snap::SnapshotWriter& /*writer*/) const {}
-
-  /// Restores state written by save_state() from the open section.
   virtual void restore_state(snap::SnapshotReader& /*reader*/) {}
 };
 

@@ -9,11 +9,11 @@
 namespace es::sim {
 
 EventHandle EventQueue::schedule(Time at, EventClass cls, std::uint64_t tag) {
-  return restore_event(at, cls, tag, next_seq_++);
+  return insert(at, cls, tag, next_seq_++);
 }
 
-EventHandle EventQueue::restore_event(Time at, EventClass cls,
-                                      std::uint64_t tag, std::uint64_t seq) {
+EventHandle EventQueue::insert(Time at, EventClass cls, std::uint64_t tag,
+                               std::uint64_t seq) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -58,12 +58,6 @@ std::vector<Event> EventQueue::pending_events() const {
   std::sort(pending.begin(), pending.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });
   return pending;
-}
-
-void EventQueue::restore_meta(std::uint64_t next_seq,
-                              const EventQueueCounters& counters) {
-  next_seq_ = next_seq;
-  counters_ = counters;
 }
 
 void EventQueue::retire(std::uint32_t slot) {

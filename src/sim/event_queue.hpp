@@ -108,28 +108,15 @@ class EventQueue {
   /// Lifetime traffic counters (see EventQueueCounters).
   const EventQueueCounters& counters() const { return counters_; }
 
-  // --- snapshot/restore support -------------------------------------------
-
   /// All live events sorted by insertion sequence (a stable, deterministic
-  /// serialization order).  Cancelled residue is excluded.
+  /// order).  Cancelled residue is excluded.
   std::vector<Event> pending_events() const;
 
-  /// Re-inserts an event with its *original* sequence number during restore.
-  /// Preserving seq (and restoring next_seq via restore_meta) is what makes
-  /// post-restore tie-breaking — and every later schedule() — byte-identical
-  /// to the uninterrupted run.  Precondition: only valid on a queue that has
-  /// never allocated a sequence >= `seq` organically.
-  EventHandle restore_event(Time at, EventClass cls, std::uint64_t tag,
-                            std::uint64_t seq);
-
-  /// Restores the sequence allocator and lifetime counters after the
-  /// pending set has been re-established with restore_event().
-  void restore_meta(std::uint64_t next_seq, const EventQueueCounters& counters);
-
-  /// Next insertion sequence number (serialized into snapshots).
-  std::uint64_t next_seq() const { return next_seq_; }
-
  private:
+  /// schedule() with the sequence number already drawn.
+  EventHandle insert(Time at, EventClass cls, std::uint64_t tag,
+                     std::uint64_t seq);
+
   // One slab slot.  `generation` starts at 1 (so a default EventHandle or a
   // forged id with generation 0 never matches) and is bumped every time the
   // record retires — pop and cancel both invalidate outstanding handles.
@@ -172,7 +159,7 @@ class EventQueue {
     bool accepts(const HeapItem& item) const {
       return items.empty() || Later{}(item, items.back());
     }
-    // Inline so that restore_event's heap path, which shares `item` with
+    // Inline so that insert's heap path, which shares `item` with
     // this one, can build it in place rather than through a stack copy.
     void push(const HeapItem& item) {
       if (items.size() == items.capacity() && 2 * head >= items.size()) {

@@ -34,29 +34,6 @@ class Simulation {
   std::uint64_t events_processed() const { return processed_; }
   const EventQueue& queue() const { return queue_; }
 
-  // --- snapshot/restore support -------------------------------------------
-
-  /// Sets the clock and processed-event count from a snapshot.  Only valid
-  /// while re-establishing state on a fresh simulation.
-  void restore_clock(Time now, std::uint64_t processed) {
-    now_ = now;
-    processed_ = processed;
-  }
-
-  /// Re-inserts a pending event with its original sequence number; see
-  /// EventQueue::restore_event.
-  EventHandle restore_event(Time at, EventClass cls, std::uint64_t tag,
-                            std::uint64_t seq) {
-    return queue_.restore_event(at, cls, tag, seq);
-  }
-
-  /// Restores the queue's sequence allocator and counters; see
-  /// EventQueue::restore_meta.
-  void restore_queue_meta(std::uint64_t next_seq,
-                          const EventQueueCounters& counters) {
-    queue_.restore_meta(next_seq, counters);
-  }
-
  private:
   EventQueue queue_;
   Time now_ = 0.0;

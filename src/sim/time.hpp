@@ -17,8 +17,7 @@ using Time = double;
 /// precede failures and everything else except completions so same-instant
 /// down/up churn nets out before any scheduling decision; failures run
 /// before arrivals so a job arriving at the failure instant sees the
-/// degraded machine.  The values are persisted in snapshots (EVTS), so
-/// they never change; 6 is retired.
+/// degraded machine.  The schedule goldens pin this order; 6 is retired.
 enum class EventClass : int {
   kJobFinish = 0,
   kNodeUp = 1,

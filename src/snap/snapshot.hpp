@@ -1,8 +1,10 @@
 // Versioned, checksummed binary snapshot container.
 //
-// A snapshot is the engine's full mid-run state, serialized so a crashed
-// process can restore it and resume divergence-free.  The container layer
-// here is engine-agnostic: a file is a fixed header followed by tagged,
+// Format 4 carries the engine's recovery record (sched/engine.hpp,
+// Engine::resume): a run fingerprint, an event ordinal and a state hash, from
+// which a crashed run is replayed and checked.  Formats 1-3 were full engine
+// state images and are rejected as kVersion.  The container layer here is
+// engine-agnostic: a file is a fixed header followed by tagged,
 // length-prefixed sections, each protected by its own CRC32, closed by a
 // mandatory end-marker section so truncation anywhere is detectable:
 //
@@ -26,7 +28,7 @@
 namespace es::snap {
 
 inline constexpr std::uint32_t kMagic = 0x50'4E'53'45;  // "ESNP" on disk
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// What went wrong with a snapshot file.  CLI front-ends map kIo to their
 /// I/O exit code and everything else to the corrupt-snapshot exit code.

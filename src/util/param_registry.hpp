@@ -40,7 +40,7 @@ class ConfigError : public std::runtime_error {
 /// once with its name, bound storage, default, range, aliases and doc string.
 /// Registration drives the config-file loader, `--dump-config` /
 /// `--list-params` generation, finalize-time cross-field validation, and the
-/// snapshot run fingerprint — the single configuration spine.
+/// recovery-record run fingerprint — the single configuration spine.
 ///
 /// The registry binds to live storage (pointers into the config structs), so
 /// `set()` writes through immediately and `dump()` reflects the current
@@ -78,7 +78,7 @@ class ParamRegistry {
     }
 
     /// Exclude from fingerprint_into().  For knobs that do not steer
-    /// simulation behaviour (tracing, watchdog budgets, snapshot cadence).
+    /// simulation behaviour (tracing, watchdog budgets, record cadence).
     Param& no_fingerprint() {
       fingerprint_ = false;
       return *this;
@@ -191,7 +191,7 @@ class ParamRegistry {
 
   /// Appends `name=value` lines for every fingerprint-participating param
   /// plus all dynamic entries.  Stable across runs of the same binary; the
-  /// engine hashes this blob into the snapshot run fingerprint.
+  /// engine hashes this blob into the recovery-record run fingerprint.
   void fingerprint_into(std::string& out) const;
 
   /// Registration-order view of the registered params.

@@ -265,6 +265,11 @@ bool save_cwf_workload(const std::string& path, const Workload& workload,
   if (!out) return false;
   CwfFile file = from_workload(workload);
   file.header = header;
+  // The machine size travels as the archive-standard header line, so a
+  // later reader adopts it instead of falling back to its own default.
+  if (workload.machine_procs > 0)
+    file.header.push_back("MaxProcs: " +
+                          std::to_string(workload.machine_procs));
   write_cwf(out, file);
   return static_cast<bool>(out);
 }

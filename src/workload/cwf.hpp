@@ -69,7 +69,9 @@ CwfFile from_workload(const Workload& workload);
 /// yields an empty workload.  Throws TraceError like to_workload().
 Workload load_cwf_workload(const std::string& path);
 
-/// Convenience: save a workload to disk; returns false on I/O failure.
+/// Saves a workload to disk: the `header` comment lines, then a
+/// "MaxProcs:" line when the workload knows its machine size, then the
+/// records.  Returns false on I/O failure.
 bool save_cwf_workload(const std::string& path, const Workload& workload,
                        const std::vector<std::string>& header = {});
 

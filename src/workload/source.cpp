@@ -119,13 +119,6 @@ std::size_t MaterializedSource::index_of(JobId id) const {
   return it->second;
 }
 
-void MaterializedSource::mark_handed_ahead(std::size_t index) {
-  const std::size_t jobs = cursor_.workload().jobs.size();
-  ES_EXPECTS(index < jobs);
-  if (handed_ahead_.empty()) handed_ahead_.assign(jobs, false);
-  handed_ahead_[index] = true;
-}
-
 bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   chunk.clear();
   WorkloadCursor::Window window;
@@ -148,8 +141,10 @@ bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   for (const Ecc& ecc : chunk.eccs) {
     const std::size_t index = index_of(ecc.job_id);
     if (index == kNoJob || index < window.job_end) continue;
-    if (!handed_ahead_.empty() && handed_ahead_[index]) continue;
-    mark_handed_ahead(index);
+    if (handed_ahead_.empty())
+      handed_ahead_.assign(workload.jobs.size(), false);
+    if (handed_ahead_[index]) continue;
+    handed_ahead_[index] = true;
     chunk.ahead.push_back(workload.jobs[index]);
     chunk.ahead_ecc_counts.push_back(ecc_totals_[index]);
   }

@@ -128,7 +128,7 @@ class WorkloadCursor {
   /// out.  A window holds at least one job unless the workload has none.
   bool next(Window& window);
 
-  /// Start of the next window (snapshot state).
+  /// Start of the next window.
   std::size_t next_job() const { return job_; }
   std::size_t next_ecc() const { return ecc_; }
   /// Re-seats the cursor at a position an earlier next() left it at.
@@ -175,14 +175,6 @@ class MaterializedSource : public JobSource {
 
   /// Index of the job with `id` in the workload, or kNoJob.
   std::size_t index_of(JobId id) const;
-
-  // Snapshot support: the cursor position, and re-seating a source at a
-  // position an earlier run reached (with the later jobs it had already
-  // handed ahead marked again).
-  std::size_t next_job() const { return cursor_.next_job(); }
-  std::size_t next_ecc() const { return cursor_.next_ecc(); }
-  void seek(std::size_t job, std::size_t ecc) { cursor_.seek(job, ecc); }
-  void mark_handed_ahead(std::size_t index);
 
  private:
   WorkloadCursor cursor_;

@@ -116,41 +116,6 @@ TEST(Utilization, MarkPinsTheIntegralThroughTheMarkedRecord) {
   EXPECT_EQ(tracker.busy_proc_seconds(0, 30), 140.0);
 }
 
-TEST(Utilization, SaveRestoreRoundTripContinuesRecording) {
-  UtilizationTracker original(10);
-  original.record_capacity(0, 10);
-  original.record(0, 3);
-  original.record(7.5, 9);
-  original.record_capacity(12, 6);
-  original.record(12, 5);
-  original.mark();
-  original.record(20.25, 1);
-
-  UtilizationTracker restored(10);
-  restored.restore_state(original.save_state());
-  EXPECT_EQ(restored.first_time(), original.first_time());
-  EXPECT_EQ(restored.last_time(), original.last_time());
-  EXPECT_EQ(restored.current_busy(), original.current_busy());
-  EXPECT_EQ(restored.integral(), original.integral());
-
-  // Both continue with the same records and must agree bit for bit.
-  for (UtilizationTracker* t : {&original, &restored}) {
-    t->record_capacity(30, 10);
-    t->record(30, 6);
-    t->record(41.5, 0);
-  }
-  EXPECT_EQ(restored.integral(), original.integral());
-  EXPECT_EQ(restored.busy_proc_seconds(0, 12),
-            original.busy_proc_seconds(0, 12));
-  EXPECT_EQ(restored.busy_proc_seconds(0, 12), 3 * 7.5 + 9 * 4.5);
-  EXPECT_EQ(restored.busy_proc_seconds(0, 50),
-            original.busy_proc_seconds(0, 50));
-  EXPECT_EQ(restored.available_proc_seconds(0, 50),
-            original.available_proc_seconds(0, 50));
-  EXPECT_EQ(restored.mean_utilization(0, 50),
-            original.mean_utilization(0, 50));
-}
-
 TEST(UtilizationDeath, QueryEndingBetweenMarkAndLastRecordAborts) {
   UtilizationTracker tracker(10);
   tracker.record(0, 5);

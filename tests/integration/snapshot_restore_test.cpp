@@ -1,20 +1,19 @@
-// Crash-consistent snapshot/restore end to end: a run killed at an event
-// boundary and resumed from the engine's own snapshot must reproduce the
-// uninterrupted run bit for bit — for every factory algorithm, and
-// exhaustively across *every* kill point on small scenarios built around
-// the nastiest interactions (a snapshot taken while nodes are down, a
-// preempted job holding a banked checkpoint in the requeue, contradictory
-// same-instant ECC pairs, a reservation-saturated machine).  Plus the
-// rejection contract: wrong-run snapshots, tampered images, and a trace
-// ledger restored into an engine that cannot hold it.  Multi-window runs
-// resume identically from snapshots taken on either side of every window
-// refill of the feed, which holds only the in-flight job records.
+// Crash recovery by deterministic replay, end to end: a run killed at an
+// event boundary and resumed from its own recovery record (the run is
+// replayed from t = 0, checked against the record's state hash and
+// continued) must reproduce the uninterrupted run bit for bit — for every
+// factory algorithm, and exhaustively across *every* kill point on small
+// scenarios built around the nastiest interactions (a record written while
+// nodes are down, a preempted job holding a banked checkpoint in the
+// requeue, contradictory same-instant ECC pairs, a reservation-saturated
+// machine).  Plus the rejection contract: wrong-run records, tampered
+// records, older formats.  Multi-window and streamed runs resume
+// identically from records written on either side of a feed refill.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/refill_cycles.hpp"
@@ -33,10 +32,10 @@ using es::testing::batch_job;
 using es::testing::dedicated_job;
 using es::testing::make_workload;
 
-/// Runs the simulation with snapshot-every-cycle capture and an event
-/// budget of `kill_events`, returning the last snapshot image taken before
-/// the watchdog killed the run (empty when the kill landed before the
-/// first snapshot).
+/// Runs the simulation with a record every cycle and an event budget of
+/// `kill_events`, returning the last recovery record written before the
+/// watchdog killed the run (empty when the kill landed before the first
+/// record).
 std::string snapshot_before_kill(const workload::Workload& workload,
                                  const std::string& algorithm,
                                  const core::AlgorithmOptions& options,
@@ -53,11 +52,9 @@ std::string snapshot_before_kill(const workload::Workload& workload,
   return image;
 }
 
-/// Snapshot taken right after the event that ran cycle `cycle`; the run is
-/// killed one event later.  Far cheaper than snapshotting every cycle on
-/// runs of thousands of jobs (each image holds every live record and
-/// every kept outcome).  Empty
-/// when the kill landed first, which needs an event that runs no cycle.
+/// Record written right after the event that ran cycle `cycle`; the run is
+/// killed one event later.  Empty when the kill landed first, which needs
+/// an event that runs no cycle.
 std::string snapshot_at_cycle(const workload::Workload& workload,
                               const std::string& algorithm,
                               const core::AlgorithmOptions& options,
@@ -118,7 +115,7 @@ void expect_identical(const sched::SimulationResult& expected,
 }
 
 /// The exhaustive harness: kills the run at every event boundary from 1 to
-/// the uninterrupted event count, resumes each from its last snapshot, and
+/// the uninterrupted event count, resumes each from its last record, and
 /// requires bit-identical results.  Small workloads keep this affordable
 /// while covering every possible restore instant — including the awkward
 /// ones (nodes down, checkpoints banked, reservations pinned).
@@ -154,9 +151,9 @@ core::AlgorithmOptions scripted_failure_options(
 }
 
 TEST(SnapshotRestore, EveryKillPointAcrossAPendingOutage) {
-  // The outage window 50..80 guarantees snapshots taken while 64 procs are
-  // offline (pending NodeUp) and snapshots taken with the NodeDown still
-  // pending — both chains must rebuild from the single pending-outage slot.
+  // The outage window 50..80 guarantees records written while 64 procs are
+  // offline (pending NodeUp) and records written with the NodeDown still
+  // pending — the replay must reach both states and continue from them.
   const auto workload = make_workload(
       320, 32,
       {batch_job(1, 0, 320, 100), batch_job(2, 10, 96, 200),
@@ -168,8 +165,7 @@ TEST(SnapshotRestore, EveryKillPointAcrossAPendingOutage) {
 TEST(SnapshotRestore, EveryKillPointWithBankedCheckpointInRequeue) {
   // Checkpoints every 20 s of work; the t=50 outage preempts job 1 with
   // 40 s banked, so kill points between the preemption and the restart
-  // snapshot a requeued job whose remaining work differs from its spec —
-  // exactly the state a naive restore would lose.
+  // record a requeued job whose remaining work differs from its spec.
   const auto workload = make_workload(
       320, 32,
       {batch_job(1, 0, 320, 100), batch_job(2, 5, 64, 120),
@@ -182,9 +178,8 @@ TEST(SnapshotRestore, EveryKillPointWithBankedCheckpointInRequeue) {
 }
 
 TEST(SnapshotRestore, EveryKillPointThroughAnEccStorm) {
-  // Contradictory same-instant ECC pairs: the conflict shield's
-  // first-wins-per-dimension state must survive a snapshot taken between
-  // the two commands of a pair.
+  // Contradictory same-instant ECC pairs: records land between the two
+  // commands of a pair, while the conflict shield holds the first.
   std::vector<workload::Ecc> eccs;
   auto ecc = [](workload::JobId job, double issue, workload::EccType type,
                 double amount) {
@@ -211,8 +206,8 @@ TEST(SnapshotRestore, EveryKillPointThroughAnEccStorm) {
 
 TEST(SnapshotRestore, EveryKillPointOnADedicatedSaturatedMachine) {
   // Back-to-back reservations pin the dedicated queue while batch work
-  // drains around them; restore must preserve the dedicated ordering and
-  // the due events.
+  // drains around them; a resume must reach the same dedicated ordering
+  // and due events.
   const auto workload = make_workload(
       320, 32,
       {dedicated_job(1, 0, 320, 50, 100), dedicated_job(2, 0, 320, 50, 150),
@@ -225,7 +220,7 @@ TEST(SnapshotRestore, EveryFactoryAlgorithmResumesIdentically) {
   // The full algorithm matrix at a generated-workload scale, one mid-run
   // kill each (the per-boundary sweeps above cover the kill-point axis).
   // Dedicated-aware algorithms also run with node failures and periodic
-  // checkpoints, so the restore covers the failure RNG, requeues and
+  // checkpoints, so the replay covers the failure RNG, requeues and
   // checkpoint banks too.
   workload::GeneratorConfig config;
   config.machine_procs = 320;
@@ -260,8 +255,9 @@ TEST(SnapshotRestore, EveryFactoryAlgorithmResumesIdentically) {
 }
 
 TEST(SnapshotRestore, AdaptivePolicyStateSurvivesRestore) {
-  // The AdaptiveSelector carries cross-cycle semantic state; a restore
-  // that dropped it would pick differently after resume.
+  // The AdaptiveSelector carries cross-cycle semantic state (its sliding
+  // arrival window); the replay must rebuild it to pick the same delegates
+  // after the recorded event.
   workload::GeneratorConfig config;
   config.machine_procs = 320;
   config.num_jobs = 80;
@@ -334,34 +330,56 @@ TEST(SnapshotRestore, RejectsTamperedImage) {
   }
 }
 
-TEST(SnapshotRestore, SavedTraceNeedsATracingEngine) {
-  // A snapshot carrying a non-empty trace ledger cannot restore into an
-  // engine that is not recording one — silently dropping audit rows would
-  // make the resumed trace a lie.
+/// `record` with the `index`-th u64 of its one section's payload replaced
+/// by `value` and the section CRC recomputed: a well-formed record that
+/// says something else (8-byte header, then the section framed as fourcc,
+/// u64 length, payload, CRC32 of the payload).
+std::string with_record_word(std::string record, std::size_t index,
+                             std::uint64_t value) {
+  constexpr std::size_t kPayload = 20;
+  std::uint64_t length = 0;
+  std::memcpy(&length, record.data() + 12, sizeof length);
+  EXPECT_EQ(length, 24u);
+  std::memcpy(record.data() + kPayload + 8 * index, &value, sizeof value);
+  const std::uint32_t crc = snap::crc32(record.data() + kPayload, length);
+  std::memcpy(record.data() + kPayload + length, &crc, sizeof crc);
+  return record;
+}
+
+TEST(SnapshotRestore, RejectsARecordTheReplayDisagreesWith) {
+  // Each field of a CRC-valid record is checked against the replay: the
+  // fingerprint (a different run), the event ordinal (past the end of the
+  // run) and the state hash.
   const auto workload =
       make_workload(320, 32, {batch_job(1, 0, 320, 100),
                               batch_job(2, 10, 96, 200)});
-  core::AlgorithmOptions tracing;
-  tracing.engine.record_trace = true;
-  const sched::SimulationResult uninterrupted =
-      exp::run_workload(workload, "EASY", tracing);
-  const std::string image = snapshot_before_kill(
-      workload, "EASY", tracing, uninterrupted.events / 2 + 1);
-  ASSERT_FALSE(image.empty());
+  const std::string record = snapshot_before_kill(workload, "EASY", {}, 3);
+  ASSERT_FALSE(record.empty());
   {
-    snap::SnapshotReader reader(image);
+    snap::SnapshotReader reader(record);  // the untouched record resumes
+    EXPECT_EQ(exp::resume_workload(workload, "EASY", {}, reader).termination,
+              sim::TerminationReason::kCompleted);
+  }
+  const struct {
+    std::size_t index;
+    std::uint64_t value;
+    snap::SnapshotErrorKind kind;
+  } mutations[] = {{0, 0x1234, snap::SnapshotErrorKind::kMismatch},
+                   {1, 1000000, snap::SnapshotErrorKind::kCorrupt},
+                   {1, 0, snap::SnapshotErrorKind::kCorrupt},
+                   {2, 0x1234, snap::SnapshotErrorKind::kCorrupt}};
+  for (const auto& mutation : mutations) {
     try {
+      snap::SnapshotReader reader(
+          with_record_word(record, mutation.index, mutation.value));
       (void)exp::resume_workload(workload, "EASY", {}, reader);
-      FAIL() << "trace-bearing snapshot accepted by a non-tracing engine";
+      FAIL() << "word " << mutation.index << " = " << mutation.value
+             << " accepted";
     } catch (const snap::SnapshotError& error) {
-      EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kMismatch);
+      EXPECT_EQ(error.kind(), mutation.kind)
+          << "word " << mutation.index << ": " << error.what();
     }
   }
-  // With tracing enabled the same snapshot resumes to the identical run.
-  snap::SnapshotReader reader(image);
-  const sched::SimulationResult resumed =
-      exp::resume_workload(workload, "EASY", tracing, reader);
-  expect_identical(uninterrupted, resumed, "traced resume");
 }
 
 /// Hybrid-LOS-E over three feed windows (two refills) with dedicated
@@ -395,8 +413,7 @@ core::AlgorithmOptions three_window_options() {
 
 TEST(SnapshotRestore, ResumesAcrossWindowRefills) {
   // Kill points on both sides of every refill of the materialized feed
-  // (the cursor and the current window's unfired arrivals must survive a
-  // snapshot taken just before, at and just after it) plus seven sampled
+  // (records written just before, at and just after it) plus seven sampled
   // mid-window points.
   const workload::Workload workload = three_window_workload();
   const core::AlgorithmOptions options = three_window_options();
@@ -423,7 +440,7 @@ TEST(SnapshotRestore, ResumesAcrossWindowRefills) {
     const sched::SimulationResult resumed =
         exp::resume_workload(workload, "Hybrid-LOS-E", options, reader);
     expect_identical(uninterrupted, resumed,
-                     "snapshot at cycle " + std::to_string(cycle));
+                     "record at cycle " + std::to_string(cycle));
     EXPECT_EQ(uninterrupted.perf.events.scheduled,
               resumed.perf.events.scheduled);
     EXPECT_EQ(uninterrupted.perf.events.cancelled,
@@ -434,171 +451,57 @@ TEST(SnapshotRestore, ResumesAcrossWindowRefills) {
   }
 }
 
-/// FNV-1a over a snapshot image's raw bytes.
-std::uint64_t image_hash(const std::string& image) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char byte : image) {
-    hash ^= static_cast<unsigned char>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-/// Hashes of the images snapshot_at_cycle() takes at each of `cycles`.
-std::vector<std::uint64_t> image_hashes(
-    const workload::Workload& workload, const std::string& algorithm,
-    const core::AlgorithmOptions& options,
-    const std::vector<std::uint64_t>& cycles) {
-  std::vector<std::uint64_t> hashes;
-  for (const std::uint64_t cycle : cycles) {
-    const std::string image =
-        snapshot_at_cycle(workload, algorithm, options, cycle);
-    EXPECT_FALSE(image.empty()) << "cycle " << cycle;
-    hashes.push_back(image_hash(image));
-  }
-  return hashes;
-}
-
-TEST(SnapshotRestore, ImageBytesArePinned) {
-  // The snapshot format is the event kernel's persistence contract: the
-  // EVTS section stores every pending (time, class, seq, tag) and the
-  // rest of the image every ledger the engine keeps.  These hashes were
-  // recorded from the format-3 writer (live records only, retired jobs
-  // folded into FOLD, the retired DP result cache's ENGN word written as
-  // 0); any change to what a snapshot holds, or in which order, changes
-  // them.
-  {
-    // Hybrid-LOS-E with dedicated jobs, ECCs, failures and checkpoints:
-    // kill points on both sides of both window refills, plus two sampled.
-    const workload::Workload workload = three_window_workload();
-    const core::AlgorithmOptions options = three_window_options();
-    bench::RefillCycles refills(workload);
-    const sched::SimulationResult run =
-        exp::run_workload(workload, "Hybrid-LOS-E", options, &refills,
-                          bench::RefillCycles::kHookMask);
-    ASSERT_EQ(refills.cycles.size(), 2u);
-    EXPECT_GT(run.ecc.processed, 0u);
-    EXPECT_GT(run.failure.outages, 0u);
-    EXPECT_GT(run.failure.checkpoints, 0u);
-    std::vector<std::uint64_t> cycles;
-    for (const std::uint64_t refill : refills.cycles)
-      for (const std::uint64_t cycle : {refill - 1, refill, refill + 1})
-        cycles.push_back(cycle);
-    cycles.push_back(run.cycles / 3);
-    cycles.push_back(run.cycles * 5 / 6);
-    EXPECT_EQ(image_hashes(workload, "Hybrid-LOS-E", options, cycles),
-              (std::vector<std::uint64_t>{
-                  0x76ba723f229906dbull, 0x5a0a12d171dffdb0ull,
-                  0x20778aa793f41ce5ull, 0x12b3581d0af5a367ull,
-                  0x4b802c1ee7336f0dull, 0xf066afe9d8343712ull,
-                  0x69269dd2817598e7ull, 0x4effa8f669634aa0ull}));
-  }
-  {
-    // 4-pool FairShare with policy preemption, failures and tail requeue.
-    workload::GeneratorConfig config;
-    config.machine_procs = 320;
-    config.num_jobs = 5000;
-    config.seed = 2929;
-    config.target_load = 0.95;
-    config.num_users = 32;
-    config.num_pools = 4;
-    const workload::Workload workload = workload::generate(config);
-    core::AlgorithmOptions options = three_window_options();
-    options.engine.requeue = fault::RequeuePolicy::kRequeueTail;
-    options.engine.fairshare.pools = {{"prod", 4.0, 0.25},
-                                      {"batch", 2.0, 0.0},
-                                      {"dev", 1.0, 0.1},
-                                      {"scavenger", 1.0, 0.0}};
-    options.engine.fairshare.min_share_preemption_timeout = 120;
-    options.engine.fairshare.fair_share_preemption_timeout = 900;
-    const sched::SimulationResult run =
-        exp::run_workload(workload, "FairShare", options);
-    EXPECT_GT(run.failure.interruptions, run.failure.outages);
-    std::vector<std::uint64_t> cycles;
-    for (std::uint64_t k = 1; k < 6; ++k) cycles.push_back(run.cycles * k / 6);
-    EXPECT_EQ(image_hashes(workload, "FairShare", options, cycles),
-              (std::vector<std::uint64_t>{
-                  0x5b7dbb95d2d5fc72ull, 0x4b8ffedea10fb20cull,
-                  0xa7233f07f3861010ull, 0xbdfe9a4d34b5ff45ull,
-                  0xd875d7ec5a78b46bull}));
-  }
-}
-
-/// The EVTS section's payload: offset and length inside a snapshot image
-/// (8-byte header, then sections framed as fourcc, u64 length, payload,
-/// CRC32 of the payload).
-std::pair<std::size_t, std::size_t> evts_payload(const std::string& image) {
-  std::size_t at = 8;
-  while (at + 12 <= image.size()) {
-    std::uint64_t length = 0;
-    std::memcpy(&length, image.data() + at + 4, sizeof length);
-    if (image.compare(at, 4, "EVTS") == 0) return {at + 12, length};
-    at += 12 + length + 4;
-  }
-  ADD_FAILURE() << "no EVTS section";
-  return {0, 0};
-}
-
-TEST(SnapshotRestore, RejectsEccEventsOutOfSchedulingOrder) {
-  // ECC events are scheduled in tag order, so EVTS (in seq order) lists
-  // their tags ascending; a swapped or duplicated tag would apply a
-  // command twice or out of turn, and is corrupt even under a valid CRC.
+TEST(SnapshotRestore, StreamedRunResumesInsideGeneratorChunks) {
+  // A streamed GeneratorSource run records and resumes like a materialized
+  // one: the resume pulls a fresh generator, with no cursor to seek.  Kill
+  // points inside the first, second and third of three chunks.
   workload::GeneratorConfig config;
   config.machine_procs = 320;
-  config.num_jobs = 60;
-  config.seed = 5;
-  config.p_extend = 0.3;
-  config.p_reduce = 0.3;
+  config.num_jobs = 9000;
+  config.seed = 4243;
+  config.p_dedicated = 0.3;
+  config.p_extend = 0.2;
+  config.p_reduce = 0.2;
   config.target_load = 0.9;
-  const workload::Workload workload = workload::generate(config);
-  const std::string image = snapshot_before_kill(workload, "EASY-E", {}, 3);
-  ASSERT_FALSE(image.empty());
-  const auto [payload, length] = evts_payload(image);
-  constexpr std::size_t kEntry = 28;  // f64 time, i32 class, u64 seq, tag
-  std::vector<std::size_t> ecc_tags;  // offsets of the ECC entries' tags
-  for (std::size_t at = payload + 8; at + kEntry <= payload + length;
-       at += kEntry) {
-    std::int32_t cls = 0;
-    std::memcpy(&cls, image.data() + at + 8, sizeof cls);
-    if (cls == static_cast<std::int32_t>(sim::EventClass::kEccArrival))
-      ecc_tags.push_back(at + 20);
-  }
-  ASSERT_GE(ecc_tags.size(), 2u);
-  {
-    snap::SnapshotReader reader(image);  // the untouched image resumes
-    EXPECT_EQ(exp::resume_workload(workload, "EASY-E", {}, reader)
-                  .termination,
-              sim::TerminationReason::kCompleted);
-  }
-  for (const bool duplicate : {false, true}) {
-    std::string bad = image;
-    // Swap the first two ECC tags, or copy the first over the second.
-    bad.replace(ecc_tags[1], 8, image, ecc_tags[0], 8);
-    if (!duplicate) bad.replace(ecc_tags[0], 8, image, ecc_tags[1], 8);
-    const std::uint32_t crc = snap::crc32(bad.data() + payload, length);
-    std::memcpy(bad.data() + payload + length, &crc, sizeof crc);
-    try {
-      snap::SnapshotReader reader(bad);
-      (void)exp::resume_workload(workload, "EASY-E", {}, reader);
-      FAIL() << (duplicate ? "duplicate" : "swapped") << " ECC tags accepted";
-    } catch (const snap::SnapshotError& error) {
-      EXPECT_EQ(error.kind(), snap::SnapshotErrorKind::kCorrupt);
-      EXPECT_NE(std::string(error.what()).find("scheduling order"),
-                std::string::npos)
-          << error.what();
-    }
+  const core::AlgorithmOptions options = three_window_options();
+  workload::GeneratorSource reference(config);
+  const sched::SimulationResult uninterrupted =
+      exp::run_source(reference, "Hybrid-LOS-E", options);
+  ASSERT_EQ(uninterrupted.termination, sim::TerminationReason::kCompleted);
+  for (const std::uint64_t eighths : {1, 4, 7}) {
+    const std::uint64_t cycle = uninterrupted.cycles * eighths / 8;
+    core::AlgorithmOptions killed = options;
+    killed.engine.snapshot.every_cycles = cycle;
+    killed.engine.watchdog.max_events = cycle + 1;
+    std::string record;
+    workload::GeneratorSource recording(config);
+    (void)exp::run_source(recording, "Hybrid-LOS-E", killed,
+                          [&record](sched::Engine& engine) {
+                            engine.set_snapshot_sink(
+                                [&record](const std::string& bytes) {
+                                  record = bytes;
+                                });
+                          });
+    ASSERT_FALSE(record.empty()) << "cycle " << cycle;
+    snap::SnapshotReader reader(record);
+    workload::GeneratorSource replayed(config);
+    expect_identical(
+        uninterrupted,
+        exp::resume_source(replayed, "Hybrid-LOS-E", options, reader),
+        "record at cycle " + std::to_string(cycle));
   }
 }
 
 TEST(SnapshotRestore, RejectsOlderFormatVersions) {
-  // Version 1 carried no window cursor and version 2 every job record,
-  // retired or not; there is no migration path from either.
+  // Versions 1 to 3 were engine state images (version 1 without a window
+  // cursor, version 2 with every job record, version 3 with the live ones);
+  // a replay has no use for any of them.
   const auto workload =
       make_workload(320, 32, {batch_job(1, 0, 320, 100),
                               batch_job(2, 10, 96, 200)});
   const std::string image = snapshot_before_kill(workload, "EASY", {}, 3);
   ASSERT_GT(image.size(), 8u);
-  for (const int version : {1, 2}) {
+  for (const int version : {1, 2, 3}) {
     std::string old = image;
     // Format version, little-endian u32 at bytes 4..7.
     old[4] = static_cast<char>(version);

@@ -20,7 +20,6 @@
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
 #include "sched/reservation.hpp"
-#include "snap/snapshot.hpp"
 #include "testing/helpers.hpp"
 #include "workload/generator.hpp"
 
@@ -113,29 +112,6 @@ TEST(FairShare, PerJobPreemptionCapHolds) {
       exp::run_workload(workload, "FairShare", options);
   for (const JobOutcome& job : result.jobs)
     EXPECT_LE(job.interruptions, 1) << "job " << job.id;
-}
-
-TEST(FairShare, PolicyStateSerializationRoundTrips) {
-  FairShareConfig config;
-  config.pools = {{"a", 2.0, 0.1}, {"b", 1.0, 0.0}};
-  const FairShare original(config);
-  snap::SnapshotWriter writer;
-  writer.begin_section("POLI");
-  original.save_state(writer);
-  writer.end_section();
-  const std::string image = writer.finish();
-
-  FairShare restored(config);
-  snap::SnapshotReader reader(image);
-  reader.open_section("POLI");
-  restored.restore_state(reader);
-  EXPECT_EQ(reader.remaining(), 0u);
-
-  snap::SnapshotWriter again;
-  again.begin_section("POLI");
-  restored.save_state(again);
-  again.end_section();
-  EXPECT_EQ(again.finish(), image);
 }
 
 // --- selection against the visit-by-visit reference ------------------------

@@ -157,9 +157,9 @@ TEST(JobRunArena, RandomizedModelCheck) {
   }
 }
 
-// Arena-backed records round-trip through the crash-consistent snapshot
-// path: kill a run mid-flight, restore into a fresh engine (fresh arena),
-// and the completed run must match the uninterrupted one exactly.
+// Arena-backed records survive crash recovery: kill a run mid-flight,
+// resume it from its recovery record in a fresh engine (fresh arena), and
+// the completed run must match the uninterrupted one exactly.
 TEST(JobRunArena, SnapshotRestoreRoundTrip) {
   workload::GeneratorConfig config;
   config.machine_procs = 64;

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
                 config.p_reduce);
   char header2[128];
   std::snprintf(header2, sizeof header2,
-                "MaxProcs: %d (granularity %d); offered load %.4f",
-                config.machine_procs, workload.granularity,
+                "Granularity: %d; offered load %.4f", workload.granularity,
                 es::workload::offered_load(workload, config.machine_procs));
   if (!es::workload::save_cwf_workload(output, workload,
                                        {header1, header2})) {

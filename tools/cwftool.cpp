@@ -174,6 +174,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& command = args[0];
+  if (cli.was_set("procs") && procs < 1) {
+    std::fprintf(stderr, "cwftool: --procs: must be >= 1\n");
+    return 2;
+  }
   // Scaling by a factor that is not finite and positive has no meaning; a
   // missing --load (0) would silently copy the trace.
   const auto require_positive = [](const char* flag, double value) {

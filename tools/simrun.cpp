@@ -23,16 +23,18 @@
 // naming the field.  A scenario fixes the machine shape, so --procs and
 // --granularity are rejected alongside it.
 //
-// Crash recovery: --snapshot-every N serializes the full engine state every
-// N scheduling cycles into --snapshot-dir (a ring of --snapshot-keep
-// generations, each written atomically with fsync-before-rename);
-// --restore-from <file-or-dir> resumes an interrupted run from a snapshot
-// (a directory is scanned for its newest *intact* generation) and produces
-// byte-identical results to the uninterrupted run.
+// Crash recovery: --snapshot-every N writes a small recovery record (run
+// fingerprint, event ordinal, state hash) every N scheduling cycles into
+// --snapshot-dir (a ring of --snapshot-keep generations, each written
+// atomically with fsync-before-rename); --restore-from <file-or-dir>
+// replays the interrupted run from t = 0 with the same flags, checks the
+// record (a directory is scanned for its newest *intact* generation) and
+// produces byte-identical results to the uninterrupted run.  Materialized,
+// trace and --streamed synthetic runs all record and resume.
 //
 // Exit codes: 0 success, 1 usage error, 2 invalid flag combination or
 // unknown algorithm, 3 output I/O error, 4 watchdog abort (partial metrics
-// were printed), 6 corrupt / version-incompatible / mismatched snapshot.
+// were printed), 6 corrupt / version-incompatible / mismatched record.
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -181,9 +183,10 @@ int main(int argc, char** argv) {
                "window)", &streamed);
   cli.add_flag("no-dp-simd", "force the scalar DP row kernel (selections "
                "are identical either way; for perf comparison)", &no_dp_simd);
-  cli.add_option("restore-from", "crash recovery: resume from this snapshot "
-                 "file, or scan this directory for the newest intact "
-                 "generation", &restore_from);
+  cli.add_option("restore-from", "crash recovery: replay the run up to "
+                 "this recovery record, or the newest intact one in this "
+                 "directory, and finish it (pass the recording run's flags)",
+                 &restore_from);
   bool profile = false;
   std::string trace_csv;
   cli.add_option("per-job", "write per-job outcomes to this CSV", &per_job_csv);
@@ -288,10 +291,10 @@ int main(int argc, char** argv) {
   if (replications < 1)
     return flag_error("replications", "must be >= 1");
   if (!restore_from.empty() && replications > 1)
-    return flag_error("restore-from", "a snapshot captures one single run; "
-                      "use --replications 1");
+    return flag_error("restore-from", "a recovery record covers one "
+                      "single run; use --replications 1");
   if (engine.snapshot.every_cycles > 0 && replications > 1)
-    return flag_error("snapshot-every", "periodic snapshots describe a "
+    return flag_error("snapshot-every", "recovery records describe a "
                       "single run; use --replications 1");
   if (parallel_jobs < 0)
     return flag_error("jobs", "must be >= 0 (0 = all cores, 1 = serial)");
@@ -310,15 +313,8 @@ int main(int argc, char** argv) {
                       "drop --scenario or --streamed");
   // A streamed trace runs the materialized path (the parsed file is already
   // resident), so only a synthetic stream bypasses it: it pulls jobs from
-  // the generator, whose source has no snapshot cursor yet.
+  // the generator.
   const bool from_generator = streamed && (synthetic || trace.empty());
-  if (from_generator && !restore_from.empty())
-    return flag_error("streamed", "a streamed synthetic workload has no "
-                      "snapshot cursor to resume from; drop --restore-from");
-  if (from_generator && engine.snapshot.every_cycles > 0)
-    return flag_error("streamed", "a streamed synthetic workload has no "
-                      "snapshot cursor to record; drop --snapshot-every or "
-                      "--streamed");
   if (streamed && replications > 1)
     return flag_error("streamed", "the seed-mean aggregate path "
                       "materializes its workloads; use --replications 1");
@@ -422,7 +418,7 @@ int main(int argc, char** argv) {
   if (!restore_from.empty()) {
     // Resume an interrupted run.  kIo maps to the I/O exit code (3) like
     // the CSV outputs; everything else — torn frames, CRC mismatches,
-    // version skew, a snapshot of a different run — is exit 6, so crash
+    // version skew, a record of a different run — is exit 6, so crash
     // tooling can tell "retry with the previous generation" from "disk is
     // broken".
     try {
@@ -432,15 +428,21 @@ int main(int argc, char** argv) {
         const auto newest = es::snap::latest_intact(restore_from);
         if (!newest) {
           std::fprintf(stderr,
-                       "simrun: --restore-from: no intact snapshot in %s\n",
+                       "simrun: --restore-from: no intact record in %s\n",
                        restore_from.c_str());
           return 6;
         }
         snapshot_path = newest->path;
       }
       auto reader = es::snap::read_snapshot_file(snapshot_path);
-      std::printf("Resuming from snapshot %s\n", snapshot_path.c_str());
-      result = es::exp::resume_workload(workload, algorithm, options, reader);
+      std::printf("Resuming from record %s\n", snapshot_path.c_str());
+      if (from_generator) {
+        es::workload::GeneratorSource source(generator_config);
+        result = es::exp::resume_source(source, algorithm, options, reader);
+      } else {
+        result =
+            es::exp::resume_workload(workload, algorithm, options, reader);
+      }
     } catch (const es::snap::SnapshotError& error) {
       std::fprintf(stderr, "simrun: --restore-from: %s (%s)\n", error.what(),
                    es::snap::to_string(error.kind()));
