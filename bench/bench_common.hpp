@@ -170,8 +170,8 @@ inline void save_csv(const BenchOptions& options, const std::string& name,
 /// Serializes every *deterministic* field of a result — per-job outcomes
 /// with full-precision times, the headline metrics, the ECC/failure
 /// ledgers and the event counters — as CSV text.  Wall-clock measurements
-/// are excluded, so two runs of the same simulation (or an uninterrupted
-/// run vs a snapshot/kill/restore run) must produce byte-identical text.
+/// are excluded, so two runs of the same simulation must produce
+/// byte-identical text.
 inline std::string result_fingerprint_csv(
     const sched::SimulationResult& result) {
   std::ostringstream out;

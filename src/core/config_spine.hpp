@@ -12,7 +12,7 @@
 namespace es::core {
 
 /// Registers the algorithm.* tunables plus every engine.* / failure.* /
-/// checkpoint.* / watchdog.* / snapshot.* / fairshare.* / pool.* parameter
+/// checkpoint.* / watchdog.* / fairshare.* / pool.* parameter
 /// against `options`'s live storage.  The registry must not outlive
 /// `options`.
 void register_run_params(util::ParamRegistry& registry,

@@ -61,43 +61,12 @@ sched::SimulationResult run_workload(const workload::Workload& workload,
   return engine.run(workload);
 }
 
-sched::SimulationResult run_source(
-    workload::JobSource& source, const std::string& algorithm,
-    const core::AlgorithmOptions& options,
-    const std::function<void(sched::Engine&)>& prepare) {
+sched::SimulationResult run_source(workload::JobSource& source,
+                                   const std::string& algorithm,
+                                   const core::AlgorithmOptions& options) {
   core::Algorithm algo = core::make_algorithm(algorithm, options);
   sched::Engine engine(engine_config(source, algo, options), *algo.policy);
-  if (prepare) prepare(engine);
   return engine.run_streamed(source);
-}
-
-sched::SimulationResult run_workload_prepared(
-    const workload::Workload& workload, const std::string& algorithm,
-    const core::AlgorithmOptions& options,
-    const std::function<void(sched::Engine&)>& prepare) {
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  if (prepare) prepare(engine);
-  return engine.run(workload);
-}
-
-sched::SimulationResult resume_workload(const workload::Workload& workload,
-                                        const std::string& algorithm,
-                                        const core::AlgorithmOptions& options,
-                                        snap::SnapshotReader& reader) {
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  workload::MaterializedSource source(workload);
-  return engine.resume(source, reader);
-}
-
-sched::SimulationResult resume_source(workload::JobSource& source,
-                                      const std::string& algorithm,
-                                      const core::AlgorithmOptions& options,
-                                      snap::SnapshotReader& reader) {
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(source, algo, options), *algo.policy);
-  return engine.resume(source, reader);
 }
 
 sched::SimulationResult run_once(const RunSpec& spec) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,10 +10,6 @@
 #include "sched/engine.hpp"
 #include "sched/metrics.hpp"
 #include "workload/generator.hpp"
-
-namespace es::snap {
-class SnapshotReader;
-}  // namespace es::snap
 
 namespace es::exp {
 
@@ -71,38 +66,10 @@ sched::SimulationResult run_workload(const workload::Workload& workload,
 /// (see Engine::run_streamed).  The machine is shaped by the source.
 /// Metrics are byte-identical to run_workload on the materialized
 /// equivalent, and options.engine.paranoid checks the run as it does
-/// there.  `prepare`, when set, is called on the configured engine just
-/// before the run, as in run_workload_prepared.
-sched::SimulationResult run_source(
-    workload::JobSource& source, const std::string& algorithm,
-    const core::AlgorithmOptions& options = {},
-    const std::function<void(sched::Engine&)>& prepare = {});
-
-/// Same as run_workload, with a caller hook invoked on the configured
-/// engine just before the run starts — the mount point for record sinks
-/// and other engine-level wiring the options struct cannot express.
-sched::SimulationResult run_workload_prepared(
-    const workload::Workload& workload, const std::string& algorithm,
-    const core::AlgorithmOptions& options,
-    const std::function<void(sched::Engine&)>& prepare);
-
-/// Resumes an interrupted run from its recovery record (written by an
-/// engine running this exact workload/algorithm/options combination): the
-/// run is replayed from t = 0, checked against the record, and continued
-/// to completion.  The returned metrics are byte-identical to the
-/// uninterrupted run's.  Throws snap::SnapshotError on a corrupt,
-/// version-incompatible or mismatched record (see Engine::resume).
-sched::SimulationResult resume_workload(const workload::Workload& workload,
-                                        const std::string& algorithm,
-                                        const core::AlgorithmOptions& options,
-                                        snap::SnapshotReader& reader);
-
-/// The same for a run_source() run: `source` must be a fresh source
-/// yielding the trace the recording run drained.
-sched::SimulationResult resume_source(workload::JobSource& source,
-                                      const std::string& algorithm,
-                                      const core::AlgorithmOptions& options,
-                                      snap::SnapshotReader& reader);
+/// there.
+sched::SimulationResult run_source(workload::JobSource& source,
+                                   const std::string& algorithm,
+                                   const core::AlgorithmOptions& options = {});
 
 /// Generates the spec's workload (with its seed) and runs it.
 sched::SimulationResult run_once(const RunSpec& spec);

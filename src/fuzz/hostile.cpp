@@ -314,12 +314,10 @@ Scenario make_crash_restart(std::uint64_t seed) {
   Scenario scenario = base_scenario("crash_restart", seed);
 
   // The whole feature surface in one trace — elastic commands, sometimes
-  // dedicated reservations, failure churn with checkpoint banking — i.e.
-  // everything a replay has to reproduce.  The oracle treats this family
-  // specially: every run is re-executed with recovery records, killed at
-  // event boundaries and resumed by replay, and the resumed result must
-  // match the uninterrupted one exactly (check_run's restore-equivalence
-  // differential).
+  // dedicated reservations, failure churn with checkpoint banking — so one
+  // scenario mixes every event class the engine dispatches.  The family
+  // name is also its RNG tag, so renaming it would stop --write-corpus from
+  // regenerating data/corpus/crash_restart-*.scn.
   workload::GeneratorConfig config =
       base_generator(rng, 50 + static_cast<std::size_t>(rng.uniform_int(0, 40)));
   config.p_small = rng.uniform(0.3, 0.7);

@@ -24,11 +24,7 @@
 //                         intervals, non-trivial overhead, preemptions
 //                         racing periodic checkpoints
 //   crash_restart         the full feature surface in one trace (ECCs,
-//                         dedicated jobs, failures, checkpoints); the
-//                         oracle kills each run at event boundaries,
-//                         resumes from the last recovery record and
-//                         requires the resumed result to match the
-//                         uninterrupted run exactly
+//                         dedicated jobs, failures, checkpoints)
 //
 // All times are quantized to whole seconds so a scenario serializes through
 // the CWF layer (`%.0f`) bit-identically: the in-memory scenario the fuzzer

@@ -8,8 +8,7 @@
 
 #include "core/factory.hpp"
 #include "exp/experiment.hpp"
-#include "sched/engine.hpp"
-#include "snap/snapshot.hpp"
+#include "workload/source.hpp"
 
 namespace es::fuzz {
 
@@ -35,7 +34,7 @@ std::string fmt(const char* format, ...) {
 
 /// Exact equivalence of every deterministic result field.  Returns an
 /// empty string when the results match, else a description of the first
-/// difference.  Doubles are compared bit-for-bit (==): a resumed run is
+/// difference.  Doubles are compared bit-for-bit (==): a streamed run is
 /// supposed to replay the identical floating-point operation sequence.
 std::string diff_results(const sched::SimulationResult& a,
                          const sched::SimulationResult& b) {
@@ -378,46 +377,16 @@ RunReport check_run(const Scenario& scenario, const std::string& algorithm) {
               fmt("non-ECC algorithm processed %llu commands",
                   static_cast<unsigned long long>(result.ecc.processed)));
 
-  // Restore-equivalence differential (crash_restart family only): re-run
-  // with a recovery record every cycle, kill at two event boundaries,
-  // replay to the last pre-kill record and on to the end, and require every
-  // deterministic result field to match the uninterrupted run bit for bit.
-  if (scenario.family == "crash_restart") {
-    for (const std::uint64_t kill :
-         {result.events / 3 + 1, (2 * result.events) / 3 + 1}) {
-      core::AlgorithmOptions killed_options = scenario.options();
-      killed_options.engine.snapshot.every_cycles = 1;
-      killed_options.engine.watchdog.max_events = kill;
-      std::string record;
-      (void)exp::run_workload_prepared(
-          scenario.workload, algorithm, killed_options,
-          [&record](sched::Engine& engine) {
-            engine.set_snapshot_sink(
-                [&record](const std::string& bytes) { record = bytes; });
-          });
-      sched::SimulationResult resumed;
-      if (record.empty()) {
-        // Killed before the first record; recovery is a fresh run.
-        resumed =
-            exp::run_workload(scenario.workload, algorithm, scenario.options());
-      } else {
-        try {
-          snap::SnapshotReader reader(record);
-          resumed = exp::resume_workload(scenario.workload, algorithm,
-                                         scenario.options(), reader);
-        } catch (const snap::SnapshotError& error) {
-          violation("crash-restart-reject",
-                    fmt("own record at %llu events rejected on resume: %s",
-                        static_cast<unsigned long long>(kill), error.what()));
-          continue;
-        }
-      }
-      const std::string diff = diff_results(result, resumed);
-      if (!diff.empty())
-        violation("crash-restart-divergence",
-                  fmt("kill at %llu events: %s",
-                      static_cast<unsigned long long>(kill), diff.c_str()));
-    }
+  // Streamed parity: the same scenario fed through a JobSource in chunks
+  // of 1 and 7 jobs (run() feeds 4096) must reproduce every deterministic
+  // result field bit for bit; a chunk boundary must never change a schedule.
+  for (const std::size_t chunk_jobs : {std::size_t{1}, std::size_t{7}}) {
+    workload::MaterializedSource source(scenario.workload, chunk_jobs);
+    const std::string diff = diff_results(
+        result, exp::run_source(source, algorithm, scenario.options()));
+    if (!diff.empty())
+      violation("streamed-divergence",
+                fmt("chunks of %zu jobs: %s", chunk_jobs, diff.c_str()));
   }
   return report;
 }

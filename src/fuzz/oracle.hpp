@@ -26,9 +26,8 @@
 //   * liveness: a scenario expected to complete must terminate without
 //     tripping a watchdog budget, and the machine must not sit idle with
 //     runnable batch work across many consecutive scheduling cycles;
-//   * crash restart (crash_restart family only): killing the run at an
-//     event boundary and resuming from the engine's own record must
-//     reproduce the uninterrupted result bit for bit.
+//   * streamed parity: the scenario fed through a JobSource in chunks of 1
+//     and 7 jobs reproduces the observed run's result bit for bit.
 //
 // Cross-algorithm sanity (check_cross): every algorithm saw the same job
 // set with the same arrival horizon and offered load; algorithms that

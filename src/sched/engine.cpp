@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <optional>
 
-#include "sched/engine_params.hpp"
-#include "snap/ring.hpp"
-#include "snap/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/rss.hpp"
@@ -56,10 +52,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
     attachments_.add(&fairness_attach_, FairnessObserver::kHookMask);
 }
 
-// Out of line so the unique_ptr<snap::SnapshotRing> member can destroy its
-// (header-incomplete) pointee.
-Engine::~Engine() = default;
-
 namespace {
 
 /// Active-array order: ascending (planned end, job id) — the estimated
@@ -69,92 +61,6 @@ bool active_before(const JobRun* a, const JobRun* b) {
   const double eb = b->start_time + b->estimated_duration();
   if (ea != eb) return ea < eb;
   return a->id < b->id;
-}
-
-/// FNV-1a accumulator for the run fingerprint and the state hash of a
-/// recovery record.
-struct Fingerprint {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= p[i];
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { i64(v); }
-  void f64(double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof(b));
-    u64(b);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-/// The run fingerprint's head: everything that must agree between the
-/// recording run and the resuming run besides the trace — the machine
-/// shape, the behaviour-steering config knobs and the policy.  Watchdog
-/// budgets and the snapshot policy itself are deliberately excluded — the
-/// resumed process may run with different guardrails.  The engine folds
-/// every job and command it is fed into the rest (fingerprint_chunk).
-std::uint64_t run_fingerprint(const EngineConfig& config,
-                              const Scheduler& policy) {
-  Fingerprint fp;
-  // Registry-driven config portion: every fingerprint-participating
-  // parameter (see sched/engine_params.cpp — watchdog budgets and snapshot
-  // cadence are excluded by their no_fingerprint() marks) renders into a
-  // stable name=value blob, so a knob added to the registry can never be
-  // silently missing from the record check.  Registration needs mutable
-  // storage, hence the local copy.
-  EngineConfig bound = config;
-  util::ParamRegistry registry;
-  register_engine_params(registry, bound);
-  std::string blob;
-  registry.fingerprint_into(blob);
-  fp.str(blob);
-  fp.u64(config.failure.script.size());
-  for (const fault::Outage& outage : config.failure.script) {
-    fp.f64(outage.down);
-    fp.f64(outage.up);
-    fp.i32(outage.procs);
-  }
-  fp.str(policy.name());
-  return fp.hash;
-}
-
-/// Folds a chunk's jobs and commands, in feed order, into `hash`.
-std::uint64_t fingerprint_chunk(std::uint64_t hash,
-                                const workload::SourceChunk& chunk) {
-  Fingerprint fp{hash};
-  for (const workload::Job& job : chunk.jobs) {
-    fp.i64(job.id);
-    fp.f64(job.arr);
-    fp.i32(job.num);
-    fp.f64(job.dur);
-    fp.f64(job.actual);
-    fp.i32(static_cast<std::int32_t>(job.type));
-    fp.f64(job.start);
-    fp.i32(job.user);
-    fp.i32(job.pool);
-  }
-  for (const workload::Ecc& ecc : chunk.eccs) {
-    fp.f64(ecc.issue);
-    fp.i64(ecc.job_id);
-    fp.i32(static_cast<std::int32_t>(ecc.type));
-    fp.f64(ecc.amount);
-  }
-  return fp.hash;
-}
-
-[[noreturn]] void record_corrupt(const std::string& what) {
-  throw snap::SnapshotError(snap::SnapshotErrorKind::kCorrupt,
-                            "corrupt recovery record: " + what);
 }
 
 /// Job events (finish, arrival, dedicated-due) carry their job's arena
@@ -708,28 +614,10 @@ SimulationResult Engine::run_streamed(workload::JobSource& source) {
   return drive(source, run_start);
 }
 
-SimulationResult Engine::resume(workload::JobSource& source,
-                                snap::SnapshotReader& record) {
-  const util::TimerTicks run_start = util::timer_now();
-  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
-  record.open_section("RCRD");
-  RecoveryRecord target;
-  target.fingerprint = record.u64();
-  target.events = record.u64();
-  target.state = record.u64();
-  if (record.remaining() != 0) record_corrupt("trailing record bytes");
-  replay_to_ = target;
-  return drive(source, run_start);
-}
-
 SimulationResult Engine::drive(workload::JobSource& source,
                               util::TimerTicks run_start) {
   ES_EXPECTS(source_ == nullptr);  // one run per engine
   dp_baseline_ = policy_->dp_counters();
-  // Hashing the config and the fed trace is pure overhead on the (vast
-  // majority of) runs that neither record nor resume.
-  fingerprinting_ = config_.snapshot.every_cycles > 0 || replay_to_;
-  if (fingerprinting_) fingerprint_ = run_fingerprint(config_, *policy_);
   source_ = &source;
   source_exhausted_ = false;
   total_jobs_ = source.total_jobs();
@@ -743,11 +631,6 @@ SimulationResult Engine::drive(workload::JobSource& source,
     schedule_next_outage(first_arrival_);
   }
   pump_events();
-  if (replay_to_)
-    record_corrupt("the run ended after " +
-                   std::to_string(sim_.events_processed()) +
-                   " events, before the recorded event " +
-                   std::to_string(replay_to_->events));
   return finish_run(run_start);
 }
 
@@ -782,7 +665,6 @@ void Engine::load_next_chunk() {
   }
   ES_EXPECTS(chunk_.ecc_counts.size() == chunk_.jobs.size());
   ES_EXPECTS(chunk_.ahead_ecc_counts.size() == chunk_.ahead.size());
-  if (fingerprinting_) fingerprint_ = fingerprint_chunk(fingerprint_, chunk_);
   if (jobs_fed_ == 0) {
     warn_if_unbounded_retry(chunk_.jobs);
   } else if (config_.keep_job_outcomes && total_jobs_ &&
@@ -973,18 +855,15 @@ void Engine::dispatch(const sim::Event& event) {
 }
 
 void Engine::pump_events() {
-  // One loop for every run: the watchdog, an attachment's abort request
-  // and the recovery records (cadence and resume check) each cost one
-  // untaken branch per event when unset.
-  const bool snapshotting =
-      config_.snapshot.every_cycles > 0 || replay_to_.has_value();
+  // One loop for every run: the watchdog and an attachment's abort request
+  // each cost one untaken branch per event when unset.
   std::optional<sim::Watchdog> watchdog;
   if (config_.watchdog.enabled()) watchdog.emplace(config_.watchdog);
   sim::TerminationReason reason = sim::TerminationReason::kCompleted;
   const util::TimerTicks loop_start = util::timer_now();
   while (!sim_.idle()) {
     // 1 event in util::kTimerSamplePeriod, by its ordinal, is timed whole
-    // (pop, dispatch, snapshot) together with any cycle it runs.
+    // (pop, dispatch) together with any cycle it runs.
     cycle_timed_ = util::timer_sampled(sim_.events_processed());
     const util::SampledScope timed(cycle_timed_, sampled_event_ticks_);
     if (watchdog && watchdog->exhausted(sim_, reason)) break;
@@ -995,9 +874,6 @@ void Engine::pump_events() {
       reason = abort_.reason;
       break;
     }
-    // Records land only here, *between* events: the engine is never
-    // mid-cycle, so the hashed state is a consistent event boundary.
-    if (snapshotting) maybe_snapshot();
   }
   cycle_timed_ = false;
   loop_ticks_ += util::timer_now() - loop_start;
@@ -1014,100 +890,6 @@ void Engine::pump_events() {
         static_cast<unsigned long long>(done),
         static_cast<unsigned long long>(total));
   }
-}
-
-void Engine::maybe_snapshot() {
-  const std::uint64_t every = config_.snapshot.every_cycles;
-  const bool due = every > 0 && cycles_ - last_snapshot_cycle_ >= every;
-  if (due) last_snapshot_cycle_ = cycles_;
-  if (replay_to_) {
-    // The replayed prefix's records are on disk already: keep the cadence,
-    // write none, and check the record at its event.
-    if (sim_.events_processed() == replay_to_->events) verify_record();
-    return;
-  }
-  if (due) write_record();
-}
-
-void Engine::write_record() {
-  snap::SnapshotWriter writer;
-  writer.begin_section("RCRD");
-  writer.u64(fingerprint_);
-  writer.u64(sim_.events_processed());
-  writer.u64(state_hash());
-  writer.end_section();
-  const std::string record = writer.finish();
-  ++snapshots_taken_;
-  if (snapshot_sink_) snapshot_sink_(record);
-  if (!config_.snapshot.dir.empty()) {
-    if (!ring_)
-      ring_ = std::make_unique<snap::SnapshotRing>(config_.snapshot.dir,
-                                                   config_.snapshot.keep);
-    ring_->commit(record);
-  }
-}
-
-void Engine::verify_record() {
-  if (fingerprint_ != replay_to_->fingerprint)
-    throw snap::SnapshotError(
-        snap::SnapshotErrorKind::kMismatch,
-        "recovery record belongs to a different run (trace/config/policy "
-        "fingerprint disagrees)");
-  if (state_hash() != replay_to_->state)
-    record_corrupt("the replayed state after event " +
-                   std::to_string(replay_to_->events) +
-                   " differs from the recorded one");
-  replay_to_.reset();
-}
-
-std::uint64_t Engine::state_hash() const {
-  const ParanoidSnapshot paranoid = paranoid_snapshot();
-  Fingerprint fp;
-  fp.f64(paranoid.now);
-  fp.u64(paranoid.cycle);
-  fp.u64(paranoid.interruptions);
-  fp.u64(paranoid.abandoned);
-  fp.u64(paranoid.finishes);
-  fp.u64(paranoid.active_jobs);
-  fp.u64(paranoid.dp_delta.calls);
-  fp.u64(paranoid.dp_delta.fast_path);
-  fp.u64(paranoid.dp_delta.table_runs);
-  fp.u64(paranoid.dp_delta.table_cells);
-  const EccStats& ecc = *paranoid.ecc;
-  for (const std::uint64_t count :
-       {ecc.processed, ecc.extensions, ecc.reductions, ecc.rejected,
-        ecc.unknown_job, ecc.after_finish, ecc.running_resizes,
-        ecc.conflicts})
-    fp.u64(count);
-  for (const double amount : {ecc.time_added, ecc.time_removed,
-                              ecc.procs_added, ecc.procs_removed})
-    fp.f64(amount);
-  // The fold and the feed.
-  for (const double sum : {sums_.wait_sum, sums_.run_sum, sums_.sd_sum,
-                           sums_.bsd_sum, sums_.dedicated_delay_sum,
-                           folded_.max_wait,
-                           folded_.failure.goodput_proc_seconds,
-                           offered_proc_seconds_, offered_origin_,
-                           offered_last_, first_arrival_, last_finish_})
-    fp.f64(sum);
-  for (const std::uint64_t count :
-       {sums_.dedicated_count, sums_.count, folded_.completed,
-        folded_.killed, folded_.dedicated_on_time,
-        static_cast<std::uint64_t>(wasted_deferred_.size()), jobs_built_,
-        jobs_retired_, jobs_fed_, eccs_scheduled_})
-    fp.u64(count);
-  // The event kernel, the queues and the machine.
-  const sim::EventQueueCounters& events = sim_.queue().counters();
-  for (const std::uint64_t count :
-       {sim_.events_processed(), events.scheduled, events.cancelled,
-        events.fired, events.peak_pending,
-        static_cast<std::uint64_t>(sim_.queue().size()),
-        static_cast<std::uint64_t>(batch_queue_.size()),
-        static_cast<std::uint64_t>(dedicated_queue_.size())})
-    fp.u64(count);
-  fp.i32(machine_.free());
-  fp.i32(machine_.offline());
-  return fp.hash;
 }
 
 void Engine::warn_if_unbounded_retry(

@@ -35,11 +35,8 @@
 // the chain's ordering rules and docs/architecture.md for the map.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -66,18 +63,12 @@
 #include "workload/job.hpp"
 #include "workload/source.hpp"
 
-namespace es::snap {
-class SnapshotReader;
-class SnapshotRing;
-}  // namespace es::snap
-
 namespace es::sched {
 
 /// One engine instance runs one workload with one policy.
 class Engine {
  public:
   Engine(const EngineConfig& config, Scheduler& policy);
-  ~Engine();
 
   /// Appends an external observer to the attachment chain, after the
   /// config-selected built-ins.  Must be called before run(); the engine
@@ -100,33 +91,6 @@ class Engine {
   /// workload/source.hpp for the ordering contracts that guarantee it),
   /// watchdog-aborted runs included.
   SimulationResult run_streamed(workload::JobSource& source);
-
-  // --- crash recovery by deterministic replay ------------------------------
-
-  /// Re-runs `source` from t = 0 up to the recovery record in `record` and
-  /// on to completion, returning the uninterrupted run's metrics.  A record
-  /// (one every SnapshotPolicy::every_cycles cycles) holds the run
-  /// fingerprint, an event ordinal N and a hash of the engine state after
-  /// event N; when event N has fired, both must match.  `source` must
-  /// yield the trace the recording run drained (run()'s source is a
-  /// workload::MaterializedSource over its workload).  Records at or before
-  /// N are not rewritten.  Throws snap::SnapshotError: kMismatch when the
-  /// record belongs to a different (trace, machine, policy, config)
-  /// combination, kCorrupt when the state hash differs, the record is
-  /// malformed, or the run ends before event N.
-  SimulationResult resume(workload::JobSource& source,
-                          snap::SnapshotReader& record);
-
-  /// Receives every recovery record (in addition to the disk ring, when
-  /// SnapshotPolicy::dir is set).  Used by the crash-recovery harnesses to
-  /// capture kill-point records without filesystem traffic.
-  using SnapshotSink = std::function<void(const std::string&)>;
-  void set_snapshot_sink(SnapshotSink sink) {
-    snapshot_sink_ = std::move(sink);
-  }
-
-  /// Recovery records written so far (tests/diagnostics).
-  std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
   /// The machine, exposed for tests that inspect the final state.
   const cluster::Machine& machine() const { return machine_; }
@@ -163,15 +127,6 @@ class Engine {
   void warn_if_unbounded_retry(std::span<const workload::Job> jobs) const;
   void run_cycle();
   void pump_events();
-  /// Between events, on runs that record or resume: checks the record a
-  /// resume replays to at its event, and writes a record every
-  /// snapshot.every_cycles cycles past it.
-  void maybe_snapshot();
-  void write_record();
-  void verify_record();
-  /// FNV-1a over the state a record pins: the paranoid fields, the fold
-  /// sums and the event queue's counters.
-  std::uint64_t state_hash() const;
   void check_invariants() const;
   CycleInfo cycle_info() const;
   ParanoidSnapshot paranoid_snapshot() const;
@@ -314,22 +269,6 @@ class Engine {
   InflightEccs eccs_in_flight_;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};
-
-  // Crash recovery.  Only runs that record or resume keep the fingerprint:
-  // the config, the policy and every job and command fed so far.
-  struct RecoveryRecord {
-    std::uint64_t fingerprint = 0;
-    std::uint64_t events = 0;  ///< the event ordinal N
-    std::uint64_t state = 0;   ///< state_hash() after event N
-  };
-  bool fingerprinting_ = false;
-  std::uint64_t fingerprint_ = 0;
-  /// The record a resume replays to; cleared once event N checked out.
-  std::optional<RecoveryRecord> replay_to_;
-  SnapshotSink snapshot_sink_;
-  std::unique_ptr<snap::SnapshotRing> ring_;
-  std::uint64_t last_snapshot_cycle_ = 0;
-  std::uint64_t snapshots_taken_ = 0;
 };
 
 /// Convenience wrapper: one-shot run.

@@ -56,21 +56,6 @@ struct FairShareConfig {
   std::vector<FairSharePool> pools;
 };
 
-/// Crash recovery: periodic recovery records during the run (see
-/// Engine::resume).  Disabled by default (zero `every_cycles`), which keeps
-/// the event pump on the exact seed fast path.  Deliberately *excluded*
-/// from the run fingerprint — a resumed run may record on a different
-/// cadence (or not at all) without being a different simulation.
-struct SnapshotPolicy {
-  /// Write a recovery record every N scheduling cycles (0 = off).
-  std::uint64_t every_cycles = 0;
-  /// Record-ring directory; empty = no disk ring (an in-memory sink
-  /// registered via Engine::set_snapshot_sink still receives records).
-  std::string dir;
-  /// Ring retention: newest K generations are kept on disk.
-  std::size_t keep = 3;
-};
-
 struct EngineConfig {
   int machine_procs = 320;
   int granularity = 32;
@@ -114,8 +99,6 @@ struct EngineConfig {
   /// gracefully and the result carries partial metrics tagged with a typed
   /// TerminationReason.  Default: disabled (no budget is checked).
   sim::WatchdogConfig watchdog;
-  /// Periodic recovery records (see SnapshotPolicy).  Default: disabled.
-  SnapshotPolicy snapshot;
   /// Fair-share pools, starvation timeouts and fairness accounting (used by
   /// the FairShare policy family and the FairnessObserver).
   FairShareConfig fairshare;

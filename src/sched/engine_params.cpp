@@ -67,7 +67,7 @@ void register_engine_params(util::ParamRegistry& registry,
     return {};
   });
 
-  // --- engine mechanics (fingerprint-relevant) ---------------------------
+  // --- engine mechanics --------------------------------------------------
   registry.add_enum("engine.requeue", &config.requeue,
                     {{"head", static_cast<int>(fault::RequeuePolicy::kRequeueHead)},
                      {"tail", static_cast<int>(fault::RequeuePolicy::kRequeueTail)},
@@ -75,26 +75,22 @@ void register_engine_params(util::ParamRegistry& registry,
                     "where failure-preempted jobs re-enter the batch queue")
       .alias("requeue");
 
-  // --- engine mechanics (behaviour-neutral; excluded from fingerprint) ---
+  // --- engine mechanics (behaviour-neutral) -----------------------------
   registry
       .add_bool("engine.keep_job_outcomes", &config.keep_job_outcomes,
-                "keep per-job outcomes in SimulationResult::jobs")
-      .no_fingerprint();
+                "keep per-job outcomes in SimulationResult::jobs");
   registry
       .add_bool("engine.record_trace", &config.record_trace,
                 "attach a TraceObserver recording a full schedule audit "
-                "trace")
-      .no_fingerprint();
+                "trace");
   registry
       .add_bool("engine.collect_cycle_stats", &config.collect_cycle_stats,
                 "attach a CycleStatsObserver (per-cycle queue/backfill/DP "
-                "histograms)")
-      .no_fingerprint();
+                "histograms)");
   registry
       .add_bool("engine.paranoid", &config.paranoid,
                 "re-verify structural invariants after every cycle (slow; "
-                "test/debug aid)")
-      .no_fingerprint();
+                "test/debug aid)");
 
   // --- fault injection ---------------------------------------------------
   registry.add_bool("failure.enabled", &config.failure.enabled,
@@ -184,52 +180,28 @@ void register_engine_params(util::ParamRegistry& registry,
     return {};
   });
 
-  // --- watchdog budgets (termination guardrails; not part of the
-  // --- simulated behaviour, so excluded from the fingerprint) ------------
+  // --- watchdog budgets (termination guardrails) ------------------------
   registry
       .add_uint64("watchdog.max_events", &config.watchdog.max_events,
                   "abort after this many processed events (0 = unlimited)")
-      .alias("max-events")
-      .no_fingerprint();
+      .alias("max-events");
   registry
       .add_double("watchdog.max_sim_time", &config.watchdog.max_sim_time,
                   "abort before crossing this simulated time (0 = unlimited)")
       .range(0, 1e18)
-      .alias("max-sim-time")
-      .no_fingerprint();
+      .alias("max-sim-time");
   registry
       .add_double("watchdog.wall_budget", &config.watchdog.wall_budget,
                   "abort after this many real seconds (0 = unlimited)")
       .range(0, 1e9)
-      .alias("wall-budget")
-      .no_fingerprint();
+      .alias("wall-budget");
   registry
       .add_int("watchdog.no_progress_cycles",
                &config.watchdog.no_progress_cycles,
                "abort after this many consecutive zero-progress cycles (0 = "
                "off)")
       .range(0, 1 << 30)
-      .alias("no-progress-cycles")
-      .no_fingerprint();
-
-  // --- snapshot cadence (crash consistency; cadence is not behaviour) ----
-  registry
-      .add_uint64("snapshot.every_cycles", &config.snapshot.every_cycles,
-                  "write a recovery record every N scheduling cycles (0 = "
-                  "off)")
-      .alias("snapshot-every")
-      .no_fingerprint();
-  registry
-      .add_string("snapshot.dir", &config.snapshot.dir,
-                  "snapshot-ring directory (empty = in-memory sink only)")
-      .alias("snapshot-dir")
-      .no_fingerprint();
-  registry
-      .add_size("snapshot.keep", &config.snapshot.keep,
-                "snapshot generations retained on disk")
-      .range(1, 1 << 20)
-      .alias("snapshot-keep")
-      .no_fingerprint();
+      .alias("no-progress-cycles");
 
   // --- fair-share scheduling --------------------------------------------
   registry.add_bool("fairshare.preemption", &config.fairshare.preemption_enabled,
@@ -258,8 +230,7 @@ void register_engine_params(util::ParamRegistry& registry,
   registry
       .add_bool("fairshare.collect_stats", &config.fairshare.collect_stats,
                 "attach the FairnessObserver (per-pool wait percentiles + "
-                "Jain index)")
-      .no_fingerprint();
+                "Jain index)");
 
   // --- pool tree: dynamic pool.<name>.{weight,min_share} family ----------
   std::vector<FairSharePool>* pools = &config.fairshare.pools;

@@ -1,9 +1,8 @@
 // Declarative registration of every EngineConfig field (and its nested
-// failure/checkpoint/watchdog/snapshot/fairshare sub-configs) with the
+// failure/checkpoint/watchdog/fairshare sub-configs) with the
 // util::ParamRegistry.  One registration drives the config-file loader,
-// --dump-config / --list-params generation, finalize-time validation, and
-// the recovery record's run fingerprint — see docs/architecture.md,
-// "configuration spine".
+// --dump-config / --list-params generation and finalize-time validation —
+// see docs/architecture.md, "configuration spine".
 #pragma once
 
 #include "sched/engine_config.hpp"

@@ -11,7 +11,7 @@
 // Rename alone is not durability: POSIX rename() commits the *name* change
 // atomically, but the renamed file's data may still sit in the page cache.
 // A power loss between the rename and writeback can surface the new name
-// with empty or torn contents — exactly the failure the snapshot ring must
+// with empty or torn contents — exactly the failure a result file must
 // never exhibit.  So the temp file is fsync()ed before the rename (data
 // reaches the disk first) and the containing directory is fsync()ed after
 // (the rename itself reaches the disk), the classic write-ahead ordering.

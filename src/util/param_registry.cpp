@@ -42,8 +42,7 @@ std::string unquote(std::string_view text) {
 
 std::string quote(const std::string& text) { return "\"" + text + "\""; }
 
-/// %.17g round-trips every double exactly, so dump → load → dump is stable
-/// and fingerprint_into() hashes the precise value.
+/// %.17g round-trips every double exactly, so dump → load → dump is stable.
 std::string repr_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", value);
@@ -493,22 +492,6 @@ std::string ParamRegistry::list_params() const {
     out << dynamic.prefix << "*  (dynamic)\n";
   }
   return out.str();
-}
-
-void ParamRegistry::fingerprint_into(std::string& out) const {
-  for (const Param& param : params_) {
-    if (!param.fingerprint_) continue;
-    out += param.name_;
-    out += '=';
-    out += param.repr_();
-    out += '\n';
-  }
-  for (const auto& [key, value] : dynamic_entries()) {
-    out += key;
-    out += '=';
-    out += value;
-    out += '\n';
-  }
 }
 
 }  // namespace es::util

@@ -39,8 +39,8 @@ class ConfigError : public std::runtime_error {
 /// Declarative parameter registry: every engine/algorithm knob is registered
 /// once with its name, bound storage, default, range, aliases and doc string.
 /// Registration drives the config-file loader, `--dump-config` /
-/// `--list-params` generation, finalize-time cross-field validation, and the
-/// recovery-record run fingerprint — the single configuration spine.
+/// `--list-params` generation and finalize-time cross-field validation —
+/// the single configuration spine.
 ///
 /// The registry binds to live storage (pointers into the config structs), so
 /// `set()` writes through immediately and `dump()` reflects the current
@@ -69,7 +69,7 @@ class ParamRegistry {
     }
 
     /// Alternate key accepted by set()/config files; canonical name is still
-    /// used for dump/list/fingerprint output.  A dotless alias is also the
+    /// used for dump/list output.  A dotless alias is also the
     /// param's command-line spelling: CliParser::add_param_flags generates
     /// `--<alias>` for it.
     Param& alias(std::string name) {
@@ -77,17 +77,9 @@ class ParamRegistry {
       return *this;
     }
 
-    /// Exclude from fingerprint_into().  For knobs that do not steer
-    /// simulation behaviour (tracing, watchdog budgets, record cadence).
-    Param& no_fingerprint() {
-      fingerprint_ = false;
-      return *this;
-    }
-
     const std::string& name() const { return name_; }
     const std::string& doc() const { return doc_; }
     Kind kind() const { return kind_; }
-    bool fingerprints() const { return fingerprint_; }
     bool has_range() const { return has_range_; }
     double range_lo() const { return range_lo_; }
     double range_hi() const { return range_hi_; }
@@ -104,7 +96,6 @@ class ParamRegistry {
     std::string name_;
     std::string doc_;
     Kind kind_ = Kind::kString;
-    bool fingerprint_ = true;
     bool has_range_ = false;
     double range_lo_ = 0;
     double range_hi_ = 0;
@@ -150,7 +141,7 @@ class ParamRegistry {
   /// Open-ended key family under `prefix` (e.g. "pool." for
   /// `pool.<name>.weight`).  `set` receives the suffix after the prefix and
   /// the raw value text; `dump` returns (full key, value text) pairs for
-  /// dump_config()/fingerprint_into() in a stable order.
+  /// dump_config() in a stable order.
   void add_dynamic(
       std::string prefix,
       std::function<void(const std::string&, const std::string&)> set,
@@ -188,11 +179,6 @@ class ParamRegistry {
   /// Human-oriented table for `--list-params`: name, type, default, range,
   /// aliases, doc.
   std::string list_params() const;
-
-  /// Appends `name=value` lines for every fingerprint-participating param
-  /// plus all dynamic entries.  Stable across runs of the same binary; the
-  /// engine hashes this blob into the recovery-record run fingerprint.
-  void fingerprint_into(std::string& out) const;
 
   /// Registration-order view of the registered params.
   const std::deque<Param>& params() const { return params_; }

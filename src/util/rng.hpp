@@ -14,18 +14,6 @@
 
 namespace es::util {
 
-/// Complete serializable state of an Rng.  Besides the four xoshiro words
-/// this carries the Marsaglia-polar spare deviate: normal() produces pairs
-/// and caches the second one, so a generator restored without the cache
-/// would silently diverge on the next normal()/gamma() draw.
-struct RngState {
-  std::array<std::uint64_t, 4> s{};
-  double cached_normal = 0.0;
-  bool has_cached_normal = false;
-
-  bool operator==(const RngState&) const = default;
-};
-
 /// xoshiro256** pseudo-random generator with explicit, portable semantics.
 class Rng {
  public:
@@ -71,20 +59,6 @@ class Rng {
 
   /// Returns a copy of the internal state, for tests.
   std::array<std::uint64_t, 4> state() const { return s_; }
-
-  /// Snapshots the complete stream state (xoshiro words + the cached
-  /// Marsaglia spare).  A generator restored with load() continues the
-  /// exact draw sequence the saved one would have produced.
-  RngState save() const {
-    return RngState{s_, cached_normal_, has_cached_normal_};
-  }
-
-  /// Restores a state captured by save().
-  void load(const RngState& state) {
-    s_ = state.s;
-    cached_normal_ = state.cached_normal;
-    has_cached_normal_ = state.has_cached_normal;
-  }
 
  private:
   std::array<std::uint64_t, 4> s_{};

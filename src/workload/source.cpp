@@ -60,12 +60,6 @@ bool WorkloadCursor::next(Window& window) {
   return true;
 }
 
-void WorkloadCursor::seek(std::size_t job, std::size_t ecc) {
-  ES_EXPECTS(job <= workload_->jobs.size() && ecc <= workload_->eccs.size());
-  job_ = job;
-  ecc_ = ecc;
-}
-
 // ---------------------------------------------------------------------------
 // MaterializedSource
 

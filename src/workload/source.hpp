@@ -128,12 +128,6 @@ class WorkloadCursor {
   /// out.  A window holds at least one job unless the workload has none.
   bool next(Window& window);
 
-  /// Start of the next window.
-  std::size_t next_job() const { return job_; }
-  std::size_t next_ecc() const { return ecc_; }
-  /// Re-seats the cursor at a position an earlier next() left it at.
-  void seek(std::size_t job, std::size_t ecc);
-
   const Workload& workload() const { return *workload_; }
 
  private:

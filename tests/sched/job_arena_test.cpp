@@ -1,21 +1,14 @@
 // JobRunArena contract tests: slot reuse, generation-tagged staleness, the
 // hot/cold parallel arrays, and a randomized model check that drives the
 // arena through thousands of claim/release cycles against a shadow model.
-// The last test closes the loop with src/snap: an engine whose records
-// live in the arena must snapshot mid-run and restore bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "exp/experiment.hpp"
 #include "sched/job_arena.hpp"
-#include "snap/snapshot.hpp"
-#include "testing/helpers.hpp"
-#include "workload/generator.hpp"
 
 namespace es {
 namespace {
@@ -154,50 +147,6 @@ TEST(JobRunArena, RandomizedModelCheck) {
         by_slot.emplace(record.job->arena_slot, record.payload);
     (void)it;
     ASSERT_TRUE(inserted) << "two live records share a slot";
-  }
-}
-
-// Arena-backed records survive crash recovery: kill a run mid-flight,
-// resume it from its recovery record in a fresh engine (fresh arena), and
-// the completed run must match the uninterrupted one exactly.
-TEST(JobRunArena, SnapshotRestoreRoundTrip) {
-  workload::GeneratorConfig config;
-  config.machine_procs = 64;
-  config.size.unit = 8;
-  config.num_jobs = 60;
-  config.seed = 3;
-  const workload::Workload workload = workload::generate(config);
-
-  const sched::SimulationResult uninterrupted =
-      exp::run_workload(workload, "Delayed-LOS");
-
-  core::AlgorithmOptions killed;
-  killed.engine.snapshot.every_cycles = 1;
-  killed.engine.watchdog.max_events = 150;
-  std::string image;
-  (void)exp::run_workload_prepared(
-      workload, "Delayed-LOS", killed, [&image](sched::Engine& engine) {
-        engine.set_snapshot_sink(
-            [&image](const std::string& bytes) { image = bytes; });
-      });
-  ASSERT_FALSE(image.empty());
-
-  snap::SnapshotReader reader(image);
-  const sched::SimulationResult resumed =
-      exp::resume_workload(workload, "Delayed-LOS", {}, reader);
-
-  EXPECT_EQ(uninterrupted.completed, resumed.completed);
-  EXPECT_EQ(uninterrupted.killed, resumed.killed);
-  EXPECT_EQ(uninterrupted.cycles, resumed.cycles);
-  EXPECT_EQ(uninterrupted.events, resumed.events);
-  EXPECT_EQ(uninterrupted.utilization, resumed.utilization);
-  EXPECT_EQ(uninterrupted.mean_wait, resumed.mean_wait);
-  EXPECT_EQ(uninterrupted.makespan, resumed.makespan);
-  ASSERT_EQ(uninterrupted.jobs.size(), resumed.jobs.size());
-  for (std::size_t i = 0; i < uninterrupted.jobs.size(); ++i) {
-    EXPECT_EQ(uninterrupted.jobs[i].id, resumed.jobs[i].id);
-    EXPECT_EQ(uninterrupted.jobs[i].started, resumed.jobs[i].started);
-    EXPECT_EQ(uninterrupted.jobs[i].finished, resumed.jobs[i].finished);
   }
 }
 

@@ -233,18 +233,6 @@ TEST(ParamRegistry, DumpConfigIsLoadableAndStable) {
   EXPECT_EQ(second.dump_config(), dump) << "dump -> load -> dump must agree";
 }
 
-TEST(ParamRegistry, FingerprintSkipsNoFingerprintParams) {
-  Knobs knobs;
-  ParamRegistry registry;
-  registry.add_int("k.count", &knobs.count, "steers behaviour");
-  registry.add_bool("k.flag", &knobs.flag, "observability only")
-      .no_fingerprint();
-  std::string fingerprint;
-  registry.fingerprint_into(fingerprint);
-  EXPECT_NE(fingerprint.find("k.count"), std::string::npos);
-  EXPECT_EQ(fingerprint.find("k.flag"), std::string::npos);
-}
-
 TEST(ParamRegistry, DefaultValueCapturedAtRegistration) {
   Knobs knobs;
   knobs.count = 55;

@@ -281,33 +281,6 @@ TEST(WorkloadCursor, CommandsWithoutJobsFormOneWindow) {
   EXPECT_FALSE(cursor.next(window));
 }
 
-TEST(WorkloadCursor, SeekResumesTheSameCut) {
-  std::vector<Job> jobs;
-  std::vector<Ecc> eccs;
-  for (int i = 0; i < 10; ++i) {
-    jobs.push_back(es::testing::batch_job(i + 1, 100.0 * i, 4, 50));
-    eccs.push_back(extend_at(i + 1, 100.0 * i + 150));
-  }
-  const Workload workload = es::testing::make_workload(64, 8, jobs, eccs);
-  WorkloadCursor original(workload, 3);
-  WorkloadCursor::Window window;
-  ASSERT_TRUE(original.next(window));
-  WorkloadCursor resumed(workload, 3);
-  resumed.seek(original.next_job(), original.next_ecc());
-  WorkloadCursor::Window a;
-  WorkloadCursor::Window b;
-  while (original.next(a)) {
-    ASSERT_TRUE(resumed.next(b));
-    EXPECT_EQ(a.job_begin, b.job_begin);
-    EXPECT_EQ(a.job_end, b.job_end);
-    EXPECT_EQ(a.ecc_begin, b.ecc_begin);
-    EXPECT_EQ(a.ecc_end, b.ecc_end);
-  }
-  EXPECT_FALSE(resumed.next(b));
-  EXPECT_EQ(resumed.next_job(), jobs.size());
-  EXPECT_EQ(resumed.next_ecc(), eccs.size());
-}
-
 // --- GeneratorSource -------------------------------------------------------
 
 TEST(GeneratorSource, MatchesGenerateExactly) {

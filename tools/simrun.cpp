@@ -23,20 +23,10 @@
 // naming the field.  A scenario fixes the machine shape, so --procs and
 // --granularity are rejected alongside it.
 //
-// Crash recovery: --snapshot-every N writes a small recovery record (run
-// fingerprint, event ordinal, state hash) every N scheduling cycles into
-// --snapshot-dir (a ring of --snapshot-keep generations, each written
-// atomically with fsync-before-rename); --restore-from <file-or-dir>
-// replays the interrupted run from t = 0 with the same flags, checks the
-// record (a directory is scanned for its newest *intact* generation) and
-// produces byte-identical results to the uninterrupted run.  Materialized,
-// trace and --streamed synthetic runs all record and resume.
-//
 // Exit codes: 0 success, 1 usage error, 2 invalid flag combination or
 // unknown algorithm, 3 output I/O error, 4 watchdog abort (partial metrics
-// were printed), 6 corrupt / version-incompatible / mismatched record.
+// were printed).
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <ostream>
 #include <string>
@@ -48,8 +38,6 @@
 #include "exp/experiment.hpp"
 #include "fuzz/scenario.hpp"
 #include "sim/watchdog.hpp"
-#include "snap/ring.hpp"
-#include "snap/snapshot.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -125,7 +113,6 @@ int main(int argc, char** argv) {
   bool perf_report = false;
   bool streamed = false;
   bool no_dp_simd = false;
-  std::string restore_from;
 
   std::string scenario_path;
   std::string config_path;
@@ -183,10 +170,6 @@ int main(int argc, char** argv) {
                "window)", &streamed);
   cli.add_flag("no-dp-simd", "force the scalar DP row kernel (selections "
                "are identical either way; for perf comparison)", &no_dp_simd);
-  cli.add_option("restore-from", "crash recovery: replay the run up to "
-                 "this recovery record, or the newest intact one in this "
-                 "directory, and finish it (pass the recording run's flags)",
-                 &restore_from);
   bool profile = false;
   std::string trace_csv;
   cli.add_option("per-job", "write per-job outcomes to this CSV", &per_job_csv);
@@ -282,20 +265,8 @@ int main(int argc, char** argv) {
     return flag_error("ckpt-interval", "checkpoint recovery only matters "
                       "under fault injection or a preempting policy; set "
                       "--mtbf > 0 as well");
-  if (engine.snapshot.every_cycles > 0 && engine.snapshot.dir.empty())
-    return flag_error("snapshot-every", "needs --snapshot-dir to hold the "
-                      "snapshot ring");
-  if (!engine.snapshot.dir.empty() && engine.snapshot.every_cycles == 0)
-    return flag_error("snapshot-dir", "has no effect without "
-                      "--snapshot-every > 0");
   if (replications < 1)
     return flag_error("replications", "must be >= 1");
-  if (!restore_from.empty() && replications > 1)
-    return flag_error("restore-from", "a recovery record covers one "
-                      "single run; use --replications 1");
-  if (engine.snapshot.every_cycles > 0 && replications > 1)
-    return flag_error("snapshot-every", "recovery records describe a "
-                      "single run; use --replications 1");
   if (parallel_jobs < 0)
     return flag_error("jobs", "must be >= 0 (0 = all cores, 1 = serial)");
   if (replications > 1 && (!per_job_csv.empty() || !trace_csv.empty()))
@@ -415,40 +386,7 @@ int main(int argc, char** argv) {
   }
 
   es::sched::SimulationResult result;
-  if (!restore_from.empty()) {
-    // Resume an interrupted run.  kIo maps to the I/O exit code (3) like
-    // the CSV outputs; everything else — torn frames, CRC mismatches,
-    // version skew, a record of a different run — is exit 6, so crash
-    // tooling can tell "retry with the previous generation" from "disk is
-    // broken".
-    try {
-      std::string snapshot_path = restore_from;
-      std::error_code directory_check;
-      if (std::filesystem::is_directory(restore_from, directory_check)) {
-        const auto newest = es::snap::latest_intact(restore_from);
-        if (!newest) {
-          std::fprintf(stderr,
-                       "simrun: --restore-from: no intact record in %s\n",
-                       restore_from.c_str());
-          return 6;
-        }
-        snapshot_path = newest->path;
-      }
-      auto reader = es::snap::read_snapshot_file(snapshot_path);
-      std::printf("Resuming from record %s\n", snapshot_path.c_str());
-      if (from_generator) {
-        es::workload::GeneratorSource source(generator_config);
-        result = es::exp::resume_source(source, algorithm, options, reader);
-      } else {
-        result =
-            es::exp::resume_workload(workload, algorithm, options, reader);
-      }
-    } catch (const es::snap::SnapshotError& error) {
-      std::fprintf(stderr, "simrun: --restore-from: %s (%s)\n", error.what(),
-                   es::snap::to_string(error.kind()));
-      return error.kind() == es::snap::SnapshotErrorKind::kIo ? 3 : 6;
-    }
-  } else if (from_generator) {
+  if (from_generator) {
     es::workload::GeneratorSource source(generator_config);
     result = es::exp::run_source(source, algorithm, options);
   } else {
