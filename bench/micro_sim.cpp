@@ -1,13 +1,17 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
-// the engine's fixed cost per event, machine ledger operations and
-// workload-generator speed.
+// the engine's fixed cost per event, one FairShare policy cycle, machine
+// ledger operations and workload-generator speed.
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/machine.hpp"
 #include "core/factory.hpp"
 #include "sched/engine.hpp"
+#include "sched/fairshare.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -214,6 +218,64 @@ void BM_EngineEventOverhead(benchmark::State& state) {
                              benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EngineEventOverhead)->Arg(5000)->Unit(benchmark::kMillisecond);
+
+// One FairShare cycle on a hand-built context: 4 weighted pools, a
+// 200-deep backlog over them behind a head that needs the whole machine.
+// Two grains are free, so every cycle ranks the pools and visits each
+// pool's list past the pivot, while the head's shadow keeps every backlog
+// job out and the state never changes.  Reported as wall time per cycle.
+void BM_FairShareCycle(benchmark::State& state) {
+  constexpr int kProcs = 320;
+  constexpr int kGrain = 32;
+  constexpr int kPools = 4;
+  constexpr int kQueueDepth = 200;
+  es::cluster::Machine machine(kProcs, kGrain);
+  std::deque<es::sched::JobRun> jobs;  // stable addresses
+  es::sched::JobQueue batch;
+  std::vector<es::sched::JobRun*> dedicated;
+  std::vector<es::sched::JobRun*> active;
+  const auto make = [&](int procs, double estimate, int pool)
+      -> es::sched::JobRun& {
+    es::sched::JobRun& job = jobs.emplace_back();
+    job.id = static_cast<es::workload::JobId>(jobs.size());
+    job.num = procs;
+    job.req_time = estimate;
+    job.actual_time = estimate;
+    job.pool = static_cast<std::uint8_t>(pool);
+    return job;
+  };
+  es::sched::JobRun& runner = make(kProcs - 2 * kGrain, 100, 0);
+  runner.status = es::sched::JobStatus::kRunning;
+  runner.start_time = 0;
+  runner.alloc = machine.allocate(runner.id, runner.num);
+  active.push_back(&runner);
+  batch.push_back(&make(kProcs, 500, 1));
+  for (int i = 0; i < kQueueDepth; ++i)
+    batch.push_back(&make(kGrain * (1 + i % 2), 5000, i % kPools));
+
+  es::sched::SchedulerContext ctx;
+  ctx.now = 10;
+  ctx.machine = &machine;
+  ctx.batch = &batch;
+  ctx.dedicated = &dedicated;
+  ctx.active = &active;
+  std::int64_t starts = 0;
+  ctx.start = [&](es::sched::JobRun*) { ++starts; };
+  ctx.preempt = [&](es::sched::JobRun*) { ++starts; };
+  es::sched::FairShareConfig config;
+  config.pools = {{"prod", 4.0, 0.25},
+                  {"batch", 2.0, 0.0},
+                  {"dev", 1.0, 0.0},
+                  {"scavenger", 1.0, 0.0}};
+  es::sched::FairShare policy(config);
+  for (auto _ : state) policy.cycle(ctx);
+  if (starts != 0) state.SkipWithError("the cycle must not start anything");
+  state.counters["per_cycle"] =
+      benchmark::Counter(static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FairShareCycle);
 
 void BM_MachineAllocateRelease(benchmark::State& state) {
   es::cluster::Machine machine(320, 32);

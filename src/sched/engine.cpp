@@ -151,6 +151,7 @@ void Engine::run_cycle() {
   // start_job inserts new runners in order, which keeps the freeze math
   // within the cycle coherent with the same (end, id) key.
   ctx.active = &active_;
+  ctx.queued_resizes = queued_resizes_;
   ctx.start = [this](JobRun* job) { start_job(job); };
   ctx.move_dedicated_head_to_batch_head = [this] {
     move_dedicated_head_to_batch_head();
@@ -355,6 +356,12 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
       break;
     }
     case EccOutcome::kAppliedQueued:
+      // Only the request changed.  Policies that cache waiting jobs'
+      // allocations see the count move on an EP/RP and refresh them.
+      if (ecc.type == workload::EccType::kExtendProcs ||
+          ecc.type == workload::EccType::kReduceProcs)
+        ++queued_resizes_;
+      break;
     case EccOutcome::kRejectedFinished:
     case EccOutcome::kRejectedShape:
     case EccOutcome::kRejectedBounds:

@@ -219,6 +219,9 @@ class Engine {
 
   bool in_cycle_ = false;
   std::uint64_t cycles_ = 0;
+  /// EP/RP commands applied to waiting jobs; handed to every cycle as
+  /// SchedulerContext::queued_resizes.
+  std::uint64_t queued_resizes_ = 0;
   sim::Time first_arrival_ = 0;
   sim::Time last_finish_ = 0;
 

@@ -23,26 +23,42 @@
 // one pool (untagged workload) the ratio order degenerates to FIFO and no
 // preemption ever triggers — FairShare behaves as plain EASY backfilling.
 //
-// Cost per cycle: one pass over the running set and one over the batch
-// queue gather everything both phases need (pool universe, running
-// allocations, per-pool heads, forced prefix, per-pool waiting lists with
-// each job's allocation beside it) into member scratch that keeps its
-// capacity, so a steady-state cycle never touches the heap.  The gather
-// runs before relief: victims were running (in no list), re-enter at the
-// queue tail and may not restart in the cycle that displaced them, so no
-// re-gather is needed.  Selection ranks the pools only after a start and
-// then runs through the chosen pool's list, skipping jobs that do not fit
-// or would break the shadow, until one starts or the list ends: it costs
-// O(queue + starts x pools), not O(visits x pools).  This is exact — a
-// skipped visit or a new pivot moves no ratio and no other pool's cursor,
-// so ranking again before each visit (ties included) would choose the same
-// pool until it starts a job or runs dry.  Selection stops as soon as less
-// than one allocation grain is free — every job needs at least one, so
-// nothing else can start — which makes a cycle on a full machine cost the
-// two gather passes plus relief.
+// Cost per cycle: the waiting view persists across cycles.  Each pool
+// keeps its non-forced waiting jobs in queue order with each job's
+// allocation in a parallel array (JobRun::view_index is the job's
+// position).  A cycle appends only the jobs pushed since the last one: the
+// engine changes the batch queue by push_back (arrivals, tail requeues),
+// push_front (head requeues, always forced) and erase (start), so the new
+// non-forced jobs are the unseen suffix of the queue, found walking back
+// from its tail.  A started job's entry becomes a tombstone in O(1) and a
+// list is compacted when its tombstones outnumber its live entries.  An
+// EP/RP command on a waiting job (SchedulerContext::queued_resizes) makes
+// the next cycle re-read every live entry's allocation; nothing else
+// changes one.  Forced jobs are counted, not listed: a cycle walks the
+// forced prefix from the queue head, and walks on to the last forced job
+// only while one sits behind a non-forced job (a head-requeued job that
+// ran again and was requeued at the tail).  The running set is walked
+// once for the pools' running allocations.
+//
+// Relief reads the view before it preempts: victims were running (in no
+// list), re-enter at the queue tail and may not restart in the cycle that
+// displaced them, so they join the view in the next cycle.  Selection ranks
+// the pools only after a start and then runs through the chosen pool's list
+// until a job starts or the list ends: a cycle costs O(new jobs + visits +
+// starts x pools), with no gather of the whole queue.  This is exact — a
+// skipped visit or a new pivot moves no ratio and no other pool's cursor, so
+// ranking again before each visit (ties included) would choose the same pool
+// until it starts a job or runs dry.  Once the pivot is set, a visit can
+// start only a job that fits the free capacity, so the run skips the others
+// (and tombstones) in a loop over the allocation array alone, reading no
+// JobRun.  Selection stops as soon as less than one allocation grain is free
+// — every job needs at least one.  A steady-state cycle never touches the
+// heap.
+//
+// One instance serves one run: the view indexes records the engine owns.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "sched/engine_config.hpp"
@@ -62,26 +78,41 @@ class FairShare final : public Scheduler {
   void cycle(SchedulerContext& ctx) override;
 
  private:
-  /// Cross-cycle starvation timer: when the pool first dropped below its
-  /// share with pending demand (-1 = not currently below).
-  struct PoolState {
-    double below_share_since = -1;
-  };
-  /// Per-cycle working view of one pool.  `weight`/`min_share` are fixed
-  /// at construction; the rest is reset by every cycle.
-  struct PoolScratch {
+  /// One pool: configuration, the persistent waiting list and the view one
+  /// cycle works on.
+  struct Pool {
     double weight = 1;
     double min_share = 0;
+    /// When the pool first dropped below its share with pending demand
+    /// (-1 = not currently below); kept across cycles.
+    double below_share_since = -1;
+
+    // Persistent: non-forced waiting jobs in queue order, and the
+    // allocation of each beside it (kDead for a started job's tombstone).
+    std::vector<JobRun*> waiting;
+    std::vector<int> allocs;
+    std::size_t first = 0;  ///< every entry before it is a tombstone
+    std::size_t dead = 0;   ///< tombstones in the list
+
+    // Reset by every cycle.
     double running = 0;       ///< processors held by the pool's running jobs
     JobRun* head = nullptr;   ///< first waiting job, forced ones included
-    std::vector<JobRun*> waiting;  ///< non-forced jobs in queue order
-    std::vector<int> allocs;       ///< alloc_of each `waiting` job, parallel
-    std::size_t next = 0;          ///< selection cursor into `waiting`
+    std::size_t next = 0;     ///< selection cursor into `waiting`
+
+    std::size_t live() const { return waiting.size() - dead; }
   };
 
-  /// Scratch of pool `p`, growing the pool universe (default weight 1) for
-  /// a tag beyond every pool seen so far.
-  PoolScratch& pool_scratch(int p);
+  /// Pool `p`, growing the pool universe (default weight 1) for a tag
+  /// beyond every pool seen so far.
+  Pool& pool_at(int p);
+
+  /// Brings the view up to the queue: appends the jobs pushed since the
+  /// last cycle and re-reads allocations after an EP/RP on a waiting job.
+  void update_view(const SchedulerContext& ctx);
+  /// Drops every tombstone from `pool`'s list.
+  static void compact(Pool& pool);
+  /// Takes `job` out of the view as it starts.
+  void leave_view(JobRun* job);
 
   /// Youngest-started running job of any pool currently above its
   /// entitlement (excluding `starving_pool`), eligible under the per-job
@@ -90,19 +121,16 @@ class FairShare final : public Scheduler {
                       double available, int starving_pool) const;
 
   FairShareConfig config_;
-  std::vector<PoolState> pools_;
-  /// Policy-initiated preemptions per job id (enforces
-  /// max_preemptions_per_job).
-  std::unordered_map<workload::JobId, int> preempt_counts_;
+  std::vector<Pool> pools_;
 
   /// Initial capacity of each configured pool's waiting and alloc lists
   /// (jobs); a deeper queue still grows them.
   static constexpr std::size_t kWaitingReserve = 128;
 
-  // Per-cycle scratch, never serialized: reset at the top of every cycle
-  // and kept at capacity so steady-state cycles do not allocate.
-  std::vector<PoolScratch> scratch_;
-  std::vector<JobRun*> forced_;  ///< forced-priority prefix, queue order
+  bool viewing_ = false;              ///< false until the first cycle
+  std::size_t forced_waiting_ = 0;    ///< forced jobs in the queue
+  std::uint64_t queued_resizes_ = 0;  ///< ctx.queued_resizes last seen
+  std::vector<JobRun*> forced_;       ///< per cycle: forced jobs, queue order
 };
 
 }  // namespace es::sched

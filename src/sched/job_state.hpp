@@ -89,6 +89,18 @@ struct alignas(64) JobRun {
   /// Slot in the owning JobRunArena; indexes the cold parallel array.
   std::uint32_t arena_slot = 0;
 
+  // FairShare state, unused by every other policy.  The waiting view's
+  // index is owned by FairShare, which keeps it exact as jobs join its
+  // per-pool lists, start and are compacted: the job's position in its
+  // pool's list, kViewForced for a forced-priority job the view has seen,
+  // kViewUnseen while the view holds no entry for it.
+  static constexpr std::int32_t kViewUnseen = -1;
+  static constexpr std::int32_t kViewForced = -2;
+  std::int32_t view_index = kViewUnseen;
+  /// Times FairShare's starvation relief preempted this job (enforces
+  /// FairShareConfig::max_preemptions_per_job).
+  std::int32_t policy_preemptions = 0;
+
   bool dedicated() const { return req_start >= 0; }
 
   /// Useful work still to execute: the completion bound (natural end or

@@ -41,6 +41,10 @@ class SchedulerContext {
   /// the new runner in order, so freeze math within a cycle always sees the
   /// current set; no per-cycle snapshot or re-sort happens.
   const std::vector<JobRun*>* active = nullptr;
+  /// EP/RP commands applied to waiting jobs so far in this run: the only
+  /// way a waiting job's allocation changes.  A policy that caches waiting
+  /// jobs' allocations across cycles refreshes them when this moves.
+  std::uint64_t queued_resizes = 0;
 
   /// Activates a waiting job now: engine removes it from its queue,
   /// allocates processors and schedules its completion.  The machine state

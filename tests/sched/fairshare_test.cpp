@@ -1,8 +1,9 @@
 // FairShare policy semantics: single-pool degeneration to EASY, starvation
 // preemption through the engine's preempt/requeue machinery, the per-job
-// preemption cap, policy-state serialization, selection diffed against a
-// visit-by-visit reference on randomized cycles, and golden per-job
-// decision fingerprints of multi-pool runs.
+// preemption cap, selection diffed against a visit-by-visit reference on
+// randomized cycles, the persistent waiting view diffed against a policy
+// built anew every cycle, and golden per-job decision fingerprints of
+// multi-pool runs.
 #include "sched/fairshare.hpp"
 
 #include <gtest/gtest.h>
@@ -164,14 +165,34 @@ class CycleHarness {
   }
 
   /// Resizes the `index`-th waiting job, as an EP/RP command between
-  /// cycles does.
+  /// cycles does, and counts it in the context as the engine does.
   void resize_waiting(std::size_t index, int procs) {
     for (JobRun* job : batch_)
       if (index-- == 0) job->num = procs;
+    ++ctx_.queued_resizes;
+  }
+
+  /// Preempts the `index`-th running job (in planned-end order) back into
+  /// the queue, as the engine's requeue does: at the tail keeping its
+  /// forced flag, or at the head as a forced job.
+  void requeue(std::size_t index, bool at_head) {
+    JobRun* job = active_[index];
+    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
+    machine_.release(job->id);
+    job->status = JobStatus::kWaiting;
+    job->alloc = 0;
+    job->start_time = -1;
+    if (at_head) {
+      job->forced_priority = true;
+      batch_.push_front(job);
+    } else {
+      batch_.push_back(job);
+    }
   }
 
   SchedulerContext& ctx() { return ctx_; }
   const cluster::Machine& machine() const { return machine_; }
+  std::size_t running() const { return active_.size(); }
   std::size_t waiting() const { return batch_.size(); }
   const std::vector<workload::JobId>& started() const { return started_; }
 
@@ -434,6 +455,114 @@ TEST(FairShare, SelectionMatchesVisitByVisitReference) {
   EXPECT_GT(coverage.forced_prefixes, 0);
   EXPECT_GT(coverage.deep_queues, 0);
   EXPECT_GT(coverage.unconfigured_starts, 0);
+}
+
+// --- the persistent view against a policy built anew every cycle -----------
+//
+// FairShare keeps its per-pool waiting lists across cycles and updates them
+// from the queue's changes.  A FairShare built for a single cycle gathers
+// the whole queue instead, so on the same randomized queue edits both must
+// start the same jobs in the same order.
+
+/// What the randomized edits exercised.
+struct ViewCoverage {
+  int compactions = 0;    ///< cycles that moved a waiting job's view index
+  int tail_requeues = 0;  ///< running jobs requeued at the tail
+  int head_requeues = 0;  ///< running jobs requeued at the head as forced
+  int forced_behind = 0;  ///< cycles with a forced job behind a non-forced
+  int resizes = 0;        ///< waiting jobs resized between cycles
+  int arrivals = 0;       ///< jobs pushed at the tail between cycles
+};
+
+/// View index of every non-forced waiting job, in queue order.
+std::vector<std::pair<const JobRun*, std::int32_t>> view_indices(
+    CycleHarness& harness) {
+  std::vector<std::pair<const JobRun*, std::int32_t>> indices;
+  for (const JobRun* job : *harness.ctx().batch)
+    if (!job->forced_priority) indices.emplace_back(job, job->view_index);
+  return indices;
+}
+
+bool forced_behind_non_forced(CycleHarness& harness) {
+  bool non_forced = false;
+  for (const JobRun* job : *harness.ctx().batch) {
+    if (job->forced_priority && non_forced) return true;
+    non_forced = non_forced || !job->forced_priority;
+  }
+  return false;
+}
+
+TEST(FairShare, PersistentViewMatchesFreshPolicy) {
+  ViewCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const SelectionScenario scenario = draw_scenario(seed);
+    const int procs = scenario.units * scenario.grain;
+    CycleHarness kept(procs, scenario.grain);
+    CycleHarness fresh(procs, scenario.grain);
+    populate(kept, scenario);
+    populate(fresh, scenario);
+    FairShare policy(scenario.config);
+    std::mt19937_64 rng(seed * 0x2545f4914f6cdd1dull);
+    const auto pick = [&](int lo, int hi) {
+      return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                               hi - lo + 1));
+    };
+    for (int cycle = 0; cycle < 12; ++cycle) {
+      if (forced_behind_non_forced(kept)) ++coverage.forced_behind;
+      const auto before = view_indices(kept);
+      policy.cycle(kept.ctx());
+      FairShare(scenario.config).cycle(fresh.ctx());
+      ASSERT_EQ(kept.started(), fresh.started())
+          << "seed " << seed << ", cycle " << cycle;
+      const auto after = view_indices(kept);
+      for (const auto& [job, index] : before) {
+        const auto it = std::find_if(
+            after.begin(), after.end(),
+            [job = job](const auto& entry) { return entry.first == job; });
+        if (it != after.end() && it->second < index) {
+          ++coverage.compactions;
+          break;
+        }
+      }
+
+      // Between cycles, the same edits on both sides: completions,
+      // arrivals, requeues at either end and EP/RP-style resizes.
+      for (int i = pick(0, 2); i > 0; --i) {
+        if (!kept.finish_first()) break;
+        ASSERT_TRUE(fresh.finish_first());
+      }
+      for (int i = pick(0, 3); i > 0; --i) {
+        const int size = pick(1, procs);
+        const int estimate = pick(1, 2000);
+        const int pool = pick(0, scenario.npools - 1);
+        kept.enqueue(size, estimate, pool, false);
+        fresh.enqueue(size, estimate, pool, false);
+        ++coverage.arrivals;
+      }
+      for (int i = pick(0, 2); i > 0 && kept.running() > 0; --i) {
+        const auto index = static_cast<std::size_t>(
+            pick(0, static_cast<int>(kept.running()) - 1));
+        const bool at_head = pick(0, 2) == 0;
+        kept.requeue(index, at_head);
+        fresh.requeue(index, at_head);
+        ++(at_head ? coverage.head_requeues : coverage.tail_requeues);
+      }
+      for (int i = pick(0, 2); i > 0 && kept.waiting() > 0; --i) {
+        const auto index = static_cast<std::size_t>(
+            pick(0, static_cast<int>(kept.waiting()) - 1));
+        const int size = pick(1, procs);
+        kept.resize_waiting(index, size);
+        fresh.resize_waiting(index, size);
+        ++coverage.resizes;
+      }
+    }
+  }
+  EXPECT_GT(coverage.compactions, 0);
+  EXPECT_GT(coverage.tail_requeues, 0);
+  EXPECT_GT(coverage.head_requeues, 0);
+  EXPECT_GT(coverage.forced_behind, 0);
+  EXPECT_GT(coverage.resizes, 0);
+  EXPECT_GT(coverage.arrivals, 0);
 }
 
 // --- golden decision fingerprints ------------------------------------------

@@ -1,19 +1,21 @@
 // Allocation audit of the policy cycle.
 //
-// FairShare keeps its per-cycle working state (pool views, waiting and
-// allocation lists, the forced prefix) in members that are reset, not
-// rebuilt, and EASY keeps its backfill snapshot the same way, so once the
-// scratch has grown to the queue's shape a cycle never touches the heap.
-// This binary drives both policies directly on a hand-built
-// SchedulerContext with a deep multi-pool queue and counts global operator
-// new calls after warm-up, in the two states a saturated machine cycles
-// through: no free grain at all, and free capacity that the pivot's shadow
-// reservation keeps every candidate out of.  A FairShare case also tags the
-// backlog beyond the configured pools, whose scratch grows mid-run.  The
-// audit is its own test binary because the instrumented operators are
-// process-global.
+// FairShare keeps its waiting view (per-pool waiting and allocation lists)
+// across cycles and its per-cycle state (pool views, the forced jobs) in
+// members that are reset, not rebuilt, and EASY keeps its backfill
+// snapshot the same way, so once the scratch has grown to the queue's
+// shape a cycle never touches the heap.  This binary drives both policies
+// directly on a hand-built SchedulerContext with a deep multi-pool queue
+// and counts global operator new calls after warm-up, in the two states a
+// saturated machine cycles through: no free grain at all, and free
+// capacity that the pivot's shadow reservation keeps every candidate out
+// of.  A FairShare case also tags the backlog beyond the configured pools,
+// whose scratch grows mid-run, and another preempts for a starving pool in
+// every cycle.  The audit is its own test binary because the instrumented
+// operators are process-global.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -69,6 +71,28 @@ class Harness {
   void enqueue_backlog(int pools = kPools) {
     for (int i = 0; i < kQueueDepth; ++i)
       enqueue(kGrain * (1 + i % 2), 5000, i % pools);
+  }
+
+  /// Makes preempt() really preempt, as the engine's does: the victim
+  /// leaves the active set and the machine and waits at the queue tail.
+  void requeue_on_preempt() {
+    ctx_.preempt = [this](JobRun* job) {
+      active_.erase(std::find(active_.begin(), active_.end(), job));
+      machine_.release(job->id);
+      job->status = JobStatus::kWaiting;
+      job->alloc = 0;
+      job->start_time = -1;
+      batch_.push_back(job);
+      ++preempts_;
+    };
+  }
+
+  /// Takes the last preempted job out of the queue and starts a new job
+  /// of its pool and size in its place, with a later end than every other.
+  void replace_victim(double end) {
+    JobRun* victim = batch_.back();
+    batch_.erase(victim);
+    run(victim->num, end, victim->pool);
   }
 
   SchedulerContext& ctx() { return ctx_; }
@@ -160,6 +184,40 @@ TEST(PolicyCycleAlloc, FairShareWithPoolsBeyondTheConfiguredOnes) {
   block_by_shadow(harness, kPools + 2);
   FairShare policy(four_pools());
   expect_allocation_free(policy, harness);
+}
+
+TEST(PolicyCycleAlloc, FairShareStarvationRelief) {
+  // prod (min share 0.25) waits with nothing running while the three
+  // other pools fill the machine, and its timeout is zero: every cycle
+  // preempts the youngest runner for prod's one-grain head.  The queue head
+  // needs the whole machine, so it pivots and its shadow keeps prod's job
+  // (and the backlog) from starting.  Between cycles the victim is replaced
+  // by a new job — a new record under the per-job preemption cap — outside
+  // the count, since the harness's machine ledger allocates.
+  Harness harness;
+  harness.requeue_on_preempt();
+  for (int i = 0; i < kProcs / kGrain; ++i)
+    harness.run(kGrain, 100 + i, 1 + i % (kPools - 1));
+  harness.enqueue(kProcs, 500, 1);
+  harness.enqueue(kGrain, 5000, 0);
+  harness.enqueue_backlog();
+  FairShareConfig config = four_pools();
+  config.min_share_preemption_timeout = 0;
+  config.max_preemptions_per_job = 1;
+  FairShare policy(config);
+  std::uint64_t allocated = 0;
+  constexpr int kWarmup = 4;
+  constexpr int kCycles = 5000;
+  for (int i = 0; i < kWarmup + kCycles; ++i) {
+    const std::uint64_t before = allocations();
+    policy.cycle(harness.ctx());
+    if (i >= kWarmup) allocated += allocations() - before;
+    ASSERT_EQ(harness.preempts(), i + 1) << "relief must preempt every cycle";
+    harness.replace_victim(1000 + i);
+  }
+  EXPECT_EQ(allocated, 0u)
+      << "a relief cycle must not touch the heap at steady state";
+  EXPECT_EQ(harness.starts(), 0);
 }
 
 TEST(PolicyCycleAlloc, EasyWithFreeCapacityBlockedByTheShadow) {
