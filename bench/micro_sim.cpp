@@ -1,6 +1,6 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
 // the engine's fixed cost per event, one FairShare policy cycle, machine
-// ledger operations and workload-generator speed.
+// ledger operations, workload-generator speed and load calibration.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -15,6 +15,7 @@
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
+#include "workload/source.hpp"
 
 namespace {
 
@@ -318,6 +319,26 @@ void BM_WorkloadCalibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadCalibration);
+
+// A streamed run's set-up: GeneratorSource's constructor draws the trace
+// once for load calibration before the first chunk (the bgp_1m benchmark's
+// machine and mix at a tenth of its jobs).
+void BM_StreamedCalibration(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    es::workload::GeneratorConfig config;
+    config.machine_procs = 320;
+    config.num_jobs = 100000;
+    config.seed = ++seed;
+    config.p_small = 0.5;
+    config.target_load = 0.7;
+    es::workload::GeneratorSource source(config);
+    benchmark::DoNotOptimize(source.scale_factors().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          100000);
+}
+BENCHMARK(BM_StreamedCalibration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -63,8 +63,18 @@ void FairnessObserver::advance(sim::Time now) {
 
 void FairnessObserver::mark_waiting(sim::Time now, const JobRun& job) {
   ensure_pool(job.pool);
-  waiting_[job.id] = Waiting{job.pool, now};
+  if (job.arena_slot >= waiting_.size()) waiting_.resize(job.arena_slot + 1);
+  waiting_[job.arena_slot] = Waiting{true, job.pool, job.id, now};
   ++pending_[static_cast<std::size_t>(job.pool)];
+}
+
+const FairnessObserver::Waiting* FairnessObserver::take_waiting(
+    const JobRun& job) {
+  if (job.arena_slot >= waiting_.size()) return nullptr;
+  Waiting& entry = waiting_[job.arena_slot];
+  if (!entry.waiting || entry.id != job.id) return nullptr;
+  entry.waiting = false;
+  return &entry;
 }
 
 void FairnessObserver::on_arrival(sim::Time now, const JobRun& job) {
@@ -79,12 +89,10 @@ void FairnessObserver::on_start(sim::Time now, const JobRun& job,
   advance(now);
   ensure_pool(job.pool);
   const std::size_t p = static_cast<std::size_t>(job.pool);
-  const auto it = waiting_.find(job.id);
-  if (it != waiting_.end()) {
-    waits_[p].push_back(now - it->second.since);
-    ES_EXPECTS(pending_[static_cast<std::size_t>(it->second.pool)] > 0);
-    --pending_[static_cast<std::size_t>(it->second.pool)];
-    waiting_.erase(it);
+  if (const Waiting* entry = take_waiting(job)) {
+    waits_[p].push_back(now - entry->since);
+    ES_EXPECTS(pending_[static_cast<std::size_t>(entry->pool)] > 0);
+    --pending_[static_cast<std::size_t>(entry->pool)];
   }
   running_alloc_[p] += job.alloc;
 }
@@ -92,12 +100,10 @@ void FairnessObserver::on_start(sim::Time now, const JobRun& job,
 void FairnessObserver::on_finish(sim::Time now, const JobRun& job) {
   advance(now);
   ensure_pool(job.pool);
-  const auto it = waiting_.find(job.id);
-  if (it != waiting_.end()) {
+  if (const Waiting* entry = take_waiting(job)) {
     // Finished without ever starting (e.g. an ECC collapsed the job while it
     // was queued): close the pending entry without a wait sample.
-    --pending_[static_cast<std::size_t>(it->second.pool)];
-    waiting_.erase(it);
+    --pending_[static_cast<std::size_t>(entry->pool)];
     return;
   }
   running_alloc_[static_cast<std::size_t>(job.pool)] -= job.alloc;
@@ -119,11 +125,8 @@ void FairnessObserver::on_requeue(sim::Time now, const JobRun& job,
 void FairnessObserver::on_abandon(sim::Time now, const JobRun& job,
                                   int /*alloc*/) {
   advance(now);
-  const auto it = waiting_.find(job.id);
-  if (it != waiting_.end()) {
-    --pending_[static_cast<std::size_t>(it->second.pool)];
-    waiting_.erase(it);
-  }
+  if (const Waiting* entry = take_waiting(job))
+    --pending_[static_cast<std::size_t>(entry->pool)];
 }
 
 void FairnessObserver::on_collect(SimulationResult& result) const {

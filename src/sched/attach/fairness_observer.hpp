@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/attach/observer.hpp"
@@ -46,8 +45,12 @@ class FairnessObserver final : public EngineObserver {
   void on_collect(SimulationResult& result) const override;
 
  private:
+  /// A job's waiting entry, at its arena slot.  The id tells a live entry
+  /// from one a previous occupant of the slot left behind.
   struct Waiting {
+    bool waiting = false;
     int pool = 0;
+    workload::JobId id = 0;
     double since = 0;
   };
 
@@ -55,6 +58,8 @@ class FairnessObserver final : public EngineObserver {
   /// Accrues backlog/service integrals up to `now`.
   void advance(sim::Time now);
   void mark_waiting(sim::Time now, const JobRun& job);
+  /// Closes `job`'s waiting entry, if it has one, and returns it.
+  const Waiting* take_waiting(const JobRun& job);
   double weight_of(std::size_t pool) const;
 
   FairShareConfig config_;
@@ -68,9 +73,10 @@ class FairnessObserver final : public EngineObserver {
   std::vector<double> backlogged_seconds_;
   std::vector<double> service_integral_;       ///< proc-seconds while backlogged
   std::vector<std::vector<double>> waits_;     ///< per-attempt queue delays
-  /// Jobs currently waiting: id -> (pool, queue-entry time).  Bounded by
-  /// queue depth; entries move out at start/abandon time.
-  std::unordered_map<workload::JobId, Waiting> waiting_;
+  /// Waiting entries indexed by JobRun::arena_slot, grown on demand: a
+  /// slot is live only while its job is, so this is bounded by the arena.
+  /// Entries close at start, finish and abandon time.
+  std::vector<Waiting> waiting_;
 };
 
 }  // namespace es::sched

@@ -43,13 +43,14 @@ struct Job {
   /// True runtime the job would consume if never killed or ECC-adjusted.
   sim::Time actual_runtime() const { return actual < 0 ? dur : actual; }
 
-  /// Nominal completion: the arrival, or a dedicated job's later requested
-  /// start, plus the true runtime.  A workload's span ends at the latest.
-  sim::Time nominal_end() const {
-    const sim::Time begin =
-        dedicated() && start >= 0 ? std::max(arr, start) : arr;
-    return begin + actual_runtime();
+  /// Nominal begin: the arrival, or a dedicated job's later requested start.
+  sim::Time nominal_begin() const {
+    return dedicated() && start >= 0 ? std::max(arr, start) : arr;
   }
+
+  /// Nominal completion: the nominal begin plus the true runtime.  A
+  /// workload's span ends at the latest.
+  sim::Time nominal_end() const { return nominal_begin() + actual_runtime(); }
 };
 
 /// A workload: submissions plus elastic control commands, as carried by one

@@ -58,16 +58,16 @@ void ArrivalProcess::fill_bucket() {
     // Intra-hour offsets: gaps shaped by Gamma(α_arr, β_arr), renormalized
     // so the batch spans the hour ("inter-arrival time for jobs arriving
     // within a 1-hour interval").
-    std::vector<double> gaps(static_cast<std::size_t>(count) + 1);
+    gaps_.resize(static_cast<std::size_t>(count) + 1);
     double total = 0;
-    for (double& g : gaps) {
+    for (double& g : gaps_) {
       g = rng_.gamma(kAlphaArr, kBetaArr);
       total += g;
     }
     bucket_.clear();
     double cursor = 0;
     for (int i = 0; i < count; ++i) {
-      cursor += gaps[static_cast<std::size_t>(i)];
+      cursor += gaps_[static_cast<std::size_t>(i)];
       bucket_.push_back(bucket_begin_ + 3600.0 * cursor / total);
     }
     // Consumed back-to-front.

@@ -74,6 +74,8 @@ class ArrivalProcess {
   // Pending offsets of the current hour, descending.
   double bucket_begin_ = 0.0;
   std::vector<double> bucket_;
+  /// fill_bucket()'s scratch, kept so an hour allocates nothing.
+  std::vector<double> gaps_;
   bool first_ = true;
 };
 

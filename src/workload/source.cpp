@@ -154,48 +154,21 @@ GeneratorSource::GeneratorSource(const GeneratorConfig& config,
   if (config.num_users > 0)
     users_.emplace(config.num_users, config.zipf_exponent);
 
-  // calibrate_load() replayed as generation passes: pass 0 measures the
-  // scale-invariant proc-seconds and the unscaled load; each rescaling
-  // appends one factor and re-measures the span under the factor chain.
-  // Jobs-only passes — the ECC stream is untouched, so skipping it changes
-  // nothing downstream.
+  // calibrate_load() in one jobs-only pass: the calibrator keeps the
+  // proc-seconds and the few (begin, runtime) pairs that can end the span,
+  // so every rescaling re-measures those instead of re-drawing the trace.
+  // The ECC stream is untouched, so skipping it changes nothing downstream.
   if (config.target_load <= 0) return;
-  double proc_seconds = 0;
-  const auto measure = [&](bool accumulate_work) {
-    JobSampler pass(config);
-    Job job;
-    double last = 0;
-    bool first = true;
-    while (pass.next(job, nullptr, nullptr)) {
-      if (accumulate_work)
-        proc_seconds += static_cast<double>(job.num) * job.actual_runtime();
-      if (first) {
-        // The first arrival has offset 0, so it is a scaling fixed point:
-        // the origin is invariant across calibration iterations.
-        origin_ = job.arr;
-        last = origin_;
-        first = false;
-      }
-      job.arr = scaled(job.arr);
-      if (job.dedicated() && job.start >= 0) job.start = scaled(job.start);
-      last = std::max(last, job.nominal_end());
-    }
-    const double span = last - origin_;
-    if (span <= 0) return 0.0;
-    return proc_seconds / (span * config.machine_procs);
-  };
-  calibrate(measure(true), config.target_load, [&](double factor) {
-    factors_.push_back(factor);
-    return measure(false);
-  });
+  LoadCalibrator calibrator(config.machine_procs);
+  JobSampler pass(config);
+  Job job;
+  while (pass.next(job, nullptr, nullptr)) calibrator.add(job);
+  origin_ = calibrator.origin();
+  factors_ = calibrator.calibrate(config.target_load).factors;
 }
 
 double GeneratorSource::scaled(double t) const {
-  // Sequential replay of scale_arrivals(f1), scale_arrivals(f2), ... —
-  // folding the factors into a product would change the floating-point
-  // operation order and break bitwise parity with the materialized path.
-  for (const double factor : factors_) t = origin_ + (t - origin_) * factor;
-  return t;
+  return scale_time(t, origin_, factors_);
 }
 
 bool GeneratorSource::generate_lookahead() {

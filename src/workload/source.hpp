@@ -185,13 +185,18 @@ class MaterializedSource : public JobSource {
 /// trace: bitwise-identical to generate(config) fed to the engine, chunk by
 /// chunk.  It draws from the same JobSampler as generate(), taking each
 /// job's commands and tenancy tags with it (the sampler's split RNG streams
-/// make that equal to generate()'s order); target_load calibration replays
-/// generate()'s iterative scale_arrivals() as a factor chain applied per
-/// emitted timestamp.
+/// make that equal to generate()'s order).  target_load calibration is
+/// generate()'s: the same LoadCalibrator settles on the same factor chain,
+/// which is then applied per emitted timestamp instead of by
+/// scale_arrivals() over a resident trace.
 class GeneratorSource : public JobSource {
  public:
   static constexpr std::size_t kDefaultChunkJobs = 4096;
 
+  /// With target_load > 0, draws the trace's jobs once (without commands or
+  /// tenancy tags) into a LoadCalibrator before the first chunk; however
+  /// many rescalings calibration takes, no job is drawn again before
+  /// streaming.  The calibrator holds a few dozen pairs, not the trace.
   explicit GeneratorSource(const GeneratorConfig& config,
                            std::size_t chunk_jobs = kDefaultChunkJobs);
 
@@ -209,8 +214,8 @@ class GeneratorSource : public JobSource {
  private:
   const GeneratorConfig& config() const { return sampler_.config(); }
 
-  /// Applies the calibration factor chain around the trace origin, in the
-  /// same sequential order calibrate_load() applied scale_arrivals().
+  /// Applies the calibration factor chain around the trace origin
+  /// (scale_time()), in the order calibrate_load() applies scale_arrivals().
   double scaled(double t) const;
   bool generate_lookahead();
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
+#include <vector>
+
 #include "workload/generator.hpp"
 
 namespace es::workload {
@@ -97,6 +101,173 @@ TEST(Load, CalibrationConvergesFromBothSides) {
     const double achieved = calibrate_load(workload, 320, target);
     EXPECT_NEAR(achieved, target, 0.01 * target);
     EXPECT_NEAR(offered_load(workload, 320), achieved, 1e-12);
+  }
+}
+
+// --- LoadCalibrator -------------------------------------------------------
+
+/// The calibration loop as it ran before LoadCalibrator: scale the whole
+/// workload by each factor and re-measure offered_load() over every job.
+LoadCalibrator::Result rescaling_reference(Workload workload, int procs,
+                                           double target) {
+  LoadCalibrator::Result result;
+  result.load = offered_load(workload, procs);
+  if (result.load <= 0) return result;
+  while (result.factors.size() < static_cast<std::size_t>(kCalibrationBudget) &&
+         std::abs(result.load - target) / target >= kCalibrationTolerance) {
+    result.factors.push_back(result.load / target);
+    workload.scale_arrivals(result.factors.back());
+    result.load = offered_load(workload, procs);
+  }
+  return result;
+}
+
+LoadCalibrator calibrator_of(const Workload& workload, int procs) {
+  LoadCalibrator calibrator(procs);
+  for (const Job& job : workload.jobs) calibrator.add(job);
+  return calibrator;
+}
+
+/// The calibrator's factor chain and load equal the reference's bit for
+/// bit at every target, every intermediate load matches a re-measured
+/// rescaling, and calibrate_load() leaves the reference's arrivals.
+void expect_matches_reference(const Workload& workload, int procs,
+                              std::initializer_list<double> targets) {
+  const LoadCalibrator calibrator = calibrator_of(workload, procs);
+  for (const double target : targets) {
+    SCOPED_TRACE(target);
+    const LoadCalibrator::Result expected =
+        rescaling_reference(workload, procs, target);
+    const LoadCalibrator::Result actual = calibrator.calibrate(target);
+    EXPECT_EQ(actual.factors, expected.factors);
+    EXPECT_EQ(actual.load, expected.load);
+
+    Workload scaled = workload;
+    std::vector<double> chain;
+    for (const double factor : expected.factors) {
+      chain.push_back(factor);
+      scaled.scale_arrivals(factor);
+      EXPECT_EQ(calibrator.load(chain), offered_load(scaled, procs));
+    }
+    Workload calibrated = workload;
+    EXPECT_EQ(calibrate_load(calibrated, procs, target), expected.load);
+    ASSERT_EQ(calibrated.jobs.size(), scaled.jobs.size());
+    for (std::size_t i = 0; i < scaled.jobs.size(); ++i) {
+      EXPECT_EQ(calibrated.jobs[i].arr, scaled.jobs[i].arr) << "job " << i;
+      EXPECT_EQ(calibrated.jobs[i].start, scaled.jobs[i].start) << "job " << i;
+    }
+  }
+}
+
+Job dedicated_job(JobId id, double arr, double start, int num, double dur) {
+  Job job = simple_job(id, arr, num, dur);
+  job.type = JobType::kDedicated;
+  job.start = start;
+  return job;
+}
+
+TEST(LoadCalibrator, KeepsADedicatedJobWithALateStartAndAShortRun) {
+  // The dedicated job ends last unscaled (5000 + 10) while a long batch
+  // job ends last once arrivals are compressed: both stay on the front,
+  // and so does the batch job between them (later, but shorter).
+  Workload workload;
+  workload.jobs = {simple_job(1, 0, 32, 4000), dedicated_job(2, 10, 5000, 64, 10),
+                   simple_job(3, 20, 16, 2000)};
+  EXPECT_EQ(calibrator_of(workload, 64).front_size(), 3u);
+  expect_matches_reference(workload, 64, {0.1, 0.5, 0.9, 5});
+}
+
+TEST(LoadCalibrator, EqualBeginsKeepOnlyTheLongestRun) {
+  Workload workload;
+  workload.jobs = {simple_job(1, 0, 8, 1000), simple_job(2, 100, 8, 30),
+                   simple_job(3, 100, 8, 50), simple_job(4, 100, 8, 20),
+                   dedicated_job(5, 100, 100, 8, 40)};
+  EXPECT_EQ(calibrator_of(workload, 16).front_size(), 2u);
+  expect_matches_reference(workload, 16, {0.2, 0.6, 3});
+}
+
+TEST(LoadCalibrator, ALaterJobWithAShorterRunStaysOnTheFront) {
+  Workload workload;
+  workload.jobs = {simple_job(1, 0, 10, 100), simple_job(2, 50, 20, 60)};
+  EXPECT_EQ(calibrator_of(workload, 40).front_size(), 2u);
+  expect_matches_reference(workload, 40, {0.3, 0.7, 1.1, 100});
+}
+
+TEST(LoadCalibrator, ALongerLaterRunEvictsTheShorterEarlierOnes) {
+  // A pair inserted ahead of the tail (before a late dedicated start) and
+  // one that dominates a run of earlier pairs.
+  Workload workload;
+  workload.jobs = {dedicated_job(1, 0, 1000, 4, 5), simple_job(2, 10, 4, 50),
+                   simple_job(3, 20, 4, 40), simple_job(4, 30, 4, 60),
+                   simple_job(5, 40, 4, 30), dedicated_job(6, 50, 1000, 4, 5),
+                   dedicated_job(7, 60, 1000, 4, 7), simple_job(8, 70, 4, 80)};
+  // Left: (70, 80) — it dominates every earlier batch job — and (1000, 7).
+  EXPECT_EQ(calibrator_of(workload, 8).front_size(), 2u);
+  expect_matches_reference(workload, 8, {0.01, 0.05, 0.3, 2});
+}
+
+TEST(LoadCalibrator, OneJobTraceCannotBeRescaled) {
+  // The only arrival is the origin: every factor leaves the span alone, so
+  // any other target spends the budget at the unscaled load.
+  Workload workload;
+  workload.jobs = {simple_job(1, 500, 16, 100)};
+  expect_matches_reference(workload, 64, {0.25, 0.5, 100});
+  const LoadCalibrator::Result met = calibrator_of(workload, 64).calibrate(0.25);
+  EXPECT_TRUE(met.factors.empty());
+  EXPECT_EQ(met.load, 0.25);
+  const LoadCalibrator::Result missed =
+      calibrator_of(workload, 64).calibrate(0.5);
+  EXPECT_EQ(missed.factors.size(), static_cast<std::size_t>(kCalibrationBudget));
+  EXPECT_EQ(missed.load, 0.25);
+}
+
+TEST(LoadCalibrator, AllEqualArrivals) {
+  Workload equal;
+  equal.jobs = {simple_job(1, 7, 4, 30), simple_job(2, 7, 8, 90),
+                simple_job(3, 7, 2, 60)};
+  EXPECT_EQ(calibrator_of(equal, 16).front_size(), 1u);
+  expect_matches_reference(equal, 16, {0.5, 100});
+
+  // Zero runtimes leave no span: load 0, and nothing to calibrate.
+  Workload flat;
+  flat.jobs = {simple_job(1, 7, 4, 0), simple_job(2, 7, 8, 0)};
+  const LoadCalibrator::Result result =
+      calibrator_of(flat, 16).calibrate(0.7);
+  EXPECT_TRUE(result.factors.empty());
+  EXPECT_EQ(result.load, 0.0);
+  expect_matches_reference(flat, 16, {0.7});
+  expect_matches_reference(Workload{}, 16, {0.7});
+}
+
+TEST(LoadCalibrator, MatchesTheRescalingLoopOnGeneratedTraces) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    GeneratorConfig config;
+    config.num_jobs = 120;
+    config.seed = seed;
+    config.p_dedicated = seed % 2 == 0 ? 0.5 : 0.0;
+    expect_matches_reference(generate(config), 320, {0.3, 0.7, 1.1, 100});
+  }
+}
+
+TEST(LoadCalibrator, FrontStaysSmallOnAMillionJobTrace) {
+  // The paper machine at trace scale (the bgp_1m benchmark's shape), and
+  // the same with half the jobs dedicated and U(1, 10) estimates.
+  for (const double p_dedicated : {0.0, 0.5}) {
+    SCOPED_TRACE(p_dedicated);
+    GeneratorConfig config;
+    config.machine_procs = 320;
+    config.num_jobs = 1000000;
+    config.p_small = 0.5;
+    config.p_dedicated = p_dedicated;
+    if (p_dedicated > 0) config.estimate_uniform_max = 10;
+    JobSampler sampler(config);
+    LoadCalibrator calibrator(config.machine_procs);
+    Job job;
+    while (sampler.next(job, nullptr, nullptr)) calibrator.add(job);
+    EXPECT_LT(calibrator.front_size(), 64u);
+    EXPECT_GT(calibrator.front_size(), 1u);
+    EXPECT_FALSE(calibrator.calibrate(0.7).factors.empty());
   }
 }
 

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "testing/helpers.hpp"
+#include "util/log.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
 #include "workload/source.hpp"
@@ -338,6 +340,89 @@ TEST(GeneratorSource, MatchesGenerateUnderLoadCalibration) {
   Drained saturated_drained = drain(saturated_source);
   expect_same_jobs(saturated.jobs, saturated_drained.jobs);
   expect_same_eccs(saturated.eccs, saturated_drained.eccs);
+}
+
+/// GeneratorSource's calibration as it ran before LoadCalibrator: one
+/// jobs-only JobSampler pass per rescaling, each re-measuring the span
+/// under the factor chain so far.
+std::vector<double> resampling_factors(const GeneratorConfig& config) {
+  std::vector<double> factors;
+  double origin = 0;
+  double proc_seconds = 0;
+  const auto scaled = [&](double t) {
+    for (const double factor : factors) t = origin + (t - origin) * factor;
+    return t;
+  };
+  const auto measure = [&](bool accumulate_work) {
+    JobSampler pass(config);
+    Job job;
+    double last = 0;
+    bool first = true;
+    while (pass.next(job, nullptr, nullptr)) {
+      if (accumulate_work)
+        proc_seconds += static_cast<double>(job.num) * job.actual_runtime();
+      if (first) {
+        origin = job.arr;
+        last = origin;
+        first = false;
+      }
+      job.arr = scaled(job.arr);
+      if (job.dedicated() && job.start >= 0) job.start = scaled(job.start);
+      last = std::max(last, job.nominal_end());
+    }
+    const double span = last - origin;
+    if (span <= 0) return 0.0;
+    return proc_seconds / (span * config.machine_procs);
+  };
+  const double target = config.target_load;
+  double load = measure(true);
+  if (load <= 0) return factors;
+  while (factors.size() < static_cast<std::size_t>(kCalibrationBudget) &&
+         std::abs(load - target) / target >= kCalibrationTolerance) {
+    factors.push_back(load / target);
+    load = measure(false);
+  }
+  return factors;
+}
+
+TEST(GeneratorSource, CalibrationMatchesTheResamplingReference) {
+  // 200 seeds, each over P_D in {0, 0.5, 1} and both estimate models, at
+  // targets below, near and above the model's natural load and one no trace
+  // reaches (100: the whole budget, and a warning per trace, muted here).
+  const util::LogLevel log_level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
+  for (std::uint64_t seed = 1; seed <= 200 && !HasFailure(); ++seed) {
+    for (const double p_dedicated : {0.0, 0.5, 1.0}) {
+      for (const bool uniform_estimates : {false, true}) {
+        for (const double target : {0.3, 0.7, 1.1, 100.0}) {
+          GeneratorConfig config;
+          config.machine_procs = 64;
+          config.size.unit = 8;
+          config.num_jobs = 40;
+          config.seed = seed;
+          config.p_dedicated = p_dedicated;
+          config.dedicated_start_mean = 3600;
+          config.estimate_factor = 2;
+          if (uniform_estimates) config.estimate_uniform_max = 10;
+          config.target_load = target;
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " P_D " << p_dedicated
+                       << " uniform " << uniform_estimates << " target "
+                       << target);
+          GeneratorSource source(config, 16);
+          ASSERT_EQ(source.scale_factors(), resampling_factors(config));
+          if (target == 100.0) {
+            EXPECT_EQ(source.scale_factors().size(),
+                      static_cast<std::size_t>(kCalibrationBudget));
+          }
+          const Workload workload = generate(config);
+          const Drained drained = drain(source);
+          expect_same_jobs(workload.jobs, drained.jobs);
+        }
+      }
+    }
+  }
+  util::set_log_level(log_level);
 }
 
 TEST(GeneratorSource, NoCalibrationWithoutTargetLoad) {
