@@ -1,6 +1,7 @@
 // Microbenchmarks for the simulation substrate: event-queue throughput,
 // the engine's fixed cost per event, one FairShare policy cycle, machine
-// ledger operations, workload-generator speed and load calibration.
+// ledger operations, workload-generator speed and load calibration
+// (materialized and streamed).
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -319,6 +320,29 @@ void BM_WorkloadCalibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadCalibration);
+
+// A materialized Hybrid-LOS-E run's set-up: the hetero_elastic benchmark's
+// generator config (dedicated jobs, time ECCs, load 0.8) at a tenth of its
+// jobs, sampled, calibrated and rescaled by generate().
+void BM_HeteroGeneration(benchmark::State& state) {
+  constexpr std::size_t kJobs = 30000;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    es::workload::GeneratorConfig config;
+    config.machine_procs = 320;
+    config.num_jobs = kJobs;
+    config.seed = ++seed;
+    config.p_small = 0.5;
+    config.p_dedicated = 0.5;
+    config.p_extend = 0.3;
+    config.p_reduce = 0.3;
+    config.target_load = 0.8;
+    benchmark::DoNotOptimize(es::workload::generate(config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kJobs));
+}
+BENCHMARK(BM_HeteroGeneration)->Unit(benchmark::kMillisecond);
 
 // A streamed run's set-up: GeneratorSource's constructor draws the trace
 // once for load calibration before the first chunk (the bgp_1m benchmark's

@@ -28,18 +28,15 @@ ReservationDpOutcome run_reservation_dp(sched::SchedulerContext& ctx,
     if (scanned++ >= lookahead) break;
     const int alloc = ctx.alloc_of(*job);
     if (alloc > m) continue;
-    // The paper's frenum (Algorithm 1 line 16): a job whose estimate ends
-    // strictly before the freeze end time needs no shadow capacity.
-    int frenum;
-    if (!freeze.active || ctx.now + job->estimated_duration() < freeze.fret) {
-      frenum = 0;
-    } else {
-      frenum = alloc;
-    }
-    job->frenum = frenum;
+    const int grains = alloc / grain;
+    // The paper's frenum (Algorithm 1 line 16), in grains: a job whose
+    // estimate ends strictly before the freeze end time needs no shadow
+    // capacity.
+    const bool no_shadow =
+        !freeze.active || ctx.now + job->estimated_duration() < freeze.fret;
     eligible.push_back(job);
-    weights.push_back(alloc / grain);
-    shadow_weights.push_back(frenum / grain);
+    weights.push_back(grains);
+    shadow_weights.push_back(no_shadow ? 0 : grains);
   }
   sched::JobRun* head = ctx.batch_head();
   outcome.head_eligible =

@@ -14,11 +14,20 @@
 // chunk-by-chunk next to the hot records; `cold(job)` is one index away
 // via JobRun::arena_slot.  See job_state.hpp for the hot/cold split
 // rationale.
+//
+// A chunk's hot and cold arrays are raw storage: claim() constructs each
+// record when it hands the slot out, so a run touches only the slots it
+// claims.  An unclaimed slot is never read, because every access to a
+// slot goes through its generation first (zero-filled with the chunk):
+// get() and for_each_live() skip a slot that is not live, and release(),
+// handle_of() and cold() take records that claim() returned.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "sched/job_state.hpp"
@@ -50,17 +59,17 @@ class JobRunArena {
   JobRunArena& operator=(const JobRunArena&) = delete;
 
   /// Claims a slot and returns a freshly value-initialized record with
-  /// `arena_slot` set.  Amortized O(1); grows by one chunk when the free
-  /// list is empty.  Pointers remain stable until release().
+  /// `arena_slot` set, its cold fields value-initialized too.  Amortized
+  /// O(1); grows by one chunk when the free list is empty.  Pointers remain
+  /// stable until release().
   JobRun* claim() {
     if (free_.empty()) grow();
     const std::uint32_t slot = free_.back();
     free_.pop_back();
     ++gen_slot(slot);  // odd: live
-    JobRun* job = &hot_slot(slot);
-    *job = JobRun{};
+    JobRun* job = std::construct_at(&hot_slot(slot));
     job->arena_slot = slot;
-    cold_slot(slot) = JobRunCold{};
+    std::construct_at(&cold_slot(slot));
     ++live_;
     ++claims_;
     return job;
@@ -122,10 +131,25 @@ class JobRunArena {
   std::uint64_t claims() const { return claims_; }
 
  private:
+  // Records are constructed over whatever a slot held and never
+  // destroyed, which is only sound for trivially destructible types.
+  static_assert(std::is_trivially_destructible_v<JobRun>);
+  static_assert(std::is_trivially_destructible_v<JobRunCold>);
+
+  /// Frees kChunkJobs records of raw storage.
+  template <class T>
+  struct RawDelete {
+    void operator()(T* records) const {
+      ::operator delete(records, std::align_val_t{alignof(T)});
+    }
+  };
+  template <class T>
+  using RawArray = std::unique_ptr<T[], RawDelete<T>>;
+
   struct Chunk {
-    std::unique_ptr<JobRun[]> hot;
-    std::unique_ptr<JobRunCold[]> cold;
-    std::unique_ptr<std::uint32_t[]> gen;
+    RawArray<JobRun> hot;
+    RawArray<JobRunCold> cold;
+    std::unique_ptr<std::uint32_t[]> gen;  ///< zero-filled: every slot free
   };
 
   void grow();

@@ -83,9 +83,6 @@ struct alignas(64) JobRun {
   sim::EventHandle finish_event{};
   std::int32_t active_index = -1;
 
-  // Scratch used by Reservation_DP (the paper's w.frenum attribute).
-  int frenum = 0;
-
   /// Slot in the owning JobRunArena; indexes the cold parallel array.
   std::uint32_t arena_slot = 0;
 

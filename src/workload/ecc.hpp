@@ -36,6 +36,15 @@ struct Ecc {
   }
 };
 
+/// The workload order of commands: by issue time, then target job id.
+/// Workload::normalize() sorts by it stably, so commands tied on both keep
+/// their file or generation order.  A function object, so the sorts that
+/// take it inline the comparison.
+inline constexpr auto ecc_before = [](const Ecc& a, const Ecc& b) {
+  if (a.issue != b.issue) return a.issue < b.issue;
+  return a.job_id < b.job_id;
+};
+
 /// CWF mnemonics: "ET", "RT", "EP", "RP".
 std::string to_string(EccType type);
 

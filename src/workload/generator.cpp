@@ -124,13 +124,19 @@ Workload generate(const GeneratorConfig& config) {
   workload.machine_procs = config.machine_procs;
   workload.granularity = config.size.unit;
   workload.jobs.reserve(config.num_jobs);
+  // One pass: each job feeds the calibrator as it is drawn.  The arrival
+  // process never steps back and ids count up, so the jobs come out in
+  // normalize()'s order and its job sort is skipped.
+  LoadCalibrator calibrator(config.machine_procs);
+  const bool calibrate = config.target_load > 0;
   Job job;
-  while (sampler.next(job, &workload.eccs, users ? &*users : nullptr))
+  while (sampler.next(job, &workload.eccs, users ? &*users : nullptr)) {
+    if (calibrate) calibrator.add(job);
     workload.jobs.push_back(job);
-
+  }
   workload.normalize();
-  if (config.target_load > 0)
-    calibrate_load(workload, config.machine_procs, config.target_load);
+  if (calibrate)
+    workload.scale_arrivals(calibrator.calibrate(config.target_load).factors);
   return workload;
 }
 

@@ -152,7 +152,9 @@ class JobSampler {
 
 /// Generates a workload from the model.  Jobs get IDs 1..num_jobs in arrival
 /// order.  Postconditions: jobs sorted by arrival, sizes within
-/// [granularity, machine_procs], all durations positive.
+/// [granularity, machine_procs], all durations positive.  With a target
+/// load, the trace is bit for bit calibrate_load() applied to the trace
+/// generated with target_load 0.
 Workload generate(const GeneratorConfig& config);
 
 /// Generates the Fig-1 "SDSC-like" validation trace: Lublin's original

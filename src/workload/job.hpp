@@ -53,6 +53,22 @@ struct Job {
   sim::Time nominal_end() const { return nominal_begin() + actual_runtime(); }
 };
 
+/// The workload order of jobs: by arrival time, then id.  A function
+/// object, like ecc_before.
+inline constexpr auto job_before = [](const Job& a, const Job& b) {
+  if (a.arr != b.arr) return a.arr < b.arr;
+  return a.id < b.id;
+};
+
+/// `t` after scale_arrivals(f) for each f of `factors` in turn, around the
+/// trace `origin` (its first arrival, a fixed point of every rescaling).
+/// One factor at a time: a folded product would round differently.
+inline sim::Time scale_time(sim::Time t, sim::Time origin,
+                            const std::vector<double>& factors) {
+  for (const double factor : factors) t = origin + (t - origin) * factor;
+  return t;
+}
+
 /// A workload: submissions plus elastic control commands, as carried by one
 /// CWF file.  Jobs are kept sorted by arrival time, ECCs by issue time.
 struct Workload {
@@ -61,7 +77,9 @@ struct Workload {
   int machine_procs = 0;     ///< machine the workload was generated for
   int granularity = 1;
 
-  /// Sorts jobs by (arr, id) and ECCs by (issue, job id); call after edits.
+  /// Sorts jobs by job_before() and ECCs stably by ecc_before(); call after
+  /// edits.  A range already in its order is left as it is, which is what
+  /// its sort would return.
   void normalize();
 
   /// Shifts & scales every timestamp (arrivals, dedicated start times, ECC
@@ -69,6 +87,11 @@ struct Workload {
   /// touched.  This is the paper's load-variation method (multiply arrival
   /// times by a constant).
   void scale_arrivals(double factor);
+
+  /// scale_arrivals(f) for each f of `factors` in turn, in one walk over
+  /// the timestamps (scale_time() per timestamp): bit for bit the same
+  /// trace as one walk per factor.
+  void scale_arrivals(const std::vector<double>& factors);
 
   /// Total span from the first arrival to the last nominal completion.
   sim::Time duration() const;

@@ -91,7 +91,7 @@ double calibrate_load(Workload& workload, int machine_procs, double target) {
   LoadCalibrator calibrator(machine_procs);
   for (const Job& job : workload.jobs) calibrator.add(job);
   const LoadCalibrator::Result result = calibrator.calibrate(target);
-  for (const double factor : result.factors) workload.scale_arrivals(factor);
+  workload.scale_arrivals(result.factors);
   return result.load;
 }
 

@@ -9,8 +9,10 @@
 //
 // Runtimes stay fixed, so the span responds sub-linearly to a factor and
 // calibration iterates.  The iteration runs over a LoadCalibrator fed each
-// job once; applying the result is still one scale_arrivals() per factor
-// (or GeneratorSource's per-timestamp replay of the same chain).
+// job once (generate() feeds it while sampling), and the factor chain it
+// settles on is applied in one walk: scale_time() per timestamp, by
+// Workload::scale_arrivals(factors) over a resident trace or by
+// GeneratorSource per emitted job.
 #pragma once
 
 #include <cstddef>
@@ -29,15 +31,6 @@ double offered_load(const Workload& workload, int machine_procs);
 /// or after kCalibrationBudget rescalings.
 inline constexpr double kCalibrationTolerance = 0.01;
 inline constexpr int kCalibrationBudget = 25;
-
-/// `t` after scale_arrivals(f) for each f of `factors` in turn, around the
-/// trace `origin` (its first arrival, a fixed point of every rescaling).
-/// One factor at a time: a folded product would round differently.
-inline sim::Time scale_time(sim::Time t, sim::Time origin,
-                            const std::vector<double>& factors) {
-  for (const double factor : factors) t = origin + (t - origin) * factor;
-  return t;
-}
 
 /// The load calibration loop over jobs fed once, in workload order.  It
 /// keeps the scale-invariant processor-seconds and, for the span, only the
@@ -86,8 +79,8 @@ class LoadCalibrator {
   std::vector<Point> front_;
 };
 
-/// LoadCalibrator over the workload's jobs, then scale_arrivals() for each
-/// factor in turn.  Returns the achieved load.
+/// LoadCalibrator over the workload's jobs, then one scale_arrivals() walk
+/// over the factor chain.  Returns the achieved load.
 double calibrate_load(Workload& workload, int machine_procs, double target);
 
 }  // namespace es::workload

@@ -7,14 +7,6 @@
 #include "workload/load.hpp"
 
 namespace es::workload {
-namespace {
-
-bool ecc_before(const Ecc& a, const Ecc& b) {
-  if (a.issue != b.issue) return a.issue < b.issue;
-  return a.job_id < b.job_id;
-}
-
-}  // namespace
 
 JobSource::~JobSource() = default;
 

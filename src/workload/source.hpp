@@ -187,8 +187,9 @@ class MaterializedSource : public JobSource {
 /// job's commands and tenancy tags with it (the sampler's split RNG streams
 /// make that equal to generate()'s order).  target_load calibration is
 /// generate()'s: the same LoadCalibrator settles on the same factor chain,
-/// which is then applied per emitted timestamp instead of by
-/// scale_arrivals() over a resident trace.
+/// and each emitted timestamp goes through the same scale_time() that
+/// generate()'s one Workload::scale_arrivals(factors) walk applies to the
+/// resident trace.
 class GeneratorSource : public JobSource {
  public:
   static constexpr std::size_t kDefaultChunkJobs = 4096;
@@ -215,7 +216,7 @@ class GeneratorSource : public JobSource {
   const GeneratorConfig& config() const { return sampler_.config(); }
 
   /// Applies the calibration factor chain around the trace origin
-  /// (scale_time()), in the order calibrate_load() applies scale_arrivals().
+  /// (scale_time()), as calibrate_load() does to a resident trace.
   double scaled(double t) const;
   bool generate_lookahead();
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "workload/load.hpp"
 
@@ -171,6 +174,105 @@ TEST(Generator, TargetLoadCalibration) {
     const Workload workload = generate(config);
     EXPECT_NEAR(offered_load(workload, config.machine_procs), target,
                 0.02 * target);
+  }
+}
+
+TEST(Generator, SamplerEmitsArrivalOrder) {
+  // generate()'s normalize() skips the job sort only when the raw sampler
+  // output is in job_before() order, whichever streams a config switches on.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const double p_dedicated : {0.0, 0.5, 1.0}) {
+      for (const bool with_eccs : {false, true}) {
+        for (const bool tenancy : {false, true}) {
+          GeneratorConfig config;
+          config.num_jobs = 200;
+          config.seed = seed;
+          config.p_dedicated = p_dedicated;
+          config.p_extend = 0.3;
+          config.p_reduce = 0.3;
+          config.p_extend_procs = 0.1;
+          config.num_users = tenancy ? 16 : 0;
+          config.num_pools = tenancy ? 4 : 0;
+          SCOPED_TRACE(testing::Message()
+                       << "seed " << seed << " P_D " << p_dedicated
+                       << (with_eccs ? " eccs" : "")
+                       << (tenancy ? " tenancy" : ""));
+          JobSampler sampler(config);
+          const ZipfSampler users(16, config.zipf_exponent);
+          std::vector<Ecc> eccs;
+          Job previous;
+          Job job;
+          std::size_t drawn = 0;
+          while (sampler.next(job, with_eccs ? &eccs : nullptr,
+                              tenancy ? &users : nullptr)) {
+            if (drawn++ > 0) {
+              ASSERT_TRUE(job_before(previous, job)) << "job " << job.id;
+            }
+            previous = job;
+          }
+          EXPECT_EQ(drawn, config.num_jobs);
+        }
+      }
+    }
+  }
+}
+
+/// Every field of every job and command, compared by bit pattern.
+void expect_same_trace(const Workload& a, const Workload& b) {
+  const auto bits = [](double value) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    return word;
+  };
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  ASSERT_EQ(a.eccs.size(), b.eccs.size());
+  EXPECT_EQ(a.machine_procs, b.machine_procs);
+  EXPECT_EQ(a.granularity, b.granularity);
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    const Job& x = a.jobs[i];
+    const Job& y = b.jobs[i];
+    ASSERT_EQ(x.id, y.id) << "job " << i;
+    ASSERT_EQ(bits(x.arr), bits(y.arr)) << "job " << i;
+    ASSERT_EQ(x.num, y.num) << "job " << i;
+    ASSERT_EQ(bits(x.dur), bits(y.dur)) << "job " << i;
+    ASSERT_EQ(bits(x.actual), bits(y.actual)) << "job " << i;
+    ASSERT_EQ(x.type, y.type) << "job " << i;
+    ASSERT_EQ(bits(x.start), bits(y.start)) << "job " << i;
+    ASSERT_EQ(x.user, y.user) << "job " << i;
+    ASSERT_EQ(x.pool, y.pool) << "job " << i;
+  }
+  for (std::size_t i = 0; i < a.eccs.size(); ++i) {
+    const Ecc& x = a.eccs[i];
+    const Ecc& y = b.eccs[i];
+    ASSERT_EQ(bits(x.issue), bits(y.issue)) << "ecc " << i;
+    ASSERT_EQ(x.job_id, y.job_id) << "ecc " << i;
+    ASSERT_EQ(x.type, y.type) << "ecc " << i;
+    ASSERT_EQ(bits(x.amount), bits(y.amount)) << "ecc " << i;
+  }
+}
+
+TEST(Generator, CalibratingAnUnscaledTraceMatches) {
+  // generate() calibrates while it samples; the result must be the trace
+  // sampled once at load 0 and calibrated afterwards, bit for bit.
+  for (const double p_dedicated : {0.0, 0.5}) {
+    GeneratorConfig unscaled;
+    unscaled.num_jobs = 3000;
+    unscaled.seed = 29;
+    unscaled.p_dedicated = p_dedicated;
+    unscaled.p_extend = 0.3;
+    unscaled.p_reduce = 0.3;
+    unscaled.p_extend_procs = 0.1;
+    unscaled.p_reduce_procs = 0.1;
+    const Workload sampled = generate(unscaled);
+    for (const double load : {0.3, 0.7, 1.1}) {
+      SCOPED_TRACE(testing::Message()
+                   << "P_D " << p_dedicated << " load " << load);
+      GeneratorConfig config = unscaled;
+      config.target_load = load;
+      Workload calibrated = sampled;
+      calibrate_load(calibrated, config.machine_procs, load);
+      expect_same_trace(generate(config), calibrated);
+    }
   }
 }
 
